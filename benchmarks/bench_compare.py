@@ -16,6 +16,9 @@ direction is good:
 * anything else (counts, modes, sizes) is structural, not a performance
   metric, and is ignored.
 
+The header's ``src_lines`` (non-blank lines under ``src/repro``) is
+printed as a delta when both snapshots carry it, and never gated on.
+
 Exit status: 0 = no regression, 1 = at least one metric regressed past
 the threshold (default 20%), 64 = usage error (missing file, wrong
 schema, snapshots of different benchmarks).  Designed for the CI bench
@@ -39,6 +42,7 @@ METADATA_KEYS = frozenset(
         "cpu_count",
         "git_sha",
         "timestamp",
+        "src_lines",
     }
 )
 
@@ -134,6 +138,13 @@ def compare(
         f"{baseline.get('git_sha') or '?'} ({baseline.get('timestamp', '?')}) "
         f"-> {current.get('git_sha') or '?'} ({current.get('timestamp', '?')})"
     )
+    base_lines, cur_lines = baseline.get("src_lines"), current.get("src_lines")
+    if base_lines is not None and cur_lines is not None:
+        # Informational only: code size is a trajectory, not a gate.
+        report.append(
+            f"  src_lines: {base_lines} -> {cur_lines} "
+            f"({cur_lines - base_lines:+d})"
+        )
     shared = sorted(base_metrics.keys() & cur_metrics.keys())
     if not shared:
         report.append("no comparable metrics found in both snapshots")

@@ -3,8 +3,8 @@
 Every benchmark that persists results routes them through
 :func:`write_snapshot`, so all snapshots share one schema (documented in
 ``docs/PERFORMANCE.md``): a fixed metadata header — ``schema_version``,
-``benchmark``, ``python``, ``platform``, ``cpu_count`` — merged with the
-benchmark-specific payload.  The file is written atomically (tempfile +
+``benchmark``, ``python``, ``platform``, ``cpu_count``, ``git_sha``,
+``timestamp``, ``src_lines`` — merged with the benchmark-specific payload.  The file is written atomically (tempfile +
 ``os.replace``) so a crashed or interrupted run never leaves a truncated
 snapshot for CI to upload.
 """
@@ -39,12 +39,30 @@ def _git_sha() -> "str | None":
     return sha if out.returncode == 0 and sha else None
 
 
+def _src_lines() -> int:
+    """Non-blank lines of every ``.py`` file under ``src/repro``."""
+    root = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src", "repro",
+    )
+    total = 0
+    for directory, _subdirs, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as f:
+                    total += sum(1 for line in f if line.strip())
+    return total
+
+
 def snapshot_metadata(benchmark: str) -> dict:
     """The fixed header stamped onto every snapshot.
 
     ``git_sha`` and ``timestamp`` make two snapshots comparable: a
     regression report that cannot say *which commits* it compares is
     noise.  ``git_sha`` is None when git is unavailable (sdist builds).
+    ``src_lines`` puts the size of the code next to the performance it
+    buys (ROADMAP aim 2); ``bench_compare`` prints its delta and never
+    gates on it.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -56,6 +74,7 @@ def snapshot_metadata(benchmark: str) -> dict:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
+        "src_lines": _src_lines(),
     }
 
 

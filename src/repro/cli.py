@@ -69,13 +69,10 @@ from repro.core import (
 )
 from repro.core.budget import BudgetMeter, ExplorationBudget, ExplorationControl
 from repro.core.campaign import (
-    TestSummary,
     campaign_verdict,
+    parse_campaign_state,
     render_table2,
-    row_from_dict,
-    row_to_dict,
-    run_class_campaign,
-    verify_causes,
+    run_campaign_plan,
 )
 from repro.core.checkpoint import (
     CheckpointError,
@@ -85,7 +82,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.fileio import atomic_write_text
 from repro.core.observations import observations_to_xml
-from repro.runtime import ENGINES, Scheduler, make_scheduler
+from repro.runtime import ENGINES
 from repro.structures import REGISTRY, ROOT_CAUSES, get_class
 
 __all__ = ["main"]
@@ -527,8 +524,6 @@ def _run_swarm_check(
     resume_document: dict | None = None,
 ) -> int:
     """Shared driver for ``check --shards`` and ``resume`` of a swarm."""
-    from repro.exec.sandbox import ResourceLimits
-    from repro.exec.supervisor import PoolConfig
     from repro.swarm import (
         SwarmConfig,
         render_swarm_result,
@@ -553,13 +548,7 @@ def _run_swarm_check(
             shards=args.shards, lease_executions=args.lease
         )
     if pool_config is None:
-        pool_config = PoolConfig(
-            workers=args.workers,
-            start_method=args.start_method,
-            limits=ResourceLimits(mem_limit_mb=args.mem_limit_mb),
-            max_retries=args.max_retries,
-            report_dir=args.report_dir,
-        )
+        pool_config = _pool_config(vars(args))
     stopper = _SignalStop().install()
     try:
         control = ExplorationControl(budget=config.budget, stop=stopper)
@@ -682,156 +671,105 @@ def cmd_check(args: argparse.Namespace) -> int:
     return code
 
 
-def _campaign_state(
-    plan: "list[tuple[str, str]]",
-    rows: list,
-    current: "tuple[str, str, object] | None",
-    params: dict,
-    control: ExplorationControl,
-    retries: "dict[int, int] | None" = None,
-) -> dict:
-    """Build the campaign checkpoint document.
+def _shared_params(args: argparse.Namespace) -> dict:
+    """The check and executor flags ``campaign`` and ``generate`` share.
 
-    The in-progress class's summaries are a *list* for in-process
-    campaigns (tests finish in order; the list length is the resume
-    point) and an index-keyed *dict* for isolated ones (workers finish
-    out of order); *retries* persists the latter's crash-retry counters
-    so a resumed test does not get a fresh retry allowance.
+    They are stored in every checkpoint, so ``resume`` rebuilds the same
+    check configuration and the same executor.
     """
-    state: dict = {
-        "kind": "campaign",
-        "plan": [list(item) for item in plan],
-        "finished_rows": [row_to_dict(row) for row in rows],
-        "current": None,
-        "params": params,
-        "budget": control.meter.snapshot() if control.meter is not None else None,
+    if args.deadline is not None and args.deadline <= 0:
+        raise CliError("--deadline must be a positive number of seconds")
+    if args.workers < 1:
+        raise CliError("--workers must be >= 1")
+    if args.max_retries < 0:
+        raise CliError("--max-retries must be >= 0")
+    return {
+        key: getattr(args, key)
+        for key in (
+            "schedules", "seed", "deadline", "watchdog", "reduction",
+            "engine", "isolate", "workers", "mem_limit_mb", "max_retries",
+            "start_method", "report_dir", "provider",
+        )
     }
-    if current is not None:
-        name, version, summaries = current
-        if isinstance(summaries, dict):
-            payload: object = {
-                str(index): summary.to_dict()
-                for index, summary in sorted(summaries.items())
-            }
-        else:
-            payload = [summary.to_dict() for summary in summaries]
-        state["current"] = {
-            "cls": name,
-            "version": version,
-            "summaries": payload,
-        }
-        if retries:
-            state["current"]["retries"] = {
-                str(index): count for index, count in sorted(retries.items())
-            }
-    return state
 
 
-def _run_campaign_plan(
-    plan: "list[tuple[str, str]]",
-    params: dict,
-    checkpoint: str | None,
-    finished_rows: list,
-    resume_current: "tuple[str, str, list] | None" = None,
-    budget_snapshot: dict | None = None,
-) -> int:
-    """Run (or resume) a campaign plan with checkpointing and signals.
-
-    *plan* is the ordered (class, version) work list; entries matching a
-    row in *finished_rows* are skipped; *resume_current* carries the
-    per-test summaries of the class a previous session was interrupted
-    in, so only its remaining tests run.
-    """
+def _campaign_check_config(params: dict) -> CheckConfig:
+    """The per-test check configuration of a campaign or generation run."""
+    reduction = params.get("reduction", "none")
     deadline = params.get("deadline")
-    budget = (
-        ExplorationBudget(deadline_seconds=deadline) if deadline else None
-    )
-    config = CheckConfig(
+    return CheckConfig(
         # Reductions need the deterministic DFS frontier; the unreduced
         # campaign default stays random sampling of `schedules` walks.
-        phase2_strategy=(
-            "dfs" if params.get("reduction", "none") != "none" else "random"
-        ),
-        reduction=params.get("reduction", "none"),
-        phase2_executions=params["schedules"],
-        seed=params["seed"],
+        phase2_strategy="dfs" if reduction != "none" else "random",
+        reduction=reduction,
+        phase2_executions=params.get("schedules", 150),
+        seed=params.get("seed", 0),
         max_serial_executions=2000,
-        budget=budget,
+        budget=ExplorationBudget(deadline_seconds=deadline) if deadline else None,
         watchdog_seconds=params.get("watchdog"),
         dump_traces=params.get("dump_traces"),
         engine=params.get("engine", "baton"),
     )
+
+
+def _pool_config(params: dict):
+    """Worker-pool supervision settings from the isolation flags."""
+    from repro.exec import PoolConfig, ResourceLimits
+
+    max_retries = params.get("max_retries")
+    return PoolConfig(
+        workers=int(params.get("workers") or 2),
+        start_method=params.get("start_method") or "spawn",
+        limits=ResourceLimits(mem_limit_mb=params.get("mem_limit_mb")),
+        max_retries=2 if max_retries is None else int(max_retries),
+        report_dir=params.get("report_dir"),
+    )
+
+
+def _executor(params: dict):
+    """``--isolate`` is a sandboxing choice: it picks the executor."""
+    from repro.exec import InlineExecutor, WorkerPool
+
+    if not params.get("isolate"):
+        return InlineExecutor()
+    pool = WorkerPool(_pool_config(params))
+    print(f"worker reports in {pool.report_dir}")
+    return pool
+
+
+def _run_campaign(
+    plan: "list[tuple[str, str]]",
+    params: dict,
+    checkpoint: str | None,
+    finished_rows: Sequence = (),
+    resume_current=None,
+    budget_snapshot: dict | None = None,
+) -> int:
+    """The campaign command around :func:`run_campaign_plan`: signals,
+    budget, executor, then the table and the exit code."""
+    config = _campaign_check_config(params)
     stopper = _SignalStop().install()
-    control = ExplorationControl(budget=budget, stop=stopper)
+    control = ExplorationControl(budget=config.budget, stop=stopper)
     if budget_snapshot is not None:
         control.meter = BudgetMeter.from_snapshot(budget_snapshot)
     control.start()
-    checkpointer = Checkpointer(checkpoint) if checkpoint else None
-    rows = list(finished_rows)
-    done = {(row.class_name, row.version) for row in rows}
-    stop_reason: str | None = None
-    scheduler = make_scheduler(config.engine, watchdog=config.watchdog_seconds)
     try:
-        for name, version in plan:
-            if (name, version) in done:
-                continue
-            entry = get_class(name)
-            completed: list = []
-            if resume_current is not None:
-                prior_cls, prior_version, summaries = resume_current
-                resume_current = None  # applies to the first pending entry only
-                if (prior_cls, prior_version) == (name, version):
-                    completed = list(summaries)
-            latest = {"summaries": completed}
-
-            def on_test(summaries, _name=name, _version=version, _latest=latest):
-                _latest["summaries"] = list(summaries)
-                if checkpointer is not None:
-                    checkpointer.tick(
-                        lambda: _campaign_state(
-                            plan, rows, (_name, _version, summaries),
-                            params, control,
-                        )
-                    )
-
-            row, _results = run_class_campaign(
-                entry,
-                version,
-                samples=params["samples"],
-                rows=params["rows"],
-                cols=params["cols"],
-                seed=params["seed"],
-                config=config,
-                scheduler=scheduler,
+        with _executor(params) as executor:
+            rows, stop_reason, quarantined = run_campaign_plan(
+                plan,
+                params,
+                config,
+                executor,
+                resolve=_provider_get_class(params.get("provider")),
                 control=control,
-                completed=completed,
-                on_test=on_test,
+                checkpointer=Checkpointer(checkpoint) if checkpoint else None,
+                finished_rows=finished_rows,
+                resume_current=resume_current,
             )
-            if row.stop_reason is not None:
-                stop_reason = row.stop_reason
-                if checkpointer is not None:
-                    checkpointer.save(
-                        _campaign_state(
-                            plan, rows,
-                            (name, version, latest["summaries"]),
-                            params, control,
-                        )
-                    )
-                break
-            # The curated root-cause columns (cheap, deterministic).
-            row.causes_found, row.min_dimensions = verify_causes(
-                entry, version, CheckConfig(), scheduler
-            )
-            rows.append(row)
-            done.add((name, version))
-            if checkpointer is not None:
-                checkpointer.save(
-                    _campaign_state(plan, rows, None, params, control)
-                )
     finally:
         stopper.uninstall()
-        scheduler.shutdown()
     print(render_table2(rows))
+    _print_quarantine_summary(rows, quarantined)
     if stop_reason is not None:
         what = (
             "interrupted"
@@ -879,187 +817,17 @@ def _print_quarantine_summary(rows: list, quarantined: "list[str]") -> None:
         )
 
 
-def _run_campaign_plan_isolated(
-    plan: "list[tuple[str, str]]",
-    params: dict,
-    checkpoint: str | None,
-    finished_rows: list,
-    resume_current: "tuple[str, str, dict, dict] | None" = None,
-    budget_snapshot: dict | None = None,
-) -> int:
-    """The ``--isolate`` variant of :func:`_run_campaign_plan`.
-
-    Same plan/checkpoint/resume contract, but each test runs in a
-    sandboxed worker (see :mod:`repro.exec`); *resume_current* carries
-    (cls, version, summaries-by-index, retries-by-index).  The curated
-    root-cause validation of the in-process path is skipped: it would run
-    the subject in this very process, which is what --isolate exists to
-    avoid.
-    """
-    from repro.core.campaign import (
-        run_class_campaign_isolated,
-        summary_from_outcome,
-    )
-    from repro.exec import PoolConfig, ResourceLimits, WorkerPool
-
-    deadline = params.get("deadline")
-    budget = (
-        ExplorationBudget(deadline_seconds=deadline) if deadline else None
-    )
-    config = CheckConfig(
-        phase2_strategy=(
-            "dfs" if params.get("reduction", "none") != "none" else "random"
-        ),
-        reduction=params.get("reduction", "none"),
-        phase2_executions=params["schedules"],
-        seed=params["seed"],
-        max_serial_executions=2000,
-        budget=budget,
-        watchdog_seconds=params.get("watchdog"),
-        dump_traces=params.get("dump_traces"),
-        engine=params.get("engine", "baton"),
-    )
-    provider = params.get("provider")
-    resolve = _provider_get_class(provider)
-    pool_config = PoolConfig(
-        workers=params.get("workers") or 2,
-        start_method=params.get("start_method") or "spawn",
-        limits=ResourceLimits(mem_limit_mb=params.get("mem_limit_mb")),
-        max_retries=params.get("max_retries", 2),
-        report_dir=params.get("report_dir"),
-    )
-    stopper = _SignalStop().install()
-    control = ExplorationControl(budget=budget, stop=stopper)
-    if budget_snapshot is not None:
-        control.meter = BudgetMeter.from_snapshot(budget_snapshot)
-    control.start()
-    checkpointer = Checkpointer(checkpoint) if checkpoint else None
-    rows = list(finished_rows)
-    done = {(row.class_name, row.version) for row in rows}
-    stop_reason: str | None = None
-    quarantined: list[str] = []
-    try:
-        with WorkerPool(pool_config) as pool:
-            print(f"worker reports in {pool.report_dir}")
-            for name, version in plan:
-                if (name, version) in done:
-                    continue
-                entry = resolve(name)
-                completed: dict = {}
-                prior_retries: dict = {}
-                if resume_current is not None:
-                    prior_cls, prior_version, summaries, retries = resume_current
-                    resume_current = None  # first pending entry only
-                    if (prior_cls, prior_version) == (name, version):
-                        completed = dict(summaries)
-                        prior_retries = dict(retries)
-                latest = {
-                    "summaries": dict(completed),
-                    "retries": dict(prior_retries),
-                }
-
-                def on_outcome(
-                    outcome, retry_map,
-                    _name=name, _version=version, _latest=latest,
-                ):
-                    _latest["summaries"][outcome.index] = summary_from_outcome(
-                        outcome
-                    )
-                    _latest["retries"] = dict(retry_map)
-                    if checkpointer is not None:
-                        checkpointer.tick(
-                            lambda: _campaign_state(
-                                plan, rows,
-                                (_name, _version, _latest["summaries"]),
-                                params, control,
-                                retries=_latest["retries"],
-                            )
-                        )
-
-                row, summaries = run_class_campaign_isolated(
-                    entry,
-                    version,
-                    samples=params["samples"],
-                    rows=params["rows"],
-                    cols=params["cols"],
-                    seed=params["seed"],
-                    config=config,
-                    pool=pool,
-                    provider=provider,
-                    control=control,
-                    completed=completed,
-                    prior_retries=prior_retries,
-                    on_outcome=on_outcome,
-                )
-                quarantined.extend(
-                    summary.crash_report
-                    for _, summary in sorted(summaries.items())
-                    if summary.crash_report
-                )
-                if row.stop_reason is not None:
-                    stop_reason = row.stop_reason
-                    if checkpointer is not None:
-                        checkpointer.save(
-                            _campaign_state(
-                                plan, rows,
-                                (name, version, latest["summaries"]),
-                                params, control,
-                                retries=latest["retries"],
-                            )
-                        )
-                    break
-                rows.append(row)
-                done.add((name, version))
-                if checkpointer is not None:
-                    checkpointer.save(
-                        _campaign_state(plan, rows, None, params, control)
-                    )
-    finally:
-        stopper.uninstall()
-    print(render_table2(rows))
-    _print_quarantine_summary(rows, quarantined)
-    if stop_reason is not None:
-        what = (
-            "interrupted"
-            if stop_reason == "interrupted"
-            else f"budget exhausted ({stop_reason})"
-        )
-        print()
-        print(f"campaign {what}; the table above is partial")
-        if checkpoint:
-            print(f"state saved; continue with: python -m repro resume {checkpoint}")
-    return _campaign_exit_code(rows, stop_reason)
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     resolve = _provider_get_class(args.provider)
     entries = REGISTRY if args.cls == "all" else (resolve(args.cls),)
     versions = args.versions.split(",")
     plan = [(entry.name, version) for entry in entries for version in versions]
-    if args.deadline is not None and args.deadline <= 0:
-        raise CliError("--deadline must be a positive number of seconds")
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
-    if args.max_retries < 0:
-        raise CliError("--max-retries must be >= 0")
     params = {
+        **_shared_params(args),
         "samples": args.samples,
         "rows": args.rows,
         "cols": args.cols,
-        "schedules": args.schedules,
-        "seed": args.seed,
-        "deadline": args.deadline,
-        "watchdog": args.watchdog,
-        "isolate": args.isolate,
-        "workers": args.workers,
-        "mem_limit_mb": args.mem_limit_mb,
-        "max_retries": args.max_retries,
-        "start_method": args.start_method,
-        "report_dir": args.report_dir,
-        "provider": args.provider,
         "dump_traces": args.dump_traces,
-        "reduction": args.reduction,
-        "engine": getattr(args, "engine", "baton"),
     }
     if args.generate:
         if args.checkpoint:
@@ -1068,28 +836,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 "'generate --corpus-dir DIR' for resumable generation"
             )
         params["budget"] = args.budget
-        params["gen_seeds"] = 4
         params["max_rows"] = args.rows
         params["max_cols"] = args.cols
         return _run_generate_plan(plan, params)
-    if args.isolate:
-        return _run_campaign_plan_isolated(plan, params, args.checkpoint, [])
-    return _run_campaign_plan(plan, params, args.checkpoint, [])
-
-
-def _generate_check_config(params: dict) -> CheckConfig:
-    """The per-candidate check configuration of a generation campaign."""
-    return CheckConfig(
-        phase2_strategy=(
-            "dfs" if params.get("reduction", "none") != "none" else "random"
-        ),
-        reduction=params.get("reduction", "none"),
-        phase2_executions=params.get("schedules", 150),
-        seed=params.get("seed", 0),
-        max_serial_executions=2000,
-        watchdog_seconds=params.get("watchdog"),
-        engine=params.get("engine", "baton"),
-    )
+    return _run_campaign(plan, params, args.checkpoint)
 
 
 def _generate_exit_code(report) -> int:
@@ -1118,8 +868,8 @@ def _run_generate(
     fresh_deadline: float | None = None,
     fresh_budget: int | None = None,
     json_output: bool = False,
-):
-    """Run (or resume) one generation campaign; returns its report.
+) -> int:
+    """Run (or resume) one generation campaign; returns its exit code.
 
     *params* carries the CLI knobs (both the GenerateConfig fields and
     the isolation/pool flags); on resume the checkpointed configs win
@@ -1140,7 +890,11 @@ def _run_generate(
     if resume_document is not None:
         config, gen, resume = parse_generate_state(resume_document)
     else:
-        config = _generate_check_config(params)
+        # The deadline is the campaign's (GenerateConfig), not each
+        # candidate check's; candidates dump no traces.
+        config = _replace(
+            _campaign_check_config(params), budget=None, dump_traces=None
+        )
         gen = GenerateConfig(
             budget=params.get("budget", 2000),
             seeds=params.get("gen_seeds", 4),
@@ -1151,25 +905,12 @@ def _run_generate(
         )
     if fresh_deadline is not None:
         gen = _replace(gen, deadline=fresh_deadline)
+        if resume is not None:
+            resume.meter_snapshot = _override_deadline(
+                resume.meter_snapshot, fresh_deadline
+            )
     if fresh_budget is not None:
         gen = _replace(gen, budget=fresh_budget)
-    budget = ExplorationBudget(
-        deadline_seconds=gen.deadline, max_executions=gen.budget
-    )
-    stopper = _SignalStop().install()
-    control = ExplorationControl(budget=budget, stop=stopper)
-    if resume is not None and resume.meter_snapshot is not None:
-        snapshot = resume.meter_snapshot
-        if fresh_deadline is not None:
-            snapshot = _override_deadline(snapshot, fresh_deadline)
-        restored = BudgetMeter.from_snapshot(snapshot)
-        control.meter = BudgetMeter(
-            budget=budget,
-            elapsed=restored.elapsed,
-            executions=restored.executions,
-            decisions=restored.decisions,
-        )
-    control.start()
     checkpointer = None
     if checkpoint:
         # Every folded candidate is persisted: candidates are expensive
@@ -1186,53 +927,27 @@ def _run_generate(
                 "params": params,
             },
         )
-    scheduler = None
+    stopper = _SignalStop().install()
     try:
-        if params.get("isolate"):
-            from repro.exec import PoolConfig, ResourceLimits, WorkerPool
-
-            pool_config = PoolConfig(
-                workers=params.get("workers") or 2,
-                start_method=params.get("start_method") or "spawn",
-                limits=ResourceLimits(mem_limit_mb=params.get("mem_limit_mb")),
-                max_retries=(
-                    params["max_retries"]
-                    if params.get("max_retries") is not None
-                    else 2
-                ),
-                report_dir=params.get("report_dir"),
-            )
-            with WorkerPool(pool_config) as pool:
-                print(f"worker reports in {pool.report_dir}")
-                report = run_generation_campaign(
-                    entry,
-                    version,
-                    config,
-                    gen,
-                    control=control,
-                    checkpointer=checkpointer,
-                    resume=resume,
-                    pool=pool,
-                    provider=provider,
-                )
-        else:
-            scheduler = make_scheduler(
-                config.engine, watchdog=config.watchdog_seconds
-            )
+        with _executor(params) as executor:
             report = run_generation_campaign(
                 entry,
                 version,
                 config,
                 gen,
-                scheduler=scheduler,
-                control=control,
+                control=ExplorationControl(
+                    budget=ExplorationBudget(
+                        deadline_seconds=gen.deadline, max_executions=gen.budget
+                    ),
+                    stop=stopper,
+                ),
                 checkpointer=checkpointer,
                 resume=resume,
+                pool=executor,
+                provider=provider,
             )
     finally:
         stopper.uninstall()
-        if scheduler is not None:
-            scheduler.shutdown()
     if json_output:
         import json as _json
 
@@ -1242,7 +957,7 @@ def _run_generate(
         print(render_generation_report(report))
         if report.stop_reason is not None and checkpoint:
             print(f"state saved; continue with: python -m repro resume {checkpoint}")
-    return report
+    return _generate_exit_code(report)
 
 
 def _run_generate_plan(plan: "list[tuple[str, str]]", params: dict) -> int:
@@ -1251,8 +966,7 @@ def _run_generate_plan(plan: "list[tuple[str, str]]", params: dict) -> int:
     for position, (name, version) in enumerate(plan):
         if position:
             print()
-        report = _run_generate(name, version, params, checkpoint=None)
-        codes.append(_generate_exit_code(report))
+        codes.append(_run_generate(name, version, params, checkpoint=None))
         if codes[-1] == EXIT_INTERRUPTED:
             break
     for code in (EXIT_INTERRUPTED, EXIT_FAIL, EXIT_EXHAUSTED):
@@ -1266,32 +980,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     if args.budget is not None and args.budget < 1:
         raise CliError("--budget must be a positive number of executions")
-    if args.deadline is not None and args.deadline <= 0:
-        raise CliError("--deadline must be a positive number of seconds")
     if args.seeds < 1:
         raise CliError("--seeds must be >= 1")
     if args.max_rows < 1 or args.max_cols < 1:
         raise CliError("--max-rows/--max-cols must be >= 1")
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
     params = {
+        **_shared_params(args),
         "budget": args.budget,
         "gen_seeds": args.seeds,
-        "seed": args.seed,
         "max_rows": args.max_rows,
         "max_cols": args.max_cols,
-        "deadline": args.deadline,
-        "schedules": args.schedules,
-        "reduction": args.reduction,
-        "engine": getattr(args, "engine", "baton"),
-        "watchdog": args.watchdog,
-        "isolate": args.isolate,
-        "workers": args.workers,
-        "mem_limit_mb": args.mem_limit_mb,
-        "max_retries": args.max_retries,
-        "start_method": args.start_method,
-        "report_dir": args.report_dir,
-        "provider": args.provider,
     }
     checkpoint = None
     resume_document = None
@@ -1316,7 +1014,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 )
             resume_document = document
             print(f"resuming from corpus {checkpoint}")
-    report = _run_generate(
+    return _run_generate(
         args.cls,
         args.version,
         params,
@@ -1329,7 +1027,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         fresh_budget=args.budget if resume_document else None,
         json_output=args.json,
     )
-    return _generate_exit_code(report)
 
 
 def _override_deadline(snapshot: dict | None, deadline: float) -> dict | None:
@@ -1356,8 +1053,6 @@ def _resume_swarm(args: argparse.Namespace, document: dict) -> int:
     """
     from dataclasses import replace
 
-    from repro.exec.sandbox import ResourceLimits
-    from repro.exec.supervisor import PoolConfig
     from repro.swarm.runner import parse_swarm_state
 
     subject_info, test, config, swarm_config = parse_swarm_state(document)
@@ -1373,21 +1068,8 @@ def _resume_swarm(args: argparse.Namespace, document: dict) -> int:
                 document.get("budget"), args.deadline
             ),
         }
-    pool_params = document.get("pool") or {}
-    pool_config = PoolConfig(
-        workers=int(pool_params.get("workers") or 2),
-        start_method=pool_params.get("start_method") or "spawn",
-        limits=ResourceLimits(mem_limit_mb=pool_params.get("mem_limit_mb")),
-        max_retries=int(
-            pool_params.get("max_retries")
-            if pool_params.get("max_retries") is not None
-            else 2
-        ),
-        report_dir=pool_params.get("report_dir"),
-    )
-    settled = sum(
-        1 for _ in (document.get("shard_files") or {})
-    )
+    pool_config = _pool_config(document.get("pool") or {})
+    settled = len(document.get("shard_files") or {})
     print(
         f"Resuming swarm check of {subject_info['cls']}"
         f"({subject_info['version']}) from {args.checkpoint} "
@@ -1413,44 +1095,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         raise CliError("--deadline must be a positive number of seconds")
     document = load_checkpoint(args.checkpoint)
     if document["kind"] == "campaign":
-        plan = [
-            (str(name), str(version)) for name, version in document.get("plan", [])
-        ]
-        if not plan:
-            raise CliError("campaign checkpoint has an empty plan")
-        rows = [row_from_dict(data) for data in document.get("finished_rows", [])]
-        current = document.get("current")
-        params = document.get("params") or {}
-        for key in ("samples", "rows", "cols", "schedules", "seed"):
-            if key not in params:
-                raise CliError(f"campaign checkpoint lacks parameter {key!r}")
-        isolated = bool(params.get("isolate"))
-        resume_current = None
-        if current:
-            saved = current.get("summaries", [])
-            if isolated:
-                # Isolated campaigns checkpoint summaries by test index
-                # (out-of-order completion) plus crash-retry counters.
-                by_index = {
-                    int(index): TestSummary.from_dict(data)
-                    for index, data in (
-                        saved.items() if isinstance(saved, dict)
-                        else enumerate(saved)
-                    )
-                }
-                retries = {
-                    int(index): int(count)
-                    for index, count in (current.get("retries") or {}).items()
-                }
-                resume_current = (
-                    current["cls"], current["version"], by_index, retries
-                )
-            else:
-                resume_current = (
-                    current["cls"],
-                    current["version"],
-                    [TestSummary.from_dict(s) for s in saved],
-                )
+        plan, rows, params, resume_current = parse_campaign_state(document)
         budget_snapshot = document.get("budget")
         if args.deadline is not None:
             params = {**params, "deadline": args.deadline}
@@ -1459,16 +1104,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             f"Resuming campaign from {args.checkpoint} "
             f"({len(rows)}/{len(plan)} rows finished)"
         )
-        if isolated:
-            return _run_campaign_plan_isolated(
-                plan,
-                params,
-                args.checkpoint,
-                rows,
-                resume_current=resume_current,
-                budget_snapshot=budget_snapshot,
-            )
-        return _run_campaign_plan(
+        return _run_campaign(
             plan,
             params,
             args.checkpoint,
@@ -1489,7 +1125,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             f"Resuming generation campaign of {subject_info['cls']}"
             f"({subject_info['version']}) from {args.checkpoint}"
         )
-        report = _run_generate(
+        return _run_generate(
             subject_info["cls"],
             subject_info["version"],
             params,
@@ -1497,7 +1133,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
             resume_document=document,
             fresh_deadline=args.deadline,
         )
-        return _generate_exit_code(report)
 
     # kind == "check"
     subject_info = document.get("subject") or {}

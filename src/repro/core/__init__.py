@@ -30,14 +30,12 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.checker import (
-    VERDICT_PRECEDENCE,
     CheckConfig,
     CheckResult,
     Violation,
     check,
     check_against_observations,
     check_with_harness,
-    worst_verdict,
 )
 from repro.core.events import Event, Invocation, Operation, Response
 from repro.core.harness import HarnessError, SystemUnderTest, TestHarness
@@ -60,6 +58,7 @@ from repro.core.report import render_check_result, render_violation
 from repro.core.spec import NondeterminismWitness, ObservationSet
 from repro.core.testcase import FiniteTest, enumerate_tests, sample_tests
 from repro.core.timeline import render_timeline
+from repro.core.verdict import VERDICT_PRECEDENCE, worst_verdict
 from repro.core.witness import (
     brute_force_full_witness,
     check_full_history,

@@ -27,11 +27,11 @@ from repro.core.checker import (
     CheckConfig,
     CheckResult,
     check_with_harness,
-    worst_verdict,
 )
 from repro.core.events import Invocation
 from repro.core.harness import SystemUnderTest, TestHarness
 from repro.core.testcase import FiniteTest, enumerate_tests, sample_tests
+from repro.core.verdict import worst_verdict
 from repro.runtime import Scheduler
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 class CampaignResult:
     """Aggregate outcome of a multi-test campaign (Auto/RandomCheck).
 
-    ``verdict`` follows :data:`repro.core.checker.VERDICT_PRECEDENCE`:
+    ``verdict`` follows :data:`repro.core.verdict.VERDICT_PRECEDENCE`:
     "FAIL" as soon as any test fails; "CRASHED" when tests were
     quarantined (isolated campaigns) but none failed; else "PASS".
     """

@@ -33,13 +33,15 @@ __all__ = [
     "CampaignRow",
     "TestSummary",
     "campaign_row",
+    "campaign_state",
     "campaign_verdict",
+    "parse_campaign_state",
     "render_table2",
     "row_from_dict",
     "row_from_summaries",
     "row_to_dict",
+    "run_campaign_plan",
     "run_class_campaign",
-    "run_class_campaign_isolated",
     "summary_from_outcome",
     "verify_causes",
 ]
@@ -115,6 +117,11 @@ class TestSummary:
             equivalence_classes=int(data.get("equivalence_classes", 0)),
             schedules_pruned=int(data.get("schedules_pruned", 0)),
         )
+
+
+#: The class a campaign was interrupted in: (class, version, finished
+#: tests' summaries by test index, crash-retry counters by test index).
+ResumeCurrent = tuple[str, str, dict[int, TestSummary], dict[int, int]]
 
 
 @dataclass
@@ -254,118 +261,40 @@ def run_class_campaign(
     config: CheckConfig | None = None,
     scheduler: Scheduler | None = None,
     *,
-    control: ExplorationControl | None = None,
-    completed: Sequence[TestSummary] | None = None,
-    on_test: Callable[[list[TestSummary]], None] | None = None,
-) -> tuple[CampaignRow, list[CheckResult]]:
-    """RandomCheck campaign for one class/version, with Table 2 stats.
-
-    The test list is a deterministic function of (alphabet, rows, cols,
-    samples, seed), so a resumed campaign (*completed* = summaries of
-    already-finished tests, restored from a checkpoint) runs exactly the
-    tests the interrupted one had left and aggregates to the same row.
-    *on_test* is called with the summary list after every finished test
-    (the campaign checkpoint hook); *control* imposes a campaign-wide
-    budget — an EXHAUSTED test result is not summarized, so the resume
-    re-runs that test from scratch.
-    """
-    cfg = config or CheckConfig()
-    if control is None and cfg.budget is not None:
-        control = ExplorationControl(budget=cfg.budget)
-    subject = SystemUnderTest(entry.factory(version), f"{entry.name}({version})")
-    tests = sample_tests(
-        list(entry.invocations), rows, cols, samples, seed=seed, init=entry.init
-    )
-    summaries: list[TestSummary] = list(completed or ())
-    results: list[CheckResult] = []
-    stop_reason: str | None = None
-    with TestHarness(
-        subject,
-        scheduler=scheduler,
-        max_steps=cfg.max_steps,
-        watchdog=cfg.watchdog_seconds,
-        engine=cfg.engine,
-    ) as harness:
-        for test in list(tests)[len(summaries):]:
-            if control is not None:
-                reason = control.halt_reason()
-                if reason is not None:
-                    stop_reason = reason
-                    break
-            result = check_with_harness(harness, test, cfg, control=control)
-            if result.exhausted:
-                stop_reason = result.exhausted_reason
-                break
-            summaries.append(TestSummary.from_result(result))
-            results.append(result)
-            if on_test is not None:
-                on_test(summaries)
-    row = row_from_summaries(entry, version, summaries, cfg)
-    row.stop_reason = stop_reason
-    return row, results
-
-
-def summary_from_outcome(outcome) -> TestSummary:
-    """Convert a worker-pool :class:`~repro.exec.TaskOutcome` to a summary.
-
-    Quarantined tests never produced statistics, so their summary is all
-    zeros apart from the verdict and the crash-report pointer; completed
-    tests reuse the worker's serialized summary with the *settled* verdict
-    (which may differ from the decisive attempt's own — the flaky-verdict
-    guard can settle on ``nondeterministic-verdict``).
-    """
-    attempts = max(1, len(outcome.verdicts) + len(outcome.crashes))
-    if outcome.summary is None:
-        return TestSummary(
-            verdict=outcome.verdict,
-            histories=0,
-            stuck_histories=0,
-            phase1_seconds=0.0,
-            total_seconds=0.0,
-            attempts=attempts,
-            crash_report=outcome.crash_report,
-        )
-    summary = TestSummary.from_dict(outcome.summary)
-    return replace(
-        summary,
-        verdict=outcome.verdict,
-        attempts=attempts,
-        crash_report=outcome.crash_report,
-    )
-
-
-def run_class_campaign_isolated(
-    entry: ClassUnderTest,
-    version: str,
-    samples: int = 20,
-    rows: int = 3,
-    cols: int = 3,
-    seed: int = 0,
-    config: CheckConfig | None = None,
-    *,
-    pool,
+    executor=None,
     provider: str | None = None,
     control: ExplorationControl | None = None,
     completed: "dict[int, TestSummary] | None" = None,
     prior_retries: "dict[int, int] | None" = None,
     on_outcome: "Callable[[object, dict[int, int]], None] | None" = None,
 ) -> tuple[CampaignRow, dict[int, TestSummary]]:
-    """The campaign of :func:`run_class_campaign`, fanned across a pool.
+    """RandomCheck campaign for one class/version, with Table 2 stats.
 
-    Each test runs as one task in *pool* (a :class:`repro.exec.WorkerPool`)
-    inside a sandboxed child process, so a test that kills its process is
-    quarantined with a ``CRASHED`` verdict instead of ending the campaign.
-    The test list is the same deterministic sample as the in-process
-    campaign; *completed* maps test index → summary for tests finished
-    before a resume (outcomes complete out of order, so resume state is
-    keyed by index, not a prefix count), and *prior_retries* restores
-    their crash-retry counters.  *on_outcome* is the checkpoint hook,
-    called with each raw outcome and the pool's retry-counter map.
+    Each sampled test is one task on *executor*: a
+    :class:`repro.exec.WorkerPool` runs it in a sandboxed child process
+    (a test that kills its process is quarantined with a ``CRASHED``
+    verdict instead of ending the campaign); the default, a
+    :class:`repro.exec.InlineExecutor` on *scheduler*, runs it here.
+    Either way the subject is resolved by name — ``entry.name`` through
+    the *provider* module's ``get_class`` (default: the Table 1 registry).
+
+    The test list is a deterministic function of (alphabet, rows, cols,
+    samples, seed), so a resumed campaign runs exactly the tests the
+    interrupted one had left and aggregates to the same row: *completed*
+    maps test index → summary for the tests finished before (keyed by
+    index because pooled outcomes complete out of order) and
+    *prior_retries* restores their crash-retry counters.  *on_outcome*
+    is the checkpoint hook, called with each raw outcome and the
+    executor's retry-counter map.  *control* imposes a campaign-wide
+    budget; a test it cuts short is not summarized, so the resume
+    re-runs that test from scratch.
 
     Returns the aggregated row plus the per-index summary map.
     """
+    from contextlib import nullcontext
+
     from repro.core.checkpoint import config_to_dict, test_to_dict
-    from repro.exec import TaskSpec
+    from repro.exec import InlineExecutor, TaskSpec
 
     cfg = config or CheckConfig()
     if control is None and cfg.budget is not None:
@@ -392,12 +321,16 @@ def run_class_campaign_isolated(
     ]
     stop_reason: str | None = None
     if specs:
-        outcomes, stop_reason = pool.run(
-            specs,
-            prior_retries=prior_retries,
-            control=control,
-            on_outcome=on_outcome,
-        )
+        with (
+            InlineExecutor(scheduler) if executor is None
+            else nullcontext(executor)
+        ) as runner:
+            outcomes, stop_reason = runner.run(
+                specs,
+                prior_retries=prior_retries,
+                control=control,
+                on_outcome=on_outcome,
+            )
         for outcome in outcomes:
             summaries[outcome.index] = summary_from_outcome(outcome)
     row = row_from_summaries(
@@ -410,6 +343,216 @@ def run_class_campaign_isolated(
         stop_reason = "incomplete"  # pragma: no cover - defensive
     row.stop_reason = stop_reason
     return row, summaries
+
+
+def summary_from_outcome(outcome) -> TestSummary:
+    """Convert an executor's :class:`~repro.exec.TaskOutcome` to a summary.
+
+    Quarantined tests never produced statistics, so their summary is all
+    zeros apart from the verdict and the crash-report pointer; completed
+    tests reuse the task's serialized summary with the *settled* verdict
+    (which may differ from the decisive attempt's own — the flaky-verdict
+    guard can settle on ``nondeterministic-verdict``).
+    """
+    attempts = max(1, len(outcome.verdicts) + len(outcome.crashes))
+    if outcome.summary is None:
+        return TestSummary(
+            verdict=outcome.verdict,
+            histories=0,
+            stuck_histories=0,
+            phase1_seconds=0.0,
+            total_seconds=0.0,
+            attempts=attempts,
+            crash_report=outcome.crash_report,
+        )
+    summary = TestSummary.from_dict(outcome.summary)
+    return replace(
+        summary,
+        verdict=outcome.verdict,
+        attempts=attempts,
+        crash_report=outcome.crash_report,
+    )
+
+
+def campaign_state(
+    plan: "Sequence[tuple[str, str]]",
+    rows: "Sequence[CampaignRow]",
+    current: "tuple[str, str, dict[int, TestSummary]] | None",
+    params: dict,
+    control: ExplorationControl,
+    retries: "dict[int, int] | None" = None,
+) -> dict:
+    """Build the ``kind="campaign"`` checkpoint document.
+
+    *current* is the class in progress with its finished tests' summaries
+    keyed by test index; *retries* persists the crash-retry counters so a
+    resumed test does not get a fresh retry allowance.
+    """
+    state: dict = {
+        "kind": "campaign",
+        "plan": [list(item) for item in plan],
+        "finished_rows": [row_to_dict(row) for row in rows],
+        "current": None,
+        "params": params,
+        "budget": control.meter.snapshot() if control.meter is not None else None,
+    }
+    if current is not None:
+        name, version, summaries = current
+        state["current"] = {
+            "cls": name,
+            "version": version,
+            "summaries": {
+                str(index): summary.to_dict()
+                for index, summary in sorted(summaries.items())
+            },
+        }
+        if retries:
+            state["current"]["retries"] = {
+                str(index): count for index, count in sorted(retries.items())
+            }
+    return state
+
+
+def parse_campaign_state(
+    document: dict,
+) -> tuple[list[tuple[str, str]], list[CampaignRow], dict, ResumeCurrent | None]:
+    """Turn a loaded ``kind="campaign"`` checkpoint into resumable pieces.
+
+    Returns the plan, the finished rows, the stored parameters and the
+    class in progress — the ``resume_current`` of
+    :func:`run_campaign_plan` — or None when no class was in progress.
+    Checkpoints written before campaigns shared one driver stored an
+    in-process campaign's summaries as a list (tests finished in order,
+    so position was the index); those still load.
+    """
+    from repro.core.checkpoint import CheckpointError
+
+    plan = [
+        (str(name), str(version)) for name, version in document.get("plan", [])
+    ]
+    if not plan:
+        raise CheckpointError("campaign checkpoint has an empty plan")
+    params = document.get("params") or {}
+    for key in ("samples", "rows", "cols", "schedules", "seed"):
+        if key not in params:
+            raise CheckpointError(f"campaign checkpoint lacks parameter {key!r}")
+    rows = [row_from_dict(data) for data in document.get("finished_rows", [])]
+    current = document.get("current")
+    if not current:
+        return plan, rows, params, None
+    saved = current.get("summaries") or {}
+    summaries = {
+        int(index): TestSummary.from_dict(data)
+        for index, data in (
+            saved.items() if isinstance(saved, dict) else enumerate(saved)
+        )
+    }
+    retries = {
+        int(index): int(count)
+        for index, count in (current.get("retries") or {}).items()
+    }
+    return plan, rows, params, (
+        current["cls"], current["version"], summaries, retries
+    )
+
+
+def run_campaign_plan(
+    plan: "Sequence[tuple[str, str]]",
+    params: dict,
+    config: CheckConfig,
+    executor,
+    *,
+    resolve: "Callable[[str], ClassUnderTest]",
+    control: ExplorationControl,
+    checkpointer=None,
+    finished_rows: "Sequence[CampaignRow]" = (),
+    resume_current: ResumeCurrent | None = None,
+) -> tuple[list[CampaignRow], str | None, list[str]]:
+    """Run (or resume) a campaign plan; the one driver for every executor.
+
+    *plan* is the ordered (class, version) work list; entries matching a
+    row in *finished_rows* are skipped; *resume_current* (see
+    :func:`parse_campaign_state`) carries the summaries and retry
+    counters of the class a previous session was interrupted in, so only
+    its remaining tests run.  *params* supplies the sampling parameters
+    and is stored in every checkpoint; *resolve* maps a class name to its
+    registry entry.
+
+    Returns the finished rows, the reason the plan stopped early (or
+    None), and the crash-report paths of quarantined tests.
+    """
+    rows = list(finished_rows)
+    done = {(row.class_name, row.version) for row in rows}
+    quarantined: list[str] = []
+    stop_reason: str | None = None
+
+    def save(current=None, retries=None) -> None:
+        if checkpointer is not None:
+            checkpointer.save(
+                campaign_state(plan, rows, current, params, control, retries)
+            )
+
+    for name, version in plan:
+        if (name, version) in done:
+            continue
+        entry = resolve(name)
+        latest: dict = {"summaries": {}, "retries": {}}
+        if resume_current is not None and resume_current[:2] == (name, version):
+            latest["summaries"] = dict(resume_current[2])
+            latest["retries"] = dict(resume_current[3])
+        resume_current = None  # applies to the first pending entry only
+
+        def on_outcome(outcome, retry_map):
+            latest["summaries"][outcome.index] = summary_from_outcome(outcome)
+            latest["retries"] = dict(retry_map)
+            if checkpointer is not None:
+                checkpointer.tick(
+                    lambda: campaign_state(
+                        plan, rows, (name, version, latest["summaries"]),
+                        params, control, latest["retries"],
+                    )
+                )
+
+        row, summaries = run_class_campaign(
+            entry,
+            version,
+            samples=params["samples"],
+            rows=params["rows"],
+            cols=params["cols"],
+            seed=params["seed"],
+            config=config,
+            executor=executor,
+            provider=params.get("provider"),
+            control=control,
+            completed=latest["summaries"],
+            prior_retries=latest["retries"],
+            on_outcome=on_outcome,
+        )
+        quarantined.extend(
+            summary.crash_report
+            for _, summary in sorted(summaries.items())
+            if summary.crash_report
+        )
+        if row.stop_reason is not None:
+            stop_reason = row.stop_reason
+            save((name, version, summaries), latest["retries"])
+            break
+        if executor.inline:
+            # The curated root-cause columns (cheap, deterministic).  They
+            # run the subject in this very process, which is what a
+            # sandboxing executor exists to avoid.
+            row.causes_found, row.min_dimensions = verify_causes(
+                entry,
+                version,
+                CheckConfig(
+                    engine=config.engine,
+                    watchdog_seconds=config.watchdog_seconds,
+                ),
+            )
+        rows.append(row)
+        done.add((name, version))
+        save()
+    return rows, stop_reason, quarantined
 
 
 def verify_causes(
@@ -459,7 +602,7 @@ def campaign_row(
     *witness_config*, defaulting to the exhaustive PB-2 checker so the
     per-cause columns never depend on sampling luck.
     """
-    row, _results = run_class_campaign(
+    row, _summaries = run_class_campaign(
         entry, version, samples, rows, cols, seed, config, scheduler
     )
     row.causes_found, row.min_dimensions = verify_causes(

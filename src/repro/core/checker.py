@@ -29,7 +29,6 @@ from repro.core.harness import Phase1Stats, SystemUnderTest, TestHarness
 from repro.core.history import History, SerialHistory
 from repro.core.spec import NondeterminismWitness, ObservationSet
 from repro.core.testcase import FiniteTest
-from repro.core.verdict import VERDICT_PRECEDENCE, worst_verdict
 from repro.core.witness import check_full_history, check_stuck_history
 from repro.runtime import (
     Decision,
@@ -48,22 +47,16 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
 __all__ = [
     "CheckConfig",
     "CheckResult",
-    "VERDICT_PRECEDENCE",
     "Violation",
     "check",
     "check_against_observations",
     "check_with_harness",
-    "worst_verdict",
 ]
 
 #: Violation kinds.
 NONDETERMINISTIC = "nondeterministic-specification"
 NO_FULL_WITNESS = "non-linearizable-history"
 NO_STUCK_WITNESS = "non-linearizable-blocking"
-
-# VERDICT_PRECEDENCE / worst_verdict historically lived here; they are
-# re-exported from :mod:`repro.core.verdict`, the single source of the
-# severity order shared by campaigns, swarms, watches and generation.
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ process instead:
   retries crashed tests with exponential backoff, and **quarantines**
   repeat offenders with a ``CRASHED`` verdict and a crash-report
   artifact instead of aborting the campaign;
+* :mod:`repro.exec.inline` — :class:`InlineExecutor`, the same
+  ``run(tasks, ...) -> (outcomes, stop_reason)`` contract with no
+  workers: tasks run in the caller's process, in order.  Campaigns and
+  generation are written against that contract, so in-process versus
+  isolated is a choice of executor, not a second code path;
 * :mod:`repro.exec.faults` — fault-injection subjects (``os._exit``,
   unbounded allocation, ``SystemExit``, ``SIGSTOP``) used by the crash
   containment test-suite and importable by spawned workers.
@@ -27,6 +32,7 @@ The design goal, per the ROADMAP's production north star: degrade
 **per-test**, never per-campaign.
 """
 
+from repro.exec.inline import InlineExecutor
 from repro.exec.protocol import ProtocolError, decode_frame, encode_frame
 from repro.exec.sandbox import ResourceLimits
 from repro.exec.supervisor import (
@@ -41,6 +47,7 @@ from repro.exec.supervisor import (
 
 __all__ = [
     "CRASH_REPORT_FORMAT",
+    "InlineExecutor",
     "PoolConfig",
     "ProtocolError",
     "ResourceLimits",

@@ -116,7 +116,7 @@ def _resolve_subject(spec: dict):
     return subject, test, config
 
 
-def _run_task(spec: dict) -> dict:
+def _run_task(spec: dict, *, scheduler=None, control=None) -> dict:
     """Run one task; dispatch on the spec's ``kind``.
 
     ``"check"`` (the default) runs a full two-phase check; ``"probe"``
@@ -125,6 +125,11 @@ def _run_task(spec: dict) -> dict:
     one shard of a streaming watch (see :mod:`repro.stream.worker`);
     ``"generate"`` checks one generation candidate and harvests its
     coverage fingerprints (see :mod:`repro.generate.worker`).
+
+    A worker passes neither keyword.  :class:`repro.exec.InlineExecutor`
+    runs the two check kinds in the caller's process on a *scheduler* it
+    keeps alive between tasks and under the caller's *control*, so a
+    budget trip or an interrupt stops the check mid-task.
     """
     kind = spec.get("kind") or "check"
     if kind == "probe":
@@ -142,13 +147,13 @@ def _run_task(spec: dict) -> dict:
     if kind == "generate":
         from repro.generate.worker import run_generate_task
 
-        return run_generate_task(spec)
+        return run_generate_task(spec, scheduler=scheduler, control=control)
 
     from repro.core.campaign import TestSummary
     from repro.core.checker import check
 
     subject, test, config = _resolve_subject(spec)
-    result = check(subject, test, config)
+    result = check(subject, test, config, scheduler, control=control)
     summary = TestSummary.from_result(result)
     return {
         "verdict": result.verdict,

@@ -310,6 +310,10 @@ class _TaskState:
 class WorkerPool:
     """Supervised pool of sandboxed workers; reusable across task batches."""
 
+    #: Tasks run out of reach of the caller's ``control`` (it is polled
+    #: between events only); see :class:`repro.exec.InlineExecutor`.
+    inline = False
+
     def __init__(self, config: PoolConfig | None = None) -> None:
         self.config = config or PoolConfig()
         self.report_dir = self.config.report_dir or tempfile.mkdtemp(

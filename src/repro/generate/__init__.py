@@ -28,7 +28,6 @@ from repro.generate.campaign import (
     GenerateConfig,
     GenerateResume,
     GenerationReport,
-    build_generate_state,
     parse_generate_state,
     run_generation_campaign,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "GenerationReport",
     "MUTATION_OPS",
     "MutationEngine",
-    "build_generate_state",
     "candidate_rng",
     "failure_record",
     "parse_generate_state",

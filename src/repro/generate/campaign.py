@@ -25,13 +25,14 @@ interrupted one would have produced and never re-runs a completed
 candidate.  Checkpoints are ``kind="generate"`` documents written
 through :mod:`repro.core.checkpoint`.
 
-Isolation: with a :class:`~repro.exec.WorkerPool` the loop plans a batch
-of candidates, dispatches them as ``kind="generate"`` tasks, and folds
+Execution: the loop plans a batch of candidates, hands them to an
+executor of :mod:`repro.exec` as ``kind="generate"`` tasks, and folds
 the outcomes back in candidate order (so concurrency never perturbs the
-corpus evolution).  Within a batch the coverage feedback is necessarily
-stale — the price of parallelism — and the execution budget is checked
-between batches, so an isolated campaign can overshoot its budget by at
-most one batch.
+corpus evolution).  In-process the batch is one candidate and the budget
+is exact.  With a :class:`~repro.exec.WorkerPool` the coverage feedback
+within a batch is necessarily stale — the price of parallelism — and the
+execution budget is checked between batches, so an isolated campaign can
+overshoot its budget by at most one batch.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.core.budget import (
     ExplorationBudget,
     ExplorationControl,
 )
-from repro.core.checker import CheckConfig, check_with_harness
+from repro.core.checker import CheckConfig
 from repro.core.checkpoint import (
     CheckpointError,
     Checkpointer,
@@ -52,11 +53,9 @@ from repro.core.checkpoint import (
     test_from_dict,
     test_to_dict,
 )
-from repro.core.harness import SystemUnderTest, TestHarness
 from repro.core.testcase import FiniteTest
 from repro.core.verdict import worst_verdict
 from repro.generate.corpus import Corpus
-from repro.generate.dedup import failure_record
 from repro.generate.mutate import MutationEngine, candidate_rng
 from repro.reduction import FingerprintSet
 from repro.structures.registry import ClassUnderTest
@@ -65,7 +64,6 @@ __all__ = [
     "GenerateConfig",
     "GenerateResume",
     "GenerationReport",
-    "build_generate_state",
     "parse_generate_state",
     "run_generation_campaign",
 ]
@@ -81,7 +79,8 @@ class GenerateConfig:
     max_rows: int = 3  #: matrix growth bound (rows per column)
     max_cols: int = 3  #: matrix growth bound (columns / threads)
     deadline: float | None = None  #: wall-clock cap, seconds
-    batch: int | None = None  #: isolated batch size (None = 2× workers)
+    #: candidates per batch (None = 1 in-process, max(2× workers, 4) pooled)
+    batch: int | None = None
     #: consecutive planning dead-ends (duplicate or impossible mutants)
     #: after which the campaign declares the space converged and stops.
     dry_limit: int = 100
@@ -162,12 +161,12 @@ class GenerationReport:
 
 @dataclass
 class GenerateResume:
-    """Parsed ``kind="generate"`` checkpoint state."""
+    """Parsed ``kind="generate"`` checkpoint state (default: a fresh start)."""
 
-    corpus: Corpus
-    fingerprints: FingerprintSet
-    seen: list[FiniteTest]
-    failures: dict[str, dict]
+    corpus: Corpus = field(default_factory=Corpus)
+    fingerprints: FingerprintSet = field(default_factory=FingerprintSet)
+    seen: list[FiniteTest] = field(default_factory=list)
+    failures: dict[str, dict] = field(default_factory=dict)
     next_candidate: int = 0
     candidates: int = 0
     skipped: int = 0
@@ -177,45 +176,6 @@ class GenerateResume:
     curve: list[tuple[int, int]] = field(default_factory=list)
     verdicts: list[str] = field(default_factory=list)
     meter_snapshot: dict | None = None
-
-
-def build_generate_state(
-    *,
-    config: CheckConfig,
-    generate: GenerateConfig,
-    corpus: Corpus,
-    fingerprints: FingerprintSet,
-    seen: Sequence[FiniteTest],
-    failures: dict[str, dict],
-    next_candidate: int,
-    candidates: int,
-    skipped: int,
-    executions: int,
-    duplicate_failures: int,
-    first_failure_executions: int | None,
-    curve: Sequence[tuple[int, int]],
-    verdicts: Sequence[str],
-    meter: BudgetMeter | None,
-) -> dict:
-    """Assemble the JSON state for a generation checkpoint."""
-    return {
-        "kind": "generate",
-        "config": config_to_dict(config),
-        "generate": generate.to_dict(),
-        "corpus": corpus.to_state(),
-        "fingerprints": fingerprints.snapshot(),
-        "seen": [test_to_dict(test) for test in seen],
-        "failures": failures,
-        "next_candidate": next_candidate,
-        "candidates": candidates,
-        "skipped": skipped,
-        "executions": executions,
-        "duplicate_failures": duplicate_failures,
-        "first_failure_executions": first_failure_executions,
-        "curve": [list(point) for point in curve],
-        "verdicts": list(verdicts),
-        "meter": meter.snapshot() if meter is not None else None,
-    }
 
 
 def parse_generate_state(
@@ -252,7 +212,7 @@ def parse_generate_state(
 
 
 class _Campaign:
-    """Mutable state of one generation campaign (shared by both modes)."""
+    """Mutable state of one generation campaign."""
 
     def __init__(
         self,
@@ -266,7 +226,6 @@ class _Campaign:
         self.version = version
         self.config = config
         self.generate = generate
-        self.subject_label = f"{entry.name}({version})"
         self.engine = MutationEngine(
             entry.invocations,
             max_rows=generate.max_rows,
@@ -276,32 +235,19 @@ class _Campaign:
         if generate.seeds < 1:
             raise ValueError("a generation campaign needs at least one seed")
         self.seeds = self.engine.seed_tests(generate.seeds, generate.seed)
-        if resume is None:
-            self.corpus = Corpus()
-            self.fingerprints = FingerprintSet()
-            self.seen_list: list[FiniteTest] = []
-            self.failures: dict[str, dict] = {}
-            self.index = 0
-            self.candidates = 0
-            self.skipped = 0
-            self.executions = 0
-            self.duplicate_failures = 0
-            self.first_failure_executions: int | None = None
-            self.curve: list[tuple[int, int]] = []
-            self.verdicts: list[str] = []
-        else:
-            self.corpus = resume.corpus
-            self.fingerprints = resume.fingerprints
-            self.seen_list = list(resume.seen)
-            self.failures = dict(resume.failures)
-            self.index = resume.next_candidate
-            self.candidates = resume.candidates
-            self.skipped = resume.skipped
-            self.executions = resume.executions
-            self.duplicate_failures = resume.duplicate_failures
-            self.first_failure_executions = resume.first_failure_executions
-            self.curve = list(resume.curve)
-            self.verdicts = list(resume.verdicts)
+        start = resume or GenerateResume()
+        self.corpus = start.corpus
+        self.fingerprints = start.fingerprints
+        self.seen_list: list[FiniteTest] = list(start.seen)
+        self.failures: dict[str, dict] = dict(start.failures)
+        self.index = start.next_candidate
+        self.candidates = start.candidates
+        self.skipped = start.skipped
+        self.executions = start.executions
+        self.duplicate_failures = start.duplicate_failures
+        self.first_failure_executions = start.first_failure_executions
+        self.curve: list[tuple[int, int]] = list(start.curve)
+        self.verdicts: list[str] = list(start.verdicts)
         self.seen: set[FiniteTest] = set(self.seen_list)
         self.dry = 0
 
@@ -335,7 +281,7 @@ class _Campaign:
         self.seen.add(test)
         self.seen_list.append(test)
 
-    # -- outcome folding (identical for in-process and isolated runs) --
+    # -- outcome folding --
 
     def fold(
         self,
@@ -371,23 +317,25 @@ class _Campaign:
                     self.first_failure_executions = self.executions
 
     def state(self, meter: BudgetMeter | None) -> dict:
-        return build_generate_state(
-            config=self.config,
-            generate=self.generate,
-            corpus=self.corpus,
-            fingerprints=self.fingerprints,
-            seen=self.seen_list,
-            failures=self.failures,
-            next_candidate=self.index,
-            candidates=self.candidates,
-            skipped=self.skipped,
-            executions=self.executions,
-            duplicate_failures=self.duplicate_failures,
-            first_failure_executions=self.first_failure_executions,
-            curve=self.curve,
-            verdicts=self.verdicts,
-            meter=meter,
-        )
+        """The JSON state of a ``kind="generate"`` checkpoint."""
+        return {
+            "kind": "generate",
+            "config": config_to_dict(self.config),
+            "generate": self.generate.to_dict(),
+            "corpus": self.corpus.to_state(),
+            "fingerprints": self.fingerprints.snapshot(),
+            "seen": [test_to_dict(test) for test in self.seen_list],
+            "failures": self.failures,
+            "next_candidate": self.index,
+            "candidates": self.candidates,
+            "skipped": self.skipped,
+            "executions": self.executions,
+            "duplicate_failures": self.duplicate_failures,
+            "first_failure_executions": self.first_failure_executions,
+            "curve": [list(point) for point in self.curve],
+            "verdicts": list(self.verdicts),
+            "meter": meter.snapshot() if meter is not None else None,
+        }
 
     def report(self, stop_reason: str | None, converged: bool) -> GenerationReport:
         # A consumed execution budget is the normal end of a campaign,
@@ -436,40 +384,45 @@ def run_generation_campaign(
 ) -> GenerationReport:
     """Run one coverage-guided generation campaign for *entry*/*version*.
 
-    In-process by default; pass a :class:`~repro.exec.WorkerPool` as
-    *pool* (plus the *provider* module name) to run candidates in
-    sandboxed workers.  *resume* restores a parsed generate checkpoint;
-    *checkpointer* persists progress after every folded candidate.
-    *on_candidate* is a progress hook called with (candidate index,
-    verdict) after each fold.
+    Candidates run on *pool*, any executor of :mod:`repro.exec`: a
+    :class:`~repro.exec.WorkerPool` checks them in sandboxed workers;
+    the default, an :class:`~repro.exec.InlineExecutor` on *scheduler*,
+    checks them in this process.  Either way the subject is resolved by
+    name through the *provider* module.  *resume* restores a parsed
+    generate checkpoint — its spent budget carries over, so *control*'s
+    budget is a total across sessions; *checkpointer* persists progress
+    after every folded batch.  *on_candidate* is a progress hook called
+    with (candidate index, verdict) after each fold.
     """
+    from contextlib import nullcontext
+
+    from repro.exec import InlineExecutor
+
     cfg = config or CheckConfig()
     gen = generate or GenerateConfig()
     campaign = _Campaign(entry, version, cfg, gen, resume)
 
     if control is None:
-        budget = ExplorationBudget(
-            deadline_seconds=gen.deadline, max_executions=gen.budget
-        )
-        meter = None
-        if resume is not None and resume.meter_snapshot is not None:
-            meter = BudgetMeter.from_snapshot(resume.meter_snapshot)
-            meter = BudgetMeter(
-                budget=budget,
-                elapsed=meter.elapsed,
-                executions=meter.executions,
-                decisions=meter.decisions,
+        control = ExplorationControl(
+            budget=ExplorationBudget(
+                deadline_seconds=gen.deadline, max_executions=gen.budget
             )
-        control = ExplorationControl(budget=budget, meter=meter)
+        )
+    if resume is not None and resume.meter_snapshot is not None:
+        spent = BudgetMeter.from_snapshot(resume.meter_snapshot)
+        control.meter = BudgetMeter(
+            budget=control.budget,
+            elapsed=spent.elapsed,
+            executions=spent.executions,
+            decisions=spent.decisions,
+        )
     control.start()
 
-    if pool is not None:
-        stop_reason, converged = _run_isolated(
-            campaign, control, checkpointer, pool, provider, on_candidate
-        )
-    else:
-        stop_reason, converged = _run_inprocess(
-            campaign, control, checkpointer, scheduler, on_candidate
+    with (
+        InlineExecutor(scheduler) if pool is None else nullcontext(pool)
+    ) as executor:
+        stop_reason, converged = _run_batches(
+            campaign, control, checkpointer, executor, provider, on_candidate
         )
 
     if checkpointer is not None:
@@ -477,94 +430,25 @@ def run_generation_campaign(
     return campaign.report(stop_reason, converged)
 
 
-def _run_inprocess(
+def _run_batches(
     campaign: _Campaign,
     control: ExplorationControl,
     checkpointer: Checkpointer | None,
-    scheduler,
-    on_candidate,
-) -> tuple[str | None, bool]:
-    cfg = campaign.config
-    subject = SystemUnderTest(
-        campaign.entry.factory(campaign.version), campaign.subject_label
-    )
-    stop_reason: str | None = None
-    converged = False
-    with TestHarness(
-        subject,
-        scheduler=scheduler,
-        max_steps=cfg.max_steps,
-        watchdog=cfg.watchdog_seconds,
-        engine=cfg.engine,
-    ) as harness:
-        while True:
-            reason = control.halt_reason()
-            if reason is not None:
-                stop_reason = reason
-                break
-            planned = campaign.plan_one()
-            if planned is None:
-                campaign.skipped += 1
-                campaign.dry += 1
-                if campaign.dry >= campaign.generate.dry_limit:
-                    converged = True
-                    break
-                continue
-            campaign.dry = 0
-            test, parent, _op = planned
-            campaign.note_planned(test)
-            candidate = campaign.index - 1
-            candidate_fp = FingerprintSet()
-            result = check_with_harness(
-                harness, test, cfg, control=control, fingerprints=candidate_fp
-            )
-            if result.exhausted and result.exhausted_reason is not None:
-                # The budget tripped mid-candidate: its fingerprints are
-                # partial, so folding them would make the corpus diverge
-                # from an uninterrupted run.  Roll the plan back instead;
-                # the resume re-runs this candidate from scratch (the
-                # campaign contract — execution-level resume granularity
-                # is reserved for single checks).
-                campaign.index = candidate
-                campaign.seen.discard(test)
-                campaign.seen_list.pop()
-                stop_reason = result.exhausted_reason
-                break
-            failure = None
-            if result.violation is not None:
-                failure = failure_record(
-                    result.violation, campaign.subject_label, test
-                )
-            campaign.fold(
-                candidate,
-                test,
-                parent,
-                result.verdict,
-                result.phase1.executions + result.phase2_executions,
-                candidate_fp.snapshot(),
-                failure,
-            )
-            if on_candidate is not None:
-                on_candidate(candidate, result.verdict)
-            if checkpointer is not None:
-                checkpointer.tick(lambda: campaign.state(control.meter))
-    return stop_reason, converged
-
-
-def _run_isolated(
-    campaign: _Campaign,
-    control: ExplorationControl,
-    checkpointer: Checkpointer | None,
-    pool,
+    executor,
     provider: str | None,
     on_candidate,
 ) -> tuple[str | None, bool]:
-    from repro.exec.supervisor import TaskSpec
+    from repro.exec import TaskSpec
 
-    cfg = campaign.config
     gen = campaign.generate
-    batch_size = gen.batch or max(2 * pool.config.workers, 4)
-    config_dict = config_to_dict(cfg)
+    # In this process nothing runs in parallel, so every candidate can be
+    # planned from the feedback of the one before it.  A pool needs a
+    # batch to keep its workers busy and pays with stale feedback inside
+    # the batch — which is why the two candidate streams differ.
+    batch_size = gen.batch or (
+        1 if executor.inline else max(2 * executor.config.workers, 4)
+    )
+    config_dict = config_to_dict(campaign.config)
     stop_reason: str | None = None
     converged = False
     while True:
@@ -603,46 +487,50 @@ def _run_isolated(
             )
             for candidate, test, _parent in batch
         ]
-        outcomes, pool_stop = pool.run(specs, control=control)
-        by_index = {
-            outcome.index: outcome for outcome in outcomes if outcome is not None
-        }
+        outcomes, run_stop = executor.run(specs, control=control)
+        by_index = {outcome.index: outcome for outcome in outcomes}
         folded_upto = len(batch)
         for position, (candidate, test, parent) in enumerate(batch):
             outcome = by_index.get(candidate)
             if outcome is None:
-                # An interrupted pool run leaves a tail of the batch
-                # without outcomes; fold stops at the first gap so the
-                # corpus evolution stays a prefix of the uninterrupted
-                # one (completed stragglers after the gap are re-run).
+                # A halted run leaves candidates without outcomes — the
+                # one the budget tripped in (its fingerprints are
+                # partial, so folding them would make the corpus diverge
+                # from an uninterrupted run) and whatever was queued
+                # behind it.  Fold stops at the first gap so the corpus
+                # evolution stays a prefix of the uninterrupted one
+                # (completed stragglers after the gap are re-run).
                 folded_upto = position
                 break
             summary = outcome.summary or {}
+            executions = int(summary.get("executions", 0))
             campaign.fold(
                 candidate,
                 test,
                 parent,
                 outcome.verdict,
-                int(summary.get("executions", 0)),
+                executions,
                 summary.get("fingerprints") or (),
                 summary.get("failure"),
             )
-            if control.meter is not None:
+            if not executor.inline and control.meter is not None:
                 # Workers meter their own executions; fold them into the
                 # campaign budget after the fact (batch-granular).
-                control.meter.executions += int(summary.get("executions", 0))
+                control.meter.executions += executions
             if on_candidate is not None:
                 on_candidate(candidate, outcome.verdict)
         if folded_upto < len(batch):
-            # Roll back the unfolded tail so the resume re-plans it.
+            # Roll back the unfolded tail so the resume re-plans it (the
+            # campaign contract — execution-level resume granularity is
+            # reserved for single checks).
             for _candidate, test, _parent in reversed(batch[folded_upto:]):
                 campaign.seen.discard(test)
                 campaign.seen_list.pop()
             campaign.index = batch[folded_upto][0]
         if checkpointer is not None:
             checkpointer.tick(lambda: campaign.state(control.meter))
-        if pool_stop is not None:
-            stop_reason = pool_stop
+        if run_stop is not None:
+            stop_reason = run_stop
             break
         if converged:
             break

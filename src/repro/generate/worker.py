@@ -18,8 +18,12 @@ from __future__ import annotations
 __all__ = ["run_generate_task"]
 
 
-def run_generate_task(spec: dict) -> dict:
-    """Check one candidate; reply with coverage and failure payloads."""
+def run_generate_task(spec: dict, *, scheduler=None, control=None) -> dict:
+    """Check one candidate; reply with coverage and failure payloads.
+
+    *scheduler* and *control* are the in-process executor's (see
+    :func:`repro.exec.sandbox._run_task`); a worker passes neither.
+    """
     from repro.core.campaign import TestSummary
     from repro.core.checker import check
     from repro.exec.sandbox import _resolve_subject
@@ -28,7 +32,10 @@ def run_generate_task(spec: dict) -> dict:
 
     subject, test, config = _resolve_subject(spec)
     fingerprints = FingerprintSet()
-    result = check(subject, test, config, fingerprints=fingerprints)
+    result = check(
+        subject, test, config, scheduler, control=control,
+        fingerprints=fingerprints,
+    )
     summary = TestSummary.from_result(result).to_dict()
     summary["kind"] = "generate"
     summary["executions"] = result.phase1.executions + result.phase2_executions

@@ -28,7 +28,14 @@ conventions of :mod:`repro.core.observations`).
   (an interrupted recording is a loadable prefix):
 
   - calls/returns use the version-1 event objects plus a ``"ts"`` key —
-    seconds on a monotonic clock since the recording started;
+    seconds on a monotonic clock since the recording started.  A thread
+    has at most one call open at a time and its ``"i"`` (``op_index``)
+    **strictly increases** from each call to its next, so an operation
+    key ``(t, i)`` is never used twice — not even after its return.  A
+    reader enforces that with one remembered index per thread, which is
+    what lets the online checker (:mod:`repro.stream`) reject exactly
+    the traces the offline loader rejects in memory bounded by the
+    thread count;
   - ``{"e": "x", "t": ..., "i": ..., "why": ..., "ts": ...}`` marks an
     operation *indeterminate*: the client timed out or lost its
     connection after the request may have been sent, so whether the
@@ -515,9 +522,10 @@ def _load_history_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
 def _load_live_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
     """Assemble the single history of a version-2 live recording.
 
-    Validation is deliberately strict: a duplicate call for an operation
-    key, a return or indeterminate marker without a matching open call,
-    or events after the end marker all raise :class:`TraceError` — those
+    Validation is deliberately strict: a call whose ``op_index`` is not
+    above its thread's previous one (a duplicate operation key), a
+    return or indeterminate marker without a matching open call, or
+    events after the end marker all raise :class:`TraceError` — those
     are exactly the shapes a second concurrent writer (or a buggy
     recorder) produces, and blending them into a verdict would be
     unsound.
@@ -538,7 +546,7 @@ def _load_live_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
 
     events: list[Event] = []
     open_calls: set[tuple[int, int]] = set()
-    closed: set[tuple[int, int]] = set()
+    last_index: dict[int, int] = {}  #: thread → op_index of its last call
     truncated = False
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -595,7 +603,7 @@ def _load_live_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
             ) from None
         key = (event.thread, event.op_index)
         if event.is_call:
-            if key in open_calls or key in closed:
+            if event.op_index <= last_index.get(event.thread, -1):
                 raise TraceError(
                     f"trace file {path!r} line {number}: duplicate call for "
                     f"operation {key} (two writers sharing one trace?)"
@@ -610,6 +618,7 @@ def _load_live_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
                     "(two writers sharing one trace?)"
                 )
             open_calls.add(key)
+            last_index[event.thread] = event.op_index
             meta.intervals[key] = (ts, None)
         else:
             if key not in open_calls:
@@ -618,7 +627,6 @@ def _load_live_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
                     f"operation {key} which has no open call"
                 )
             open_calls.discard(key)
-            closed.add(key)
             meta.intervals[key] = (meta.intervals[key][0], ts)
         events.append(event)
 

@@ -27,10 +27,8 @@ from repro.stream.stats import StatsEmitter, maxrss_kb
 from repro.stream.tail import TraceRotated, TraceTailer, TraceTruncated
 from repro.stream.watch import (
     UNSOUND_PARTITION,
-    VERDICT_PRECEDENCE,
     WatchConfig,
     WatchResult,
-    merge_verdicts,
     watch_sharded,
     watch_trace,
 )
@@ -44,11 +42,9 @@ __all__ = [
     "TraceTailer",
     "TraceTruncated",
     "UNSOUND_PARTITION",
-    "VERDICT_PRECEDENCE",
     "WatchConfig",
     "WatchResult",
     "maxrss_kb",
-    "merge_verdicts",
     "run_stream_task",
     "stable_shard",
     "watch_sharded",

@@ -137,6 +137,10 @@ class StreamChecker:
         self._dead_cells: set[Hashable] = set()  #: cells over the config cap
         self._open_cell: dict[tuple[int, int], Hashable] = {}
         self._thread_busy: dict[int, tuple[int, int]] = {}
+        #: thread → op_index of its last call; the format makes a thread's
+        #: op_index strictly increase, so this one integer per thread
+        #: detects a re-used operation key even after the key returned.
+        self._last_index: dict[int, int] = {}
 
     # -- verdicts ---------------------------------------------------------
 
@@ -316,7 +320,7 @@ class StreamChecker:
         except (KeyError, TypeError, ValueError, SyntaxError) as exc:
             raise TraceError(f"malformed live event: {exc}") from None
         if event.is_call:
-            if key in self._open_cell:
+            if op_index <= self._last_index.get(thread, -1):
                 raise TraceError(
                     f"duplicate call for operation {key} "
                     "(two writers sharing one trace?)"
@@ -329,6 +333,7 @@ class StreamChecker:
             cell = self._cell_for(event.invocation)
             self._open_cell[key] = cell
             self._thread_busy[thread] = key
+            self._last_index[thread] = op_index
             self.counters.calls += 1
             if cell is _FOREIGN:
                 self.counters.skipped += 1

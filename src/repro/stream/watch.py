@@ -25,10 +25,12 @@ precisely because the trace is a file that can be re-read.
 :func:`watch_sharded` is the multi-process coordinator: one ``"stream"``
 task per shard on the :class:`~repro.exec.supervisor.WorkerPool` (each
 worker tails the same file, owning the partition cells whose stable hash
-lands on its index), with verdicts merged under the precedence
-``FAIL > CRASHED > LAGGED > EXHAUSTED > PASS``.  A shard that discovers
-a global operation reports ``UNSOUND-PARTITION`` and the coordinator
-falls back to one unpartitioned in-process watch of the whole file.
+lands on its index), with verdicts merged by
+:func:`repro.core.verdict.worst_verdict` (``FAIL > CRASHED > LAGGED >
+EXHAUSTED > PASS`` among the verdicts shards produce).  A shard that
+discovers a global operation reports ``UNSOUND-PARTITION`` and the
+coordinator falls back to one unpartitioned in-process watch of the
+whole file.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.core.verdict import VERDICT_PRECEDENCE as _VERDICT_PRECEDENCE
 from repro.core.verdict import worst_verdict
 from repro.monitor.models import SequentialModel, get_model
 from repro.monitor.trace import TraceError
@@ -47,27 +48,14 @@ from repro.stream.tail import TraceRotated, TraceTailer, TraceTruncated
 
 __all__ = [
     "UNSOUND_PARTITION",
-    "VERDICT_PRECEDENCE",
     "WatchConfig",
     "WatchResult",
-    "merge_verdicts",
     "watch_sharded",
     "watch_trace",
 ]
 
 #: Shard-internal verdict: a global op made per-key sharding unsound.
 UNSOUND_PARTITION = "UNSOUND-PARTITION"
-
-#: Most-severe-first merge order for shard verdicts — the global lattice
-#: of :mod:`repro.core.verdict` (shards never produce the verdicts the
-#: extra entries name, so the merge is unchanged).
-VERDICT_PRECEDENCE = _VERDICT_PRECEDENCE
-
-
-def merge_verdicts(verdicts) -> str:
-    """The most severe verdict present, under :data:`VERDICT_PRECEDENCE`."""
-    return worst_verdict(verdicts)
-
 
 @dataclass(frozen=True)
 class WatchConfig:
@@ -378,7 +366,7 @@ def watch_sharded(
         fallback.shard_results = shard_results
         return fallback
     verdicts = [r.get("verdict", "CRASHED") for r in shard_results]
-    merged = merge_verdicts(verdicts)
+    merged = worst_verdict(verdicts)
     failing = next(
         (r for r in shard_results if r.get("verdict") == merged), {}
     )

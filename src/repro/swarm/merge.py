@@ -85,7 +85,7 @@ def merge_lineage_states(states: Iterable[dict]) -> dict:
     ``classes_rediscovered`` is how many shard-local classes turned out
     to be duplicates across shard boundaries.
     """
-    from repro.core.checker import worst_verdict
+    from repro.core.verdict import worst_verdict
     from repro.reduction import FingerprintSet
 
     union = FingerprintSet()

@@ -35,6 +35,13 @@ class TestSnapshotProvenance:
         assert isinstance(meta["git_sha"], str) and len(meta["git_sha"]) == 40
         assert "T" in meta["timestamp"]  # ISO-8601
 
+    def test_metadata_carries_src_lines(self):
+        lines = benchlib.snapshot_metadata("demo")["src_lines"]
+        cli = os.path.join(os.path.dirname(_BENCH_DIR), "src", "repro", "cli.py")
+        with open(cli, encoding="utf-8") as handle:
+            cli_lines = sum(1 for line in handle if line.strip())
+        assert lines > cli_lines > 0  # the whole package, blanks left out
+
     def test_write_snapshot_roundtrip(self, tmp_path):
         path = str(tmp_path / "BENCH_demo.json")
         benchlib.write_snapshot(path, "demo", {"ops_per_sec": 100.0})
@@ -67,6 +74,16 @@ class TestCompare:
         b = snap(tmp_path, "b.json", {"ops_per_sec": 100.0})
         assert bench_compare.main([a, b]) == 0
         assert "no regressions" in capsys.readouterr().out
+
+    def test_src_lines_delta_is_printed_and_never_gates(self, tmp_path, capsys):
+        a = snap(tmp_path, "a.json", {"ops_per_sec": 100.0, "src_lines": 1000})
+        b = snap(tmp_path, "b.json", {"ops_per_sec": 100.0, "src_lines": 2000})
+        assert bench_compare.main([a, b]) == 0
+        assert "src_lines: 1000 -> 2000 (+1000)" in capsys.readouterr().out
+        # A snapshot from before the field existed compares without it.
+        c = snap(tmp_path, "c.json", {"ops_per_sec": 100.0})
+        assert bench_compare.main([c, b]) == 0
+        assert "src_lines" not in capsys.readouterr().out
 
     def test_throughput_drop_past_threshold_fails(self, tmp_path, capsys):
         a = snap(tmp_path, "a.json", {"ops_per_sec": 100.0})

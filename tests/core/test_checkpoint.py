@@ -19,7 +19,7 @@ from repro.core import (
     save_observations,
 )
 from repro.core.budget import BudgetMeter, ExplorationBudget, ExplorationControl
-from repro.core.campaign import run_class_campaign
+from repro.core.campaign import run_class_campaign, summary_from_outcome
 from repro.core.checkpoint import (
     CheckpointError,
     Checkpointer,
@@ -336,12 +336,12 @@ class TestCampaignResume:
         assert reference.stop_reason is None
         assert reference.tests_run == 2
 
-        seen: list = []
+        seen: dict = {}
         control = ExplorationControl(budget=ExplorationBudget(max_executions=60))
         interrupted, _ = run_class_campaign(
             entry, "beta", config=config, control=control,
-            on_test=lambda summaries: seen.__setitem__(
-                slice(None), list(summaries)
+            on_outcome=lambda outcome, retries: seen.__setitem__(
+                outcome.index, summary_from_outcome(outcome)
             ),
             **kwargs,
         )
@@ -349,7 +349,7 @@ class TestCampaignResume:
         assert interrupted.tests_run < reference.tests_run
 
         resumed, _ = run_class_campaign(
-            entry, "beta", config=config, completed=list(seen), **kwargs
+            entry, "beta", config=config, completed=seen, **kwargs
         )
         assert resumed.stop_reason is None
         assert resumed.tests_run == reference.tests_run

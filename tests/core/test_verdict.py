@@ -48,6 +48,13 @@ class TestPrecedenceTable:
             (list(reversed(VERDICT_PRECEDENCE)), "FAIL"),
             # repeated entries change nothing
             (["PASS", "PASS", "EXHAUSTED", "PASS"], "EXHAUSTED"),
+            # the shard-verdict merges of a sharded watch (appended, so
+            # the ids of the cases above stay put; empty → PASS is case 0)
+            (["PASS", "FAIL", "EXHAUSTED"], "FAIL"),
+            (["PASS", "CRASHED"], "CRASHED"),
+            (["LAGGED", "EXHAUSTED"], "LAGGED"),
+            (["EXHAUSTED", "PASS"], "EXHAUSTED"),
+            (["PASS", "PASS"], "PASS"),
         ],
     )
     def test_worst_of_pool(self, verdicts, expected):

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.core.campaign import run_class_campaign_isolated
+from repro.core.campaign import run_class_campaign
 from repro.core.checker import CheckConfig
 from repro.exec import ResourceLimits, WorkerPool
 from repro.exec.faults import get_class
@@ -35,7 +35,7 @@ class TestCampaignSurvivesCrashes:
         config = pool_config(workers=2, max_retries=1)
         with WorkerPool(config) as pool:
             for name in plan:
-                row, summaries = run_class_campaign_isolated(
+                row, summaries = run_class_campaign(
                     get_class(name),
                     "pre",
                     samples=2,
@@ -43,7 +43,7 @@ class TestCampaignSurvivesCrashes:
                     cols=2,
                     seed=3,
                     config=FAST,
-                    pool=pool,
+                    executor=pool,
                     provider=FAULT_PROVIDER,
                 )
                 rows[name] = row
@@ -82,7 +82,7 @@ class TestCampaignSurvivesCrashes:
         entry = get_class("CrashingRegister")
         config = pool_config(workers=1, max_retries=0)
         with WorkerPool(config) as pool:
-            row, summaries = run_class_campaign_isolated(
+            row, summaries = run_class_campaign(
                 entry,
                 "pre",
                 samples=2,
@@ -90,13 +90,13 @@ class TestCampaignSurvivesCrashes:
                 cols=1,
                 seed=3,
                 config=FAST,
-                pool=pool,
+                executor=pool,
                 provider=FAULT_PROVIDER,
             )
             assert row.tests_crashed == row.tests_run >= 1
             # Feed both summaries back as completed work: nothing runs
             # (a crashing class would otherwise crash the pool's worker).
-            row2, summaries2 = run_class_campaign_isolated(
+            row2, summaries2 = run_class_campaign(
                 entry,
                 "pre",
                 samples=2,
@@ -104,7 +104,7 @@ class TestCampaignSurvivesCrashes:
                 cols=1,
                 seed=3,
                 config=FAST,
-                pool=pool,
+                executor=pool,
                 provider=FAULT_PROVIDER,
                 completed=summaries,
             )

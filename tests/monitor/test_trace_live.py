@@ -93,6 +93,21 @@ class TestRogueWriters:
         with pytest.raises(TraceError, match="two writers"):
             load_trace(path)
 
+    def test_operation_key_reused_after_its_return_rejected(self, tmp_path):
+        # c(0,0) r(0,0) c(0,0) r(0,0) end: a thread's op_index must
+        # strictly increase, so the online checker (which forgets a key
+        # once it returns) and this loader reject the same traces.
+        path = str(tmp_path / "t.jsonl")
+        LiveTraceWriter(path, 1).close()
+        call = {"e": "c", "t": 0, "i": 0, "m": "inc", "a": "()", "ts": 0.1}
+        ret = {"e": "r", "t": 0, "i": 0, "k": "ok", "v": "None", "ts": 0.2}
+        end = {"e": "end", "outcome": "drained", "ts": 0.5}
+        with open(path, "a", encoding="utf-8") as handle:
+            for obj in (call, ret, call, ret, end):
+                handle.write(json.dumps(obj) + "\n")
+        with pytest.raises(TraceError, match=r"duplicate call.*\(0, 0\)"):
+            load_trace(path)
+
     def test_second_open_call_on_thread_rejected(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         writer = LiveTraceWriter(path, 1)

@@ -142,6 +142,19 @@ class TestMalformedStreams:
         with pytest.raises(TraceError, match="duplicate call"):
             checker.feed(call)
 
+    def test_operation_key_reused_after_its_return(self):
+        # c(0,0) r(0,0) c(0,0) r(0,0) end — rejected by load_trace, so it
+        # must not PASS online just because the key was forgotten at its
+        # return (tests/monitor/test_trace_live.py has the offline twin).
+        checker = self.build()
+        checker.feed(self.header())
+        call = {"e": "c", "t": 0, "i": 0, "m": "read", "a": "()", "ts": 0}
+        ret = {"e": "r", "t": 0, "i": 0, "k": "ok", "v": "None", "ts": 0}
+        checker.feed(call)
+        checker.feed(ret)
+        with pytest.raises(TraceError, match=r"duplicate call.*\(0, 0\)"):
+            checker.feed(call)
+
     def test_call_while_thread_busy(self):
         checker = self.build()
         checker.feed(self.header())

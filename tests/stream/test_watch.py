@@ -19,7 +19,7 @@ from repro.cli import (
 from repro.core.events import Invocation, Response
 from repro.monitor import get_model
 from repro.monitor.trace import LiveTraceWriter, TraceError
-from repro.stream import WatchConfig, merge_verdicts, watch_sharded, watch_trace
+from repro.stream import WatchConfig, watch_sharded, watch_trace
 
 
 def ok(value=None) -> Response:
@@ -231,16 +231,6 @@ class TestWatchTrace:
         for key in ("ts", "shard", "ingested_per_sec", "maxrss_kb",
                     "frontier", "retired", "verdict"):
             assert key in sample
-
-
-class TestMergeVerdicts:
-    def test_precedence(self):
-        assert merge_verdicts(["PASS", "FAIL", "EXHAUSTED"]) == "FAIL"
-        assert merge_verdicts(["PASS", "CRASHED"]) == "CRASHED"
-        assert merge_verdicts(["LAGGED", "EXHAUSTED"]) == "LAGGED"
-        assert merge_verdicts(["EXHAUSTED", "PASS"]) == "EXHAUSTED"
-        assert merge_verdicts(["PASS", "PASS"]) == "PASS"
-        assert merge_verdicts([]) == "PASS"
 
 
 class TestWatchSharded:
