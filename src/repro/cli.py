@@ -1201,7 +1201,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     )
 
     try:
-        model = get_model(args.model)
+        model = get_model(_trace_model_name(args))
         trace = load_trace(args.trace)
     except (ModelError, TraceError) as exc:
         raise CliError(str(exc)) from exc
@@ -1379,21 +1379,21 @@ def cmd_live(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _peek_header_model(path: str) -> "str | None":
-    """The ``model`` named by a trace's header line, when readable."""
-    import json as _json
+def _trace_model_name(args: argparse.Namespace) -> str:
+    """``--model``, defaulting to the model the trace's v2 header names."""
+    from repro.monitor import TraceError, read_trace_header
 
-    from repro.monitor.trace import TRACE_FORMAT
-
+    if args.model:
+        return args.model
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = _json.loads(handle.readline())
-    except (OSError, ValueError):
-        return None
-    if isinstance(obj, dict) and obj.get("format") == TRACE_FORMAT:
-        model = obj.get("model")
-        return model if isinstance(model, str) else None
-    return None
+        live = read_trace_header(args.trace).live
+    except TraceError as exc:
+        raise CliError(f"--model NAME is required: {exc}") from exc
+    if live is None or live.model is None:
+        raise CliError(
+            "--model NAME is required (the trace header names no model)"
+        )
+    return live.model
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
@@ -1403,12 +1403,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from repro.monitor import ModelError, TraceError, get_model
     from repro.stream import WatchConfig, watch_sharded, watch_trace
 
-    model_name = args.model or _peek_header_model(args.trace)
-    if model_name is None:
-        raise CliError(
-            "--model NAME is required (the trace header names no model, "
-            "or the trace does not exist yet)"
-        )
+    model_name = _trace_model_name(args)
     try:
         model = get_model(model_name)
     except ModelError as exc:
@@ -1718,9 +1713,9 @@ def build_parser() -> argparse.ArgumentParser:
              "a crash report's trace_file)",
     )
     p_monitor.add_argument(
-        "--model", required=True, metavar="NAME",
+        "--model", metavar="NAME",
         help="sequential model to check against (register, counter, "
-             "queue, stack, set, dict)",
+             "queue, stack, set, dict); default: the trace header's model",
     )
     p_monitor.add_argument(
         "--monitor-engine", "--engine",

@@ -44,6 +44,7 @@ from repro.monitor.trace import (
     TRACE_VERSION_LIVE,
     LiveTraceMeta,
     LiveTraceWriter,
+    TraceDecoder,
     TraceError,
     TraceScan,
     TraceSegment,
@@ -51,6 +52,7 @@ from repro.monitor.trace import (
     default_trace_path,
     iter_trace,
     load_trace,
+    read_trace_header,
     scan_trace,
 )
 from repro.monitor.wgl import (
@@ -81,6 +83,7 @@ __all__ = [
     "TRACE_VERSION_LIVE",
     "LiveTraceMeta",
     "LiveTraceWriter",
+    "TraceDecoder",
     "TraceError",
     "TraceScan",
     "TraceSegment",
@@ -92,6 +95,7 @@ __all__ = [
     "get_model",
     "iter_trace",
     "load_trace",
+    "read_trace_header",
     "model_names",
     "scan_trace",
     "specialized_check",

@@ -31,11 +31,9 @@ conventions of :mod:`repro.core.observations`).
     seconds on a monotonic clock since the recording started.  A thread
     has at most one call open at a time and its ``"i"`` (``op_index``)
     **strictly increases** from each call to its next, so an operation
-    key ``(t, i)`` is never used twice — not even after its return.  A
-    reader enforces that with one remembered index per thread, which is
-    what lets the online checker (:mod:`repro.stream`) reject exactly
-    the traces the offline loader rejects in memory bounded by the
-    thread count;
+    key ``(t, i)`` is never used twice — not even after its return.
+    The decoder enforces that with one remembered index per thread, so
+    its memory is bounded by the thread count however long the trace;
   - ``{"e": "x", "t": ..., "i": ..., "why": ..., "ts": ...}`` marks an
     operation *indeterminate*: the client timed out or lost its
     connection after the request may have been sent, so whether the
@@ -57,12 +55,27 @@ conventions of :mod:`repro.core.observations`).
   the loaded history is a true real-time edge, which is what makes a
   FAIL verdict on a live trace sound.
 
-JSONL + append-only makes both writers crash-safe by construction: each
-write is one line followed by a flush, so a crash can lose at most the
-line being written.  The loader accepts a truncated *final* line for
-exactly that reason (and only the final line — corruption anywhere else,
-including the torn interleavings produced by two concurrent writers
-sharing one path, raises :class:`TraceError`).
+**The torn-tail rule** (the one definition of "truncated", for every
+reader).  Both writers emit ``line + "\\n"`` in one write followed by a
+flush, so a crash — or a follower catching the writer mid-append — can
+leave exactly one thing behind: bytes after the last newline.  Those
+bytes are the *torn tail*.  A reader does not consume them, keeps every
+complete line before them, and says so (``TraceFile.truncated``,
+``TraceScan.torn``, ``TraceTailer.torn``).  A newline-terminated line is
+complete: it cannot come from a writer that died mid-record, so if it is
+not a JSON object, lacks a key, carries an unknown event kind or breaks a
+rule above it raises :class:`TraceError` wherever it sits in the file —
+the last line included.  The shapes two writers sharing one path produce
+(a second header, a duplicate or overlapping call, a return or marker
+with no open call, anything after the end marker) are rejected the same
+way; a trace never loads as silent garbage.
+
+**One decoder.**  :class:`TraceDecoder` is the only code that knows the
+line objects above.  The offline loader (:func:`load_trace`), the header
+peek (:func:`read_trace_header`) and the online engine
+(:class:`repro.stream.engine.StreamChecker`) all feed it the lines
+:func:`scan_trace` delivers, so a file is the same history — or the same
+error — on every route to a verdict.
 
 :func:`default_trace_path` derives a deterministic filename from the
 subject and test (a content hash), so two cooperating processes — the
@@ -90,6 +103,7 @@ __all__ = [
     "TRACE_VERSION_LIVE",
     "LiveTraceMeta",
     "LiveTraceWriter",
+    "TraceDecoder",
     "TraceError",
     "TraceFile",
     "TraceScan",
@@ -99,6 +113,7 @@ __all__ = [
     "history_to_record",
     "iter_trace",
     "load_trace",
+    "read_trace_header",
     "record_to_history",
     "scan_trace",
 ]
@@ -114,32 +129,30 @@ class TraceError(Exception):
     """A trace file could not be read, parsed, or validated."""
 
 
+def _call_obj(thread: int, op_index: int, invocation: Invocation) -> dict:
+    obj: dict[str, Any] = {
+        "e": "c",
+        "t": thread,
+        "i": op_index,
+        "m": invocation.method,
+        "a": repr(tuple(invocation.args)),
+    }
+    if invocation.target is not None:
+        obj["g"] = invocation.target
+    return obj
+
+
+def _return_obj(thread: int, op_index: int, response: Response) -> dict:
+    value = (
+        str(response.value) if response.kind == "raised" else repr(response.value)
+    )
+    return {"e": "r", "t": thread, "i": op_index, "k": response.kind, "v": value}
+
+
 def _event_to_obj(event: Event) -> dict:
     if event.is_call:
-        assert event.invocation is not None
-        obj: dict[str, Any] = {
-            "e": "c",
-            "t": event.thread,
-            "i": event.op_index,
-            "m": event.invocation.method,
-            "a": repr(tuple(event.invocation.args)),
-        }
-        if event.invocation.target is not None:
-            obj["g"] = event.invocation.target
-        return obj
-    assert event.response is not None
-    value = (
-        str(event.response.value)
-        if event.response.kind == "raised"
-        else repr(event.response.value)
-    )
-    return {
-        "e": "r",
-        "t": event.thread,
-        "i": event.op_index,
-        "k": event.response.kind,
-        "v": value,
-    }
+        return _call_obj(event.thread, event.op_index, event.invocation)
+    return _return_obj(event.thread, event.op_index, event.response)
 
 
 def _event_from_obj(obj: dict) -> Event:
@@ -374,36 +387,12 @@ class LiveTraceWriter:
     def record_call(
         self, thread: int, op_index: int, invocation: Invocation, ts: float
     ) -> None:
-        obj: dict[str, Any] = {
-            "e": "c",
-            "t": thread,
-            "i": op_index,
-            "m": invocation.method,
-            "a": repr(tuple(invocation.args)),
-            "ts": ts,
-        }
-        if invocation.target is not None:
-            obj["g"] = invocation.target
-        self._emit(obj)
+        self._emit({**_call_obj(thread, op_index, invocation), "ts": ts})
 
     def record_return(
         self, thread: int, op_index: int, response: Response, ts: float
     ) -> None:
-        value = (
-            str(response.value)
-            if response.kind == "raised"
-            else repr(response.value)
-        )
-        self._emit(
-            {
-                "e": "r",
-                "t": thread,
-                "i": op_index,
-                "k": response.kind,
-                "v": value,
-                "ts": ts,
-            }
-        )
+        self._emit({**_return_obj(thread, op_index, response), "ts": ts})
 
     def record_indeterminate(
         self, thread: int, op_index: int, why: str, ts: float
@@ -436,212 +425,6 @@ class LiveTraceWriter:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
-    except OSError as exc:
-        raise TraceError(f"cannot read trace file {path!r}: {exc}") from exc
-
-
-def load_trace(path: str) -> TraceFile:
-    """Read a trace file; raises :class:`TraceError` on anything malformed.
-
-    Understands both supported versions (1: history per line; 2: live
-    event per line).  A truncated final line (the writer died mid-record)
-    is tolerated and flagged via ``TraceFile.truncated`` — every complete
-    record before it is returned.  Corruption anywhere else — including a
-    record torn mid-line by a second concurrent writer — raises
-    :class:`TraceError` naming the offending line; a trace never loads as
-    silent garbage.
-    """
-    lines = _read_lines(path)
-    if not lines:
-        raise TraceError(f"trace file {path!r} is empty (no header)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"trace file {path!r} has a corrupt header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise TraceError(
-            f"not a trace file: format is {header.get('format')!r} "
-            f"(expected {TRACE_FORMAT!r})"
-            if isinstance(header, dict)
-            else f"trace file {path!r} has a malformed header"
-        )
-    version = header.get("version")
-    if version not in _SUPPORTED_VERSIONS:
-        raise TraceError(
-            f"trace file version {version!r} is not supported "
-            f"(this reader understands versions "
-            f"{', '.join(str(v) for v in _SUPPORTED_VERSIONS)})"
-        )
-    if version == TRACE_VERSION_LIVE:
-        return _load_live_trace(path, header, lines)
-    return _load_history_trace(path, header, lines)
-
-
-def _load_history_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
-    try:
-        n_threads = int(header["n_threads"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(
-            f"trace file {path!r} header lacks a valid n_threads"
-        ) from exc
-
-    trace = TraceFile(
-        n_threads=n_threads,
-        subject=header.get("subject"),
-        test=header.get("test"),
-    )
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        last = number == len(lines)
-        try:
-            record = json.loads(line)
-            history = record_to_history(record, n_threads)
-        except json.JSONDecodeError:
-            if last:
-                trace.truncated = True
-                break
-            raise TraceError(
-                f"trace file {path!r} line {number} is corrupt"
-            ) from None
-        except (KeyError, TypeError, ValueError, SyntaxError) as exc:
-            raise TraceError(
-                f"trace file {path!r} line {number} is malformed: {exc}"
-            ) from None
-        trace.histories.append(history)
-        trace.verdicts.append(record.get("verdict"))
-    return trace
-
-
-def _load_live_trace(path: str, header: dict, lines: list[str]) -> TraceFile:
-    """Assemble the single history of a version-2 live recording.
-
-    Validation is deliberately strict: a call whose ``op_index`` is not
-    above its thread's previous one (a duplicate operation key), a
-    return or indeterminate marker without a matching open call, or
-    events after the end marker all raise :class:`TraceError` — those
-    are exactly the shapes a second concurrent writer (or a buggy
-    recorder) produces, and blending them into a verdict would be
-    unsound.
-    """
-    try:
-        sessions = int(header["sessions"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(
-            f"trace file {path!r} header lacks a valid sessions count"
-        ) from exc
-    meta = LiveTraceMeta(sessions=sessions, model=header.get("model"))
-    trace = TraceFile(
-        n_threads=sessions,
-        subject=header.get("subject"),
-        version=TRACE_VERSION_LIVE,
-        live=meta,
-    )
-
-    events: list[Event] = []
-    open_calls: set[tuple[int, int]] = set()
-    last_index: dict[int, int] = {}  #: thread → op_index of its last call
-    truncated = False
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        last = number == len(lines)
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            if last:
-                truncated = True
-                break
-            raise TraceError(
-                f"trace file {path!r} line {number} is corrupt"
-            ) from None
-        if not isinstance(obj, dict):
-            raise TraceError(
-                f"trace file {path!r} line {number} is not an event object"
-            )
-        if obj.get("format") == TRACE_FORMAT:
-            raise TraceError(
-                f"trace file {path!r} line {number}: a second trace header "
-                "mid-stream (two writers sharing one trace?)"
-            )
-        if meta.outcome is not None:
-            raise TraceError(
-                f"trace file {path!r} line {number}: event after the end "
-                "marker (two writers sharing one trace?)"
-            )
-        kind = obj.get("e")
-        try:
-            if kind == "end":
-                meta.outcome = str(obj["outcome"])
-                continue
-            thread = int(obj["t"])
-            ts = float(obj.get("ts", 0.0))
-            if kind == "x":
-                key = (thread, int(obj["i"]))
-                if key not in open_calls:
-                    raise TraceError(
-                        f"trace file {path!r} line {number}: indeterminate "
-                        f"marker for operation {key} which has no open call"
-                    )
-                meta.indeterminate.append((key[0], key[1], str(obj["why"])))
-                continue
-            event = _event_from_obj(obj)
-        except TraceError:
-            raise
-        except (KeyError, TypeError, ValueError, SyntaxError) as exc:
-            if last:
-                truncated = True
-                break
-            raise TraceError(
-                f"trace file {path!r} line {number} is malformed: {exc}"
-            ) from None
-        key = (event.thread, event.op_index)
-        if event.is_call:
-            if event.op_index <= last_index.get(event.thread, -1):
-                raise TraceError(
-                    f"trace file {path!r} line {number}: duplicate call for "
-                    f"operation {key} (two writers sharing one trace?)"
-                )
-            if any(open_key[0] == event.thread for open_key in open_calls):
-                # The recorder retires a logical thread the moment one of
-                # its operations goes indeterminate; a second open call on
-                # the same thread cannot come from one well-behaved writer.
-                raise TraceError(
-                    f"trace file {path!r} line {number}: thread "
-                    f"{event.thread} issued a call while one is still open "
-                    "(two writers sharing one trace?)"
-                )
-            open_calls.add(key)
-            last_index[event.thread] = event.op_index
-            meta.intervals[key] = (ts, None)
-        else:
-            if key not in open_calls:
-                raise TraceError(
-                    f"trace file {path!r} line {number}: return for "
-                    f"operation {key} which has no open call"
-                )
-            open_calls.discard(key)
-            meta.intervals[key] = (meta.intervals[key][0], ts)
-        events.append(event)
-
-    trace.truncated = truncated
-    n_threads = max(
-        sessions, 1 + max((e.thread for e in events), default=-1)
-    )
-    trace.n_threads = n_threads
-    # One history for the whole recording; calls that never returned are
-    # pending and checked under the open-history (may-or-may-not-have-
-    # taken-effect) semantics.  Not "stuck": nothing was observed to
-    # block, so no blocking justification is demanded.
-    trace.histories.append(History(events, n_threads=n_threads, stuck=False))
-    trace.verdicts.append(None)
-    return trace
 
 
 @dataclass(frozen=True)
@@ -680,17 +463,19 @@ class TraceScan:
 def scan_trace(path: str, start_offset: int = 0) -> TraceScan:
     """Read every complete JSONL line of *path* from *start_offset* on.
 
-    The incremental complement of :func:`load_trace`: instead of slurping
-    the whole file it consumes ``[start_offset, EOF)``, parses each
-    newline-terminated line, and reports exactly where a follower should
-    resume (:class:`TraceScan.next_offset`) — including the byte offset
-    of a torn final line, so tailing readers lose nothing to a writer
-    caught mid-append.
+    The byte-accurate line reader under every consumer: the offline
+    loader scans from 0, a follower from where it stopped.  It consumes
+    ``[start_offset, EOF)``, parses each newline-terminated line, and
+    reports exactly where a follower should resume
+    (:class:`TraceScan.next_offset`) — including the byte offset of a
+    torn tail, so tailing readers lose nothing to a writer caught
+    mid-append.
 
-    Only the *final* line may be incomplete; a newline-terminated line
-    that is not valid JSON is corruption anywhere in the file and raises
-    :class:`TraceError` (same contract as :func:`load_trace`).  Blank
-    lines are skipped but still advance the offset.
+    Only the bytes after the last newline may be incomplete (the
+    torn-tail rule of the module docstring); a newline-terminated line
+    that is not a JSON object is corruption anywhere in the file and
+    raises :class:`TraceError`.  Blank lines are skipped but still
+    advance the offset.
     """
     try:
         with open(path, "rb") as handle:
@@ -698,6 +483,10 @@ def scan_trace(path: str, start_offset: int = 0) -> TraceScan:
             data = handle.read()
     except OSError as exc:
         raise TraceError(f"cannot read trace file {path!r}: {exc}") from exc
+    return _scan_bytes(path, data, start_offset)
+
+
+def _scan_bytes(path: str, data: bytes, start_offset: int) -> TraceScan:
     scan = TraceScan(next_offset=start_offset, size=start_offset + len(data))
     cursor = 0
     while True:
@@ -713,8 +502,8 @@ def scan_trace(path: str, start_offset: int = 0) -> TraceScan:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise TraceError(
                 f"trace file {path!r} is corrupt at byte offset {start}: {exc}"
             ) from None
@@ -739,6 +528,205 @@ def iter_trace(path: str, start_offset: int = 0):
     :class:`repro.stream.tail.TraceTailer`, which is built on this.
     """
     yield from scan_trace(path, start_offset).segments
+
+
+class TraceDecoder:
+    """The one reader of the trace format: parsed lines in, their meaning out.
+
+    Feed it the parsed JSONL lines of one trace in file order.  Each
+    :meth:`feed` either raises :class:`TraceError` — the line is
+    malformed or breaks a well-formedness rule of the module docstring —
+    or returns exactly one ``(kind, item)`` pair saying what the line
+    means at this point of the stream:
+
+    * ``("header", header_dict)`` — line 1; ``version`` and ``n_threads``
+      (v1 ``n_threads`` / v2 ``sessions``) are now set;
+    * ``("history", (History, verdict_or_None))`` — one v1 record;
+    * ``("event", Event)`` — a v2 call or return that respects the
+      one-open-call-per-thread and increasing-``op_index`` rules;
+    * ``("indeterminate", (thread, op_index, why))`` — a v2 marker for a
+      call that is open (it stays open: the thread is retired);
+    * ``("end", outcome)`` — the v2 end marker; ``outcome`` is now set
+      and any further line is an error.
+
+    ``ts`` is the timestamp annotation of the v2 line just fed.  The
+    decoder keeps one open and one last ``op_index`` per thread and
+    nothing per operation, so it costs O(1) per line and O(threads)
+    memory whatever the trace length.  A decoder that has raised is
+    finished: the trace is rejected, there is nothing to resume.
+    """
+
+    def __init__(self) -> None:
+        self.version: int | None = None  #: None until the header arrived
+        self.n_threads = 0
+        self.outcome: str | None = None  #: v2 end-marker outcome
+        self.ts = 0.0
+        self._open: dict[int, int] = {}  #: thread → op_index of its open call
+        self._last: dict[int, int] = {}  #: thread → op_index of its last call
+
+    def feed(self, obj: dict) -> tuple[str, Any]:
+        try:
+            if self.version is None:
+                return "header", self._header(obj)
+            if obj.get("format") == TRACE_FORMAT:
+                raise TraceError(
+                    "a second trace header mid-stream "
+                    "(two writers sharing one trace?)"
+                )
+            if self.version == TRACE_VERSION:
+                history = record_to_history(obj, self.n_threads)
+                return "history", (history, obj.get("verdict"))
+            return self._live_event(obj)
+        except (KeyError, TypeError, ValueError, SyntaxError) as exc:
+            raise TraceError(f"malformed trace line: {exc!r}") from None
+
+    def _header(self, obj: dict) -> dict:
+        if obj.get("format") != TRACE_FORMAT:
+            raise TraceError(
+                f"not a trace file: format is {obj.get('format')!r} "
+                f"(expected {TRACE_FORMAT!r})"
+            )
+        version = obj.get("version")
+        if version not in _SUPPORTED_VERSIONS:
+            raise TraceError(
+                f"trace file version {version!r} is not supported "
+                f"(this reader understands versions "
+                f"{', '.join(str(v) for v in _SUPPORTED_VERSIONS)})"
+            )
+        count = "n_threads" if version == TRACE_VERSION else "sessions"
+        try:
+            self.n_threads = int(obj[count])
+        except (KeyError, TypeError, ValueError):
+            raise TraceError(f"header lacks a valid {count}") from None
+        self.version = version
+        return obj
+
+    def _live_event(self, obj: dict) -> tuple[str, Any]:
+        if self.outcome is not None:
+            raise TraceError(
+                "event after the end marker (two writers sharing one trace?)"
+            )
+        kind = obj["e"]
+        self.ts = float(obj.get("ts", 0.0))
+        if kind == "end":
+            self.outcome = str(obj["outcome"])
+            return "end", self.outcome
+        if kind == "x":
+            thread, op_index = int(obj["t"]), int(obj["i"])
+            if self._open.get(thread) != op_index:
+                raise self._no_open_call("indeterminate marker", thread, op_index)
+            return "indeterminate", (thread, op_index, str(obj["why"]))
+        event = _event_from_obj(obj)
+        thread, op_index = event.thread, event.op_index
+        if event.is_call:
+            if op_index <= self._last.get(thread, -1):
+                raise TraceError(
+                    f"duplicate call for operation {(thread, op_index)} "
+                    "(two writers sharing one trace?)"
+                )
+            if thread in self._open:
+                # The recorder retires a logical thread the moment one of
+                # its operations goes indeterminate; a second open call on
+                # the same thread cannot come from one well-behaved writer.
+                raise TraceError(
+                    f"thread {thread} issued a call while one is still open "
+                    "(two writers sharing one trace?)"
+                )
+            self._open[thread] = self._last[thread] = op_index
+        elif self._open.pop(thread, None) != op_index:
+            raise self._no_open_call("return", thread, op_index)
+        return "event", event
+
+    @staticmethod
+    def _no_open_call(what: str, thread: int, op_index: int) -> TraceError:
+        return TraceError(
+            f"{what} for operation {(thread, op_index)} which has no open call"
+        )
+
+
+def _assemble(path: str, scan: TraceScan) -> TraceFile:
+    """Run the lines of *scan* through one decoder into a :class:`TraceFile`."""
+    if not scan.segments:
+        raise TraceError(
+            f"trace file {path!r} is empty (no complete header line)"
+        )
+    decoder = TraceDecoder()
+    events: list[Event] = []
+    try:
+        for segment in scan.segments:
+            kind, item = decoder.feed(segment.obj)
+            if kind == "event":
+                key = (item.thread, item.op_index)
+                if item.is_call:
+                    meta.intervals[key] = (decoder.ts, None)
+                else:
+                    meta.intervals[key] = (meta.intervals[key][0], decoder.ts)
+                events.append(item)
+            elif kind == "history":
+                trace.histories.append(item[0])
+                trace.verdicts.append(item[1])
+            elif kind == "indeterminate":
+                meta.indeterminate.append(item)
+            elif kind == "end":
+                meta.outcome = item
+            else:  # the header: always, and only, the first line
+                trace = TraceFile(
+                    n_threads=decoder.n_threads,
+                    subject=item.get("subject"),
+                    test=item.get("test"),
+                    truncated=scan.torn,
+                    version=decoder.version,
+                )
+                if decoder.version == TRACE_VERSION_LIVE:
+                    trace.live = LiveTraceMeta(
+                        sessions=decoder.n_threads, model=item.get("model")
+                    )
+                meta = trace.live
+    except TraceError as exc:
+        raise TraceError(
+            f"trace file {path!r} at byte offset {segment.start}: {exc}"
+        ) from None
+    if meta is not None:
+        n_threads = trace.n_threads = max(
+            meta.sessions, 1 + max((e.thread for e in events), default=-1)
+        )
+        # One history for the whole recording; calls that never returned
+        # are pending and checked under the open-history (may-or-may-not-
+        # have-taken-effect) semantics.  Not "stuck": nothing was observed
+        # to block, so no blocking justification is demanded.
+        trace.histories.append(History(events, n_threads=n_threads, stuck=False))
+        trace.verdicts.append(None)
+    return trace
+
+
+def load_trace(path: str) -> TraceFile:
+    """Read a trace file; raises :class:`TraceError` on anything malformed.
+
+    :func:`scan_trace` → :class:`TraceDecoder` → assembly.  Understands
+    both supported versions (1: history per line; 2: live event per
+    line, assembled into one history).  A torn tail — bytes after the
+    last newline, see the module docstring — is not consumed and is
+    flagged via ``TraceFile.truncated``; every complete line before it
+    is returned.  Anything else wrong raises :class:`TraceError` naming
+    the file and the byte offset of the offending line.
+    """
+    return _assemble(path, scan_trace(path))
+
+
+def read_trace_header(path: str) -> TraceFile:
+    """What :func:`load_trace` would return had *path* ended after line 1.
+
+    Runs the header through the same decoder without reading the rest of
+    the file, so a caller that only needs ``version`` / ``subject`` /
+    ``live.model`` (``lineup monitor`` and ``lineup watch`` defaulting
+    ``--model``) does not parse the format itself.
+    """
+    try:
+        with open(path, "rb") as handle:
+            first_line = handle.readline()
+    except OSError as exc:
+        raise TraceError(f"cannot read trace file {path!r}: {exc}") from exc
+    return _assemble(path, _scan_bytes(path, first_line, 0))
 
 
 def default_trace_path(directory: str, subject: str, test: dict) -> str:

@@ -29,10 +29,14 @@ partitioning unsound mid-stream; :class:`PartitionUnsound` is raised and
 the caller restarts from offset 0 with partitioning off — possible
 precisely because the trace is a file, not an ephemeral socket.
 
-Stream well-formedness (duplicate calls, returns without calls, events
-after the end marker — the shapes two colliding writers produce) raises
-:class:`~repro.monitor.trace.TraceError`, mirroring the strict offline
-loader: a malformed stream never blends into a verdict.
+What a line *means* — the header, a v1 record, a v2 call/return, an
+indeterminate marker, the end marker — and whether the stream is
+well-formed is decided by :class:`~repro.monitor.trace.TraceDecoder`,
+the same decoder the offline loader uses; a malformed stream raises its
+:class:`~repro.monitor.trace.TraceError` and never blends into a
+verdict.  This module adds only what is the stream engine's own job:
+routing operations to cells, skipping other shards' cells, retiring
+cells that hit the configuration cap, and counting.
 """
 
 from __future__ import annotations
@@ -44,14 +48,7 @@ from typing import Hashable
 from repro.monitor.dispatch import monitor_history
 from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
 from repro.monitor.models import SequentialModel
-from repro.monitor.trace import (
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    TRACE_VERSION_LIVE,
-    TraceError,
-    _event_from_obj,
-    record_to_history,
-)
+from repro.monitor.trace import TraceDecoder
 from repro.monitor.wgl import MonitorLimitError
 
 __all__ = ["PartitionUnsound", "StreamChecker", "stable_shard"]
@@ -127,22 +124,25 @@ class StreamChecker:
         self.max_configurations = max_configurations
         self.monitor_engine = monitor_engine
         self.counters = StreamCounters()
-        self.version: int | None = None  #: None until the header arrived
-        self.n_threads = 0  #: v1 header field
-        self.outcome: str | None = None  #: v2 end-marker outcome
         self.failed: OnlineCounterexample | None = None
         self.failed_history: object | None = None  #: v1 FAIL: the History
         self.exhausted = False
+        self._decoder = TraceDecoder()
         self._cells: dict[Hashable, IncrementalChecker] = {}
         self._dead_cells: set[Hashable] = set()  #: cells over the config cap
         self._open_cell: dict[tuple[int, int], Hashable] = {}
-        self._thread_busy: dict[int, tuple[int, int]] = {}
-        #: thread → op_index of its last call; the format makes a thread's
-        #: op_index strictly increase, so this one integer per thread
-        #: detects a re-used operation key even after the key returned.
-        self._last_index: dict[int, int] = {}
 
     # -- verdicts ---------------------------------------------------------
+
+    @property
+    def version(self) -> int | None:
+        """The trace version; None until the header arrived."""
+        return self._decoder.version
+
+    @property
+    def outcome(self) -> str | None:
+        """The v2 end marker's outcome; None until it arrived."""
+        return self._decoder.outcome
 
     @property
     def finalized(self) -> bool:
@@ -205,43 +205,22 @@ class StreamChecker:
     def feed(self, obj: dict) -> bool:
         """Consume one parsed trace line; False once the verdict is FAIL."""
         self.counters.events += 1
-        if self.version is None:
-            self._consume_header(obj)
-            return True
-        if obj.get("format") == TRACE_FORMAT:
-            raise TraceError(
-                "a second trace header mid-stream "
-                "(two writers sharing one trace?)"
-            )
-        if self.version == TRACE_VERSION:
-            return self._consume_history_record(obj)
-        return self._consume_live_event(obj)
-
-    def _consume_header(self, obj: dict) -> None:
-        if obj.get("format") != TRACE_FORMAT:
-            raise TraceError(
-                f"not a trace: first line has format {obj.get('format')!r}"
-            )
-        version = obj.get("version")
-        if version not in (TRACE_VERSION, TRACE_VERSION_LIVE):
-            raise TraceError(f"unsupported trace version {version!r}")
-        self.version = version
-        self.header = obj
-        if version == TRACE_VERSION:
-            try:
-                self.n_threads = int(obj["n_threads"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceError(
-                    "v1 trace header lacks a valid n_threads"
-                ) from exc
+        kind, item = self._decoder.feed(obj)
+        if kind == "event":
+            return self._on_event(item)
+        if kind == "history":
+            return self._on_history(item[0])
+        if kind == "indeterminate":
+            key = item[:2]
+            self.counters.indeterminate += 1
+            checker = self._checker(self._open_cell[key])
+            if checker is not None:
+                checker.on_indeterminate(*key)
+        return True
 
     # -- v1: one complete history per line --------------------------------
 
-    def _consume_history_record(self, record: dict) -> bool:
-        try:
-            history = record_to_history(record, self.n_threads)
-        except (KeyError, TypeError, ValueError, SyntaxError) as exc:
-            raise TraceError(f"malformed history record: {exc}") from None
+    def _on_history(self, history) -> bool:
         self.counters.histories += 1
         try:
             verdict = monitor_history(
@@ -255,9 +234,7 @@ class StreamChecker:
             return True
         if not verdict.ok:
             self.failed_history = history
-            self._offline_verdict = verdict
-            return False
-        return True
+        return verdict.ok
 
     # -- v2: one live event per line ---------------------------------------
 
@@ -273,7 +250,8 @@ class StreamChecker:
         return cell
 
     def _checker(self, cell: Hashable) -> IncrementalChecker | None:
-        if cell in self._dead_cells:
+        """The cell's checker; None for a foreign or given-up cell."""
+        if cell is _FOREIGN or cell in self._dead_cells:
             return None
         checker = self._cells.get(cell)
         if checker is None:
@@ -284,83 +262,26 @@ class StreamChecker:
             self.counters.cells += 1
         return checker
 
-    def _consume_live_event(self, obj: dict) -> bool:
-        if self.outcome is not None:
-            raise TraceError(
-                "event after the end marker (two writers sharing one trace?)"
-            )
-        kind = obj.get("e")
-        if kind == "end":
-            try:
-                self.outcome = str(obj["outcome"])
-            except KeyError as exc:
-                raise TraceError("end marker lacks an outcome") from exc
-            return True
-        try:
-            thread = int(obj["t"])
-            op_index = int(obj["i"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"malformed live event: {exc}") from None
-        key = (thread, op_index)
-        if kind == "x":
-            if key not in self._open_cell:
-                raise TraceError(
-                    f"indeterminate marker for operation {key} "
-                    "which has no open call"
-                )
-            cell = self._open_cell[key]
-            self.counters.indeterminate += 1
-            if cell is not _FOREIGN:
-                checker = self._checker(cell)
-                if checker is not None:
-                    checker.on_indeterminate(thread, op_index)
-            return True
-        try:
-            event = _event_from_obj(obj)
-        except (KeyError, TypeError, ValueError, SyntaxError) as exc:
-            raise TraceError(f"malformed live event: {exc}") from None
-        if event.is_call:
-            if op_index <= self._last_index.get(thread, -1):
-                raise TraceError(
-                    f"duplicate call for operation {key} "
-                    "(two writers sharing one trace?)"
-                )
-            if thread in self._thread_busy:
-                raise TraceError(
-                    f"thread {thread} issued a call while one is still open "
-                    "(two writers sharing one trace?)"
-                )
-            cell = self._cell_for(event.invocation)
-            self._open_cell[key] = cell
-            self._thread_busy[thread] = key
-            self._last_index[thread] = op_index
+    def _on_event(self, event) -> bool:
+        key = (event.thread, event.op_index)
+        is_call = event.is_call
+        if is_call:
+            cell = self._open_cell[key] = self._cell_for(event.invocation)
             self.counters.calls += 1
-            if cell is _FOREIGN:
-                self.counters.skipped += 1
-                return True
-            checker = self._checker(cell)
-            if checker is not None:
-                checker.on_call(thread, op_index, event.invocation)
-            return True
-        # return event
-        if key not in self._open_cell:
-            raise TraceError(
-                f"return for operation {key} which has no open call"
-            )
-        cell = self._open_cell.pop(key)
-        # The thread is free again (an indeterminate op never returns, so
-        # its thread stays retired forever — matching the live recorder).
-        self._thread_busy.pop(thread, None)
-        self.counters.returns += 1
+        else:
+            cell = self._open_cell.pop(key)
+            self.counters.returns += 1
         if cell is _FOREIGN:
             self.counters.skipped += 1
             return True
         checker = self._checker(cell)
         if checker is None:
             return True  # cell gave up (EXHAUSTED); events still validated
-        assert event.response is not None
+        if is_call:
+            checker.on_call(*key, event.invocation)
+            return True
         try:
-            ok = checker.on_return(thread, op_index, event.response)
+            ok = checker.on_return(*key, event.response)
         except MonitorLimitError:
             self.exhausted = True
             self.counters.exhausted_cells += 1
@@ -369,5 +290,4 @@ class StreamChecker:
             return True
         if not ok:
             self.failed = checker.failed
-            return False
-        return True
+        return ok

@@ -87,7 +87,7 @@ class TestCrashSafety:
         lines[1] = '{"events": [{"bro'
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-        with pytest.raises(TraceError, match="line 2 is corrupt"):
+        with pytest.raises(TraceError, match="is corrupt at byte offset"):
             load_trace(path)
 
 

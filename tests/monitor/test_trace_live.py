@@ -8,8 +8,6 @@ never blend into a plausible-looking history.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.events import Invocation, Response
@@ -19,6 +17,8 @@ from repro.monitor import (
     TraceError,
     load_trace,
 )
+
+from .test_trace_wellformed import row_test
 
 
 def write_live_trace(path, *, finalize=True):
@@ -77,104 +77,26 @@ class TestTornFinalLine:
 
 
 class TestRogueWriters:
-    """Two writers sharing one trace must be detected, not merged."""
+    """Two writers sharing one trace must be detected, not merged.
 
-    def test_duplicate_call_key_rejected(self, tmp_path):
-        path = write_live_trace(tmp_path / "t.jsonl", finalize=False)
-        with open(path, "a", encoding="utf-8") as handle:
-            # A second writer re-records thread 0's first op.
-            handle.write(
-                json.dumps(
-                    {"e": "c", "t": 0, "i": 0, "m": "inc", "a": "()",
-                     "ts": 0.9}
-                )
-                + "\n"
-            )
-        with pytest.raises(TraceError, match="two writers"):
-            load_trace(path)
+    The cases are rows of the well-formedness table
+    (``test_trace_wellformed.py``), where each is run through the offline
+    loader *and* the stream engine; these are the same rows under the
+    names earlier reports refer to.
+    """
 
-    def test_operation_key_reused_after_its_return_rejected(self, tmp_path):
-        # c(0,0) r(0,0) c(0,0) r(0,0) end: a thread's op_index must
-        # strictly increase, so the online checker (which forgets a key
-        # once it returns) and this loader reject the same traces.
-        path = str(tmp_path / "t.jsonl")
-        LiveTraceWriter(path, 1).close()
-        call = {"e": "c", "t": 0, "i": 0, "m": "inc", "a": "()", "ts": 0.1}
-        ret = {"e": "r", "t": 0, "i": 0, "k": "ok", "v": "None", "ts": 0.2}
-        end = {"e": "end", "outcome": "drained", "ts": 0.5}
-        with open(path, "a", encoding="utf-8") as handle:
-            for obj in (call, ret, call, ret, end):
-                handle.write(json.dumps(obj) + "\n")
-        with pytest.raises(TraceError, match=r"duplicate call.*\(0, 0\)"):
-            load_trace(path)
-
-    def test_second_open_call_on_thread_rejected(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        writer = LiveTraceWriter(path, 1)
-        writer.record_call(0, 0, Invocation("inc"), 0.1)
-        writer.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"e": "c", "t": 0, "i": 1, "m": "get", "a": "()",
-                     "ts": 0.2}
-                )
-                + "\n"
-            )
-        with pytest.raises(TraceError, match="while one is still open"):
-            load_trace(path)
-
-    def test_return_without_call_rejected(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        LiveTraceWriter(path, 1).close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"e": "r", "t": 0, "i": 0, "k": "ok", "v": "None",
-                     "ts": 0.1}
-                )
-                + "\n"
-            )
-        with pytest.raises(TraceError, match="no open call"):
-            load_trace(path)
-
-    def test_events_after_end_marker_rejected(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        writer = LiveTraceWriter(path, 1)
-        writer.record_call(0, 0, Invocation("inc"), 0.1)
-        writer.record_return(0, 0, Response.of(None), 0.2)
-        writer.finalize("completed", 0.3)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"e": "c", "t": 1, "i": 0, "m": "get", "a": "()",
-                     "ts": 0.4}
-                )
-                + "\n"
-            )
-        with pytest.raises(TraceError, match="after the end marker"):
-            load_trace(path)
-
-    def test_interleaved_writer_streams_rejected(self, tmp_path):
-        # Simulate the classic two-appenders accident: both streams are
-        # individually well-formed, the interleaving is not.
-        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        for path in (a, b):
-            writer = LiveTraceWriter(path, 1)
-            writer.record_call(0, 0, Invocation("inc"), 0.1)
-            writer.record_return(0, 0, Response.of(None), 0.2)
-            writer.close()
-        lines_a = open(a, encoding="utf-8").read().splitlines()
-        lines_b = open(b, encoding="utf-8").read().splitlines()
-        merged = str(tmp_path / "merged.jsonl")
-        with open(merged, "w", encoding="utf-8") as handle:
-            handle.write(lines_a[0] + "\n")  # one header
-            handle.write(lines_a[1] + "\n")  # A: call (0, 0)
-            handle.write(lines_b[1] + "\n")  # B: call (0, 0)  ← collision
-            handle.write(lines_a[2] + "\n")
-            handle.write(lines_b[2] + "\n")
-        with pytest.raises(TraceError, match="two writers"):
-            load_trace(merged)
+    test_duplicate_call_key_rejected = staticmethod(
+        row_test("duplicate-call-key"))
+    test_operation_key_reused_after_its_return_rejected = staticmethod(
+        row_test("key-reused-then-finalized"))
+    test_second_open_call_on_thread_rejected = staticmethod(
+        row_test("second-open-call-on-thread"))
+    test_return_without_call_rejected = staticmethod(
+        row_test("return-without-call"))
+    test_events_after_end_marker_rejected = staticmethod(
+        row_test("call-after-finalized-recording"))
+    test_interleaved_writer_streams_rejected = staticmethod(
+        row_test("interleaved-writers"))
 
 
 class TestWriterContract:
@@ -209,22 +131,6 @@ class TestWriterContract:
         assert len(trace.histories) == 1
 
 
-def test_second_header_mid_stream_names_two_writers(tmp_path):
-    # cat-ing two traces into one file: the second header must be
-    # called out, not die with a cryptic KeyError.
-    first = str(tmp_path / "a.jsonl")
-    second = str(tmp_path / "b.jsonl")
-    for path in (first, second):
-        writer = LiveTraceWriter(path, 1, model="counter")
-        writer.record_call(0, 0, Invocation("inc", ()), 0.1)
-        writer.record_return(0, 0, Response.of(None), 0.2)
-        writer.finalize("completed", 0.3)
-    # Drop the first file's end marker so the header check is what fires.
-    content = open(first, encoding="utf-8").read().splitlines()
-    content = [line for line in content if '"e":"end"' not in line]
-    content += open(second, encoding="utf-8").read().splitlines()
-    merged = str(tmp_path / "merged.jsonl")
-    with open(merged, "w", encoding="utf-8") as out:
-        out.write("\n".join(content) + "\n")
-    with pytest.raises(TraceError, match="second trace header mid-stream"):
-        load_trace(merged)
+# cat-ing two traces into one file: the second header is called out.
+test_second_header_mid_stream_names_two_writers = row_test(
+    "second-header-after-events")

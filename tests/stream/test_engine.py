@@ -11,6 +11,8 @@ from repro.core.history import History
 from repro.core.events import Event
 from repro.stream import PartitionUnsound, StreamChecker, stable_shard
 
+from tests.monitor.test_trace_wellformed import row_test
+
 
 def ok(value=None) -> Response:
     return Response("ok", value)
@@ -114,72 +116,21 @@ class TestLiveStream:
 
 
 class TestMalformedStreams:
-    def build(self):
-        return StreamChecker(get_model("register"))
+    """Rows of the well-formedness table (``test_trace_wellformed.py``),
+    where each runs through the stream engine *and* the offline loader."""
 
-    def header(self):
-        return {"format": "lineup-trace", "version": 2, "sessions": 1}
-
-    def test_missing_header(self):
-        with pytest.raises(TraceError, match="not a trace"):
-            self.build().feed({"e": "c", "t": 0, "i": 0, "m": "read", "a": "()"})
-
-    def test_unsupported_version(self):
-        with pytest.raises(TraceError, match="version"):
-            self.build().feed({"format": "lineup-trace", "version": 99})
-
-    def test_second_header_mid_stream(self):
-        checker = self.build()
-        checker.feed(self.header())
-        with pytest.raises(TraceError, match="second trace header"):
-            checker.feed(self.header())
-
-    def test_duplicate_call(self):
-        checker = self.build()
-        checker.feed(self.header())
-        call = {"e": "c", "t": 0, "i": 0, "m": "read", "a": "()", "ts": 0}
-        checker.feed(call)
-        with pytest.raises(TraceError, match="duplicate call"):
-            checker.feed(call)
-
-    def test_operation_key_reused_after_its_return(self):
-        # c(0,0) r(0,0) c(0,0) r(0,0) end — rejected by load_trace, so it
-        # must not PASS online just because the key was forgotten at its
-        # return (tests/monitor/test_trace_live.py has the offline twin).
-        checker = self.build()
-        checker.feed(self.header())
-        call = {"e": "c", "t": 0, "i": 0, "m": "read", "a": "()", "ts": 0}
-        ret = {"e": "r", "t": 0, "i": 0, "k": "ok", "v": "None", "ts": 0}
-        checker.feed(call)
-        checker.feed(ret)
-        with pytest.raises(TraceError, match=r"duplicate call.*\(0, 0\)"):
-            checker.feed(call)
-
-    def test_call_while_thread_busy(self):
-        checker = self.build()
-        checker.feed(self.header())
-        checker.feed({"e": "c", "t": 0, "i": 0, "m": "read", "a": "()", "ts": 0})
-        with pytest.raises(TraceError, match="still open"):
-            checker.feed(
-                {"e": "c", "t": 0, "i": 1, "m": "read", "a": "()", "ts": 0}
-            )
-
-    def test_return_without_call(self):
-        checker = self.build()
-        checker.feed(self.header())
-        with pytest.raises(TraceError, match="no open call"):
-            checker.feed(
-                {"e": "r", "t": 0, "i": 0, "k": "ok", "v": "None", "ts": 0}
-            )
-
-    def test_event_after_end_marker(self):
-        checker = self.build()
-        checker.feed(self.header())
-        checker.feed({"e": "end", "outcome": "drained", "ts": 0})
-        with pytest.raises(TraceError, match="after the end marker"):
-            checker.feed(
-                {"e": "c", "t": 0, "i": 0, "m": "read", "a": "()", "ts": 0}
-            )
+    test_missing_header = staticmethod(row_test("missing-header"))
+    test_unsupported_version = staticmethod(row_test("unsupported-version"))
+    test_second_header_mid_stream = staticmethod(
+        row_test("second-header-immediately"))
+    test_duplicate_call = staticmethod(row_test("duplicate-call-while-open"))
+    test_operation_key_reused_after_its_return = staticmethod(
+        row_test("key-reused-after-its-return"))
+    test_call_while_thread_busy = staticmethod(
+        row_test("second-open-call-on-thread"))
+    test_return_without_call = staticmethod(row_test("return-without-call"))
+    test_event_after_end_marker = staticmethod(
+        row_test("event-after-end-marker"))
 
 
 class TestV1Traces:

@@ -162,3 +162,20 @@ class TestFlushPolicy:
         assert len(scan_trace(path).segments) == 1  # call still buffered
         recorder.finalize("drained")
         assert len(scan_trace(path).segments) == 3
+
+
+def test_live_event_lines_are_byte_stable(tmp_path):
+    # The recorder's call/return lines are the v1 event objects plus "ts";
+    # traces already on disk were written with exactly these bytes.
+    path = str(tmp_path / "t.jsonl")
+    writer = LiveTraceWriter(path, sessions=2)
+    writer.record_call(1, 2, Invocation("put", ("k", 1)), 0.5)
+    writer.record_return(1, 2, Response("ok", (True, "v")), 0.75)
+    writer.record_return(0, 3, Response("raised", "KeyError"), 1.0)
+    writer.close()
+    with open(path, "rb") as handle:
+        assert handle.read().splitlines()[1:] == [
+            b'{"e":"c","t":1,"i":2,"m":"put","a":"(\'k\', 1)","ts":0.5}',
+            b'{"e":"r","t":1,"i":2,"k":"ok","v":"(True, \'v\')","ts":0.75}',
+            b'{"e":"r","t":0,"i":3,"k":"raised","v":"KeyError","ts":1.0}',
+        ]

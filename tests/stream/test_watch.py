@@ -312,6 +312,24 @@ class TestWatchCli:
         assert code == EXIT_PASS
         assert "register" in capsys.readouterr().out
 
+    def test_monitor_defaults_model_like_watch(self, tmp_path, capsys):
+        # The two commands that check the same file take the same arguments.
+        path = write_register_trace(str(tmp_path / "t.jsonl"), fail=True)
+        assert main(["monitor", path]) == main(["watch", path]) == EXIT_FAIL
+        assert "model 'register'" in capsys.readouterr().out
+        # An explicit --model still wins over the header's.
+        assert main(["monitor", path, "--model", "nonsense"]) == EXIT_USAGE
+
+    def test_monitor_without_a_header_model_needs_the_flag(
+        self, tmp_path, capsys
+    ):
+        from repro.monitor import TraceWriter
+
+        path = str(tmp_path / "v1.jsonl")
+        TraceWriter(path, n_threads=1).close()
+        assert main(["monitor", path]) == main(["watch", path]) == EXIT_USAGE
+        assert "--model NAME is required" in capsys.readouterr().err
+
     def test_watch_json_output(self, tmp_path, capsys):
         path = write_register_trace(str(tmp_path / "t.jsonl"))
         code = main(["watch", path, "--json"])
