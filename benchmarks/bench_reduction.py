@@ -3,6 +3,11 @@
 For each subject and preemption bound, phase 2 is explored three times —
 exhaustive DFS, DFS + sleep sets, and DPOR — and three facts are
 recorded per cell: schedules explored, schedules pruned, and wall-clock.
+Each row also carries the exhaustive cell's ``equivalence_classes``
+(distinct execution fingerprints; ``classes`` is its distinct
+*histories*) and ``fingerprint_seconds``, the time ``execution_fingerprint``
+took over those executions — kept out of the cell's ``seconds``, which
+stay comparable with older snapshots.
 
 Shape asserted (the soundness contract of ``docs/REDUCTION.md``):
 
@@ -13,7 +18,10 @@ Shape asserted (the soundness contract of ``docs/REDUCTION.md``):
   subject here at bound >= 2, the default check bound; bound 0 leaves no
   alternatives within budget, and at bound 1 the conservative
   backtrack-point propagation for bounded search can request every
-  affordable switch).
+  affordable switch);
+* on the three-thread cell (3747 schedules), digesting the executions
+  costs less than exploring them did — the digest is bookkeeping and
+  must stay cheaper than the schedules it describes.
 
 ``python benchmarks/bench_reduction.py --quick`` runs a reduced matrix
 as a CI smoke test (no pytest-benchmark needed); ``--full`` prints the
@@ -25,6 +33,7 @@ from __future__ import annotations
 import time
 
 from repro.core import FiniteTest, Invocation, SystemUnderTest, TestHarness
+from repro.reduction import execution_fingerprint
 from repro.runtime import DFSStrategy, dfs_with_reduction
 from repro.structures.bounded_buffer import BoundedBuffer
 from repro.structures.concurrent_queue import ConcurrentQueue
@@ -57,6 +66,25 @@ SUBJECTS = {
     ),
 }
 
+#: The perfbench ``gate`` test: three threads, 3747 schedules at PB=2 —
+#: the one cell large enough to time the digest against the exploration.
+#: Exhaustive DFS at that bound only, outside the matrix: its unbounded
+#: tree is out of a benchmark's reach, and the matrix's equal-history-set
+#: assertion does not hold on it (sleep sets miss 16 and DPOR 18 of its
+#: 499 histories at PB=2 — see ROADMAP.md).
+DIGEST_SUBJECT = "ConcurrentQueue-3T"
+MATRIX_SUBJECTS = list(SUBJECTS)
+SUBJECTS[DIGEST_SUBJECT] = (
+    lambda rt: ConcurrentQueue(rt),
+    FiniteTest.of(
+        [
+            [inv("Enqueue", 1), inv("TryDequeue")],
+            [inv("Enqueue", 2)],
+            [inv("TryDequeue")],
+        ]
+    ),
+)
+
 REDUCTIONS = ("none", "sleep", "dpor")
 
 
@@ -66,25 +94,40 @@ def make_strategy(reduction, bound):
     return dfs_with_reduction(reduction, preemption_bound=bound)
 
 
-def explore(scheduler, name, bound, reduction):
-    """One cell: distinct histories, schedule count, pruned count, seconds."""
+def explore(scheduler, name, bound, reduction, digest=False):
+    """One cell: distinct histories, schedule count, pruned count, seconds.
+
+    With *digest*, every execution is also fingerprinted as the checker
+    does (right after it ran, then dropped); that time is reported apart,
+    as ``fingerprint_seconds``, and is not part of ``seconds``.
+    """
     factory, test = SUBJECTS[name]
     strategy = make_strategy(reduction, bound)
     histories = set()
+    classes = set()
     executions = 0
+    fingerprint_seconds = 0.0
     t0 = time.perf_counter()
     with TestHarness(
         SystemUnderTest(factory, name), scheduler=scheduler
     ) as harness:
-        for history, _outcome in harness.explore_concurrent(test, strategy):
+        for history, outcome in harness.explore_concurrent(test, strategy):
             histories.add(history)
             executions += 1
-    return {
+            if digest:
+                t1 = time.perf_counter()
+                classes.add(execution_fingerprint(outcome))
+                fingerprint_seconds += time.perf_counter() - t1
+    cell = {
         "histories": histories,
         "schedules": executions,
         "pruned": getattr(strategy, "pruned", 0),
-        "seconds": time.perf_counter() - t0,
+        "seconds": time.perf_counter() - t0 - fingerprint_seconds,
     }
+    if digest:
+        cell["equivalence_classes"] = len(classes)
+        cell["fingerprint_seconds"] = fingerprint_seconds
+    return cell
 
 
 def run_matrix(scheduler, subjects, bounds):
@@ -92,7 +135,11 @@ def run_matrix(scheduler, subjects, bounds):
     rows = []
     for name in subjects:
         for bound in bounds:
-            cells = {r: explore(scheduler, name, bound, r) for r in REDUCTIONS}
+            # Plain DFS analyses nothing, so its cell times the whole digest.
+            cells = {
+                r: explore(scheduler, name, bound, r, digest=r == "none")
+                for r in REDUCTIONS
+            }
             reference = cells["none"]["histories"]
             for reduction in ("sleep", "dpor"):
                 assert cells[reduction]["histories"] == reference, (
@@ -111,11 +158,28 @@ def run_matrix(scheduler, subjects, bounds):
     return rows
 
 
+def run_digest_cell(scheduler):
+    """The three-thread cell, where the digest is timed against the search."""
+    cell = explore(scheduler, DIGEST_SUBJECT, 2, "none", digest=True)
+    assert cell["fingerprint_seconds"] < cell["seconds"], (
+        f"digesting {cell['schedules']} executions took "
+        f"{cell['fingerprint_seconds']:.3f}s, exploring them "
+        f"{cell['seconds']:.3f}s"
+    )
+    print(
+        f"\n{DIGEST_SUBJECT} PB=2: {cell['schedules']} schedules explored in "
+        f"{cell['seconds'] * 1000:.0f} ms, {cell['equivalence_classes']} "
+        f"classes digested in {cell['fingerprint_seconds'] * 1000:.0f} ms"
+    )
+    return cell
+
+
 def print_table(rows):
     print(
         f"\n{'subject':16s} {'PB':>4s} "
         f"{'none':>7s} {'sleep':>7s} {'dpor':>7s} {'classes':>8s} "
-        f"{'none ms':>8s} {'sleep ms':>9s} {'dpor ms':>8s}"
+        f"{'none ms':>8s} {'sleep ms':>9s} {'dpor ms':>8s} "
+        f"{'eq.cls':>7s} {'digest ms':>10s}"
     )
     for name, bound, cells in rows:
         pb = "inf" if bound is None else str(bound)
@@ -127,11 +191,13 @@ def print_table(rows):
             f"{len(cells['none']['histories']):8d} "
             f"{cells['none']['seconds'] * 1000:8.1f} "
             f"{cells['sleep']['seconds'] * 1000:9.1f} "
-            f"{cells['dpor']['seconds'] * 1000:8.1f}"
+            f"{cells['dpor']['seconds'] * 1000:8.1f} "
+            f"{cells['none']['equivalence_classes']:7d} "
+            f"{cells['none']['fingerprint_seconds'] * 1000:10.1f}"
         )
 
 
-def write_snapshot(rows, path):
+def write_snapshot(rows, digest_cell, path):
     """Persist the matrix as a perf snapshot (``BENCH_reduction.json``)."""
     import benchlib
 
@@ -142,6 +208,8 @@ def write_snapshot(rows, path):
                 "subject": name,
                 "preemption_bound": bound,
                 "classes": len(cells["none"]["histories"]),
+                "equivalence_classes": cells["none"]["equivalence_classes"],
+                "fingerprint_seconds": cells["none"]["fingerprint_seconds"],
                 **{
                     reduction: {
                         "schedules": cells[reduction]["schedules"],
@@ -152,7 +220,16 @@ def write_snapshot(rows, path):
                 },
             }
         )
-    benchlib.write_snapshot(path, "reduction", {"rows": cells_out})
+    digest_out = {
+        key: digest_cell[key]
+        for key in (
+            "schedules", "seconds", "equivalence_classes", "fingerprint_seconds"
+        )
+    }
+    digest_out["classes"] = len(digest_cell["histories"])
+    benchlib.write_snapshot(
+        path, "reduction", {"rows": cells_out, "digest_cell": digest_out}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +239,14 @@ def write_snapshot(rows, path):
 def test_reduction_matrix_bounded(benchmark, scheduler):
     from conftest import once
 
-    rows = once(benchmark, run_matrix, scheduler, list(SUBJECTS), [0, 1, 2])
+    rows = once(benchmark, run_matrix, scheduler, MATRIX_SUBJECTS, [0, 1, 2])
     print_table(rows)
 
 
 def test_reduction_matrix_unbounded(benchmark, scheduler):
     from conftest import once
 
-    rows = once(benchmark, run_matrix, scheduler, list(SUBJECTS), [None])
+    rows = once(benchmark, run_matrix, scheduler, MATRIX_SUBJECTS, [None])
     print_table(rows)
     # Unbounded exploration is where independence is richest: DPOR must
     # cut the counter's schedule count by well over half.
@@ -205,19 +282,21 @@ def main(argv=None) -> int:
         subjects = ["Counter", "ConcurrentQueue"]
         bounds = [1, 2]
     else:
-        subjects = list(SUBJECTS)
+        subjects = MATRIX_SUBJECTS
         bounds = [0, 1, 2, None]
 
     scheduler = Scheduler()
     try:
         rows = run_matrix(scheduler, subjects, bounds)
+        print_table(rows)
+        digest_cell = run_digest_cell(scheduler)
     finally:
         scheduler.shutdown()
-    print_table(rows)
-    write_snapshot(rows, args.out)
+    write_snapshot(rows, digest_cell, args.out)
     print(
         "\nsmoke PASS: identical history sets; "
-        "dpor <= sleep <= none schedules everywhere"
+        "dpor <= sleep <= none schedules everywhere; "
+        "digest cheaper than exploration"
     )
     return 0
 

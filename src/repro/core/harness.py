@@ -262,8 +262,6 @@ class TestHarness:
         *on_execution* (called as ``on_execution(observations, stats,
         strategy)`` after each execution) is the checkpoint hook.
         """
-        from repro.reduction.fingerprint import FingerprintSet, serial_fingerprint
-
         observations = (
             observations if observations is not None else ObservationSet(test.n_threads)
         )
@@ -281,8 +279,13 @@ class TestHarness:
         # re-inserting those histories.  This deduplicates *identical*
         # executions only — phase 1 must enumerate every distinct serial
         # history for the Theorem 5 completeness argument, so no
-        # equivalence-class reduction is applied here.
-        seen = FingerprintSet()
+        # equivalence-class reduction is applied here.  The key — status
+        # plus the events, each interned to a small int so the set does not
+        # keep every execution's events alive — is at least as fine as
+        # ``History.__eq__`` (same event equality, and the status is finer
+        # than ``stuck``).
+        seen: set[tuple] = set()
+        event_ids: dict[Any, int] = {}
         for outcome in self.scheduler.explore(
             lambda: self._bodies(test),
             strategy,
@@ -294,7 +297,12 @@ class TestHarness:
                 control.note(outcome)
             if outcome.divergent:
                 stats.divergent += 1
-            if seen.add(serial_fingerprint((outcome.status, *outcome.events))):
+            key = (
+                outcome.status,
+                *[event_ids.setdefault(e, len(event_ids)) for e in outcome.events],
+            )
+            if key not in seen:
+                seen.add(key)
                 history = self.history_from_outcome(outcome, test)
                 serial = history.to_serial()
                 if observations.add(serial):

@@ -17,8 +17,11 @@ reduced — Theorem 5's completeness argument needs every serial history.
 
 from repro.reduction.dependence import (
     HISTORY_LOCATION,
+    DependenceIndex,
     StepFootprint,
     conflicts,
+    dependence_index,
+    earlier_conflicts,
     happens_before_clocks,
     step_footprints,
 )
@@ -26,20 +29,21 @@ from repro.reduction.fingerprint import (
     FingerprintError,
     FingerprintSet,
     execution_fingerprint,
-    serial_fingerprint,
 )
 from repro.reduction.strategies import DPORStrategy, SleepSetStrategy
 
 __all__ = [
     "DPORStrategy",
+    "DependenceIndex",
     "FingerprintError",
     "FingerprintSet",
     "HISTORY_LOCATION",
     "SleepSetStrategy",
     "StepFootprint",
     "conflicts",
+    "dependence_index",
+    "earlier_conflicts",
     "execution_fingerprint",
     "happens_before_clocks",
-    "serial_fingerprint",
     "step_footprints",
 ]

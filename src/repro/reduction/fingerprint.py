@@ -15,30 +15,23 @@ measures how much redundancy a schedule-space exploration contains:
 ``schedules_explored / equivalence_classes`` is the average number of
 times each genuinely distinct behaviour was re-examined.
 
-:func:`serial_fingerprint` is the phase-1 variant: a plain digest of the
-event stream, used as a cheap pre-filter that skips rebuilding and
-re-inserting serial histories the observation set already contains.
-Phase 1 must stay *complete* (Theorem 5), so it deduplicates identical
-histories only — never equivalence classes.
+Phase 1 is never fingerprinted: it must stay *complete* (Theorem 5), so
+the harness only skips serial executions whose status and event stream
+are identical to one it already saw — never equivalence classes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Any, Iterable
 
-from repro.reduction.dependence import (
-    StepFootprint,
-    conflicts,
-    step_footprints,
-)
+from repro.reduction.dependence import dependence_index
 from repro.runtime.scheduler import ExecutionOutcome
 
 __all__ = [
     "FingerprintError",
     "FingerprintSet",
     "execution_fingerprint",
-    "serial_fingerprint",
 ]
 
 
@@ -66,88 +59,134 @@ def _validate_digest(digest: object) -> str:
     return digest
 
 
-def _digest(parts: Iterable[str]) -> str:
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(part.encode("utf-8", "backslashreplace"))
-        hasher.update(b"\x00")
-    return hasher.hexdigest()[:32]
+def _digest(parts: list[str]) -> str:
+    """sha256 over the parts, each followed by a NUL, truncated to 32 hex."""
+    data = "\x00".join((*parts, ""))
+    return hashlib.sha256(data.encode("utf-8", "backslashreplace")).hexdigest()[:32]
 
 
-def serial_fingerprint(events: Iterable) -> str:
-    """Digest of a (serial) event stream — identical histories only."""
-    return _digest(repr(event) for event in events)
+#: Payload types whose ``repr`` is a function of exact type and value
+#: (floats are not: ``0.0 == -0.0``).
+_PLAIN_TYPES = frozenset({int, bool, str, type(None)})
+
+#: ``repr`` of the harness events digested so far, see :func:`_event_repr`.
+_EVENT_REPRS: dict[tuple, str] = {}
+_EVENT_REPRS_LIMIT = 4096
 
 
-def execution_fingerprint(
-    outcome: ExecutionOutcome,
-    footprints: "list[StepFootprint] | None" = None,
-) -> str:
+def _typed(value: Any) -> Any:
+    """*value* tagged with its exact type, tuples element-wise."""
+    kind = value.__class__
+    if kind in _PLAIN_TYPES:
+        return kind, value
+    if kind is tuple:
+        return tuple(map(_typed, value))
+    raise TypeError(kind)
+
+
+def _event_repr(event: Any) -> str:
+    """``repr(event)``, memoised for harness events with plain payloads.
+
+    Events are frozen, hashable dataclasses and a test has a few dozen
+    distinct ones, each recorded again by every execution.  The event
+    alone is not a safe key: ``Response('ok', 1) == Response('ok', True)``
+    and they hash alike but ``repr`` differently, so the argument and
+    result values enter the key tagged with their exact types.  Anything
+    else — another payload class, an unhashable or non-plain value — is
+    ``repr``-ed directly.
+    """
+    try:
+        invocation, response = event.invocation, event.response
+        key = (
+            event,
+            None if invocation is None else _typed(invocation.args),
+            None if response is None else _typed(response.value),
+        )
+        text = _EVENT_REPRS.get(key)
+    except (AttributeError, TypeError):
+        return repr(event)
+    if text is None:
+        if len(_EVENT_REPRS) >= _EVENT_REPRS_LIMIT:
+            _EVENT_REPRS.clear()
+        text = _EVENT_REPRS[key] = repr(event)
+    return text
+
+
+def _csv(locations: set[int]) -> str:
+    """The location ids in ascending order, comma-separated."""
+    if len(locations) == 1:  # most steps touch one location
+        for only in locations:
+            return str(only)
+    return ",".join(map(str, sorted(locations))) if locations else ""
+
+
+def execution_fingerprint(outcome: ExecutionOutcome) -> str:
     """Canonical digest of one execution's Mazurkiewicz trace class.
 
-    Built from the per-thread access/event projections plus the
-    orientation of every cross-thread conflicting step pair.  The status
-    and pending set are folded in so a stuck execution can never collide
-    with a completed one.
+    Built from the per-thread projections of the steps (each step a token
+    of its value choice, read and write sets, recorded events and access
+    kinds) plus the orientation of every cross-thread conflicting step
+    pair, read off the outcome's
+    :class:`~repro.reduction.dependence.DependenceIndex`.
+    The status and pending set are folded in so a stuck execution can
+    never collide with a completed one.
+
+    The digest is persisted (check checkpoints, swarm shard states,
+    ``generate`` corpora) and resumed runs union old digests with new
+    ones, so its bytes must never change: same parts, same order, same
+    truncated sha256.  ``tests/reduction/test_fingerprint_reference.py``
+    holds the original quadratic implementation as the oracle.
     """
-    if footprints is None:
-        footprints = step_footprints(outcome)
+    index = dependence_index(outcome)
+    threads = index.threads
+    n = len(threads)
+    events = [""] * n  # per step: the reprs of its events, ``;``-joined
+    for event, segment in zip(outcome.events, outcome.event_segments):
+        if 0 <= segment < n:
+            text = _event_repr(event)
+            before = events[segment]
+            events[segment] = f"{before};{text}" if before else text
     parts: list[str] = [
         outcome.status,
         repr(outcome.stuck_kind),
         repr(outcome.pending_threads),
     ]
 
-    # Per-thread projections: the sequence of (footprint, payload) each
-    # thread performed, independent of global interleaving.
+    # Per-thread projections: the sequence of step tokens each thread
+    # performed, independent of global interleaving.  Steps are named by
+    # per-thread counters (canonical across interleavings; global indexes
+    # are not).
     by_thread: dict[int, list[str]] = {}
-    events_by_decision = outcome.events_by_decision()
-    accesses_by_decision = outcome.accesses_by_decision()
-    for index, footprint in enumerate(footprints):
-        thread = footprint.thread
+    step_name: list[str] = []
+    for thread, decision, read, written, event_text, access_text in zip(
+        threads, outcome.decisions, index.reads, index.writes, events, index.accesses
+    ):
         if thread is None:
+            step_name.append("?")
             continue
-        decision = outcome.decisions[index]
+        steps = by_thread.get(thread)
+        if steps is None:
+            steps = by_thread[thread] = []
         value = repr(decision.chosen) if decision.kind == "value" else ""
-        by_thread.setdefault(thread, []).append(
-            "|".join(
-                (
-                    value,
-                    ",".join(map(str, sorted(footprint.reads))),
-                    ",".join(map(str, sorted(footprint.writes))),
-                    ";".join(repr(e) for e in events_by_decision[index]),
-                    ";".join(
-                        f"{getattr(a, 'kind', a)}@{getattr(a, 'location', '')}"
-                        for a in accesses_by_decision[index]
-                    ),
-                )
-            )
+        steps.append(
+            f"{value}|{_csv(read)}|{_csv(written)}|{event_text}|{access_text}"
         )
+        step_name.append(f"{thread}.{len(steps)}")
     for thread in sorted(by_thread):
         parts.append(f"T{thread}")
         parts.extend(by_thread[thread])
 
-    # Orientation of dependent pairs, named by per-thread step counters
-    # (canonical across interleavings; global indexes are not).
-    counter: dict[int, int] = {}
-    step_name: list[str] = []
-    for footprint in footprints:
-        thread = footprint.thread
-        if thread is None:
-            step_name.append("?")
-            continue
-        counter[thread] = counter.get(thread, 0) + 1
-        step_name.append(f"{thread}.{counter[thread]}")
-    pairs: list[str] = []
-    for i in range(len(footprints)):
-        for j in range(i + 1, len(footprints)):
-            a, b = footprints[i], footprints[j]
-            if a.thread is None or b.thread is None or a.thread == b.thread:
-                continue
-            if conflicts(a, b):
-                pairs.append(f"{step_name[i]}<{step_name[j]}")
+    # Orientation of dependent pairs: which of the two came first.
+    pairs = [
+        f"{step_name[j]}<{later}"
+        for later, thread, earlier in zip(step_name, threads, index.earlier)
+        if thread is not None
+        for j in earlier
+        if threads[j] is not None
+    ]
+    pairs.sort()
     parts.append("#conflicts")
-    parts.extend(sorted(pairs))
+    parts.extend(pairs)
     return _digest(parts)
 
 

@@ -42,6 +42,7 @@ from typing import Any
 from repro.reduction.dependence import (
     StepFootprint,
     conflicts,
+    dependence_index,
     happens_before_clocks,
     step_footprints,
 )
@@ -272,17 +273,15 @@ class DPORStrategy(SleepSetStrategy):
         branching: list[int],
     ) -> None:
         clocks = happens_before_clocks(outcome, footprints)
+        earlier = dependence_index(outcome).earlier
         previous_clock: dict[int, Any] = {}
         for i, footprint in enumerate(footprints):
             thread = footprint.thread
             if thread is None:
                 continue
             before = previous_clock.get(thread)
-            for j in range(i):
-                other = footprints[j]
-                if other.thread is None or other.thread == thread:
-                    continue
-                if not conflicts(other, footprint):
+            for j in earlier[i]:  # the cross-thread conflicting steps
+                if footprints[j].thread is None:
                     continue
                 if before is not None and clocks[j].happens_before(before):
                     # Already ordered through intermediate steps: putting

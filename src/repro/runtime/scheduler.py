@@ -160,6 +160,10 @@ class ExecutionOutcome:
     #: (thread id, exception) pairs for bodies that raised out of the
     #: harness; normally empty because the harness captures exceptions.
     crashes: list[tuple[int, BaseException]] = field(default_factory=list)
+    #: the per-step dependence analysis of this outcome, kept here by
+    #: :func:`repro.reduction.dependence.dependence_index` so it is derived
+    #: at most once (the outcome is final when ``strategy.finish`` sees it).
+    dependence: Any = field(default=None, repr=False, compare=False)
 
     def record_access(self, payload: Any) -> None:
         """Append an access record, attributed to the current segment."""
@@ -170,22 +174,6 @@ class ExecutionOutcome:
         """Append a harness event, attributed to the current segment."""
         self.events.append(payload)
         self.event_segments.append(len(self.decisions) - 1)
-
-    def accesses_by_decision(self) -> list[list[Any]]:
-        """Per-step access summary: accesses grouped by decision index."""
-        out: list[list[Any]] = [[] for _ in self.decisions]
-        for payload, segment in zip(self.accesses, self.access_segments):
-            if 0 <= segment < len(out):
-                out[segment].append(payload)
-        return out
-
-    def events_by_decision(self) -> list[list[Any]]:
-        """Per-step event summary: harness events grouped by decision."""
-        out: list[list[Any]] = [[] for _ in self.decisions]
-        for payload, segment in zip(self.events, self.event_segments):
-            if 0 <= segment < len(out):
-                out[segment].append(payload)
-        return out
 
     @property
     def stuck(self) -> bool:

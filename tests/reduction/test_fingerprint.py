@@ -12,28 +12,8 @@ from repro.reduction import (
     FingerprintError,
     FingerprintSet,
     execution_fingerprint,
-    serial_fingerprint,
 )
 from repro.runtime import DFSStrategy
-
-
-class TestSerialFingerprint:
-    def test_deterministic(self):
-        assert serial_fingerprint(("complete", "a", "b")) == serial_fingerprint(
-            ("complete", "a", "b")
-        )
-
-    def test_distinguishes_events(self):
-        assert serial_fingerprint(("complete", "a")) != serial_fingerprint(
-            ("complete", "b")
-        )
-
-    def test_distinguishes_status(self):
-        assert serial_fingerprint(("complete",)) != serial_fingerprint(("stuck",))
-
-    def test_no_concatenation_collision(self):
-        # The separator must keep ("ab",) apart from ("a", "b").
-        assert serial_fingerprint(("ab",)) != serial_fingerprint(("a", "b"))
 
 
 class TestFingerprintSet:
