@@ -82,7 +82,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.fileio import atomic_write_text
 from repro.core.observations import observations_to_xml
-from repro.runtime import ENGINES
+from repro.runtime import DEFAULT_ENGINE, ENGINES
 from repro.structures import REGISTRY, ROOT_CAUSES, get_class
 
 __all__ = ["main"]
@@ -261,7 +261,7 @@ def _config_from_args(args: argparse.Namespace) -> CheckConfig:
         backend=backend,
         model=model,
         monitor_engine=getattr(args, "monitor_engine", "auto"),
-        engine=getattr(args, "engine", "baton"),
+        engine=getattr(args, "engine", DEFAULT_ENGINE),
         dump_traces=getattr(args, "dump_traces", None),
         reduction=reduction,
     )
@@ -397,15 +397,19 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="monitor algorithm (default: auto — cheapest applicable)",
     )
-    parser.add_argument(
-        "--engine", choices=("baton", "coop"), default="baton",
-        help="scheduler engine: 'baton' serializes real OS threads, "
-             "'coop' runs zero-thread generator tasks — identical decision "
-             "traces, faster when workers contend for cores "
-             "(default: baton; see docs/PERFORMANCE.md)",
-    )
+    _add_engine_argument(parser)
     _add_trace_dump_option(parser)
     _add_provider_option(parser)
+
+
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+        help=f"scheduler engine ({' or '.join(ENGINES)}; default: "
+             f"{DEFAULT_ENGINE}): OS threads passing a baton, or zero-thread "
+             "generator tasks — identical decision traces, the latter faster "
+             "when workers contend for cores (see docs/PERFORMANCE.md)",
+    )
 
 
 def _add_reduction_option(parser: argparse.ArgumentParser) -> None:
@@ -633,7 +637,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         with TestHarness(
             subject,
             watchdog=args.watchdog,
-            engine=getattr(args, "engine", "baton"),
+            engine=getattr(args, "engine", DEFAULT_ENGINE),
         ) as harness:
             result = check_relaxed(
                 harness,
@@ -708,7 +712,7 @@ def _campaign_check_config(params: dict) -> CheckConfig:
         budget=ExplorationBudget(deadline_seconds=deadline) if deadline else None,
         watchdog_seconds=params.get("watchdog"),
         dump_traces=params.get("dump_traces"),
-        engine=params.get("engine", "baton"),
+        engine=params.get("engine", DEFAULT_ENGINE),
     )
 
 
@@ -1595,12 +1599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--cols", type=int, default=3)
     p_campaign.add_argument("--schedules", type=int, default=150)
     p_campaign.add_argument("--seed", type=int, default=0)
-    p_campaign.add_argument(
-        "--engine", choices=ENGINES, default="baton",
-        help="scheduler engine (default: baton; 'coop' is the zero-thread "
-             "generator engine — identical decision traces, faster under "
-             "core contention; see docs/PERFORMANCE.md)",
-    )
+    _add_engine_argument(p_campaign)
     p_campaign.add_argument(
         "--generate", action="store_true",
         help="replace uniform RandomCheck sampling with the "
@@ -1672,10 +1671,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max seconds one operation may run between scheduling "
              "points before the execution is classified divergent",
     )
-    p_generate.add_argument(
-        "--engine", choices=ENGINES, default="baton",
-        help="scheduler engine (default: baton; see docs/PERFORMANCE.md)",
-    )
+    _add_engine_argument(p_generate)
     p_generate.add_argument(
         "--json", action="store_true",
         help="print the full report (curve, failures, corpus stats) as JSON",

@@ -31,6 +31,7 @@ from repro.core.spec import NondeterminismWitness, ObservationSet
 from repro.core.testcase import FiniteTest
 from repro.core.witness import check_full_history, check_stuck_history
 from repro.runtime import (
+    DEFAULT_ENGINE,
     Decision,
     DFSStrategy,
     IterativeDFSStrategy,
@@ -76,11 +77,11 @@ class CheckConfig:
 
     preemption_bound: int | None = 2
     phase2_strategy: str = "dfs"  #: "dfs", "iterative", "random" or "pct"
-    #: scheduler engine: ``"baton"`` (real threads serialized by semaphore
-    #: handoff) or ``"coop"`` (zero-thread generator tasks; same decision
-    #: traces, much faster).  Only applies to schedulers the check
+    #: scheduler engine, one of ``repro.runtime.ENGINES`` (real threads
+    #: serialized by semaphore handoff, or zero-thread generator tasks;
+    #: same decision traces).  Only applies to schedulers the check
     #: creates, not to a caller-provided one.
-    engine: str = "baton"
+    engine: str = DEFAULT_ENGINE
     pct_depth: int = 3  #: bug depth for phase2_strategy="pct"
     phase2_executions: int = 2000  #: sample size when phase2_strategy="random"
     seed: int = 0

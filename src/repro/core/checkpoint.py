@@ -36,7 +36,11 @@ from repro.core.harness import Phase1Stats
 from repro.core.observations import observations_from_xml, observations_to_xml
 from repro.core.spec import ObservationSet
 from repro.core.testcase import FiniteTest
-from repro.runtime import SchedulingStrategy, strategy_from_snapshot
+from repro.runtime import (
+    DEFAULT_ENGINE,
+    SchedulingStrategy,
+    strategy_from_snapshot,
+)
 
 __all__ = [
     "CheckResume",
@@ -144,7 +148,7 @@ def config_from_dict(data: dict) -> CheckConfig:
         monitor_engine=data.get("monitor_engine", "auto"),
         dump_traces=data.get("dump_traces"),
         reduction=data.get("reduction", "none"),
-        engine=data.get("engine", "baton"),
+        engine=data.get("engine", DEFAULT_ENGINE),
     )
 
 

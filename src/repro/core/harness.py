@@ -27,6 +27,7 @@ from repro.core.history import History
 from repro.core.spec import ObservationSet
 from repro.core.testcase import FiniteTest
 from repro.runtime import (
+    DEFAULT_ENGINE,
     DFSStrategy,
     ExecutionAbort,
     ExecutionOutcome,
@@ -105,7 +106,7 @@ class TestHarness:
         scheduler: Scheduler | None = None,
         max_steps: int = 20_000,
         watchdog: WatchdogConfig | float | None = None,
-        engine: str = "baton",
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
         self.subject = subject
         self._owns_scheduler = scheduler is None

@@ -5,9 +5,10 @@ Public surface:
 * :class:`Scheduler` — serializes logical threads and enumerates their
   interleavings at the granularity of instrumented operations (the
   ``baton`` engine: real OS threads handed a semaphore baton).
-* :class:`CoopScheduler` — the same contract with zero OS threads in the
-  common path (the ``coop`` engine: generator tasks resumed with
+* :class:`CoopScheduler` — the same exploration with zero OS threads in
+  the common path (the ``coop`` engine: generator tasks resumed with
   ``send()``); :func:`make_scheduler` selects between the two by name.
+  Both are drivers of one interpreter, :mod:`repro.runtime.core`.
 * :class:`Runtime` — the facade through which code under test allocates
   instrumented shared state (cells, atomics, locks, containers).
 * :class:`DFSStrategy`, :class:`RandomStrategy`, :class:`ReplayStrategy` —
@@ -51,9 +52,11 @@ from repro.runtime.watchdog import WatchdogConfig, interrupt_thread
 
 #: Engine names accepted by :func:`make_scheduler` and the CLI.
 ENGINES = ("baton", "coop")
+#: The engine used when nothing selects one.
+DEFAULT_ENGINE = "baton"
 
 
-def make_scheduler(engine: str = "baton", **kwargs):
+def make_scheduler(engine: str = DEFAULT_ENGINE, **kwargs):
     """Build a scheduler by engine name (``"baton"`` or ``"coop"``)."""
     if engine == "baton":
         return Scheduler(**kwargs)
@@ -70,6 +73,7 @@ __all__ = [
     "CoopScheduler",
     "Decision",
     "DecisionReplayError",
+    "DEFAULT_ENGINE",
     "DFSStrategy",
     "ENGINES",
     "ExecutionAbort",

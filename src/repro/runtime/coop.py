@@ -1,24 +1,18 @@
 """The zero-thread cooperative engine (generator trampoline).
 
-:class:`CoopScheduler` implements the same contract as the baton
-:class:`~repro.runtime.scheduler.Scheduler` — enabled-set computation,
-blocking via ``block_until``, stuck/divergence detection, ``Decision``
-traces with ``AccessRecord`` segments, deterministic replay from a
-decision prefix — without any OS threads in the common path.  Each
-logical thread is a *generator* produced by the coop compiler
-(:mod:`repro.runtime.coopc`); instrumented operations yield small
-*effect tuples*, and the engine resumes the chosen task with ``send()``.
-A schedule step is therefore one generator resumption instead of two
-semaphore handoffs between OS threads, which is where the engine's
-throughput advantage comes from (see ``docs/PERFORMANCE.md``).
+The scheduling semantics live in :mod:`repro.runtime.core`;
+:class:`CoopScheduler` is the mechanism that runs them without any OS
+threads in the common path.  Each logical thread is a *generator* produced
+by the coop compiler (:mod:`repro.runtime.coopc`); instrumented operations
+yield small *effect tuples*, the engine hands each one to the core and
+resumes whichever task the core answers with ``send()``.  A schedule step
+is therefore one generator resumption instead of two semaphore handoffs
+between OS threads, which is where the engine's throughput advantage comes
+from (see ``docs/PERFORMANCE.md``).
 
-Decision-trace parity with the baton engine is the design invariant:
-every branch below mirrors the corresponding baton code path (fresh-skip
-of the first scheduling point, single-option decisions recorded without
-consulting the strategy, the serial-mode stuck rules, the spin-wait
-fairness protocol, livelock-vs-deadlock classification), so the two
-engines enumerate the *identical* ordered decision tree and a decision
-prefix found by one replays on the other.  The differential suite in
+Both engines drive the same interpreter, so they enumerate the *identical*
+ordered decision tree and a decision prefix found by one replays on the
+other; the differential suite in
 ``tests/properties/test_engine_equivalence.py`` pins this down.
 
 What still needs the baton engine: code that blocks in C (``time.sleep``,
@@ -32,26 +26,19 @@ baton engine's separate controller thread.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.runtime import coopc
-from repro.runtime.coopc import E_BLOCK, E_CHOOSE, E_SCHED, E_SPIN
-from repro.runtime.errors import ExecutionAbort, SchedulerError
-from repro.runtime.scheduler import (
-    Decision,
+from repro.runtime.core import (
     ExecutionOutcome,
+    LogicalThread,
+    SchedulerCore,
     SchedulingStrategy,
 )
+from repro.runtime.errors import ExecutionAbort, SchedulerError
 from repro.runtime.watchdog import WatchdogConfig, interrupt_thread
 
 __all__ = ["CoopScheduler"]
-
-# Task states (same vocabulary as the baton engine's workers).
-_UNSTARTED = "unstarted"
-_RUNNABLE = "runnable"
-_BLOCKED = "blocked"
-_DONE = "done"
 
 #: Bound on repeated aborts thrown into one generator during teardown
 #: (the analogue of the baton engine's bounded abort acknowledgement):
@@ -59,65 +46,24 @@ _DONE = "done"
 _ABORT_THROWS = 100
 
 
-class _StuckExit(BaseException):
-    """Internal control flow: unwind the run loop after ``_finish_stuck``.
+class _Task(LogicalThread):
+    """One logical thread: a lazily created generator."""
 
-    A ``BaseException`` so no handler meant for SUT errors catches it.
-    """
-
-
-class _Task:
-    """One logical thread: a lazily created generator plus its state."""
-
-    __slots__ = (
-        "tid",
-        "factory",
-        "gen",
-        "state",
-        "predicate",
-        "fresh",
-        "yielded",
-        "resume",
-        "value",
-        "throw",
-    )
+    __slots__ = ("factory", "gen", "throw")
 
     def __init__(self, tid: int, factory: Callable[[], Any]) -> None:
-        self.tid = tid
+        super().__init__(tid)
         self.factory = factory
         self.gen = None
-        self.state = _UNSTARTED
-        self.predicate: Callable[[], bool] | None = None
-        # Mirrors the baton worker's fresh flag: the first scheduling
-        # point of a body is redundant with the decision that started it.
-        self.fresh = True
-        self.yielded = False
-        # Mid-``block_until`` continuation: (predicate, harness) to
-        # re-check when this task is next granted control.
-        self.resume: tuple | None = None
-        # Value to ``send()`` (choose results) / exception to ``throw()``
-        # at the next resumption.
-        self.value: Any = None
+        # Exception to ``throw()`` at the next resumption (``value``, a
+        # choose result, is delivered with ``send()``).
         self.throw: BaseException | None = None
 
-    def enabled(self) -> bool:
-        if self.yielded:
-            return False
-        state = self.state
-        if state == _UNSTARTED or state == _RUNNABLE:
-            return True
-        if state == _BLOCKED:
-            assert self.predicate is not None
-            return bool(self.predicate())
-        return False
 
-
-class CoopScheduler:
+class CoopScheduler(SchedulerCore):
     """Drop-in scheduler running logical threads as generators.
 
-    Accepts the same constructor arguments as the baton ``Scheduler``
-    (``abort_timeout`` is kept for signature compatibility; teardown is
-    synchronous here and bounded by :data:`_ABORT_THROWS` instead).
+    Teardown is synchronous here, bounded by :data:`_ABORT_THROWS`.
     """
 
     engine = "coop"
@@ -126,28 +72,8 @@ class CoopScheduler:
         self,
         max_steps: int = 20_000,
         watchdog: WatchdogConfig | float | None = None,
-        abort_timeout: float = 10.0,
     ) -> None:
-        if max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-        if abort_timeout < 0:
-            raise ValueError("abort_timeout must be >= 0")
-        if isinstance(watchdog, (int, float)) and not isinstance(watchdog, bool):
-            watchdog = WatchdogConfig(time_limit=float(watchdog))
-        self.max_steps = max_steps
-        self.watchdog = watchdog
-        self.abort_timeout = abort_timeout
-        self._progress_ticks = 0
-        self._location_serial = 0
-        # Per-execution state.
-        self._active: list[_Task] = []
-        self._strategy: SchedulingStrategy | None = None
-        self._serial = False
-        self._outcome: ExecutionOutcome | None = None
-        self._current: _Task | None = None
-        self._any_yielded = False
-        self._tearing_down = False
-        self._in_execution = False
+        super().__init__(max_steps, watchdog)
         self._completed: ExecutionOutcome | None = None
         # Watchdog machinery (started lazily; one daemon thread total —
         # it polices stalls, it does not participate in scheduling).
@@ -157,10 +83,6 @@ class CoopScheduler:
         self._wd_lock = threading.Lock()
         self._wd_armed = False
 
-    # ------------------------------------------------------------------
-    # Controller-side API (same shape as the baton engine)
-    # ------------------------------------------------------------------
-
     def execute(
         self,
         bodies: Sequence[Callable[[], None]],
@@ -168,38 +90,20 @@ class CoopScheduler:
         serial: bool = False,
     ) -> ExecutionOutcome:
         """Run one execution of *bodies* under *strategy*'s decisions."""
-        if self._in_execution:
-            raise SchedulerError("execute() is not reentrant")
-        if not bodies:
-            raise SchedulerError("at least one thread body is required")
-        self._in_execution = True
         try:
-            try:
-                return self._execute(list(bodies), strategy, serial)
-            except ExecutionAbort:
-                # A watchdog injection raced the very end of a completed
-                # execution; its outcome is intact, return it.
-                if self._completed is not None:
-                    return self._completed
-                raise
+            return super().execute(bodies, strategy, serial)
+        except ExecutionAbort:
+            # A watchdog injection raced the very end of a completed
+            # execution; its outcome is intact, return it.
+            if self._completed is not None:
+                return self._completed
+            raise
         finally:
-            self._in_execution = False
             self._completed = None
 
-    def explore(
-        self,
-        bodies_factory: Callable[[], Sequence[Callable[[], None]]],
-        strategy: SchedulingStrategy,
-        serial: bool = False,
-        max_executions: int | None = None,
-    ) -> Iterator[ExecutionOutcome]:
-        """Yield outcomes for every execution the strategy wants to run."""
-        count = 0
-        while strategy.more():
-            if max_executions is not None and count >= max_executions:
-                return
-            yield self.execute(bodies_factory(), strategy, serial=serial)
-            count += 1
+    def _execute(self, bodies, strategy, serial) -> ExecutionOutcome:
+        self._completed = super()._execute(bodies, strategy, serial)
+        return self._completed
 
     def shutdown(self) -> None:
         """Stop the watchdog thread (there are no workers to terminate)."""
@@ -241,113 +145,55 @@ class CoopScheduler:
             "or run this subject under the baton engine (--engine baton)."
         )
 
-    def current_thread(self) -> int:
-        """Logical thread id of the currently scheduled task."""
-        if self._current is None or not self._in_execution:
-            raise SchedulerError("not running on a scheduler-controlled thread")
-        return self._current.tid
-
-    def thread_count(self) -> int:
-        return len(self._active)
-
-    def record_event(self, payload: Any) -> None:
-        self._current_outcome().record_event(payload)
-
-    def record_access(self, payload: Any) -> None:
-        self._current_outcome().record_access(payload)
-
-    def new_location_id(self) -> int:
-        self._location_serial += 1
-        return self._location_serial
-
-    @property
-    def serial_mode(self) -> bool:
-        return self._serial
-
     # ------------------------------------------------------------------
-    # Internals
+    # Internals: the trampoline
     # ------------------------------------------------------------------
 
-    def _current_outcome(self) -> ExecutionOutcome:
-        if self._outcome is None:
-            raise SchedulerError("no execution in progress")
-        return self._outcome
-
-    def _record_crash(self, tid: int, exc: BaseException) -> None:
-        if self._outcome is not None:
-            self._outcome.crashes.append((tid, exc))
-
-    def _execute(
-        self,
-        bodies: list[Callable[[], None]],
-        strategy: SchedulingStrategy,
-        serial: bool,
-    ) -> ExecutionOutcome:
-        self._active = [
+    def _spawn(self, bodies: list[Callable[[], None]]) -> list[_Task]:
+        return [
             _Task(tid, coopc.coopify_body(body))
             for tid, body in enumerate(bodies)
         ]
-        self._strategy = strategy
-        self._serial = serial
-        self._outcome = ExecutionOutcome(status="complete")
-        self._current = None
-        self._any_yielded = False
-        self._tearing_down = False
-        self._completed = None
+
+    def _drive(self, first: _Task) -> None:
         if self.watchdog is not None:
             self._arm_watchdog()
-        strategy.begin()
         try:
             try:
-                task = self._pick_next()
-                if task is None:  # pragma: no cover - bodies is non-empty
-                    raise SchedulerError("no thread enabled at execution start")
+                task = first
                 while task is not None:
                     task = self._advance(task)
-            except _StuckExit:
-                pass
             except ExecutionAbort:
-                # Watchdog injection (into SUT frames or engine code):
-                # the running task is wedged, the execution diverged.
-                self._finish_divergent()
-            self._teardown_tasks()
+                # Either the core marked the execution stuck, or this is a
+                # watchdog injection (into SUT frames or engine code): the
+                # running task is wedged, the execution diverged.
+                if self._current_outcome().status == "complete":
+                    self._mark_divergent()
+            finally:
+                # Also on a no-body-running error on its way out of
+                # execute(): it must not leave suspended generators behind.
+                self._teardown_tasks()
         finally:
             if self.watchdog is not None:
                 self._disarm_watchdog()
-        outcome = self._outcome
-        assert outcome is not None
-        strategy.finish(outcome)
-        self._completed = outcome
-        self._outcome = None
-        self._strategy = None
-        self._active = []
-        self._current = None
-        # Same reset point as the baton engine: the next execution's
-        # bodies factory allocates instrumented locations before
-        # execute() and must start from 1 again.
-        self._location_serial = 0
-        return outcome
 
     def _advance(self, task: _Task) -> _Task | None:
         """Grant control to *task*; return the next task (None = over).
 
-        Mirrors a baton worker waking up after ``baton.acquire()``: the
-        task becomes runnable, finishes any interrupted ``block_until``
-        loop, then its generator runs until it yields the next effect,
-        finishes, or crashes.
+        The task finishes any interrupted ``block_until`` loop, then its
+        generator runs until an effect makes the core switch threads, or
+        it finishes or crashes.  A core exception while the body runs is
+        thrown into the generator (the one error rule).
         """
-        task.state = _RUNNABLE
-        task.predicate = None
         if task.resume is not None:
-            predicate, harness = task.resume
-            task.resume = None
-            nxt = self._block_loop(task, predicate, harness)
-            if nxt is not task:
-                return nxt
-        outcome = self._outcome
-        max_steps = self.max_steps
+            try:
+                nxt = self.resume(task)
+            except Exception as exc:
+                task.throw = exc
+            else:
+                if nxt is not task:
+                    return nxt
         while True:
-            self._current = task
             gen = task.gen
             try:
                 if gen is None:
@@ -361,313 +207,41 @@ class CoopScheduler:
                     value, task.value = task.value, None
                     effect = gen.send(value)
             except StopIteration:
-                return self._task_done(task)
-            except _StuckExit:  # pragma: no cover - never raised in SUT
-                raise
+                break
             except ExecutionAbort:
                 if self._tearing_down:
                     raise  # watchdog injection surfacing through the SUT
                 # A spontaneous abort ends the body silently, exactly as
                 # the baton worker loop swallows it.
-                return self._task_done(task)
+                break
             except BaseException as exc:
                 self._record_crash(task.tid, exc)
-                return self._task_done(task)
-            # Open-coded E_SCHED handling (the dominant effect kind; same
-            # steps as ``_handle``, in order): every other kind and the
-            # teardown path fall through to the full handler.
-            if effect[0] == E_SCHED and not self._tearing_down:
-                if self._any_yielded:
-                    self._progress(task)
-                if task.fresh:
-                    task.fresh = False
-                    continue
-                outcome.steps += 1
-                self._progress_ticks += 1
-                if outcome.steps > max_steps:
-                    self._finish_stuck("livelock")
-                    raise _StuckExit()
-                boundary = effect[1]
-                if self._serial and not boundary:
-                    continue
-                nxt = self._transfer(task, free=boundary)
-                if nxt is not task:
-                    return nxt
-                continue
-            nxt = self._handle(task, effect)
-            if nxt is not task:
-                return nxt
-
-    def _handle(self, task: _Task, effect: tuple) -> _Task | None:
-        """Process one yielded effect; mirrors the baton scheduler API."""
-        if self._tearing_down:
-            # Cleanup code on a teardown path reached an instrumented
-            # point: abort it (the baton engine's _require_worker rule).
-            raise ExecutionAbort()
-        kind = effect[0]
-        if kind == E_SCHED:  # schedule_point(boundary) / yield_point()
-            self._progress(task)
-            if task.fresh:
-                task.fresh = False
-                return task
-            self._bump_step()
-            boundary = effect[1]
-            if self._serial and not boundary:
-                return task
-            return self._transfer(task, free=boundary)
-        if kind == E_BLOCK:  # block_until(predicate, harness)
-            predicate, harness = effect[1], effect[2]
-            self._progress(task)
-            if task.fresh:
-                task.fresh = False
-            else:
-                self._bump_step()
-                if not self._serial:
-                    # The wait is a scheduling point even when it would
-                    # not block.
-                    nxt = self._transfer(task)
-                    if nxt is not task:
-                        task.resume = (predicate, harness)
-                        return nxt
-            return self._block_loop(task, predicate, harness)
-        if kind == E_CHOOSE:  # choose(n)
-            n = effect[1]
-            if n <= 0:
-                task.throw = ValueError(
-                    "choose() needs at least one alternative"
-                )
-                return task
-            task.fresh = False  # a value decision is never redundant
-            self._progress(task)
-            self._bump_step()
-            if n == 1:
-                task.value = 0
-                return task
+                break
             try:
-                task.value = self._decide("value", tuple(range(n)), task.tid)
+                nxt = self.step(task, effect)
             except Exception as exc:
                 task.throw = exc
-            return task
-        if kind == E_SPIN:  # spin_wait()
-            self._progress(task)
-            task.fresh = False
-            self._bump_step()
-            if self._serial:
-                self._finish_stuck("livelock")
-                raise _StuckExit()
-            task.yielded = True
-            self._any_yielded = True
-            return self._transfer(task)
-        task.throw = SchedulerError(f"unknown coop effect: {effect!r}")
-        return task
-
-    def _block_loop(
-        self, task: _Task, predicate: Callable[[], bool], harness: bool
-    ) -> _Task | None:
-        """The ``while not predicate()`` loop of ``block_until``."""
-        while True:
-            try:
-                satisfied = bool(predicate())
-            except Exception as exc:
-                task.throw = exc  # surfaces inside the blocked body
-                return task
-            if satisfied:
-                return task
-            if self._serial and not harness:
-                self._finish_stuck("deadlock")
-                raise _StuckExit()
-            task.state = _BLOCKED
-            task.predicate = predicate
-            nxt = self._transfer(task)
+                continue
             if nxt is not task:
-                task.resume = (predicate, harness)
                 return nxt
-            # Rescheduled to itself: the predicate held at decision time
-            # and nothing ran since, so the loop exits on the re-check.
-            task.state = _RUNNABLE
-            task.predicate = None
-
-    def _progress(self, task: _Task) -> None:
-        """*task* made progress: re-enable threads spin-waiting on it.
-
-        ``_any_yielded`` makes this a no-op unless some task is actually
-        spin-waiting — the overwhelmingly common case.  The flag stays
-        set while *task* itself is still marked yielded (only other
-        tasks' progress may clear its mark, as on the baton engine).
-        """
-        if self._any_yielded:
-            any_left = False
-            for other in self._active:
-                if other is not task:
-                    other.yielded = False
-                elif other.yielded:
-                    any_left = True
-            self._any_yielded = any_left
-
-    def _bump_step(self) -> None:
-        outcome = self._outcome
-        assert outcome is not None
-        outcome.steps += 1
-        self._progress_ticks += 1
-        if outcome.steps > self.max_steps:
-            self._finish_stuck("livelock")
-            raise _StuckExit()
-
-    def _decide(
-        self, kind: str, options: tuple, running: int | None, free: bool = False
-    ) -> Any:
-        strategy = self._strategy
-        assert strategy is not None
-        outcome = self._outcome
-        assert outcome is not None
-        if len(options) == 1:
-            chosen = options[0]
-        else:
-            chosen = strategy.decide(kind, options, running, free)
-            if chosen not in options:
-                raise SchedulerError(
-                    f"strategy chose {chosen!r}, not among options {options!r}"
-                )
-        outcome.decisions.append(Decision(kind, options, chosen, running, free))
-        return chosen
-
-    def _transfer(self, task: _Task, free: bool = False) -> _Task | None:
-        """Pick the next task; return it (or *task* itself to continue).
-
-        The enabled scan open-codes ``_Task.enabled`` (``is`` on the
-        interned state constants) and the thread decision open-codes
-        ``_decide``: this runs once per scheduling step and is the
-        engine's single hottest path.
-        """
-        active = self._active
-        tid = task.tid
-        try:
-            enabled = [
-                t.tid
-                for t in active
-                if not t.yielded
-                and (
-                    t.state is _RUNNABLE
-                    or t.state is _UNSTARTED
-                    or (t.state is _BLOCKED and t.predicate())
-                )
-            ]
-            if not enabled:
-                spinning = any(
-                    t.yielded
-                    and (
-                        t.state in (_UNSTARTED, _RUNNABLE)
-                        or (t.state == _BLOCKED and t.predicate())
-                    )
-                    for t in active
-                )
-                self._finish_stuck("livelock" if spinning else "deadlock")
-                raise _StuckExit()
-            if len(enabled) == 1:
-                chosen = enabled[0]
-                options = (chosen,)
-            else:
-                options = tuple(enabled)
-                chosen = self._strategy.decide("thread", options, tid, free)
-                if chosen not in options:
-                    raise SchedulerError(
-                        f"strategy chose {chosen!r}, "
-                        f"not among options {options!r}"
-                    )
-            self._outcome.decisions.append(
-                Decision("thread", options, chosen, tid, free)
-            )
-        except (_StuckExit, ExecutionAbort):
-            raise
-        except Exception as exc:
-            # Strategy errors (replay mismatches, invalid choices) and
-            # hostile blocking predicates surface inside the running
-            # body, as they do on a baton worker thread.
-            task.throw = exc
-            return task
-        if chosen == tid:
-            task.state = _RUNNABLE
-            task.predicate = None
-            return task
-        self._progress_ticks += 1
-        return active[chosen]
-
-    def _pick_next(self) -> _Task | None:
-        enabled = [t.tid for t in self._active if t.enabled()]
-        if not enabled:
-            return None
-        running = self._current.tid if self._current is not None else None
-        chosen = self._decide("thread", tuple(enabled), running, free=True)
-        return self._active[chosen]
-
-    def _task_done(self, task: _Task) -> _Task | None:
-        """The baton engine's ``_on_thread_done``, minus the handshake."""
-        task.state = _DONE
-        task.predicate = None
-        task.resume = None
         task.gen = None
-        self._progress_ticks += 1
-        if all(t.state == _DONE for t in self._active):
-            return None
-        # A thread completing is progress: re-enable spin-yielded threads.
-        for t in self._active:
-            t.yielded = False
-        self._any_yielded = False
-        nxt = self._pick_next()
-        if nxt is None:
-            self._finish_stuck("deadlock")
-            return None
-        return nxt
-
-    def _finish_stuck(self, kind: str) -> None:
-        outcome = self._outcome
-        assert outcome is not None
-        outcome.status = "stuck"
-        outcome.stuck_kind = kind
-        outcome.pending_threads = tuple(
-            t.tid for t in self._active if t.state != _DONE
-        )
-        self._tearing_down = True
-
-    def _finish_divergent(self) -> None:
-        outcome = self._outcome
-        if outcome is None:  # pragma: no cover - defensive
-            return
-        outcome.status = "divergent"
-        outcome.stuck_kind = None
-        outcome.pending_threads = tuple(
-            t.tid for t in self._active if t.state != _DONE
-        )
-        self._tearing_down = True
+        return self.thread_done(task)
 
     def _teardown_tasks(self) -> None:
-        """Unwind generators still alive after a stuck/divergent finish.
+        """Unwind generators still alive when the execution is over.
 
         The task that held control unwinds first (it is mid-body, like
-        the baton's stuck-detecting worker), then the rest in tid order.
-        Each gets :class:`ExecutionAbort` thrown in; cleanup code that
-        reaches an instrumented point on the way out aborts again, with
+        the baton's halting worker), then the rest in tid order.  Each
+        gets :class:`ExecutionAbort` thrown in; cleanup code that reaches
+        an instrumented point on the way out aborts again, with
         :data:`_ABORT_THROWS` bounding hostile swallow-and-continue.
         """
-        if not self._tearing_down:
-            self._current = None
-            return
-        order: list[_Task] = []
-        current = self._current
+        current = self._running
         if current is not None and current.gen is not None:
-            order.append(current)
-        for task in self._active:
-            if task is not current and task.gen is not None:
-                order.append(task)
-        for task in order:
-            self._abort_task(task)
-        for task in self._active:
-            task.state = _DONE
-            task.predicate = None
-            task.resume = None
-            task.gen = None
-        self._tearing_down = False
-        self._current = None
+            self._abort_task(current)
+        for task in self._threads:
+            if task.gen is not None:
+                self._abort_task(task)
 
     def _abort_task(self, task: _Task) -> None:
         gen = task.gen
@@ -704,6 +278,7 @@ class CoopScheduler:
             self._wd_thread.start()
         with self._wd_lock:
             self._engine_thread = threading.current_thread()
+            self._stall_ticks = None
             self._wd_armed = True
 
     def _disarm_watchdog(self) -> None:
@@ -713,28 +288,16 @@ class CoopScheduler:
     def _watchdog_loop(self) -> None:
         cfg = self.watchdog
         assert cfg is not None
-        ticks: int | None = None
-        deadline = 0.0
         while not self._wd_stop.wait(cfg.poll_interval):
             with self._wd_lock:
-                if not self._wd_armed:
-                    ticks = None
-                    continue
-                now = time.monotonic()
-                seen = self._progress_ticks
-                if seen != ticks:
-                    ticks = seen
-                    deadline = now + cfg.time_limit
-                    continue
-                if now < deadline:
-                    continue
-                # Stalled: flag the teardown first so any effect the
-                # engine still processes aborts, then interrupt the
-                # engine thread itself.  Disarm so we fire exactly once.
-                self._tearing_down = True
-                self._wd_armed = False
-                if self._engine_thread is not None:
-                    interrupt_thread(self._engine_thread)
+                if self._wd_armed and self._stalled():
+                    # Flag the teardown first so any effect the engine
+                    # still processes aborts, then interrupt the engine
+                    # thread itself.  Disarm so we fire exactly once.
+                    self._tearing_down = True
+                    self._wd_armed = False
+                    if self._engine_thread is not None:
+                        interrupt_thread(self._engine_thread)
 
 
 coopc.register_effects(CoopScheduler)

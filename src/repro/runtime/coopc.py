@@ -52,6 +52,7 @@ import inspect
 import textwrap
 import types
 
+from repro.runtime.core import E_BLOCK, E_CHOOSE, E_SCHED, E_SPIN
 from repro.runtime.errors import SchedulerError
 
 __all__ = [
@@ -70,12 +71,6 @@ CALL_NAME = "__coop_call__"
 KW_CALL_NAME = "__coop_callkw__"
 GEN_NAME = "__coop_gen__"
 CODES_NAME = "__coop_codes__"
-
-#: Effect kinds yielded to the engine (tuple tag in slot 0).
-E_SCHED = 0  #: ``(E_SCHED, boundary)``
-E_BLOCK = 1  #: ``(E_BLOCK, predicate, harness)``
-E_CHOOSE = 2  #: ``(E_CHOOSE, n)``
-E_SPIN = 3  #: ``(E_SPIN,)``
 
 #: Suspension primitives inlined at the call site.  Receivers of these
 #: attribute names in cooperative modules are always a scheduler or a

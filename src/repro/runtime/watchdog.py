@@ -1,27 +1,33 @@
-"""Watchdog: hang-proofing for the baton-serialized scheduler.
+"""Watchdog: hang-proofing for both scheduler engines.
 
-The scheduler serializes logical threads, so a single operation of the
+Exactly one logical thread runs at a time, so a single operation of the
 system under test that loops (or sleeps) in *uninstrumented* code — code
-that never reaches a scheduling point — wedges the whole exploration: the
-controller thread waits forever for a baton handover that never comes.
-The step budget (``max_steps``) cannot help because steps are only counted
-at instrumented points.
+that never reaches a scheduling point — wedges the whole exploration:
+control never comes back to the scheduler.  The step budget
+(``max_steps``) cannot help because steps are only counted at
+instrumented points.
 
-The watchdog closes that gap.  When enabled, the controller bounds the
-wall-clock time between scheduling events; if the running logical thread
-makes no progress within :attr:`WatchdogConfig.time_limit` seconds the
-execution is classified **divergent** (a third outcome next to
-complete/stuck) and torn down:
+The watchdog closes that gap.  When enabled, the core's stall detector
+bounds the wall-clock time between scheduling events; if the running
+logical thread makes no progress within :attr:`WatchdogConfig.time_limit`
+seconds the execution is classified **divergent** (a third outcome next
+to complete/stuck) and torn down.  Who polls the detector, and what the
+teardown can reach, is the engine's mechanism:
 
-* the wedged worker receives an asynchronously injected
+* **baton**: the controller thread polls while it waits.  The wedged
+  worker receives an asynchronously injected
   :class:`~repro.runtime.errors.ExecutionAbort` via
   ``PyThreadState_SetAsyncExc``, which breaks pure-Python loops at the
-  next bytecode boundary;
-* a worker that still does not acknowledge within
+  next bytecode boundary; a worker that still does not acknowledge within
   :attr:`WatchdogConfig.abandon_timeout` seconds (it is parked inside a
   blocking C call such as ``time.sleep``) is *abandoned*: its pool slot is
   replaced with a fresh worker and the stale daemon thread is left to die
   on its own, so the pool is usable for the next execution either way.
+* **coop**: one daemon thread polls and injects the same exception into
+  the single engine thread.  There is no second thread to abandon a
+  wedged C call from, so only divergence that executes Python bytecode is
+  caught (see ``docs/PERFORMANCE.md``, "When you still need the baton
+  engine").
 
 Divergent histories are treated like the paper's stuck histories by the
 checker: the operation never responded inside the observation window,

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.runtime import (
+    DecisionReplayError,
     DFSStrategy,
+    ExecutionAbort,
     RandomStrategy,
     ReplayStrategy,
     Runtime,
     Scheduler,
     SchedulerError,
+    SchedulingStrategy,
 )
 
 
@@ -418,3 +423,258 @@ class TestRandomStrategy:
             scheduler.execute(factory(), strategy)
             finals.add(box["cell"].peek())
         assert finals == {1, 2}
+
+
+class _Saboteur(SchedulingStrategy):
+    """Takes the first option, except at its *at*-th consultation (and, to
+    ``keep-raising``, at every later one)."""
+
+    def __init__(self, at, fault):
+        self.at, self.fault = at, fault
+
+    def more(self):
+        return True
+
+    def begin(self):
+        self.consulted = 0
+
+    def decide(self, kind, options, running, free):
+        self.consulted += 1
+        if self.consulted < self.at or (
+            self.consulted > self.at and self.fault != "keep-raising"
+        ):
+            return options[0]
+        if self.fault == "mischoose":
+            return -1  # never among the options
+        raise DecisionReplayError("sabotaged")
+
+    def finish(self, outcome):
+        pass
+
+
+def _writers(n):
+    """*n* one-step bodies: every decision but the initial pick is taken
+    when a thread completes."""
+
+    def program(scheduler, runtime):
+        cell = runtime.volatile(None)
+
+        def make(i):
+            def body():
+                cell.set(i)
+
+            return body
+
+        return [make(i) for i in range(n)]
+
+    return program
+
+
+def _incrementers(scheduler, runtime):
+    """Two read-then-write bodies: the write is a mid-body decision."""
+    cell = runtime.volatile(0)
+
+    def body():
+        cell.set(cell.get() + 1)
+
+    return [body, body]
+
+
+def _own_predicate_raises(scheduler, runtime):
+    def body():
+        scheduler.block_until(lambda: 1 // 0)
+
+    return [body]
+
+
+def _predicate_raises_on_a_later_poll(scheduler, runtime):
+    """The third evaluation — thread 1's enabled-set scan — raises."""
+    cell = runtime.volatile(0)
+    polls = []
+
+    def predicate():
+        polls.append(None)
+        if len(polls) == 3:
+            raise ZeroDivisionError
+        return len(polls) > 3
+
+    def waiter():
+        scheduler.block_until(predicate)
+
+    def stepper():
+        cell.set(cell.get() + 1)
+
+    return [waiter, stepper]
+
+
+def _blocked_beside_two(scheduler, runtime):
+    """Thread 0 blocks with two threads enabled: its wait is a decision."""
+
+    def waiter():
+        scheduler.block_until(lambda: False)
+
+    def other():
+        pass
+
+    return [waiter, other, other]
+
+
+def _choose_nothing(scheduler, runtime):
+    def body():
+        scheduler.choose(0)
+
+    return [body]
+
+
+def _spontaneous_abort(scheduler, runtime):
+    def aborter():
+        raise ExecutionAbort()
+
+    def other():
+        pass
+
+    return [aborter, other]
+
+
+def _thread(chosen, options, running, free=True):
+    return ("thread", options, chosen, running, free)
+
+
+#: Thread 0 crashes at its write decision (not recorded); thread 1 runs on.
+_AFTER_MID_BODY_CRASH = [
+    _thread(0, (0, 1), None), _thread(1, (1,), 0), _thread(1, (1,), 1, False),
+]
+
+#: program, strategy -> what ``execute`` raises, or its (status, stuck_kind,
+#: crashes as (tid, type), decision trace).  Decisions taken while a body
+#: runs surface inside it; the initial pick and the picks at a thread's
+#: completion have no body to raise in and leave ``execute``.
+ERROR_SURFACING = {
+    "raise-at-initial-pick": (
+        _incrementers, lambda: _Saboteur(1, "raise"), DecisionReplayError,
+    ),
+    "mischoose-at-initial-pick": (
+        _incrementers, lambda: _Saboteur(1, "mischoose"), SchedulerError,
+    ),
+    "raise-mid-body": (
+        _incrementers,
+        lambda: _Saboteur(2, "raise"),
+        (
+            "complete",
+            None,
+            [(0, DecisionReplayError)],
+            _AFTER_MID_BODY_CRASH,
+        ),
+    ),
+    "mischoose-mid-body": (
+        _incrementers,
+        lambda: _Saboteur(2, "mischoose"),
+        (
+            "complete",
+            None,
+            [(0, SchedulerError)],
+            _AFTER_MID_BODY_CRASH,
+        ),
+    ),
+    "raise-at-thread-completion": (
+        _writers(3), lambda: _Saboteur(2, "raise"), DecisionReplayError,
+    ),
+    "mischoose-at-thread-completion": (
+        _writers(3), lambda: _Saboteur(2, "mischoose"), SchedulerError,
+    ),
+    # The waiter crashes inside block_until (it used to spin there on coop),
+    # then the pick at its completion raises again, out of execute().
+    "keep-raising-from-a-blocking-wait": (
+        _blocked_beside_two, lambda: _Saboteur(2, "keep-raising"), DecisionReplayError,
+    ),
+    "own-predicate-raises": (
+        _own_predicate_raises,
+        DFSStrategy,
+        ("complete", None, [(0, ZeroDivisionError)], [_thread(0, (0,), None)]),
+    ),
+    "predicate-raises-on-a-later-poll": (
+        _predicate_raises_on_a_later_poll,
+        DFSStrategy,
+        (
+            "complete",
+            None,
+            [(1, ZeroDivisionError)],
+            [
+                _thread(0, (0, 1), None),
+                _thread(1, (1,), 0, False),
+                _thread(0, (0,), 1),
+            ],
+        ),
+    ),
+    "choose-zero": (
+        _choose_nothing,
+        DFSStrategy,
+        ("complete", None, [(0, ValueError)], [_thread(0, (0,), None)]),
+    ),
+    "spontaneous-abort": (
+        _spontaneous_abort,
+        DFSStrategy,
+        ("complete", None, [], [_thread(0, (0, 1), None), _thread(1, (1,), 0)]),
+    ),
+}
+
+
+def _observe(scheduler, bodies, strategy):
+    """One execution under a join timeout: a hang is a red test, not a
+    stuck job."""
+    seen = []
+
+    def run():
+        try:
+            outcome = scheduler.execute(bodies, strategy)
+        except Exception as exc:
+            seen.append(type(exc))
+        else:
+            seen.append(
+                (
+                    outcome.status,
+                    outcome.stuck_kind,
+                    [(tid, type(exc)) for tid, exc in outcome.crashes],
+                    [
+                        (d.kind, d.options, d.chosen, d.running, d.free)
+                        for d in outcome.decisions
+                    ],
+                )
+            )
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive(), "execute() hung"
+    return seen[0]
+
+
+class TestErrorSurfacing:
+    @pytest.mark.parametrize("case", sorted(ERROR_SURFACING))
+    def test_error_surfaces_where_the_core_says(self, scheduler, runtime, case):
+        program, strategy, expected = ERROR_SURFACING[case]
+        assert _observe(scheduler, program(scheduler, runtime), strategy()) == expected
+        # Whatever happened, the scheduler is ready for the next execution.
+        ran = []
+        after = _observe(
+            scheduler, [lambda: ran.append(0), lambda: ran.append(1)], DFSStrategy()
+        )
+        assert after[0] == "complete" and sorted(ran) == [0, 1]
+
+    @pytest.mark.parametrize("watchdog", [None, 0.5])
+    def test_short_replay_script_is_an_error_not_a_hang(self, scheduler, watchdog):
+        """The drift the two engine copies hid: on baton this hung (or, with
+        a watchdog, came back ``divergent`` and poisoned the pool)."""
+        sched = type(scheduler)(watchdog=watchdog)
+        try:
+            program = _writers(3)
+            recorded = sched.execute(program(sched, Runtime(sched)), DFSStrategy())
+            first_branch = [d for d in recorded.decisions if len(d.options) > 1][:1]
+            replayed = _observe(
+                sched, program(sched, Runtime(sched)), ReplayStrategy(first_branch)
+            )
+            assert replayed is DecisionReplayError
+            after = _observe(sched, program(sched, Runtime(sched)), DFSStrategy())
+            assert after[0] == "complete"
+        finally:
+            sched.shutdown()
