@@ -17,13 +17,19 @@ across four registry subjects, twice each:
   real OS wakeup competing for cores, which is where the zero-thread
   engine pulls ahead.
 
+* **serial** — phase 1 of a sampled 3×3 ``ConcurrentQueue`` test (1 680
+  serial executions) as ``TestHarness.run_serial`` runs it, on the serial
+  driver, against the same enumeration hosted on each engine
+  (``execute(..., serial=True)``, the driver's reference).
+
 Both engines must produce exactly the same schedule count and the same
 distinct decision-trace set per subject (the differential suite's
 invariant, re-checked on every benchmark run); the script exits nonzero
-on any divergence, or if the coop engine fails the speedup gate
-(contended ratio >= 1.0, solo ratio >= 0.9).  Results go to
-``BENCH_scheduler.json`` via ``benchlib`` (schema in
-docs/PERFORMANCE.md).
+on any divergence, if the coop engine fails the speedup gate
+(contended ratio >= 1.0, solo ratio >= 0.9), or if the serial driver
+synthesizes a different history set than an engine or is less than 1.5x
+as fast.  Results go to ``BENCH_scheduler.json`` via ``benchlib``
+(schema in docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -262,6 +268,71 @@ def run_head_to_head(quick: bool, processes: int):
     return rows, failures
 
 
+#: The serial row: the driver must beat the engine-hosted reference by this.
+SERIAL_SPEEDUP_GATE = 1.5
+
+
+def run_serial_row(rounds: int):
+    """Phase 1 on the serial driver vs. hosted on each engine.
+
+    Returns (row, failures); times are best-of-*rounds* per execution.
+    """
+    import time
+
+    from repro.core import SystemUnderTest, TestHarness
+    from repro.core.spec import ObservationSet
+    from repro.core.testcase import sample_tests
+    from repro.structures.registry import get_class
+
+    entry = get_class("ConcurrentQueue")
+    subject = SystemUnderTest(entry.factory("beta"), "ConcurrentQueue(beta)")
+    test = sample_tests(
+        list(entry.invocations), 3, 3, 1, seed=1, init=entry.init
+    )[0]
+
+    def hosted(harness):
+        observations = ObservationSet(test.n_threads)
+        for outcome in harness.scheduler.explore(
+            lambda: harness._bodies(test), DFSStrategy(None), serial=True
+        ):
+            observations.add(
+                harness.history_from_outcome(outcome, test).to_serial()
+            )
+        return observations
+
+    def best(run):
+        seconds, observations = None, None
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            observations = run()
+            elapsed = time.perf_counter() - t0
+            seconds = elapsed if seconds is None else min(seconds, elapsed)
+        return seconds, {h.tokens() for h in observations}
+
+    row = {"test": str(test), "engines": {}}
+    failures = []
+    for engine in ENGINES:
+        with TestHarness(subject, engine=engine) as harness:
+            driver_s, driver = best(lambda: harness.run_serial(test)[0])
+            oracle_s, oracle = best(lambda: hosted(harness))
+        row["executions"] = len(driver)
+        row["engines"][engine] = {
+            "serial_us_per_execution": round(driver_s / len(driver) * 1e6, 1),
+            "hosted_us_per_execution": round(oracle_s / len(oracle) * 1e6, 1),
+            "speedup": round(oracle_s / driver_s, 3),
+        }
+        if driver != oracle:
+            failures.append(f"serial: driver and {engine} history sets differ")
+        if oracle_s / driver_s < SERIAL_SPEEDUP_GATE:
+            failures.append(
+                f"serial: driver only {oracle_s / driver_s:.2f}x the "
+                f"{engine}-hosted reference (< {SERIAL_SPEEDUP_GATE}x)"
+            )
+    if row["executions"] != 1680:
+        failures.append(f"serial: {row['executions']} histories, expected 1680")
+    return row, failures
+
+
 def print_table(rows):
     print(
         f"\n{'subject':>16s} {'schedules':>9s} "
@@ -312,6 +383,15 @@ def main(argv=None) -> int:
     processes = args.processes or max(4, 2 * (os.cpu_count() or 1))
     rows, failures = run_head_to_head(args.quick, processes)
     print_table(rows)
+    serial, serial_failures = run_serial_row(1 if args.quick else 3)
+    failures.extend(serial_failures)
+    print(f"\nserial ({serial['executions']} executions of {serial['test']}):")
+    for engine, cell in serial["engines"].items():
+        print(
+            f"  {engine:>5s}: driver {cell['serial_us_per_execution']:6.1f} us, "
+            f"hosted {cell['hosted_us_per_execution']:6.1f} us "
+            f"({cell['speedup']:.2f}x)"
+        )
 
     # The speedup gate: the coop engine must win outright under
     # contention (its reason to exist) and stay within noise of the
@@ -336,13 +416,17 @@ def main(argv=None) -> int:
             "mode": "quick" if args.quick else "full",
             "contended_processes": processes,
             "subjects": rows,
+            "serial": serial,
         },
     )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print("\nsmoke PASS: engines agree on every subject; coop wins contended")
+    print(
+        "\nsmoke PASS: engines agree on every subject; coop wins contended; "
+        "serial driver beats both hosts"
+    )
     return 0
 
 

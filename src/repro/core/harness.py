@@ -1,9 +1,10 @@
 """Test harness: runs a finite test under the model checker (Section 4.1).
 
 The harness turns a :class:`FiniteTest` into thread bodies for the
-scheduler, records call/return events with argument and result values
-(exactly the instrumentation the paper adds to CHESS), and rebuilds
-:class:`History` objects from execution outcomes.
+scheduler (phase 2) and into programs for the serial driver (phase 1,
+see :class:`repro.runtime.core.SerialDriver`), records call/return events with
+argument and result values (exactly the instrumentation the paper adds to
+CHESS), and rebuilds histories from execution outcomes.
 
 Layout of one execution:
 
@@ -38,6 +39,7 @@ from repro.runtime import (
     WatchdogConfig,
     make_scheduler,
 )
+from repro.runtime.core import E_BLOCK, E_SCHED, SerialDriver
 
 __all__ = ["HarnessError", "OpMark", "Phase1Stats", "SystemUnderTest", "TestHarness"]
 
@@ -116,6 +118,10 @@ class TestHarness:
             else make_scheduler(engine, max_steps=max_steps, watchdog=watchdog)
         )
         self.runtime = Runtime(self.scheduler)
+        # Phase 1 runs on no engine: serial executions never interleave, so
+        # the serial driver runs each operation as a plain call.
+        self._serial = SerialDriver(self.scheduler.max_steps, self.scheduler.watchdog)
+        self._serial_runtime = Runtime(self._serial)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -131,48 +137,77 @@ class TestHarness:
 
     # -- body construction ---------------------------------------------------
 
+    @staticmethod
+    def _thread_steps(test: FiniteTest) -> Callable[[int], Iterator[Any]]:
+        """One execution's layout: ``steps(thread)`` yields, in program
+        order, an :class:`Invocation` (the thread's next operation) or a
+        predicate (a harness gate to wait on)."""
+        state = {"init_done": False, "columns_done": 0}
+
+        def steps(thread: int) -> Iterator[Any]:
+            if thread == 0:
+                yield from test.init
+                state["init_done"] = True
+            elif test.init:
+                yield lambda: state["init_done"]
+            yield from test.column(thread)
+            state["columns_done"] += 1
+            if thread == 0 and test.final:
+                yield lambda: state["columns_done"] == test.n_threads
+                yield from test.final
+
+        return steps
+
     def _bodies(self, test: FiniteTest) -> list[Callable[[], None]]:
         """Fresh bodies (and a fresh subject instance) for one execution."""
         sched = self.scheduler
         obj = self.subject.factory(self.runtime)
-        n = test.n_threads
-        state = {"init_done": len(test.init) == 0, "columns_done": 0}
-
-        def run_op(thread: int, op_index: int, invocation: Invocation) -> None:
-            sched.schedule_point(boundary=True)
-            sched.record_event(Event.call(thread, op_index, invocation))
-            sched.record_access(OpMark(thread, op_index, "begin"))
-            response = self._dispatch(obj, invocation)
-            sched.record_access(OpMark(thread, op_index, "end"))
-            sched.record_event(Event.ret(thread, op_index, response))
+        steps = self._thread_steps(test)
 
         def make_body(thread: int) -> Callable[[], None]:
-            column = test.column(thread)
-
             def body() -> None:
                 index = 0
-                if thread == 0:
-                    for invocation in test.init:
-                        run_op(0, index, invocation)
+                for step in steps(thread):
+                    if isinstance(step, Invocation):
+                        sched.schedule_point(boundary=True)
+                        sched.record_event(Event.call(thread, index, step))
+                        sched.record_access(OpMark(thread, index, "begin"))
+                        response = self._dispatch(obj, step)
+                        sched.record_access(OpMark(thread, index, "end"))
+                        sched.record_event(Event.ret(thread, index, response))
                         index += 1
-                    state["init_done"] = True
-                elif test.init:
-                    sched.block_until(lambda: state["init_done"], harness=True)
-                for invocation in column:
-                    run_op(thread, index, invocation)
-                    index += 1
-                state["columns_done"] += 1
-                if thread == 0 and test.final:
-                    sched.block_until(
-                        lambda: state["columns_done"] == n, harness=True
-                    )
-                    for invocation in test.final:
-                        run_op(0, index, invocation)
-                        index += 1
+                    else:
+                        sched.block_until(step, harness=True)
 
             return body
 
-        return [make_body(t) for t in range(n)]
+        return [make_body(t) for t in range(test.n_threads)]
+
+    def _programs(self, test: FiniteTest) -> list[Callable[[], Iterator[tuple]]]:
+        """The same execution as programs for the serial driver: only the
+        harness-level effects are yielded, an operation is a plain call
+        (and leaves no :class:`OpMark`: nothing reads phase-1 footprints)."""
+        record = self._serial.record_event
+        dispatch = self._dispatch
+        obj = self.subject.factory(self._serial_runtime)
+        steps = self._thread_steps(test)
+
+        def make_program(thread: int) -> Callable[[], Iterator[tuple]]:
+            def program() -> Iterator[tuple]:
+                index = 0
+                for step in steps(thread):
+                    if isinstance(step, Invocation):
+                        yield (E_SCHED, True)
+                        record(Event.call(thread, index, step))
+                        response = dispatch(obj, step)
+                        record(Event.ret(thread, index, response))
+                        index += 1
+                    else:
+                        yield (E_BLOCK, step, True)
+
+            return program
+
+        return [make_program(t) for t in range(test.n_threads)]
 
     @staticmethod
     def _dispatch(obj: Any, invocation: Invocation) -> Response:
@@ -275,41 +310,21 @@ class TestHarness:
         remaining = None
         if max_executions is not None:
             remaining = max(0, max_executions - stats.executions)
-        # Cheap pre-filter: different serial schedules of the same test
-        # frequently replay identical event streams; skip rebuilding and
-        # re-inserting those histories.  This deduplicates *identical*
-        # executions only — phase 1 must enumerate every distinct serial
-        # history for the Theorem 5 completeness argument, so no
-        # equivalence-class reduction is applied here.  The key — status
-        # plus the events, each interned to a small int so the set does not
-        # keep every execution's events alive — is at least as fine as
-        # ``History.__eq__`` (same event equality, and the status is finer
-        # than ``stuck``).
-        seen: set[tuple] = set()
-        event_ids: dict[Any, int] = {}
-        for outcome in self.scheduler.explore(
-            lambda: self._bodies(test),
-            strategy,
-            serial=True,
-            max_executions=remaining,
-        ):
+        for outcome in self.explore_serial(test, strategy, remaining):
             stats.executions += 1
             if control is not None:
                 control.note(outcome)
             if outcome.divergent:
                 stats.divergent += 1
-            key = (
-                outcome.status,
-                *[event_ids.setdefault(e, len(event_ids)) for e in outcome.events],
-            )
-            if key not in seen:
-                seen.add(key)
-                history = self.history_from_outcome(outcome, test)
-                serial = history.to_serial()
-                if observations.add(serial):
-                    stats.histories += 1
-                    if serial.stuck:
-                        stats.stuck_histories += 1
+            # Every execution is folded (and so checked for crashes); no
+            # equivalence-class reduction here: phase 1 must enumerate every
+            # distinct serial history for the Theorem 5 completeness
+            # argument, and ``add`` drops only identical repeats.
+            serial = self.history_from_outcome(outcome, test).to_serial()
+            if observations.add(serial):
+                stats.histories += 1
+                if serial.stuck:
+                    stats.stuck_histories += 1
             if control is not None:
                 reason = control.halt_reason()
                 if reason is not None:
@@ -320,6 +335,20 @@ class TestHarness:
         if stats.stop_reason is not None or strategy.more():
             stats.complete = False
         return observations, stats
+
+    def explore_serial(
+        self,
+        test: FiniteTest,
+        strategy: SchedulingStrategy,
+        max_executions: int | None = None,
+    ) -> Iterator[ExecutionOutcome]:
+        """Phase 1's enumeration: the serial executions of *test*."""
+        return self._serial.explore(
+            lambda: self._programs(test),
+            strategy,
+            serial=True,
+            max_executions=max_executions,
+        )
 
     def explore_concurrent(
         self,

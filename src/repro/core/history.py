@@ -228,15 +228,32 @@ class History:
         return tuple(tuple(row) for row in rows)
 
     def to_serial(self) -> "SerialHistory":
-        """Convert to the compact serial representation (must be serial)."""
-        if not self.is_serial:
-            raise ValueError("history is not serial")
-        steps = [
-            SerialStep(op.thread, op.invocation, op.response)
-            for op in self.operations
-        ]
-        if steps and steps[-1].response is None and not self.stuck:
-            raise ValueError("pending final operation but history not stuck")
+        """Convert to the compact serial representation, in one pass.
+
+        Rejects what is not a serial history: calls and returns must
+        alternate, each return must match the call before it, and only a
+        stuck history may end with a pending call.
+        """
+        steps: list[SerialStep] = []
+        call: Event | None = None
+        for event in self.events:
+            if event.kind == CALL:
+                if call is not None:
+                    raise ValueError("history is not serial")
+                call = event
+            elif (
+                call is None
+                or event.thread != call.thread
+                or event.op_index != call.op_index
+            ):
+                raise ValueError("history is not serial")
+            else:
+                steps.append(SerialStep(call.thread, call.invocation, event.response))
+                call = None
+        if call is not None:
+            if not self.stuck:
+                raise ValueError("pending final operation but history not stuck")
+            steps.append(SerialStep(call.thread, call.invocation, None))
         return SerialHistory(tuple(steps), stuck=self.stuck)
 
 

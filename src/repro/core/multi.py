@@ -44,6 +44,7 @@ from repro.core.history import History
 from repro.core.spec import ObservationSet
 from repro.core.testcase import FiniteTest
 from repro.core.witness import check_full_history, check_stuck_history
+from repro.runtime import DFSStrategy
 
 __all__ = ["MultiCheckResult", "check_multi", "project_object"]
 
@@ -112,14 +113,8 @@ def check_multi(
     per_object: dict[str | None, ObservationSet] = {
         target: ObservationSet(test.n_threads) for target in targets
     }
-    from repro.runtime import DFSStrategy
-
-    strategy = DFSStrategy(preemption_bound=None)
-    for outcome in harness.scheduler.explore(
-        lambda: harness._bodies(test),
-        strategy,
-        serial=True,
-        max_executions=cfg.max_serial_executions,
+    for outcome in harness.explore_serial(
+        test, DFSStrategy(preemption_bound=None), cfg.max_serial_executions
     ):
         stats.executions += 1
         history = harness.history_from_outcome(outcome, test)

@@ -8,7 +8,8 @@ Public surface:
 * :class:`CoopScheduler` — the same exploration with zero OS threads in
   the common path (the ``coop`` engine: generator tasks resumed with
   ``send()``); :func:`make_scheduler` selects between the two by name.
-  Both are drivers of one interpreter, :mod:`repro.runtime.core`.
+  Both are drivers of one interpreter, :mod:`repro.runtime.core`, whose
+  ``SerialDriver`` runs serial mode (phase 1) on no engine at all.
 * :class:`Runtime` — the facade through which code under test allocates
   instrumented shared state (cells, atomics, locks, containers).
 * :class:`DFSStrategy`, :class:`RandomStrategy`, :class:`ReplayStrategy` —

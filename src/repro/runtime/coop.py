@@ -26,44 +26,26 @@ baton engine's separate controller thread.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.runtime import coopc
 from repro.runtime.core import (
     ExecutionOutcome,
-    LogicalThread,
-    SchedulerCore,
     SchedulingStrategy,
+    Task,
+    Trampoline,
 )
 from repro.runtime.errors import ExecutionAbort, SchedulerError
 from repro.runtime.watchdog import WatchdogConfig, interrupt_thread
 
 __all__ = ["CoopScheduler"]
 
-#: Bound on repeated aborts thrown into one generator during teardown
-#: (the analogue of the baton engine's bounded abort acknowledgement):
-#: hostile cleanup code that keeps yielding through aborts is abandoned.
-_ABORT_THROWS = 100
 
-
-class _Task(LogicalThread):
-    """One logical thread: a lazily created generator."""
-
-    __slots__ = ("factory", "gen", "throw")
-
-    def __init__(self, tid: int, factory: Callable[[], Any]) -> None:
-        super().__init__(tid)
-        self.factory = factory
-        self.gen = None
-        # Exception to ``throw()`` at the next resumption (``value``, a
-        # choose result, is delivered with ``send()``).
-        self.throw: BaseException | None = None
-
-
-class CoopScheduler(SchedulerCore):
+class CoopScheduler(Trampoline):
     """Drop-in scheduler running logical threads as generators.
 
-    Teardown is synchronous here, bounded by :data:`_ABORT_THROWS`.
+    The trampoline itself (:class:`~repro.runtime.core.Trampoline`) is
+    shared with the serial driver; teardown is synchronous.
     """
 
     engine = "coop"
@@ -149,13 +131,13 @@ class CoopScheduler(SchedulerCore):
     # Internals: the trampoline
     # ------------------------------------------------------------------
 
-    def _spawn(self, bodies: list[Callable[[], None]]) -> list[_Task]:
+    def _spawn(self, bodies: list[Callable[[], None]]) -> list[Task]:
         return [
-            _Task(tid, coopc.coopify_body(body))
+            Task(tid, coopc.coopify_body(body))
             for tid, body in enumerate(bodies)
         ]
 
-    def _drive(self, first: _Task) -> None:
+    def _drive(self, first: Task) -> None:
         if self.watchdog is not None:
             self._arm_watchdog()
         try:
@@ -172,94 +154,10 @@ class CoopScheduler(SchedulerCore):
             finally:
                 # Also on a no-body-running error on its way out of
                 # execute(): it must not leave suspended generators behind.
-                self._teardown_tasks()
+                self._teardown_tasks(self._threads, self._running)
         finally:
             if self.watchdog is not None:
                 self._disarm_watchdog()
-
-    def _advance(self, task: _Task) -> _Task | None:
-        """Grant control to *task*; return the next task (None = over).
-
-        The task finishes any interrupted ``block_until`` loop, then its
-        generator runs until an effect makes the core switch threads, or
-        it finishes or crashes.  A core exception while the body runs is
-        thrown into the generator (the one error rule).
-        """
-        if task.resume is not None:
-            try:
-                nxt = self.resume(task)
-            except Exception as exc:
-                task.throw = exc
-            else:
-                if nxt is not task:
-                    return nxt
-        while True:
-            gen = task.gen
-            try:
-                if gen is None:
-                    gen = task.gen = task.factory()
-                    effect = gen.send(None)
-                elif task.throw is not None:
-                    exc = task.throw
-                    task.throw = None
-                    effect = gen.throw(exc)
-                else:
-                    value, task.value = task.value, None
-                    effect = gen.send(value)
-            except StopIteration:
-                break
-            except ExecutionAbort:
-                if self._tearing_down:
-                    raise  # watchdog injection surfacing through the SUT
-                # A spontaneous abort ends the body silently, exactly as
-                # the baton worker loop swallows it.
-                break
-            except BaseException as exc:
-                self._record_crash(task.tid, exc)
-                break
-            try:
-                nxt = self.step(task, effect)
-            except Exception as exc:
-                task.throw = exc
-                continue
-            if nxt is not task:
-                return nxt
-        task.gen = None
-        return self.thread_done(task)
-
-    def _teardown_tasks(self) -> None:
-        """Unwind generators still alive when the execution is over.
-
-        The task that held control unwinds first (it is mid-body, like
-        the baton's halting worker), then the rest in tid order.  Each
-        gets :class:`ExecutionAbort` thrown in; cleanup code that reaches
-        an instrumented point on the way out aborts again, with
-        :data:`_ABORT_THROWS` bounding hostile swallow-and-continue.
-        """
-        current = self._running
-        if current is not None and current.gen is not None:
-            self._abort_task(current)
-        for task in self._threads:
-            if task.gen is not None:
-                self._abort_task(task)
-
-    def _abort_task(self, task: _Task) -> None:
-        gen = task.gen
-        task.gen = None
-        for _ in range(_ABORT_THROWS):
-            try:
-                gen.throw(ExecutionAbort)
-            except StopIteration:
-                return
-            except ExecutionAbort:
-                return
-            except BaseException as exc:
-                self._record_crash(task.tid, exc)
-                return
-            # The generator yielded another effect while unwinding
-            # (cleanup hit an instrumented point): abort it again.
-        # Hostile generator absorbed every abort: abandon the reference
-        # (the baton engine abandons such workers the same way).
 
     # ------------------------------------------------------------------
     # Watchdog: one daemon thread polling progress ticks; on a stall it

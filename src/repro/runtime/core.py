@@ -41,6 +41,9 @@ when a body returns — and the core answers with the thread to run next.
 Both engines therefore enumerate the identical ordered decision tree, and a
 decision prefix recorded on one replays on the other.
 
+Serial mode needs no engine: :class:`SerialDriver` (below) runs each
+operation as a plain call, answered by the same interpreter.
+
 **The one error rule.**  An exception raised by ``strategy.decide``, an
 invalid choice, a hostile ``block_until`` predicate or a bad argument
 leaves ``step``/``resume`` as an ordinary exception while a body is
@@ -53,12 +56,13 @@ the parked threads down first and the scheduler stays usable.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.runtime.errors import ExecutionAbort, SchedulerError
-from repro.runtime.watchdog import WatchdogConfig
+from repro.runtime.watchdog import WatchdogConfig, interrupt_thread
 
 __all__ = [
     "Decision",
@@ -66,6 +70,7 @@ __all__ = [
     "LogicalThread",
     "SchedulerCore",
     "SchedulingStrategy",
+    "SerialDriver",
     "THREAD_NAMES",
     "thread_name",
 ]
@@ -267,13 +272,16 @@ class SchedulerCore:
     An engine subclass provides ``_spawn(bodies)`` (one
     :class:`LogicalThread` per body), ``_drive(first)`` (run the execution
     from its first thread to its end, tear down whatever is still alive,
-    and raise a no-body-running error stored meanwhile) and may extend
-    ``_halt()``; it calls :meth:`step`, :meth:`resume` and
+    and raise a no-body-running error stored meanwhile), ``_perform(effect)``
+    (what a direct call of a suspending operation below does) and may
+    extend ``_halt()``; it calls :meth:`step`, :meth:`resume` and
     :meth:`thread_done` as its bodies run.
     """
 
     #: Engine name (one of ``repro.runtime.ENGINES``); set by subclasses.
     engine: str
+    #: Whether instrumented accesses are recorded into the outcome.
+    footprints = True
 
     def __init__(
         self,
@@ -419,6 +427,56 @@ class SchedulerCore:
     @property
     def serial_mode(self) -> bool:
         return self._serial
+
+    def schedule_point(self, boundary: bool = False) -> None:
+        """A potential context switch before a shared-state access.
+
+        In serial mode only *boundary* points (between operations of the
+        test) allow a switch; interior points return immediately so that
+        operations execute atomically, producing serial histories.
+        """
+        self._perform((E_SCHED, boundary))
+
+    def block_until(
+        self, predicate: Callable[[], bool], harness: bool = False
+    ) -> None:
+        """Block the calling logical thread until *predicate* holds.
+
+        The predicate must be a pure function of instrumented shared state.
+        In serial mode a false predicate makes the execution stuck at once,
+        because a serial history cannot overlap another operation with the
+        pending one (this yields the paper's stuck serial histories) —
+        except for *harness* waits (``harness=True``), which are test
+        infrastructure (e.g. "wait for every column before the final
+        sequence") and block normally in both modes.
+        """
+        self._perform((E_BLOCK, predicate, harness))
+
+    def choose(self, n: int) -> int:
+        """Resolve a bounded nondeterministic choice in the code under test.
+
+        Returns an integer in ``range(n)``.  Exploration strategies
+        enumerate or sample the alternatives exactly like thread decisions;
+        this models, for example, a lock acquire that may time out.
+        """
+        return self._perform((E_CHOOSE, n)).value
+
+    def yield_point(self) -> None:
+        """An explicit yield (spin-wait hint); same as a scheduling point."""
+        self._perform((E_SCHED, False))
+
+    def spin_wait(self) -> None:
+        """Fair spin-loop backoff: yield until another thread progresses.
+
+        The calling thread becomes disabled until some other thread
+        executes a scheduling step, which is the fair-scheduling support
+        the paper notes is "important because many of the concurrent data
+        types use spin-loops": without it, exhaustive exploration of a
+        spin loop degenerates into livelock.  In serial mode a spin wait
+        can never be satisfied (no other operation may overlap), so the
+        execution is immediately stuck, like a blocking operation.
+        """
+        self._perform((E_SPIN,))
 
     def _current_outcome(self) -> ExecutionOutcome:
         if self._outcome is None:
@@ -676,3 +734,209 @@ class SchedulerCore:
             self._stall_deadline = now + self.watchdog.time_limit
             return False
         return now >= self._stall_deadline
+
+
+#: Bound on repeated aborts thrown into one generator during teardown
+#: (the analogue of the baton engine's bounded abort acknowledgement):
+#: hostile cleanup code that keeps yielding through aborts is abandoned.
+_ABORT_THROWS = 100
+
+
+class Task(LogicalThread):
+    """A logical thread run as a lazily created generator."""
+
+    __slots__ = ("factory", "gen", "throw")
+
+    def __init__(self, tid: int, factory: Callable[[], Any]) -> None:
+        super().__init__(tid)
+        self.factory = factory
+        self.gen = None
+        # Exception to ``throw()`` at the next resumption (``value``, a
+        # choose result, is delivered with ``send()``).
+        self.throw: BaseException | None = None
+
+
+class Trampoline(SchedulerCore):
+    """The generator mechanism: tasks resumed with ``send()``.
+
+    Shared by the coop engine (bodies compiled into generators) and the
+    :class:`SerialDriver` (harness programs, which are generators).
+    """
+
+    def _advance(self, task: Task) -> Task | None:
+        """Grant control to *task*; return the next task (None = over).
+
+        The task finishes any interrupted ``block_until`` loop, then its
+        generator runs until an effect makes the core switch threads, or
+        it finishes or crashes.  A core exception while the body runs is
+        thrown into the generator (the one error rule).
+        """
+        if task.resume is not None:
+            try:
+                nxt = self.resume(task)
+            except Exception as exc:
+                task.throw = exc
+            else:
+                if nxt is not task:
+                    return nxt
+        while True:
+            gen = task.gen
+            try:
+                if gen is None:
+                    gen = task.gen = task.factory()
+                    effect = gen.send(None)
+                elif task.throw is not None:
+                    exc = task.throw
+                    task.throw = None
+                    effect = gen.throw(exc)
+                else:
+                    value, task.value = task.value, None
+                    effect = gen.send(value)
+            except StopIteration:
+                break
+            except ExecutionAbort:
+                if self._tearing_down or self._running is not task:
+                    # A watchdog injection surfacing through the SUT (late,
+                    # in an abandoned serial host: *task* no longer runs).
+                    raise
+                # A spontaneous abort ends the body silently, exactly as
+                # the baton worker loop swallows it.
+                break
+            except BaseException as exc:
+                self._record_crash(task.tid, exc)
+                break
+            try:
+                nxt = self.step(task, effect)
+            except Exception as exc:
+                task.throw = exc
+                continue
+            if nxt is not task:
+                return nxt
+        task.gen = None
+        return self.thread_done(task)
+
+    def _teardown_tasks(self, tasks: Sequence[Task], current: Task | None) -> None:
+        """Unwind generators still alive when the execution is over.
+
+        *current*, the task that held control, unwinds first (it is
+        mid-body, like the baton's halting worker), then the rest in tid
+        order.  Each gets :class:`ExecutionAbort` thrown in; cleanup code
+        that reaches an instrumented point on the way out aborts again,
+        with :data:`_ABORT_THROWS` bounding hostile swallow-and-continue.
+        """
+        if current is not None and current.gen is not None:
+            self._abort_task(current)
+        for task in tasks:
+            if task.gen is not None:
+                self._abort_task(task)
+
+    def _abort_task(self, task: Task) -> None:
+        gen = task.gen
+        task.gen = None
+        for _ in range(_ABORT_THROWS):
+            try:
+                gen.throw(ExecutionAbort)
+            except StopIteration:
+                return
+            except ExecutionAbort:
+                return
+            except BaseException as exc:
+                self._record_crash(task.tid, exc)
+                return
+            # The generator yielded another effect while unwinding
+            # (cleanup hit an instrumented point): abort it again.
+        # Hostile generator absorbed every abort: abandon the reference
+        # (the baton engine abandons such workers the same way).
+
+
+class SerialDriver(Trampoline):
+    """Serial mode without an engine (phase 1).
+
+    Read it off :meth:`~SchedulerCore.step`: in serial mode a non-boundary
+    ``E_SCHED`` returns the running thread, a non-harness ``E_BLOCK``
+    passes or marks the execution stuck, ``E_CHOOSE`` returns the running
+    thread and ``E_SPIN`` sticks at once.  While an operation runs no
+    effect can switch threads, so a logical thread needs no stack of its
+    own.  The driver therefore takes per-thread *programs* instead of
+    bodies: generator functions that yield only the harness-level effects
+    — the boundary ``(E_SCHED, True)`` before an operation, ``(E_BLOCK,
+    predicate, True)`` for a harness wait — and run each operation as a
+    plain call in between.  What that call performs is answered inline by
+    ``step``, so decisions, events, segments, steps and the stuck
+    classification are those of an engine's ``execute(..., serial=True)``,
+    which stays the reference.  Nothing records accesses: code under test
+    allocates its cells on this object, and a serial outcome is only ever
+    folded into a serial history.
+
+    With a watchdog each execution runs on a host thread of its own,
+    policed from the calling thread like a baton worker: a wedged
+    operation gets an injected :class:`ExecutionAbort` and, parked in a
+    blocking C call, is abandoned.
+    """
+
+    footprints = False
+
+    def _spawn(self, programs: list[Callable[[], Any]]) -> list[Task]:
+        return [Task(tid, program) for tid, program in enumerate(programs)]
+
+    def _perform(self, effect: tuple) -> LogicalThread:
+        thread = self._running
+        if thread is None:
+            raise SchedulerError("not running on a scheduler-controlled thread")
+        if self.step(thread, effect) is not thread:
+            raise SchedulerError(
+                "an effect inside an operation cannot switch threads: the "
+                "serial driver runs serial mode only"
+            )
+        return thread
+
+    def _drive(self, first: Task) -> None:
+        cfg = self.watchdog
+        if cfg is None:
+            return self._run(first, self._threads)
+        threads, errors = self._threads, []
+        host = threading.Thread(
+            target=self._run,
+            args=(first, threads, errors),
+            name="lineup-serial-host",
+            daemon=True,
+        )
+        self._stall_ticks = None
+        host.start()
+        host.join(cfg.poll_interval)
+        while host.is_alive() and not self._stalled():
+            host.join(cfg.poll_interval)
+        if host.is_alive():
+            # Stalled.  Flag the teardown first so an instrumented point
+            # reached from here on aborts, grant one grace poll, then inject;
+            # a host that never acknowledges is abandoned where it is.
+            self._tearing_down = True
+            host.join(cfg.poll_interval)
+            if host.is_alive() and interrupt_thread(host):
+                host.join(cfg.abandon_timeout)
+        if errors:
+            raise errors[0]
+        if self._current_outcome().status == "complete" and any(
+            t.state is not DONE for t in threads
+        ):
+            self._mark_divergent()
+
+    def _run(
+        self,
+        task: Task | None,
+        tasks: Sequence[Task],
+        errors: list[Exception] | None = None,
+    ) -> None:
+        """The trampoline loop.  Touches only *tasks* on the way out: a
+        host abandoned executions ago may wake up in here."""
+        try:
+            while task is not None:
+                task = self._advance(task)
+        except ExecutionAbort:
+            pass  # stuck, or cut off by the watchdog: the outcome says which
+        except Exception as exc:  # no body was running: leaves execute()
+            if errors is None:
+                raise
+            errors.append(exc)
+        finally:
+            self._teardown_tasks(tasks, None)

@@ -134,7 +134,7 @@ class _Location:
     def _record(self, kind: str, volatile: bool) -> None:
         sched = self._scheduler
         outcome = sched._outcome  # noqa: SLF001 - runtime-internal fast path
-        if outcome is None:
+        if outcome is None or not sched.footprints:
             return
         outcome.record_access(
             AccessRecord(

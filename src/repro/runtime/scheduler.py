@@ -31,10 +31,6 @@ from typing import Callable
 from repro.runtime.core import (
     BLOCKED,
     DONE,
-    E_BLOCK,
-    E_CHOOSE,
-    E_SCHED,
-    E_SPIN,
     RUNNABLE,
     THREAD_NAMES,
     UNSTARTED,
@@ -161,66 +157,12 @@ class Scheduler(SchedulerCore):
         self._workers = []
 
     # ------------------------------------------------------------------
-    # Controlled-thread API (called from inside the code under test)
+    # Internals: moving control between OS threads
     # ------------------------------------------------------------------
 
     def current_thread(self) -> int:
         """Logical thread id of the caller (0-based)."""
         return self._worker().tid
-
-    def schedule_point(self, boundary: bool = False) -> None:
-        """A potential context switch before a shared-state access.
-
-        In serial mode only *boundary* points (between operations of the
-        test) allow a switch; interior points return immediately so that
-        operations execute atomically, producing serial histories.
-        """
-        self._perform((E_SCHED, boundary))
-
-    def block_until(
-        self, predicate: Callable[[], bool], harness: bool = False
-    ) -> None:
-        """Block the calling logical thread until *predicate* holds.
-
-        The predicate must be a pure function of instrumented shared state.
-        In serial mode a false predicate makes the execution stuck at once,
-        because a serial history cannot overlap another operation with the
-        pending one (this yields the paper's stuck serial histories) —
-        except for *harness* waits (``harness=True``), which are test
-        infrastructure (e.g. "wait for every column before the final
-        sequence") and block normally in both modes.
-        """
-        self._perform((E_BLOCK, predicate, harness))
-
-    def choose(self, n: int) -> int:
-        """Resolve a bounded nondeterministic choice in the code under test.
-
-        Returns an integer in ``range(n)``.  Exploration strategies
-        enumerate or sample the alternatives exactly like thread decisions;
-        this models, for example, a lock acquire that may time out.
-        """
-        return self._perform((E_CHOOSE, n)).value
-
-    def yield_point(self) -> None:
-        """An explicit yield (spin-wait hint); same as a scheduling point."""
-        self._perform((E_SCHED, False))
-
-    def spin_wait(self) -> None:
-        """Fair spin-loop backoff: yield until another thread progresses.
-
-        The calling thread becomes disabled until some other thread
-        executes a scheduling step, which is the fair-scheduling support
-        the paper notes is "important because many of the concurrent data
-        types use spin-loops": without it, exhaustive exploration of a
-        spin loop degenerates into livelock.  In serial mode a spin wait
-        can never be satisfied (no other operation may overlap), so the
-        execution is immediately stuck, like a blocking operation.
-        """
-        self._perform((E_SPIN,))
-
-    # ------------------------------------------------------------------
-    # Internals: moving control between OS threads
-    # ------------------------------------------------------------------
 
     def _worker(self) -> _Worker:
         worker = getattr(self._local, "worker", None)

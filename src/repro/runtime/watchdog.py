@@ -29,6 +29,10 @@ teardown can reach, is the engine's mechanism:
   caught (see ``docs/PERFORMANCE.md``, "When you still need the baton
   engine").
 
+* **serial driver** (phase 1, no engine): each watched execution runs on
+  a host thread of its own and the calling thread polls, injects and
+  abandons as the baton controller does.
+
 Divergent histories are treated like the paper's stuck histories by the
 checker: the operation never responded inside the observation window,
 which is observationally indistinguishable from blocking.  See
