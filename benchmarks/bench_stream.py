@@ -1,15 +1,24 @@
 """Streaming-monitor benchmark: online throughput, bounded memory, shards.
 
-Three sections, written to ``BENCH_stream.json`` via ``benchlib``:
+Sections, written to ``BENCH_stream.json`` via ``benchlib``:
 
 * **throughput** — a long v2 counter trace fed through
   :class:`repro.stream.StreamChecker`; asserts the single-shard engine
   sustains at least 10^4 checked operations per second (the acceptance
   floor of the streaming-monitor work).
-* **bounded_memory** — the same engine over a trace whose length is far
-  larger than its concurrency window; asserts ``max_frontier`` equals
-  the window (retirement works) and records the live-configuration and
-  RSS high-water marks, which must not scale with trace length.
+* **bounded_memory** — the product path, :func:`repro.stream.watch_trace`
+  (tailer, decoder, engine), over one generator at 1x and 10x length,
+  both far longer than the concurrency window; asserts ``max_frontier``
+  equals the window (retirement works) and that ten times the trace
+  costs at most 1.5x the peak of traced Python memory — what a watch
+  holds is the window plus one read block, not the backlog.  The RSS
+  high-water of an untraced 10x run is recorded beside it.
+* **time_to_fail** — the 10x trace with a violation 1 % in: seconds to
+  the FAIL and bytes of the file consumed (a prefix, within one block).
+* **decode** — ``TraceDecoder`` events per second over per-key traces
+  with 16 and with 10 000 distinct keys, i.e. with the literal memo
+  hitting and missing; asserts the missing case stays within 0.9x of
+  decoding the same lines with plain ``ast.literal_eval``.
 * **shard_scaling** — a per-key dictionary trace checked in-process
   (the single-shard baseline) and then fanned across the worker pool
   at increasing shard counts.  Verdicts and cell counts are asserted
@@ -24,24 +33,28 @@ Three sections, written to ``BENCH_stream.json`` via ``benchlib``:
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import sys
 import tempfile
 import time
+import tracemalloc
+from unittest import mock
 
 from repro.core.events import Invocation, Response
 from repro.monitor import get_model
-from repro.monitor.trace import LiveTraceWriter
+from repro.monitor import trace as trace_module
+from repro.monitor.trace import LiveTraceWriter, TraceDecoder
 from repro.stream import StreamChecker, WatchConfig, watch_sharded, watch_trace
-from repro.stream.stats import maxrss_kb
 
 #: Section sizes per mode.  The quick trace is still long enough that an
 #: engine leaking state per retired operation would blow its assertions.
 MODES = {
     "quick": {
         "throughput_ops": 5_000,
-        "memory_ops": 5_000,
+        "memory_ops": 2_000,
+        "decode_ops": 20_000,
         "window": 4,
         "keys": 8,
         "rounds": 50,
@@ -49,7 +62,8 @@ MODES = {
     },
     "full": {
         "throughput_ops": 50_000,
-        "memory_ops": 50_000,
+        "memory_ops": 20_000,
+        "decode_ops": 100_000,
         "window": 4,
         "keys": 16,
         "rounds": 400,
@@ -58,31 +72,43 @@ MODES = {
 }
 
 THROUGHPUT_FLOOR_PER_SEC = 10_000
+#: Ten times the trace may cost this much more peak memory, no more.
+MEMORY_GROWTH_CEILING = 1.5
+#: The memo's miss path against no memo at all, as a rate ratio.
+DECODE_MISS_FLOOR = 0.9
+DECODE_KEYS = (16, 10_000)
 
 
 def ok(value=None) -> Response:
     return Response("ok", value)
 
 
-def write_counter_trace(path: str, ops: int, window: int) -> None:
+def write_counter_trace(
+    path: str, ops: int, window: int, fail_round: int | None = None
+) -> None:
     """``ops`` increments from ``window`` threads, all windows full.
 
     Every round opens all ``window`` calls before closing any, so the
     frontier is pinned at exactly ``window`` — ``inc`` returns ok(None)
     under every interleaving, keeping the trace valid by construction.
+    In round *fail_round* thread 0 instead reads a count of -1, which no
+    interleaving of increments explains.
     """
     writer = LiveTraceWriter(
         path, sessions=window, model="counter", flush_every_n=1_000
     )
     op_index = [0] * window
     rounds = ops // window
-    for _ in range(rounds):
+    for rnd in range(rounds):
+        bad = rnd == fail_round
         for thread in range(window):
+            method = "get" if bad and thread == 0 else "inc"
             writer.record_call(
-                thread, op_index[thread], Invocation("inc", ()), 0.0
+                thread, op_index[thread], Invocation(method, ()), 0.0
             )
         for thread in range(window):
-            writer.record_return(thread, op_index[thread], ok(None), 0.0)
+            value = -1 if bad and thread == 0 else None
+            writer.record_return(thread, op_index[thread], ok(value), 0.0)
             op_index[thread] += 1
     writer.finalize("drained", 1.0)
 
@@ -142,37 +168,136 @@ def bench_throughput(tmp, ops: int, window: int) -> dict:
 
 
 def bench_bounded_memory(tmp, ops: int, window: int) -> dict:
-    path = os.path.join(tmp, "memory.jsonl")
-    write_counter_trace(path, ops, window)
-    rss_before = maxrss_kb()
-    checker = StreamChecker(get_model("counter"))
-    max_live_configs = 0
-    t0 = time.perf_counter()
-    with open(path, encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            checker.feed(json.loads(line))
-            if index % 97 == 0:  # sampled: configs must stay O(window)
-                max_live_configs = max(
-                    max_live_configs, checker.live_configs()
-                )
-    seconds = time.perf_counter() - t0
-    max_live_configs = max(max_live_configs, checker.live_configs())
-    stats = checker.stats()
-    assert checker.verdict == "PASS", checker.verdict
-    # Retirement keeps the frontier at the concurrency window and
-    # drains it completely once the writer's windows close.
-    assert stats["max_frontier"] == window, stats
-    assert stats["frontier"] == 0, stats
+    model = get_model("counter")
+    paths = {}
+    for scale in (1, 10):
+        paths[scale] = os.path.join(tmp, f"memory-{scale}x.jsonl")
+        write_counter_trace(paths[scale], ops * scale, window)
+
+    def watch(scale: int):
+        stats_path = os.path.join(tmp, f"memory-{scale}x.stats.jsonl")
+        if os.path.exists(stats_path):
+            os.unlink(stats_path)
+        t0 = time.perf_counter()
+        # A stat line per read block: live_configs sampled all along.
+        result = watch_trace(
+            paths[scale],
+            model,
+            WatchConfig(stats_out=stats_path, stats_interval=0.0),
+        )
+        seconds = time.perf_counter() - t0
+        assert result.verdict == "PASS" and result.finalized, result
+        assert result.stats["returns"] == ops * scale, result.stats
+        # Retirement keeps the frontier at the concurrency window and
+        # drains it completely once the writer's windows close.
+        assert result.stats["max_frontier"] == window, result.stats
+        assert result.stats["frontier"] == 0, result.stats
+        with open(stats_path, encoding="utf-8") as handle:
+            samples = [json.loads(line) for line in handle]
+        return result, seconds, samples
+
+    def traced_peak(scale: int) -> int:
+        tracemalloc.start()
+        try:
+            watch(scale)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Untraced first: ru_maxrss is a process-wide high-water mark and
+    # tracemalloc's own tables would count towards it.
+    result, seconds, samples = watch(10)
+    peak_1x, peak_10x = traced_peak(1), traced_peak(10)
+    assert peak_10x <= MEMORY_GROWTH_CEILING * peak_1x, (
+        f"10x the trace cost {peak_10x / peak_1x:.2f}x the peak memory "
+        f"({peak_1x} -> {peak_10x} bytes): the watch is holding the backlog"
+    )
     return {
-        "ops": checker.counters.returns,
+        "ops_1x": ops,
+        "ops_10x": result.stats["returns"],
         "window": window,
-        "seconds": seconds,
-        "max_frontier": stats["max_frontier"],
-        "max_live_configs": max_live_configs,
-        "max_retirement_lag": stats["max_retirement_lag"],
-        "memory_kb_high_water": maxrss_kb(),
-        "memory_kb_before": rss_before,
+        "seconds_10x": seconds,
+        "max_frontier": result.stats["max_frontier"],
+        "max_live_configs": max(s["live_configs"] for s in samples),
+        "max_retirement_lag": result.stats["max_retirement_lag"],
+        "memory_kb_high_water_10x": result.stats["maxrss_kb"],
+        "traced_peak_bytes_1x": peak_1x,
+        "traced_peak_bytes_10x": peak_10x,
+        "peak_growth_10x": peak_10x / peak_1x,
     }
+
+
+def bench_time_to_fail(tmp, ops: int, window: int) -> dict:
+    path = os.path.join(tmp, "fail.jsonl")
+    rounds = ops // window
+    write_counter_trace(path, ops, window, fail_round=rounds // 100)
+    stats_path = os.path.join(tmp, "fail.stats.jsonl")
+    t0 = time.perf_counter()
+    result = watch_trace(
+        path, get_model("counter"), WatchConfig(stats_out=stats_path)
+    )
+    seconds = time.perf_counter() - t0
+    assert result.verdict == "FAIL" and result.counterexample, result
+    with open(stats_path, encoding="utf-8") as handle:
+        final = [json.loads(line) for line in handle][-1]
+    size = os.path.getsize(path)
+    consumed = size - final["backlog_bytes"]
+    # 1 % of the file plus the block the failing line sits in.
+    assert consumed <= size // 100 + 2 * trace_module.READ_BLOCK_BYTES, (
+        f"a FAIL 1 % in consumed {consumed} of {size} bytes"
+    )
+    return {
+        "ops": ops,
+        "fail_at_op": rounds // 100 * window,
+        "seconds_to_fail": seconds,
+        "events_consumed": result.stats["events"],
+        "bytes_consumed": consumed,
+        "file_bytes": size,
+    }
+
+
+def bench_decode(tmp, ops: int) -> dict:
+    """Decode-only rate, memo hitting (16 keys) and missing (10 000)."""
+
+    def lines_for(keys: int) -> list[dict]:
+        path = os.path.join(tmp, f"decode-{keys}.jsonl")
+        writer = LiveTraceWriter(
+            path, sessions=1, model="dict", flush_every_n=1_000
+        )
+        for n in range(ops):
+            key = f"key-{n % keys}"
+            writer.record_call(0, n, Invocation("TryAdd", (key,)), 0.0)
+            writer.record_return(0, n, ok(key), 0.0)
+        writer.close()
+        with open(path, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
+    def seconds(objs: list[dict]) -> float:
+        decoder = TraceDecoder()
+        t0 = time.perf_counter()
+        for obj in objs:
+            decoder.feed(obj)
+        return time.perf_counter() - t0
+
+    plain_literal = mock.patch.object(trace_module, "_literal", ast.literal_eval)
+    row: dict = {"ops": ops}
+    for keys in DECODE_KEYS:
+        objs = lines_for(keys)
+        memo = plain = float("inf")
+        for _ in range(4):  # alternating, best of: the ratio is asserted
+            memo = min(memo, seconds(objs))
+            with plain_literal:
+                plain = min(plain, seconds(objs))
+        row[f"events_per_sec_{keys}_keys"] = len(objs) / memo
+        row[f"plain_events_per_sec_{keys}_keys"] = len(objs) / plain
+    missing = row[f"events_per_sec_{DECODE_KEYS[-1]}_keys"]
+    plain = row[f"plain_events_per_sec_{DECODE_KEYS[-1]}_keys"]
+    assert missing >= DECODE_MISS_FLOOR * plain, (
+        f"with {DECODE_KEYS[-1]} distinct keys the memo decodes "
+        f"{missing:.0f} events/s, under {DECODE_MISS_FLOOR}x the "
+        f"{plain:.0f} of plain literal_eval"
+    )
+    return row
 
 
 def bench_shard_scaling(tmp, keys: int, rounds: int, shard_counts) -> dict:
@@ -223,10 +348,26 @@ def print_report(payload: dict) -> None:
     )
     mem = payload["bounded_memory"]
     print(
-        f"bounded memory: {mem['ops']} ops, max frontier {mem['max_frontier']} "
-        f"(= window), max live configs {mem['max_live_configs']}, "
-        f"rss high-water {mem['memory_kb_high_water']} KiB"
+        f"bounded memory: {mem['ops_1x']} -> {mem['ops_10x']} ops, max "
+        f"frontier {mem['max_frontier']} (= window), max live configs "
+        f"{mem['max_live_configs']}, traced peak {mem['traced_peak_bytes_1x']} "
+        f"-> {mem['traced_peak_bytes_10x']} bytes ({mem['peak_growth_10x']:.2f}x, "
+        f"ceiling {MEMORY_GROWTH_CEILING}x), rss high-water "
+        f"{mem['memory_kb_high_water_10x']} KiB"
     )
+    ttf = payload["time_to_fail"]
+    print(
+        f"time to fail: violation at op {ttf['fail_at_op']} of {ttf['ops']} "
+        f"found in {ttf['seconds_to_fail']:.3f}s after {ttf['bytes_consumed']} "
+        f"of {ttf['file_bytes']} bytes"
+    )
+    dec = payload["decode"]
+    for keys in DECODE_KEYS:
+        print(
+            f"decode, {keys:>6} keys: "
+            f"{dec[f'events_per_sec_{keys}_keys']:10,.0f} ev/s with the memo, "
+            f"{dec[f'plain_events_per_sec_{keys}_keys']:10,.0f} without"
+        )
     scaling = payload["shard_scaling"]
     print(
         f"shard scaling over {scaling['events']} events, "
@@ -268,6 +409,10 @@ def main(argv=None) -> int:
                 tmp, sizes["throughput_ops"], sizes["window"]
             ),
             "bounded_memory": memory,
+            "time_to_fail": bench_time_to_fail(
+                tmp, 10 * sizes["memory_ops"], sizes["window"]
+            ),
+            "decode": bench_decode(tmp, sizes["decode_ops"]),
             "shard_scaling": bench_shard_scaling(
                 tmp, sizes["keys"], sizes["rounds"], shard_counts
             ),

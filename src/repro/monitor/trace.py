@@ -70,12 +70,16 @@ the last line included.  The shapes two writers sharing one path produce
 with no open call, anything after the end marker) are rejected the same
 way; a trace never loads as silent garbage.
 
-**One decoder.**  :class:`TraceDecoder` is the only code that knows the
-line objects above.  The offline loader (:func:`load_trace`), the header
-peek (:func:`read_trace_header`) and the online engine
-(:class:`repro.stream.engine.StreamChecker`) all feed it the lines
-:func:`scan_trace` delivers, so a file is the same history — or the same
-error — on every route to a verdict.
+**One reader, one decoder.**  :func:`scan_blocks` is the only code that
+reads trace bytes — a bounded block at a time, so a consumer that drains
+it batch by batch never holds more of a file than one block's lines —
+and :class:`TraceDecoder` the only code that knows the line objects
+above.  The offline loader (:func:`load_trace`), the header peek
+(:func:`read_trace_header`) and the online engine
+(:class:`repro.stream.engine.StreamChecker` behind
+:class:`repro.stream.tail.TraceTailer`) all feed the decoder the lines
+the reader delivers, so a file is the same history — or the same error —
+on every route to a verdict.
 
 :func:`default_trace_path` derives a deterministic filename from the
 subject and test (a content hash), so two cooperating processes — the
@@ -91,13 +95,17 @@ import json
 import os
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import IO, Any, Iterable
 
 from repro.core.events import Event, Invocation, Response
 from repro.core.history import History
 
 __all__ = [
+    "LITERAL_MEMO_LIMIT",
+    "READ_BLOCK_BYTES",
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "TRACE_VERSION_LIVE",
@@ -115,6 +123,7 @@ __all__ = [
     "load_trace",
     "read_trace_header",
     "record_to_history",
+    "scan_blocks",
     "scan_trace",
 ]
 
@@ -155,22 +164,55 @@ def _event_to_obj(event: Event) -> dict:
     return _return_obj(event.thread, event.op_index, event.response)
 
 
+#: How many distinct ``"a"`` / ``"v"`` texts :func:`_literal` remembers.
+LITERAL_MEMO_LIMIT = 4096
+_LITERALS: dict[str, Any] = {}
+_UNSEEN = object()
+
+
+def _literal(text: str) -> Any:
+    """``ast.literal_eval`` of *text*, each distinct *text* parsed once.
+
+    A trace repeats a few argument tuples and return values over and over
+    and ``literal_eval`` compiles its input every time.  The text alone
+    is a safe key: ``"1"``, ``"True"`` and ``"1.0"`` are three texts and
+    keep their three types.  Only hashable — hence deeply immutable —
+    values are remembered, so a list, dict or set payload is a fresh
+    object for every event; a text that does not parse raises every time.
+    The memo is emptied when it reaches :data:`LITERAL_MEMO_LIMIT`, which
+    bounds it however many distinct literals a trace carries.
+    """
+    try:
+        value = _LITERALS.get(text, _UNSEEN)
+    except TypeError:  # unhashable, so no string: literal_eval will say so
+        value = _UNSEEN
+    if value is _UNSEEN:
+        value = ast.literal_eval(text)
+        try:
+            hash(value)
+        except TypeError:
+            return value
+        if len(_LITERALS) >= LITERAL_MEMO_LIMIT:
+            _LITERALS.clear()
+        _LITERALS[text] = value
+    return value
+
+
 def _event_from_obj(obj: dict) -> Event:
     kind = obj["e"]
     thread = int(obj["t"])
     op_index = int(obj["i"])
     if kind == "c":
-        args = ast.literal_eval(obj["a"])
         return Event.call(
             thread,
             op_index,
-            Invocation(obj["m"], tuple(args), obj.get("g")),
+            Invocation(obj["m"], tuple(_literal(obj["a"])), obj.get("g")),
         )
     if kind == "r":
         if obj["k"] == "raised":
             response = Response("raised", obj["v"])
         else:
-            response = Response("ok", ast.literal_eval(obj["v"]))
+            response = Response("ok", _literal(obj["v"]))
         return Event.ret(thread, op_index, response)
     raise ValueError(f"unknown event kind {kind!r}")
 
@@ -443,15 +485,15 @@ class TraceSegment:
 
 @dataclass
 class TraceScan:
-    """Result of one incremental pass over a trace file.
+    """The complete lines found by one pass, or one block, over a trace.
 
     ``next_offset`` is where the next pass should resume: just past the
-    last complete line.  When ``torn`` is True the file currently ends in
-    an incomplete (not newline-terminated) line starting exactly at
+    last complete line.  When ``torn`` is True the pass ended in an
+    incomplete (not newline-terminated) line starting exactly at
     ``next_offset`` — the writer is mid-append or died there; a follower
-    re-reads from that offset once the file grows.  ``size`` is the file
-    size observed by this pass (``size - next_offset`` is the torn tail's
-    length, 0 when not torn).
+    re-reads from that offset once the file grows.  ``size`` is how far
+    into the file the pass has read (``size - next_offset`` is the torn
+    tail's length, 0 when not torn).
     """
 
     segments: list[TraceSegment] = field(default_factory=list)
@@ -460,74 +502,112 @@ class TraceScan:
     size: int = 0
 
 
+#: Bytes asked of the file per read.  With the concurrency window it is
+#: what bounds a reader's memory: a backlog of any length is decoded one
+#: block at a time, never as a whole.
+READ_BLOCK_BYTES = 64 * 1024
+
+
+def scan_blocks(handle: IO[bytes], path: str, start: int, end: int):
+    """Yield one :class:`TraceScan` per block read from ``[start, end)``.
+
+    The byte-accurate line reader under every consumer, and the only
+    code that reads trace bytes.  *handle* is the trace opened ``"rb"``
+    and *end* the size it had when the pass began: a pass is that fixed
+    range however fast the writer appends meanwhile.  Each read asks for
+    at most :data:`READ_BLOCK_BYTES` and the batch yielded for it holds
+    the lines whose newline the block contained, in order, with
+    ``next_offset`` / ``size`` as of that block.  Bytes after a block's
+    last newline are carried into the next one — a line longer than a
+    block is extended, never split — and only what is left when the pass
+    ends is the torn tail of the module docstring: ``torn`` is False on
+    every batch but possibly the last.
+
+    A newline-terminated line that is not a JSON object is corruption
+    anywhere in the file: the lines before it are yielded, then
+    :class:`TraceError` names its byte offset.  Blank lines are skipped
+    but still advance the offset.
+    """
+    carry = b""  # the incomplete line that starts at *offset*
+    offset = position = start
+    corrupt = None
+    while position < end:
+        try:
+            handle.seek(position)
+            block = handle.read(min(READ_BLOCK_BYTES, end - position))
+        except OSError as exc:
+            raise TraceError(f"cannot read trace file {path!r}: {exc}") from exc
+        if not block:
+            break  # the file shrank under us; the next pass will notice
+        position += len(block)
+        lines = (carry + block).split(b"\n")
+        carry = lines.pop()
+        segments = []
+        for line in lines:
+            line_end = offset + len(line) + 1
+            if line.strip():
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                except ValueError as exc:  # not JSON, or not UTF-8
+                    corrupt = f"is corrupt at byte offset {offset}: {exc}"
+                    break
+                if not isinstance(obj, dict):
+                    corrupt = f"at byte offset {offset} is not a JSON object"
+                    break
+                segments.append(TraceSegment(obj, offset, line_end))
+            offset = line_end
+        torn = position >= end and bool(carry)
+        yield TraceScan(segments, offset, torn, position)
+        if corrupt is not None:
+            raise TraceError(f"trace file {path!r} {corrupt}")
+
+
+def _scan_path(path: str, start_offset: int = 0):
+    """One :func:`scan_blocks` pass over what *path* holds right now."""
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise TraceError(f"cannot read trace file {path!r}: {exc}") from exc
+    with handle:
+        size = os.fstat(handle.fileno()).st_size
+        yield from scan_blocks(handle, path, start_offset, size)
+
+
 def scan_trace(path: str, start_offset: int = 0) -> TraceScan:
     """Read every complete JSONL line of *path* from *start_offset* on.
 
-    The byte-accurate line reader under every consumer: the offline
-    loader scans from 0, a follower from where it stopped.  It consumes
-    ``[start_offset, EOF)``, parses each newline-terminated line, and
-    reports exactly where a follower should resume
-    (:class:`TraceScan.next_offset`) — including the byte offset of a
-    torn tail, so tailing readers lose nothing to a writer caught
-    mid-append.
-
-    Only the bytes after the last newline may be incomplete (the
-    torn-tail rule of the module docstring); a newline-terminated line
-    that is not a JSON object is corruption anywhere in the file and
-    raises :class:`TraceError`.  Blank lines are skipped but still
-    advance the offset.
+    One :func:`scan_blocks` pass gathered into a single
+    :class:`TraceScan`: the offline view of a file, and the whole
+    backlog at once — a follower that must stay within a block of
+    memory drains the batches instead
+    (:meth:`repro.stream.tail.TraceTailer.batches`).  ``next_offset``
+    says exactly where to resume, including the byte offset of a torn
+    tail, so nothing is lost to a writer caught mid-append.
     """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(start_offset)
-            data = handle.read()
-    except OSError as exc:
-        raise TraceError(f"cannot read trace file {path!r}: {exc}") from exc
-    return _scan_bytes(path, data, start_offset)
-
-
-def _scan_bytes(path: str, data: bytes, start_offset: int) -> TraceScan:
-    scan = TraceScan(next_offset=start_offset, size=start_offset + len(data))
-    cursor = 0
-    while True:
-        newline = data.find(b"\n", cursor)
-        if newline < 0:
-            scan.torn = cursor < len(data)
-            break
-        line = data[cursor:newline]
-        start = start_offset + cursor
-        end = start_offset + newline + 1
-        cursor = newline + 1
-        scan.next_offset = end
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise TraceError(
-                f"trace file {path!r} is corrupt at byte offset {start}: {exc}"
-            ) from None
-        if not isinstance(obj, dict):
-            raise TraceError(
-                f"trace file {path!r} at byte offset {start} is not a "
-                "JSON object"
-            )
-        scan.segments.append(TraceSegment(obj=obj, start=start, end=end))
+    scan = TraceScan(next_offset=start_offset, size=start_offset)
+    for batch in _scan_path(path, start_offset):
+        scan.segments += batch.segments
+        scan.next_offset, scan.torn, scan.size = (
+            batch.next_offset, batch.torn, batch.size
+        )
     return scan
 
 
 def iter_trace(path: str, start_offset: int = 0):
     """Yield :class:`TraceSegment` for each complete line, incrementally.
 
-    A generator over one :func:`scan_trace` pass: iteration stops at the
-    first torn (incomplete) line instead of raising, and each yielded
-    segment carries its ``end`` offset — resume a later pass from the
-    last segment's ``end`` (or from ``start_offset`` when nothing was
-    yielded) to pick up exactly where this one left off.  For rotation/
-    truncation detection and stateful following, use
-    :class:`repro.stream.tail.TraceTailer`, which is built on this.
+    A generator over one :func:`scan_blocks` pass: the file is read a
+    block at a time as the iteration advances, so stopping early leaves
+    the rest unread.  Iteration ends at a torn (incomplete) final line
+    instead of raising, and each yielded segment carries its ``end``
+    offset — resume a later pass from the last segment's ``end`` (or
+    from ``start_offset`` when nothing was yielded) to pick up exactly
+    where this one left off.  For rotation/truncation detection and
+    stateful following, use :class:`repro.stream.tail.TraceTailer`,
+    which drains the same batches.
     """
-    yield from scan_trace(path, start_offset).segments
+    for batch in _scan_path(path, start_offset):
+        yield from batch.segments
 
 
 class TraceDecoder:
@@ -644,17 +724,21 @@ class TraceDecoder:
         )
 
 
-def _assemble(path: str, scan: TraceScan) -> TraceFile:
-    """Run the lines of *scan* through one decoder into a :class:`TraceFile`."""
-    if not scan.segments:
-        raise TraceError(
-            f"trace file {path!r} is empty (no complete header line)"
-        )
+def _assemble(path: str, batches: Iterable[TraceScan]) -> TraceFile:
+    """Run the lines of *batches* through one decoder into a :class:`TraceFile`."""
     decoder = TraceDecoder()
     events: list[Event] = []
-    try:
-        for segment in scan.segments:
-            kind, item = decoder.feed(segment.obj)
+    trace = meta = None
+    torn = False
+    for batch in batches:
+        torn = batch.torn
+        for segment in batch.segments:
+            try:
+                kind, item = decoder.feed(segment.obj)
+            except TraceError as exc:
+                raise TraceError(
+                    f"trace file {path!r} at byte offset {segment.start}: {exc}"
+                ) from None
             if kind == "event":
                 key = (item.thread, item.op_index)
                 if item.is_call:
@@ -674,7 +758,6 @@ def _assemble(path: str, scan: TraceScan) -> TraceFile:
                     n_threads=decoder.n_threads,
                     subject=item.get("subject"),
                     test=item.get("test"),
-                    truncated=scan.torn,
                     version=decoder.version,
                 )
                 if decoder.version == TRACE_VERSION_LIVE:
@@ -682,10 +765,11 @@ def _assemble(path: str, scan: TraceScan) -> TraceFile:
                         sessions=decoder.n_threads, model=item.get("model")
                     )
                 meta = trace.live
-    except TraceError as exc:
+    if trace is None:
         raise TraceError(
-            f"trace file {path!r} at byte offset {segment.start}: {exc}"
-        ) from None
+            f"trace file {path!r} is empty (no complete header line)"
+        )
+    trace.truncated = torn
     if meta is not None:
         n_threads = trace.n_threads = max(
             meta.sessions, 1 + max((e.thread for e in events), default=-1)
@@ -702,31 +786,28 @@ def _assemble(path: str, scan: TraceScan) -> TraceFile:
 def load_trace(path: str) -> TraceFile:
     """Read a trace file; raises :class:`TraceError` on anything malformed.
 
-    :func:`scan_trace` → :class:`TraceDecoder` → assembly.  Understands
-    both supported versions (1: history per line; 2: live event per
-    line, assembled into one history).  A torn tail — bytes after the
-    last newline, see the module docstring — is not consumed and is
-    flagged via ``TraceFile.truncated``; every complete line before it
-    is returned.  Anything else wrong raises :class:`TraceError` naming
-    the file and the byte offset of the offending line.
+    :func:`scan_blocks` → :class:`TraceDecoder` → assembly, a block at a
+    time.  Understands both supported versions (1: history per line; 2:
+    live event per line, assembled into one history).  A torn tail —
+    bytes after the last newline, see the module docstring — is not
+    consumed and is flagged via ``TraceFile.truncated``; every complete
+    line before it is returned.  Anything else wrong raises
+    :class:`TraceError` naming the file and the byte offset of the
+    offending line.
     """
-    return _assemble(path, scan_trace(path))
+    return _assemble(path, _scan_path(path))
 
 
 def read_trace_header(path: str) -> TraceFile:
     """What :func:`load_trace` would return had *path* ended after line 1.
 
-    Runs the header through the same decoder without reading the rest of
-    the file, so a caller that only needs ``version`` / ``subject`` /
-    ``live.model`` (``lineup monitor`` and ``lineup watch`` defaulting
-    ``--model``) does not parse the format itself.
+    Runs the header through the same decoder without reading past the
+    block that line 1 ends in, so a caller that only needs ``version`` /
+    ``subject`` / ``live.model`` (``lineup monitor`` and ``lineup watch``
+    defaulting ``--model``) does not parse the format itself.
     """
-    try:
-        with open(path, "rb") as handle:
-            first_line = handle.readline()
-    except OSError as exc:
-        raise TraceError(f"cannot read trace file {path!r}: {exc}") from exc
-    return _assemble(path, _scan_bytes(path, first_line, 0))
+    with closing(iter_trace(path)) as segments:
+        return _assemble(path, [TraceScan(list(islice(segments, 1)))])
 
 
 def default_trace_path(directory: str, subject: str, test: dict) -> str:

@@ -1,10 +1,11 @@
 """Tailing trace reader: follow a JSONL trace while it is being written.
 
 :class:`TraceTailer` is the stateful follower built on
-:func:`repro.monitor.trace.scan_trace`: each :meth:`poll` consumes every
-complete line appended since the previous poll and remembers the byte
-offset to resume from.  The failure modes of tailing a live file are
-made explicit instead of silently mis-read:
+:func:`repro.monitor.trace.scan_blocks`: each pass (:meth:`batches`, or
+:meth:`poll` for all of it at once) consumes every complete line
+appended since the previous one, a bounded block at a time, and
+remembers the byte offset to resume from.  The failure modes of tailing
+a live file are made explicit instead of silently mis-read:
 
 * **Torn final line** — the writer was caught mid-append (or crashed
   there).  The partial tail is *not* consumed; the offset stays at its
@@ -27,8 +28,9 @@ The tailer never blocks and never sleeps: pacing is the caller's loop
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
-from repro.monitor.trace import TraceError, TraceSegment, scan_trace
+from repro.monitor.trace import TraceError, TraceSegment, scan_blocks
 
 __all__ = ["TraceRotated", "TraceTailer", "TraceTruncated"]
 
@@ -58,16 +60,21 @@ class TraceTailer:
         self.exists = False
         self._ino = None
 
-    def poll(self) -> list[TraceSegment]:
-        """Consume every complete line appended since the last poll.
+    def batches(self) -> Iterator[list[TraceSegment]]:
+        """One pass over the bytes the file holds now, a block at a time.
 
-        Returns the (possibly empty) batch of new segments.  Raises
-        :class:`TraceTruncated` / :class:`TraceRotated` when the file
-        identity changed under us, and plain :class:`TraceError` on
-        mid-file corruption (via :func:`scan_trace`).
+        The file is opened once and both its identity and its size are
+        read from that handle, so a rotation can never pair one file's
+        offset with another file's bytes.  Each batch is the complete
+        lines of one :func:`~repro.monitor.trace.scan_blocks` block;
+        ``offset`` and ``torn`` are advanced before it is handed over, so
+        a caller that stops early has consumed exactly what it was given.
+        Raises :class:`TraceTruncated` / :class:`TraceRotated` when the
+        file identity changed under us, and plain :class:`TraceError` on
+        mid-file corruption.
         """
         try:
-            stat = os.stat(self.path)
+            handle = open(self.path, "rb")
         except FileNotFoundError:
             if self.exists:
                 # We were mid-file and the file vanished: rotation.
@@ -75,30 +82,40 @@ class TraceTailer:
                     f"trace file {self.path!r} disappeared while being "
                     "followed (rotated?)"
                 ) from None
-            return []
+            return
         except OSError as exc:
             raise TraceError(
-                f"cannot stat trace file {self.path!r}: {exc}"
+                f"cannot read trace file {self.path!r}: {exc}"
             ) from exc
-        if self._ino is not None and stat.st_ino != self._ino:
-            raise TraceRotated(
-                f"trace file {self.path!r} was replaced (inode "
-                f"{self._ino} -> {stat.st_ino}); restart from offset 0"
-            )
-        if stat.st_size < self.offset:
-            raise TraceTruncated(
-                f"trace file {self.path!r} shrank to {stat.st_size} bytes "
-                f"below the consumed offset {self.offset}; restart from 0"
-            )
-        self.exists = True
-        self._ino = stat.st_ino
-        if stat.st_size == self.offset:
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if self._ino is not None and stat.st_ino != self._ino:
+                raise TraceRotated(
+                    f"trace file {self.path!r} was replaced (inode "
+                    f"{self._ino} -> {stat.st_ino}); restart from offset 0"
+                )
+            if stat.st_size < self.offset:
+                raise TraceTruncated(
+                    f"trace file {self.path!r} shrank to {stat.st_size} bytes "
+                    f"below the consumed offset {self.offset}; restart from 0"
+                )
+            self.exists = True
+            self._ino = stat.st_ino
             self.torn = False
-            return []
-        scan = scan_trace(self.path, self.offset)
-        self.offset = scan.next_offset
-        self.torn = scan.torn
-        return scan.segments
+            for batch in scan_blocks(
+                handle, self.path, self.offset, stat.st_size
+            ):
+                self.offset = batch.next_offset
+                self.torn = batch.torn
+                yield batch.segments
+
+    def poll(self) -> list[TraceSegment]:
+        """Consume every complete line appended since the last poll.
+
+        The (possibly empty) concatenation of one pass of
+        :meth:`batches`, with its exceptions.
+        """
+        return [segment for batch in self.batches() for segment in batch]
 
     def backlog(self) -> int:
         """Unconsumed bytes currently in the file (0 when caught up)."""

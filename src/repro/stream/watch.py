@@ -1,9 +1,10 @@
 """The watch orchestrator: follow a trace, keep a verdict, stay honest.
 
 :func:`watch_trace` is the single-process loop behind ``lineup watch``:
-poll the :class:`~repro.stream.tail.TraceTailer`, feed every complete
-line to the :class:`~repro.stream.engine.StreamChecker`, emit stats, and
-decide when to stop:
+take a pass of the :class:`~repro.stream.tail.TraceTailer` — the bytes
+the file holds now, one bounded batch at a time — feed every complete
+line to the :class:`~repro.stream.engine.StreamChecker`, emit stats
+between batches, and between passes decide when to stop:
 
 * **FAIL** — the moment a return event loses linearizability (or a v1
   record fails offline); online failure is final, no more reading.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 from repro.core.verdict import worst_verdict
@@ -188,12 +190,11 @@ def watch_trace(
     lag_since: float | None = None
     lag_exceeded = False
     restarts = 0
-    failed = False
 
     try:
         while True:
             try:
-                segments = tailer.poll()
+                progressed, failed = _feed_pass(tailer, checker, emitter)
             except (TraceRotated, TraceTruncated):
                 # The file is no longer the one we consumed: start over on
                 # whatever the path names now.
@@ -201,11 +202,6 @@ def watch_trace(
                 checker, tailer = fresh(partition)
                 last_progress = time.monotonic()
                 continue
-            try:
-                for segment in segments:
-                    if not checker.feed(segment.obj):
-                        failed = True
-                        break
             except PartitionUnsound:
                 if config.shards > 1:
                     # This shard sees only part of the stream, so it cannot
@@ -220,7 +216,7 @@ def watch_trace(
                 last_progress = time.monotonic()
                 continue
             now = time.monotonic()
-            if segments:
+            if progressed:
                 last_progress = now
             if failed:
                 break
@@ -244,9 +240,9 @@ def watch_trace(
                 ):
                     lag_exceeded = True
                     break
-                if not config.follow and not segments:
+                if not config.follow and not progressed:
                     break  # only a torn tail remains and nobody will mend it
-            if not segments:
+            if not progressed:
                 if (
                     config.follow
                     and config.idle_timeout is not None
@@ -271,6 +267,27 @@ def watch_trace(
     return _snapshot(
         verdict, checker, tailer, restarts, lag_exceeded, partition, started
     )
+
+
+def _feed_pass(
+    tailer: TraceTailer, checker: StreamChecker, emitter: StatsEmitter
+) -> tuple[bool, bool]:
+    """Feed *checker* one pass of *tailer*, batch by batch.
+
+    Returns ``(progressed, failed)``: whether the pass delivered any
+    line, and whether one of them lost linearizability — reading stops
+    there, within the block that holds the failing line.  What the
+    process holds of the backlog at any moment is one batch.
+    """
+    progressed = False
+    with closing(tailer.batches()) as batches:
+        for segments in batches:
+            for segment in segments:
+                if not checker.feed(segment.obj):
+                    return True, True
+            progressed = progressed or bool(segments)
+            emitter.maybe_emit(checker, tailer.backlog())
+    return progressed, False
 
 
 def _snapshot(

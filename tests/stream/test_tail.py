@@ -25,6 +25,28 @@ def append(path, *objs, torn: str | None = None) -> None:
             handle.write(torn)
 
 
+def swap_after_next_stat(
+    monkeypatch, path, *objs, skip: int = 0, calls=("stat", "fstat")
+) -> None:
+    """Rotate *path* (rename, recreate holding *objs*) the moment the next
+    of the named ``os`` *calls* — after *skip* of them — has answered."""
+    remaining = [skip]
+
+    def hooked(real):
+        def stat(*args, **kwargs):
+            result = real(*args, **kwargs)
+            remaining[0] -= 1
+            if remaining[0] == -1:
+                os.rename(path, path + ".1")
+                append(path, *objs)
+            return result
+
+        return stat
+
+    for name in calls:
+        monkeypatch.setattr(os, name, hooked(getattr(os, name)))
+
+
 class TestTailer:
     def test_polls_consume_appends_incrementally(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -93,6 +115,26 @@ class TestTailer:
             tailer.poll()
         tailer.reset()
         assert [s.obj for s in tailer.poll()] == [{"fresh": 1}, {"fresh": 2}]
+
+    def test_rotation_between_the_stat_and_the_read(self, tmp_path, monkeypatch):
+        # The file is swapped right after the tailer learns its identity
+        # and size.  Pairing that answer with the *new* file's bytes
+        # would resume mid-line ("corrupt at byte offset") or, worse,
+        # silently skip records.
+        path = str(tmp_path / "t.jsonl")
+        append(path, {"a": 1})
+        tailer = TraceTailer(path)
+        tailer.poll()
+        append(path, {"b": 2})
+        swap_after_next_stat(monkeypatch, path, {"fresh": "x" * 40}, {"fresh": 2})
+        # Identity, size and bytes all come from one handle: the rest of
+        # the file we were following, nothing of its replacement ...
+        assert [s.obj for s in tailer.poll()] == [{"b": 2}]
+        # ... which the next pass reports for what it is.
+        with pytest.raises(TraceRotated):
+            tailer.poll()
+        tailer.reset()
+        assert [s.obj for s in tailer.poll()] == [{"fresh": "x" * 40}, {"fresh": 2}]
 
     def test_file_vanishing_mid_follow_raises_rotated(self, tmp_path):
         path = str(tmp_path / "t.jsonl")

@@ -15,12 +15,14 @@ import os
 import pytest
 
 from repro.core.events import Invocation, Response
+from repro.monitor import trace as trace_module
 from repro.monitor.trace import (
     LiveTraceWriter,
     TraceError,
     iter_trace,
     scan_trace,
 )
+from repro.stream import TraceTailer
 
 
 def write_lines(path, *objs, torn: str | None = None) -> None:
@@ -90,6 +92,142 @@ class TestScanTrace:
         path = str(tmp_path / "t.jsonl")
         write_lines(path, {"a": 1}, {"b": 2})
         assert [s.obj for s in iter_trace(path)] == [{"a": 1}, {"b": 2}]
+
+
+# -- block boundaries -------------------------------------------------------------
+#
+# The reader takes the file a block at a time.  Whatever the block size,
+# it must report what one read of the whole file reports: *whole_file*
+# below is that read (split the bytes on newlines, parse every complete
+# line), written here so the table has an oracle that shares no code
+# with the reader.  Rows are ``(name, content, start, error_offset)``
+# and run with 16-byte blocks.
+
+BLOCK = 16
+
+
+def line(size: int) -> bytes:
+    """One JSON object line of exactly *size* bytes, newline included."""
+    return b'{"k":"' + b"x" * (size - 9) + b'"}\n'
+
+
+ROWS = [
+    ("newline-exactly-at-a-block-end", line(16) + line(16) + line(16), 0, None),
+    ("file-smaller-than-a-block", line(10), 0, None),
+    ("line-straddling-a-boundary", line(10) + line(10) + line(10), 0, None),
+    ("line-longer-than-two-blocks", line(10) + line(40) + line(10), 0, None),
+    ("utf8-character-split-by-a-boundary",
+     '{"k":"xxxxxxxxxé"}\n'.encode() + line(12), 0, None),
+    ("blank-lines-at-a-boundary", line(15) + b"\n\n" + line(12), 0, None),
+    ("torn-tail-starting-at-a-boundary", line(16) + line(16) + b'{"k":', 0, None),
+    ("torn-tail-longer-than-a-block", line(10) + b'{"k":"' + b"x" * 40, 0, None),
+    ("corrupt-line-in-block-three",
+     line(16) + line(16) + b"not json\n" + line(16), 0, 32),
+    ("non-object-line-in-block-three",
+     line(16) + line(16) + b"[1, 2]\n" + line(16), 0, 32),
+    ("resume-from-an-end-offset-mid-file", line(10) + line(10) + line(30), 10, None),
+    ("resume-at-end-of-file", line(10) + line(10), 20, None),
+]
+
+
+def whole_file(content: bytes, start: int):
+    """``(segments, next_offset, torn)`` of *content* read in one piece;
+    segments are ``(obj, start, end)`` and stop before a corrupt line."""
+    *lines, tail = content[start:].split(b"\n")
+    segments, offset = [], start
+    for raw in lines:
+        end = offset + len(raw) + 1
+        if raw.strip():
+            try:
+                obj = json.loads(raw)
+            except ValueError:
+                obj = None
+            if not isinstance(obj, dict):
+                break
+            segments.append((obj, offset, end))
+        offset = end
+    return segments, offset, bool(tail)
+
+
+def triples(segments):
+    return [(s.obj, s.start, s.end) for s in segments]
+
+
+@pytest.fixture(params=ROWS, ids=[row[0] for row in ROWS])
+def row(request, tmp_path, monkeypatch):
+    _name, content, start, error_offset = request.param
+    path = str(tmp_path / "t.jsonl")
+    with open(path, "wb") as handle:
+        handle.write(content)
+    monkeypatch.setattr(trace_module, "READ_BLOCK_BYTES", BLOCK)
+    return path, content, start, error_offset
+
+
+class TestBlockBoundaries:
+    def test_the_split_character_row_really_splits_one(self):
+        content = dict((r[0], r[1]) for r in ROWS)[
+            "utf8-character-split-by-a-boundary"
+        ]
+        with pytest.raises(UnicodeDecodeError):
+            content[:BLOCK].decode("utf-8")
+
+    def test_scan_trace(self, row):
+        path, content, start, error_offset = row
+        segments, next_offset, torn = whole_file(content, start)
+        if error_offset is not None:
+            with pytest.raises(TraceError, match=f"byte offset {error_offset}\\b"):
+                scan_trace(path, start)
+            return
+        scan = scan_trace(path, start)
+        assert triples(scan.segments) == segments
+        assert (scan.next_offset, scan.torn) == (next_offset, torn)
+        assert scan.size == max(len(content), start)
+
+    def test_iter_trace(self, row):
+        path, content, start, error_offset = row
+        segments, _next_offset, _torn = whole_file(content, start)
+        seen = []
+        if error_offset is None:
+            seen.extend(iter_trace(path, start))
+        else:
+            # Every line before the corrupt one is delivered, none after.
+            with pytest.raises(TraceError, match=f"byte offset {error_offset}\\b"):
+                seen.extend(iter_trace(path, start))
+        assert triples(seen) == segments
+
+    def test_tailer(self, row):
+        path, content, start, error_offset = row
+        segments, next_offset, torn = whole_file(content, start)
+        tailer = TraceTailer(path, start)
+        seen = []
+        if error_offset is None:
+            for batch in tailer.batches():
+                seen.extend(batch)
+                # Progress is published with each batch, not after the pass
+                # (blank lines may carry it past the last segment).
+                assert not batch or tailer.offset >= batch[-1].end
+        else:
+            with pytest.raises(TraceError, match=f"byte offset {error_offset}\\b"):
+                for batch in tailer.batches():
+                    seen.extend(batch)
+        assert triples(seen) == segments
+        assert tailer.offset == next_offset
+        if error_offset is None:
+            assert tailer.torn == torn
+            assert TraceTailer(path, start).poll() == seen
+
+    def test_reading_stops_with_the_consumer(self, tmp_path, monkeypatch):
+        # A generator, not a list: abandoning it leaves the rest unread.
+        path = str(tmp_path / "t.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(line(16) * 3 + b"not json\n")
+        monkeypatch.setattr(trace_module, "READ_BLOCK_BYTES", BLOCK)
+        stream = iter_trace(path)
+        assert next(stream).end == 16
+        stream.close()
+        tailer = TraceTailer(path)
+        assert triples(next(tailer.batches())) == [({"k": "x" * 7}, 0, 16)]
+        assert tailer.offset == 16 and not tailer.torn
 
 
 class TestFlushPolicy:

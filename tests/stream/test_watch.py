@@ -18,8 +18,19 @@ from repro.cli import (
 )
 from repro.core.events import Invocation, Response
 from repro.monitor import get_model
+from repro.monitor import trace as trace_module
 from repro.monitor.trace import LiveTraceWriter, TraceError
-from repro.stream import WatchConfig, watch_sharded, watch_trace
+from repro.stream import (
+    StreamChecker,
+    TraceTailer,
+    WatchConfig,
+    watch_sharded,
+    watch_trace,
+)
+from repro.stream.stats import StatsEmitter
+from repro.stream.watch import _feed_pass
+
+from .test_tail import swap_after_next_stat
 
 
 def ok(value=None) -> Response:
@@ -199,6 +210,94 @@ class TestWatchTrace:
             thread.join()
         assert result.restarts >= 1
         assert result.verdict == "PASS" and result.finalized
+
+    def test_rotation_between_the_stat_and_the_read_restarts(
+        self, tmp_path, monkeypatch
+    ):
+        # Pass 1 drains an unfinalized PASS prefix; the file is rotated
+        # while pass 2 is looking at it.  The watcher must neither choke
+        # on the new file read from the old offset nor keep the old
+        # verdict: it restarts and reports what the new file says.
+        path = write_register_trace(str(tmp_path / "t.jsonl"), finalize=None)
+        replacement = write_register_trace(str(tmp_path / "new.jsonl"), fail=True)
+        with open(replacement, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        swap_after_next_stat(monkeypatch, path, *lines, skip=1, calls=("fstat",))
+        result = watch_trace(
+            path,
+            get_model("register"),
+            WatchConfig(follow=True, idle_timeout=5.0, poll_interval=0.01),
+        )
+        assert result.restarts == 1
+        assert result.verdict == "FAIL" and result.counterexample
+        # A fresh checker read the new file from its first byte.
+        assert result.stats["events"] == 5 and result.stats["returns"] == 2
+
+    def test_stats_show_the_backlog_draining(self, tmp_path, monkeypatch):
+        # One record per block while a long file is caught up on, not one
+        # at the end.
+        path = write_register_trace(str(tmp_path / "t.jsonl"))
+        monkeypatch.setattr(trace_module, "READ_BLOCK_BYTES", 96)
+        blocks = -(-os.path.getsize(path) // 96)
+        assert blocks >= 4
+        stats_path = str(tmp_path / "stats.jsonl")
+        result = watch_trace(
+            path,
+            get_model("register"),
+            WatchConfig(stats_out=stats_path, stats_interval=0.0),
+        )
+        with open(stats_path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert len(records) >= blocks
+        backlogs = [record["backlog_bytes"] for record in records]
+        assert backlogs == sorted(backlogs, reverse=True)
+        assert backlogs[0] > 0 and backlogs[-1] == 0
+        events = [record["events"] for record in records]
+        assert events == sorted(events) and events[0] < events[-1]
+        # The final record is the end-of-session one, as before.
+        final = records[-1]
+        assert final["events"] == result.stats["events"] == 6
+        assert final["verdict"] == "PASS" and final["finalized"]
+
+    def test_early_fail_reads_a_prefix_not_the_file(self, tmp_path):
+        # A violation at operation 51 of 20 000: reading stops within one
+        # block of the failing line, with the verdict and counterexample
+        # the same file gives when it ends right after that line.
+        path = str(tmp_path / "t.jsonl")
+        writer = LiveTraceWriter(
+            path, sessions=1, model="register", flush_every_n=4096
+        )
+        for i in range(10_000):
+            writer.record_call(0, 2 * i, Invocation("write", (i,)), 0.0)
+            writer.record_return(0, 2 * i, ok(None), 0.0)
+            writer.record_call(0, 2 * i + 1, Invocation("read", ()), 0.0)
+            writer.record_return(0, 2 * i + 1, ok(-1 if i == 25 else i), 0.0)
+        writer.finalize("drained", 1.0)
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        failing_line = 1 + 4 * 25 + 4  # header, 25 clean rounds, the bad read
+        end_of_failing_line = sum(map(len, lines[:failing_line]))
+
+        tailer = TraceTailer(path)
+        checker = StreamChecker(get_model("register"))
+        assert _feed_pass(tailer, checker, StatsEmitter(None)) == (True, True)
+        assert checker.counters.events == failing_line
+        assert (
+            end_of_failing_line
+            <= tailer.offset
+            <= end_of_failing_line + trace_module.READ_BLOCK_BYTES
+        )
+        assert tailer.offset < os.path.getsize(path) / 10
+
+        result = watch_trace(path, get_model("register"))
+        prefix = str(tmp_path / "prefix.jsonl")
+        with open(prefix, "wb") as handle:
+            handle.writelines(lines[:failing_line])
+        short = watch_trace(prefix, get_model("register"))
+        assert result.verdict == short.verdict == "FAIL"
+        assert result.counterexample == short.counterexample
+        assert result.stats["events"] == short.stats["events"] == failing_line
+        assert not result.finalized
 
     def test_global_op_restarts_unpartitioned(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
