@@ -19,6 +19,16 @@ Sections, written to ``BENCH_stream.json`` via ``benchlib``:
   with 16 and with 10 000 distinct keys, i.e. with the literal memo
   hitting and missing; asserts the missing case stays within 0.9x of
   decoding the same lines with plain ``ast.literal_eval``.
+* **closure** — what one return's closure costs where closures are
+  large: the perfbench ``window`` trace (queue, four overlapping
+  sessions, ~420 configurations per operation) through
+  :class:`~repro.monitor.incremental.IncrementalChecker` and through the
+  flat-set implementation it replaced (``tests/stream/reference.py``),
+  alternating.  Asserts equal configuration counts and at least 2x the
+  reference's speed; records model steps per configuration and, on the
+  same trace at two lengths, what the *offline* search costs per
+  operation — that one is quadratic in trace length, so which of the two
+  is faster depends on where the trace is cut.
 * **shard_scaling** — a per-key dictionary trace checked in-process
   (the single-shard baseline) and then fanned across the worker pool
   at increasing shard counts.  Verdicts and cell counts are asserted
@@ -45,8 +55,12 @@ from unittest import mock
 from repro.core.events import Invocation, Response
 from repro.monitor import get_model
 from repro.monitor import trace as trace_module
-from repro.monitor.trace import LiveTraceWriter, TraceDecoder
+from repro.monitor.incremental import IncrementalChecker
+from repro.monitor.trace import LiveTraceWriter, TraceDecoder, load_trace
+from repro.monitor.wgl import wgl_check
 from repro.stream import StreamChecker, WatchConfig, watch_sharded, watch_trace
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Section sizes per mode.  The quick trace is still long enough that an
 #: engine leaking state per retired operation would blow its assertions.
@@ -77,6 +91,12 @@ MEMORY_GROWTH_CEILING = 1.5
 #: The memo's miss path against no memo at all, as a rate ratio.
 DECODE_MISS_FLOOR = 0.9
 DECODE_KEYS = (16, 10_000)
+#: The closure row: perfbench's gate size, and the bucketed closure
+#: against the flat reference as a rate ratio.
+CLOSURE_OPS = 1_000
+CLOSURE_SPEEDUP_FLOOR = 2.0
+#: Trace lengths at which the offline search is timed on the same trace.
+CLOSURE_OFFLINE_OPS = (300, 1_000)
 
 
 def ok(value=None) -> Response:
@@ -300,6 +320,97 @@ def bench_decode(tmp, ops: int) -> dict:
     return row
 
 
+class _CountingModel:
+    """A model that counts its ``apply`` calls (the closure's model steps)."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.steps = 0
+
+    def initial_state(self):
+        return self.model.initial_state()
+
+    def apply(self, state, invocation):
+        self.steps += 1
+        return self.model.apply(state, invocation)
+
+
+def bench_closure(tmp) -> dict:
+    """Bucketed closure vs the flat reference on the perfbench window trace."""
+    for path in (os.path.join(_ROOT, "perfbench"), _ROOT):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    from gen_traces import generate  # perfbench: the watch_window generator
+    from tests.stream.reference import ReferenceChecker
+
+    model = get_model("queue")
+
+    def events_of(ops: int):
+        # One seed and a smaller count give a prefix of the longer trace.
+        path = os.path.join(tmp, f"window-{ops}.jsonl")
+        generate(path, "window", ops, 1)
+        return load_trace(path).histories[0]
+
+    events = events_of(CLOSURE_OPS).events
+
+    def run(checker_class, checked_model=model):
+        checker = checker_class(checked_model)
+        t0 = time.perf_counter()
+        for event in events:
+            if event.is_call:
+                checker.on_call(event.thread, event.op_index, event.invocation)
+            else:
+                assert checker.on_return(
+                    event.thread, event.op_index, event.response
+                )
+        return checker, time.perf_counter() - t0
+
+    bucketed = flat = float("inf")
+    for _ in range(4):  # alternating, best of: the ratio is asserted
+        new, seconds = run(IncrementalChecker)
+        bucketed = min(bucketed, seconds)
+        old, seconds = run(ReferenceChecker)
+        flat = min(flat, seconds)
+    assert new.configurations == old.configurations, (
+        f"bucketed closure explored {new.configurations} configurations, "
+        f"the flat reference {old.configurations}"
+    )
+    assert new.max_live_configs == old.max_live_configs
+    speedup = flat / bucketed
+    assert speedup >= CLOSURE_SPEEDUP_FLOOR, (
+        f"bucketed closure is {speedup:.2f}x the flat reference, "
+        f"under the {CLOSURE_SPEEDUP_FLOOR}x floor"
+    )
+
+    def steps_per_config(checker_class) -> float:
+        counting = _CountingModel(model)
+        checker, _ = run(checker_class, counting)
+        return counting.steps / checker.configurations
+
+    row = {
+        "ops": CLOSURE_OPS,
+        "configurations": new.configurations,
+        "configs_per_op": new.configurations / CLOSURE_OPS,
+        "max_live_configs": new.max_live_configs,
+        "us_per_op": bucketed / CLOSURE_OPS * 1e6,
+        "us_per_config": bucketed / new.configurations * 1e6,
+        "model_steps_per_config": steps_per_config(IncrementalChecker),
+        "reference_us_per_op": flat / CLOSURE_OPS * 1e6,
+        "reference_us_per_config": flat / old.configurations * 1e6,
+        "reference_model_steps_per_config": steps_per_config(ReferenceChecker),
+        "speedup_vs_reference": speedup,
+    }
+    for ops in CLOSURE_OFFLINE_OPS:
+        history = events_of(ops)
+        offline = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert wgl_check(history, model).ok
+            offline = min(offline, time.perf_counter() - t0)
+        row[f"offline_wgl_us_per_op_{ops}_ops"] = offline / ops * 1e6
+    return row
+
+
 def bench_shard_scaling(tmp, keys: int, rounds: int, shard_counts) -> dict:
     path = os.path.join(tmp, "dict.jsonl")
     write_dict_trace(path, keys, rounds)
@@ -368,6 +479,22 @@ def print_report(payload: dict) -> None:
             f"{dec[f'events_per_sec_{keys}_keys']:10,.0f} ev/s with the memo, "
             f"{dec[f'plain_events_per_sec_{keys}_keys']:10,.0f} without"
         )
+    closure = payload["closure"]
+    offline = ", ".join(
+        f"{closure[f'offline_wgl_us_per_op_{ops}_ops']:.0f} at {ops} ops"
+        for ops in CLOSURE_OFFLINE_OPS
+    )
+    print(
+        f"closure: {closure['configs_per_op']:.1f} configs/op, max live "
+        f"{closure['max_live_configs']}: bucketed {closure['us_per_op']:.0f} "
+        f"us/op ({closure['us_per_config']:.2f} us/config, "
+        f"{closure['model_steps_per_config']:.2f} model steps/config), flat "
+        f"reference {closure['reference_us_per_op']:.0f} us/op "
+        f"({closure['reference_model_steps_per_config']:.2f} steps/config) = "
+        f"{closure['speedup_vs_reference']:.2f}x (floor "
+        f"{CLOSURE_SPEEDUP_FLOOR}x); offline WGL us/op on the same trace: "
+        f"{offline}"
+    )
     scaling = payload["shard_scaling"]
     print(
         f"shard scaling over {scaling['events']} events, "
@@ -413,6 +540,7 @@ def main(argv=None) -> int:
                 tmp, 10 * sizes["memory_ops"], sizes["window"]
             ),
             "decode": bench_decode(tmp, sizes["decode_ops"]),
+            "closure": bench_closure(tmp),
             "shard_scaling": bench_shard_scaling(
                 tmp, sizes["keys"], sizes["rounds"], shard_counts
             ),

@@ -1880,8 +1880,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_watch.add_argument(
         "--max-configurations", type=int, default=1_000_000, metavar="N",
-        help="per-cell cumulative configuration cap (EXHAUSTED past it; "
-             "default: 1000000)",
+        help="configuration cap per return: what one return's closure "
+             "(v1: one record's search) may explore before its cell is "
+             "EXHAUSTED (default: 1000000)",
     )
     p_watch.add_argument(
         "--json", action="store_true",

@@ -45,15 +45,49 @@ point — or never — exactly the open-history semantics of
 bifurcation per configuration, so memory stays bounded by (window +
 indeterminate count).
 
-``max_configurations`` caps the *cumulative* closure work, mirroring the
-offline cap: exceeding it raises
+**Representation.**  Many configurations differ only in the model
+state: the configurations of a closure that linearized the same open
+operations with the same responses share their whole second component.
+The set is therefore stored bucketed, ``linearized map -> set of model
+states``, and the closure of a return runs one *bucket* at a time.
+Everything that depends only on the linearized map is decided once per
+bucket: which open operations may still be linearized from it, and —
+when the returning operation was linearized by an earlier closure —
+whether the response committed there equals the observed one, which
+accepts or drops the whole bucket with one set operation.  Buckets are
+visited in order of map size.  A successor linearizes exactly one more
+operation, so when a bucket is reached all its states have arrived: each
+configuration is visited once, and the set union that merges successor
+states into their bucket is the only de-duplication there is — no
+configuration is built, pushed and then thrown away.
+
+Within one closure the model is stepped **once per (state, distinct open
+invocation)**: a ``state -> (state', answer)`` memo per invocation,
+local to the closure, is shared by every bucket the state occurs in and
+by every open operation with an equal invocation (four concurrent
+``TryDequeue()`` cost one step per state, not four).  It dies with the
+closure, so a stream of 10^5 cells holds nothing between returns.  An
+*answer* is the ``(kind, value)`` of the model's response: linearized
+maps and successor groups are keyed by responses, a closure hashes and
+compares them more often than it steps the model, and a tuple does that
+in C.  When no *other* operation is open the closure cannot grow; that
+case — almost every return of a per-key cell — allocates no memo and no
+levels.
+
+``max_configurations`` caps what can blow up: the configurations explored
+by the closure of **one return** (exponential in the window width; the
+live set is a subset of that closure, so it bounds memory by the same
+number).  Exceeding it raises
 :class:`~repro.monitor.wgl.MonitorLimitError` and the caller reports
-EXHAUSTED, never a guess.
+EXHAUSTED, never a guess.  ``configurations`` is the lifetime total and
+only a statistic: a healthy stream of any length never trips the cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import islice
+from operator import attrgetter
 from typing import Any, Hashable
 
 from repro.core.events import Invocation, Response
@@ -128,6 +162,53 @@ class _OpenOp:
     indeterminate: bool = False
 
 
+#: The linearized operations of the empty map (shared, never written).
+_NOTHING: dict = {}
+
+#: An invocation / a response as the plain tuple of its fields — equal
+#: exactly when the dataclass instances are.  Inside a closure both are
+#: only ever hashed and compared (to share model steps, to group
+#: successors, to key linearized maps, against the observation), more
+#: often than the model is stepped, and a tuple does that in C where a
+#: frozen dataclass runs Python.  A response's tuple, ``(kind, value)``,
+#: is called its *answer* below; ``Response(*answer)`` is the way back.
+_plain_invocation = attrgetter(*(f.name for f in fields(Invocation)))
+_plain_response = attrgetter(*(f.name for f in fields(Response)))
+
+
+def _step(apply, state, invocation):
+    """One model step as ``(state', answer)``; None: the model blocks."""
+    new_state, response = apply(state, invocation)
+    if response is None:
+        return new_state, None
+    return new_state, _plain_response(response)
+
+
+def _merge(buckets: dict, linmap: frozenset, states: set) -> None:
+    """Union *states* (owned by the caller) into the bucket of *linmap*."""
+    bucket = buckets.get(linmap)
+    if bucket is None:
+        buckets[linmap] = states
+    else:
+        bucket |= states
+
+
+def _rejections(levels, key, invocation, apply):
+    """What each configuration of a failed closure offered instead.
+
+    When no configuration accepts, every explored one rejected — with the
+    response it had committed to, or the one the model computes there.
+    """
+    for level in levels:
+        for linmap, states in level.items():
+            committed = dict(linmap).get(key)
+            for state in states:
+                if committed is not None:
+                    yield state, Response(*committed)
+                else:
+                    yield state, apply(state, invocation)[1]
+
+
 class IncrementalChecker:
     """Online WGL over one cell of a trace: feed events, read verdicts.
 
@@ -150,13 +231,15 @@ class IncrementalChecker:
     ) -> None:
         self.model = model
         self.max_configurations = max_configurations
-        #: configurations: (state, frozenset of (key, Response)) for
-        #: linearized-but-unreturned (open or indeterminate) operations.
-        self._configs: set[tuple[Hashable, frozenset]] = {
-            (model.initial_state(), frozenset())
+        #: configurations, bucketed: linearized map — frozenset of (key,
+        #: answer) over linearized-but-unreturned (open or indeterminate)
+        #: operations, an answer being the ``(kind, value)`` of the
+        #: response the model gave — → the model states reached with it.
+        self._configs: dict[frozenset, set[Hashable]] = {
+            frozenset(): {model.initial_state()}
         }
         self._open: dict[tuple[int, int], _OpenOp] = {}
-        self.configurations = 0  #: cumulative closure work (EXHAUSTED cap)
+        self.configurations = 0  #: cumulative closure work (a statistic)
         self.retired = 0
         self.events_ingested = 0
         self.failed: OnlineCounterexample | None = None
@@ -175,14 +258,7 @@ class IncrementalChecker:
     @property
     def live_configs(self) -> int:
         """Configurations currently held (the memory driver)."""
-        return len(self._configs)
-
-    def oldest_open_age(self) -> int:
-        """Events since the oldest unretired operation was called."""
-        if not self._open:
-            return 0
-        oldest = min(op.call_event for op in self._open.values())
-        return self.events_ingested - oldest
+        return sum(map(len, self._configs.values()))
 
     # -- the feeding protocol ---------------------------------------------
 
@@ -226,71 +302,130 @@ class IncrementalChecker:
                 f"return for operation {key} with no open call"
             )
         self.events_ingested += 1
+        invocation = open_op.invocation
+        apply = self.model.apply
+        cap = self.max_configurations
 
-        accepted: set[tuple[Hashable, frozenset]] = set()
-        explored: set[tuple[Hashable, frozenset]] = set()
-        candidates: list[tuple[Any, Response | None]] = []
-        stack = list(self._configs)
-        while stack:
-            config = stack.pop()
-            if config in explored:
-                continue
-            explored.add(config)
-            self.configurations += 1
-            if (
-                self.max_configurations is not None
-                and self.configurations > self.max_configurations
-            ):
-                raise MonitorLimitError(
-                    f"incremental check exceeded {self.max_configurations} "
-                    "configurations"
-                )
-            state, linmap = config
-            committed = None
-            for k, resp in linmap:
-                if k == key:
-                    committed = resp
-                    break
-            if committed is not None:
-                # The op was linearized during an earlier closure with a
-                # model-computed response; now the observation arrived.
-                if committed == observed:
-                    accepted.add((state, linmap - {(key, committed)}))
-                elif len(candidates) < 8:
-                    candidates.append((state, committed))
-                continue  # either way, nothing more to expand here
-            linearized_keys = {k for k, _ in linmap}
-            # Try the returning op directly from this configuration.
-            new_state, response = self.model.apply(state, open_op.invocation)
-            if response == observed:
-                accepted.add((new_state, linmap))
-            elif len(candidates) < 8:
-                candidates.append((state, response))
-            # Or first linearize some other still-open operation.
+        # What else could be linearized first, by invocation: operations
+        # with equal invocations step the model identically, so they
+        # share one memo {state: (state', answer)} — for this closure
+        # only, nothing is kept between returns.
+        others: dict[tuple, tuple[Invocation, list[tuple[int, int]], dict]] = {}
+        levels: list[dict[frozenset, set[Hashable]]]
+        if len(self._open) > 1:
+            seen = _plain_response(observed)
             for other_key, other in self._open.items():
-                if other_key == key or other_key in linearized_keys:
+                if other_key != key:
+                    inv = other.invocation
+                    entry = others.setdefault(
+                        _plain_invocation(inv), (inv, [], {})
+                    )
+                    entry[1].append(other_key)
+            same = others.get(_plain_invocation(invocation))
+            own_steps = same[2] if same is not None else {}
+            # levels[n] holds the buckets whose map linearizes n
+            # operations.  A successor linearizes one more, so when a
+            # level is read every bucket in it is complete: each is
+            # visited once, and merging into the next level is the only
+            # de-duplication there is.
+            levels = [{} for _ in range(len(self._open) + 1)]
+            for linmap, states in self._configs.items():
+                levels[len(linmap)][linmap] = set(states)
+        else:
+            # Nothing else is open: the closure cannot grow, so it needs
+            # no levels, no step memo and no successor groups.
+            levels = [self._configs]
+            seen = None  # only a committed bucket asks, and makes its own
+
+        accepted: dict[frozenset, set[Hashable]] = {}
+        explored = 0
+        for level in levels:
+            for linmap, states in level.items():
+                explored += len(states)
+                if cap is not None and explored > cap:
+                    self.configurations += cap + 1
+                    raise MonitorLimitError(
+                        f"incremental check exceeded {cap} configurations "
+                        "in the closure of one return"
+                    )
+                linearized = dict(linmap) if linmap else _NOTHING
+                committed = linearized.get(key)
+                if committed is not None:
+                    # Linearized by an earlier closure with a response
+                    # the model computed; the observation now settles
+                    # the whole bucket, and nothing expands from it.
+                    if committed == (seen or _plain_response(observed)):
+                        _merge(
+                            accepted, linmap - {(key, committed)}, set(states)
+                        )
                     continue
-                other_state, other_resp = self.model.apply(
-                    state, other.invocation
-                )
-                if other_resp is None:
-                    continue  # the model blocks here
-                stack.append(
-                    (other_state, linmap | {(other_key, other_resp)})
-                )
+                # Linearize the returning operation right here...
+                hits: set[Hashable] = set()
+                if others:
+                    for state in states:
+                        step = own_steps.get(state)
+                        if step is None:
+                            step = own_steps[state] = _step(
+                                apply, state, invocation
+                            )
+                        if step[1] == seen:
+                            hits.add(step[0])
+                else:
+                    for state in states:
+                        new_state, response = apply(state, invocation)
+                        if response == observed:
+                            hits.add(new_state)
+                if hits:
+                    _merge(accepted, linmap, hits)
+                # ...or some other still-open operation first.
+                for inv, keys, memo in others.values():
+                    free = [k for k in keys if k not in linearized]
+                    if not free:
+                        continue
+                    groups: dict[tuple, set[Hashable]] = {}
+                    for state in states:
+                        step = memo.get(state)
+                        if step is None:
+                            step = memo[state] = _step(apply, state, inv)
+                        new_state, answer = step
+                        if answer is None:
+                            continue  # the model blocks here
+                        group = groups.get(answer)
+                        if group is None:
+                            groups[answer] = {new_state}
+                        else:
+                            group.add(new_state)
+                    # Each group is the successor set of every free
+                    # operation alike (_merge, inlined: this is the hot one,
+                    # and it copies only where it starts a bucket).
+                    successors = levels[len(linmap) + 1]
+                    for answer, group in groups.items():
+                        for other_key in free:
+                            target = linmap | {(other_key, answer)}
+                            bucket = successors.get(target)
+                            if bucket is None:
+                                successors[target] = set(group)
+                            else:
+                                bucket |= group
 
         lag = self.events_ingested - open_op.call_event
-        self.max_retirement_lag = max(self.max_retirement_lag, lag)
+        if lag > self.max_retirement_lag:
+            self.max_retirement_lag = lag
         del self._open[key]
+        self.configurations += explored
         self._configs = accepted
-        self.max_live_configs = max(self.max_live_configs, len(accepted))
+        live = self.live_configs
+        if live > self.max_live_configs:
+            self.max_live_configs = live
         if not accepted:
             self.failed = OnlineCounterexample(
                 thread=thread,
                 op_index=op_index,
-                invocation=open_op.invocation,
+                invocation=invocation,
                 observed=observed,
-                candidates=tuple(candidates),
+                candidates=tuple(
+                    islice(_rejections(levels, key, invocation, apply), 8)
+                ),
                 retired=self.retired,
                 events_ingested=self.events_ingested,
             )

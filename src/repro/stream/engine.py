@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable
 
 from repro.monitor.dispatch import monitor_history
@@ -95,6 +96,16 @@ class StreamCounters:
         return dict(self.__dict__)
 
 
+@dataclass(frozen=True)
+class _DroppedCell:
+    """The counters a cell leaves behind when it is dropped at the cap."""
+
+    retired: int
+    configurations: int
+    max_frontier: int
+    max_retirement_lag: int
+
+
 class StreamChecker:
     """Feed one trace's lines in order; read the live verdict anytime."""
 
@@ -129,7 +140,8 @@ class StreamChecker:
         self.exhausted = False
         self._decoder = TraceDecoder()
         self._cells: dict[Hashable, IncrementalChecker] = {}
-        self._dead_cells: set[Hashable] = set()  #: cells over the config cap
+        #: cells dropped at the configuration cap, and what they had counted.
+        self._dead_cells: dict[Hashable, _DroppedCell] = {}
         self._open_cell: dict[tuple[int, int], Hashable] = {}
 
     # -- verdicts ---------------------------------------------------------
@@ -172,19 +184,21 @@ class StreamChecker:
     def live_configs(self) -> int:
         return sum(c.live_configs for c in self._cells.values())
 
+    def _counted(self):
+        """Live checkers, then what the dropped ones left behind."""
+        return chain(self._cells.values(), self._dead_cells.values())
+
     def retired(self) -> int:
-        return sum(c.retired for c in self._cells.values())
+        return sum(c.retired for c in self._counted())
 
     def configurations(self) -> int:
-        return sum(c.configurations for c in self._cells.values())
+        return sum(c.configurations for c in self._counted())
 
     def max_frontier(self) -> int:
-        return max((c.max_frontier for c in self._cells.values()), default=0)
+        return max((c.max_frontier for c in self._counted()), default=0)
 
     def max_retirement_lag(self) -> int:
-        return max(
-            (c.max_retirement_lag for c in self._cells.values()), default=0
-        )
+        return max((c.max_retirement_lag for c in self._counted()), default=0)
 
     def stats(self) -> dict:
         """One JSON-able snapshot of everything observable."""
@@ -285,8 +299,15 @@ class StreamChecker:
         except MonitorLimitError:
             self.exhausted = True
             self.counters.exhausted_cells += 1
-            self._dead_cells.add(cell)
+            # The checker goes (its configurations are the memory at
+            # stake); what it counted stays in the totals.
             del self._cells[cell]
+            self._dead_cells[cell] = _DroppedCell(
+                checker.retired,
+                checker.configurations,
+                checker.max_frontier,
+                checker.max_retirement_lag,
+            )
             return True
         if not ok:
             self.failed = checker.failed

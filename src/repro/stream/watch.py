@@ -71,6 +71,8 @@ class WatchConfig:
     lag_budget: float | None = None  #: max seconds of sustained backlog
     idle_timeout: float | None = None  #: follow mode: give up after quiet
     poll_interval: float = 0.05
+    #: per return: the closure of one return (v1: the search of one
+    #: record) may explore this many configurations, never a lifetime total.
     max_configurations: int | None = 1_000_000
     monitor_engine: str = "auto"  #: v1 records: offline engine choice
     stats_out: str | None = None  #: JSONL stats path (None = no stats)

@@ -230,6 +230,45 @@ class TestPartitioning:
         assert sum(c.retired() for c in checkers) == 8
         assert all(c.counters.calls == 8 for c in checkers)
 
+    def test_exhausted_cell_keeps_its_counters(self, tmp_path):
+        """One hostile key trips the per-return cap: its cell is dropped,
+        what it had retired stays counted, the other cells go on, and the
+        dead cell's later events are still validated."""
+        hot = Invocation("TryAdd", ("hot",))
+        events = [
+            ("c", 0, 0, Invocation("TryAdd", ("calm",))),
+            ("r", 0, 0, ok(True)),
+            ("c", 0, 1, hot),
+            ("r", 0, 1, ok(True)),
+            ("c", 0, 2, Invocation("ContainsKey", ("hot",))),
+            ("r", 0, 2, ok(True)),
+        ]
+        # Four overlapping operations on one key: the first return's
+        # closure alone visits 2^3 = 8 configurations.
+        events += [("c", thread, 3, hot) for thread in range(4)]
+        events += [("r", thread, 3, ok(False)) for thread in range(4)]
+        events += [
+            ("c", 0, 4, Invocation("TryRemove", ("calm",))),
+            ("r", 0, 4, ok("calm")),
+            ("c", 1, 4, hot),  # the dead cell: routed nowhere, still decoded
+        ]
+        path = live_trace(tmp_path, events, model="dict", finalize=None)
+        checker = StreamChecker(
+            get_model("dict"), partition=True, max_configurations=5
+        )
+        assert feed_all(checker, path)
+        assert checker.verdict == "EXHAUSTED"
+        stats = checker.stats()
+        assert stats["exhausted_cells"] == 1 and stats["cells"] == 2
+        # calm: 2 retired; hot: 2 retired before the closure that tripped.
+        assert stats["retired"] == 4
+        assert stats["configurations"] == 2 + 2 + (5 + 1)
+        assert stats["max_frontier"] == 4
+        assert stats["max_retirement_lag"] == 1
+        assert stats["frontier"] == 0  # the dead cell no longer holds any
+        with pytest.raises(TraceError, match="while one is still open"):
+            checker.feed({"e": "c", "t": 1, "i": 5, "m": "TryAdd", "a": "('hot',)"})
+
     def test_stable_shard_is_deterministic(self):
         for cell in ("a", "b", 1, (1, "x")):
             assert stable_shard(cell, 4) == stable_shard(cell, 4)

@@ -83,6 +83,36 @@ class TestBoundedMemory:
                 checker.on_return(i, 0, ok(None))
 
 
+    def test_cap_is_per_return_not_per_lifetime(self):
+        """A healthy stream never exhausts: the cap bounds one return's
+        closure, and ``configurations`` stays the lifetime statistic."""
+        checker = IncrementalChecker(
+            get_model("register"), max_configurations=1000
+        )
+        for i in range(5000):
+            checker.on_call(0, i, Invocation("write", (i,)))
+            assert checker.on_return(0, i, ok(None))
+        assert checker.retired == 5000
+        assert checker.configurations == 5000  # well past the cap
+        assert checker.live_configs == 1
+
+    def test_cap_trips_at_the_return_whose_closure_exceeds_it(self):
+        checker = IncrementalChecker(get_model("queue"), max_configurations=20)
+        for i in range(50):
+            checker.on_call(0, i, Invocation("Enqueue", (i,)))
+            assert checker.on_return(0, i, ok(None))
+        before = checker.configurations
+        assert before == 50
+        # Five overlapping enqueues: the first return's closure visits
+        # every ordered subset of the other four, 65 configurations.
+        for thread in range(1, 6):
+            checker.on_call(thread, 0, Invocation("Enqueue", (100 + thread,)))
+        with pytest.raises(MonitorLimitError):
+            checker.on_return(1, 0, ok(None))
+        assert checker.configurations == before + 20 + 1
+        assert checker.retired == 50
+
+
 class TestIndeterminate:
     def test_indeterminate_may_take_effect_later(self):
         checker = IncrementalChecker(get_model("register"))
