@@ -54,6 +54,10 @@ __all__ = [
     "check_with_harness",
 ]
 
+#: Cap on the passing histories one phase 2 remembers (see ``_run_phase2``);
+#: the memo is cleared when full.
+_PASS_MEMO_LIMIT = 1 << 15
+
 #: Violation kinds.
 NONDETERMINISTIC = "nondeterministic-specification"
 NO_FULL_WITNESS = "non-linearizable-history"
@@ -78,7 +82,7 @@ class CheckConfig:
     preemption_bound: int | None = 2
     phase2_strategy: str = "dfs"  #: "dfs", "iterative", "random" or "pct"
     #: scheduler engine, one of ``repro.runtime.ENGINES`` (real threads
-    #: serialized by semaphore handoff, or zero-thread generator tasks;
+    #: serialized by lock handoff, or zero-thread generator tasks;
     #: same decision traces).  Only applies to schedulers the check
     #: creates, not to a caller-provided one.
     engine: str = DEFAULT_ENGINE
@@ -199,6 +203,10 @@ class CheckResult:
     phase2_executions: int = 0
     phase2_full: int = 0
     phase2_stuck: int = 0
+    #: phase-2 histories the decider actually ran on: an execution whose
+    #: history already passed in this run is counted above but not judged
+    #: again (equals ``phase2_executions`` when no history repeats).
+    phase2_judged: int = 0
     phase2_seconds: float = 0.0
     #: subset of ``phase2_stuck`` that the watchdog cut off (divergent).
     phase2_divergent: int = 0
@@ -423,6 +431,7 @@ def check_with_harness(
         result.phase2_executions = int(resume.phase2.get("executions", 0))
         result.phase2_full = int(resume.phase2.get("full", 0))
         result.phase2_stuck = int(resume.phase2.get("stuck", 0))
+        result.phase2_judged = int(resume.phase2.get("judged", 0))
         result.phase2_divergent = int(resume.phase2.get("divergent", 0))
         result.phase2_seconds = float(resume.phase2.get("seconds", 0.0))
         restored = FingerprintSet.from_snapshot(
@@ -547,6 +556,7 @@ def _run_phase2(
                 "executions": result.phase2_executions,
                 "full": result.phase2_full,
                 "stuck": result.phase2_stuck,
+                "judged": result.phase2_judged,
                 "divergent": result.phase2_divergent,
                 "seconds": seconds_base + time.perf_counter() - t1,
                 "fingerprints": fingerprints.snapshot(),
@@ -558,6 +568,12 @@ def _run_phase2(
             ),
         )
 
+    # Definitions 1-3 make the verdict a function of the history and of an
+    # observation set (or model) that is fixed for this call, so a history
+    # that passed once is not judged again.  Only PASS is remembered: every
+    # failing execution builds its own Violation (its history, its
+    # decisions).  Local to this call and never checkpointed.
+    passed: set[tuple] = set()
     halted: str | None = None
     try:
         for history, outcome in harness.explore_concurrent(
@@ -573,15 +589,24 @@ def _run_phase2(
                     result.phase2_divergent += 1
             else:
                 result.phase2_full += 1
-            if monitor_model is not None:
-                violation = _monitor_violation(
-                    history, monitor_model, cfg, test, outcome
-                )
+            key = history.key
+            if key is not None and key in passed:
+                violation = None
             else:
-                assert observations is not None
-                violation = _observation_violation(
-                    history, observations, test, outcome
-                )
+                result.phase2_judged += 1
+                if monitor_model is not None:
+                    violation = _monitor_violation(
+                        history, monitor_model, cfg, test, outcome
+                    )
+                else:
+                    assert observations is not None
+                    violation = _observation_violation(
+                        history, observations, test, outcome
+                    )
+                if violation is None and key is not None:
+                    if len(passed) >= _PASS_MEMO_LIMIT:
+                        passed.clear()
+                    passed.add(key)
             if trace_writer is not None:
                 trace_writer.write(
                     history, verdict="FAIL" if violation is not None else None

@@ -23,7 +23,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Event", "Invocation", "Operation", "Response"]
+__all__ = ["Event", "Invocation", "Operation", "Response", "typed"]
+
+#: Payload types whose ``repr`` is a function of exact type and value
+#: (floats are not: ``0.0 == -0.0``).
+_PLAIN_TYPES = frozenset({int, bool, str, type(None)})
+
+
+def typed(value: Any) -> Any:
+    """*value* tagged with its exact type, tuples element-wise.
+
+    The key under which an argument or result value may stand for every
+    value that prints like it: ``1 == True == 1.0`` and they hash alike,
+    but they ``repr`` differently, so a memo or an intern table keyed by
+    the bare value would hand one of them the other's text.  Raises
+    :class:`TypeError` for anything but plain values and tuples of them;
+    such a value is never shared.
+    """
+    kind = value.__class__
+    if kind in _PLAIN_TYPES:
+        return kind, value
+    if kind is tuple:
+        return tuple(map(typed, value))
+    raise TypeError(kind)
 
 
 def _fmt_value(value: Any) -> str:

@@ -20,10 +20,11 @@ Layout of one execution:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Callable, Iterator
 
 from repro.core.budget import ExplorationControl
-from repro.core.events import Event, Invocation, Response
+from repro.core.events import Event, Invocation, Response, typed
 from repro.core.history import History
 from repro.core.spec import ObservationSet
 from repro.core.testcase import FiniteTest
@@ -61,6 +62,75 @@ class OpMark:
     thread: int
     op_index: int
     kind: str  #: "begin" or "end"
+
+
+class _EventTable:
+    """The events of one test, each built once.
+
+    A test fixes its call events and operation marks before it starts, and
+    its executions return the same few values again and again; every
+    execution of both phases records the objects held here instead of
+    allocating equal ones.  ``slots`` maps ``(thread, op_index)`` to the
+    operation's call event and its begin / end marks.  ``returns`` interns
+    return events under the :func:`~repro.core.events.typed` key —
+    ``Response('ok', 1)`` and ``Response('ok', True)`` are equal, print
+    differently and stay two events; a response whose value is not plain
+    (or not hashable) is recorded as a fresh event and not interned.
+
+    Every event held gets a small integer *code*, looked up by the event's
+    ``id()`` — sound because the table keeps the event alive, so no other
+    live object can carry that id.  Codes are drawn from the harness's
+    counter and so never repeat across the tables of one harness.
+    """
+
+    __slots__ = ("test", "slots", "returns", "codes", "_fresh_code")
+
+    def __init__(self, test: FiniteTest, fresh_code: Iterator[int]) -> None:
+        self.test = test
+        self.slots: dict[tuple[int, int], tuple[Event, OpMark, OpMark]] = {}
+        self.returns: dict[tuple, Event] = {}
+        self.codes: dict[int, int] = {}
+        self._fresh_code = fresh_code
+
+    def slot(
+        self, thread: int, index: int, invocation: Invocation
+    ) -> tuple[Event, OpMark, OpMark]:
+        """The call event and begin / end marks of operation *index* of
+        *thread*, built when the operation first runs."""
+        entry = self.slots.get((thread, index))
+        if entry is None:
+            call = Event.call(thread, index, invocation)
+            self.codes[id(call)] = next(self._fresh_code)
+            entry = self.slots[thread, index] = (
+                call,
+                OpMark(thread, index, "begin"),
+                OpMark(thread, index, "end"),
+            )
+        return entry
+
+    def returned(self, thread: int, index: int, response: Response) -> Event:
+        """The return event of operation *index* of *thread* for *response*."""
+        try:
+            key = (thread, index, response.kind, typed(response.value))
+            event = self.returns.get(key)
+        except TypeError:
+            key = event = None
+        if event is None:
+            event = Event.ret(thread, index, response)
+            if key is not None:
+                self.returns[key] = event
+                self.codes[id(event)] = next(self._fresh_code)
+        return event
+
+    def history_key(self, history: History) -> tuple | None:
+        """What a verdict on *history* may be remembered under: equal for
+        two executions exactly when they recorded the same table events in
+        the same order and ended alike.  None when some event is not in
+        the table — its ``id()`` says nothing once the execution is gone."""
+        codes = tuple(map(self.codes.get, map(id, history.events)))
+        if None in codes:
+            return None
+        return (history.stuck, history.divergent, *codes)
 
 
 @dataclass(frozen=True)
@@ -122,6 +192,10 @@ class TestHarness:
         # the serial driver runs each operation as a plain call.
         self._serial = SerialDriver(self.scheduler.max_steps, self.scheduler.watchdog)
         self._serial_runtime = Runtime(self._serial)
+        # The event table of the test being run (one at a time: a campaign
+        # reuses the harness, and the next test drops this one's table).
+        self._fresh_code = count()
+        self._table: _EventTable | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -158,23 +232,33 @@ class TestHarness:
 
         return steps
 
+    def _events(self, test: FiniteTest) -> _EventTable:
+        """The event table of *test* — by identity: equal tests may print
+        differently (``Put(1)`` / ``Put(True)``)."""
+        table = self._table
+        if table is None or table.test is not test:
+            table = self._table = _EventTable(test, self._fresh_code)
+        return table
+
     def _bodies(self, test: FiniteTest) -> list[Callable[[], None]]:
         """Fresh bodies (and a fresh subject instance) for one execution."""
         sched = self.scheduler
         obj = self.subject.factory(self.runtime)
         steps = self._thread_steps(test)
+        table = self._events(test)
 
         def make_body(thread: int) -> Callable[[], None]:
             def body() -> None:
                 index = 0
                 for step in steps(thread):
                     if isinstance(step, Invocation):
+                        call, begin, end = table.slot(thread, index, step)
                         sched.schedule_point(boundary=True)
-                        sched.record_event(Event.call(thread, index, step))
-                        sched.record_access(OpMark(thread, index, "begin"))
+                        sched.record_event(call)
+                        sched.record_access(begin)
                         response = self._dispatch(obj, step)
-                        sched.record_access(OpMark(thread, index, "end"))
-                        sched.record_event(Event.ret(thread, index, response))
+                        sched.record_access(end)
+                        sched.record_event(table.returned(thread, index, response))
                         index += 1
                     else:
                         sched.block_until(step, harness=True)
@@ -191,16 +275,18 @@ class TestHarness:
         dispatch = self._dispatch
         obj = self.subject.factory(self._serial_runtime)
         steps = self._thread_steps(test)
+        table = self._events(test)
 
         def make_program(thread: int) -> Callable[[], Iterator[tuple]]:
             def program() -> Iterator[tuple]:
                 index = 0
                 for step in steps(thread):
                     if isinstance(step, Invocation):
+                        call, _, _ = table.slot(thread, index, step)
                         yield (E_SCHED, True)
-                        record(Event.call(thread, index, step))
+                        record(call)
                         response = dispatch(obj, step)
-                        record(Event.ret(thread, index, response))
+                        record(table.returned(thread, index, response))
                         index += 1
                     else:
                         yield (E_BLOCK, step, True)
@@ -363,4 +449,6 @@ class TestHarness:
             serial=False,
             max_executions=max_executions,
         ):
-            yield self.history_from_outcome(outcome, test), outcome
+            history = self.history_from_outcome(outcome, test)
+            history.key = self._events(test).history_key(history)
+            yield history, outcome

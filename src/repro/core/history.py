@@ -69,6 +69,14 @@ class History:
         # responded), so ``divergent`` is annotation only — deliberately
         # excluded from __eq__/__hash__.
         self.divergent = divergent
+        # Set by a producer that records canonical event objects (the
+        # harness's per-test event table, in phase 2): a hashable token
+        # that two histories of one exploration share exactly when their
+        # events, ``stuck`` and ``divergent`` agree — with values compared
+        # by exact type, so finer than ``==``.  None means "no token":
+        # such a history is only ever compared by value.  Like
+        # ``divergent`` it is annotation, excluded from __eq__/__hash__.
+        self.key: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.events)

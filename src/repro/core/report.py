@@ -195,6 +195,7 @@ def check_result_to_dict(result: CheckResult) -> dict:
             "executions": result.phase2_executions,
             "full": result.phase2_full,
             "stuck": result.phase2_stuck,
+            "judged": result.phase2_judged,
             "divergent": result.phase2_divergent,
             "seconds": result.phase2_seconds,
             "complete": result.phase2_complete,

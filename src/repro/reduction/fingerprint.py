@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable
 
+from repro.core.events import typed
 from repro.reduction.dependence import dependence_index
 from repro.runtime.scheduler import ExecutionOutcome
 
@@ -65,42 +66,37 @@ def _digest(parts: list[str]) -> str:
     return hashlib.sha256(data.encode("utf-8", "backslashreplace")).hexdigest()[:32]
 
 
-#: Payload types whose ``repr`` is a function of exact type and value
-#: (floats are not: ``0.0 == -0.0``).
-_PLAIN_TYPES = frozenset({int, bool, str, type(None)})
-
-#: ``repr`` of the harness events digested so far, see :func:`_event_repr`.
+#: ``repr`` of the harness events digested so far, see :func:`_event_repr`:
+#: by typed value, and in front of that by identity.
 _EVENT_REPRS: dict[tuple, str] = {}
+_EVENT_TEXTS: dict[int, tuple[Any, str]] = {}
 _EVENT_REPRS_LIMIT = 4096
-
-
-def _typed(value: Any) -> Any:
-    """*value* tagged with its exact type, tuples element-wise."""
-    kind = value.__class__
-    if kind in _PLAIN_TYPES:
-        return kind, value
-    if kind is tuple:
-        return tuple(map(_typed, value))
-    raise TypeError(kind)
 
 
 def _event_repr(event: Any) -> str:
     """``repr(event)``, memoised for harness events with plain payloads.
 
     Events are frozen, hashable dataclasses and a test has a few dozen
-    distinct ones, each recorded again by every execution.  The event
-    alone is not a safe key: ``Response('ok', 1) == Response('ok', True)``
-    and they hash alike but ``repr`` differently, so the argument and
-    result values enter the key tagged with their exact types.  Anything
-    else — another payload class, an unhashable or non-plain value — is
-    ``repr``-ed directly.
+    distinct ones, each recorded again by every execution.  The harness
+    records the same *object* every time (its per-test event table), so
+    the first memo is keyed by ``id()`` and a hit is checked against the
+    event the entry holds.  Behind it sits the memo by value, for equal
+    events that are not one object.
+    There the event alone is not a safe key: ``Response('ok', 1) ==
+    Response('ok', True)`` and they hash alike but ``repr`` differently,
+    so the argument and result values enter the key :func:`typed`.
+    Anything else — another payload class, an unhashable or non-plain
+    value — is ``repr``-ed directly and enters neither memo.
     """
+    known = _EVENT_TEXTS.get(id(event))
+    if known is not None and known[0] is event:
+        return known[1]
     try:
         invocation, response = event.invocation, event.response
         key = (
             event,
-            None if invocation is None else _typed(invocation.args),
-            None if response is None else _typed(response.value),
+            None if invocation is None else typed(invocation.args),
+            None if response is None else typed(response.value),
         )
         text = _EVENT_REPRS.get(key)
     except (AttributeError, TypeError):
@@ -109,6 +105,9 @@ def _event_repr(event: Any) -> str:
         if len(_EVENT_REPRS) >= _EVENT_REPRS_LIMIT:
             _EVENT_REPRS.clear()
         text = _EVENT_REPRS[key] = repr(event)
+    if len(_EVENT_TEXTS) >= _EVENT_REPRS_LIMIT:
+        _EVENT_TEXTS.clear()
+    _EVENT_TEXTS[id(event)] = (event, text)
     return text
 
 

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`Scheduler` — serializes logical threads and enumerates their
   interleavings at the granularity of instrumented operations (the
-  ``baton`` engine: real OS threads handed a semaphore baton).
+  ``baton`` engine: real OS threads handed a lock baton).
 * :class:`CoopScheduler` — the same exploration with zero OS threads in
   the common path (the ``coop`` engine: generator tasks resumed with
   ``send()``); :func:`make_scheduler` selects between the two by name.

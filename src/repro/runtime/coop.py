@@ -6,7 +6,7 @@ threads in the common path.  Each logical thread is a *generator* produced
 by the coop compiler (:mod:`repro.runtime.coopc`); instrumented operations
 yield small *effect tuples*, the engine hands each one to the core and
 resumes whichever task the core answers with ``send()``.  A schedule step
-is therefore one generator resumption instead of two semaphore handoffs
+is therefore one generator resumption instead of two lock handoffs
 between OS threads, which is where the engine's throughput advantage comes
 from (see ``docs/PERFORMANCE.md``).
 

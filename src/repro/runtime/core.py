@@ -33,7 +33,7 @@ Two scheduling modes correspond to the two phases of the Line-Up check:
 
 :class:`SchedulerCore` decides *who may run*; an engine subclass supplies
 only *how it is made to run* (:mod:`repro.runtime.scheduler`: pooled OS
-threads passing a semaphore baton; :mod:`repro.runtime.coop`: generators
+threads passing a lock baton; :mod:`repro.runtime.coop`: generators
 resumed with ``send()``).  An engine reports what the running body did —
 :meth:`~SchedulerCore.step` for an effect, :meth:`~SchedulerCore.resume`
 when a parked thread regains control, :meth:`~SchedulerCore.thread_done`

@@ -5,11 +5,11 @@ execution is stuck — live in :mod:`repro.runtime.core`.  This module is one
 of the two mechanisms that make the chosen thread run:
 
 * Logical threads are real ``threading.Thread`` workers, but they are
-  *serialized*: a baton (one semaphore per worker) guarantees that exactly
-  one logical thread executes at any instant.  The GIL is therefore
-  irrelevant — interleaving is fully controlled by the core, at the
-  granularity of the instrumented operations, exactly as CHESS controls
-  interleaving at the granularity of synchronization events.
+  *serialized*: a baton (one lock per worker, held while it is parked)
+  guarantees that exactly one logical thread executes at any instant.
+  The GIL is therefore irrelevant — interleaving is fully controlled by
+  the core, at the granularity of the instrumented operations, exactly as
+  CHESS controls interleaving at the granularity of synchronization events.
 * An instrumented primitive reports its effect to the core from the
   worker's own OS thread; while the core answers "another thread", the
   worker releases that thread's baton and parks on its own.
@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+_FOREIGN_CALLER = "not running on a scheduler-controlled thread"
+
+
 class _Worker(LogicalThread):
     """A pooled OS thread hosting one logical thread per execution."""
 
@@ -61,7 +64,14 @@ class _Worker(LogicalThread):
         super().__init__()
         self.scheduler = scheduler
         self.slot = slot
-        self.baton = threading.Semaphore(0)
+        # The baton is a raw lock, held while the worker is parked (or
+        # at rest between executions) and released to wake it.  It is
+        # binary by protocol: a baton is released only to a worker that is
+        # parked on it or about to park, and that worker takes it back
+        # before anyone releases it again.  A second release in a row
+        # would raise RuntimeError rather than bank a wake-up.
+        self.baton = threading.Lock()
+        self.baton.acquire()
         # Teardown handshake: set when this worker has observed an abort
         # and parked itself again.  Per-worker (not a shared semaphore) so
         # the controller can tell exactly which worker failed to
@@ -161,14 +171,26 @@ class Scheduler(SchedulerCore):
     # ------------------------------------------------------------------
 
     def current_thread(self) -> int:
-        """Logical thread id of the caller (0-based)."""
-        return self._worker().tid
+        """Logical thread id of the caller (0-based).
+
+        Unlike the core's answer (whoever holds control), this is the
+        *caller's* own id — a parked worker unwinding through cleanup code
+        still records its accesses under it — and a caller that is no
+        worker of this scheduler is an error.  Asked by every access
+        record, hence the thread-local read in place.
+        """
+        try:
+            return self._local.worker.tid
+        except AttributeError:
+            raise SchedulerError(_FOREIGN_CALLER) from None
 
     def _worker(self) -> _Worker:
-        worker = getattr(self._local, "worker", None)
-        if worker is None or worker.scheduler is not self:
-            raise SchedulerError("not running on a scheduler-controlled thread")
-        return worker
+        # ``_local`` is this scheduler's own: only ``_wrap_body`` fills it,
+        # with a worker of this pool, on that worker's OS thread.
+        try:
+            return self._local.worker
+        except AttributeError:
+            raise SchedulerError(_FOREIGN_CALLER) from None
 
     def _perform(self, effect: tuple) -> _Worker:
         """Report the calling worker's *effect*; return once it runs again.

@@ -129,7 +129,12 @@ class DFSStrategy(SchedulingStrategy):
                 )
             return node.chosen
         chosen = self._default_choice(kind, options, running)
-        preemptions = self._preemptions_at(len(self._stack))
+        # A node's count is its parent's plus the parent's current choice:
+        # no ancestor's ``chosen`` changes while a deeper node exists.
+        preemptions = 0
+        if self._stack:
+            parent = self._stack[-1]
+            preemptions = parent.preemptions + parent.is_preemption(parent.chosen)
         node = self._make_node(kind, options, running, free, chosen, preemptions)
         # The default choice never adds a preemption (it continues the
         # running thread whenever that thread is still an option).
@@ -164,13 +169,6 @@ class DFSStrategy(SchedulingStrategy):
         if kind == "thread" and running is not None and running in options:
             return running
         return options[0]
-
-    def _preemptions_at(self, depth: int) -> int:
-        count = 0
-        for node in self._stack[:depth]:
-            if node.is_preemption(node.chosen):
-                count += 1
-        return count
 
     def _budget_left(self, node: _Node) -> int | None:
         if self.preemption_bound is None:

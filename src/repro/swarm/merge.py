@@ -93,6 +93,7 @@ def merge_lineage_states(states: Iterable[dict]) -> dict:
         "executions": 0,
         "full": 0,
         "stuck": 0,
+        "judged": 0,
         "divergent": 0,
         "pruned": 0,
         "seconds": 0.0,

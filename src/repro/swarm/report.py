@@ -50,6 +50,9 @@ class SwarmResult:
     phase2_executions: int = 0
     phase2_full: int = 0
     phase2_stuck: int = 0
+    #: histories the decider ran on, summed over leases (each lease
+    #: starts with an empty PASS memo, see ``CheckResult.phase2_judged``).
+    phase2_judged: int = 0
     phase2_divergent: int = 0
     schedules_explored: int = 0
     schedules_pruned: int = 0
@@ -159,6 +162,7 @@ def swarm_result_to_dict(result: SwarmResult) -> dict:
             "executions": result.phase2_executions,
             "full": result.phase2_full,
             "stuck": result.phase2_stuck,
+            "judged": result.phase2_judged,
             "divergent": result.phase2_divergent,
             "complete": result.phase2_complete,
             "exhausted_reason": result.exhausted_reason,

@@ -156,6 +156,7 @@ class _Lineage:
             "executions": 0,
             "full": 0,
             "stuck": 0,
+            "judged": 0,
             "divergent": 0,
             "pruned": 0,
             "seconds": 0.0,
@@ -166,7 +167,9 @@ class _Lineage:
             summary = self.outcomes[index].summary
             if not summary or summary.get("kind") != "shard":
                 continue
-            for key in ("executions", "full", "stuck", "divergent", "pruned"):
+            for key in (
+                "executions", "full", "stuck", "judged", "divergent", "pruned"
+            ):
                 agg[key] += int(summary.get(key) or 0)
             agg["seconds"] += float(summary.get("seconds") or 0.0)
             digests.update(summary.get("fingerprints") or ())
@@ -209,6 +212,7 @@ class _Lineage:
                 "executions",
                 "full",
                 "stuck",
+                "judged",
                 "divergent",
                 "pruned",
                 "seconds",
@@ -734,6 +738,7 @@ def swarm_check(
     result.phase2_executions = totals["executions"]
     result.phase2_full = totals["full"]
     result.phase2_stuck = totals["stuck"]
+    result.phase2_judged = totals["judged"]
     result.phase2_divergent = totals["divergent"]
     result.schedules_explored = totals["executions"]
     result.schedules_pruned = totals["pruned"]

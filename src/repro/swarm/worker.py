@@ -114,6 +114,7 @@ def run_shard_task(spec: dict) -> dict:
         "executions": result.phase2_executions,
         "full": result.phase2_full,
         "stuck": result.phase2_stuck,
+        "judged": result.phase2_judged,
         "divergent": result.phase2_divergent,
         "seconds": time.perf_counter() - started,
         "pruned": max(0, result.schedules_pruned - base_pruned),

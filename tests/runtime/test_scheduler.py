@@ -57,6 +57,37 @@ class TestBasicExecution:
         with pytest.raises(SchedulerError):
             scheduler.current_thread()
 
+    def test_access_from_a_foreign_os_thread_mid_execution_raises(self):
+        """Baton only: its logical threads are OS threads, so an access
+        from any other OS thread is misuse even while a worker runs (the
+        helper thread here is not serialized with anything)."""
+        sched = Scheduler()
+        caught = []
+
+        def body():
+            cell = Runtime(sched).plain(7)
+
+            def foreign():
+                try:
+                    cell.get()
+                except SchedulerError as exc:
+                    caught.append(exc)
+
+            helper = threading.Thread(target=foreign)
+            helper.start()
+            helper.join(timeout=10)
+            assert not helper.is_alive()
+            assert cell.get() == 7  # the worker itself may
+
+        try:
+            outcome = sched.execute([body], DFSStrategy())
+        finally:
+            sched.shutdown()
+        assert not outcome.crashes
+        assert [a.kind for a in outcome.accesses] == ["read"]
+        assert len(caught) == 1
+        assert "not running on a scheduler-controlled thread" in str(caught[0])
+
     def test_outcome_steps_counted(self, scheduler, runtime):
         def factory():
             cell = runtime.volatile(0)
