@@ -15,6 +15,13 @@ snapshot is the artifact).
 ``--kill-worker`` additionally SIGKILLs one busy worker mid-run and
 asserts the answer still does not move: the CI sharded smoke job runs
 ``--quick --kill-worker`` with ``--shards 4 --workers 2``.
+
+The ``pool_start`` section is the pool's start-up cost under each start
+method — seconds from ``WorkerPool(`` to the first result of a trivial
+task, ``fork`` and ``spawn`` alternating in this one process, medians of
+three — with the assertion that a forked worker is up in at most half
+the time of a spawned one (the ratio reads ≈ 0.15–0.2: the gate is a ratio
+of two measurements made side by side, not a wall-clock bound).
 """
 
 from __future__ import annotations
@@ -22,15 +29,17 @@ from __future__ import annotations
 import argparse
 import os
 import signal
+import statistics
 import sys
 import threading
 import time
 
 from repro.core import FiniteTest, Invocation
 from repro.core.checker import CheckConfig, check
+from repro.core.checkpoint import config_to_dict, test_to_dict
 from repro.core.harness import SystemUnderTest
 from repro.exec.faults import get_class
-from repro.exec.supervisor import PoolConfig
+from repro.exec.supervisor import PoolConfig, TaskSpec, WorkerPool
 from repro.swarm import SwarmConfig, swarm_check
 
 PROVIDER = "repro.exec.faults"
@@ -47,6 +56,42 @@ WORKLOADS = {
     "quick": ("beta", FiniteTest.of([[inv("Put", 1), inv("Take")], [inv("TryTake")]])),
     "full": ("pre", FiniteTest.of([[inv("Put", 1)], [inv("Take")], [inv("Put", 2)]])),
 }
+
+
+def pool_start(rounds=3):
+    """Start-up cost of the pool per start method; None without ``fork``."""
+    if not hasattr(os, "fork"):
+        return None
+    task = TaskSpec(
+        0, "GoodRegister", "pre",
+        test_to_dict(FiniteTest.of([[inv("Get")]])),
+        config_to_dict(
+            CheckConfig(phase2_strategy="random", phase2_executions=10, seed=1)
+        ),
+        PROVIDER,
+    )
+    seconds = {"fork": [], "spawn": []}
+    for _ in range(rounds):
+        for method, samples in seconds.items():
+            t0 = time.perf_counter()
+            with WorkerPool(PoolConfig(workers=1, start_method=method)) as pool:
+                (outcome,), _ = pool.run([task])
+                samples.append(time.perf_counter() - t0)
+                (worker,) = pool._workers
+            assert outcome.verdict == "PASS", outcome
+            # A pool asked to fork spawns when its caller has threads.
+            assert worker.start_method == method, (worker.start_method, method)
+    fork, spawn = (statistics.median(seconds[m]) for m in ("fork", "spawn"))
+    assert fork <= 0.5 * spawn, (
+        f"a forked worker took {fork:.3f}s to its first result, "
+        f"a spawned one {spawn:.3f}s"
+    )
+    return {
+        "rounds": rounds,
+        "fork_seconds": fork,
+        "spawn_seconds": spawn,
+        "fork_over_spawn": fork / spawn,
+    }
 
 
 def single_process(version, test, config):
@@ -155,13 +200,18 @@ def print_table(baseline, rows):
         )
 
 
-def write_snapshot(path, mode, baseline, rows):
+def write_snapshot(path, mode, baseline, rows, start):
     import benchlib
 
     benchlib.write_snapshot(
         path,
         "swarm",
-        {"mode": mode, "single_process": baseline, "sharded": rows},
+        {
+            "mode": mode,
+            "single_process": baseline,
+            "sharded": rows,
+            "pool_start": start,
+        },
     )
 
 
@@ -180,10 +230,19 @@ def main(argv=None) -> int:
 
     mode = "quick" if args.quick else "full"
     shard_counts = args.shards if args.shards else [2, 4]
+    # First: --kill-worker's stalker is a thread, and a threaded caller's
+    # pool does not fork.
+    start = pool_start()
     baseline, rows = run(mode, shard_counts, args.workers, args.lease,
                          args.kill_worker)
     print_table(baseline, rows)
-    write_snapshot(args.out, mode, baseline, rows)
+    if start:
+        print(
+            f"\npool start to first result: fork {start['fork_seconds']:.3f}s, "
+            f"spawn {start['spawn_seconds']:.3f}s "
+            f"({start['fork_over_spawn']:.2f}x)"
+        )
+    write_snapshot(args.out, mode, baseline, rows, start)
     suffix = " with one worker SIGKILLed mid-run" if args.kill_worker else ""
     print(f"\nsmoke PASS: sharded == single-process exactly{suffix}")
     return 0

@@ -328,8 +328,9 @@ def _add_worker_options(parser: argparse.ArgumentParser) -> None:
         help="crash retries before a test is quarantined (default: 2)",
     )
     parser.add_argument(
-        "--start-method", choices=("spawn", "forkserver"), default="spawn",
-        help="multiprocessing start method for workers (default: spawn)",
+        "--start-method", choices=("fork", "spawn"),
+        help="how workers are started (default: fork where the platform "
+             "has it, else spawn)",
     )
     parser.add_argument(
         "--report-dir", metavar="DIR",
@@ -721,9 +722,14 @@ def _pool_config(params: dict):
     from repro.exec import PoolConfig, ResourceLimits
 
     max_retries = params.get("max_retries")
+    start_method = params.get("start_method")
+    if start_method not in ("fork", "spawn"):
+        # The flag was not given — or an old checkpoint names a method
+        # since retired, and resumes on the pool's default.
+        start_method = PoolConfig().start_method
     return PoolConfig(
         workers=int(params.get("workers") or 2),
-        start_method=params.get("start_method") or "spawn",
+        start_method=start_method,
         limits=ResourceLimits(mem_limit_mb=params.get("mem_limit_mb")),
         max_retries=2 if max_retries is None else int(max_retries),
         report_dir=params.get("report_dir"),

@@ -13,9 +13,10 @@ Message types
 
 worker → supervisor:
 
-* ``{"type": "ready", "pid": ..., "rlimits": {...}}`` — sent once after
-  the sandbox applied its resource limits; ``rlimits`` is the applied
-  limit snapshot (recorded in crash reports).
+* ``{"type": "ready", "pid": ..., "rlimits": {...}, "start_method":
+  "fork"|"spawn"}`` — sent once after the sandbox applied its resource
+  limits; ``rlimits`` is the applied limit snapshot and ``start_method``
+  how this worker was actually started (both recorded in crash reports).
 * ``{"type": "heartbeat", "seq": n, "task": id|null, "elapsed": s}`` —
   sent every ``heartbeat_interval`` seconds by a background thread.
   Heartbeat loss beyond the supervisor's timeout means the whole process

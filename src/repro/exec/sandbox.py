@@ -1,8 +1,9 @@
 """The worker side of process isolation: sandbox, heartbeats, check loop.
 
-A worker is a spawned child process whose entire job is to run two-phase
-checks it is handed over the pipe, inside a sandbox the subject cannot
-escape without killing the *worker* — which the supervisor survives:
+A worker is a child process (forked from the supervisor where ``fork``
+exists, else spawned) whose entire job is to run two-phase checks it is
+handed over the pipe, inside a sandbox the subject cannot escape without
+killing the *worker* — which the supervisor survives:
 
 * ``resource.setrlimit`` caps on address space (``RLIMIT_AS``, so an
   unboundedly-allocating subject gets ``MemoryError`` or dies alone) and
@@ -18,12 +19,17 @@ escape without killing the *worker* — which the supervisor survives:
 Subjects are resolved by *name* through a provider module (default: the
 paper's Table 1 registry) because factories are closures and cannot
 cross a spawn boundary; the provider must expose ``get_class(name)``.
+
+A forked worker starts with everything its supervisor had: the imported
+modules, which is the point, and what :func:`_drop_inherited` takes away.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+import signal
+import sys
 import threading
 import time
 import traceback
@@ -208,18 +214,85 @@ class _Heartbeat:
                 return  # supervisor is gone; the worker will notice too
 
 
+def open_descriptors() -> list[int]:
+    """The calling process's open descriptors above stdio.
+
+    The supervisor takes this snapshot just before it forks a worker: it
+    is exactly what the worker inherits and must not keep.  What
+    ``multiprocessing`` opens for the child during the fork itself (the
+    sentinel pipe ``Process.join`` waits on) is not in it, and stays.
+    """
+    try:
+        names = os.listdir("/dev/fd")
+    except OSError:  # pragma: no cover - no descriptor directory to read
+        return []
+    found = []
+    for fd in map(int, names):
+        if fd > 2:
+            try:
+                os.fstat(fd)
+            except OSError:
+                continue  # the listing's own descriptor, closed by now
+            found.append(fd)
+    return found
+
+
+def _drop_inherited(conn: Any, inherited_fds: list[int]) -> None:
+    """What a forked worker must not keep of its supervisor.
+
+    Under ``spawn`` none of this applies: the child is a fresh
+    interpreter, and the only descriptors it holds are its pipe end and
+    ``multiprocessing``'s own.
+
+    * Every descriptor the supervisor had open, bar this worker's pipe
+      end.  Among them are the supervisor's ends of *every* pipe made so
+      far, this worker's included; while a worker holds one, a pipe whose
+      supervisor was SIGKILLed never reads EOF and "supervisor died; exit
+      with it" in :func:`worker_main` stops being true.
+    * Python-level SIGINT / SIGTERM handlers.  The CLI installs its
+      graceful-stop handlers before the pool exists; a worker keeping
+      them would answer a terminal's Ctrl-C (sent to the whole process
+      group) by setting a flag nobody reads.  As across ``exec``, an
+      *ignored* signal stays ignored.
+    * ``sys.stdout`` / ``sys.stderr``.  The inherited objects may write
+      elsewhere than descriptors 1 and 2 (pytest capture, a host that
+      replaced them) — into a descriptor closed above.
+    """
+    for fd in inherited_fds:
+        if fd != conn.fileno():
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+    for signum, default in (
+        (signal.SIGINT, signal.default_int_handler),
+        (signal.SIGTERM, signal.SIG_DFL),
+    ):
+        if callable(signal.getsignal(signum)):
+            signal.signal(signum, default)
+    sys.stdout = open(1, "w", closefd=False)
+    sys.stderr = open(
+        2, "w", buffering=1, closefd=False, errors="backslashreplace"
+    )
+
+
 def worker_main(
     conn: Any,
     stderr_path: str,
     limits_data: dict,
     heartbeat_interval: float,
+    inherited_fds: list[int] | None = None,
 ) -> None:
     """Entry point of a sandboxed worker process.
 
     Protocol: apply limits → send ``ready`` → loop on ``task`` messages
     until ``shutdown`` (or the pipe dies, which means the supervisor is
-    gone and the worker must not outlive it).
+    gone and the worker must not outlive it).  *inherited_fds* is the
+    supervisor's :func:`open_descriptors` snapshot when this worker was
+    forked from it, and ``None`` when it was spawned.
     """
+    if inherited_fds is not None:
+        _drop_inherited(conn, inherited_fds)
     try:
         stderr_fd = os.open(
             stderr_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600
@@ -235,7 +308,13 @@ def worker_main(
     try:
         with lock:
             send_message(
-                conn, {"type": "ready", "pid": os.getpid(), "rlimits": snapshot}
+                conn,
+                {
+                    "type": "ready",
+                    "pid": os.getpid(),
+                    "rlimits": snapshot,
+                    "start_method": "spawn" if inherited_fds is None else "fork",
+                },
             )
         while True:
             try:

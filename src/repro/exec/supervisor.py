@@ -38,6 +38,7 @@ import os
 import random
 import signal as signal_module
 import tempfile
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -135,7 +136,11 @@ class PoolConfig:
     """Supervision knobs for one :class:`WorkerPool`."""
 
     workers: int = 2
-    start_method: str = "spawn"  #: "spawn" or "forkserver"
+    #: "fork" (workers start with the supervisor's imports) or "spawn" (a
+    #: fresh interpreter).  Not a tuning knob — a pool asked to fork falls
+    #: back to spawn by itself where forking would be unsafe or unfaithful,
+    #: see :class:`_Worker` — but the seam tests and CI force "spawn" through.
+    start_method: str = "fork" if hasattr(os, "fork") else "spawn"
     limits: ResourceLimits = field(default_factory=ResourceLimits)
     heartbeat_interval: float = 0.2
     heartbeat_timeout: float = 15.0
@@ -154,9 +159,9 @@ class PoolConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.start_method not in ("spawn", "forkserver"):
+        if self.start_method not in ("fork", "spawn"):
             raise ValueError(
-                f"start_method must be 'spawn' or 'forkserver', "
+                f"start_method must be 'fork' or 'spawn', "
                 f"not {self.start_method!r}"
             )
         if self.max_retries < 0:
@@ -218,14 +223,34 @@ def repro_command(spec: TaskSpec) -> str:
 
 
 class _Worker:
-    """One supervised child process (a single generation)."""
+    """One supervised child process (a single generation).
+
+    Forked where the platform has ``fork``, so the worker begins with
+    every module the supervisor imported — unless that would change what
+    the worker is, in which case it is spawned: a forked child gets only
+    the forking thread, so a lock some other thread of the caller held
+    at that moment stays held in it forever; and ``RLIMIT_AS`` caps the
+    whole address space, which in a forked child begins at its parent's
+    size, so only a fresh interpreter makes ``mem_limit_mb`` mean the
+    same whoever the caller is.  Hence the choice is made here, per
+    start, from what can be observed, and not by the user.
+
+    Raises ``OSError`` when the process cannot be started (``EAGAIN``
+    under ``RLIMIT_NPROC``, ``ENOMEM``); both pipe ends are closed first.
+    """
 
     _counter = 0
 
     def __init__(self, config: PoolConfig, report_dir: str) -> None:
         _Worker._counter += 1
         self.id = _Worker._counter
-        ctx = multiprocessing.get_context(config.start_method)
+        forking = (
+            config.start_method == "fork"
+            and hasattr(os, "fork")
+            and threading.active_count() == 1
+            and config.limits.mem_limit_mb is None
+        )
+        ctx = multiprocessing.get_context("fork" if forking else "spawn")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.stderr_path = os.path.join(report_dir, f"worker-{self.id}.stderr")
         self.process = ctx.Process(
@@ -235,16 +260,23 @@ class _Worker:
                 self.stderr_path,
                 config.limits.to_dict(),
                 config.heartbeat_interval,
+                sandbox.open_descriptors() if forking else None,
             ),
             name=f"lineup-worker-{self.id}",
             daemon=True,
         )
-        self.process.start()
-        child_conn.close()
+        try:
+            self.process.start()
+        except OSError:
+            self.conn.close()
+            raise
+        finally:
+            child_conn.close()
         self.spawned_at = time.monotonic()
         self.last_message = self.spawned_at
         self.last_heartbeat: dict | None = None
         self.ready = False
+        self.start_method: str | None = None  #: from ``ready``: what it used
         self.rlimits: dict = {}
         self.task: int | None = None
         self.task_started: float | None = None
@@ -441,7 +473,11 @@ class WorkerPool:
             return
         idle = [w for w in self._alive_workers() if w.ready and w.task is None]
         while len(self._alive_workers()) < min(self._worker_limit, len(runnable)):
-            self._workers.append(_Worker(self.config, self.report_dir))
+            try:
+                self._workers.append(_Worker(self.config, self.report_dir))
+            except OSError:
+                self._spawn_failed()
+                break  # the supervision loop's next round tries again
         for worker in idle:
             if not runnable:
                 break
@@ -498,6 +534,7 @@ class WorkerPool:
         kind = message.get("type")
         if kind == "ready":
             worker.ready = True
+            worker.start_method = message.get("start_method")
             worker.rlimits = message.get("rlimits", {})
             self._spawn_failures = 0
         elif kind == "heartbeat":
@@ -531,6 +568,7 @@ class WorkerPool:
                     "error": message.get("error", ""),
                     "worker": worker.id,
                     "rlimits": worker.rlimits,
+                    "start_method": worker.start_method,
                 },
             )
 
@@ -616,6 +654,27 @@ class WorkerPool:
                 return
             self._handle_message(worker, message, states, queue)
 
+    def _spawn_failed(self) -> None:
+        """A worker could not be started, or died before reporting ready.
+
+        That is an environment problem (no process slot or memory left,
+        import failure, broken interpreter), not a hostile subject;
+        respawning forever would spin. Tolerate a few — a subject killed
+        during sandbox setup looks the same — then degrade gracefully
+        onto the survivors, or give up if there are none.
+        """
+        self._spawn_failures += 1
+        if self._spawn_failures > 3:
+            survivors = [w for w in self._alive_workers() if w.ready]
+            if survivors and len(survivors) < self._worker_limit:
+                self._worker_limit = len(survivors)
+                self._spawn_failures = 0
+            else:
+                raise SupervisorError(
+                    "workers repeatedly failed to start or died before "
+                    f"initializing (see stderr files in {self.report_dir})"
+                )
+
     def _handle_worker_death(
         self,
         worker: _Worker,
@@ -626,24 +685,7 @@ class WorkerPool:
         worker.dead = True
         self._workers.remove(worker)
         if not worker.ready:
-            # Dying before ever reporting ready is an environment problem
-            # (import failure, broken interpreter), not a hostile subject;
-            # respawning forever would spin. Tolerate a few — a subject
-            # killed during sandbox setup looks the same — then degrade
-            # gracefully onto the survivors, or give up if there are none.
-            self._spawn_failures += 1
-            if self._spawn_failures > 3:
-                survivors = [
-                    w for w in self._alive_workers() if w.ready
-                ]
-                if survivors and len(survivors) < self._worker_limit:
-                    self._worker_limit = len(survivors)
-                    self._spawn_failures = 0
-                else:
-                    raise SupervisorError(
-                        "workers repeatedly died before initializing "
-                        f"(see stderr files in {self.report_dir})"
-                    )
+            self._spawn_failed()
         # Reap before reading the exit code, else a just-died child still
         # reports exitcode None.
         worker.process.join(timeout=1.0)
@@ -654,6 +696,7 @@ class WorkerPool:
             "last_heartbeat": worker.last_heartbeat,
             "stderr_tail": worker.stderr_tail(),
             "rlimits": worker.rlimits,
+            "start_method": worker.start_method,
         }
         worker.close(graceful=False)
         if worker.task is not None and worker.task in states:

@@ -29,6 +29,22 @@ def runtime(scheduler: Scheduler) -> Runtime:
     return Runtime(scheduler)
 
 
+@pytest.fixture()
+def single_threaded(scheduler: Scheduler) -> None:
+    """Leave the test process with one thread, as the CLI has.
+
+    A ``WorkerPool`` forks its workers only from a single-threaded caller
+    and spawns them otherwise, and the session scheduler keeps its pooled
+    threads parked between tests: in a full run the isolation suites
+    would quietly exercise ``spawn`` where on their own they exercise
+    ``fork``.  So shut the scheduler down; it grows its threads again on
+    next use.  Threads a watchdog test abandoned are not waited for: while
+    one lives (a spinner lives for good) pools spawn, which is the guard
+    working.  Whoever *needs* the fork checks ``threading.active_count()``.
+    """
+    scheduler.shutdown()
+
+
 def run_sequential(
     scheduler: Scheduler,
     factory: Callable[[Runtime], Any],

@@ -1,9 +1,9 @@
 """Fixtures for the process-isolation suite.
 
 The start method is taken from ``LINEUP_TEST_START_METHOD`` so CI can run
-the same tests under both ``spawn`` and ``forkserver`` (see the isolation
-job in ``.github/workflows/ci.yml``); locally it defaults to ``spawn``,
-the method the pool defaults to.
+the same tests under both ``fork`` and ``spawn`` (see the isolation
+job in ``.github/workflows/ci.yml``); locally it defaults to the method
+the pool defaults to (``fork`` where the platform has it).
 """
 
 from __future__ import annotations
@@ -28,12 +28,18 @@ FAST_CONFIG = config_to_dict(
 
 @pytest.fixture(scope="session")
 def start_method() -> str:
-    return os.environ.get("LINEUP_TEST_START_METHOD", "spawn")
+    return os.environ.get(
+        "LINEUP_TEST_START_METHOD", PoolConfig().start_method
+    )
 
 
 @pytest.fixture
-def pool_config(start_method, tmp_path):
-    """Factory for fast-supervision pool configs writing into tmp_path."""
+def pool_config(start_method, tmp_path, single_threaded):
+    """Factory for fast-supervision pool configs writing into tmp_path.
+
+    ``single_threaded``: a pool asked to fork does so only from a caller
+    without other threads.
+    """
 
     def make(**overrides) -> PoolConfig:
         settings = {

@@ -125,7 +125,7 @@ class TestPoolApi:
         with pytest.raises(ValueError, match="workers"):
             PoolConfig(workers=0)
         with pytest.raises(ValueError, match="start_method"):
-            PoolConfig(start_method="fork")
+            PoolConfig(start_method="forkserver")
         with pytest.raises(ValueError, match="max_retries"):
             PoolConfig(max_retries=-1)
 

@@ -18,9 +18,11 @@ from repro.generate import GenerateConfig, run_generation_campaign
 from repro.structures import get_class
 
 
-@pytest.fixture(scope="session")
-def start_method() -> str:
-    return os.environ.get("LINEUP_TEST_START_METHOD", "spawn")
+@pytest.fixture
+def start_method(single_threaded) -> str:
+    return os.environ.get(
+        "LINEUP_TEST_START_METHOD", PoolConfig().start_method
+    )
 
 
 class TestIsolatedGeneration:

@@ -5,8 +5,10 @@ history)`` — identical across processes, multiprocessing start methods,
 and resume — because resume correctness and failure reproduction both
 assume the stream replays exactly.  The cross-process tests therefore
 recompute the same stream inside ``spawn`` and ``forkserver`` children
-(fresh interpreters with their own ``PYTHONHASHSEED``) and require it to
-match the in-process one bit for bit.
+(fresh interpreters with their own ``PYTHONHASHSEED``) and in a ``fork``
+child (the pool's default: CPython re-seeds ``random`` there, and the
+stream must not notice) and require it to match the in-process one bit
+for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class TestStreamDeterminism:
         seeds_b = engine.seed_tests(4, seed=12)
         assert seeds_a != seeds_b
 
-    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver", "fork"])
     def test_stream_matches_across_start_methods(self, start_method):
         ctx = multiprocessing.get_context(start_method)
         with ctx.Pool(1) as pool:

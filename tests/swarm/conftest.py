@@ -1,10 +1,11 @@
 """Fixtures for the sharded-exploration (swarm) suite.
 
 Like the isolation suite, the multiprocessing start method comes from
-``LINEUP_TEST_START_METHOD`` so CI can exercise both ``spawn`` and
-``forkserver``.  The in-process fixtures (harness, single-process
-baseline) exist so equivalence tests can compare a sharded run against
-the exact single-process exhaustive numbers without hardcoding them.
+``LINEUP_TEST_START_METHOD`` so CI can exercise both ``fork`` and
+``spawn`` (default: the pool's own).  The in-process fixtures (harness,
+single-process baseline) exist so equivalence tests can compare a
+sharded run against the exact single-process exhaustive numbers without
+hardcoding them.
 """
 
 from __future__ import annotations
@@ -24,12 +25,18 @@ FAULT_PROVIDER = "repro.exec.faults"
 
 @pytest.fixture(scope="session")
 def start_method() -> str:
-    return os.environ.get("LINEUP_TEST_START_METHOD", "spawn")
+    return os.environ.get(
+        "LINEUP_TEST_START_METHOD", PoolConfig().start_method
+    )
 
 
 @pytest.fixture
-def pool_config(start_method, tmp_path):
-    """Factory for fast-supervision pool configs writing into tmp_path."""
+def pool_config(start_method, tmp_path, single_threaded):
+    """Factory for fast-supervision pool configs writing into tmp_path.
+
+    ``single_threaded``: a pool asked to fork does so only from a caller
+    without other threads.
+    """
 
     def make(**overrides) -> PoolConfig:
         settings = {
