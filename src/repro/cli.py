@@ -59,6 +59,7 @@ from repro.core import (
     DOTNET_POLICIES,
     CheckConfig,
     FiniteTest,
+    InterferencePolicy,
     Invocation,
     SystemUnderTest,
     TestHarness,
@@ -169,14 +170,23 @@ class _SignalStop:
         self._previous.clear()
 
 
-def _check_exit_code(result) -> int:
-    if result.exhausted and result.exhausted_reason == "interrupted":
+#: The exit code of each verdict of :mod:`repro.core.verdict`.  Every
+#: command that ends on a verdict exits through :func:`_verdict_exit_code`;
+#: what differs between them is only when a run counts as interrupted.
+_VERDICT_EXIT = {
+    "FAIL": EXIT_FAIL,
+    "nondeterministic-verdict": EXIT_FAIL,
+    "CRASHED": EXIT_ALLCRASHED,
+    "LAGGED": EXIT_LAGGED,
+    "EXHAUSTED": EXIT_EXHAUSTED,
+    "PASS": EXIT_PASS,
+}
+
+
+def _verdict_exit_code(verdict: str, interrupted: bool = False) -> int:
+    if interrupted:
         return EXIT_INTERRUPTED
-    if result.failed:
-        return EXIT_FAIL
-    if result.exhausted:
-        return EXIT_EXHAUSTED
-    return EXIT_PASS
+    return _VERDICT_EXIT.get(verdict, EXIT_PASS)
 
 
 def parse_invocation(text: str) -> Invocation:
@@ -477,43 +487,44 @@ def _run_check(
     checkpoint: str | None,
     extra: dict,
     resume=None,
+    relaxed: InterferencePolicy | None = None,
 ) -> "tuple[object, int]":
-    """Shared check driver: signals, budget control, checkpointing."""
+    """Shared check driver: signals, budget control, checkpointing.
+
+    A *relaxed* policy (possibly an empty one) runs the Section 6
+    extension instead: nondeterministic specifications plus the policy's
+    interference rules.  That mode does not checkpoint.
+    """
     stopper = _SignalStop().install()
     try:
         control = ExplorationControl(budget=config.budget, stop=stopper)
-        checkpointer = None
-        if checkpoint:
-            checkpointer = Checkpointer(checkpoint, extra=extra)
-        result = check(
-            subject,
-            test,
-            config,
-            control=control,
-            checkpointer=checkpointer,
-            resume=resume,
-        )
+        if relaxed is not None:
+            with TestHarness.from_config(subject, config) as harness:
+                result = check_relaxed(
+                    harness, test, config, relaxed, control=control
+                )
+        else:
+            result = check(
+                subject,
+                test,
+                config,
+                control=control,
+                checkpointer=(
+                    Checkpointer(checkpoint, extra=extra) if checkpoint else None
+                ),
+                resume=resume,
+            )
     finally:
         stopper.uninstall()
-    code = _check_exit_code(result)
+    # A FAIL found before the interrupt is still a proof, and wins.
+    code = _verdict_exit_code(
+        result.verdict,
+        interrupted=result.exhausted and result.exhausted_reason == "interrupted",
+    )
     if result.exhausted and checkpoint:
         print(f"state saved; continue with: python -m repro resume {checkpoint}")
         print()
     return result, code
-
-
-def _swarm_exit_code(result) -> int:
-    from repro.exec.supervisor import NONDETERMINISTIC_VERDICT
-
-    if result.exhausted_reason == "interrupted":
-        return EXIT_INTERRUPTED
-    if result.verdict in ("FAIL", NONDETERMINISTIC_VERDICT):
-        return EXIT_FAIL
-    if result.verdict == "CRASHED":
-        return EXIT_ALLCRASHED
-    if result.verdict == "EXHAUSTED":
-        return EXIT_EXHAUSTED
-    return EXIT_PASS
 
 
 def _run_swarm_check(
@@ -571,7 +582,11 @@ def _run_swarm_check(
         )
     finally:
         stopper.uninstall()
-    code = _swarm_exit_code(result)
+    # The reason is checked first: an interrupted swarm exits 130 even
+    # when a shard had already failed.
+    code = _verdict_exit_code(
+        result.verdict, interrupted=result.exhausted_reason == "interrupted"
+    )
     checkpoint = getattr(args, "checkpoint", None)
     if not result.phase2_complete and checkpoint:
         print(f"state saved; continue with: python -m repro resume {checkpoint}")
@@ -620,6 +635,17 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
         if args.relaxed:
             raise CliError("--backend monitor is incompatible with --relaxed")
+    if args.relaxed:
+        if args.checkpoint:
+            raise CliError(
+                "--checkpoint is not supported with --relaxed (a relaxed "
+                "run has no resumable state; bound it with --deadline)"
+            )
+        if args.minimize:
+            raise CliError(
+                "--minimize is not supported with --relaxed (the shrinker "
+                "re-checks candidates strictly)"
+            )
     subject = SystemUnderTest(
         entry.factory(args.version), f"{entry.name}({args.version})"
     )
@@ -628,32 +654,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"Checking {entry.name}({args.version}) on:")
         print(test.render_matrix())
         print()
-    if args.relaxed:
-        if args.checkpoint or args.deadline:
-            raise CliError(
-                "--checkpoint/--deadline are not supported with --relaxed"
-            )
-        # Section 6 extension: nondeterministic specs plus the documented
-        # .NET interference policies for this class (if any).
-        with TestHarness(
-            subject,
-            watchdog=args.watchdog,
-            engine=getattr(args, "engine", DEFAULT_ENGINE),
-        ) as harness:
-            result = check_relaxed(
-                harness,
-                test,
-                _config_from_args(args),
-                DOTNET_POLICIES.get(entry.name),
-            )
-        print(render_check_result(result))
-        return EXIT_FAIL if result.failed else EXIT_PASS
     result, code = _run_check(
         subject,
         test,
         config,
         checkpoint=args.checkpoint,
         extra={"subject": {"cls": entry.name, "version": args.version}},
+        # The documented .NET interference behaviours of this class, if any.
+        relaxed=(
+            DOTNET_POLICIES.get(entry.name, InterferencePolicy())
+            if args.relaxed
+            else None
+        ),
     )
     if result.failed and args.minimize:
         quiet = getattr(args, "json", False)
@@ -1378,15 +1390,11 @@ def cmd_live(args: argparse.Namespace) -> int:
     else:
         print(render_live_result(result))
 
-    if result.verdict == "FAIL":
-        return EXIT_FAIL  # a violation in a partial trace is still a proof
-    if result.outcome == "interrupted":
-        return EXIT_INTERRUPTED
-    if result.verdict == "CRASHED":
-        return EXIT_ALLCRASHED
-    if result.verdict == "EXHAUSTED":
-        return EXIT_EXHAUSTED
-    return EXIT_PASS
+    # A violation in a partial trace is still a proof, and wins.
+    return _verdict_exit_code(
+        result.verdict,
+        interrupted=result.verdict != "FAIL" and result.outcome == "interrupted",
+    )
 
 
 def _trace_model_name(args: argparse.Namespace) -> str:
@@ -1479,15 +1487,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
             print()
             print(result.counterexample)
 
-    if result.verdict == "FAIL":
-        return EXIT_FAIL
-    if result.verdict == "CRASHED":
-        return EXIT_ALLCRASHED
-    if result.verdict == "LAGGED":
-        return EXIT_LAGGED
-    if result.verdict == "EXHAUSTED":
-        return EXIT_EXHAUSTED
-    return EXIT_PASS
+    return _verdict_exit_code(result.verdict)
 
 
 def cmd_observations(args: argparse.Namespace) -> int:

@@ -100,13 +100,7 @@ def _run_campaign(
     if control is None and cfg.budget is not None:
         control = ExplorationControl(budget=cfg.budget)
     campaign = CampaignResult(verdict="PASS")
-    with TestHarness(
-        subject,
-        scheduler=scheduler,
-        max_steps=cfg.max_steps,
-        watchdog=cfg.watchdog_seconds,
-        engine=cfg.engine,
-    ) as harness:
+    with TestHarness.from_config(subject, cfg, scheduler) as harness:
         for test in tests:
             if control is not None:
                 reason = control.halt_reason()
@@ -226,12 +220,7 @@ def minimize_failing_test(
     """
     accept = still_fails if still_fails is not None else (lambda r: r.failed)
     cfg = config or CheckConfig()
-    with TestHarness(
-        subject,
-        scheduler=scheduler,
-        max_steps=cfg.max_steps,
-        engine=cfg.engine,
-    ) as harness:
+    with TestHarness.from_config(subject, cfg, scheduler) as harness:
         result = check_with_harness(harness, test, config)
         if not accept(result):
             raise ValueError("minimize_failing_test requires a failing test")

@@ -567,13 +567,7 @@ def verify_causes(
     found: list[str] = []
     dimensions: dict[str, tuple[int, int]] = {}
     subject = SystemUnderTest(entry.factory(version), f"{entry.name}({version})")
-    with TestHarness(
-        subject,
-        scheduler=scheduler,
-        max_steps=cfg.max_steps,
-        watchdog=cfg.watchdog_seconds,
-        engine=cfg.engine,
-    ) as harness:
+    with TestHarness.from_config(subject, cfg, scheduler) as harness:
         for cause in entry.causes_for(version):
             if cause.witness_test is None:
                 continue

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from repro.core.budget import BudgetMeter, ExplorationBudget, ExplorationControl
 from repro.core.harness import Phase1Stats, SystemUnderTest, TestHarness
@@ -258,13 +258,7 @@ def check(
 ) -> CheckResult:
     """Run the two-phase Check of Figure 5 on one finite test."""
     cfg = config or CheckConfig()
-    with TestHarness(
-        subject,
-        scheduler=scheduler,
-        max_steps=cfg.max_steps,
-        watchdog=cfg.watchdog_seconds,
-        engine=cfg.engine,
-    ) as harness:
+    with TestHarness.from_config(subject, cfg, scheduler) as harness:
         return check_with_harness(
             harness,
             test,
@@ -298,8 +292,7 @@ def check_with_harness(
     class *count* survives in the result).
     """
     cfg = config or CheckConfig()
-    if control is None and cfg.budget is not None:
-        control = ExplorationControl(budget=cfg.budget)
+    control = _control_for(cfg, control)
     if (
         control is not None
         and resume is not None
@@ -308,8 +301,6 @@ def check_with_harness(
         # Honour the original budget across sessions: the restored meter
         # carries the elapsed time and counts of the interrupted run.
         control.meter = BudgetMeter.from_snapshot(resume.budget_snapshot)
-    if control is not None:
-        control.start()
 
     if cfg.backend == "monitor":
         # Model-based monitoring needs no synthesized specification, so
@@ -330,96 +321,10 @@ def check_with_harness(
     if cfg.backend != "observations":
         raise ValueError(f"unknown check backend {cfg.backend!r}")
 
-    def budget_snapshot() -> dict | None:
-        if control is not None and control.meter is not None:
-            return control.meter.snapshot()
-        return None
-
-    # ---- Phase 1: synthesize the specification from serial executions.
-    phase1_base = resume.phase1_seconds if resume is not None else 0.0
-    if resume is not None and resume.phase == "phase2":
-        assert resume.observations is not None
-        observations = resume.observations
-        stats = resume.phase1
-        phase1_seconds = phase1_base
-    else:
-        t0 = time.perf_counter()
-        serial_strategy = (
-            resume.strategy
-            if resume is not None and resume.strategy is not None
-            else DFSStrategy(preemption_bound=None)
-        )
-        on_execution = None
-        if checkpointer is not None:
-            from repro.core.checkpoint import build_check_state
-
-            def on_execution(obs, st, strat) -> None:
-                checkpointer.tick(
-                    lambda: build_check_state(
-                        test=test,
-                        config=cfg,
-                        phase="phase1",
-                        strategy=strat,
-                        observations=obs,
-                        phase1=st,
-                        phase1_seconds=phase1_base + time.perf_counter() - t0,
-                        budget_snapshot=budget_snapshot(),
-                    )
-                )
-
-        observations, stats = harness.run_serial(
-            test,
-            max_executions=cfg.max_serial_executions,
-            observations=resume.observations if resume is not None else None,
-            stats=resume.phase1 if resume is not None else None,
-            strategy=serial_strategy,
-            control=control,
-            on_execution=on_execution,
-        )
-        phase1_seconds = phase1_base + time.perf_counter() - t0
-
-    result = CheckResult(
-        verdict="PASS",
-        test=test,
-        observations=observations,
-        phase1=stats,
-        phase1_seconds=phase1_seconds,
+    result = _run_phase1(
+        harness, test, cfg, control=control, checkpointer=checkpointer, resume=resume
     )
-    if not observations.is_deterministic:
-        # Sound even on a partial observation set: the two conflicting
-        # serial histories exist regardless of what was left unexplored.
-        result.verdict = "FAIL"
-        result.violations.append(
-            Violation(
-                kind=NONDETERMINISTIC,
-                test=test,
-                nondeterminism=observations.nondeterminism,
-            )
-        )
-        return result
-    if stats.stop_reason is not None:
-        # Phase 1 cut short by the budget or an interrupt.  Phase 2
-        # against a partial specification could report unsound FAILs
-        # (a legitimate serial witness may simply not have been
-        # enumerated yet), so stop here with an explicit EXHAUSTED.
-        result.verdict = "EXHAUSTED"
-        result.exhausted_reason = stats.stop_reason
-        result.phase2_complete = False
-        if checkpointer is not None:
-            from repro.core.checkpoint import build_check_state
-
-            checkpointer.save(
-                build_check_state(
-                    test=test,
-                    config=cfg,
-                    phase="phase1",
-                    strategy=serial_strategy,
-                    observations=observations,
-                    phase1=stats,
-                    phase1_seconds=phase1_seconds,
-                    budget_snapshot=budget_snapshot(),
-                )
-            )
+    if not result.passed:
         return result
 
     # ---- Phase 2: check the concurrent executions against A and B.
@@ -444,7 +349,7 @@ def check_with_harness(
     _run_phase2(
         harness,
         test,
-        observations,
+        result.observations,
         cfg,
         result,
         control=control,
@@ -479,8 +384,6 @@ def check_against_observations(
     :mod:`repro.swarm` run exactly this entry point per lease.
     """
     cfg = config or CheckConfig()
-    if control is None and cfg.budget is not None:
-        control = ExplorationControl(budget=cfg.budget)
     result = CheckResult(verdict="PASS", test=test, observations=observations)
     _run_phase2(
         harness,
@@ -488,11 +391,140 @@ def check_against_observations(
         observations,
         cfg,
         result,
-        control=control,
+        control=_control_for(cfg, control),
         strategy=strategy,
         fingerprints=fingerprints,
     )
     return result
+
+
+def _control_for(
+    cfg: CheckConfig, control: ExplorationControl | None
+) -> ExplorationControl | None:
+    """*control*, or one derived from ``cfg.budget`` when absent."""
+    if control is None and cfg.budget is not None:
+        control = ExplorationControl(budget=cfg.budget)
+    return control
+
+
+def _meter_snapshot(control: ExplorationControl | None) -> dict | None:
+    if control is not None and control.meter is not None:
+        return control.meter.snapshot()
+    return None
+
+
+def _run_phase1(
+    harness: TestHarness,
+    test: FiniteTest,
+    cfg: CheckConfig,
+    *,
+    control: ExplorationControl | None = None,
+    checkpointer: "Checkpointer | None" = None,
+    resume: "CheckResume | None" = None,
+    deterministic: bool = True,
+) -> CheckResult:
+    """Phase 1 and its gate: synthesize the specification from the serial
+    executions and say whether phase 2 may run against it.
+
+    The result's verdict is the gate: ``PASS`` (go on), ``FAIL`` (the
+    specification is nondeterministic, Fig. 5 line 4; not asked when
+    *deterministic* is False — Section 6) or ``EXHAUSTED`` (the budget or
+    an interrupt cut the enumeration short: the observation set is
+    partial, and the phase-1 checkpoint is written).
+    """
+    phase1_base = resume.phase1_seconds if resume is not None else 0.0
+    t0 = time.perf_counter()
+    serial_strategy = (
+        resume.strategy
+        if resume is not None and resume.strategy is not None
+        else DFSStrategy(preemption_bound=None)
+    )
+
+    def state(observations, stats, seconds: float) -> dict:
+        from repro.core.checkpoint import build_check_state
+
+        return build_check_state(
+            test=test,
+            config=cfg,
+            phase="phase1",
+            strategy=serial_strategy,
+            observations=observations,
+            phase1=stats,
+            phase1_seconds=seconds,
+            budget_snapshot=_meter_snapshot(control),
+        )
+
+    if resume is not None and resume.phase == "phase2":
+        assert resume.observations is not None
+        observations, stats = resume.observations, resume.phase1
+        phase1_seconds = phase1_base
+    else:
+        on_execution = None
+        if checkpointer is not None:
+
+            def on_execution(obs, st, strat) -> None:
+                checkpointer.tick(
+                    lambda: state(obs, st, phase1_base + time.perf_counter() - t0)
+                )
+
+        observations, stats = harness.run_serial(
+            test,
+            max_executions=cfg.max_serial_executions,
+            observations=resume.observations if resume is not None else None,
+            stats=resume.phase1 if resume is not None else None,
+            strategy=serial_strategy,
+            control=control,
+            on_execution=on_execution,
+        )
+        phase1_seconds = phase1_base + time.perf_counter() - t0
+
+    result = CheckResult(
+        verdict="PASS",
+        test=test,
+        observations=observations,
+        phase1=stats,
+        phase1_seconds=phase1_seconds,
+    )
+    if deterministic and not observations.is_deterministic:
+        # Sound even on a partial observation set: the two conflicting
+        # serial histories exist regardless of what was left unexplored.
+        result.verdict = "FAIL"
+        result.violations.append(
+            Violation(
+                kind=NONDETERMINISTIC,
+                test=test,
+                nondeterminism=observations.nondeterminism,
+            )
+        )
+    elif stats.stop_reason is not None:
+        # Phase 1 cut short by the budget or an interrupt.  Phase 2
+        # against a partial specification could report unsound FAILs
+        # (a legitimate serial witness may simply not have been
+        # enumerated yet), so stop here with an explicit EXHAUSTED.
+        result.verdict = "EXHAUSTED"
+        result.exhausted_reason = stats.stop_reason
+        result.phase2_complete = False
+        if checkpointer is not None:
+            checkpointer.save(state(observations, stats, phase1_seconds))
+    return result
+
+
+def _default_judge(
+    cfg: CheckConfig, observations: ObservationSet | None, test: FiniteTest
+) -> "Callable[[History, Any], Violation | None]":
+    """The judge ``cfg`` asks for.  The deciders are looked up when a
+    history is judged, not here, so a test can replace either."""
+    if cfg.backend == "monitor":
+        from repro.monitor import get_model
+
+        model = get_model(cfg.model or "")
+        return lambda history, outcome: _monitor_violation(
+            history, model, cfg, test, outcome
+        )
+    assert observations is not None
+    return lambda history, outcome: _observation_violation(
+        history, observations, test, outcome
+    )
 
 
 def _run_phase2(
@@ -506,7 +538,18 @@ def _run_phase2(
     checkpointer: "Checkpointer | None" = None,
     strategy: SchedulingStrategy | None = None,
     fingerprints: "Any | None" = None,
+    judge: "Callable[[History, Any], Violation | None] | None" = None,
 ) -> None:
+    """Phase 2, the one loop over concurrent executions: count, digest,
+    meter and dump every execution, ask *judge* about every history that
+    has not already passed, fold the answer into *result*.
+
+    *judge* maps ``(history, outcome)`` to a :class:`Violation` or None.
+    It must be a function of the history and of inputs fixed for this
+    call (an observation set, a model, a policy): that is what lets a
+    passing history be remembered.  The default is the decider of
+    ``cfg.backend``.
+    """
     from repro.reduction import FingerprintSet, execution_fingerprint
 
     t1 = time.perf_counter()
@@ -515,15 +558,11 @@ def _run_phase2(
         strategy = cfg.make_phase2_strategy()
     if fingerprints is None:
         fingerprints = FingerprintSet()
+    if judge is None:
+        judge = _default_judge(cfg, observations, test)
     result.reduction = cfg.reduction
     if control is not None:
         control.start()
-
-    monitor_model = None
-    if cfg.backend == "monitor":
-        from repro.monitor import get_model
-
-        monitor_model = get_model(cfg.model or "")
 
     trace_writer = None
     if cfg.dump_traces:
@@ -561,18 +600,13 @@ def _run_phase2(
                 "seconds": seconds_base + time.perf_counter() - t1,
                 "fingerprints": fingerprints.snapshot(),
             },
-            budget_snapshot=(
-                control.meter.snapshot()
-                if control is not None and control.meter is not None
-                else None
-            ),
+            budget_snapshot=_meter_snapshot(control),
         )
 
-    # Definitions 1-3 make the verdict a function of the history and of an
-    # observation set (or model) that is fixed for this call, so a history
-    # that passed once is not judged again.  Only PASS is remembered: every
-    # failing execution builds its own Violation (its history, its
-    # decisions).  Local to this call and never checkpointed.
+    # The judge's contract makes the verdict a function of the history, so
+    # a history that passed once is not judged again.  Only PASS is
+    # remembered: every failing execution builds its own Violation (its
+    # history, its decisions).  Local to this call and never checkpointed.
     passed: set[tuple] = set()
     halted: str | None = None
     try:
@@ -594,15 +628,7 @@ def _run_phase2(
                 violation = None
             else:
                 result.phase2_judged += 1
-                if monitor_model is not None:
-                    violation = _monitor_violation(
-                        history, monitor_model, cfg, test, outcome
-                    )
-                else:
-                    assert observations is not None
-                    violation = _observation_violation(
-                        history, observations, test, outcome
-                    )
+                violation = judge(history, outcome)
                 if violation is None and key is not None:
                     if len(passed) >= _PASS_MEMO_LIMIT:
                         passed.clear()

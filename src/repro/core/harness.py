@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.core.budget import ExplorationControl
 from repro.core.events import Event, Invocation, Response, typed
@@ -41,6 +41,9 @@ from repro.runtime import (
     make_scheduler,
 )
 from repro.runtime.core import E_BLOCK, E_SCHED, SerialDriver
+
+if TYPE_CHECKING:  # the checker imports this module
+    from repro.core.checker import CheckConfig
 
 __all__ = ["HarnessError", "OpMark", "Phase1Stats", "SystemUnderTest", "TestHarness"]
 
@@ -196,6 +199,23 @@ class TestHarness:
         # reuses the harness, and the next test drops this one's table).
         self._fresh_code = count()
         self._table: _EventTable | None = None
+
+    @classmethod
+    def from_config(
+        cls,
+        subject: SystemUnderTest,
+        cfg: "CheckConfig",
+        scheduler: Scheduler | None = None,
+    ) -> "TestHarness":
+        """The harness a :class:`~repro.core.checker.CheckConfig` asks for
+        (step cap, watchdog, engine) — the one place that reads them."""
+        return cls(
+            subject,
+            scheduler=scheduler,
+            max_steps=cfg.max_steps,
+            watchdog=cfg.watchdog_seconds,
+            engine=cfg.engine,
+        )
 
     # -- lifecycle ---------------------------------------------------------
 

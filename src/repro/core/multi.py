@@ -29,10 +29,11 @@ the determinism requirement is likewise checked per object.
 from __future__ import annotations
 
 import time
+from typing import Any
 
+from repro.core import checker
+from repro.core.budget import ExplorationControl
 from repro.core.checker import (
-    NO_FULL_WITNESS,
-    NO_STUCK_WITNESS,
     NONDETERMINISTIC,
     CheckConfig,
     CheckResult,
@@ -43,7 +44,6 @@ from repro.core.harness import Phase1Stats, TestHarness
 from repro.core.history import History
 from repro.core.spec import ObservationSet
 from repro.core.testcase import FiniteTest
-from repro.core.witness import check_full_history, check_stuck_history
 from repro.runtime import DFSStrategy
 
 __all__ = ["MultiCheckResult", "check_multi", "project_object"]
@@ -102,8 +102,16 @@ def check_multi(
     harness: TestHarness,
     test: FiniteTest,
     config: CheckConfig | None = None,
+    *,
+    control: ExplorationControl | None = None,
 ) -> MultiCheckResult:
-    """Two-phase check of a multi-object test via per-object projection."""
+    """Two-phase check of a multi-object test via per-object projection.
+
+    Phase 2 is the checker's loop with a judge that asks Definitions 1/2
+    of every projection; *control* (or ``config.budget``) meters it.  The
+    projected phase-1 fold below always runs whole, so no specification
+    is ever partial.
+    """
     cfg = config or CheckConfig()
     targets = _targets_of(test)
 
@@ -147,43 +155,23 @@ def check_multi(
             return result
 
     # ---- Phase 2: one concurrent exploration, checked per object.
-    t1 = time.perf_counter()
-    phase2 = cfg.make_phase2_strategy()
-    for history, outcome in harness.explore_concurrent(
-        test, phase2, max_executions=cfg.max_concurrent_executions
-    ):
-        result.phase2_executions += 1
-        if history.stuck:
-            result.phase2_stuck += 1
-        else:
-            result.phase2_full += 1
-        violation: Violation | None = None
+    def judge(history: History, outcome: Any) -> Violation | None:
         for target in targets:
-            projection = project_object(history, target)
-            observations = per_object[target]
-            if projection.stuck:
-                stuck_check = check_stuck_history(projection, observations)
-                if not stuck_check.ok:
-                    violation = Violation(
-                        kind=NO_STUCK_WITNESS,
-                        test=test,
-                        history=projection,
-                        pending_op=stuck_check.failed,
-                        decisions=tuple(outcome.decisions),
-                    )
-            elif check_full_history(projection, observations) is None:
-                violation = Violation(
-                    kind=NO_FULL_WITNESS,
-                    test=test,
-                    history=projection,
-                    decisions=tuple(outcome.decisions),
-                )
+            violation = checker._observation_violation(
+                project_object(history, target), per_object[target], test, outcome
+            )
             if violation is not None:
-                result.verdict = "FAIL"
                 result.failed_object = target
-                result.violations.append(violation)
-                break
-        if result.failed and cfg.stop_at_first_violation:
-            break
-    result.phase2_seconds = time.perf_counter() - t1
+                return violation
+        return None
+
+    checker._run_phase2(
+        harness,
+        test,
+        None,
+        cfg,
+        result,
+        control=checker._control_for(cfg, control),
+        judge=judge,
+    )
     return result

@@ -35,23 +35,17 @@ paper wished for.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.core.checker import (
-    NO_FULL_WITNESS,
-    NO_STUCK_WITNESS,
-    CheckConfig,
-    CheckResult,
-    Violation,
-)
+from repro.core import checker
+from repro.core.budget import ExplorationControl
+from repro.core.checker import CheckConfig, CheckResult, Violation
 from repro.core.events import Operation
 from repro.core.harness import TestHarness
 from repro.core.history import History
 from repro.core.spec import ObservationSet
 from repro.core.testcase import FiniteTest
-from repro.core.witness import check_full_history, check_stuck_history
 
 __all__ = [
     "DOTNET_POLICIES",
@@ -195,6 +189,8 @@ def check_relaxed(
     test: FiniteTest,
     config: CheckConfig | None = None,
     policy: InterferencePolicy | None = None,
+    *,
+    control: ExplorationControl | None = None,
 ) -> CheckResult:
     """Two-phase check with a nondeterministic spec and interference rules.
 
@@ -202,27 +198,26 @@ def check_relaxed(
     does not require determinism, and (2) a history without a witness may
     be excused by removing policy-allowed spurious operations and finding
     a witness for the rest against the reduced test's synthesized
-    specification.
+    specification.  Both phases are the checker's own — budget, interrupt,
+    trace dump, digest and PASS memo included; only the judge differs.
     """
     cfg = config or CheckConfig()
     policy = policy or InterferencePolicy()
+    control = checker._control_for(cfg, control)
 
-    t0 = time.perf_counter()
-    observations, stats = harness.run_serial(
-        test, max_executions=cfg.max_serial_executions
+    # No determinism gate — that is the point of the extension.
+    result = checker._run_phase1(
+        harness, test, cfg, control=control, deterministic=False
     )
-    result = CheckResult(
-        verdict="PASS",
-        test=test,
-        observations=observations,
-        phase1=stats,
-        phase1_seconds=time.perf_counter() - t0,
-    )
-    # NOTE: no determinism gate — that is the point of the extension.
+    if not result.passed:
+        return result
+    observations = result.observations
 
     reduced_specs: dict[frozenset, ObservationSet] = {}
 
     def reduced_observations(removed: frozenset) -> ObservationSet:
+        # Enumerated whole, outside the budget: a partial reduced
+        # specification would excuse too little, i.e. FAIL unsoundly.
         if removed not in reduced_specs:
             reduced_specs[removed] = harness.run_serial(
                 _reduced_test(test, removed),
@@ -230,50 +225,26 @@ def check_relaxed(
             )[0]
         return reduced_specs[removed]
 
-    def excused(history: History) -> bool:
+    def judge(history: History, outcome: Any) -> Violation | None:
+        violation = checker._observation_violation(
+            history, observations, test, outcome
+        )
+        if violation is None:
+            return None
         relaxable = policy.relaxable_ops(history)
         if not relaxable:
-            return False
+            return violation
         removed = frozenset(op.key for op in relaxable)
-        reduced = _reduced_history(history, removed)
-        spec = reduced_observations(removed)
-        if history.stuck:
-            return check_stuck_history(reduced, spec).ok
-        return check_full_history(reduced, spec) is not None
+        # Excused when the rest of the history has a witness without them.
+        rest_fails = checker._observation_violation(
+            _reduced_history(history, removed),
+            reduced_observations(removed),
+            test,
+            outcome,
+        )
+        return None if rest_fails is None else violation
 
-    t1 = time.perf_counter()
-    strategy = cfg.make_phase2_strategy()
-    for history, outcome in harness.explore_concurrent(
-        test, strategy, max_executions=cfg.max_concurrent_executions
-    ):
-        result.phase2_executions += 1
-        violation: Violation | None = None
-        if history.stuck:
-            result.phase2_stuck += 1
-            stuck_check = check_stuck_history(history, observations)
-            if not stuck_check.ok and not excused(history):
-                violation = Violation(
-                    kind=NO_STUCK_WITNESS,
-                    test=test,
-                    history=history,
-                    pending_op=stuck_check.failed,
-                    decisions=tuple(outcome.decisions),
-                )
-        else:
-            result.phase2_full += 1
-            if check_full_history(history, observations) is None and not excused(
-                history
-            ):
-                violation = Violation(
-                    kind=NO_FULL_WITNESS,
-                    test=test,
-                    history=history,
-                    decisions=tuple(outcome.decisions),
-                )
-        if violation is not None:
-            result.verdict = "FAIL"
-            result.violations.append(violation)
-            if cfg.stop_at_first_violation:
-                break
-    result.phase2_seconds = time.perf_counter() - t1
+    checker._run_phase2(
+        harness, test, observations, cfg, result, control=control, judge=judge
+    )
     return result

@@ -175,12 +175,12 @@ def children_from_outcome(
 
 
 def expand_prefix(harness, test, config, prefix: list) -> "list[list] | None":
-    """Probe *prefix* in-process; return its children (None for a leaf).
+    """Probe *prefix* on *harness*; return its children (None for a leaf).
 
-    The in-process variant used by tests and benchmarks; the swarm
-    coordinator dispatches the same probe to workers (see
+    The swarm coordinator runs this in workers (see
     :func:`repro.swarm.worker.run_probe_task`) so a crash-prone subject
-    cannot take the coordinator down.
+    cannot take the coordinator down; tests and benchmarks call it
+    in-process.
     """
     strategy = PrefixProbeStrategy(prefix)
     for _history, outcome in harness.explore_concurrent(

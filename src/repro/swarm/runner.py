@@ -38,11 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.budget import BudgetMeter, ExplorationControl
-from repro.core.checker import (
-    CheckConfig,
-    NONDETERMINISTIC,
-    Violation,
-)
+from repro.core.checker import CheckConfig, _run_phase1
 from repro.core.checkpoint import (
     _phase1_from_dict,
     _phase1_to_dict,
@@ -53,7 +49,7 @@ from repro.core.checkpoint import (
     test_from_dict,
     test_to_dict,
 )
-from repro.core.harness import Phase1Stats, SystemUnderTest, TestHarness
+from repro.core.harness import SystemUnderTest, TestHarness
 from repro.core.observations import observations_from_xml, observations_to_xml
 from repro.exec.sandbox import DEFAULT_PROVIDER
 from repro.exec.supervisor import (
@@ -78,6 +74,13 @@ __all__ = ["SwarmConfig", "swarm_check"]
 _TERMINAL = ("PASS", "FAIL", NONDETERMINISTIC_VERDICT, "CRASHED")
 
 
+#: Partition into ``shards * _OVER_PARTITION`` prefixes so the deal is
+#: balanced and work stealing has slack to redistribute.
+_OVER_PARTITION = 3
+#: Probe rounds after which partitioning deals whatever it has.
+_MAX_PROBE_ROUNDS = 8
+
+
 @dataclass(frozen=True)
 class SwarmConfig:
     """Sharding knobs for one swarm run."""
@@ -86,39 +89,23 @@ class SwarmConfig:
     #: max executions per lease; small leases mean frequent checkpoints
     #: and cheap loss, large leases mean less dispatch overhead.
     lease_executions: int = 512
-    #: partition into ``shards * over_partition`` prefixes so the deal
-    #: is balanced and work stealing has slack to redistribute.
-    over_partition: int = 3
-    max_probe_rounds: int = 8
-    steal: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.lease_executions < 1:
             raise ValueError("lease_executions must be >= 1")
-        if self.over_partition < 1:
-            raise ValueError("over_partition must be >= 1")
-        if self.max_probe_rounds < 1:
-            raise ValueError("max_probe_rounds must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "lease_executions": self.lease_executions,
-            "over_partition": self.over_partition,
-            "max_probe_rounds": self.max_probe_rounds,
-            "steal": self.steal,
-        }
+        return {"shards": self.shards, "lease_executions": self.lease_executions}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SwarmConfig":
+        """Other keys (older checkpoints carry three retired knobs) are
+        ignored."""
         return cls(
             shards=int(data.get("shards", 4)),
             lease_executions=int(data.get("lease_executions", 512)),
-            over_partition=int(data.get("over_partition", 3)),
-            max_probe_rounds=int(data.get("max_probe_rounds", 8)),
-            steal=bool(data.get("steal", True)),
         )
 
 
@@ -310,6 +297,16 @@ def swarm_check(
     if control is not None:
         control.start()
 
+    def base_result(verdict: str) -> SwarmResult:
+        return SwarmResult(
+            verdict=verdict,
+            subject=subject_name,
+            phase1=stats,
+            phase1_seconds=phase1_seconds,
+            reduction=cfg.reduction,
+            wall_seconds=time.monotonic() - started,
+        )
+
     # ---- Phase 1 (coordinator-side; see the module docstring). -------
     lineages: dict[int, _Lineage] = {}
     partition_probes = 0
@@ -333,49 +330,23 @@ def swarm_check(
         )
     else:
         subject = SystemUnderTest(entry.factory(version), subject_name)
-        t0 = time.perf_counter()
-        with TestHarness(
-            subject,
-            max_steps=cfg.max_steps,
-            watchdog=cfg.watchdog_seconds,
-            engine=cfg.engine,
-        ) as harness:
-            observations, stats = harness.run_serial(
-                test, max_executions=cfg.max_serial_executions, control=control
-            )
-        phase1_seconds = time.perf_counter() - t0
+        with TestHarness.from_config(subject, cfg) as harness:
+            phase1 = _run_phase1(harness, test, cfg, control=control)
+        stats, phase1_seconds = phase1.phase1, phase1.phase1_seconds
+        observations = phase1.observations
+        if not phase1.passed:
+            # The gate said no (nondeterministic or partial specification):
+            # the answer is phase 1's, and no worker starts.
+            from repro.core.report import render_violation
 
-    def base_result(verdict: str) -> SwarmResult:
-        return SwarmResult(
-            verdict=verdict,
-            subject=subject_name,
-            phase1=stats,
-            phase1_seconds=phase1_seconds,
-            reduction=cfg.reduction,
-            wall_seconds=time.monotonic() - started,
-        )
-
-    if not observations.is_deterministic:
-        from repro.core.report import render_violation
-
-        violation = Violation(
-            kind=NONDETERMINISTIC,
-            test=test,
-            nondeterminism=observations.nondeterminism,
-        )
-        result = base_result("FAIL")
-        result.violations = [
-            {
-                "kind": NONDETERMINISTIC,
-                "rendered": render_violation(violation, observations),
-            }
-        ]
-        return result
-    if stats.stop_reason is not None:
-        result = base_result("EXHAUSTED")
-        result.exhausted_reason = stats.stop_reason
-        result.phase2_complete = False
-        return result
+            result = base_result(phase1.verdict)
+            result.violations = [
+                {"kind": v.kind, "rendered": render_violation(v, observations)}
+                for v in phase1.violations
+            ]
+            result.exhausted_reason = phase1.exhausted_reason
+            result.phase2_complete = phase1.phase2_complete
+            return result
 
     # ---- Pool + spec plumbing. ---------------------------------------
     own_pool = pool is None
@@ -475,12 +446,12 @@ def swarm_check(
         if not lineages:
             prefixes: list[tuple[list, bool]] = []
             frontier: list[list] = [[]]
-            target = swarm.shards * swarm.over_partition
+            target = swarm.shards * _OVER_PARTITION
             rounds = 0
             while (
                 frontier
                 and len(frontier) + len(prefixes) < target
-                and rounds < swarm.max_probe_rounds
+                and rounds < _MAX_PROBE_ROUNDS
                 and halt is None
             ):
                 rounds += 1
@@ -661,7 +632,7 @@ def swarm_check(
             # Work stealing: re-split the fattest frontier onto idle
             # capacity (bounded by graceful degradation's worker limit).
             capacity = min(pool.worker_limit, pool.config.workers)
-            while swarm.steal and len(active) < capacity:
+            while len(active) < capacity:
                 candidate = max(
                     (
                         lineage

@@ -33,27 +33,12 @@ def run_probe_task(spec: dict) -> dict:
     """Probe one decision prefix; reply with its children (or leaf)."""
     from repro.core.harness import TestHarness
     from repro.exec.sandbox import _resolve_subject
-    from repro.swarm.partition import (
-        PrefixProbeStrategy,
-        children_from_outcome,
-    )
+    from repro.swarm.partition import expand_prefix
 
     subject, test, config = _resolve_subject(spec)
-    payload = spec.get("payload") or {}
-    prefix = payload.get("prefix") or []
-    children = None
-    with TestHarness(
-        subject,
-        max_steps=config.max_steps,
-        watchdog=config.watchdog_seconds,
-        engine=config.engine,
-    ) as harness:
-        for _history, outcome in harness.explore_concurrent(
-            test, PrefixProbeStrategy(prefix), max_executions=1
-        ):
-            children = children_from_outcome(
-                prefix, outcome, config.preemption_bound
-            )
+    prefix = (spec.get("payload") or {}).get("prefix") or []
+    with TestHarness.from_config(subject, config) as harness:
+        children = expand_prefix(harness, test, config, prefix)
     return {
         "verdict": "PASS",
         "summary": {"kind": "probe", "prefix": prefix, "children": children},
@@ -86,12 +71,7 @@ def run_shard_task(spec: dict) -> dict:
         )
     fingerprints = FingerprintSet()
     started = time.perf_counter()
-    with TestHarness(
-        subject,
-        max_steps=config.max_steps,
-        watchdog=config.watchdog_seconds,
-        engine=config.engine,
-    ) as harness:
+    with TestHarness.from_config(subject, config) as harness:
         result = check_against_observations(
             harness,
             test,

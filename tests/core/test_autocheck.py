@@ -135,3 +135,45 @@ class TestMinimization:
             scheduler=scheduler,
         )
         assert result.violation.kind == "non-linearizable-history"
+
+
+class SpinsUnderContention:
+    """``Op`` returns 0 serially; entered while another ``Op`` is inside,
+    it spins without ever reaching a scheduling point (a divergence only
+    the watchdog can end)."""
+
+    def __init__(self, runtime):
+        self._busy = runtime.volatile(False)
+
+    def Op(self):
+        if self._busy.get():
+            while True:
+                pass
+        self._busy.set(True)
+        self._busy.set(False)
+        return 0
+
+
+class TestMinimizationUnderAWatchdog:
+    def test_the_shrinker_runs_under_the_watchdog_the_check_ran_under(self):
+        import threading
+
+        op = Invocation("Op")
+        test = FiniteTest.of([[op, op], [op]])
+        cfg = CheckConfig(watchdog_seconds=0.2)
+        answer = []
+        shrinker = threading.Thread(
+            target=lambda: answer.append(
+                minimize_failing_test(
+                    SystemUnderTest(SpinsUnderContention, "spins"), test, cfg
+                )
+            ),
+            daemon=True,
+        )
+        shrinker.start()
+        shrinker.join(timeout=60)
+        assert not shrinker.is_alive(), "minimize_failing_test hung on a divergence"
+        (minimized, result), = answer
+        assert result.failed and result.phase2_divergent == 1
+        assert result.violation.kind == "non-linearizable-blocking"
+        assert minimized == FiniteTest.of([[op], [op]])

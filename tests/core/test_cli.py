@@ -149,3 +149,76 @@ class TestReproduceCommand:
         assert "Section 5.6" in report and "Section 6" in report
         # The triage table must show the strict/relaxed split.
         assert "| ConcurrentBag | beta | H | nondeterministic | FAIL | PASS |" in report
+
+
+BAG = ["check", "ConcurrentBag", "--relaxed", "--test", "Add(1); TryTake | TryTake"]
+
+
+class TestRelaxedCheck:
+    """``check --relaxed`` goes through the shared check driver: every
+    flag that drives the one phase-2 loop composes with it."""
+
+    def test_cause_h_is_excused_and_strict_still_fails(self, capsys):
+        assert main(["check", "ConcurrentBag", "--cause", "H", "--relaxed"]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+        assert main(["check", "ConcurrentBag", "--cause", "H"]) == 1
+
+    def test_a_real_bug_survives_relaxation(self, capsys):
+        code = main(
+            ["check", "ManualResetEvent", "--version", "pre", "--cause", "A",
+             "--relaxed"]
+        )
+        assert code == 1
+        assert "verdict: FAIL" in capsys.readouterr().out
+
+    def test_json_is_one_document(self, capsys):
+        import json
+
+        assert main(BAG + ["--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["verdict"] == "PASS"
+        assert document["phase2"]["judged"] <= document["phase2"]["executions"]
+        assert document["reduction"]["equivalence_classes"] > 0
+
+    def test_reduction_line_reports_what_ran(self, capsys):
+        assert main(BAG + ["--reduction", "dpor"]) == 0
+        assert (
+            "reduction: dpor — 33 schedules explored, 33 equivalence classes, "
+            "35 pruned" in capsys.readouterr().out
+        )
+
+    def test_deadline_ends_exhausted_with_the_partial_report(self, capsys):
+        assert main(BAG + ["--deadline", "0.000001"]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: EXHAUSTED" in out
+        assert "exploration incomplete" in out
+
+    def test_execution_cap_is_reported_as_incomplete(self, capsys):
+        import json
+
+        assert main(BAG + ["--max-executions", "5", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["phase2"]["executions"] == 5
+        assert document["phase2"]["complete"] is False
+
+    def test_dump_traces_writes_one_file(self, capsys, tmp_path):
+        assert main(BAG + ["--dump-traces", str(tmp_path)]) == 0
+        (trace,) = tmp_path.iterdir()
+        assert trace.name.endswith(".trace.jsonl") and trace.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--checkpoint", "ck.json"], "--checkpoint"),
+            (["--minimize"], "--minimize"),
+            (["--shards", "2"], "--shards"),
+            (["--model", "queue"], "--backend monitor"),
+        ],
+    )
+    def test_what_does_not_compose_is_rejected_by_name(
+        self, flags, named, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(BAG + flags) == 64
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -127,6 +127,48 @@ class TestCheckMulti:
         assert result.phase2_stuck > 0
 
 
+class TestTheOneLoop:
+    TEST = FiniteTest.of(
+        [
+            [_inv("inc", "x"), _inv("inc", "y")],
+            [_inv("get", "x"), _inv("inc", "y")],
+            [_inv("get", "y")],
+        ]
+    )
+
+    def _check(self, factory, cfg):
+        with TestHarness(SystemUnderTest(factory, "pair")) as harness:
+            return check_multi(harness, self.TEST, cfg)
+
+    def test_config_budget_ends_exhausted_at_exactly_n_executions(self):
+        from repro.core import CheckConfig
+        from repro.core.budget import ExplorationBudget
+
+        result = self._check(
+            two_counters, CheckConfig(budget=ExplorationBudget(max_executions=25))
+        )
+        assert result.exhausted and result.exhausted_reason == "executions"
+        assert not result.phase2_complete
+        # The projected phase 1 always runs whole; the budget meters phase 2.
+        assert result.phase1.complete and result.phase2_executions == 25
+
+    def test_statistics_and_the_memo_are_those_of_a_strict_check(self):
+        from repro.core import CheckConfig
+
+        result = self._check(two_counters, CheckConfig(reduction="sleep"))
+        assert result.passed and result.phase2_complete
+        assert result.reduction == "sleep" and result.schedules_pruned > 0
+        assert 0 < result.equivalence_classes <= result.phase2_executions
+        assert 0 < result.phase2_judged < result.phase2_executions
+
+    def test_the_failing_object_is_named_through_the_loop(self):
+        from repro.core import CheckConfig
+
+        result = self._check(one_buggy, CheckConfig())
+        assert result.failed and result.failed_object == "y"
+        assert result.equivalence_classes > 0 and result.phase2_judged > 0
+
+
 class TestHarnessDispatch:
     def test_target_without_mapping_rejected(self, scheduler):
         test = FiniteTest.of([[_inv("inc", "x")]])

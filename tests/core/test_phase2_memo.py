@@ -17,14 +17,18 @@ import pytest
 
 from repro.cli import parse_test
 from repro.core import (
+    DOTNET_POLICIES,
     CheckConfig,
     FiniteTest,
     History,
+    InterferencePolicy,
+    InterferenceRule,
     Invocation,
     ObservationSet,
     SystemUnderTest,
     TestHarness,
     check,
+    check_relaxed,
 )
 from repro.core import checker
 from repro.core.budget import ExplorationBudget
@@ -32,10 +36,13 @@ from repro.core.checker import CheckResult, check_against_observations
 from repro.core.checkpoint import Checkpointer, load_checkpoint, parse_check_state
 from repro.core.events import Response, typed
 from repro.core.history import SerialHistory, SerialStep
+from repro.core.multi import check_multi
 from repro.core.testcase import sample_tests
 from repro.reduction import FingerprintSet, execution_fingerprint
 from repro.runtime import RandomStrategy
+from repro.structures.counters import BuggyCounter1, Counter
 from repro.structures.registry import REGISTRY, get_class
+from repro.structures.work_stealing_deque import WorkStealingDeque
 
 from tests.reduction.reference import reference_execution_fingerprint
 
@@ -60,14 +67,27 @@ def _typed_text(history: History) -> tuple | None:
     return (history.stuck, history.divergent, *map(repr, history.events))
 
 
-def _reference_phase2(harness, test, observations, cfg) -> CheckResult:
-    """``_run_phase2`` with the decider run on every execution."""
-    result = CheckResult(verdict="PASS", test=test, observations=observations)
-    model = None
-    if cfg.backend == "monitor":
+def _reference_phase2(
+    harness, test, observations, cfg, judge=None, result=None
+) -> CheckResult:
+    """``_run_phase2`` with the judge run on every execution.
+
+    *judge* defaults to the decider ``cfg`` names; *result* to a fresh
+    one (pass the caller's to stand in for ``checker._run_phase2``).
+    """
+    if result is None:
+        result = CheckResult(verdict="PASS", test=test, observations=observations)
+    if judge is None and cfg.backend == "monitor":
         from repro.monitor import get_model
 
         model = get_model(cfg.model)
+        judge = lambda history, outcome: checker._monitor_violation(  # noqa: E731
+            history, model, cfg, test, outcome
+        )
+    elif judge is None:
+        judge = lambda history, outcome: checker._observation_violation(  # noqa: E731
+            history, observations, test, outcome
+        )
     fingerprints = FingerprintSet()
     passed = set()
     for history, outcome in harness.explore_concurrent(
@@ -80,12 +100,7 @@ def _reference_phase2(harness, test, observations, cfg) -> CheckResult:
             result.phase2_divergent += history.divergent
         else:
             result.phase2_full += 1
-        if model is not None:
-            violation = checker._monitor_violation(history, model, cfg, test, outcome)
-        else:
-            violation = checker._observation_violation(
-                history, observations, test, outcome
-            )
+        violation = judge(history, outcome)
         # What the shipped loop is allowed to skip: exactly the repeats of
         # a history that passed before.
         text = _typed_text(history)
@@ -424,3 +439,152 @@ class TestHarnessReuse:
         # Codes never repeat within a harness, so neither do keys.
         assert {k for k, _ in reused[0]}.isdisjoint(k for k, _ in reused[1])
         assert None not in {k for run in reused for k, _ in run}
+
+
+def _cause(name: str, tag: str) -> FiniteTest:
+    return next(c.witness_test for c in get_class(name).causes if c.tag == tag)
+
+
+def _target(method: str, target: str) -> Invocation:
+    return Invocation(method, (), target=target)
+
+
+#: The two-account bank of ``examples/multi_object_bank.py``.
+BANK = FiniteTest.of(
+    [
+        [_target("inc", "checking"), _target("inc", "savings")],
+        [_target("get", "checking"), _target("inc", "savings")],
+        [_target("get", "savings")],
+    ]
+)
+
+
+def _bank(savings) -> SystemUnderTest:
+    return SystemUnderTest(
+        lambda rt: {"checking": Counter(rt), "savings": savings(rt)}, "bank"
+    )
+
+
+def _relaxed(policy):
+    return lambda harness, test, cfg: check_relaxed(harness, test, cfg, policy)
+
+
+TWO_THIEVES = FiniteTest.of(
+    [
+        [Invocation("PushBottom", (1,)), Invocation("PushBottom", (2,))],
+        [Invocation("Steal")],
+        [Invocation("Steal")],
+    ]
+)
+STEAL_POLICY = InterferencePolicy([InterferenceRule("Steal", interferers=("Steal",))])
+
+#: (subject, test, entry point ``(harness, test, cfg) -> result``, verdict).
+JUDGE_ROWS = [
+    pytest.param(
+        _subject(name, "beta"), _cause(name, tag),
+        _relaxed(DOTNET_POLICIES[name]), "PASS", id=f"relaxed-{tag}",
+    )
+    for name, tag in [
+        ("ConcurrentBag", "H"), ("BlockingCollection", "I"), ("BlockingCollection", "J")
+    ]
+] + [
+    pytest.param(
+        _subject("ConcurrentBag", "beta"), _cause("ConcurrentBag", "H"),
+        _relaxed(None), "FAIL", id="relaxed-H-no-policy",
+    ),
+    pytest.param(
+        SystemUnderTest(lambda rt: WorkStealingDeque(rt, "beta", capacity=4), "wsd"),
+        TWO_THIEVES, _relaxed(STEAL_POLICY), "PASS", id="relaxed-two-thieves",
+    ),
+    pytest.param(_bank(Counter), BANK, check_multi, "PASS", id="multi-bank-correct"),
+    pytest.param(_bank(BuggyCounter1), BANK, check_multi, "FAIL", id="multi-bank-buggy"),
+]
+
+
+class TestJudges:
+    """The relaxed and the multi-object judge run on ``_run_phase2`` too:
+    the same differential, with the entry point's own judge handed to the
+    reference loop."""
+
+    @staticmethod
+    def _through_reference_loop(monkeypatch, run):
+        def reference(harness, test, observations, cfg, result, *, judge=None, **_):
+            _reference_phase2(harness, test, observations, cfg, judge, result)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "_run_phase2", reference)
+            return run()
+
+    @pytest.mark.parametrize("stop", [True, False], ids=["stop", "all"])
+    @pytest.mark.parametrize("subject, test, entry, verdict", JUDGE_ROWS)
+    def test_same_result_as_judging_every_execution(
+        self, subject, test, entry, verdict, stop, monkeypatch
+    ):
+        cfg = CheckConfig(max_concurrent_executions=4 * CAP, stop_at_first_violation=stop)
+        with TestHarness(subject) as harness:
+            reference = self._through_reference_loop(
+                monkeypatch, lambda: entry(harness, test, cfg)
+            )
+        with TestHarness(subject) as harness:
+            shipped = entry(harness, test, cfg)
+        assert shipped.verdict == verdict
+        # A reduced specification synthesized mid-run swaps the event table
+        # (see the next test), which forgets the memo: more decider runs
+        # than the distinct histories, never a different answer.
+        assert _visible(shipped) == {
+            **_visible(reference), "judged": shipped.phase2_judged
+        }
+        assert (
+            reference.phase2_judged
+            <= shipped.phase2_judged
+            <= shipped.phase2_executions
+        )
+        assert getattr(shipped, "failed_object", None) == getattr(
+            reference, "failed_object", None
+        )
+        if verdict == "PASS":
+            # Some history came back, and the memo answered for it.
+            assert shipped.phase2_judged < shipped.phase2_executions
+
+    def test_keys_from_before_a_table_swap_never_match_after(self, monkeypatch):
+        """The relaxed judge synthesizes a reduced specification in the
+        middle of phase 2 — ``run_serial`` on the reduced test — and that
+        replaces the harness's event table.  Codes never repeat within a
+        harness, so a key remembered before the swap answers for nothing
+        after it (it costs decider runs, never a verdict)."""
+        tables, keyed = [], []
+        decide = checker._observation_violation
+
+        with TestHarness(_subject("ConcurrentBag", "beta")) as harness:
+
+            def spy(history, *rest):
+                if history.key is not None:  # a reduced history has none
+                    if not tables or tables[-1] is not harness._table:
+                        tables.append(harness._table)  # (kept alive: ids stay unique)
+                    keyed.append((len(tables), history.key))
+                return decide(history, *rest)
+
+            monkeypatch.setattr(checker, "_observation_violation", spy)
+            swaps = []
+            run_serial = harness.run_serial
+
+            def counted_run_serial(*args, **kwargs):
+                swaps.append(len(keyed))  # histories keyed before this call
+                return run_serial(*args, **kwargs)
+
+            monkeypatch.setattr(harness, "run_serial", counted_run_serial)
+            result = check_relaxed(
+                harness, _cause("ConcurrentBag", "H"), CheckConfig(),
+                DOTNET_POLICIES["ConcurrentBag"],
+            )
+        assert result.passed
+        # Phase 1, then at least one reduced specification mid-phase-2.
+        assert swaps[0] == 0 and any(swaps[1:])
+        assert len(tables) > 1
+        by_table = [
+            {key for table, key in keyed if table == number}
+            for number in range(1, len(tables) + 1)
+        ]
+        for earlier, later in zip(by_table, by_table[1:]):
+            assert earlier.isdisjoint(later)
+        assert len(set().union(*by_table)) == sum(map(len, by_table))

@@ -215,3 +215,59 @@ class TestIterativeStrategy:
         # the racy final value 1 appears only once bound >= 1
         first_racy = next(b for b, v in finals_by_round if v == 1)
         assert first_racy >= 1
+
+
+class TestTheOneLoop:
+    """``check_relaxed`` runs the checker's two phases, so what bounds,
+    interrupts and measures a strict check does the same here."""
+
+    TEST = FiniteTest.of(
+        [[Invocation("Add", (1,)), Invocation("TryTake")], [Invocation("TryTake")]]
+    )
+
+    def _check(self, cfg, **kwargs):
+        subject = SystemUnderTest(get_class("ConcurrentBag").factory("beta"), "bag")
+        with TestHarness(subject) as harness:
+            return check_relaxed(
+                harness, self.TEST, cfg, DOTNET_POLICIES["ConcurrentBag"], **kwargs
+            )
+
+    def test_config_budget_ends_exhausted_at_exactly_n_executions(self):
+        from repro.core.budget import ExplorationBudget
+
+        result = self._check(CheckConfig(budget=ExplorationBudget(max_executions=20)))
+        assert result.exhausted and result.exhausted_reason == "executions"
+        assert not result.phase2_complete
+        assert result.phase1.executions + result.phase2_executions == 20
+
+    def test_a_budget_spent_in_phase_1_never_reaches_phase_2(self):
+        from repro.core.budget import ExplorationBudget
+
+        result = self._check(CheckConfig(budget=ExplorationBudget(max_executions=2)))
+        assert result.exhausted and not result.phase1.complete
+        assert (result.phase1.executions, result.phase2_executions) == (2, 0)
+
+    def test_a_stop_flag_is_reported_as_interrupted(self):
+        from repro.core.budget import ExplorationControl
+
+        calls = iter(range(100))
+        control = ExplorationControl(stop=lambda: next(calls) >= 10)
+        result = self._check(CheckConfig(), control=control)
+        assert result.exhausted and result.exhausted_reason == "interrupted"
+        assert 0 < result.phase2_executions < 122
+
+    def test_the_execution_cap_leaves_the_run_incomplete(self):
+        result = self._check(CheckConfig(max_concurrent_executions=7))
+        assert result.passed and result.phase2_executions == 7
+        assert not result.phase2_complete
+
+    def test_statistics_are_those_of_a_strict_check(self):
+        result = self._check(CheckConfig(reduction="dpor"))
+        assert result.passed and result.phase2_complete
+        assert (
+            result.reduction,
+            result.schedules_explored,
+            result.equivalence_classes,
+            result.schedules_pruned,
+        ) == ("dpor", 33, 33, 35)
+        assert 0 < result.phase2_judged <= result.phase2_executions == 33

@@ -209,3 +209,86 @@ class TestSwarmResume:
         assert resumed.passed and resumed.phase2_complete
         assert resumed.phase2_executions == baseline.phase2_executions
         assert resumed.equivalence_classes == baseline.equivalence_classes
+
+
+class TestPhase1Gate:
+    """The coordinator's phase 1 is the checker's: when its gate says no,
+    the answer is phase 1's and no worker starts."""
+
+    @staticmethod
+    def _gated(monkeypatch, test, class_name, **kwargs):
+        from repro.swarm import runner
+
+        monkeypatch.setattr(
+            runner, "WorkerPool", lambda *a, **k: pytest.fail("a pool was started")
+        )
+        events = []
+        result = swarm_check(
+            class_name,
+            "beta",
+            test,
+            CheckConfig(),
+            swarm=SwarmConfig(shards=2),
+            on_event=lambda name, payload: events.append(name),
+            **kwargs,
+        )
+        assert not events and result.phase2_executions == 0 and not result.shards
+        return result
+
+    def test_nondeterministic_specification_fails_with_the_rendered_violation(
+        self, monkeypatch
+    ):
+        from repro.structures import get_class
+
+        # Cause K: the asynchronous cancel makes the serial behaviour itself
+        # nondeterministic.
+        test = next(
+            cause.witness_test
+            for cause in get_class("CancellationTokenSource").causes
+            if cause.tag == "K"
+        )
+        result = self._gated(monkeypatch, test, "CancellationTokenSource")
+        assert result.verdict == "FAIL" and result.phase2_complete
+        (violation,) = result.violations
+        assert violation["kind"] == "nondeterministic-specification"
+        assert "violation of deterministic linearizability" in violation["rendered"]
+        assert "history 2: <A:Cancel()" in violation["rendered"]
+
+    def test_partial_specification_is_exhausted_not_explored(self, monkeypatch):
+        result = self._gated(
+            monkeypatch,
+            BUFFER_TEST,
+            "BoundedBuffer",
+            provider=FAULT_PROVIDER,
+            control=ExplorationControl(budget=ExplorationBudget(max_executions=1)),
+        )
+        assert result.verdict == "EXHAUSTED"
+        assert result.exhausted_reason == "executions"
+        assert not result.phase2_complete and not result.violations
+        assert result.phase1.executions == 1 and not result.phase1.complete
+
+
+class TestSwarmConfig:
+    def test_a_checkpoint_with_the_retired_knobs_loads_and_ignores_them(self):
+        from repro.core.checkpoint import test_to_dict
+        from repro.swarm.runner import parse_swarm_state
+
+        document = {
+            "kind": "swarm",
+            "subject": {"cls": "BoundedBuffer", "version": "beta"},
+            "test": test_to_dict(BUFFER_TEST),
+            "config": {},
+            # As written before the three knobs became constants.
+            "swarm": {
+                "shards": 3,
+                "lease_executions": 8,
+                "over_partition": 5,
+                "max_probe_rounds": 1,
+                "steal": False,
+                "partition_probes": 4,
+            },
+        }
+        _subject, test, _config, swarm = parse_swarm_state(document)
+        assert test == BUFFER_TEST
+        assert swarm == SwarmConfig(shards=3, lease_executions=8)
+        assert swarm.to_dict() == {"shards": 3, "lease_executions": 8}
