@@ -1214,7 +1214,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     from repro.core.explain import diagnose_monitor_failure
     from repro.core.report import render_violation
     from repro.monitor import (
-        ModelError,
         MonitorLimitError,
         TraceError,
         get_model,
@@ -1222,10 +1221,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         monitor_history,
     )
 
+    model = get_model(_trace_model_name(args))
     try:
-        model = get_model(_trace_model_name(args))
         trace = load_trace(args.trace)
-    except (ModelError, TraceError) as exc:
+    except TraceError as exc:
         raise CliError(str(exc)) from exc
 
     def trace_test(history) -> FiniteTest:
@@ -1418,14 +1417,11 @@ def cmd_watch(args: argparse.Namespace) -> int:
     """Online check of a (possibly still growing) JSONL trace."""
     import json as _json
 
-    from repro.monitor import ModelError, TraceError, get_model
+    from repro.monitor import TraceError, get_model
     from repro.stream import WatchConfig, watch_sharded, watch_trace
 
     model_name = _trace_model_name(args)
-    try:
-        model = get_model(model_name)
-    except ModelError as exc:
-        raise CliError(str(exc)) from exc
+    model = get_model(model_name)
     if args.shards < 1:
         raise CliError("--shards must be >= 1")
     if args.workers is not None and args.workers < 1:
@@ -1928,10 +1924,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckpointError as exc:
+    except (CliError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as exc:
@@ -1940,6 +1933,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Exception as exc:
+        # A model that cannot read its input (name, method or arity unknown)
+        # is an input error, not a FAIL; the default backend never loads one.
+        from repro.monitor import ModelError
+
+        if not isinstance(exc, ModelError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

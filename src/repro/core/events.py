@@ -20,10 +20,14 @@ a thread and an action but no object field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any
 
-__all__ = ["Event", "Invocation", "Operation", "Response", "typed"]
+__all__ = [
+    "Event", "Invocation", "Operation", "Response",
+    "plain_invocation", "plain_response", "typed",
+]
 
 #: Payload types whose ``repr`` is a function of exact type and value
 #: (floats are not: ``0.0 == -0.0``).
@@ -117,6 +121,16 @@ class Response:
     def raised(exc: BaseException) -> "Response":
         return Response(RAISED, type(exc).__name__)
 
+
+#: An invocation / a response as the plain tuple of its fields — equal
+#: exactly when the dataclass instances are.  A decider hashes and
+#: compares both once per configuration (to share model steps, to group
+#: successors, to key linearized maps, against the observation), and a
+#: tuple does that in C where a frozen dataclass runs Python.  A
+#: response's tuple, ``(kind, value)``, is its *answer*: what a model's
+#: ``step`` returns, with ``Response(*answer)`` the way back.
+plain_invocation = attrgetter(*(f.name for f in fields(Invocation)))
+plain_response = attrgetter(*(f.name for f in fields(Response)))
 
 #: Event kinds.
 CALL = "call"

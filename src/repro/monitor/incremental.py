@@ -61,18 +61,19 @@ configuration is visited once, and the set union that merges successor
 states into their bucket is the only de-duplication there is — no
 configuration is built, pushed and then thrown away.
 
-Within one closure the model is stepped **once per (state, distinct open
-invocation)**: a ``state -> (state', answer)`` memo per invocation,
-local to the closure, is shared by every bucket the state occurs in and
-by every open operation with an equal invocation (four concurrent
-``TryDequeue()`` cost one step per state, not four).  It dies with the
-closure, so a stream of 10^5 cells holds nothing between returns.  An
-*answer* is the ``(kind, value)`` of the model's response: linearized
-maps and successor groups are keyed by responses, a closure hashes and
-compares them more often than it steps the model, and a tuple does that
-in C.  When no *other* operation is open the closure cannot grow; that
-case — almost every return of a per-key cell — allocates no memo and no
-levels.
+Within one closure there is **one model step per (state, distinct open
+invocation)** — a ``state -> (state', answer)`` memo per invocation,
+local to the closure (nothing is held between returns), shared by every
+bucket the state occurs in and by every open operation with an equal
+invocation (four concurrent ``TryDequeue()`` cost one step per state,
+not four) — and **one pass over a bucket's states per distinct open
+invocation**, the returning operation's among them: the pass that groups
+the successors by answer also finds the states that accept the
+observation.  An *answer* is what the model's ``step`` returns, the
+plain ``(kind, value)`` of :func:`~repro.core.events.plain_response`;
+no ``Response`` is built per configuration.  When no *other* operation
+is open the closure cannot grow; that case — almost every return of a
+per-key cell — allocates no memo and no levels.
 
 ``max_configurations`` caps what can blow up: the configurations explored
 by the closure of **one return** (exponential in the window width; the
@@ -85,12 +86,11 @@ only a statistic: a healthy stream of any length never trips the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter
 from typing import Any, Hashable
 
-from repro.core.events import Invocation, Response
+from repro.core.events import Invocation, Response, plain_invocation, plain_response
 from repro.monitor.models import SequentialModel
 from repro.monitor.wgl import MonitorLimitError
 
@@ -165,24 +165,6 @@ class _OpenOp:
 #: The linearized operations of the empty map (shared, never written).
 _NOTHING: dict = {}
 
-#: An invocation / a response as the plain tuple of its fields — equal
-#: exactly when the dataclass instances are.  Inside a closure both are
-#: only ever hashed and compared (to share model steps, to group
-#: successors, to key linearized maps, against the observation), more
-#: often than the model is stepped, and a tuple does that in C where a
-#: frozen dataclass runs Python.  A response's tuple, ``(kind, value)``,
-#: is called its *answer* below; ``Response(*answer)`` is the way back.
-_plain_invocation = attrgetter(*(f.name for f in fields(Invocation)))
-_plain_response = attrgetter(*(f.name for f in fields(Response)))
-
-
-def _step(apply, state, invocation):
-    """One model step as ``(state', answer)``; None: the model blocks."""
-    new_state, response = apply(state, invocation)
-    if response is None:
-        return new_state, None
-    return new_state, _plain_response(response)
-
 
 def _merge(buckets: dict, linmap: frozenset, states: set) -> None:
     """Union *states* (owned by the caller) into the bucket of *linmap*."""
@@ -193,7 +175,7 @@ def _merge(buckets: dict, linmap: frozenset, states: set) -> None:
         bucket |= states
 
 
-def _rejections(levels, key, invocation, apply):
+def _rejections(levels, key, invocation, step):
     """What each configuration of a failed closure offered instead.
 
     When no configuration accepts, every explored one rejected — with the
@@ -203,10 +185,8 @@ def _rejections(levels, key, invocation, apply):
         for linmap, states in level.items():
             committed = dict(linmap).get(key)
             for state in states:
-                if committed is not None:
-                    yield state, Response(*committed)
-                else:
-                    yield state, apply(state, invocation)[1]
+                answer = committed or step(state, invocation)[1]
+                yield state, None if answer is None else Response(*answer)
 
 
 class IncrementalChecker:
@@ -303,8 +283,9 @@ class IncrementalChecker:
             )
         self.events_ingested += 1
         invocation = open_op.invocation
-        apply = self.model.apply
+        step = self.model.step
         cap = self.max_configurations
+        seen = plain_response(observed)
 
         # What else could be linearized first, by invocation: operations
         # with equal invocations step the model identically, so they
@@ -313,16 +294,17 @@ class IncrementalChecker:
         others: dict[tuple, tuple[Invocation, list[tuple[int, int]], dict]] = {}
         levels: list[dict[frozenset, set[Hashable]]]
         if len(self._open) > 1:
-            seen = _plain_response(observed)
             for other_key, other in self._open.items():
                 if other_key != key:
                     inv = other.invocation
                     entry = others.setdefault(
-                        _plain_invocation(inv), (inv, [], {})
+                        plain_invocation(inv), (inv, [], {})
                     )
                     entry[1].append(other_key)
-            same = others.get(_plain_invocation(invocation))
-            own_steps = same[2] if same is not None else {}
+            # The returning operation's invocation gets the same pass.
+            same = others.setdefault(
+                plain_invocation(invocation), (invocation, [], {})
+            )
             # levels[n] holds the buckets whose map linearizes n
             # operations.  A successor linearizes one more, so when a
             # level is read every bucket in it is complete: each is
@@ -335,7 +317,6 @@ class IncrementalChecker:
             # Nothing else is open: the closure cannot grow, so it needs
             # no levels, no step memo and no successor groups.
             levels = [self._configs]
-            seen = None  # only a committed bucket asks, and makes its own
 
         accepted: dict[frozenset, set[Hashable]] = {}
         explored = 0
@@ -351,43 +332,27 @@ class IncrementalChecker:
                 linearized = dict(linmap) if linmap else _NOTHING
                 committed = linearized.get(key)
                 if committed is not None:
-                    # Linearized by an earlier closure with a response
+                    # Linearized by an earlier closure with an answer
                     # the model computed; the observation now settles
                     # the whole bucket, and nothing expands from it.
-                    if committed == (seen or _plain_response(observed)):
+                    if committed == seen:
                         _merge(
                             accepted, linmap - {(key, committed)}, set(states)
                         )
                     continue
-                # Linearize the returning operation right here...
-                hits: set[Hashable] = set()
-                if others:
-                    for state in states:
-                        step = own_steps.get(state)
-                        if step is None:
-                            step = own_steps[state] = _step(
-                                apply, state, invocation
-                            )
-                        if step[1] == seen:
-                            hits.add(step[0])
-                else:
-                    for state in states:
-                        new_state, response = apply(state, invocation)
-                        if response == observed:
-                            hits.add(new_state)
-                if hits:
-                    _merge(accepted, linmap, hits)
-                # ...or some other still-open operation first.
-                for inv, keys, memo in others.values():
+                # One pass over the states per distinct open invocation:
+                # it groups the successors by the model's answer...
+                for entry in others.values():
+                    inv, keys, memo = entry
                     free = [k for k in keys if k not in linearized]
-                    if not free:
+                    if not free and entry is not same:
                         continue
                     groups: dict[tuple, set[Hashable]] = {}
                     for state in states:
-                        step = memo.get(state)
-                        if step is None:
-                            step = memo[state] = _step(apply, state, inv)
-                        new_state, answer = step
+                        result = memo.get(state)
+                        if result is None:
+                            result = memo[state] = step(state, inv)
+                        new_state, answer = result
                         if answer is None:
                             continue  # the model blocks here
                         group = groups.get(answer)
@@ -395,9 +360,9 @@ class IncrementalChecker:
                             groups[answer] = {new_state}
                         else:
                             group.add(new_state)
-                    # Each group is the successor set of every free
-                    # operation alike (_merge, inlined: this is the hot one,
-                    # and it copies only where it starts a bucket).
+                    # ...each group the successor set of every free operation
+                    # alike (_merge inlined: the hot one, it copies only where
+                    # it starts a bucket)...
                     successors = levels[len(linmap) + 1]
                     for answer, group in groups.items():
                         for other_key in free:
@@ -407,6 +372,18 @@ class IncrementalChecker:
                                 successors[target] = set(group)
                             else:
                                 bucket |= group
+                    if entry is same:
+                        # ...and, for the returning operation's invocation, the
+                        # group of the observed answer accepts it right here.
+                        hits = groups.get(seen)
+                if not others:
+                    hits = set()
+                    for state in states:
+                        new_state, answer = step(state, invocation)
+                        if answer == seen:
+                            hits.add(new_state)
+                if hits:
+                    _merge(accepted, linmap, hits)
 
         lag = self.events_ingested - open_op.call_event
         if lag > self.max_retirement_lag:
@@ -424,7 +401,7 @@ class IncrementalChecker:
                 invocation=invocation,
                 observed=observed,
                 candidates=tuple(
-                    islice(_rejections(levels, key, invocation, apply), 8)
+                    islice(_rejections(levels, key, invocation, step), 8)
                 ),
                 retired=self.retired,
                 events_ingested=self.events_ingested,

@@ -5,11 +5,14 @@ one.  The monitoring engine (:mod:`repro.monitor`) is the complement:
 when the sequential semantics *is* known, a history can be checked
 directly against it, with no serial enumeration at all.  A
 :class:`SequentialModel` is that semantics in executable form: a pure
-transition function ``apply(state, invocation) -> (state, response)``
-over hashable states (hashability is what makes the Wing–Gong–Lowe
-configuration cache of :mod:`repro.monitor.wgl` work).
+transition function ``step(state, invocation) -> (state, answer)`` over
+hashable states (hashability is what makes the Wing–Gong–Lowe
+configuration cache of :mod:`repro.monitor.wgl` work), an *answer* being
+the response as a plain ``(kind, value)`` tuple
+(:func:`repro.core.events.plain_response`).  ``step`` is what a model
+implements; ``apply``, the same with a typed ``Response``, is derived.
 
-``apply`` returns ``(state, None)`` when the invocation *blocks* in that
+``step`` returns ``(state, None)`` when the invocation *blocks* in that
 state (e.g. ``dec`` of the counter at zero) — the monitor uses this both
 to prune linearization branches and to justify stuck histories.  Unknown
 methods raise :class:`ModelError`: a trace mentioning an operation the
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.core.events import Invocation, Response
+from repro.core.events import OK, RAISED, Invocation, Response
 
 __all__ = [
     "MODELS",
@@ -51,12 +54,15 @@ class ModelError(Exception):
     """An invocation the model cannot interpret (unknown method/arity)."""
 
 
-def _ok(state: Any, value: Any = None) -> tuple[Any, Response]:
-    return state, Response.of(value)
+def _ok(state: Any, value: Any = None) -> tuple[Any, tuple]:
+    return state, (OK, value)
 
 
 class SequentialModel:
-    """One deterministic sequential type: state + transition function."""
+    """One deterministic sequential type: state + transition function.
+
+    A model implements :meth:`step`; :meth:`apply` is derived from it.
+    """
 
     #: registry name (``--model NAME`` on the command line).
     name: str = "abstract"
@@ -66,14 +72,26 @@ class SequentialModel:
     def initial_state(self) -> Hashable:
         raise NotImplementedError
 
+    def step(
+        self, state: Hashable, invocation: Invocation
+    ) -> tuple[Hashable, tuple | None]:
+        """Run *invocation* in *state*; a ``None`` answer means it blocks."""
+        raise NotImplementedError
+
     def apply(
         self, state: Hashable, invocation: Invocation
     ) -> tuple[Hashable, Response | None]:
-        """Run *invocation* in *state*; ``None`` response means it blocks."""
-        raise NotImplementedError
+        """:meth:`step`, the answer as a :class:`Response`."""
+        state, answer = self.step(state, invocation)
+        return state, None if answer is None else Response(*answer)
+
+    #: the methods that act on one cell, which their first argument names.
+    _PER_CELL: frozenset = frozenset()
 
     def partition_key(self, invocation: Invocation) -> Hashable | None:
         """The cell *invocation* belongs to, or None for global operations."""
+        if invocation.method in self._PER_CELL:
+            return self._arg(invocation)
         return None
 
     def _bad(self, invocation: Invocation) -> ModelError:
@@ -99,13 +117,11 @@ class RegisterModel(SequentialModel):
     def initial_state(self) -> Hashable:
         return self._initial
 
-    def apply(self, state, invocation):
+    def step(self, state, invocation):
         method = invocation.method.lower()
         if method == "write":
             return _ok(self._arg(invocation))
-        if method == "read":
-            if invocation.args:
-                raise self._bad(invocation)
+        if method == "read" and not invocation.args:
             return _ok(state, state)
         raise self._bad(invocation)
 
@@ -118,7 +134,7 @@ class CounterModel(SequentialModel):
     def initial_state(self) -> Hashable:
         return 0
 
-    def apply(self, state, invocation):
+    def step(self, state, invocation):
         method = invocation.method
         if method == "inc":
             return _ok(state + 1)
@@ -141,7 +157,7 @@ class QueueModel(SequentialModel):
     def initial_state(self) -> Hashable:
         return ()
 
-    def apply(self, state, invocation):
+    def step(self, state, invocation):
         method = invocation.method
         if method == "Enqueue":
             return _ok(state + (self._arg(invocation),))
@@ -168,7 +184,7 @@ class StackModel(SequentialModel):
     def initial_state(self) -> Hashable:
         return ()  # top of the stack is the last element
 
-    def apply(self, state, invocation):
+    def step(self, state, invocation):
         method = invocation.method
         if method == "Push":
             return _ok(state + (self._arg(invocation),))
@@ -197,12 +213,12 @@ class SetModel(SequentialModel):
     name = "set"
     partitionable = True
 
-    _PER_ELEMENT = frozenset({"Insert", "Remove", "Contains"})
+    _PER_CELL = frozenset({"Insert", "Remove", "Contains"})
 
     def initial_state(self) -> Hashable:
         return frozenset()
 
-    def apply(self, state, invocation):
+    def step(self, state, invocation):
         method = invocation.method
         if method == "Insert":
             key = self._arg(invocation)
@@ -222,11 +238,6 @@ class SetModel(SequentialModel):
             return _ok(state, tuple(sorted(state)))
         raise self._bad(invocation)
 
-    def partition_key(self, invocation):
-        if invocation.method in self._PER_ELEMENT:
-            return self._arg(invocation)
-        return None
-
 
 class DictModel(SequentialModel):
     """Key/value map with the ``ConcurrentDictionary`` alphabet.
@@ -241,16 +252,8 @@ class DictModel(SequentialModel):
     name = "dict"
     partitionable = True
 
-    _PER_KEY = frozenset(
-        {
-            "TryAdd",
-            "TryRemove",
-            "TryGetValue",
-            "GetItem",
-            "SetItem",
-            "TryUpdate",
-            "ContainsKey",
-        }
+    _PER_CELL = frozenset(
+        "TryAdd TryRemove TryGetValue GetItem SetItem TryUpdate ContainsKey".split()
     )
 
     def initial_state(self) -> Hashable:
@@ -272,41 +275,32 @@ class DictModel(SequentialModel):
         value = invocation.args[1] if len(invocation.args) > 1 else None
         return value if value is not None else self._arg(invocation)
 
-    def apply(self, state, invocation):
+    def step(self, state, invocation):
         method = invocation.method
-        if method == "TryAdd":
-            key = self._arg(invocation)
-            present, _ = self._lookup(state, key)
-            if present:
-                return _ok(state, False)
-            return _ok(self._store(state, key, self._value(invocation)), True)
-        if method == "TryRemove":
+        if method in self._PER_CELL:
             key = self._arg(invocation)
             present, value = self._lookup(state, key)
-            if not present:
-                return _ok(state, "Fail")
-            return _ok(tuple(p for p in state if p[0] != key), value)
-        if method == "TryGetValue":
-            present, value = self._lookup(state, self._arg(invocation))
-            return _ok(state, value if present else "Fail")
-        if method == "GetItem":
-            key = self._arg(invocation)
-            present, value = self._lookup(state, key)
-            if not present:
-                return state, Response("raised", "KeyNotFound")
-            return _ok(state, value)
-        if method == "SetItem":
-            key = self._arg(invocation)
-            return _ok(self._store(state, key, self._value(invocation)))
-        if method == "TryUpdate":
-            key = self._arg(invocation)
-            present, _ = self._lookup(state, key)
-            if not present:
-                return _ok(state, False)
-            return _ok(self._store(state, key, self._value(invocation)), True)
-        if method == "ContainsKey":
-            present, _ = self._lookup(state, self._arg(invocation))
-            return _ok(state, present)
+            if method == "TryAdd":
+                if present:
+                    return _ok(state, False)
+                return _ok(self._store(state, key, self._value(invocation)), True)
+            if method == "TryRemove":
+                if not present:
+                    return _ok(state, "Fail")
+                return _ok(tuple(p for p in state if p[0] != key), value)
+            if method == "TryGetValue":
+                return _ok(state, value if present else "Fail")
+            if method == "GetItem":
+                if not present:
+                    return state, (RAISED, "KeyNotFound")
+                return _ok(state, value)
+            if method == "SetItem":
+                return _ok(self._store(state, key, self._value(invocation)))
+            if method == "TryUpdate":
+                if not present:
+                    return _ok(state, False)
+                return _ok(self._store(state, key, self._value(invocation)), True)
+            return _ok(state, present)  # ContainsKey
         if method == "Count":
             return _ok(state, len(state))
         if method == "IsEmpty":
@@ -314,11 +308,6 @@ class DictModel(SequentialModel):
         if method == "Clear":
             return _ok(())
         raise self._bad(invocation)
-
-    def partition_key(self, invocation):
-        if invocation.method in self._PER_KEY:
-            return self._arg(invocation)
-        return None
 
 
 #: Registry of the built-in models, by ``--model`` name.

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.events import Operation, Response
+from repro.core.events import Operation, Response, plain_response
 from repro.core.history import History
 from repro.monitor.models import SequentialModel
 
@@ -131,6 +131,14 @@ def _predecessors(ops: tuple[Operation, ...]) -> dict[tuple[int, int], frozenset
     return preds
 
 
+def _observed_answers(ops: tuple[Operation, ...]) -> list[tuple]:
+    """Each operation, its key and the plain answer observed (None: pending)."""
+    return [
+        (op, op.key, None if op.response is None else plain_response(op.response))
+        for op in ops
+    ]
+
+
 def wgl_check(
     history: History,
     model: SequentialModel,
@@ -141,10 +149,10 @@ def wgl_check(
     """Decide whether *history* linearizes to an execution of *model*."""
     ops = history.operations
     preds = _predecessors(ops)
+    observed = _observed_answers(ops)
+    step = model.step
     complete_keys = frozenset(op.key for op in ops if op.complete)
     initial = model.initial_state()
-    if not complete_keys and not any(op.pending for op in ops):
-        return MonitorResult(ok=True, engine=engine, configurations=1, witness=())
 
     seen: set[tuple[frozenset, Any]] = set()
     # Each frame: (linearized keys, model state, prefix of (op, response)).
@@ -170,30 +178,29 @@ def wgl_check(
                 configurations=len(seen),
                 witness=prefix,
             )
-        if len(prefix) > len(best) or not seen - {key}:
+        if len(prefix) > len(best):
             best, best_state, best_linearized = prefix, state, linearized
-        for op in ops:
-            if op.key in linearized or not preds[op.key] <= linearized:
+        for op, op_key, seen_answer in observed:
+            if op_key in linearized or not preds[op_key] <= linearized:
                 continue
-            new_state, response = model.apply(state, op.invocation)
-            if response is None:
+            new_state, answer = step(state, op.invocation)
+            if answer is None:
                 continue  # the model blocks here; this op cannot take effect
-            if op.complete and response != op.response:
+            if seen_answer is not None and answer != seen_answer:
                 continue  # observed response contradicts the model
-            stack.append(
-                (linearized | {op.key}, new_state, prefix + ((op, response),))
-            )
-    frontier = tuple(
-        (op, model.apply(best_state, op.invocation)[1])
-        for op in ops
-        if op.key not in best_linearized and preds[op.key] <= best_linearized
-    )
+            placed = prefix + ((op, Response(*answer)),)
+            stack.append((linearized | {op_key}, new_state, placed))
+    frontier = []
+    for op in ops:
+        if op.key not in best_linearized and preds[op.key] <= best_linearized:
+            answer = step(best_state, op.invocation)[1]
+            frontier.append((op, None if answer is None else Response(*answer)))
     return MonitorResult(
         ok=False,
         engine=engine,
         configurations=len(seen),
         counterexample=MonitorCounterexample(
-            prefix=best, frontier=frontier, state=best_state
+            prefix=best, frontier=tuple(frontier), state=best_state
         ),
     )
 
@@ -208,7 +215,7 @@ def check_stuck_history_model(
 
     The monitor analogue of Definition 2: for each pending operation
     ``e``, search the projected history ``H[e]`` for a linearization of
-    all *completed* operations after which ``model.apply`` blocks on
+    all *completed* operations after which ``model.step`` blocks on
     ``e``'s invocation.  The first pending operation without one is the
     violation.
     """
@@ -232,9 +239,10 @@ def _blocks_somewhere(
 ) -> tuple[bool, int]:
     """Whether some full linearization of *projected*'s completed ops
     reaches a state in which *pending*'s invocation blocks."""
-    ops = projected.complete_operations
+    observed = _observed_answers(projected.complete_operations)
     preds = _predecessors(projected.operations)
-    target = frozenset(op.key for op in ops)
+    target = frozenset(op_key for _op, op_key, _answer in observed)
+    step = model.step
     seen: set[tuple[frozenset, Any]] = set()
     stack: list[tuple[frozenset, Any]] = [(frozenset(), model.initial_state())]
     while stack:
@@ -248,15 +256,14 @@ def _blocks_somewhere(
                 f"blocking search exceeded {max_configurations} configurations"
             )
         if linearized == target:
-            _state, response = model.apply(state, pending.invocation)
-            if response is None:
+            if step(state, pending.invocation)[1] is None:
                 return True, len(seen)
             continue
-        for op in ops:
-            if op.key in linearized or not preds[op.key] <= linearized:
+        for op, op_key, seen_answer in observed:
+            if op_key in linearized or not preds[op_key] <= linearized:
                 continue
-            new_state, response = model.apply(state, op.invocation)
-            if response is None or response != op.response:
+            new_state, answer = step(state, op.invocation)
+            if answer is None or answer != seen_answer:
                 continue
-            stack.append((linearized | {op.key}, new_state))
+            stack.append((linearized | {op_key}, new_state))
     return False, len(seen)

@@ -42,7 +42,7 @@ from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 from repro.core.verdict import worst_verdict
-from repro.monitor.models import SequentialModel, get_model
+from repro.monitor.models import ModelError, SequentialModel, get_model
 from repro.monitor.trace import TraceError
 from repro.stream.engine import PartitionUnsound, StreamChecker
 from repro.stream.stats import StatsEmitter, maxrss_kb
@@ -284,9 +284,13 @@ def _feed_pass(
     progressed = False
     with closing(tailer.batches()) as batches:
         for segments in batches:
-            for segment in segments:
-                if not checker.feed(segment.obj):
-                    return True, True
+            try:
+                for segment in segments:
+                    if not checker.feed(segment.obj):
+                        return True, True
+            except ModelError as exc:
+                where = f"trace file {tailer.path!r} at byte offset {segment.start}"
+                raise TraceError(f"{where}: {exc}") from None
             progressed = progressed or bool(segments)
             emitter.maybe_emit(checker, tailer.backlog())
     return progressed, False
@@ -370,6 +374,8 @@ def watch_sharded(
     shard_results = []
     for outcome in outcomes:
         summary = outcome.summary or {}
+        if "trace_error" in summary:
+            raise TraceError(summary["trace_error"])
         if outcome.verdict == "CRASHED" or "verdict" not in summary:
             summary = {**summary, "verdict": "CRASHED", "shard": outcome.index}
         shard_results.append(summary)

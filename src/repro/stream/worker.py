@@ -8,11 +8,14 @@ filtering and ships the :class:`~repro.stream.watch.WatchResult` back as
 the task summary.  The supervisor's crash machinery needs nothing
 special: a shard that dies mid-watch is retried from offset 0 — the
 trace is a file, so re-reading it reproduces the shard's entire input.
+Nor is a trace the shard cannot read a crash to retry: the
+``TraceError`` text is the summary and the coordinator raises it again.
 """
 
 from __future__ import annotations
 
 from repro.monitor.models import get_model
+from repro.monitor.trace import TraceError
 from repro.stream.watch import WatchConfig, watch_trace
 
 __all__ = ["run_stream_task"]
@@ -23,7 +26,10 @@ def run_stream_task(spec: dict) -> dict:
     payload = spec.get("payload") or {}
     model = get_model(payload["model"])
     config = WatchConfig.from_payload(payload)
-    result = watch_trace(payload["path"], model, config)
+    try:
+        result = watch_trace(payload["path"], model, config)
+    except TraceError as exc:
+        return {"verdict": "TRACE-ERROR", "summary": {"trace_error": str(exc)}}
     summary = result.to_dict()
     summary["shard"] = config.shard_index
     return {"verdict": result.verdict, "summary": summary}

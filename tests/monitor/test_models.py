@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.events import Invocation, Response
+from repro.core.events import Invocation, Response, plain_response
 from repro.monitor import MODELS, ModelError, get_model, model_names
 
 
@@ -176,3 +178,81 @@ class TestDict:
         assert model.partition_key(inv("TryAdd", "k", 5)) == "k"
         assert model.partition_key(inv("Count")) is None
         assert model.partition_key(inv("Clear")) is None
+
+
+# -- the model contract: ``step`` is the transition, ``apply`` is derived --------
+
+#: An invocation per model that names a known method with too few (or,
+#: for the register's ``read``, too many) arguments.
+WRONG_ARITY = {
+    "register": [inv("write"), inv("read", 1)],
+    "counter": [inv("set_value")],
+    "queue": [inv("Enqueue")],
+    "stack": [inv("Push")],
+    "set": [inv("Insert"), inv("Contains")],
+    "dict": [inv("TryAdd"), inv("GetItem")],
+}
+
+
+def outcome(call, *args):
+    """What *call* returned, or the text of the ModelError it raised."""
+    try:
+        return call(*args)
+    except ModelError as exc:
+        return f"ModelError: {exc}"
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_apply_is_step_with_a_typed_response(name):
+    from tests.stream.test_closure_oracle import ALPHABETS
+
+    assert sorted(WRONG_ARITY) == sorted(ALPHABETS) == list(model_names())
+    model = get_model(name)
+    rng = random.Random(name)
+    hostile = WRONG_ARITY[name] + [inv("Frobnicate"), inv("Frobnicate", 1)]
+    seen = {"ok": 0, "blocks": 0, "error": 0}
+    for _walk in range(60):
+        state = model.initial_state()
+        for _step in range(10):
+            if rng.random() < 0.2:
+                invocation = rng.choice(hostile)
+            else:
+                method, arg_range = rng.choice(ALPHABETS[name])
+                args = () if arg_range is None else (rng.randrange(arg_range),)
+                invocation = Invocation(method, args)
+            cell = outcome(model.partition_key, invocation)
+            stepped = outcome(model.step, state, invocation)
+            applied = outcome(model.apply, state, invocation)
+            # Stepping is pure: it moves neither the routing nor itself.
+            assert outcome(model.partition_key, invocation) == cell
+            assert outcome(model.step, state, invocation) == stepped
+            if isinstance(stepped, str):
+                assert applied == stepped  # the same ModelError text
+                assert str(invocation) in stepped
+                seen["error"] += 1
+                continue
+            new_state, answer = stepped
+            hash(new_state)
+            if answer is None:
+                assert applied == (new_state, None)
+                assert new_state == state  # a blocked operation has no effect
+                seen["blocks"] += 1
+            else:
+                kind, _value = answer
+                assert type(answer) is tuple and kind in ("ok", "raised")
+                assert applied == (new_state, Response(*answer))
+                assert plain_response(applied[1]) == answer
+                seen["ok"] += 1
+            if not model.partitionable:
+                assert cell is None
+            elif invocation.args and cell is not None:
+                assert cell == invocation.args[0]
+            state = new_state
+    assert seen["ok"] and seen["error"]
+    assert bool(seen["blocks"]) == (name == "counter")
+
+
+def test_apply_is_written_once():
+    # One implementation of each model's semantics: only the base class
+    # turns an answer into a Response.
+    assert all("apply" not in vars(type(model)) for model in MODELS.values())

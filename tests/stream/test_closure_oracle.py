@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import itertools
 import os
 import random
 
@@ -258,6 +259,96 @@ def test_corpus_reaches_every_outcome():
     assert outcomes == {"pass", "fail", "cap"}
     assert kinds == {"call", "return", "indeterminate"}
     assert blocked
+
+
+# -- equal open invocations: the merged grouping pass and its fallback ---------
+
+#: model → (an operation that completes first, one that stays open to the
+#: end and what it returns there, the invocation four threads hold open
+#: at once, what they may return).
+EQUAL_SHAPES = {
+    "queue": (("Enqueue", 1), ("Enqueue", 2), None, ("TryDequeue",), (1, 2, "Fail")),
+    "stack": (("Push", 1), ("Push", 2), None, ("TryPop",), (1, 2, "Fail")),
+    "set": (("Remove", 1), ("Remove", 1), True, ("Insert", 1), (True, False)),
+    "counter": (("inc",), ("inc",), None, ("get",), (0, 1, 2)),
+    "dict": (("TryAdd", 1), ("TryRemove", 1), 1, ("TryAdd", 1), (True, False)),
+    "register": (("write", 1), ("write", 2), None, ("read",), (1, 2, 3)),
+}
+
+
+def equal_invocation_streams(model_name):
+    """Streams with four equal invocations open at once, one of them
+    indeterminate, for every assignment of the listed responses to the
+    three that return (most are not linearizable).
+
+    Thread 0 completes one operation and keeps a second open throughout;
+    threads 1–4 then call the same invocation, thread 4 never returns.
+    Each return's closure linearizes the others first in some buckets, so
+    the next return finds itself committed in some buckets, free next to
+    an equal operation in others, and — where every other equal
+    operation is already linearized — alone in the rest.
+    """
+    first, held, held_value, equal, values = EQUAL_SHAPES[model_name]
+    first, held, equal = (
+        Invocation(method, tuple(args)) for method, *args in (first, held, equal)
+    )
+    model = get_model(model_name)
+    head = [
+        ("call", 0, 0, first),
+        ("return", 0, 0, model.apply(model.initial_state(), first)[1]),
+        ("call", 0, 1, held),
+        *[("call", thread, 0, equal) for thread in (1, 2, 3, 4)],
+    ]
+    for marker_at in (0, 2):
+        for observed in itertools.product(values, repeat=3):
+            returns = [
+                ("return", thread, 0, Response.of(value))
+                for thread, value in zip((1, 2, 3), observed)
+            ]
+            returns.insert(marker_at, ("indeterminate", 4, 0, None))
+            yield head + returns + [("return", 0, 1, Response.of(held_value))]
+
+
+def bucket_kinds(checker: IncrementalChecker, event):
+    """How the buckets held before *event* (a return) stand to it."""
+    _kind, thread, op_index, _payload = event
+    key = (thread, op_index)
+    mine = checker._open[key].invocation
+    equal = [k for k, op in checker._open.items() if k != key and op.invocation == mine]
+    kinds = set()
+    for linmap in checker._configs:
+        linearized = dict(linmap)
+        if key in linearized:
+            kinds.add("committed")
+        elif any(k not in linearized for k in equal):
+            kinds.add("merged")
+        elif equal:
+            kinds.add("alone")
+    return kinds
+
+
+@pytest.mark.parametrize("model_name", sorted(EQUAL_SHAPES))
+def test_equal_open_invocations_match_reference(model_name):
+    model = get_model(model_name)
+    outcomes = set()
+    kinds = set()
+    for events in equal_invocation_streams(model_name):
+        probe = IncrementalChecker(model)
+        for event in events:
+            if event[0] == "return":
+                kinds |= bucket_kinds(probe, event)
+            if feed(probe, event) is False:
+                break
+        for cap in CAPS:
+            stop, how = run_both(events, model, cap)
+            outcomes.add(how)
+            if cap is None:
+                # The offline column, on every prefix.
+                for cut in range(len(events) + 1):
+                    online_ok = how == "pass" or cut <= stop
+                    assert wgl_check(as_history(events[:cut], 5), model).ok == online_ok
+    assert outcomes == {"pass", "fail", "cap"}
+    assert kinds == {"committed", "merged", "alone"}
 
 
 # -- the perfbench window trace: the counts the claimed gain is tied to -------

@@ -457,6 +457,49 @@ class TestWatchCli:
         code = main(["watch", path, "--model", "nonsense"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, invocation",
+        [
+            # Raised by the step, at the return; by partition_key, at the call.
+            (["watch"], Invocation("Frob", ("k0",))),
+            (["watch"], Invocation("TryAdd", ())),
+            (["watch", "--shards", "2"], Invocation("Frob", ("k0",))),
+            (["watch", "--shards", "2"], Invocation("TryAdd", ())),
+            (["monitor"], Invocation("Frob", ("k0",))),
+            (["monitor"], Invocation("TryAdd", ())),
+            (
+                ["check", "ConcurrentQueue", "--backend", "monitor",
+                 "--model", "register", "--test"],
+                Invocation("Enqueue", (1,)),
+            ),
+        ],
+    )
+    def test_a_model_that_cannot_read_the_input_is_a_usage_error(
+        self, command, invocation, tmp_path, capsys
+    ):
+        # Not a FAIL (exit 1, which an uncaught ModelError used to give),
+        # and not a CRASHED shard: one line naming the operation.
+        if command[0] == "check":
+            argv = command + [f"{invocation} | TryDequeue"]
+        else:
+            path = str(tmp_path / "t.jsonl")
+            writer = LiveTraceWriter(path, sessions=2, model="dict")
+            writer.record_call(0, 0, Invocation("TryAdd", ("k1",)), 0.0)
+            writer.record_return(0, 0, ok(True), 0.1)
+            writer.record_call(1, 0, invocation, 0.2)
+            writer.record_return(1, 0, ok(True), 0.3)
+            writer.finalize("drained", 0.4)
+            argv = [command[0], path, *command[1:]]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"does not understand {invocation}" in err
+        if command[0] == "watch":
+            line = b'{"e":"r","t":1' if invocation.args else b'{"e":"c","t":1'
+            with open(path, "rb") as handle:
+                offset = handle.read().index(line)
+            assert f"{path!r} at byte offset {offset}:" in err
+
     def test_watch_missing_model_and_header_usage_error(self, tmp_path, capsys):
         path = str(tmp_path / "absent.jsonl")
         code = main(["watch", path])
