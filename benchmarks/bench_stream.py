@@ -18,7 +18,10 @@ Sections, written to ``BENCH_stream.json`` via ``benchlib``:
 * **decode** — ``TraceDecoder`` events per second over per-key traces
   with 16 and with 10 000 distinct keys, i.e. with the literal memo
   hitting and missing; asserts the missing case stays within 0.9x of
-  decoding the same lines with plain ``ast.literal_eval``.
+  decoding the same lines with plain ``ast.literal_eval``.  Beside it,
+  recorded only: the rate with the decoder's intern tables off as well,
+  and the parse-inclusive rate — the trace file read and parsed by
+  :func:`iter_trace`, then decoded.
 * **closure** — what one return's closure costs where closures are
   large: the perfbench ``window`` trace (queue, four overlapping
   sessions, ~420 configurations per operation) through
@@ -57,7 +60,12 @@ from repro.monitor import get_model
 from repro.monitor import trace as trace_module
 from repro.monitor.incremental import IncrementalChecker
 from repro.monitor.models import SequentialModel
-from repro.monitor.trace import LiveTraceWriter, TraceDecoder, load_trace
+from repro.monitor.trace import (
+    LiveTraceWriter,
+    TraceDecoder,
+    iter_trace,
+    load_trace,
+)
 from repro.monitor.wgl import wgl_check
 from repro.stream import StreamChecker, WatchConfig, watch_sharded, watch_trace
 
@@ -281,9 +289,15 @@ def bench_time_to_fail(tmp, ops: int, window: int) -> dict:
 
 
 def bench_decode(tmp, ops: int) -> dict:
-    """Decode-only rate, memo hitting (16 keys) and missing (10 000)."""
+    """Decode rates, memo hitting (16 keys) and missing (10 000).
 
-    def lines_for(keys: int) -> list[dict]:
+    Decoder-only (parsed lines in) with and without the literal memo,
+    and with neither it nor the intern tables; and parse-inclusive: trace
+    bytes in, checker input out — :func:`iter_trace` then the decoder,
+    what ``watch`` pays before its router.
+    """
+
+    def trace_for(keys: int) -> str:
         path = os.path.join(tmp, f"decode-{keys}.jsonl")
         writer = LiveTraceWriter(
             path, sessions=1, model="dict", flush_every_n=1_000
@@ -293,8 +307,7 @@ def bench_decode(tmp, ops: int) -> dict:
             writer.record_call(0, n, Invocation("TryAdd", (key,)), 0.0)
             writer.record_return(0, n, ok(key), 0.0)
         writer.close()
-        with open(path, encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle]
+        return path
 
     def seconds(objs: list[dict]) -> float:
         decoder = TraceDecoder()
@@ -303,17 +316,33 @@ def bench_decode(tmp, ops: int) -> dict:
             decoder.feed(obj)
         return time.perf_counter() - t0
 
+    def parse_seconds(path: str) -> float:
+        decoder = TraceDecoder()
+        t0 = time.perf_counter()
+        for segment in iter_trace(path):
+            decoder.feed(segment.obj)
+        return time.perf_counter() - t0
+
     plain_literal = mock.patch.object(trace_module, "_literal", ast.literal_eval)
+    no_interning = mock.patch.object(trace_module, "_remember", lambda *_: None)
     row: dict = {"ops": ops}
     for keys in DECODE_KEYS:
-        objs = lines_for(keys)
-        memo = plain = float("inf")
+        path = trace_for(keys)
+        with open(path, encoding="utf-8") as handle:
+            objs = [json.loads(line) for line in handle]
+        memo = plain = bare = parse = float("inf")
         for _ in range(4):  # alternating, best of: the ratio is asserted
             memo = min(memo, seconds(objs))
             with plain_literal:
                 plain = min(plain, seconds(objs))
+                with no_interning:
+                    bare = min(bare, seconds(objs))
+            parse = min(parse, parse_seconds(path))
         row[f"events_per_sec_{keys}_keys"] = len(objs) / memo
         row[f"plain_events_per_sec_{keys}_keys"] = len(objs) / plain
+        # Recorded, not asserted: neither the memo nor the intern tables.
+        row[f"bare_events_per_sec_{keys}_keys"] = len(objs) / bare
+        row[f"parse_events_per_sec_{keys}_keys"] = len(objs) / parse
     missing = row[f"events_per_sec_{DECODE_KEYS[-1]}_keys"]
     plain = row[f"plain_events_per_sec_{DECODE_KEYS[-1]}_keys"]
     assert missing >= DECODE_MISS_FLOOR * plain, (
@@ -481,7 +510,10 @@ def print_report(payload: dict) -> None:
         print(
             f"decode, {keys:>6} keys: "
             f"{dec[f'events_per_sec_{keys}_keys']:10,.0f} ev/s with the memo, "
-            f"{dec[f'plain_events_per_sec_{keys}_keys']:10,.0f} without"
+            f"{dec[f'plain_events_per_sec_{keys}_keys']:10,.0f} without, "
+            f"{dec[f'bare_events_per_sec_{keys}_keys']:10,.0f} without "
+            f"interning too, "
+            f"{dec[f'parse_events_per_sec_{keys}_keys']:10,.0f} parse-inclusive"
         )
     closure = payload["closure"]
     offline = ", ".join(

@@ -98,7 +98,8 @@ import time
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import IO, Any, Iterable
+from json.scanner import make_scanner
+from typing import IO, Any, Iterable, NamedTuple
 
 from repro.core.events import Event, Invocation, Response
 from repro.core.history import History
@@ -198,22 +199,64 @@ def _literal(text: str) -> Any:
     return value
 
 
+def _invocation(method: Any, args: Any, target: Any) -> Invocation:
+    """The invocation a call line's ``"m"`` / ``"a"`` / ``"g"`` describe."""
+    return Invocation(method, tuple(_literal(args)), target)
+
+
+def _response(kind: Any, value: Any) -> Response:
+    """The response a return line's ``"k"`` / ``"v"`` describe."""
+    if kind == "raised":
+        return Response("raised", value)
+    return Response("ok", _literal(value))
+
+
+def _interned(table: dict, text: tuple, make) -> Any:
+    """``make(*text)``, one object per distinct *text* in *table*.
+
+    A trace repeats a few invocations and responses over and over, and
+    every event that repeats one gets the same immutable object instead
+    of a new one.  The rules are :func:`_literal`'s: only texts — strings
+    or ``None``, which equal nothing but themselves, where ``1``,
+    ``True`` and ``1.0`` would collide — are keys, only hashable values
+    are kept, a text that does not decode raises every time, and the
+    table is emptied when it reaches :data:`LITERAL_MEMO_LIMIT`.
+    """
+    try:
+        value = table.get(text)
+    except TypeError:  # a field that is no JSON scalar: built, never kept
+        return make(*text)
+    if value is None:
+        value = make(*text)
+        _remember(table, text, value)
+    return value
+
+
+#: What an intern key may be made of: values equal to nothing but their like.
+_TEXT_TYPES = frozenset({str, type(None)})
+
+
+def _remember(table: dict, text: tuple, value: Any) -> None:
+    if not _TEXT_TYPES.issuperset(map(type, text)):
+        return
+    try:
+        hash(value)
+    except TypeError:
+        return
+    if len(table) >= LITERAL_MEMO_LIMIT:
+        table.clear()
+    table[text] = value
+
+
 def _event_from_obj(obj: dict) -> Event:
     kind = obj["e"]
     thread = int(obj["t"])
     op_index = int(obj["i"])
     if kind == "c":
-        return Event.call(
-            thread,
-            op_index,
-            Invocation(obj["m"], tuple(_literal(obj["a"])), obj.get("g")),
-        )
+        invocation = _invocation(obj["m"], obj["a"], obj.get("g"))
+        return Event.call(thread, op_index, invocation)
     if kind == "r":
-        if obj["k"] == "raised":
-            response = Response("raised", obj["v"])
-        else:
-            response = Response("ok", _literal(obj["v"]))
-        return Event.ret(thread, op_index, response)
+        return Event.ret(thread, op_index, _response(obj["k"], obj["v"]))
     raise ValueError(f"unknown event kind {kind!r}")
 
 
@@ -469,13 +512,13 @@ class LiveTraceWriter:
         self.close()
 
 
-@dataclass(frozen=True)
-class TraceSegment:
+class TraceSegment(NamedTuple):
     """One complete JSONL line of a trace, with its byte extent.
 
     ``start``/``end`` are byte offsets into the file: the line occupies
     ``[start, end)`` including its terminating newline, so ``end`` is the
-    exact offset to resume from after consuming this segment.
+    exact offset to resume from after consuming this segment.  A plain
+    tuple: one is made per line.
     """
 
     obj: dict
@@ -507,6 +550,12 @@ class TraceScan:
 #: block at a time, never as a whole.
 READ_BLOCK_BYTES = 64 * 1024
 
+#: What ``json.loads`` ends in, without the two Python frames in front:
+#: one call parses the value that starts at a given index.
+_scan_value = make_scanner(json.JSONDecoder())
+#: JSON's whitespace: all ``json.loads`` lets trail a value.
+_JSON_SPACE = " \t\n\r"
+
 
 def scan_blocks(handle: IO[bytes], path: str, start: int, end: int):
     """Yield one :class:`TraceScan` per block read from ``[start, end)``.
@@ -527,7 +576,15 @@ def scan_blocks(handle: IO[bytes], path: str, start: int, end: int):
     anywhere in the file: the lines before it are yielded, then
     :class:`TraceError` names its byte offset.  Blank lines are skipped
     but still advance the offset.
+
+    A line is parsed once, by the scanner ``json.loads`` itself ends in,
+    and taken from it only when the value starts at the line's first
+    character and is followed by nothing but JSON whitespace — exactly
+    when ``json.loads`` returns that same value.  Any other line (blank,
+    indented, not UTF-8, not JSON, not an object) goes to ``json.loads``,
+    which accepts it or raises its own error text.
     """
+    segment = TraceSegment._make
     carry = b""  # the incomplete line that starts at *offset*
     offset = position = start
     corrupt = None
@@ -545,7 +602,16 @@ def scan_blocks(handle: IO[bytes], path: str, start: int, end: int):
         segments = []
         for line in lines:
             line_end = offset + len(line) + 1
-            if line.strip():
+            try:
+                text = line.decode()
+                obj, stop = _scan_value(text, 0)
+                if stop != len(text) and text[stop:].strip(_JSON_SPACE):
+                    obj = None  # trailing data: json.loads says what
+            except (StopIteration, ValueError):  # no value at 0, or bad bytes
+                obj = None
+            if obj.__class__ is dict:
+                segments.append(segment((obj, offset, line_end)))
+            elif line.strip():
                 try:
                     obj = json.loads(line.decode("utf-8"))
                 except ValueError as exc:  # not JSON, or not UTF-8
@@ -554,7 +620,7 @@ def scan_blocks(handle: IO[bytes], path: str, start: int, end: int):
                 if not isinstance(obj, dict):
                     corrupt = f"at byte offset {offset} is not a JSON object"
                     break
-                segments.append(TraceSegment(obj, offset, line_end))
+                segments.append(segment((obj, offset, line_end)))
             offset = line_end
         torn = position >= end and bool(carry)
         yield TraceScan(segments, offset, torn, position)
@@ -622,8 +688,11 @@ class TraceDecoder:
     * ``("header", header_dict)`` — line 1; ``version`` and ``n_threads``
       (v1 ``n_threads`` / v2 ``sessions``) are now set;
     * ``("history", (History, verdict_or_None))`` — one v1 record;
-    * ``("event", Event)`` — a v2 call or return that respects the
-      one-open-call-per-thread and increasing-``op_index`` rules;
+    * ``("event", (is_call, thread, op_index, invocation_or_response))``
+      — a v2 call or return that respects the one-open-call-per-thread
+      and increasing-``op_index`` rules, as a plain tuple: the
+      :class:`~repro.core.events.Event` it stands for is built only by a
+      consumer that keeps events (:func:`load_trace`);
     * ``("indeterminate", (thread, op_index, why))`` — a v2 marker for a
       call that is open (it stays open: the thread is retired);
     * ``("end", outcome)`` — the v2 end marker; ``outcome`` is now set
@@ -632,8 +701,12 @@ class TraceDecoder:
     ``ts`` is the timestamp annotation of the v2 line just fed.  The
     decoder keeps one open and one last ``op_index`` per thread and
     nothing per operation, so it costs O(1) per line and O(threads)
-    memory whatever the trace length.  A decoder that has raised is
-    finished: the trace is rejected, there is nothing to resume.
+    memory whatever the trace length.  Invocations and responses are
+    interned by their text (:func:`_interned`): an event that repeats
+    one hands out the object made the first time, so a v2 line costs
+    no object beyond its parsed dict and the event tuple.  A decoder
+    that has raised is finished: the trace is rejected, there is
+    nothing to resume.
     """
 
     def __init__(self) -> None:
@@ -643,6 +716,9 @@ class TraceDecoder:
         self.ts = 0.0
         self._open: dict[int, int] = {}  #: thread → op_index of its open call
         self._last: dict[int, int] = {}  #: thread → op_index of its last call
+        #: ``(m, a, g)`` texts → Invocation, ``(k, v)`` texts → Response.
+        self._invocations: dict[tuple, Invocation] = {}
+        self._responses: dict[tuple, Response] = {}
 
     def feed(self, obj: dict) -> tuple[str, Any]:
         try:
@@ -691,14 +767,13 @@ class TraceDecoder:
         if kind == "end":
             self.outcome = str(obj["outcome"])
             return "end", self.outcome
-        if kind == "x":
-            thread, op_index = int(obj["t"]), int(obj["i"])
-            if self._open.get(thread) != op_index:
-                raise self._no_open_call("indeterminate marker", thread, op_index)
-            return "indeterminate", (thread, op_index, str(obj["why"]))
-        event = _event_from_obj(obj)
-        thread, op_index = event.thread, event.op_index
-        if event.is_call:
+        thread, op_index = int(obj["t"]), int(obj["i"])
+        if kind == "c":
+            invocation = _interned(
+                self._invocations,
+                (obj["m"], obj["a"], obj.get("g")),
+                _invocation,
+            )
             if op_index <= self._last.get(thread, -1):
                 raise TraceError(
                     f"duplicate call for operation {(thread, op_index)} "
@@ -713,9 +788,19 @@ class TraceDecoder:
                     "(two writers sharing one trace?)"
                 )
             self._open[thread] = self._last[thread] = op_index
-        elif self._open.pop(thread, None) != op_index:
-            raise self._no_open_call("return", thread, op_index)
-        return "event", event
+            return "event", (True, thread, op_index, invocation)
+        if kind == "r":
+            response = _interned(
+                self._responses, (obj["k"], obj["v"]), _response
+            )
+            if self._open.pop(thread, None) != op_index:
+                raise self._no_open_call("return", thread, op_index)
+            return "event", (False, thread, op_index, response)
+        if kind == "x":
+            if self._open.get(thread) != op_index:
+                raise self._no_open_call("indeterminate marker", thread, op_index)
+            return "indeterminate", (thread, op_index, str(obj["why"]))
+        raise ValueError(f"unknown event kind {kind!r}")
 
     @staticmethod
     def _no_open_call(what: str, thread: int, op_index: int) -> TraceError:
@@ -740,12 +825,14 @@ def _assemble(path: str, batches: Iterable[TraceScan]) -> TraceFile:
                     f"trace file {path!r} at byte offset {segment.start}: {exc}"
                 ) from None
             if kind == "event":
-                key = (item.thread, item.op_index)
-                if item.is_call:
+                is_call, thread, op_index, what = item
+                key = (thread, op_index)
+                if is_call:
                     meta.intervals[key] = (decoder.ts, None)
+                    events.append(Event.call(thread, op_index, what))
                 else:
                     meta.intervals[key] = (meta.intervals[key][0], decoder.ts)
-                events.append(item)
+                    events.append(Event.ret(thread, op_index, what))
             elif kind == "history":
                 trace.histories.append(item[0])
                 trace.verdicts.append(item[1])

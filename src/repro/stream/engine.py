@@ -49,7 +49,7 @@ from typing import Hashable
 from repro.monitor.dispatch import monitor_history
 from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
 from repro.monitor.models import SequentialModel
-from repro.monitor.trace import TraceDecoder
+from repro.monitor.trace import LITERAL_MEMO_LIMIT, TraceDecoder
 from repro.monitor.wgl import MonitorLimitError
 
 __all__ = ["PartitionUnsound", "StreamChecker", "stable_shard"]
@@ -143,6 +143,8 @@ class StreamChecker:
         #: cells dropped at the configuration cap, and what they had counted.
         self._dead_cells: dict[Hashable, _DroppedCell] = {}
         self._open_cell: dict[tuple[int, int], Hashable] = {}
+        #: id(invocation) → (invocation, its cell or _FOREIGN).
+        self._routes: dict[int, tuple] = {}
 
     # -- verdicts ---------------------------------------------------------
 
@@ -253,14 +255,26 @@ class StreamChecker:
     # -- v2: one live event per line ---------------------------------------
 
     def _cell_for(self, invocation) -> Hashable:
-        """Route an invocation to its cell (or :data:`_FOREIGN`)."""
+        """Route an invocation to its cell (or :data:`_FOREIGN`).
+
+        The decoder hands out one object per distinct invocation text, so
+        the route is remembered per object: by ``id``, next to the object
+        itself, which keeps that ``id`` from naming anything else while
+        the entry lives.
+        """
         if not self.partition:
             return None
+        route = self._routes.get(id(invocation))
+        if route is not None:
+            return route[1]
         cell = self.model.partition_key(invocation)
         if cell is None:
             raise PartitionUnsound(invocation)
         if self.shards > 1 and stable_shard(cell, self.shards) != self.shard_index:
-            return _FOREIGN
+            cell = _FOREIGN
+        if len(self._routes) >= LITERAL_MEMO_LIMIT:
+            self._routes.clear()
+        self._routes[id(invocation)] = (invocation, cell)
         return cell
 
     def _checker(self, cell: Hashable) -> IncrementalChecker | None:
@@ -276,11 +290,11 @@ class StreamChecker:
             self.counters.cells += 1
         return checker
 
-    def _on_event(self, event) -> bool:
-        key = (event.thread, event.op_index)
-        is_call = event.is_call
+    def _on_event(self, event: tuple) -> bool:
+        is_call, thread, op_index, what = event
+        key = (thread, op_index)
         if is_call:
-            cell = self._open_cell[key] = self._cell_for(event.invocation)
+            cell = self._open_cell[key] = self._cell_for(what)
             self.counters.calls += 1
         else:
             cell = self._open_cell.pop(key)
@@ -292,10 +306,10 @@ class StreamChecker:
         if checker is None:
             return True  # cell gave up (EXHAUSTED); events still validated
         if is_call:
-            checker.on_call(*key, event.invocation)
+            checker.on_call(thread, op_index, what)
             return True
         try:
-            ok = checker.on_return(*key, event.response)
+            ok = checker.on_return(thread, op_index, what)
         except MonitorLimitError:
             self.exhausted = True
             self.counters.exhausted_cells += 1

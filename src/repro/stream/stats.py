@@ -56,6 +56,10 @@ class StatsEmitter:
         self._last_events = 0
         self.emitted = 0
 
+    def restart(self) -> None:
+        """A fresh checker took over: its event count starts from zero."""
+        self._last_events = 0
+
     def maybe_emit(self, checker, backlog_bytes: int = 0) -> None:
         """Emit a line when the configured interval elapsed."""
         if self.path is None:

@@ -170,6 +170,12 @@ def watch_trace(
     if not config.follow and not os.path.exists(path):
         raise TraceError(f"no such trace file: {path!r}")
 
+    emitter = StatsEmitter(
+        config.stats_out,
+        interval=config.stats_interval,
+        shard_index=config.shard_index,
+    )
+
     def fresh(partition_now: bool, offset: int = 0) -> tuple:
         checker = StreamChecker(
             model,
@@ -179,14 +185,10 @@ def watch_trace(
             max_configurations=config.max_configurations,
             monitor_engine=config.monitor_engine,
         )
+        emitter.restart()
         return checker, TraceTailer(path, offset)
 
     checker, tailer = fresh(partition, config.start_offset)
-    emitter = StatsEmitter(
-        config.stats_out,
-        interval=config.stats_interval,
-        shard_index=config.shard_index,
-    )
     started = time.monotonic()
     last_progress = started
     lag_since: float | None = None

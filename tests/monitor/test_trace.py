@@ -193,7 +193,9 @@ def decode(objs, version=2):
 
 
 def decode_without_memo(objs, version=2):
-    with mock.patch.object(trace_module, "_literal", ast.literal_eval):
+    """:func:`decode` with neither the literal memo nor the intern tables."""
+    with mock.patch.object(trace_module, "_literal", ast.literal_eval), \
+            mock.patch.object(trace_module, "_remember", lambda *_: None):
         return decode(objs, version)
 
 
@@ -204,7 +206,10 @@ def returned_values(*texts):
     values = []
     for op_index, text in enumerate(texts):
         decoder.feed(call_obj(op_index, "()"))
-        values.append(decoder.feed(return_obj(op_index, text))[1].response.value)
+        _kind, (_is_call, _t, _i, response) = decoder.feed(
+            return_obj(op_index, text)
+        )
+        values.append(response.value)
     return values
 
 
@@ -247,9 +252,9 @@ class TestLiteralMemo:
         decoder.feed(V2_HEADER)
         calls = []
         for op_index in range(2):
-            calls.append(decoder.feed(call_obj(op_index, "([1, 2],)"))[1])
+            calls.append(decoder.feed(call_obj(op_index, "([1, 2],)"))[1][3])
             decoder.feed(return_obj(op_index, "None"))
-        assert calls[0].invocation.args[0] is not calls[1].invocation.args[0]
+        assert calls[0].args[0] is not calls[1].args[0]
 
     @pytest.mark.parametrize("bad", ["(", "foo", "1 +", "__import__('os')", 5, [1], None])
     def test_a_malformed_literal_raises_every_time(self, bad):

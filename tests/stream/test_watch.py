@@ -312,6 +312,36 @@ class TestWatchTrace:
         assert result.restarts == 1
         assert not result.partitioned
 
+    def test_stats_rate_never_negative_across_a_restart(self, tmp_path):
+        # 3 000 keyed operations, then a global Count: the watch restarts
+        # unpartitioned with a fresh checker, whose event count starts
+        # from zero again — and so must the rate's baseline.
+        path = str(tmp_path / "t.jsonl")
+        model = get_model("dict")
+        state = model.initial_state()
+        writer = LiveTraceWriter(
+            path, sessions=4, model="dict", flush_every_n=4096
+        )
+        methods = ("TryAdd", "ContainsKey", "TryRemove", "TryGetValue")
+        for n in range(3_000):
+            invocation = Invocation(methods[n % 4], (f"k{n % 64:02d}",))
+            state, response = model.apply(state, invocation)
+            writer.record_call(n % 4, n // 4, invocation, float(n))
+            writer.record_return(n % 4, n // 4, response, float(n))
+        _, response = model.apply(state, Invocation("Count", ()))
+        writer.record_call(0, 750, Invocation("Count", ()), 3000.0)
+        writer.record_return(0, 750, response, 3000.0)
+        writer.finalize("drained", 3001.0)
+        stats_path = str(tmp_path / "stats.jsonl")
+        result = watch_trace(
+            path, model, WatchConfig(stats_out=stats_path, stats_interval=0.0)
+        )
+        assert result.verdict == "PASS" and result.restarts == 1
+        with open(stats_path, encoding="utf-8") as handle:
+            rates = [json.loads(line)["ingested_per_sec"] for line in handle]
+        assert len(rates) > 2
+        assert all(rate >= 0 for rate in rates), rates
+
     def test_stats_out_written(self, tmp_path):
         path = write_register_trace(str(tmp_path / "t.jsonl"))
         stats_path = str(tmp_path / "stats.jsonl")
