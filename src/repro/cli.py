@@ -270,7 +270,6 @@ def _config_from_args(args: argparse.Namespace) -> CheckConfig:
         watchdog_seconds=getattr(args, "watchdog", None),
         backend=backend,
         model=model,
-        monitor_engine=getattr(args, "monitor_engine", "auto"),
         engine=getattr(args, "engine", DEFAULT_ENGINE),
         dump_traces=getattr(args, "dump_traces", None),
         reduction=reduction,
@@ -401,12 +400,6 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
         "--model", metavar="NAME",
         help="sequential model for the monitor backend (register, counter, "
              "queue, stack, set, dict); implies --backend monitor",
-    )
-    parser.add_argument(
-        "--monitor-engine",
-        choices=("auto", "wgl", "compositional", "specialized"),
-        default="auto",
-        help="monitor algorithm (default: auto — cheapest applicable)",
     )
     _add_engine_argument(parser)
     _add_trace_dump_option(parser)
@@ -814,7 +807,7 @@ def _campaign_exit_code(rows: list, stop_reason: str | None) -> int:
         return EXIT_ALLCRASHED
     if campaign_verdict(rows) == "FAIL":
         return EXIT_FAIL
-    if stop_reason is not None:
+    if stop_reason is not None or any(row.tests_exhausted for row in rows):
         return EXIT_EXHAUSTED
     return EXIT_PASS
 
@@ -1209,9 +1202,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Offline re-check of a JSONL trace against an explicit model."""
-    from repro.core.checker import NO_FULL_WITNESS, NO_STUCK_WITNESS, Violation
+    from repro.core.checker import monitor_violation
     from repro.core.checkpoint import test_from_dict
-    from repro.core.explain import diagnose_monitor_failure
     from repro.core.report import render_violation
     from repro.monitor import (
         MonitorLimitError,
@@ -1243,20 +1235,17 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     subject = trace.subject or "(unknown subject)"
     print(
         f"Monitoring {len(trace.histories)} histories of {subject} "
-        f"against model {model.name!r} (engine {args.monitor_engine})"
+        f"against model {model.name!r}"
     )
     if trace.truncated:
         print("note: the trace's final record was truncated and is skipped")
     failures = 0
     exhausted = 0
-    first_violation: "Violation | None" = None
+    first_violation = None
     for number, history in enumerate(trace.histories, start=1):
         try:
             verdict = monitor_history(
-                history,
-                model,
-                engine=args.monitor_engine,
-                max_configurations=args.max_configurations,
+                history, model, max_configurations=args.max_configurations
             )
         except MonitorLimitError:
             exhausted += 1
@@ -1275,16 +1264,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         if args.verbose:
             print(f"  history {number}: FAIL")
         if first_violation is None:
-            first_violation = Violation(
-                kind=(
-                    NO_STUCK_WITNESS
-                    if verdict.failed_pending is not None
-                    else NO_FULL_WITNESS
-                ),
-                test=trace_test(history),
-                history=history,
-                pending_op=verdict.failed_pending,
-                diagnosis=diagnose_monitor_failure(verdict, model),
+            first_violation = monitor_violation(
+                verdict, model, trace_test(history), history
             )
     print(
         f"verdict: {'FAIL' if failures else ('EXHAUSTED' if exhausted else 'PASS')} "
@@ -1350,7 +1331,6 @@ def cmd_live(args: argparse.Namespace) -> int:
         chaos=chaos if chaos.modes else None,
         trace_out=args.trace_out,
         max_configurations=args.max_configurations,
-        monitor_engine=args.monitor_engine,
         subject=subject,
         flush_every_n=args.flush_every_n,
         flush_interval=args.flush_interval,
@@ -1438,7 +1418,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
         idle_timeout=args.idle_timeout,
         poll_interval=args.poll_interval,
         max_configurations=args.max_configurations,
-        monitor_engine=args.monitor_engine,
         stats_out=args.stats_out,
         stats_interval=args.stats_interval,
     )
@@ -1716,13 +1695,6 @@ def build_parser() -> argparse.ArgumentParser:
              "queue, stack, set, dict); default: the trace header's model",
     )
     p_monitor.add_argument(
-        "--monitor-engine", "--engine",
-        dest="monitor_engine",
-        choices=("auto", "wgl", "compositional", "specialized"),
-        default="auto",
-        help="monitor algorithm (default: auto — cheapest applicable)",
-    )
-    p_monitor.add_argument(
         "--max-configurations", type=int, metavar="N",
         help="abort a history's search past N configurations (EXHAUSTED)",
     )
@@ -1792,13 +1764,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reference-SUT buggy-variant race window (default: 0.004)",
     )
     p_live.add_argument(
-        "--monitor-engine", "--engine",
-        dest="monitor_engine",
-        choices=("auto", "wgl", "compositional", "specialized"),
-        default="auto",
-        help="monitor algorithm for the offline check (default: auto)",
-    )
-    p_live.add_argument(
         "--max-configurations", type=int, default=500_000, metavar="N",
         help="abort the offline search past N configurations (EXHAUSTED; "
              "default: 500000)",
@@ -1827,8 +1792,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_watch.add_argument(
         "trace", metavar="TRACE",
-        help="JSONL trace file (a 'lineup live' recording, possibly "
-             "still being written, or a --dump-traces file)",
+        help="v2 JSONL trace file (a 'lineup live' recording, possibly "
+             "still being written; check a --dump-traces file with "
+             "'monitor')",
     )
     p_watch.add_argument(
         "--model", metavar="NAME",
@@ -1873,18 +1839,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between stats samples (default: 1.0)",
     )
     p_watch.add_argument(
-        "--monitor-engine", "--engine",
-        dest="monitor_engine",
-        choices=("auto", "wgl", "compositional", "specialized"),
-        default="auto",
-        help="offline engine for v1 (history-per-line) traces "
-             "(default: auto)",
-    )
-    p_watch.add_argument(
         "--max-configurations", type=int, default=1_000_000, metavar="N",
         help="configuration cap per return: what one return's closure "
-             "(v1: one record's search) may explore before its cell is "
-             "EXHAUSTED (default: 1000000)",
+             "may explore before its cell is EXHAUSTED (default: 1000000)",
     )
     p_watch.add_argument(
         "--json", action="store_true",

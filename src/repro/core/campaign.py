@@ -149,6 +149,8 @@ class CampaignRow:
     tests_crashed: int = 0
     #: tests whose FAIL/PASS re-runs disagreed (nondeterministic-verdict).
     tests_nondet: int = 0
+    #: tests that ended EXHAUSTED, e.g. a phase 1 past the serial cap.
+    tests_exhausted: int = 0
     #: why the campaign stopped early ("deadline", "executions",
     #: "decisions", "interrupted"), or None when it ran to completion.
     stop_reason: str | None = None
@@ -213,6 +215,8 @@ def row_from_summaries(
             row.tests_crashed += 1
         elif summary.verdict == "nondeterministic-verdict":
             row.tests_nondet += 1
+        elif summary.verdict == "EXHAUSTED":
+            row.tests_exhausted += 1
         else:
             row.tests_passed += 1
             pass_times.append(summary.total_seconds)
@@ -244,7 +248,7 @@ def campaign_verdict(rows: "Sequence[CampaignRow]") -> str:
             verdicts.append("nondeterministic-verdict")
         if row.tests_crashed:
             verdicts.append("CRASHED")
-        if row.stop_reason is not None:
+        if row.stop_reason is not None or row.tests_exhausted:
             verdicts.append("EXHAUSTED")
         if row.tests_passed:
             verdicts.append("PASS")
@@ -629,5 +633,13 @@ def render_table2(rows: list[CampaignRow]) -> str:
             f"{row.tests_crashed:5d} "
             f"{row.fail_avg_s * 1000:6.1f}m {row.pass_avg_s * 1000:6.1f}m "
             f"{row.schedules_explored:7d} {row.schedules_pruned:7d} {pb:>3s}"
+        )
+    exhausted = sum(row.tests_exhausted for row in rows)
+    if exhausted:
+        # A column of its own would change the table's shape.
+        lines.append(
+            f"note: {exhausted} test(s) EXHAUSTED are counted neither as "
+            "pass nor as fail (a phase 1 cut short, e.g. by the "
+            "serial-execution cap, is never judged against)"
         )
     return "\n".join(lines)

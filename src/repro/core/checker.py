@@ -44,6 +44,7 @@ from repro.runtime import (
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
     from repro.core.checkpoint import Checkpointer, CheckResume
+    from repro.monitor.dispatch import MonitorVerdict
 
 __all__ = [
     "CheckConfig",
@@ -89,13 +90,16 @@ class CheckConfig:
     pct_depth: int = 3  #: bug depth for phase2_strategy="pct"
     phase2_executions: int = 2000  #: sample size when phase2_strategy="random"
     seed: int = 0
+    #: a phase 1 cut short by this cap ends the check EXHAUSTED: phase 2
+    #: never judges against a partial specification (Theorem 5).
     max_serial_executions: int | None = None
+    #: a PASS cut short by this cap stays a PASS, with
+    #: ``phase2_complete`` False and a note in the report.
     max_concurrent_executions: int | None = 20_000
     max_steps: int = 20_000
     stop_at_first_violation: bool = True
     #: exploration budget; when tripped, the check stops with verdict
-    #: "EXHAUSTED" and partial statistics (unlike the ``max_*`` caps
-    #: above, which silently truncate for interactive use).
+    #: "EXHAUSTED" and partial statistics, resumable from a checkpoint.
     budget: ExplorationBudget | None = None
     #: enable the scheduler watchdog: max seconds a single operation may
     #: run between scheduling points before the execution is classified
@@ -112,8 +116,6 @@ class CheckConfig:
     #: sequential model name for the monitor backend (see
     #: :func:`repro.monitor.get_model`); required when backend="monitor".
     model: str | None = None
-    #: monitor engine: "auto", "wgl", "compositional" or "specialized".
-    monitor_engine: str = "auto"
     #: directory to dump every explored concurrent history into as a
     #: JSONL trace file (:mod:`repro.monitor.trace`); None disables.
     dump_traces: str | None = None
@@ -496,17 +498,26 @@ def _run_phase1(
                 nondeterminism=observations.nondeterminism,
             )
         )
-    elif stats.stop_reason is not None:
-        # Phase 1 cut short by the budget or an interrupt.  Phase 2
-        # against a partial specification could report unsound FAILs
-        # (a legitimate serial witness may simply not have been
-        # enumerated yet), so stop here with an explicit EXHAUSTED.
-        result.verdict = "EXHAUSTED"
-        result.exhausted_reason = stats.stop_reason
-        result.phase2_complete = False
-        if checkpointer is not None:
-            checkpointer.save(state(observations, stats, phase1_seconds))
+    elif _cut_short(result) and checkpointer is not None:
+        checkpointer.save(state(observations, stats, phase1_seconds))
     return result
+
+
+def _cut_short(result: CheckResult) -> bool:
+    """End *result* EXHAUSTED if its phase 1 did not finish enumerating.
+
+    Phase 2 against a partial specification could report unsound FAILs (a
+    legitimate serial witness may simply not have been enumerated yet),
+    whether the budget, an interrupt or ``max_serial_executions`` cut the
+    enumeration short.
+    """
+    stats = result.phase1
+    if stats.complete:
+        return False
+    result.verdict = "EXHAUSTED"
+    result.exhausted_reason = stats.stop_reason or "executions"
+    result.phase2_complete = False
+    return True
 
 
 def _default_judge(
@@ -515,11 +526,12 @@ def _default_judge(
     """The judge ``cfg`` asks for.  The deciders are looked up when a
     history is judged, not here, so a test can replace either."""
     if cfg.backend == "monitor":
-        from repro.monitor import get_model
+        from repro.monitor import dispatch, get_model
 
         model = get_model(cfg.model or "")
-        return lambda history, outcome: _monitor_violation(
-            history, model, cfg, test, outcome
+        return lambda history, outcome: monitor_violation(
+            dispatch.monitor_history(history, model), model, test, history,
+            tuple(outcome.decisions),
         )
     assert observations is not None
     return lambda history, outcome: _observation_violation(
@@ -696,18 +708,17 @@ def _observation_violation(
     return None
 
 
-def _monitor_violation(
-    history: History,
+def monitor_violation(
+    verdict: "MonitorVerdict",
     model: Any,
-    cfg: CheckConfig,
     test: FiniteTest,
-    outcome: Any,
+    history: History,
+    decisions: tuple[Decision, ...] = (),
 ) -> Violation | None:
-    """Model-based verdict of one history (the monitor backend)."""
+    """The :class:`Violation` *verdict* stands for, or None when the
+    history passed — for the monitor backend and ``lineup monitor`` alike."""
     from repro.core.explain import diagnose_monitor_failure
-    from repro.monitor.dispatch import monitor_history
 
-    verdict = monitor_history(history, model, engine=cfg.monitor_engine)
     if verdict.ok:
         return None
     return Violation(
@@ -715,6 +726,6 @@ def _monitor_violation(
         test=test,
         history=history,
         pending_op=verdict.failed_pending,
-        decisions=tuple(outcome.decisions),
+        decisions=decisions,
         diagnosis=diagnose_monitor_failure(verdict, model),
     )

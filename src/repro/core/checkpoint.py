@@ -120,7 +120,6 @@ def config_to_dict(config: CheckConfig) -> dict:
         "watchdog_seconds": config.watchdog_seconds,
         "backend": config.backend,
         "model": config.model,
-        "monitor_engine": config.monitor_engine,
         "dump_traces": config.dump_traces,
         "reduction": config.reduction,
         "engine": config.engine,
@@ -145,7 +144,6 @@ def config_from_dict(data: dict) -> CheckConfig:
         watchdog_seconds=data.get("watchdog_seconds"),
         backend=data.get("backend", "observations"),
         model=data.get("model"),
-        monitor_engine=data.get("monitor_engine", "auto"),
         dump_traces=data.get("dump_traces"),
         reduction=data.get("reduction", "none"),
         engine=data.get("engine", DEFAULT_ENGINE),

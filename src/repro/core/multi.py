@@ -109,8 +109,9 @@ def check_multi(
 
     Phase 2 is the checker's loop with a judge that asks Definitions 1/2
     of every projection; *control* (or ``config.budget``) meters it.  The
-    projected phase-1 fold below always runs whole, so no specification
-    is ever partial.
+    projected phase-1 fold below runs outside the budget, and past
+    ``config.max_serial_executions`` the check ends EXHAUSTED, so no
+    specification judged against is ever partial.
     """
     cfg = config or CheckConfig()
     targets = _targets_of(test)
@@ -121,8 +122,9 @@ def check_multi(
     per_object: dict[str | None, ObservationSet] = {
         target: ObservationSet(test.n_threads) for target in targets
     }
+    strategy = DFSStrategy(preemption_bound=None)
     for outcome in harness.explore_serial(
-        test, DFSStrategy(preemption_bound=None), cfg.max_serial_executions
+        test, strategy, cfg.max_serial_executions
     ):
         stats.executions += 1
         history = harness.history_from_outcome(outcome, test)
@@ -133,6 +135,7 @@ def check_multi(
                 stats.histories += 1
                 if serial.stuck:
                     stats.stuck_histories += 1
+    stats.complete = not strategy.more()
 
     result = MultiCheckResult(
         verdict="PASS",
@@ -153,6 +156,8 @@ def check_multi(
                 )
             )
             return result
+    if checker._cut_short(result):
+        return result
 
     # ---- Phase 2: one concurrent exploration, checked per object.
     def judge(history: History, outcome: Any) -> Violation | None:

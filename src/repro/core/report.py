@@ -173,6 +173,12 @@ def render_check_result(result: CheckResult) -> str:
         lines.append(
             f"note: exploration incomplete — {what}; statistics are partial"
         )
+    elif result.passed and not result.phase2_complete:
+        lines.append(
+            f"note: phase 2 stopped at its execution cap after "
+            f"{result.phase2_executions} executions (--max-executions); "
+            "the schedules past it were not checked"
+        )
     for violation in result.violations:
         lines.append("")
         lines.append(render_violation(violation, result.observations))

@@ -105,9 +105,12 @@ class InlineExecutor:
                 control=control,
             )
             summary = payload.get("summary")
-            if payload["verdict"] == "EXHAUSTED":
-                stop_reason = (summary or {}).get("exhausted_reason")
-                break
+            if payload["verdict"] == "EXHAUSTED" and control is not None:
+                # The halt cut the task short — unless the task ended
+                # EXHAUSTED on its own (a phase 1 past its serial cap).
+                stop_reason = control.halt_reason()
+                if stop_reason is not None:
+                    break
             outcome = TaskOutcome(
                 index=spec.index,
                 verdict=payload["verdict"],

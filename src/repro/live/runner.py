@@ -69,7 +69,6 @@ class LiveConfig:
     chaos: ChaosConfig | None = None
     trace_out: str = "live.trace.jsonl"
     max_configurations: int | None = 500_000
-    monitor_engine: str = "auto"
     subject: str | None = None
     #: Trace flush policy (see docs/LIVE.md): every n-th event — plus any
     #: event older than ``flush_interval`` seconds at the next append — is
@@ -247,10 +246,7 @@ def run_live(
     for history in trace.histories:
         try:
             verdict = monitor_history(
-                history,
-                model,
-                engine=config.monitor_engine,
-                max_configurations=config.max_configurations,
+                history, model, max_configurations=config.max_configurations
             )
         except MonitorLimitError:
             exhausted = True

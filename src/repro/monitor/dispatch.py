@@ -34,7 +34,8 @@ from repro.monitor.wgl import (
 
 __all__ = ["ENGINES", "MonitorVerdict", "check_history_against_model", "monitor_history"]
 
-#: Engine names accepted by ``--engine`` and the config's ``model`` path.
+#: Engine names :func:`monitor_history` accepts.  Every command runs
+#: ``auto``; the named engines are for benchmarks and differential tests.
 ENGINES = ("auto", "wgl", "compositional", "specialized")
 
 

@@ -79,7 +79,8 @@ above.  The offline loader (:func:`load_trace`), the header peek
 (:class:`repro.stream.engine.StreamChecker` behind
 :class:`repro.stream.tail.TraceTailer`) all feed the decoder the lines
 the reader delivers, so a file is the same history — or the same error —
-on every route to a verdict.
+on every route to a verdict.  The online engine reads version 2 only: it
+refuses a version-1 header and leaves those files to the offline loader.
 
 :func:`default_trace_path` derives a deterministic filename from the
 subject and test (a content hash), so two cooperating processes — the

@@ -1,20 +1,15 @@
 """The streaming check engine: trace lines in, online verdict out.
 
-:class:`StreamChecker` consumes the parsed JSONL lines of one trace (in
-file order, as :mod:`repro.stream.tail` delivers them) and maintains a
-monitoring verdict *while the trace grows*:
-
-* **v2 live traces** (event per line) are fed event-by-event into
-  :class:`~repro.monitor.incremental.IncrementalChecker` instances — one
-  per partition cell when per-key sharding is on, one for the whole
-  stream otherwise.  A FAIL is known at the exact return event that
-  loses linearizability; memory is bounded by the concurrency window
-  (see the retirement argument in :mod:`repro.monitor.incremental`).
-* **v1 history traces** (complete history per line) are checked one
-  record at a time with the offline
-  :func:`~repro.monitor.dispatch.monitor_history` — each line is already
-  a complete history, so "streaming" means verdict-per-line, including
-  the blocking justification for stuck histories.
+:class:`StreamChecker` consumes the parsed JSONL lines of one v2 (event
+per line) trace, in file order as :mod:`repro.stream.tail` delivers
+them, and maintains a monitoring verdict *while the trace grows*: events
+are fed into :class:`~repro.monitor.incremental.IncrementalChecker`
+instances — one per partition cell when per-key sharding is on, one for
+the whole stream otherwise.  A FAIL is known at the exact return event
+that loses linearizability; memory is bounded by the concurrency window
+(see the retirement argument in :mod:`repro.monitor.incremental`).  A v1
+trace (a ``--dump-traces`` file, one complete history per line) is
+refused at its header: judging those is ``lineup monitor``'s job.
 
 Sharding model (P-compositionality, reusing
 :meth:`~repro.monitor.models.SequentialModel.partition_key`): when
@@ -29,9 +24,9 @@ partitioning unsound mid-stream; :class:`PartitionUnsound` is raised and
 the caller restarts from offset 0 with partitioning off — possible
 precisely because the trace is a file, not an ephemeral socket.
 
-What a line *means* — the header, a v1 record, a v2 call/return, an
-indeterminate marker, the end marker — and whether the stream is
-well-formed is decided by :class:`~repro.monitor.trace.TraceDecoder`,
+What a line *means* — the header, a call/return, an indeterminate
+marker, the end marker — and whether the stream is well-formed is
+decided by :class:`~repro.monitor.trace.TraceDecoder`,
 the same decoder the offline loader uses; a malformed stream raises its
 :class:`~repro.monitor.trace.TraceError` and never blends into a
 verdict.  This module adds only what is the stream engine's own job:
@@ -46,10 +41,14 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable
 
-from repro.monitor.dispatch import monitor_history
 from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
 from repro.monitor.models import SequentialModel
-from repro.monitor.trace import LITERAL_MEMO_LIMIT, TraceDecoder
+from repro.monitor.trace import (
+    LITERAL_MEMO_LIMIT,
+    TRACE_VERSION_LIVE,
+    TraceDecoder,
+    TraceError,
+)
 from repro.monitor.wgl import MonitorLimitError
 
 __all__ = ["PartitionUnsound", "StreamChecker", "stable_shard"]
@@ -88,7 +87,6 @@ class StreamCounters:
     returns: int = 0
     indeterminate: int = 0
     skipped: int = 0  #: events owned by other shards
-    histories: int = 0  #: v1 records checked
     exhausted_cells: int = 0
     cells: int = 0  #: partition cells seen by this shard
 
@@ -117,7 +115,6 @@ class StreamChecker:
         shards: int = 1,
         shard_index: int = 0,
         max_configurations: int | None = None,
-        monitor_engine: str = "auto",
     ) -> None:
         if partition and not model.partitionable:
             raise ValueError(
@@ -133,10 +130,8 @@ class StreamChecker:
         self.shards = shards
         self.shard_index = shard_index
         self.max_configurations = max_configurations
-        self.monitor_engine = monitor_engine
         self.counters = StreamCounters()
         self.failed: OnlineCounterexample | None = None
-        self.failed_history: object | None = None  #: v1 FAIL: the History
         self.exhausted = False
         self._decoder = TraceDecoder()
         self._cells: dict[Hashable, IncrementalChecker] = {}
@@ -147,11 +142,6 @@ class StreamChecker:
         self._routes: dict[int, tuple] = {}
 
     # -- verdicts ---------------------------------------------------------
-
-    @property
-    def version(self) -> int | None:
-        """The trace version; None until the header arrived."""
-        return self._decoder.version
 
     @property
     def outcome(self) -> str | None:
@@ -165,18 +155,14 @@ class StreamChecker:
     @property
     def verdict(self) -> str:
         """PASS / FAIL / EXHAUSTED for the stream consumed so far."""
-        if self.failed is not None or self.failed_history is not None:
+        if self.failed is not None:
             return "FAIL"
         if self.exhausted:
             return "EXHAUSTED"
         return "PASS"
 
     def counterexample_text(self) -> str | None:
-        if self.failed is not None:
-            return self.failed.describe()
-        if self.failed_history is not None:
-            return str(self.failed_history)
-        return None
+        return self.failed.describe() if self.failed is not None else None
 
     # -- observability ----------------------------------------------------
 
@@ -224,35 +210,19 @@ class StreamChecker:
         kind, item = self._decoder.feed(obj)
         if kind == "event":
             return self._on_event(item)
-        if kind == "history":
-            return self._on_history(item[0])
         if kind == "indeterminate":
             key = item[:2]
             self.counters.indeterminate += 1
             checker = self._checker(self._open_cell[key])
             if checker is not None:
                 checker.on_indeterminate(*key)
-        return True
-
-    # -- v1: one complete history per line --------------------------------
-
-    def _on_history(self, history) -> bool:
-        self.counters.histories += 1
-        try:
-            verdict = monitor_history(
-                history,
-                self.model,
-                engine=self.monitor_engine,
-                max_configurations=self.max_configurations,
+        elif kind == "header" and self._decoder.version != TRACE_VERSION_LIVE:
+            raise TraceError(
+                f"a version-{self._decoder.version} trace (one complete "
+                "history per line, as --dump-traces writes) is not a stream: "
+                "check it with 'lineup monitor TRACE --model NAME'"
             )
-        except MonitorLimitError:
-            self.exhausted = True
-            return True
-        if not verdict.ok:
-            self.failed_history = history
-        return verdict.ok
-
-    # -- v2: one live event per line ---------------------------------------
+        return True
 
     def _cell_for(self, invocation) -> Hashable:
         """Route an invocation to its cell (or :data:`_FOREIGN`).

@@ -6,8 +6,8 @@ the file holds now, one bounded batch at a time — feed every complete
 line to the :class:`~repro.stream.engine.StreamChecker`, emit stats
 between batches, and between passes decide when to stop:
 
-* **FAIL** — the moment a return event loses linearizability (or a v1
-  record fails offline); online failure is final, no more reading.
+* **FAIL** — the moment a return event loses linearizability; online
+  failure is final, no more reading.
 * **drained** — the v2 end marker (or, without ``follow``, the current
   end of file) was reached with everything consumed.
 * **idle timeout** — in follow mode, no new bytes for ``idle_timeout``
@@ -71,10 +71,9 @@ class WatchConfig:
     lag_budget: float | None = None  #: max seconds of sustained backlog
     idle_timeout: float | None = None  #: follow mode: give up after quiet
     poll_interval: float = 0.05
-    #: per return: the closure of one return (v1: the search of one
-    #: record) may explore this many configurations, never a lifetime total.
+    #: per return: the closure of one return may explore this many
+    #: configurations, never a lifetime total.
     max_configurations: int | None = 1_000_000
-    monitor_engine: str = "auto"  #: v1 records: offline engine choice
     stats_out: str | None = None  #: JSONL stats path (None = no stats)
     stats_interval: float = 1.0
     start_offset: int = 0
@@ -92,7 +91,6 @@ class WatchConfig:
             "idle_timeout": self.idle_timeout,
             "poll_interval": self.poll_interval,
             "max_configurations": self.max_configurations,
-            "monitor_engine": self.monitor_engine,
             "stats_out": self.stats_out,
             "stats_interval": self.stats_interval,
             "start_offset": self.start_offset,
@@ -111,7 +109,6 @@ class WatchConfig:
                 "idle_timeout",
                 "poll_interval",
                 "max_configurations",
-                "monitor_engine",
                 "stats_out",
                 "stats_interval",
                 "start_offset",
@@ -183,7 +180,6 @@ def watch_trace(
             shards=config.shards,
             shard_index=config.shard_index,
             max_configurations=config.max_configurations,
-            monitor_engine=config.monitor_engine,
         )
         emitter.restart()
         return checker, TraceTailer(path, offset)

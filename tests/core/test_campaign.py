@@ -5,8 +5,11 @@ from __future__ import annotations
 from repro.core import CheckConfig
 from repro.core.campaign import (
     CampaignRow,
+    TestSummary,
     campaign_row,
+    campaign_verdict,
     render_table2,
+    row_from_summaries,
     run_class_campaign,
     verify_causes,
 )
@@ -114,3 +117,30 @@ class TestRendering:
         lines = text.splitlines()
         assert lines[0].startswith("Class")
         assert lines[-1].strip().endswith("-")  # unbounded PB renders as '-'
+
+
+class TestExhaustedTests:
+    """A test whose check ended EXHAUSTED has no verdict: it is neither a
+    pass nor a fail, and the row says so under the table."""
+
+    def _row(self, *verdicts):
+        summaries = [
+            TestSummary(verdict, histories=10, stuck_histories=0,
+                        phase1_seconds=0.1, total_seconds=0.2)
+            for verdict in verdicts
+        ]
+        return row_from_summaries(
+            get_class("Lazy"), "beta", summaries, CheckConfig()
+        )
+
+    def test_an_exhausted_test_is_not_a_pass(self):
+        row = self._row("PASS", "EXHAUSTED")
+        assert (row.tests_run, row.tests_passed, row.tests_exhausted) == (2, 1, 1)
+        assert campaign_verdict([row]) == "EXHAUSTED"
+        assert campaign_verdict([row, self._row("FAIL")]) == "FAIL"
+
+    def test_the_table_keeps_its_columns_and_adds_a_note(self):
+        lines = render_table2([self._row("EXHAUSTED", "EXHAUSTED")]).splitlines()
+        assert len(lines[2].split()) == 15
+        assert lines[3].startswith("note: 2 test(s) EXHAUSTED")
+        assert "note:" not in render_table2([self._row("PASS")])

@@ -125,6 +125,36 @@ class TestCompleteness:
         violation = result.violation
         assert brute_force_full_witness(violation.history, result.observations) is None
 
+    @pytest.mark.parametrize("cap", [1, 5, 11])
+    def test_a_capped_phase_1_is_never_judged_against(self, scheduler, cap):
+        # The correct queue has 12 serial executions here; judged against
+        # any fewer, phase 2 used to FAIL it (no witness enumerated yet).
+        from repro.structures import get_class
+
+        result = check(
+            SystemUnderTest(get_class("ConcurrentQueue").factory("beta"), "q"),
+            FiniteTest.of([
+                [Invocation("Enqueue", (1,)), Invocation("TryDequeue")],
+                [Invocation("Enqueue", (2,))],
+                [Invocation("TryDequeue")],
+            ]),
+            CheckConfig(max_serial_executions=cap),
+            scheduler=scheduler,
+        )
+        assert (result.verdict, result.exhausted_reason) == ("EXHAUSTED", "executions")
+        assert result.phase1.executions == cap and not result.phase1.complete
+        assert result.phase2_executions == 0 and not result.phase2_complete
+
+    def test_a_cap_the_enumeration_fits_in_is_no_cap(self, scheduler):
+        result = check(
+            SystemUnderTest(Counter, "c"),
+            FiniteTest.of([[INC, GET], [INC]]),
+            CheckConfig(max_serial_executions=3),
+            scheduler=scheduler,
+        )
+        assert result.passed and result.phase1.complete
+        assert result.phase1.executions == 3
+
 
 class TestSpecRelativeChecking:
     """Section 2.2.2: Fig. 4's counter vs the intended Fig. 3 spec."""

@@ -131,6 +131,40 @@ class TestCommands:
         assert "Lazy" in out
         assert code == 1  # the pre version carries bug G
 
+    def test_a_truncated_pass_says_so(self, capsys):
+        gate = ["check", "ConcurrentQueue", "--test",
+                "Enqueue(1); TryDequeue | Enqueue(2) | TryDequeue"]
+        assert main(gate + ["--max-executions", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: PASS" in out
+        assert (
+            "note: phase 2 stopped at its execution cap after 100 executions "
+            "(--max-executions)" in out
+        )
+        assert main(gate[:3] + ["Enqueue(1) | TryDequeue"]) == 0
+        assert "note:" not in capsys.readouterr().out
+        # A FAIL stops at its first violation: that is no truncation.
+        assert main(["check", "Lazy", "--version", "pre", "--cause", "G"]) == 1
+        assert "note:" not in capsys.readouterr().out
+
+    def test_a_campaign_past_the_serial_cap_is_exhausted_not_failed(
+        self, capsys
+    ):
+        # 4x3 tests have tens of thousands of serial executions; the
+        # campaign enumerates at most 2000, and judges none of them.
+        code = main(
+            ["campaign", "ConcurrentQueue", "--versions", "beta",
+             "--samples", "1", "--rows", "4", "--cols", "3", "--seed", "1",
+             "--schedules", "50"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        (row,) = [line.split() for line in lines if line.startswith("Concurrent")]
+        assert code == 2
+        assert len(row) == 15
+        # hist max, fail, pass, crash, sched
+        assert [row[i] for i in (5, 7, 8, 9, 12)] == ["2000", "0", "0", "0", "0"]
+        assert lines[-1].startswith("note: 1 test(s) EXHAUSTED")
+
 
 class TestReproduceCommand:
     def test_reproduce_writes_report(self, capsys, tmp_path):

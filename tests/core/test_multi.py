@@ -152,6 +152,14 @@ class TestTheOneLoop:
         # The projected phase 1 always runs whole; the budget meters phase 2.
         assert result.phase1.complete and result.phase2_executions == 25
 
+    def test_a_capped_phase_1_is_never_judged_against(self):
+        from repro.core import CheckConfig
+
+        result = self._check(two_counters, CheckConfig(max_serial_executions=3))
+        assert result.exhausted and result.exhausted_reason == "executions"
+        assert not result.phase1.complete and result.phase1.executions == 3
+        assert result.phase2_executions == 0 and not result.phase2_complete
+
     def test_statistics_and_the_memo_are_those_of_a_strict_check(self):
         from repro.core import CheckConfig
 

@@ -78,11 +78,12 @@ def _reference_phase2(
     if result is None:
         result = CheckResult(verdict="PASS", test=test, observations=observations)
     if judge is None and cfg.backend == "monitor":
-        from repro.monitor import get_model
+        from repro.monitor import get_model, monitor_history
 
         model = get_model(cfg.model)
-        judge = lambda history, outcome: checker._monitor_violation(  # noqa: E731
-            history, model, cfg, test, outcome
+        judge = lambda history, outcome: checker.monitor_violation(  # noqa: E731
+            monitor_history(history, model), model, test, history,
+            tuple(outcome.decisions),
         )
     elif judge is None:
         judge = lambda history, outcome: checker._observation_violation(  # noqa: E731

@@ -256,6 +256,12 @@ class TestTheOneLoop:
         assert result.exhausted and result.exhausted_reason == "interrupted"
         assert 0 < result.phase2_executions < 122
 
+    def test_a_capped_phase_1_is_never_judged_against(self):
+        result = self._check(CheckConfig(max_serial_executions=2))
+        assert result.exhausted and result.exhausted_reason == "executions"
+        assert not result.phase1.complete and not result.phase2_complete
+        assert (result.phase1.executions, result.phase2_executions) == (2, 0)
+
     def test_the_execution_cap_leaves_the_run_incomplete(self):
         result = self._check(CheckConfig(max_concurrent_executions=7))
         assert result.passed and result.phase2_executions == 7

@@ -131,12 +131,14 @@ class TestSameBatch:
             make_spec(1, "CrashingRegister", [["Boom"]]),
             make_spec(2, "FreezingRegister", [["Freeze"]]),
             # Last, so that its worker never dies afterwards and the
-            # flaky-verdict guard has nothing to re-run.
+            # flaky-verdict guard has nothing to re-run.  With no backoff a
+            # retry goes first, so nothing overtakes the freezer's second
+            # attempt (that ordering is pinned in test_supervisor.py).
             make_spec(3, "NondetRegister", [["Get"], ["Get"]]),
         ]
         config = pool_config(
             workers=1, start_method=method, max_retries=1,
-            heartbeat_timeout=1.0,
+            heartbeat_timeout=1.0, backoff_seconds=0.0,
         )
         with WorkerPool(config) as pool:
             outcomes, stop = pool.run(specs)

@@ -119,6 +119,29 @@ class TestFlakyVerdictGuard:
         # First attempt FAILed, the re-run and tie-breaker PASSed.
         assert flaky.verdicts == ["FAIL", "PASS", "PASS"]
 
+    def test_a_fail_that_overtook_a_backed_off_retry_is_rerun_once(
+        self, pool_config
+    ):
+        """While a crashed task waits out its backoff, a fresh worker runs
+        the next task (a FAIL) first; the retry then lands on that worker
+        and kills it, so the FAIL is suspect and re-run once, on another
+        worker.  Agreeing re-runs keep the FAIL."""
+        config = pool_config(
+            workers=1, max_retries=1, heartbeat_timeout=1.0,
+            backoff_seconds=1.0, backoff_jitter=0.0,
+        )
+        specs = [
+            make_spec(0, "FreezingRegister", [["Freeze"]]),
+            make_spec(1, "NondetRegister", [["Get"], ["Get"]]),
+        ]
+        with WorkerPool(config) as pool:
+            outcomes, _ = pool.run(specs)
+        freezing, nondet = outcomes
+        assert freezing.verdict == "CRASHED"
+        assert [c["reason"] for c in freezing.crashes] == ["heartbeat-loss"] * 2
+        assert (nondet.verdict, nondet.verdicts) == ("FAIL", ["FAIL", "FAIL"])
+        assert nondet.retries == 0 and not nondet.crashes
+
 
 class TestPoolApi:
     def test_config_validation(self):

@@ -57,13 +57,11 @@ class TestHappyPath:
         assert result.failed
 
     def test_exhausted_budget_reported(self, correct_sut, tmp_path):
+        # No closed form reads a counter trace: auto sends it to the search.
         result = run_live(
             "127.0.0.1",
             correct_sut.port,
-            config_for(
-                tmp_path, sessions=4, ops=10,
-                max_configurations=1, monitor_engine="wgl",
-            ),
+            config_for(tmp_path, sessions=4, ops=10, max_configurations=1),
         )
         assert result.verdict == "EXHAUSTED"
 

@@ -65,14 +65,71 @@ class TestMonitorSubcommand:
         ) == 64
 
     def test_configuration_cap_gives_exhausted(self, tmp_path, capsys):
+        # An empty dequeue is outside the queue's closed form, so auto
+        # sends this history to the search, which the cap stops.
         path = str(tmp_path / "q.trace.jsonl")
-        write_queue_trace(path, include_violation=False)
-        code = main(
-            ["monitor", path, "--model", "queue",
-             "--engine", "wgl", "--max-configurations", "1"]
-        )
+        with TraceWriter(path, n_threads=2) as writer:
+            writer.write(hist(
+                call(0, 0, "Enqueue", 1), call(1, 0, "TryDequeue"),
+                ret(0, 0), ret(1, 0, "Fail"),
+            ))
+        code = main(["monitor", path, "--model", "queue",
+                     "--max-configurations", "1"])
         assert code == 2
         assert "EXHAUSTED" in capsys.readouterr().out
+        assert main(["monitor", path, "--model", "queue"]) == 0
+
+    def test_the_first_line_names_no_engine(self, tmp_path, capsys):
+        path = str(tmp_path / "q.trace.jsonl")
+        write_queue_trace(path, include_violation=False)
+        main(["monitor", path, "--model", "queue"])
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (
+            "Monitoring 1 histories of ConcurrentQueue(pre) against model "
+            "'queue'"
+        )
+
+
+class TestOneModelJudge:
+    """``auto`` is the only engine a command runs: the flag that chose
+    another one is gone from every command that had it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "ConcurrentQueue", "--test", "Enqueue(1) | TryDequeue",
+             "--model", "queue", "--monitor-engine", "wgl"],
+            ["monitor", "TRACE", "--model", "queue", "--monitor-engine", "wgl"],
+            ["monitor", "TRACE", "--model", "queue", "--engine", "wgl"],
+            ["live", "--monitor-engine", "wgl"],
+            ["live", "--engine", "wgl"],
+            ["watch", "TRACE", "--monitor-engine", "wgl"],
+            ["watch", "TRACE", "--engine", "wgl"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_the_engine_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        path = str(tmp_path / "q.trace.jsonl")
+        write_queue_trace(path, include_violation=False)
+        argv = [path if arg == "TRACE" else arg for arg in argv]
+        assert main(argv) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_watch_refuses_a_dump_and_names_monitor(self, tmp_path, capsys):
+        directory = str(tmp_path / "traces")
+        assert main(
+            ["check", "ConcurrentQueue", "--test", "Enqueue(1) | TryDequeue",
+             "--dump-traces", directory]
+        ) == 0
+        (name,) = os.listdir(directory)
+        path = os.path.join(directory, name)
+        capsys.readouterr()
+        for shards in ([], ["--shards", "2", "--workers", "1"]):
+            model = ["--model", "set"] if shards else ["--model", "queue"]
+            assert main(["watch", path, *model, *shards]) == 64
+            err = capsys.readouterr().err
+            assert "lineup monitor" in err and "version-1" in err
+        assert main(["monitor", path, "--model", "queue"]) == 0
 
 
 class TestCheckBackendFlag:

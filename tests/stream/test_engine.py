@@ -134,42 +134,28 @@ class TestMalformedStreams:
 
 
 class TestV1Traces:
-    def test_history_per_line_verdicts(self, tmp_path):
-        path = str(tmp_path / "v1.jsonl")
-        good = History(
-            [
-                Event.call(0, 0, Invocation("write", (1,))),
-                Event.ret(0, 0, ok(None)),
-                Event.call(1, 0, Invocation("read", ())),
-                Event.ret(1, 0, ok(1)),
-            ],
-            n_threads=2,
-        )
-        with TraceWriter(path, n_threads=2, subject="test") as writer:
-            writer.write(good)
-            writer.write(good)
-        checker = StreamChecker(get_model("register"))
-        assert feed_all(checker, path)
-        assert checker.verdict == "PASS"
-        assert checker.counters.histories == 2
-
-    def test_v1_violating_record_fails(self, tmp_path):
+    def test_a_v1_trace_is_refused_at_its_header(self, tmp_path):
+        """A history-per-line dump is ``lineup monitor``'s input: the
+        stream engine refuses it before judging any record, on every
+        shard alike."""
         path = str(tmp_path / "v1.jsonl")
         bad = History(
             [
-                Event.call(0, 0, Invocation("write", (1,))),
-                Event.ret(0, 0, ok(None)),
-                Event.call(1, 0, Invocation("read", ())),
-                Event.ret(1, 0, ok(9)),
+                Event.call(0, 0, Invocation("TryAdd", ("k",))),
+                Event.ret(0, 0, ok(False)),
             ],
-            n_threads=2,
+            n_threads=1,
         )
-        with TraceWriter(path, n_threads=2, subject="test") as writer:
+        with TraceWriter(path, n_threads=1, subject="test") as writer:
             writer.write(bad)
-        checker = StreamChecker(get_model("register"))
-        assert not feed_all(checker, path)
-        assert checker.verdict == "FAIL"
-        assert checker.counterexample_text()
+        header, _record = scan_trace(path).segments
+        for shard_index in range(2):
+            checker = StreamChecker(
+                get_model("dict"), partition=True, shards=2,
+                shard_index=shard_index,
+            )
+            with pytest.raises(TraceError, match="lineup monitor"):
+                checker.feed(header.obj)
 
 
 class TestPartitioning:
