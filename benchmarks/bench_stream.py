@@ -1,11 +1,11 @@
-"""Streaming-monitor benchmark: online throughput, bounded memory, shards.
+"""Streaming-monitor benchmark: online throughput, bounded memory, closure.
 
 Sections, written to ``BENCH_stream.json`` via ``benchlib``:
 
 * **throughput** — a long v2 counter trace fed through
-  :class:`repro.stream.StreamChecker`; asserts the single-shard engine
-  sustains at least 10^4 checked operations per second (the acceptance
-  floor of the streaming-monitor work).
+  :class:`repro.stream.StreamChecker`; asserts the engine sustains at
+  least 10^4 checked operations per second (the acceptance floor of the
+  streaming-monitor work).
 * **bounded_memory** — the product path, :func:`repro.stream.watch_trace`
   (tailer, decoder, engine), over one generator at 1x and 10x length,
   both far longer than the concurrency window; asserts ``max_frontier``
@@ -32,14 +32,6 @@ Sections, written to ``BENCH_stream.json`` via ``benchlib``:
   same trace at two lengths, what the *offline* search costs per
   operation — that one is quadratic in trace length, so which of the two
   is faster depends on where the trace is cut.
-* **shard_scaling** — a per-key dictionary trace checked in-process
-  (the single-shard baseline) and then fanned across the worker pool
-  at increasing shard counts.  Verdicts and cell counts are asserted
-  equal; wall-clock per configuration is recorded, not asserted —
-  near-linear scaling is only expected up to the machine's core count,
-  and on a single-core CI runner the sharded rows mostly measure pool
-  supervision overhead (the snapshot is the artifact).
-
 ``--quick`` shrinks every section for the CI smoke job.
 """
 
@@ -67,7 +59,7 @@ from repro.monitor.trace import (
     load_trace,
 )
 from repro.monitor.wgl import wgl_check
-from repro.stream import StreamChecker, WatchConfig, watch_sharded, watch_trace
+from repro.stream import StreamChecker, WatchConfig, watch_trace
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -79,18 +71,12 @@ MODES = {
         "memory_ops": 2_000,
         "decode_ops": 20_000,
         "window": 4,
-        "keys": 8,
-        "rounds": 50,
-        "shard_counts": [2],
     },
     "full": {
         "throughput_ops": 50_000,
         "memory_ops": 20_000,
         "decode_ops": 100_000,
         "window": 4,
-        "keys": 16,
-        "rounds": 400,
-        "shard_counts": [2, 4],
     },
 }
 
@@ -145,29 +131,6 @@ def write_counter_trace(
     writer.finalize("drained", 1.0)
 
 
-def write_dict_trace(path: str, keys: int, rounds: int) -> None:
-    """One session per key cycling add / contains / remove."""
-    writer = LiveTraceWriter(
-        path, sessions=keys, model="dict", flush_every_n=1_000
-    )
-    for rnd in range(rounds):
-        for k in range(keys):
-            base = rnd * 3
-            key = f"key-{k}"
-            for offset, (inv, resp) in enumerate(
-                [
-                    (Invocation("TryAdd", (key,)), ok(True)),
-                    (Invocation("ContainsKey", (key,)), ok(True)),
-                    # TryRemove yields the removed value (= the key, by
-                    # the model's value-defaulting convention).
-                    (Invocation("TryRemove", (key,)), ok(key)),
-                ]
-            ):
-                writer.record_call(k, base + offset, inv, 0.0)
-                writer.record_return(k, base + offset, resp, 0.0)
-    writer.finalize("drained", 1.0)
-
-
 def feed_file(checker: StreamChecker, path: str) -> float:
     """Line-at-a-time feed, JSON parse included — that is what a live
     follower pays per event, and nothing but the checker accumulates."""
@@ -188,7 +151,7 @@ def bench_throughput(tmp, ops: int, window: int) -> dict:
     done = checker.counters.returns
     per_sec = done / seconds if seconds else float("inf")
     assert per_sec >= THROUGHPUT_FLOOR_PER_SEC, (
-        f"single-shard throughput {per_sec:.0f} ops/s is below the "
+        f"throughput {per_sec:.0f} ops/s is below the "
         f"{THROUGHPUT_FLOOR_PER_SEC} floor"
     )
     return {
@@ -444,46 +407,6 @@ def bench_closure(tmp) -> dict:
     return row
 
 
-def bench_shard_scaling(tmp, keys: int, rounds: int, shard_counts) -> dict:
-    path = os.path.join(tmp, "dict.jsonl")
-    write_dict_trace(path, keys, rounds)
-
-    t0 = time.perf_counter()
-    baseline = watch_trace(path, get_model("dict"), WatchConfig())
-    baseline_seconds = time.perf_counter() - t0
-    assert baseline.verdict == "PASS", baseline.verdict
-    assert baseline.stats["cells"] == keys, baseline.stats
-
-    rows = []
-    for shards in shard_counts:
-        t0 = time.perf_counter()
-        result = watch_sharded(
-            path, "dict", WatchConfig(shards=shards), workers=shards
-        )
-        seconds = time.perf_counter() - t0
-        assert result.verdict == baseline.verdict, result.verdict
-        assert result.stats["cells"] == keys, result.stats
-        rows.append(
-            {
-                "shards": shards,
-                "seconds": seconds,
-                "events_per_sec": result.stats["events"] / seconds
-                if seconds
-                else 0.0,
-                "max_frontier": result.stats["max_frontier"],
-            }
-        )
-    return {
-        "keys": keys,
-        "events": baseline.stats["events"],
-        "baseline": {
-            "seconds": baseline_seconds,
-            "events_per_sec": baseline.events_per_sec,
-        },
-        "sharded": rows,
-    }
-
-
 def print_report(payload: dict) -> None:
     tp = payload["throughput"]
     print(
@@ -531,35 +454,18 @@ def print_report(payload: dict) -> None:
         f"{CLOSURE_SPEEDUP_FLOOR}x); offline WGL us/op on the same trace: "
         f"{offline}"
     )
-    scaling = payload["shard_scaling"]
-    print(
-        f"shard scaling over {scaling['events']} events, "
-        f"{scaling['keys']} cells:"
-    )
-    print(
-        f"  {'in-process':>10s} {scaling['baseline']['seconds']:8.2f}s "
-        f"{scaling['baseline']['events_per_sec']:10,.0f} ev/s"
-    )
-    for row in scaling["sharded"]:
-        print(
-            f"  {str(row['shards']) + ' shards':>10s} {row['seconds']:8.2f}s "
-            f"{row['events_per_sec']:10,.0f} ev/s"
-        )
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="small traces, CI smoke")
-    parser.add_argument("--shards", type=int, nargs="*", default=None,
-                        help="shard counts to measure")
     parser.add_argument("--out", default="BENCH_stream.json",
                         help="perf snapshot path (default BENCH_stream.json)")
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
     sizes = MODES[mode]
-    shard_counts = args.shards if args.shards else sizes["shard_counts"]
 
     with tempfile.TemporaryDirectory(prefix="bench-stream-") as tmp:
         # Memory first: getrusage's maxrss is a process-wide high-water
@@ -577,9 +483,6 @@ def main(argv=None) -> int:
             ),
             "decode": bench_decode(tmp, sizes["decode_ops"]),
             "closure": bench_closure(tmp),
-            "shard_scaling": bench_shard_scaling(
-                tmp, sizes["keys"], sizes["rounds"], shard_counts
-            ),
         }
 
     print_report(payload)

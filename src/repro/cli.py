@@ -238,12 +238,37 @@ def parse_test(
     )
 
 
+def _count(minimum: int):
+    """An argparse ``type=`` for an integer flag of at least *minimum*."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
+def _seconds(*, zero: bool = False):
+    """An argparse ``type=`` for a duration: positive, or also 0 if *zero*."""
+
+    def seconds(text: str) -> float:
+        value = float(text)
+        if not (value >= 0 if zero else value > 0):  # NaN fails both
+            least = "a non-negative" if zero else "a positive"
+            raise argparse.ArgumentTypeError(
+                f"must be {least} number of seconds, got {text}"
+            )
+        return value
+
+    return seconds
+
+
 def _budget_from_args(args: argparse.Namespace) -> ExplorationBudget | None:
     deadline = getattr(args, "deadline", None)
     if deadline is None:
         return None
-    if deadline <= 0:
-        raise CliError("--deadline must be a positive number of seconds")
     return ExplorationBudget(deadline_seconds=deadline)
 
 
@@ -310,13 +335,13 @@ def _add_isolation_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_swarm_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--shards", type=int, metavar="N",
+        "--shards", type=_count(1), metavar="N",
         help="split this check's schedule space into N shards fanned "
              "across sandboxed workers; the run survives losing any "
              "shard (requeue, quarantine, resumable shard checkpoints)",
     )
     parser.add_argument(
-        "--lease", type=int, default=512, metavar="N",
+        "--lease", type=_count(1), default=512, metavar="N",
         help="executions per shard lease before the frontier is "
              "checkpointed back to the coordinator (default: 512)",
     )
@@ -325,15 +350,15 @@ def _add_swarm_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_worker_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
+        "--workers", type=_count(1), default=2, metavar="N",
         help="sandboxed worker processes (default: 2)",
     )
     parser.add_argument(
-        "--mem-limit-mb", type=int, metavar="MB",
+        "--mem-limit-mb", type=_count(1), metavar="MB",
         help="RLIMIT_AS cap per worker, in MiB (default: unlimited)",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
+        "--max-retries", type=_count(0), default=2, metavar="N",
         help="crash retries before a test is quarantined (default: 2)",
     )
     parser.add_argument(
@@ -350,7 +375,7 @@ def _add_worker_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_robustness_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--deadline", type=float, metavar="SECONDS",
+        "--deadline", type=_seconds(), metavar="SECONDS",
         help="wall-clock budget; on expiry the run stops with verdict "
              "EXHAUSTED, partial statistics, and exit code 2",
     )
@@ -360,7 +385,7 @@ def _add_robustness_options(parser: argparse.ArgumentParser) -> None:
              "(atomic writes); continue later with 'resume PATH'",
     )
     parser.add_argument(
-        "--watchdog", type=float, metavar="SECONDS",
+        "--watchdog", type=_seconds(), metavar="SECONDS",
         help="max seconds one operation may run between scheduling points "
              "before the execution is classified divergent (default: off)",
     )
@@ -380,12 +405,12 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
         help="phase-2 preemption bound; -1 for unbounded (default: 2)",
     )
     parser.add_argument(
-        "--schedules", type=int, default=2000, metavar="N",
+        "--schedules", type=_count(1), default=2000, metavar="N",
         help="schedules to sample when --strategy random (default: 2000)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--max-executions", type=int, default=20_000, metavar="N",
+        "--max-executions", type=_count(1), default=20_000, metavar="N",
         help="phase-2 execution cap (default: 20000)",
     )
     _add_reduction_option(parser)
@@ -549,10 +574,6 @@ def _run_swarm_check(
     if config.dump_traces:
         raise CliError("--dump-traces is not supported with --shards")
     if swarm_config is None:
-        if args.shards < 1:
-            raise CliError("--shards must be >= 1")
-        if args.lease < 1:
-            raise CliError("--lease must be >= 1")
         swarm_config = SwarmConfig(
             shards=args.shards, lease_executions=args.lease
         )
@@ -687,12 +708,6 @@ def _shared_params(args: argparse.Namespace) -> dict:
     They are stored in every checkpoint, so ``resume`` rebuilds the same
     check configuration and the same executor.
     """
-    if args.deadline is not None and args.deadline <= 0:
-        raise CliError("--deadline must be a positive number of seconds")
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
-    if args.max_retries < 0:
-        raise CliError("--max-retries must be >= 0")
     return {
         key: getattr(args, key)
         for key in (
@@ -727,11 +742,12 @@ def _pool_config(params: dict):
     from repro.exec import PoolConfig, ResourceLimits
 
     max_retries = params.get("max_retries")
-    start_method = params.get("start_method")
+    start_method = params.get("start_method") or PoolConfig().start_method
     if start_method not in ("fork", "spawn"):
-        # The flag was not given — or an old checkpoint names a method
-        # since retired, and resumes on the pool's default.
-        start_method = PoolConfig().start_method
+        raise CheckpointError(
+            f"checkpoint field 'start_method' is {start_method!r}, "
+            "not 'fork' or 'spawn'"
+        )
     return PoolConfig(
         workers=int(params.get("workers") or 2),
         start_method=start_method,
@@ -862,8 +878,9 @@ def _generate_exit_code(report) -> int:
 
     Mirrors the campaign contract: only a deduplicated failure is a
     failing exit; a fully consumed execution budget is normal completion
-    (the budget *is* the plan), while a deadline/decision stop or an
-    interrupt reports the campaign as cut short.
+    (the budget *is* the plan) once a candidate was judged, while a
+    budget spent before that, a deadline/decision stop or an interrupt
+    reports the campaign as cut short.
     """
     if report.stop_reason == "interrupted":
         return EXIT_INTERRUPTED
@@ -993,12 +1010,6 @@ def _run_generate_plan(plan: "list[tuple[str, str]]", params: dict) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     import os
 
-    if args.budget is not None and args.budget < 1:
-        raise CliError("--budget must be a positive number of executions")
-    if args.seeds < 1:
-        raise CliError("--seeds must be >= 1")
-    if args.max_rows < 1 or args.max_cols < 1:
-        raise CliError("--max-rows/--max-cols must be >= 1")
     params = {
         **_shared_params(args),
         "budget": args.budget,
@@ -1106,8 +1117,6 @@ def _resume_swarm(args: argparse.Namespace, document: dict) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    if args.deadline is not None and args.deadline <= 0:
-        raise CliError("--deadline must be a positive number of seconds")
     document = load_checkpoint(args.checkpoint)
     if document["kind"] == "campaign":
         plan, rows, params, resume_current = parse_campaign_state(document)
@@ -1398,22 +1407,12 @@ def cmd_watch(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.monitor import TraceError, get_model
-    from repro.stream import WatchConfig, watch_sharded, watch_trace
+    from repro.stream import WatchConfig, watch_trace
 
     model_name = _trace_model_name(args)
     model = get_model(model_name)
-    if args.shards < 1:
-        raise CliError("--shards must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        raise CliError("--workers must be >= 1")
-    if args.shards > 1 and not model.partitionable:
-        raise CliError(
-            f"model {model.name!r} is not partitionable; --shards needs a "
-            "per-key model (queue-per-key models: set, dict)"
-        )
     config = WatchConfig(
         follow=args.follow,
-        shards=args.shards,
         lag_budget=args.lag_budget,
         idle_timeout=args.idle_timeout,
         poll_interval=args.poll_interval,
@@ -1422,12 +1421,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         stats_interval=args.stats_interval,
     )
     try:
-        if args.shards > 1:
-            result = watch_sharded(
-                args.trace, model_name, config, workers=args.workers
-            )
-        else:
-            result = watch_trace(args.trace, model, config)
+        result = watch_trace(args.trace, model, config)
     except TraceError as exc:
         raise CliError(str(exc)) from exc
     except KeyboardInterrupt:
@@ -1452,7 +1446,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         )
         if result.restarts:
             print(f"  restarted {result.restarts}x (rotation/truncation/"
-                  "unsound partition)")
+                  "unsound partitioning)")
         if not result.finalized:
             torn = " (final line torn — writer died mid-record?)" if result.torn else ""
             print(f"  note: trace is not finalized{torn}")
@@ -1575,10 +1569,10 @@ def build_parser() -> argparse.ArgumentParser:
         "cls", metavar="CLASS", help="registry class name, or 'all'"
     )
     p_campaign.add_argument("--versions", default="pre,beta")
-    p_campaign.add_argument("--samples", type=int, default=4)
-    p_campaign.add_argument("--rows", type=int, default=3)
-    p_campaign.add_argument("--cols", type=int, default=3)
-    p_campaign.add_argument("--schedules", type=int, default=150)
+    p_campaign.add_argument("--samples", type=_count(0), default=4)
+    p_campaign.add_argument("--rows", type=_count(1), default=3)
+    p_campaign.add_argument("--cols", type=_count(1), default=3)
+    p_campaign.add_argument("--schedules", type=_count(1), default=150)
     p_campaign.add_argument("--seed", type=int, default=0)
     _add_engine_argument(p_campaign)
     p_campaign.add_argument(
@@ -1588,7 +1582,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--rows/--cols become matrix growth bounds",
     )
     p_campaign.add_argument(
-        "--budget", type=int, default=2000, metavar="N",
+        "--budget", type=_count(1), default=2000, metavar="N",
         help="with --generate: SUT-execution budget per class/version "
              "(default: 2000)",
     )
@@ -1611,7 +1605,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="library vintage to test (default: beta)",
     )
     p_generate.add_argument(
-        "--budget", type=int, default=2000, metavar="N",
+        "--budget", type=_count(1), default=2000, metavar="N",
         help="total SUT executions (both phases, all candidates) the "
              "campaign may spend (default: 2000)",
     )
@@ -1626,29 +1620,29 @@ def build_parser() -> argparse.ArgumentParser:
              "function of it (default: 0)",
     )
     p_generate.add_argument(
-        "--seeds", type=int, default=4, metavar="N",
+        "--seeds", type=_count(1), default=4, metavar="N",
         help="seed-corpus size: tiny starter tests before mutation "
              "takes over (default: 4)",
     )
     p_generate.add_argument(
-        "--max-rows", type=int, default=3, metavar="N",
+        "--max-rows", type=_count(1), default=3, metavar="N",
         help="matrix growth bound: invocations per thread (default: 3)",
     )
     p_generate.add_argument(
-        "--max-cols", type=int, default=3, metavar="N",
+        "--max-cols", type=_count(1), default=3, metavar="N",
         help="matrix growth bound: threads (default: 3)",
     )
     p_generate.add_argument(
-        "--schedules", type=int, default=150, metavar="N",
+        "--schedules", type=_count(1), default=150, metavar="N",
         help="phase-2 schedules sampled per candidate (default: 150)",
     )
     p_generate.add_argument(
-        "--deadline", type=float, metavar="SECONDS",
+        "--deadline", type=_seconds(), metavar="SECONDS",
         help="wall-clock budget; on expiry the campaign stops with "
              "partial results and exit code 2",
     )
     p_generate.add_argument(
-        "--watchdog", type=float, metavar="SECONDS",
+        "--watchdog", type=_seconds(), metavar="SECONDS",
         help="max seconds one operation may run between scheduling "
              "points before the execution is classified divergent",
     )
@@ -1672,7 +1666,7 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint", metavar="PATH", help="checkpoint file written by --checkpoint"
     )
     p_resume.add_argument(
-        "--deadline", type=float, metavar="SECONDS",
+        "--deadline", type=_seconds(), metavar="SECONDS",
         help="grant the resumed session a fresh wall-clock budget "
              "(default: the original budget is total across sessions)",
     )
@@ -1695,7 +1689,7 @@ def build_parser() -> argparse.ArgumentParser:
              "queue, stack, set, dict); default: the trace header's model",
     )
     p_monitor.add_argument(
-        "--max-configurations", type=int, metavar="N",
+        "--max-configurations", type=_count(1), metavar="N",
         help="abort a history's search past N configurations (EXHAUSTED)",
     )
     p_monitor.add_argument(
@@ -1725,15 +1719,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="sequential model (and workload shape) to check against",
     )
     p_live.add_argument(
-        "--sessions", type=int, default=4, metavar="N",
+        "--sessions", type=_count(1), default=4, metavar="N",
         help="concurrent client sessions (default: 4)",
     )
     p_live.add_argument(
-        "--ops", type=int, default=25, metavar="N",
+        "--ops", type=_count(1), default=25, metavar="N",
         help="operations per session (default: 25)",
     )
     p_live.add_argument(
-        "--op-timeout", type=float, default=1.0, metavar="SECONDS",
+        "--op-timeout", type=_seconds(), default=1.0, metavar="SECONDS",
         help="per-operation deadline; a timed-out call is recorded as an "
              "indeterminate (pending) operation (default: 1.0)",
     )
@@ -1747,7 +1741,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the deterministic fault streams (default: 0)",
     )
     p_live.add_argument(
-        "--kill-after-events", type=int, default=40, metavar="N",
+        "--kill-after-events", type=_count(1), default=40, metavar="N",
         help="chaos 'kill': SIGKILL the SUT once N trace events are "
              "recorded (default: 40)",
     )
@@ -1760,21 +1754,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="v2 JSONL trace to record (default: live.trace.jsonl)",
     )
     p_live.add_argument(
-        "--race-window", type=float, default=0.004, metavar="SECONDS",
+        "--race-window", type=_seconds(zero=True), default=0.004,
+        metavar="SECONDS",
         help="reference-SUT buggy-variant race window (default: 0.004)",
     )
     p_live.add_argument(
-        "--max-configurations", type=int, default=500_000, metavar="N",
+        "--max-configurations", type=_count(1), default=500_000, metavar="N",
         help="abort the offline search past N configurations (EXHAUSTED; "
              "default: 500000)",
     )
     p_live.add_argument(
-        "--flush-every-n", type=int, default=1, metavar="N",
+        "--flush-every-n", type=_count(1), default=1, metavar="N",
         help="flush the trace every N events instead of every event "
              "(a follower may lag up to N events; default: 1)",
     )
     p_live.add_argument(
-        "--flush-interval", type=float, default=0.0, metavar="SECONDS",
+        "--flush-interval", type=_seconds(zero=True), default=0.0,
+        metavar="SECONDS",
         help="with --flush-every-n > 1: also flush any event buffered "
              "longer than this at the next append (default: off)",
     )
@@ -1807,26 +1803,18 @@ def build_parser() -> argparse.ArgumentParser:
              "--idle-timeout); without it, read once to the current end",
     )
     p_watch.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="fan partition cells across N sandboxed worker processes "
-             "(needs a partitionable model; default: 1 = in-process)",
-    )
-    p_watch.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for --shards (default: min(shards, cores))",
-    )
-    p_watch.add_argument(
-        "--lag-budget", type=float, metavar="SECONDS",
+        "--lag-budget", type=_seconds(), metavar="SECONDS",
         help="exit LAGGED when unconsumed trace bytes persist this long "
              "(default: no budget)",
     )
     p_watch.add_argument(
-        "--idle-timeout", type=float, metavar="SECONDS",
+        "--idle-timeout", type=_seconds(), metavar="SECONDS",
         help="with --follow: stop after this long without new bytes "
              "(default: wait forever)",
     )
     p_watch.add_argument(
-        "--poll-interval", type=float, default=0.05, metavar="SECONDS",
+        "--poll-interval", type=_seconds(), default=0.05,
+        metavar="SECONDS",
         help="delay between polls when caught up (default: 0.05)",
     )
     p_watch.add_argument(
@@ -1835,11 +1823,13 @@ def build_parser() -> argparse.ArgumentParser:
              "frontier, retirement lag, memory high-water) to FILE",
     )
     p_watch.add_argument(
-        "--stats-interval", type=float, default=1.0, metavar="SECONDS",
+        "--stats-interval", type=_seconds(zero=True), default=1.0,
+        metavar="SECONDS",
         help="seconds between stats samples (default: 1.0)",
     )
     p_watch.add_argument(
-        "--max-configurations", type=int, default=1_000_000, metavar="N",
+        "--max-configurations", type=_count(1), default=1_000_000,
+        metavar="N",
         help="configuration cap per return: what one return's closure "
              "may explore before its cell is EXHAUSTED (default: 1000000)",
     )
@@ -1865,10 +1855,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = sub.add_parser(
         "reproduce", help="regenerate the paper's evaluation as markdown"
     )
-    p_repro.add_argument("--samples", type=int, default=4)
-    p_repro.add_argument("--rows", type=int, default=3)
-    p_repro.add_argument("--cols", type=int, default=3)
-    p_repro.add_argument("--schedules", type=int, default=150)
+    p_repro.add_argument("--samples", type=_count(0), default=4)
+    p_repro.add_argument("--rows", type=_count(1), default=3)
+    p_repro.add_argument("--cols", type=_count(1), default=3)
+    p_repro.add_argument("--schedules", type=_count(1), default=150)
     p_repro.add_argument("--seed", type=int, default=1)
     p_repro.add_argument("-o", "--output", metavar="FILE")
     p_repro.set_defaults(func=cmd_reproduce)

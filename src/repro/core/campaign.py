@@ -425,9 +425,6 @@ def parse_campaign_state(
     Returns the plan, the finished rows, the stored parameters and the
     class in progress — the ``resume_current`` of
     :func:`run_campaign_plan` — or None when no class was in progress.
-    Checkpoints written before campaigns shared one driver stored an
-    in-process campaign's summaries as a list (tests finished in order,
-    so position was the index); those still load.
     """
     from repro.core.checkpoint import CheckpointError
 
@@ -445,11 +442,13 @@ def parse_campaign_state(
     if not current:
         return plan, rows, params, None
     saved = current.get("summaries") or {}
-    summaries = {
-        int(index): TestSummary.from_dict(data)
-        for index, data in (
-            saved.items() if isinstance(saved, dict) else enumerate(saved)
+    if not isinstance(saved, dict):
+        raise CheckpointError(
+            "campaign checkpoint field 'summaries' must map test indices "
+            "to summaries"
         )
+    summaries = {
+        int(index): TestSummary.from_dict(data) for index, data in saved.items()
     }
     retries = {
         int(index): int(count)

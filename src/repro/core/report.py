@@ -268,7 +268,12 @@ def render_generation_report(report) -> str:
             "note: mutation ran dry — the reachable matrix space is "
             "exhausted for these bounds"
         )
-    if report.stop_reason is not None:
+    if report.stop_reason == "executions":
+        lines.append(
+            "note: campaign incomplete — the execution budget (--budget) "
+            "ran out before any candidate was judged"
+        )
+    elif report.stop_reason is not None:
         what = (
             "interrupted"
             if report.stop_reason == "interrupted"

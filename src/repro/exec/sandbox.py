@@ -127,10 +127,9 @@ def _run_task(spec: dict, *, scheduler=None, control=None) -> dict:
 
     ``"check"`` (the default) runs a full two-phase check; ``"probe"``
     and ``"shard"`` are the swarm task kinds (partition probing and
-    lease execution — see :mod:`repro.swarm.worker`); ``"stream"`` runs
-    one shard of a streaming watch (see :mod:`repro.stream.worker`);
-    ``"generate"`` checks one generation candidate and harvests its
-    coverage fingerprints (see :mod:`repro.generate.worker`).
+    lease execution — see :mod:`repro.swarm.worker`); ``"generate"``
+    checks one generation candidate and harvests its coverage
+    fingerprints (see :mod:`repro.generate.worker`).
 
     A worker passes neither keyword.  :class:`repro.exec.InlineExecutor`
     runs the two check kinds in the caller's process on a *scheduler* it
@@ -146,10 +145,6 @@ def _run_task(spec: dict, *, scheduler=None, control=None) -> dict:
         from repro.swarm.worker import run_shard_task
 
         return run_shard_task(spec)
-    if kind == "stream":
-        from repro.stream.worker import run_stream_task
-
-        return run_stream_task(spec)
     if kind == "generate":
         from repro.generate.worker import run_generate_task
 

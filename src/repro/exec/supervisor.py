@@ -174,19 +174,6 @@ def repro_command(spec: TaskSpec) -> str:
     """The minimal shell command reproducing a quarantined test."""
     from repro.core.checkpoint import test_from_dict
 
-    if spec.kind == "stream":
-        # A stream task has no FiniteTest; its whole input is the trace
-        # file, so the repro is the single-process watch of it.
-        payload = spec.payload or {}
-        parts = [
-            "python -m repro watch",
-            str(payload.get("path", "TRACE")),
-            f"--model {payload.get('model', spec.class_name)}",
-        ]
-        if payload.get("follow"):
-            parts.append("--follow")
-        return " ".join(parts)
-
     test = test_from_dict(spec.test)
 
     def render_ops(ops) -> str:

@@ -132,7 +132,8 @@ class GenerationReport:
     #: cumulative executions when the first failure surfaced, or None.
     first_failure_executions: int | None = None
     #: why the campaign stopped early; None also covers a consumed
-    #: execution budget ("the budget is the plan", not an interruption).
+    #: execution budget ("the budget is the plan", not an interruption)
+    #: once at least one candidate was judged.
     stop_reason: str | None = None
     converged: bool = False  #: stopped because mutation ran dry
     verdict: str = "PASS"
@@ -339,8 +340,11 @@ class _Campaign:
 
     def report(self, stop_reason: str | None, converged: bool) -> GenerationReport:
         # A consumed execution budget is the normal end of a campaign,
-        # not an early stop — the budget *is* the plan.
-        reported_stop = None if stop_reason == "executions" else stop_reason
+        # not an early stop — the budget *is* the plan.  Unless it ran out
+        # before any candidate was judged: a PASS over nothing is EXHAUSTED.
+        reported_stop = stop_reason
+        if stop_reason == "executions" and self.candidates:
+            reported_stop = None
         inputs = list(self.verdicts)
         if self.failures:
             inputs.append("FAIL")

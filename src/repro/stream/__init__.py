@@ -12,27 +12,18 @@ to it and keeps a rolling linearizability verdict at traffic rate:
   :mod:`repro.monitor.incremental`) with memory bounded by the
   concurrency window, not the trace length;
 * :mod:`repro.stream.watch` — the orchestration loop (follow, lag
-  budget, restart-on-rotation) and the sharded coordinator fanning
-  partition cells across :class:`~repro.exec.supervisor.WorkerPool`
-  workers;
+  budget, restart-on-rotation and on unsound partitioning);
 * :mod:`repro.stream.stats` — periodic JSONL observability samples
   (ingest rate, frontier size, retirement lag, memory high-water).
 
 See docs/STREAMING.md for the bounded-memory argument and the lag and
-sharding semantics.
+partitioning semantics.
 """
 
-from repro.stream.engine import PartitionUnsound, StreamChecker, stable_shard
+from repro.stream.engine import PartitionUnsound, StreamChecker
 from repro.stream.stats import StatsEmitter, maxrss_kb
 from repro.stream.tail import TraceRotated, TraceTailer, TraceTruncated
-from repro.stream.watch import (
-    UNSOUND_PARTITION,
-    WatchConfig,
-    WatchResult,
-    watch_sharded,
-    watch_trace,
-)
-from repro.stream.worker import run_stream_task
+from repro.stream.watch import WatchConfig, WatchResult, watch_trace
 
 __all__ = [
     "PartitionUnsound",
@@ -41,12 +32,8 @@ __all__ = [
     "TraceRotated",
     "TraceTailer",
     "TraceTruncated",
-    "UNSOUND_PARTITION",
     "WatchConfig",
     "WatchResult",
     "maxrss_kb",
-    "run_stream_task",
-    "stable_shard",
-    "watch_sharded",
     "watch_trace",
 ]

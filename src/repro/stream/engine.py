@@ -4,21 +4,18 @@
 per line) trace, in file order as :mod:`repro.stream.tail` delivers
 them, and maintains a monitoring verdict *while the trace grows*: events
 are fed into :class:`~repro.monitor.incremental.IncrementalChecker`
-instances — one per partition cell when per-key sharding is on, one for
-the whole stream otherwise.  A FAIL is known at the exact return event
-that loses linearizability; memory is bounded by the concurrency window
-(see the retirement argument in :mod:`repro.monitor.incremental`).  A v1
-trace (a ``--dump-traces`` file, one complete history per line) is
+instances — one per partition cell when per-key partitioning is on, one
+for the whole stream otherwise.  A FAIL is known at the exact return
+event that loses linearizability; memory is bounded by the concurrency
+window (see the retirement argument in :mod:`repro.monitor.incremental`).
+A v1 trace (a ``--dump-traces`` file, one complete history per line) is
 refused at its header: judging those is ``lineup monitor``'s job.
 
-Sharding model (P-compositionality, reusing
+Partitioning (P-compositionality, reusing
 :meth:`~repro.monitor.models.SequentialModel.partition_key`): when
 ``partition`` is on, every operation is routed to its cell and cells are
 checked independently — sound because for partitionable models a history
-is linearizable iff each per-key projection is.  With ``shards > 1``
-each engine instance additionally *owns* only the cells whose stable
-hash lands on ``shard_index`` and skips the rest, so independent keys
-check on independent worker processes.  An operation whose
+is linearizable iff each per-key projection is.  An operation whose
 ``partition_key`` is ``None`` (a global ``Count``/``Clear``/...) makes
 partitioning unsound mid-stream; :class:`PartitionUnsound` is raised and
 the caller restarts from offset 0 with partitioning off — possible
@@ -30,13 +27,12 @@ decided by :class:`~repro.monitor.trace.TraceDecoder`,
 the same decoder the offline loader uses; a malformed stream raises its
 :class:`~repro.monitor.trace.TraceError` and never blends into a
 verdict.  This module adds only what is the stream engine's own job:
-routing operations to cells, skipping other shards' cells, retiring
-cells that hit the configuration cap, and counting.
+routing operations to cells, retiring cells that hit the configuration
+cap, and counting.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable
@@ -51,10 +47,7 @@ from repro.monitor.trace import (
 )
 from repro.monitor.wgl import MonitorLimitError
 
-__all__ = ["PartitionUnsound", "StreamChecker", "stable_shard"]
-
-#: Sentinel cell for operations owned by another shard.
-_FOREIGN = object()
+__all__ = ["PartitionUnsound", "StreamChecker"]
 
 
 class PartitionUnsound(Exception):
@@ -63,19 +56,9 @@ class PartitionUnsound(Exception):
     def __init__(self, invocation) -> None:
         super().__init__(
             f"operation {invocation} has no partition key; per-key "
-            "sharding is unsound for this stream — restart unpartitioned"
+            "partitioning is unsound for this stream — restart unpartitioned"
         )
         self.invocation = invocation
-
-
-def stable_shard(cell: Hashable, shards: int) -> int:
-    """Deterministic shard index for *cell*, stable across processes.
-
-    ``hash()`` is salted per process for strings, so shard routing uses
-    a CRC over the cell's ``repr`` — cells are invocation arguments that
-    already round-trip through ``repr`` in the trace format.
-    """
-    return zlib.crc32(repr(cell).encode("utf-8")) % shards
 
 
 @dataclass
@@ -86,9 +69,8 @@ class StreamCounters:
     calls: int = 0
     returns: int = 0
     indeterminate: int = 0
-    skipped: int = 0  #: events owned by other shards
     exhausted_cells: int = 0
-    cells: int = 0  #: partition cells seen by this shard
+    cells: int = 0  #: partition cells seen
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -112,8 +94,6 @@ class StreamChecker:
         model: SequentialModel,
         *,
         partition: bool = False,
-        shards: int = 1,
-        shard_index: int = 0,
         max_configurations: int | None = None,
     ) -> None:
         if partition and not model.partitionable:
@@ -121,14 +101,8 @@ class StreamChecker:
                 f"model {model.name!r} is not partitionable; "
                 "run with partition=False"
             )
-        if not 0 <= shard_index < shards:
-            raise ValueError("shard_index must be within [0, shards)")
-        if shards > 1 and not partition:
-            raise ValueError("sharding requires partitioning")
         self.model = model
         self.partition = partition
-        self.shards = shards
-        self.shard_index = shard_index
         self.max_configurations = max_configurations
         self.counters = StreamCounters()
         self.failed: OnlineCounterexample | None = None
@@ -138,7 +112,7 @@ class StreamChecker:
         #: cells dropped at the configuration cap, and what they had counted.
         self._dead_cells: dict[Hashable, _DroppedCell] = {}
         self._open_cell: dict[tuple[int, int], Hashable] = {}
-        #: id(invocation) → (invocation, its cell or _FOREIGN).
+        #: id(invocation) → (invocation, its cell).
         self._routes: dict[int, tuple] = {}
 
     # -- verdicts ---------------------------------------------------------
@@ -225,7 +199,7 @@ class StreamChecker:
         return True
 
     def _cell_for(self, invocation) -> Hashable:
-        """Route an invocation to its cell (or :data:`_FOREIGN`).
+        """Route an invocation to its cell.
 
         The decoder hands out one object per distinct invocation text, so
         the route is remembered per object: by ``id``, next to the object
@@ -240,16 +214,14 @@ class StreamChecker:
         cell = self.model.partition_key(invocation)
         if cell is None:
             raise PartitionUnsound(invocation)
-        if self.shards > 1 and stable_shard(cell, self.shards) != self.shard_index:
-            cell = _FOREIGN
         if len(self._routes) >= LITERAL_MEMO_LIMIT:
             self._routes.clear()
         self._routes[id(invocation)] = (invocation, cell)
         return cell
 
     def _checker(self, cell: Hashable) -> IncrementalChecker | None:
-        """The cell's checker; None for a foreign or given-up cell."""
-        if cell is _FOREIGN or cell in self._dead_cells:
+        """The cell's checker; None for a given-up cell."""
+        if cell in self._dead_cells:
             return None
         checker = self._cells.get(cell)
         if checker is None:
@@ -269,9 +241,6 @@ class StreamChecker:
         else:
             cell = self._open_cell.pop(key)
             self.counters.returns += 1
-        if cell is _FOREIGN:
-            self.counters.skipped += 1
-            return True
         checker = self._checker(cell)
         if checker is None:
             return True  # cell gave up (EXHAUSTED); events still validated

@@ -11,8 +11,8 @@ so the stats stream can be tailed by anything that tails the trace.
 
 Each line carries::
 
-    {"ts": <unix time>, "shard": <index>, "elapsed": <secs since start>,
-     "events": ..., "ingested_per_sec": <rate since the last line>,
+    {"ts": <unix time>, "elapsed": <secs since start>, "events": ...,
+     "ingested_per_sec": <rate since the last line>,
      "backlog_bytes": <bytes written but not yet consumed>,
      "frontier": ..., "live_configs": ..., "retired": ...,
      "max_frontier": ..., "max_retirement_lag": ...,
@@ -40,16 +40,9 @@ def maxrss_kb() -> int:
 class StatsEmitter:
     """Append periodic stat lines for one watch session to a JSONL file."""
 
-    def __init__(
-        self,
-        path: str | None,
-        *,
-        interval: float = 1.0,
-        shard_index: int = 0,
-    ) -> None:
+    def __init__(self, path: str | None, *, interval: float = 1.0) -> None:
         self.path = path
         self.interval = interval
-        self.shard_index = shard_index
         self._handle = None
         self._started = time.monotonic()
         self._last_emit = self._started
@@ -81,7 +74,6 @@ class StatsEmitter:
         window = max(now - self._last_emit, 1e-9)
         line = {
             "ts": time.time(),
-            "shard": self.shard_index,
             "elapsed": round(now - self._started, 6),
             "ingested_per_sec": round((events - self._last_events) / window, 3),
             "backlog_bytes": backlog_bytes,

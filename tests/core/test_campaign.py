@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 from repro.core import CheckConfig
+import pytest
+
+from repro.cli import main
 from repro.core.campaign import (
     CampaignRow,
     TestSummary,
     campaign_row,
     campaign_verdict,
+    parse_campaign_state,
     render_table2,
     row_from_summaries,
     run_class_campaign,
     verify_causes,
+)
+from repro.core.checkpoint import (
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
 )
 from repro.structures import get_class
 
@@ -144,3 +153,25 @@ class TestExhaustedTests:
         assert len(lines[2].split()) == 15
         assert lines[3].startswith("note: 2 test(s) EXHAUSTED")
         assert "note:" not in render_table2([self._row("PASS")])
+
+
+class TestCampaignCheckpoint:
+    def test_a_list_of_summaries_is_a_checkpoint_error(self, tmp_path, capsys):
+        """Summaries are keyed by test index; the positional list form of
+        older checkpoints is refused by name, not resumed."""
+        path = str(tmp_path / "campaign.json")
+        save_checkpoint(path, {
+            "kind": "campaign",
+            "plan": [["Lazy", "beta"]],
+            "params": {"samples": 2, "rows": 2, "cols": 2, "schedules": 10,
+                       "seed": 0},
+            "finished_rows": [],
+            "current": {"cls": "Lazy", "version": "beta", "summaries": [
+                {"verdict": "PASS", "histories": 2, "stuck_histories": 0,
+                 "phase1_seconds": 0.0, "total_seconds": 0.0},
+            ]},
+        })
+        with pytest.raises(CheckpointError, match="'summaries'"):
+            parse_campaign_state(load_checkpoint(path))
+        assert main(["resume", path]) == 64
+        assert "'summaries'" in capsys.readouterr().err

@@ -127,6 +127,77 @@ class TestDeadlineAndResume:
         assert main(["resume", str(path)]) == 64
 
 
+class TestNumericFlags:
+    """Numeric flags are checked by the parser: a bad value is a usage
+    error naming the flag, never a traceback (exit 1 means a violation)
+    and never a verdict over nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["watch", "TRACE", "--follow", "--poll-interval", "-1"],
+             "--poll-interval"),
+            (["check", "ConcurrentQueue", "--test", "Enqueue(1)",
+              "--watchdog", "-1"], "--watchdog"),
+            (["campaign", "ConcurrentQueue", "--samples", "-1"], "--samples"),
+            (["check", "ConcurrentQueue", "--test", "Enqueue(1)|TryDequeue",
+              "--max-executions", "-3"], "--max-executions"),
+        ],
+        ids=["poll-interval", "watchdog", "samples", "max-executions"],
+    )
+    def test_an_out_of_range_value_is_a_usage_error(
+        self, argv, flag, tmp_path, capsys
+    ):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("")
+        argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be" in captured.err
+        assert "verdict" not in captured.out
+
+    def test_a_negative_preemption_bound_still_means_unbounded(self, capsys):
+        def phase2(*flags):
+            argv = ["check", "ConcurrentQueue", "--test",
+                    "Enqueue(1); TryDequeue | TryDequeue", "--json", *flags]
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)["phase2"]
+
+        bounded, unbounded = phase2(), phase2("--preemption-bound", "-1")
+        assert unbounded["complete"]
+        assert unbounded["executions"] > bounded["executions"]
+
+
+class TestSwarmResume:
+    def test_a_stopped_sharded_check_resumes_to_the_single_process_counts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``resume`` of a ``check --shards`` checkpoint: the gate test,
+        stopped once its shards are planned (the stop flag reads the
+        shard files off disk, so no lease ever finishes first), resumed
+        to the exact schedules and classes of one process."""
+        from repro import cli
+
+        checkpoint = str(tmp_path / "swarm.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cli._SignalStop, "__call__",
+                lambda self: os.path.exists(checkpoint + ".shard-0.json"),
+            )
+            code = main(
+                ["check", "ConcurrentQueue",
+                 "--test", "Enqueue(1); TryDequeue | Enqueue(2) | TryDequeue",
+                 "--shards", "2", "--workers", "2", "--checkpoint", checkpoint]
+            )
+        out = capsys.readouterr().out
+        assert code == 130 and "incomplete: interrupted" in out
+        assert main(["resume", checkpoint, "--deadline", "60"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: PASS" in out
+        assert re.search(r"phase 2: 3747 schedules across \d+ shards", out)
+        assert "classes: 1446 distinct" in out
+
+
 class TestGracefulShutdown:
     CAMPAIGN_ARGS = [
         "campaign", "all", "--versions", "beta",

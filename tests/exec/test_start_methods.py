@@ -36,7 +36,7 @@ import time
 
 import pytest
 
-from repro.cli import _pool_config, parse_test
+from repro.cli import _pool_config, main, parse_test
 from repro.core.checker import CheckConfig
 from repro.core import checkpoint
 from repro.exec import (
@@ -459,9 +459,27 @@ class TestRetiredForkserver:
 
     def test_an_old_checkpoint_resumes_on_the_default(self):
         """``_pool_config`` reads campaign params and a swarm checkpoint's
-        ``pool`` alike; ``forkserver`` could be stored in either."""
+        ``pool`` alike; one that names no method runs on the default."""
         default = PoolConfig().start_method
-        assert _pool_config({"start_method": "forkserver"}).start_method == default
         assert _pool_config({"start_method": None}).start_method == default
         assert _pool_config({}).start_method == default
         assert _pool_config({"start_method": "spawn"}).start_method == "spawn"
+
+    def test_an_unknown_start_method_is_a_checkpoint_error(
+        self, tmp_path, capsys
+    ):
+        """``forkserver`` is retired: a checkpoint naming it is refused by
+        field name (exit 64), not quietly run on another method."""
+        with pytest.raises(checkpoint.CheckpointError, match="'start_method'"):
+            _pool_config({"start_method": "forkserver"})
+        path = str(tmp_path / "campaign.json")
+        checkpoint.save_checkpoint(path, {
+            "kind": "campaign",
+            "plan": [["Lazy", "beta"]],
+            "params": {"samples": 1, "rows": 1, "cols": 1, "schedules": 10,
+                       "seed": 0, "isolate": True, "workers": 1,
+                       "start_method": "forkserver"},
+            "finished_rows": [],
+        })
+        assert main(["resume", path]) == 64
+        assert "'start_method'" in capsys.readouterr().err

@@ -246,3 +246,42 @@ class TestGenerateConfig:
             run_generation_campaign(
                 get_class("Lazy"), "pre", CONFIG, GenerateConfig(seeds=0)
             )
+
+
+class TestCli:
+    """``generate`` and ``campaign --generate`` through the command line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "ConcurrentQueue", "--version", "pre"],
+            ["campaign", "ConcurrentQueue", "--versions", "pre", "--generate"],
+        ],
+        ids=["generate", "campaign-generate"],
+    )
+    def test_a_budget_spent_before_any_candidate_is_exhausted(
+        self, argv, capsys
+    ):
+        # The first candidate needs about 152 executions: the budget trips
+        # inside it, nothing is folded, and nothing was judged.
+        from repro.cli import main
+
+        assert main([*argv, "--budget", "100", "--seed", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: EXHAUSTED" in out and "verdict: PASS" not in out
+        assert "generation: 0 candidates" in out
+        assert "--budget" in out
+
+    def test_campaign_generate_runs_one_campaign_per_plan_entry(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["campaign", "Lazy", "--versions", "pre,beta", "--generate",
+             "--budget", "300", "--seed", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1  # the seeded pre bug is found; a FAIL wins the plan
+        assert out.count("generation campaign: Lazy(") == 2
+        pre, beta = out.split("generation campaign: Lazy(beta)")
+        assert "Lazy(pre)" in pre and "verdict: FAIL" in pre
+        assert "verdict: PASS" in beta

@@ -124,9 +124,8 @@ class TestOneModelJudge:
         (name,) = os.listdir(directory)
         path = os.path.join(directory, name)
         capsys.readouterr()
-        for shards in ([], ["--shards", "2", "--workers", "1"]):
-            model = ["--model", "set"] if shards else ["--model", "queue"]
-            assert main(["watch", path, *model, *shards]) == 64
+        for model in ("queue", "set"):
+            assert main(["watch", path, "--model", model]) == 64
             err = capsys.readouterr().err
             assert "lineup monitor" in err and "version-1" in err
         assert main(["monitor", path, "--model", "queue"]) == 0

@@ -1,4 +1,4 @@
-"""StreamChecker: header handling, routing, sharding, malformed streams."""
+"""StreamChecker: header handling, routing, partitioning, malformed streams."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.monitor import get_model
 from repro.monitor.trace import LiveTraceWriter, TraceError, TraceWriter, scan_trace
 from repro.core.history import History
 from repro.core.events import Event
-from repro.stream import PartitionUnsound, StreamChecker, stable_shard
+from repro.stream import PartitionUnsound, StreamChecker
 
 from tests.monitor.test_trace_wellformed import row_test
 
@@ -136,8 +136,8 @@ class TestMalformedStreams:
 class TestV1Traces:
     def test_a_v1_trace_is_refused_at_its_header(self, tmp_path):
         """A history-per-line dump is ``lineup monitor``'s input: the
-        stream engine refuses it before judging any record, on every
-        shard alike."""
+        stream engine refuses it before judging any record, partitioned
+        or not."""
         path = str(tmp_path / "v1.jsonl")
         bad = History(
             [
@@ -149,11 +149,8 @@ class TestV1Traces:
         with TraceWriter(path, n_threads=1, subject="test") as writer:
             writer.write(bad)
         header, _record = scan_trace(path).segments
-        for shard_index in range(2):
-            checker = StreamChecker(
-                get_model("dict"), partition=True, shards=2,
-                shard_index=shard_index,
-            )
+        for partition in (True, False):
+            checker = StreamChecker(get_model("dict"), partition=partition)
             with pytest.raises(TraceError, match="lineup monitor"):
                 checker.feed(header.obj)
 
@@ -191,30 +188,6 @@ class TestPartitioning:
     def test_unpartitionable_model_rejected(self):
         with pytest.raises(ValueError, match="not partitionable"):
             StreamChecker(get_model("register"), partition=True)
-
-    def test_sharding_requires_partitioning(self):
-        with pytest.raises(ValueError):
-            StreamChecker(get_model("dict"), shards=2, shard_index=0)
-
-    def test_foreign_cells_skipped_but_validated(self, tmp_path):
-        events = []
-        for k in range(8):
-            events.append(("c", k, 0, Invocation("TryAdd", (f"k{k}",))))
-            events.append(("r", k, 0, ok(True)))
-        path = live_trace(tmp_path, events, model="dict")
-        checkers = [
-            StreamChecker(
-                get_model("dict"), partition=True, shards=2, shard_index=i
-            )
-            for i in range(2)
-        ]
-        for checker in checkers:
-            assert feed_all(checker, path)
-        # Every cell is owned by exactly one shard; all events are counted
-        # by both (well-formedness is global), but each op is checked once.
-        assert sum(c.counters.cells for c in checkers) == 8
-        assert sum(c.retired() for c in checkers) == 8
-        assert all(c.counters.calls == 8 for c in checkers)
 
     def test_exhausted_cell_keeps_its_counters(self, tmp_path):
         """One hostile key trips the per-return cap: its cell is dropped,
@@ -254,8 +227,3 @@ class TestPartitioning:
         assert stats["frontier"] == 0  # the dead cell no longer holds any
         with pytest.raises(TraceError, match="while one is still open"):
             checker.feed({"e": "c", "t": 1, "i": 5, "m": "TryAdd", "a": "('hot',)"})
-
-    def test_stable_shard_is_deterministic(self):
-        for cell in ("a", "b", 1, (1, "x")):
-            assert stable_shard(cell, 4) == stable_shard(cell, 4)
-            assert 0 <= stable_shard(cell, 4) < 4

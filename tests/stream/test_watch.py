@@ -1,4 +1,4 @@
-"""watch_trace / watch_sharded / the ``lineup watch`` subcommand."""
+"""watch_trace / the ``lineup watch`` subcommand."""
 
 from __future__ import annotations
 
@@ -20,13 +20,7 @@ from repro.core.events import Invocation, Response
 from repro.monitor import get_model
 from repro.monitor import trace as trace_module
 from repro.monitor.trace import LiveTraceWriter, TraceError
-from repro.stream import (
-    StreamChecker,
-    TraceTailer,
-    WatchConfig,
-    watch_sharded,
-    watch_trace,
-)
+from repro.stream import StreamChecker, TraceTailer, WatchConfig, watch_trace
 from repro.stream.stats import StatsEmitter
 from repro.stream.watch import _feed_pass
 
@@ -357,68 +351,9 @@ class TestWatchTrace:
         ]
         assert lines  # at least the final sample
         sample = lines[-1]
-        for key in ("ts", "shard", "ingested_per_sec", "maxrss_kb",
+        for key in ("ts", "ingested_per_sec", "maxrss_kb",
                     "frontier", "retired", "verdict"):
             assert key in sample
-
-
-class TestWatchSharded:
-    def write_dict_trace(self, path, keys=6, rounds=5, fail_key=None):
-        writer = LiveTraceWriter(path, sessions=keys, model="dict")
-        for rnd in range(rounds):
-            for k in range(keys):
-                op = rnd * 2
-                writer.record_call(
-                    k, op, Invocation("TryAdd", (f"k{k}",)), 0.0
-                )
-                writer.record_return(k, op, ok(rnd == 0), 0.0)
-                key = f"k{k}"
-                expect = True
-                if fail_key == key and rnd == rounds - 1:
-                    expect = False  # impossible: the key is present
-                writer.record_call(
-                    k, op + 1, Invocation("ContainsKey", (key,)), 0.0
-                )
-                writer.record_return(k, op + 1, ok(expect), 0.0)
-        writer.finalize("drained", 1.0)
-
-    def test_sharded_pass(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        self.write_dict_trace(path)
-        result = watch_sharded(
-            path, "dict", WatchConfig(shards=2), workers=2
-        )
-        assert result.verdict == "PASS"
-        assert result.finalized
-        assert len(result.shard_results) == 2
-        assert result.stats["cells"] == 6
-
-    def test_sharded_fail_carries_counterexample(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        self.write_dict_trace(path, fail_key="k1")
-        result = watch_sharded(
-            path, "dict", WatchConfig(shards=2), workers=2
-        )
-        assert result.verdict == "FAIL"
-        assert result.counterexample
-
-    def test_sharded_global_op_falls_back_unpartitioned(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        writer = LiveTraceWriter(path, sessions=2, model="dict")
-        writer.record_call(0, 0, Invocation("TryAdd", ("a",)), 0.0)
-        writer.record_return(0, 0, ok(True), 0.1)
-        writer.record_call(1, 0, Invocation("Count", ()), 0.2)
-        writer.record_return(1, 0, ok(1), 0.3)
-        writer.finalize("drained", 0.4)
-        result = watch_sharded(
-            path, "dict", WatchConfig(shards=2), workers=2
-        )
-        assert result.verdict == "PASS"
-        assert not result.partitioned  # the in-process fallback ran
-        assert any(
-            r.get("verdict") == "UNSOUND-PARTITION"
-            for r in result.shard_results
-        )
 
 
 class TestWatchCli:
@@ -493,8 +428,6 @@ class TestWatchCli:
             # Raised by the step, at the return; by partition_key, at the call.
             (["watch"], Invocation("Frob", ("k0",))),
             (["watch"], Invocation("TryAdd", ())),
-            (["watch", "--shards", "2"], Invocation("Frob", ("k0",))),
-            (["watch", "--shards", "2"], Invocation("TryAdd", ())),
             (["monitor"], Invocation("Frob", ("k0",))),
             (["monitor"], Invocation("TryAdd", ())),
             (
@@ -507,8 +440,8 @@ class TestWatchCli:
     def test_a_model_that_cannot_read_the_input_is_a_usage_error(
         self, command, invocation, tmp_path, capsys
     ):
-        # Not a FAIL (exit 1, which an uncaught ModelError used to give),
-        # and not a CRASHED shard: one line naming the operation.
+        # Not a FAIL (exit 1, which an uncaught ModelError used to give):
+        # one line naming the operation.
         if command[0] == "check":
             argv = command + [f"{invocation} | TryDequeue"]
         else:
@@ -538,9 +471,13 @@ class TestWatchCli:
     def test_watch_shards_on_unpartitionable_model_usage_error(
         self, tmp_path, capsys
     ):
+        # watch is one process: partitioning is per key, in-process, and
+        # there is no flag to fan it out.
         path = write_register_trace(str(tmp_path / "t.jsonl"))
-        code = main(["watch", path, "--model", "register", "--shards", "2"])
-        assert code == EXIT_USAGE
+        for flag in ("--shards", "--workers"):
+            code = main(["watch", path, "--model", "register", flag, "2"])
+            assert code == EXIT_USAGE
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_watch_stats_out(self, tmp_path, capsys):
         path = write_register_trace(str(tmp_path / "t.jsonl"))
