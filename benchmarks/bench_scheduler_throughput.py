@@ -20,7 +20,8 @@ across four registry subjects, twice each:
 * **serial** — phase 1 of a sampled 3×3 ``ConcurrentQueue`` test (1 680
   serial executions) as ``TestHarness.run_serial`` runs it, on the serial
   driver, against the same enumeration hosted on each engine
-  (``execute(..., serial=True)``, the driver's reference).
+  (``execute(..., serial=True)``, the driver's reference); it also
+  reports the bytes the synthesized specification keeps per history.
 
 Both engines must produce exactly the same schedule count and the same
 distinct decision-trace set per subject (the differential suite's
@@ -28,7 +29,8 @@ invariant, re-checked on every benchmark run); the script exits nonzero
 on any divergence, if the coop engine fails the speedup gate
 (contended ratio >= 1.0, solo ratio >= 0.9), or if the serial driver
 synthesizes a different history set than an engine or is less than 1.5x
-as fast.  Results go to ``BENCH_scheduler.json`` via ``benchlib``
+as fast, or if the specification keeps more than ``SPEC_BYTES_GATE`` bytes
+per serial history.  Results go to ``BENCH_scheduler.json`` via ``benchlib``
 (schema in docs/PERFORMANCE.md).
 """
 
@@ -271,6 +273,30 @@ def run_head_to_head(quick: bool, processes: int):
 #: The serial row: the driver must beat the engine-hosted reference by this.
 SERIAL_SPEEDUP_GATE = 1.5
 
+#: The serial row: bytes the synthesized specification may keep per serial
+#: history — half the 4 921 measured when every history owned its steps,
+#: tokens and profile and the determinism check kept a trie of dicts.
+SPEC_BYTES_GATE = 2460
+
+
+def spec_bytes_per_history(harness, test) -> float:
+    """tracemalloc-retained size of the ``ObservationSet`` that
+    ``run_serial`` returns, per serial history.  Call it on a warm
+    harness: the event table and the shared steps are the test's, not
+    the specification's."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        observations, _stats = harness.run_serial(test)
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained / len(observations)
+
 
 def run_serial_row(rounds: int):
     """Phase 1 on the serial driver vs. hosted on each engine.
@@ -330,6 +356,14 @@ def run_serial_row(rounds: int):
             )
     if row["executions"] != 1680:
         failures.append(f"serial: {row['executions']} histories, expected 1680")
+    with TestHarness(subject) as harness:
+        harness.run_serial(test)
+        row["spec_bytes_per_history"] = round(spec_bytes_per_history(harness, test), 1)
+    if row["spec_bytes_per_history"] > SPEC_BYTES_GATE:
+        failures.append(
+            f"serial: the specification keeps {row['spec_bytes_per_history']} "
+            f"bytes per history (> {SPEC_BYTES_GATE})"
+        )
     return row, failures
 
 
@@ -386,6 +420,7 @@ def main(argv=None) -> int:
     serial, serial_failures = run_serial_row(1 if args.quick else 3)
     failures.extend(serial_failures)
     print(f"\nserial ({serial['executions']} executions of {serial['test']}):")
+    print(f"  specification: {serial['spec_bytes_per_history']} bytes per history")
     for engine, cell in serial["engines"].items():
         print(
             f"  {engine:>5s}: driver {cell['serial_us_per_execution']:6.1f} us, "

@@ -25,7 +25,7 @@ from operator import attrgetter
 from typing import Any
 
 __all__ = [
-    "Event", "Invocation", "Operation", "Response",
+    "Event", "Interner", "Invocation", "Operation", "Response",
     "plain_invocation", "plain_response", "typed",
 ]
 
@@ -50,6 +50,63 @@ def typed(value: Any) -> Any:
     if kind is tuple:
         return tuple(map(typed, value))
     raise TypeError(kind)
+
+
+class Interner:
+    """One shared object per distinct (thread, invocation, response).
+
+    A bounded intern table for what an operation's thread, invocation and
+    response determine — a serial history's steps, see
+    :meth:`repro.core.history.History.to_serial`.  ``interner(thread,
+    invocation, response)`` returns the object built by ``make`` with
+    those arguments, or the one built earlier for equal ones.  Two memos,
+    each forgotten whole when it reaches *limit* entries (an object handed
+    out before stays valid; it is merely no longer shared):
+
+    * by the ``id()`` of the invocation and response objects — sound
+      because the entry holds both, so no other live object can carry
+      their ids.  The harness records the same objects in every execution
+      of a test, so phase 1 finds its steps here;
+    * behind it, by value, with the argument and result values
+      :func:`typed`: ``1 == True`` and they hash alike, so a key holding
+      the bare values would hand an object built for one to the other.
+      A value :func:`typed` refuses gets a fresh object, never shared.
+    """
+
+    __slots__ = ("_make", "_limit", "_by_id", "_by_value")
+
+    def __init__(self, make: Any, limit: int = 4096) -> None:
+        self._make = make
+        self._limit = limit
+        self._by_id: dict[tuple, tuple] = {}
+        self._by_value: dict[tuple, Any] = {}
+
+    def __call__(self, thread: int, invocation: Any, response: Any) -> Any:
+        ids = (thread, id(invocation), id(response))
+        known = self._by_id.get(ids)
+        if known is not None and known[0] is invocation and known[1] is response:
+            return known[2]
+        try:
+            key = (
+                thread,
+                invocation,
+                typed(invocation.args),
+                response,
+                None if response is None else typed(response.value),
+            )
+            shared = self._by_value.get(key)
+        except TypeError:
+            key = shared = None
+        if shared is None:
+            shared = self._make(thread, invocation, response)
+            if key is not None:
+                if len(self._by_value) >= self._limit:
+                    self._by_value.clear()
+                self._by_value[key] = shared
+        if len(self._by_id) >= self._limit:
+            self._by_id.clear()
+        self._by_id[ids] = (invocation, response, shared)
+        return shared
 
 
 def _fmt_value(value: Any) -> str:

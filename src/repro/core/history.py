@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from repro.core.events import CALL, Event, Invocation, Operation, Response
+from repro.core.events import CALL, Event, Interner, Invocation, Operation, Response
 
-__all__ = ["History", "OpView", "Profile", "SerialHistory", "SerialStep"]
+__all__ = [
+    "History", "OpView", "Profile", "SerialHistory", "SerialStep", "serial_step",
+]
 
 #: Per-thread observable behaviour: for each thread, the sequence of
 #: (invocation, response-or-None) pairs it performed, in program order.
@@ -47,6 +49,32 @@ class SerialStep:
         name = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[self.thread] if self.thread < 26 else f"T{self.thread}"
         res = "#" if self.response is None else str(self.response)
         return f"{name}:{self.invocation} -> {res}"
+
+    # What a serial history is made of, built once per step: phase 1
+    # shares one step among every history that took it (``serial_step``),
+    # so its histories share these tuples too.
+
+    @cached_property
+    def call_token(self) -> tuple:
+        """The step's call in :meth:`SerialHistory.tokens`."""
+        return ("c", self.thread, self.invocation)
+
+    @cached_property
+    def return_token(self) -> tuple | None:
+        """The step's return in :meth:`SerialHistory.tokens` (None: pending)."""
+        return None if self.response is None else ("r", self.thread, self.response)
+
+    @cached_property
+    def pair(self) -> tuple[Invocation, Response | None]:
+        """The step's entry in its thread's row of a :data:`Profile`."""
+        return (self.invocation, self.response)
+
+
+#: ``serial_step(thread, invocation, response)``: the shared
+#: :class:`SerialStep` with those fields, one object per distinct step
+#: (``1`` and ``True`` are two).  A phase-1 specification of 1 680
+#: histories of 9 steps holds a few dozen step objects.
+serial_step = Interner(SerialStep)
 
 
 class History:
@@ -240,7 +268,8 @@ class History:
 
         Rejects what is not a serial history: calls and returns must
         alternate, each return must match the call before it, and only a
-        stuck history may end with a pending call.
+        stuck history may end with a pending call.  The steps are the
+        shared ones of :func:`serial_step`.
         """
         steps: list[SerialStep] = []
         call: Event | None = None
@@ -256,12 +285,12 @@ class History:
             ):
                 raise ValueError("history is not serial")
             else:
-                steps.append(SerialStep(call.thread, call.invocation, event.response))
+                steps.append(serial_step(call.thread, call.invocation, event.response))
                 call = None
         if call is not None:
             if not self.stuck:
                 raise ValueError("pending final operation but history not stuck")
-            steps.append(SerialStep(call.thread, call.invocation, None))
+            steps.append(serial_step(call.thread, call.invocation, None))
         return SerialHistory(tuple(steps), stuck=self.stuck)
 
 
@@ -303,20 +332,21 @@ class SerialHistory:
 
     @cached_property
     def profile(self) -> Profile:
-        n_threads = 1 + max((s.thread for s in self.steps), default=-1)
-        rows: list[list[tuple[Invocation, Response | None]]] = [
-            [] for _ in range(n_threads)
-        ]
-        for step in self.steps:
-            rows[step.thread].append((step.invocation, step.response))
-        return tuple(tuple(row) for row in rows)
+        return self.profile_for(0)
 
     def profile_for(self, n_threads: int) -> Profile:
-        """Profile padded with empty rows up to *n_threads* columns."""
-        base = list(self.profile)
-        while len(base) < n_threads:
-            base.append(())
-        return tuple(base)
+        """Profile padded with empty rows up to *n_threads* columns.
+
+        Built anew on every call and kept nowhere: an
+        :class:`~repro.core.spec.ObservationSet` keeps one per group.
+        """
+        width = max(n_threads, 1 + max((s.thread for s in self.steps), default=-1))
+        rows: list[list[tuple[Invocation, Response | None]]] = [
+            [] for _ in range(width)
+        ]
+        for step in self.steps:
+            rows[step.thread].append(step.pair)
+        return tuple(map(tuple, rows))
 
     @cached_property
     def positions(self) -> dict[tuple[int, int], int]:
@@ -330,17 +360,17 @@ class SerialHistory:
         return out
 
     def tokens(self) -> tuple:
-        """Flatten to the event-token sequence used by the determinism trie.
+        """Flatten to the event-token sequence of the determinism check.
 
         Tokens alternate ``("c", thread, invocation)`` and
         ``("r", thread, response)``; a stuck history ends with ``"#"``
-        after its final call token.
+        after its final call token.  The tokens are the steps' own.
         """
         out: list = []
         for step in self.steps:
-            out.append(("c", step.thread, step.invocation))
+            out.append(step.call_token)
             if step.response is not None:
-                out.append(("r", step.thread, step.response))
+                out.append(step.return_token)
         if self.stuck:
             out.append("#")
         return tuple(out)

@@ -37,7 +37,9 @@ from xml.etree import ElementTree as ET
 
 from repro.core.events import Invocation, Response
 from repro.core.fileio import atomic_write_text
-from repro.core.history import History, Profile, SerialHistory, SerialStep
+from repro.core.history import (
+    History, Profile, SerialHistory, SerialStep, serial_step,
+)
 from repro.core.spec import ObservationSet
 
 __all__ = [
@@ -130,12 +132,11 @@ def observations_to_xml(observations: ObservationSet) -> str:
     root.set("format", OBSERVATION_FORMAT)
     root.set("version", str(OBSERVATION_VERSION))
     root.set("threads", str(observations.n_threads))
-    groups: dict[Profile, list[SerialHistory]] = {}
-    for history in observations:
-        groups.setdefault(
-            history.profile_for(observations.n_threads), []
-        ).append(history)
-    for profile, histories in groups.items():
+    for profile in observations.profiles():
+        histories = [
+            *observations.full_candidates(profile),
+            *observations.stuck_candidates(profile),
+        ]
         section = ET.SubElement(root, "observation")
         ids = _op_ids_for_profile(profile)
         for thread, row in enumerate(profile):
@@ -200,7 +201,7 @@ def observations_from_xml(text: str) -> ObservationSet:
     _check_envelope(root)
     observations = ObservationSet(int(root.get("threads", "0")))
     for section in root.findall("observation"):
-        ops: dict[int, tuple[int, Invocation, Response | None]] = {}
+        ops: dict[int, SerialStep] = {}
         order: dict[int, list[int]] = {}
         for thread_el in section.findall("thread"):
             thread = _thread_from_label(thread_el.get("id", "A"))
@@ -221,7 +222,7 @@ def observations_from_xml(text: str) -> ObservationSet:
             else:
                 response = None
             thread = next(t for t, ids in order.items() if op_id in ids)
-            ops[op_id] = (thread, invocation, response)
+            ops[op_id] = serial_step(thread, invocation, response)
         for history_el in section.findall("history"):
             tokens = (history_el.text or "").split()
             steps: list[SerialStep] = []
@@ -230,9 +231,7 @@ def observations_from_xml(text: str) -> ObservationSet:
                 if token == "#":
                     stuck = True
                 elif token.endswith("["):
-                    op_id = int(token[:-1])
-                    thread, invocation, response = ops[op_id]
-                    steps.append(SerialStep(thread, invocation, response))
+                    steps.append(ops[int(token[:-1])])
                 # ``]i`` return markers carry no extra information for a
                 # serial history; the call token already has the response.
             observations.add(SerialHistory(tuple(steps), stuck=stuck))

@@ -13,9 +13,9 @@ witness search only inspects candidates with matching per-thread behaviour
 
 It also implements the determinism gate of ``Check`` (Fig. 5, line 4):
 the specification is *deterministic* iff no two recorded serial histories
-share a longest common prefix that ends in a call — equivalently, in the
-event-token trie of all recorded histories, every node entered through a
-call token has at most one continuation (the response, or ``#``).
+share a longest common prefix that ends in a call — equivalently, every
+token prefix of the recorded histories that ends in a call token has at
+most one continuation (the response, or ``#``).
 """
 
 from __future__ import annotations
@@ -58,26 +58,26 @@ class NondeterminismWitness:
         return str(token[2]) if isinstance(token, tuple) else str(token)
 
 
-class _TrieNode:
-    __slots__ = ("children", "exemplar", "terminal")
-
-    def __init__(self) -> None:
-        self.children: dict = {}
-        self.exemplar: SerialHistory | None = None
-        self.terminal: SerialHistory | None = None
-
-
 class ObservationSet:
-    """The recorded serial behaviours of one finite test (sets A and B)."""
+    """The recorded serial behaviours of one finite test (sets A and B).
+
+    The token sequences of the recorded histories are stored as one flat
+    prefix table: prefix id 0 is the empty prefix, and ``(prefix id,
+    token)`` maps to the id of that prefix extended by *token*.  Per
+    prefix id it keeps the first history recorded through it and whether
+    some history ends there.  Tokens are compared by ``==``, as the
+    determinism definition compares events.
+    """
 
     def __init__(self, n_threads: int) -> None:
         self.n_threads = n_threads
         self.full: list[SerialHistory] = []
         self.stuck: list[SerialHistory] = []
-        self._seen: set[tuple] = set()
         self._full_groups: dict[Profile, list[SerialHistory]] = {}
         self._stuck_groups: dict[Profile, list[SerialHistory]] = {}
-        self._root = _TrieNode()
+        self._next: dict[tuple[int, object], int] = {}
+        self._first: list[SerialHistory | None] = [None]
+        self._ends = bytearray(1)
         self._nondeterminism: NondeterminismWitness | None = None
 
     # -- construction ------------------------------------------------------
@@ -85,9 +85,27 @@ class ObservationSet:
     def add(self, history: SerialHistory) -> bool:
         """Record one serial history; returns False if already present."""
         tokens = history.tokens()
-        if tokens in self._seen:
+        table = self._next
+        prefix = depth = 0
+        for token in tokens:
+            extended = table.get((prefix, token))
+            if extended is None:
+                break
+            prefix = extended
+            depth += 1
+        if depth < len(tokens):
+            # The longest common prefix with every recorded history ends
+            # here; ending in a call, two histories disagree after it.
+            if depth and self._nondeterminism is None and tokens[depth - 1][0] == "c":
+                self._nondeterminism = self._witness(history, tokens, depth, prefix)
+            first = self._first
+            for token in tokens[depth:]:
+                table[prefix, token] = prefix = len(first)
+                first.append(history)
+            self._ends.extend(bytes(len(tokens) - depth))
+        elif self._ends[prefix]:
             return False
-        self._seen.add(tokens)
+        self._ends[prefix] = 1
         profile = history.profile_for(self.n_threads)
         if history.stuck:
             self.stuck.append(history)
@@ -95,55 +113,28 @@ class ObservationSet:
         else:
             self.full.append(history)
             self._full_groups.setdefault(profile, []).append(history)
-        self._insert_trie(history, tokens)
         return True
 
     def extend(self, histories: Iterable[SerialHistory]) -> None:
         for history in histories:
             self.add(history)
 
-    def _insert_trie(self, history: SerialHistory, tokens: tuple) -> None:
-        node = self._root
-        after_call = False
-        for token in tokens:
-            if after_call and self._nondeterminism is None:
-                self._check_branch(node, token, history)
-            child = node.children.get(token)
-            if child is None:
-                child = _TrieNode()
-                node.children[token] = child
-            if child.exemplar is None:
-                child.exemplar = history
-            node = child
-            after_call = isinstance(token, tuple) and token[0] == "c"
-        node.terminal = history
-
-    def _check_branch(self, node: _TrieNode, token: object, history: SerialHistory) -> None:
-        """*node* was entered through a call; adding *token* may branch."""
-        for existing_token, child in node.children.items():
-            if existing_token != token:
-                call = self._call_before(node)
-                self._nondeterminism = NondeterminismWitness(
-                    first=child.exemplar or history,
-                    second=history,
-                    thread=call[1],
-                    invocation=call[2],
-                    continuation_a=existing_token,
-                    continuation_b=token,
-                )
-                return
-
-    def _call_before(self, node: _TrieNode) -> tuple:
-        # Walk the trie to find the call token leading into *node*; cheaper
-        # to thread it through insertion, but this runs only on failure.
-        stack: list[tuple[_TrieNode, tuple | None]] = [(self._root, None)]
-        while stack:
-            current, incoming = stack.pop()
-            if current is node and incoming is not None:
-                return incoming
-            for token, child in current.children.items():
-                stack.append((child, token if isinstance(token, tuple) else incoming))
-        return ("c", -1, None)  # pragma: no cover - node is always reachable
+    def _witness(
+        self, history: SerialHistory, tokens: tuple, depth: int, prefix: int
+    ) -> NondeterminismWitness:
+        """*history* leaves the table after the call ending *prefix*."""
+        first = self._first[prefix]
+        assert first is not None
+        theirs = first.tokens()
+        call = theirs[depth - 1]
+        return NondeterminismWitness(
+            first=first,
+            second=history,
+            thread=call[1],
+            invocation=call[2],
+            continuation_a=theirs[depth],
+            continuation_b=tokens[depth],
+        )
 
     # -- queries -------------------------------------------------------------
 
@@ -172,9 +163,8 @@ class ObservationSet:
         return self._stuck_groups.get(profile, [])
 
     def profiles(self) -> list[Profile]:
-        """All distinct profiles, full first (observation-file sections)."""
-        seen: list[Profile] = []
-        for profile in list(self._full_groups) + list(self._stuck_groups):
-            if profile not in seen:
-                seen.append(profile)
-        return seen
+        """All distinct profiles, full first (observation-file sections).
+
+        No profile is in both groups: a stuck one has a pending entry.
+        """
+        return [*self._full_groups, *self._stuck_groups]

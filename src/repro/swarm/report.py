@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.harness import Phase1Stats
+from repro.core.report import reduced_pass_note
 
 __all__ = [
     "ShardReport",
@@ -121,6 +122,8 @@ def render_swarm_result(result: SwarmResult) -> str:
     if not result.phase2_complete:
         reason = result.exhausted_reason or "incomplete shards"
         lines.append(f"incomplete: {reason}")
+    if result.passed and result.reduction != "none":
+        lines.append(reduced_pass_note(result.reduction))
     for shard in result.shards:
         flags = []
         if shard.opaque:

@@ -256,3 +256,37 @@ class TestRelaxedCheck:
         assert main(BAG + flags) == 64
         assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+QUEUE = ["check", "ConcurrentQueue", "--test", "Enqueue(10); TryDequeue | Enqueue(20); TryDequeue"]
+BUFFER_SHARDED = [
+    "check", "BoundedBuffer", "--provider", "repro.exec.faults",
+    "--version", "beta", "--test", "Put(1); Take | TryTake",
+    "--shards", "2", "--workers", "1",
+]
+REDUCED_NOTE = "is not proven history-complete at this bound"
+
+
+def _notes(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("note:")]
+
+
+class TestReducedPassNote:
+    """A PASS under sleep sets or DPOR is not printed as a complete one."""
+
+    @pytest.mark.parametrize("reduction, judged", [("sleep", 483), ("dpor", 481)])
+    def test_check_report_notes_a_reduced_pass(self, capsys, reduction, judged):
+        assert main(QUEUE + ["--reduction", reduction]) == 0
+        (note,) = _notes(capsys.readouterr().out)
+        assert f"--reduction {reduction} {REDUCED_NOTE}" in note
+        assert f"judges {judged} of the 499 histories" in note
+
+    def test_sharded_report_notes_a_reduced_pass(self, capsys):
+        assert main(BUFFER_SHARDED + ["--reduction", "dpor"]) == 0
+        (note,) = _notes(capsys.readouterr().out)
+        assert f"--reduction dpor {REDUCED_NOTE}" in note
+
+    @pytest.mark.parametrize("command", [QUEUE, BUFFER_SHARDED])
+    def test_an_unreduced_pass_carries_no_note(self, capsys, command):
+        assert main(command + ["--reduction", "none"]) == 0
+        assert _notes(capsys.readouterr().out) == []
