@@ -27,11 +27,13 @@ Sections, written to ``BENCH_stream.json`` via ``benchlib``:
   sessions, ~420 configurations per operation) through
   :class:`~repro.monitor.incremental.IncrementalChecker` and through the
   flat-set implementation it replaced (``tests/stream/reference.py``),
-  alternating.  Asserts equal configuration counts and at least 4x the
-  reference's speed; records model steps per configuration and, on the
-  same trace at two lengths, what the *offline* search costs per
-  operation — that one is quadratic in trace length, so which of the two
-  is faster depends on where the trace is cut.
+  alternating.  Asserts equal configuration counts and at least 10x the
+  reference's speed; records the closure's ``seconds`` (the key the
+  regression diff gates), the states the model steps and the
+  ``step_set`` calls it takes per configuration, and, on the same trace
+  at two lengths, what the *offline* search costs per operation — that
+  one is quadratic in trace length, so which of the two is faster
+  depends on where the trace is cut.
 ``--quick`` shrinks every section for the CI smoke job.
 """
 
@@ -87,12 +89,13 @@ MEMORY_GROWTH_CEILING = 1.5
 DECODE_MISS_FLOOR = 0.9
 DECODE_KEYS = (16, 10_000)
 #: The closure row: perfbench's gate size, and the bucketed closure
-#: against the flat reference as a rate ratio.  7.4–7.7x on this host
-#: since models step in plain answers (4.5x before); the reference itself
-#: reads ~4 % slower than it did, its ``apply`` now being derived from
-#: ``step``.  The floor sits below what the previous closure reached.
+#: against the flat reference as a rate ratio.  The closure that stepped
+#: one state at a time through a per-closure memo read 7.8–8.3x; stepping
+#: a whole bucket per open invocation (the queue's ``step_set`` kernels)
+#: reads 15–18x (2-CPU x86-64 box, Python 3.11).  The floor sits above
+#: the former.
 CLOSURE_OPS = 1_000
-CLOSURE_SPEEDUP_FLOOR = 4.0
+CLOSURE_SPEEDUP_FLOOR = 10.0
 #: Trace lengths at which the offline search is timed on the same trace.
 CLOSURE_OFFLINE_OPS = (300, 1_000)
 
@@ -317,11 +320,14 @@ def bench_decode(tmp, ops: int) -> dict:
 
 
 class _CountingModel(SequentialModel):
-    """A model that counts its steps (the reference's ``apply`` is one)."""
+    """A model that counts the states it steps, one at a time (the
+    reference's ``apply`` is one) or a set at a time through the wrapped
+    model's own ``step_set`` — the path the closure takes."""
 
     def __init__(self, model) -> None:
         self.model = model
         self.steps = 0
+        self.step_set_calls = 0
 
     def initial_state(self):
         return self.model.initial_state()
@@ -329,6 +335,11 @@ class _CountingModel(SequentialModel):
     def step(self, state, invocation):
         self.steps += 1
         return self.model.step(state, invocation)
+
+    def step_set(self, states, invocation):
+        self.steps += len(states)
+        self.step_set_calls += 1
+        return self.model.step_set(states, invocation)
 
 
 def bench_closure(tmp) -> dict:
@@ -378,22 +389,27 @@ def bench_closure(tmp) -> dict:
         f"under the {CLOSURE_SPEEDUP_FLOOR}x floor"
     )
 
-    def steps_per_config(checker_class) -> float:
+    def model_work(checker_class) -> _CountingModel:
         counting = _CountingModel(model)
-        checker, _ = run(checker_class, counting)
-        return counting.steps / checker.configurations
+        run(checker_class, counting)
+        return counting
 
+    work = model_work(IncrementalChecker)
     row = {
         "ops": CLOSURE_OPS,
         "configurations": new.configurations,
         "configs_per_op": new.configurations / CLOSURE_OPS,
         "max_live_configs": new.max_live_configs,
+        "seconds": bucketed,
         "us_per_op": bucketed / CLOSURE_OPS * 1e6,
         "us_per_config": bucketed / new.configurations * 1e6,
-        "model_steps_per_config": steps_per_config(IncrementalChecker),
+        "model_steps_per_config": work.steps / new.configurations,
+        "step_set_calls_per_config": work.step_set_calls / new.configurations,
         "reference_us_per_op": flat / CLOSURE_OPS * 1e6,
         "reference_us_per_config": flat / old.configurations * 1e6,
-        "reference_model_steps_per_config": steps_per_config(ReferenceChecker),
+        "reference_model_steps_per_config": (
+            model_work(ReferenceChecker).steps / old.configurations
+        ),
         "speedup_vs_reference": speedup,
     }
     for ops in CLOSURE_OFFLINE_OPS:
@@ -447,7 +463,9 @@ def print_report(payload: dict) -> None:
         f"closure: {closure['configs_per_op']:.1f} configs/op, max live "
         f"{closure['max_live_configs']}: bucketed {closure['us_per_op']:.0f} "
         f"us/op ({closure['us_per_config']:.2f} us/config, "
-        f"{closure['model_steps_per_config']:.2f} model steps/config), flat "
+        f"{closure['model_steps_per_config']:.2f} states stepped and "
+        f"{closure['step_set_calls_per_config']:.3f} step_set calls per "
+        f"config), flat "
         f"reference {closure['reference_us_per_op']:.0f} us/op "
         f"({closure['reference_model_steps_per_config']:.2f} steps/config) = "
         f"{closure['speedup_vs_reference']:.2f}x (floor "

@@ -61,19 +61,20 @@ configuration is visited once, and the set union that merges successor
 states into their bucket is the only de-duplication there is — no
 configuration is built, pushed and then thrown away.
 
-Within one closure there is **one model step per (state, distinct open
-invocation)** — a ``state -> (state', answer)`` memo per invocation,
-local to the closure (nothing is held between returns), shared by every
-bucket the state occurs in and by every open operation with an equal
-invocation (four concurrent ``TryDequeue()`` cost one step per state,
-not four) — and **one pass over a bucket's states per distinct open
-invocation**, the returning operation's among them: the pass that groups
-the successors by answer also finds the states that accept the
-observation.  An *answer* is what the model's ``step`` returns, the
-plain ``(kind, value)`` of :func:`~repro.core.events.plain_response`;
-no ``Response`` is built per configuration.  When no *other* operation
-is open the closure cannot grow; that case — almost every return of a
-per-key cell — allocates no memo and no levels.
+Within one closure there is **one set-at-a-time model step per (bucket,
+distinct open invocation)** — ``model.step_set(states, invocation)``,
+which hands back the bucket's successors already grouped by answer, the
+returning operation's invocation among them (four concurrent
+``TryDequeue()`` cost one call per bucket, not four) — so the group of
+the observed answer is also the set of states that accept the
+observation.  The queue's and the stack's ``step_set`` step a whole
+bucket in one pass for the methods that make closures large; every other
+model and method runs the base class's loop over ``step``.  Nothing is
+held between calls or between returns.  An *answer* is the plain ``(kind,
+value)`` of :func:`~repro.core.events.plain_response`; no ``Response`` is
+built per configuration.  When no *other* operation is open the closure
+cannot grow; that case — almost every return of a per-key cell — steps
+state by state and allocates no levels.
 
 ``max_configurations`` caps what can blow up: the configurations explored
 by the closure of **one return** (exponential in the window width; the
@@ -284,26 +285,24 @@ class IncrementalChecker:
         self.events_ingested += 1
         invocation = open_op.invocation
         step = self.model.step
+        step_set = self.model.step_set
         cap = self.max_configurations
         seen = plain_response(observed)
 
         # What else could be linearized first, by invocation: operations
         # with equal invocations step the model identically, so they
-        # share one memo {state: (state', answer)} — for this closure
-        # only, nothing is kept between returns.
-        others: dict[tuple, tuple[Invocation, list[tuple[int, int]], dict]] = {}
+        # share one step of each bucket.
+        others: dict[tuple, tuple[Invocation, list[tuple[int, int]]]] = {}
         levels: list[dict[frozenset, set[Hashable]]]
         if len(self._open) > 1:
             for other_key, other in self._open.items():
                 if other_key != key:
                     inv = other.invocation
-                    entry = others.setdefault(
-                        plain_invocation(inv), (inv, [], {})
-                    )
+                    entry = others.setdefault(plain_invocation(inv), (inv, []))
                     entry[1].append(other_key)
             # The returning operation's invocation gets the same pass.
             same = others.setdefault(
-                plain_invocation(invocation), (invocation, [], {})
+                plain_invocation(invocation), (invocation, [])
             )
             # levels[n] holds the buckets whose map linearizes n
             # operations.  A successor linearizes one more, so when a
@@ -315,7 +314,7 @@ class IncrementalChecker:
                 levels[len(linmap)][linmap] = set(states)
         else:
             # Nothing else is open: the closure cannot grow, so it needs
-            # no levels, no step memo and no successor groups.
+            # no levels and no successor groups.
             levels = [self._configs]
 
         accepted: dict[frozenset, set[Hashable]] = {}
@@ -340,26 +339,14 @@ class IncrementalChecker:
                             accepted, linmap - {(key, committed)}, set(states)
                         )
                     continue
-                # One pass over the states per distinct open invocation:
+                # One set-at-a-time model step per distinct open invocation:
                 # it groups the successors by the model's answer...
                 for entry in others.values():
-                    inv, keys, memo = entry
+                    inv, keys = entry
                     free = [k for k in keys if k not in linearized]
                     if not free and entry is not same:
                         continue
-                    groups: dict[tuple, set[Hashable]] = {}
-                    for state in states:
-                        result = memo.get(state)
-                        if result is None:
-                            result = memo[state] = step(state, inv)
-                        new_state, answer = result
-                        if answer is None:
-                            continue  # the model blocks here
-                        group = groups.get(answer)
-                        if group is None:
-                            groups[answer] = {new_state}
-                        else:
-                            group.add(new_state)
+                    groups = step_set(states, inv)
                     # ...each group the successor set of every free operation
                     # alike (_merge inlined: the hot one, it copies only where
                     # it starts a bucket)...

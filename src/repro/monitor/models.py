@@ -12,6 +12,14 @@ the response as a plain ``(kind, value)`` tuple
 (:func:`repro.core.events.plain_response`).  ``step`` is what a model
 implements; ``apply``, the same with a typed ``Response``, is derived.
 
+``step_set(states, invocation)`` is the same transition over a *set* of
+states at once: ``{answer: successor states}``, exactly what grouping
+``step`` by answer over every state gives, blocked states left out.  The
+base class defines it as that loop, so every model has it; a model may
+override it with a kernel that steps the whole set in one pass (the
+queue's and the stack's do, for the methods the online closure of
+:mod:`repro.monitor.incremental` spends its time in).
+
 ``step`` returns ``(state, None)`` when the invocation *blocks* in that
 state (e.g. ``dec`` of the counter at zero) — the monitor uses this both
 to prune linearization branches and to justify stuck histories.  Unknown
@@ -31,7 +39,7 @@ partitioning the history.
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any, Collection, Hashable
 
 from repro.core.events import OK, RAISED, Invocation, Response
 
@@ -58,10 +66,56 @@ def _ok(state: Any, value: Any = None) -> tuple[Any, tuple]:
     return state, (OK, value)
 
 
+#: The answers of the set kernels: of an update, of a take from nothing.
+_OK_NONE = (OK, None)
+_OK_FAIL = (OK, "Fail")
+#: What a take leaves of a queue (all but the head), of a stack (all but
+#: the top).
+_AFTER_HEAD = slice(1, None)
+_BELOW_TOP = slice(None, -1)
+
+
+def _appended(model: "SequentialModel", states, invocation) -> dict:
+    """``Enqueue`` / ``Push`` over *states*: every state grows by the
+    argument, all under one answer."""
+    if not states:
+        return {}  # nothing stepped, so a missing argument raises nothing
+    value = model._arg(invocation)
+    return {_OK_NONE: {state + (value,) for state in states}}
+
+
+def _taken(states, end: int, rest: slice) -> dict:
+    """``TryDequeue`` / ``TryPop`` over *states*, one grouping pass: a
+    state answers ``ok(state[end])`` and moves to ``state[rest]``; the
+    empty state answers ``ok("Fail")`` and stays.  A state whose taken
+    element is ``"Fail"`` answers the same, so the empty state joins its
+    group rather than replacing it."""
+    groups: dict = {}
+    empty = False
+    for state in states:
+        if not state:
+            empty = True
+            continue
+        group = groups.get(state[end])
+        if group is None:
+            groups[state[end]] = {state[rest]}
+        else:
+            group.add(state[rest])
+    answers = {(OK, taken): group for taken, group in groups.items()}
+    if empty:
+        group = answers.get(_OK_FAIL)
+        if group is None:
+            answers[_OK_FAIL] = {()}
+        else:
+            group.add(())
+    return answers
+
+
 class SequentialModel:
     """One deterministic sequential type: state + transition function.
 
-    A model implements :meth:`step`; :meth:`apply` is derived from it.
+    A model implements :meth:`step`; :meth:`apply` and :meth:`step_set`
+    are derived from it, and a model may override :meth:`step_set`.
     """
 
     #: registry name (``--model NAME`` on the command line).
@@ -77,6 +131,29 @@ class SequentialModel:
     ) -> tuple[Hashable, tuple | None]:
         """Run *invocation* in *state*; a ``None`` answer means it blocks."""
         raise NotImplementedError
+
+    def step_set(
+        self, states: Collection[Hashable], invocation: Invocation
+    ) -> dict[tuple, set[Hashable]]:
+        """:meth:`step` over every state of *states*, grouped by answer.
+
+        This loop is the definition: an override must return equal
+        answers as one key (as a dict does: ``ok(1)`` and ``ok(True)``
+        are one group), leave blocked states out, raise where the loop
+        raises, and hand out fresh sets the caller owns.
+        """
+        groups: dict[tuple, set[Hashable]] = {}
+        step = self.step
+        for state in states:
+            new_state, answer = step(state, invocation)
+            if answer is None:
+                continue  # the model blocks here
+            group = groups.get(answer)
+            if group is None:
+                groups[answer] = {new_state}
+            else:
+                group.add(new_state)
+        return groups
 
     def apply(
         self, state: Hashable, invocation: Invocation
@@ -175,6 +252,13 @@ class QueueModel(SequentialModel):
             return _ok(state, state)
         raise self._bad(invocation)
 
+    def step_set(self, states, invocation):
+        if invocation.method == "Enqueue":
+            return _appended(self, states, invocation)
+        if invocation.method == "TryDequeue":
+            return _taken(states, 0, _AFTER_HEAD)
+        return super().step_set(states, invocation)
+
 
 class StackModel(SequentialModel):
     """LIFO stack with the ``ConcurrentStack`` alphabet."""
@@ -201,6 +285,13 @@ class StackModel(SequentialModel):
         if method == "Clear":
             return _ok(())
         raise self._bad(invocation)
+
+    def step_set(self, states, invocation):
+        if invocation.method == "Push":
+            return _appended(self, states, invocation)
+        if invocation.method == "TryPop":
+            return _taken(states, -1, _BELOW_TOP)
+        return super().step_set(states, invocation)
 
 
 class SetModel(SequentialModel):

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.events import Invocation, Response, plain_response
 from repro.monitor import MODELS, ModelError, get_model, model_names
+from repro.monitor.models import SequentialModel
 
 
 def run(model, *invocations):
@@ -217,8 +220,8 @@ def test_apply_is_step_with_a_typed_response(name):
             if rng.random() < 0.2:
                 invocation = rng.choice(hostile)
             else:
-                method, arg_range = rng.choice(ALPHABETS[name])
-                args = () if arg_range is None else (rng.randrange(arg_range),)
+                method, values = rng.choice(ALPHABETS[name])
+                args = () if values is None else (rng.choice(values),)
                 invocation = Invocation(method, args)
             cell = outcome(model.partition_key, invocation)
             stepped = outcome(model.step, state, invocation)
@@ -256,3 +259,108 @@ def test_apply_is_written_once():
     # One implementation of each model's semantics: only the base class
     # turns an answer into a Response.
     assert all("apply" not in vars(type(model)) for model in MODELS.values())
+
+
+# -- ``step_set`` is ``step`` over a set of states, grouped by answer ------------
+
+#: Every method of every model, with the number of arguments it takes.
+METHODS = {
+    "register": {"write": 1, "read": 0},
+    "counter": {"inc": 0, "dec": 0, "get": 0, "set_value": 1},
+    "queue": {
+        "Enqueue": 1, "TryDequeue": 0, "TryPeek": 0, "IsEmpty": 0,
+        "Count": 0, "ToArray": 0,
+    },
+    "stack": {
+        "Push": 1, "TryPop": 0, "TryPeek": 0, "Count": 0, "ToArray": 0,
+        "Clear": 0,
+    },
+    "set": {"Insert": 1, "Remove": 1, "Contains": 1, "Size": 0, "ToArray": 0},
+    "dict": {
+        "TryAdd": 1, "TryRemove": 1, "TryGetValue": 1, "GetItem": 1,
+        "SetItem": 2, "TryUpdate": 2, "ContainsKey": 1, "Count": 0,
+        "IsEmpty": 0, "Clear": 0,
+    },
+}
+
+#: Argument values: ``"Fail"`` is also what a take from nothing answers,
+#: ``1`` and ``True`` are equal, ``0`` is where the counter's ``dec`` blocks.
+#: The counter counts and the set sorts, so they take numbers only.
+VALUES = [0, 1, True, 2, "Fail"]
+NUMBERS_ONLY = {"counter", "set"}
+
+
+def values_of(name):
+    return st.sampled_from(VALUES[:-1] if name in NUMBERS_ONLY else VALUES)
+
+
+def states_of(name):
+    """Any state of the model *name*, its initial one half the time."""
+    values = values_of(name)
+    if name in ("queue", "stack"):
+        some = st.lists(values, max_size=4).map(tuple)
+    elif name == "counter":
+        some = st.integers(0, 3)
+    elif name == "register":
+        some = values
+    elif name == "set":
+        some = st.frozensets(values, max_size=3)
+    else:  # dict: canonically sorted (key, value) pairs
+        some = st.dictionaries(values, values, max_size=3).map(
+            lambda pairs: tuple(sorted(pairs.items(), key=repr))
+        )
+    return st.one_of(st.just(get_model(name).initial_state()), some)
+
+
+def base_step_set(model, states, invocation):
+    return SequentialModel.step_set(model, states, invocation)
+
+
+@pytest.mark.parametrize("name", model_names())
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_step_set_is_the_base_loop(name, data):
+    assert sorted(METHODS) == list(model_names())
+    model = get_model(name)
+    states = data.draw(st.sets(states_of(name), max_size=8), label="states")
+    snapshot = set(states)
+    # Every method of the alphabet, then the malformed invocations.
+    wellformed = [
+        Invocation(method, data.draw(st.tuples(*[values_of(name)] * arity)))
+        for method, arity in sorted(METHODS[name].items())
+    ]
+    for invocation in wellformed + WRONG_ARITY[name] + [inv("Frobnicate")]:
+        got = outcome(model.step_set, states, invocation)
+        want = outcome(base_step_set, model, states, invocation)
+        # Equal answers are one key, and every group is the same set.
+        assert got == want, invocation
+        assert states == snapshot
+        if invocation not in wellformed:
+            # Only a state to step makes a ModelError.
+            assert isinstance(got, str) == bool(states)
+        if isinstance(got, str):
+            continue
+        assert None not in got  # blocked states are left out
+        # Fresh sets: mutating one reaches neither the input nor another
+        # call's.
+        assert all(group is not states for group in got.values())
+        for group in got.values():
+            group.add(("not", "a", "state"))
+        assert states == snapshot
+        assert model.step_set(states, invocation) == want
+
+
+@pytest.mark.parametrize(
+    "name, take, states",
+    [
+        ("queue", "TryDequeue", {(), ("Fail", 1), (True, 2), (1, 3)}),
+        ("stack", "TryPop", {(), (1, "Fail"), (2, True), (3, 1)}),
+    ],
+)
+def test_take_from_nothing_joins_an_equal_answer(name, take, states):
+    # The empty state and a state that gives up "Fail" answer alike, and
+    # True and 1 too: two answers, not three or four.
+    assert get_model(name).step_set(states, inv(take)) == {
+        ("ok", "Fail"): {(), (1,)},
+        ("ok", 1): {(2,), (3,)},
+    }

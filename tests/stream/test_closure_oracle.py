@@ -41,23 +41,27 @@ from repro.monitor.wgl import MonitorLimitError, wgl_check
 
 from .reference import ReferenceChecker
 
-#: model → the invocations a thread may issue (small value ranges, so
-#: that operations collide and responses are ambiguous).
+#: model → the invocations a thread may issue, each with the values its
+#: argument is drawn from (few, so that operations collide and responses
+#: are ambiguous).  A queue or stack may hold ``"Fail"``, which a take
+#: from the empty one answers too, and ``1`` beside ``True``, which equal
+#: each other.
 ALPHABETS = {
-    "register": [("write", 3), ("read", None)],
-    "counter": [("inc", None), ("dec", None), ("get", None), ("set_value", 3)],
+    "register": [("write", range(3)), ("read", None)],
+    "counter": [("inc", None), ("dec", None), ("get", None), ("set_value", range(3))],
     "queue": [
-        ("Enqueue", 4), ("Enqueue", 4), ("TryDequeue", None),
-        ("TryDequeue", None), ("TryPeek", None), ("Count", None),
+        ("Enqueue", (0, 1, True, "Fail")), ("Enqueue", (0, 1, True, "Fail")),
+        ("TryDequeue", None), ("TryDequeue", None), ("TryPeek", None),
+        ("Count", None),
     ],
     "stack": [
-        ("Push", 4), ("Push", 4), ("TryPop", None), ("TryPop", None),
-        ("TryPeek", None), ("Clear", None),
+        ("Push", (0, 1, True, "Fail")), ("Push", (0, 1, True, "Fail")),
+        ("TryPop", None), ("TryPop", None), ("TryPeek", None), ("Clear", None),
     ],
-    "set": [("Insert", 3), ("Remove", 3), ("Contains", 3), ("Size", None)],
+    "set": [("Insert", range(3)), ("Remove", range(3)), ("Contains", range(3)), ("Size", None)],
     "dict": [
-        ("TryAdd", 3), ("TryRemove", 3), ("TryGetValue", 3),
-        ("GetItem", 3), ("ContainsKey", 3), ("Count", None),
+        ("TryAdd", range(3)), ("TryRemove", range(3)), ("TryGetValue", range(3)),
+        ("GetItem", range(3)), ("ContainsKey", range(3)), ("Count", None),
     ],
 }
 
@@ -92,8 +96,8 @@ def generate_stream(seed, model_name: str, threads: int, corrupt: float):
         thread = rng.choice(alive)
         stalled += 1
         if invocation[thread] is None:
-            method, arg_range = rng.choice(ALPHABETS[model_name])
-            args = () if arg_range is None else (rng.randrange(arg_range),)
+            method, values = rng.choice(ALPHABETS[model_name])
+            args = () if values is None else (rng.choice(values),)
             invocation[thread] = Invocation(method, args)
             events.append(("call", thread, op_index[thread], invocation[thread]))
         elif response[thread] is None:
