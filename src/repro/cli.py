@@ -453,9 +453,9 @@ def _add_reduction_option(parser: argparse.ArgumentParser) -> None:
 def _add_trace_dump_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dump-traces", metavar="DIR",
-        help="dump every explored concurrent history into DIR as a JSONL "
-             "trace file (one per test), re-checkable offline with "
-             "'monitor TRACE --model NAME'",
+        help="dump every judged concurrent history into DIR, one JSONL "
+             "trace file each (DIR/<subject>-<digest>/<n>.trace.jsonl per "
+             "test), re-checkable offline with 'monitor TRACE... --model NAME'",
     )
 
 
@@ -564,15 +564,12 @@ def _run_swarm_check(
         swarm_check,
         swarm_result_to_dict,
     )
+    from repro.swarm.runner import validate_config
 
-    if config.phase2_strategy != "dfs":
-        raise CliError(
-            "--shards partitions a DFS frontier; it requires --strategy dfs"
-        )
-    if config.backend != "observations":
-        raise CliError("--shards supports the observations backend only")
-    if config.dump_traces:
-        raise CliError("--dump-traces is not supported with --shards")
+    try:
+        validate_config(config)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if swarm_config is None:
         swarm_config = SwarmConfig(
             shards=args.shards, lease_executions=args.lease
@@ -1210,7 +1207,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    """Offline re-check of a JSONL trace against an explicit model."""
+    """Offline re-check of JSONL traces against an explicit model."""
     from repro.core.checker import monitor_violation
     from repro.core.checkpoint import test_from_dict
     from repro.core.report import render_violation
@@ -1220,15 +1217,16 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         get_model,
         load_trace,
         monitor_history,
+        read_trace_header,
     )
 
-    model = get_model(_trace_model_name(args))
+    model = get_model(_trace_model_name(args.model, args.trace[0]))
     try:
-        trace = load_trace(args.trace)
+        subject = read_trace_header(args.trace[0]).subject
     except TraceError as exc:
         raise CliError(str(exc)) from exc
 
-    def trace_test(history) -> FiniteTest:
+    def trace_test(trace, history) -> FiniteTest:
         if trace.test is not None:
             try:
                 return test_from_dict(trace.test)
@@ -1241,17 +1239,21 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             ]
         )
 
-    subject = trace.subject or "(unknown subject)"
     print(
-        f"Monitoring {len(trace.histories)} histories of {subject} "
-        f"against model {model.name!r}"
+        f"Monitoring {len(args.trace)} histories of "
+        f"{subject or '(unknown subject)'} against model {model.name!r}"
     )
-    if trace.truncated:
-        print("note: the trace's final record was truncated and is skipped")
     failures = 0
     exhausted = 0
     first_violation = None
-    for number, history in enumerate(trace.histories, start=1):
+    for path in args.trace:
+        try:
+            trace = load_trace(path)
+        except TraceError as exc:
+            raise CliError(str(exc)) from exc
+        if trace.truncated:
+            print(f"note: {path} ends in a torn line, which is skipped")
+        history = trace.histories[0]
         try:
             verdict = monitor_history(
                 history, model, max_configurations=args.max_configurations
@@ -1259,26 +1261,26 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         except MonitorLimitError:
             exhausted += 1
             if args.verbose:
-                print(f"  history {number}: EXHAUSTED (configuration cap)")
+                print(f"  {path}: EXHAUSTED (configuration cap)")
             continue
         if verdict.ok:
             if args.verbose:
                 print(
-                    f"  history {number}: OK "
+                    f"  {path}: OK "
                     f"({verdict.result.engine}, "
                     f"{verdict.result.configurations} configurations)"
                 )
             continue
         failures += 1
         if args.verbose:
-            print(f"  history {number}: FAIL")
+            print(f"  {path}: FAIL")
         if first_violation is None:
             first_violation = monitor_violation(
-                verdict, model, trace_test(history), history
+                verdict, model, trace_test(trace, history), history
             )
     print(
         f"verdict: {'FAIL' if failures else ('EXHAUSTED' if exhausted else 'PASS')} "
-        f"({len(trace.histories) - failures - exhausted} ok, "
+        f"({len(args.trace) - failures - exhausted} ok, "
         f"{failures} violating, {exhausted} exhausted)"
     )
     if first_violation is not None:
@@ -1385,21 +1387,21 @@ def cmd_live(args: argparse.Namespace) -> int:
     )
 
 
-def _trace_model_name(args: argparse.Namespace) -> str:
-    """``--model``, defaulting to the model the trace's v2 header names."""
+def _trace_model_name(model: str | None, path: str) -> str:
+    """*model* (``--model``), defaulting to the model *path*'s header names."""
     from repro.monitor import TraceError, read_trace_header
 
-    if args.model:
-        return args.model
+    if model:
+        return model
     try:
-        live = read_trace_header(args.trace).live
+        model = read_trace_header(path).live.model
     except TraceError as exc:
         raise CliError(f"--model NAME is required: {exc}") from exc
-    if live is None or live.model is None:
+    if model is None:
         raise CliError(
             "--model NAME is required (the trace header names no model)"
         )
-    return live.model
+    return model
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
@@ -1409,7 +1411,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from repro.monitor import TraceError, get_model
     from repro.stream import WatchConfig, watch_trace
 
-    model_name = _trace_model_name(args)
+    model_name = _trace_model_name(args.model, args.trace)
     model = get_model(model_name)
     config = WatchConfig(
         follow=args.follow,
@@ -1674,19 +1676,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_monitor = sub.add_parser(
         "monitor",
-        help="re-check a dumped JSONL trace against an explicit "
-             "sequential model (no execution, no phase 1)",
+        help="re-check recorded or dumped JSONL traces against an "
+             "explicit sequential model (no execution, no phase 1)",
         epilog=_EXIT_CODE_HELP,
     )
     p_monitor.add_argument(
-        "trace", metavar="TRACE",
-        help="JSONL trace file (written by --dump-traces or referenced by "
-             "a crash report's trace_file)",
+        "trace", metavar="TRACE", nargs="+",
+        help="JSONL trace files, one history each (a 'lineup live' "
+             "recording, or the files --dump-traces writes into the "
+             "directory a crash report's trace_dir names)",
     )
     p_monitor.add_argument(
         "--model", metavar="NAME",
         help="sequential model to check against (register, counter, "
-             "queue, stack, set, dict); default: the trace header's model",
+             "queue, stack, set, dict); default: the first trace "
+             "header's model",
     )
     p_monitor.add_argument(
         "--max-configurations", type=_count(1), metavar="N",
@@ -1694,7 +1698,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_monitor.add_argument(
         "-v", "--verbose", action="store_true",
-        help="print a verdict line per history",
+        help="print a verdict line per trace file",
     )
     p_monitor.set_defaults(func=cmd_monitor)
 
@@ -1788,9 +1792,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_watch.add_argument(
         "trace", metavar="TRACE",
-        help="v2 JSONL trace file (a 'lineup live' recording, possibly "
-             "still being written; check a --dump-traces file with "
-             "'monitor')",
+        help="JSONL trace file (a 'lineup live' recording, possibly "
+             "still being written, or one --dump-traces file; check a "
+             "dump that ended stuck with 'monitor')",
     )
     p_watch.add_argument(
         "--model", metavar="NAME",

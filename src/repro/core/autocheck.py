@@ -31,7 +31,6 @@ from repro.core.checker import (
 from repro.core.events import Invocation
 from repro.core.harness import SystemUnderTest, TestHarness
 from repro.core.testcase import FiniteTest, enumerate_tests, sample_tests
-from repro.core.verdict import worst_verdict
 from repro.runtime import Scheduler
 
 __all__ = [
@@ -46,17 +45,12 @@ __all__ = [
 class CampaignResult:
     """Aggregate outcome of a multi-test campaign (Auto/RandomCheck).
 
-    ``verdict`` follows :data:`repro.core.verdict.VERDICT_PRECEDENCE`:
-    "FAIL" as soon as any test fails; "CRASHED" when tests were
-    quarantined (isolated campaigns) but none failed; else "PASS".
+    ``verdict`` is "FAIL" as soon as any test fails, else "PASS".
     """
 
     verdict: str
     tests_run: int = 0
     tests_failed: int = 0
-    #: tests quarantined after repeatedly crashing their sandboxed worker
-    #: (only isolated campaigns — see :mod:`repro.exec` — produce these).
-    tests_crashed: int = 0
     failures: list[CheckResult] = field(default_factory=list)
     results: list[CheckResult] = field(default_factory=list)
     #: why the campaign stopped early ("deadline", "executions",
@@ -70,21 +64,6 @@ class CampaignResult:
     @property
     def first_failure(self) -> CheckResult | None:
         return self.failures[0] if self.failures else None
-
-    @classmethod
-    def from_outcomes(cls, outcomes, stop_reason: str | None = None) -> "CampaignResult":
-        """Aggregate worker-pool :class:`~repro.exec.TaskOutcome` objects."""
-        campaign = cls(
-            verdict=worst_verdict(o.verdict for o in outcomes),
-            stop_reason=stop_reason,
-        )
-        for outcome in outcomes:
-            campaign.tests_run += 1
-            if outcome.verdict == "FAIL":
-                campaign.tests_failed += 1
-            elif outcome.verdict == "CRASHED":
-                campaign.tests_crashed += 1
-        return campaign
 
 
 def _run_campaign(

@@ -552,9 +552,10 @@ def _run_phase2(
     fingerprints: "Any | None" = None,
     judge: "Callable[[History, Any], Violation | None] | None" = None,
 ) -> None:
-    """Phase 2, the one loop over concurrent executions: count, digest,
-    meter and dump every execution, ask *judge* about every history that
-    has not already passed, fold the answer into *result*.
+    """Phase 2, the one loop over concurrent executions: count, digest
+    and meter every execution, ask *judge* about every history that has
+    not already passed, dump what it judged, fold the answer into
+    *result*.
 
     *judge* maps ``(history, outcome)`` to a :class:`Violation` or None.
     It must be a function of the history and of inputs fixed for this
@@ -576,17 +577,18 @@ def _run_phase2(
     if control is not None:
         control.start()
 
-    trace_writer = None
+    dump = None
     if cfg.dump_traces:
         from repro.core.checkpoint import test_to_dict
-        from repro.monitor.trace import TraceWriter, default_trace_path
+        from repro.monitor.trace import DumpTraceWriter
 
-        test_dict = test_to_dict(test)
-        trace_writer = TraceWriter(
-            default_trace_path(cfg.dump_traces, harness.subject.name, test_dict),
-            n_threads=test.n_threads,
-            subject=harness.subject.name,
-            test=test_dict,
+        # A resumed check keeps the files it already wrote.
+        dump = DumpTraceWriter(
+            cfg.dump_traces,
+            harness.subject.name,
+            test_to_dict(test),
+            test.n_threads,
+            fresh=result.phase2_executions == 0,
         )
     remaining = cfg.max_concurrent_executions
     if remaining is not None:
@@ -621,48 +623,46 @@ def _run_phase2(
     # history, its decisions).  Local to this call and never checkpointed.
     passed: set[tuple] = set()
     halted: str | None = None
-    try:
-        for history, outcome in harness.explore_concurrent(
-            test, strategy, max_executions=remaining
-        ):
-            result.phase2_executions += 1
-            fingerprints.add(execution_fingerprint(outcome))
-            if control is not None:
-                control.note(outcome)
-            if history.stuck:
-                result.phase2_stuck += 1
-                if history.divergent:
-                    result.phase2_divergent += 1
-            else:
-                result.phase2_full += 1
-            key = history.key
-            if key is not None and key in passed:
-                violation = None
-            else:
-                result.phase2_judged += 1
-                violation = judge(history, outcome)
-                if violation is None and key is not None:
-                    if len(passed) >= _PASS_MEMO_LIMIT:
-                        passed.clear()
-                    passed.add(key)
-            if trace_writer is not None:
-                trace_writer.write(
-                    history, verdict="FAIL" if violation is not None else None
+    for history, outcome in harness.explore_concurrent(
+        test, strategy, max_executions=remaining
+    ):
+        result.phase2_executions += 1
+        fingerprints.add(execution_fingerprint(outcome))
+        if control is not None:
+            control.note(outcome)
+        if history.stuck:
+            result.phase2_stuck += 1
+            if history.divergent:
+                result.phase2_divergent += 1
+        else:
+            result.phase2_full += 1
+        key = history.key
+        if key is not None and key in passed:
+            violation = None
+        else:
+            result.phase2_judged += 1
+            violation = judge(history, outcome)
+            if violation is None and key is not None:
+                if len(passed) >= _PASS_MEMO_LIMIT:
+                    passed.clear()
+                passed.add(key)
+            if dump is not None:
+                dump.write(
+                    result.phase2_executions,
+                    history,
+                    verdict=None if violation is None else "FAIL",
                 )
-            if violation is not None:
-                result.verdict = "FAIL"
-                result.violations.append(violation)
-                if cfg.stop_at_first_violation:
-                    break
-            if control is not None:
-                halted = control.halt_reason()
-                if halted is not None:
-                    break
-            if checkpointer is not None:
-                checkpointer.tick(make_state)
-    finally:
-        if trace_writer is not None:
-            trace_writer.close()
+        if violation is not None:
+            result.verdict = "FAIL"
+            result.violations.append(violation)
+            if cfg.stop_at_first_violation:
+                break
+        if control is not None:
+            halted = control.halt_reason()
+            if halted is not None:
+                break
+        if checkpointer is not None:
+            checkpointer.tick(make_state)
     result.phase2_seconds = seconds_base + time.perf_counter() - t1
     result.schedules_explored = result.phase2_executions
     result.equivalence_classes = len(fingerprints)

@@ -757,13 +757,14 @@ class WorkerPool:
         }
         dump_dir = (spec.config or {}).get("dump_traces")
         if dump_dir:
-            # The worker was dumping explored histories; the trace path is
+            # The worker was dumping judged histories; their directory is
             # a deterministic function of (subject, test), so the report
             # can reference it without a round-trip to the (dead) worker.
-            # Re-check offline with: lineup monitor TRACE --model NAME.
-            from repro.monitor.trace import default_trace_path
+            # Re-check offline with: lineup monitor DIR/*.trace.jsonl
+            # --model NAME.
+            from repro.monitor.trace import default_trace_dir
 
-            report["trace_file"] = default_trace_path(
+            report["trace_dir"] = default_trace_dir(
                 dump_dir, f"{spec.class_name}({spec.version})", spec.test
             )
         if self._quarantine_extra is not None:

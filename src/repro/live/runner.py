@@ -240,19 +240,15 @@ def run_live(
         result.injected["kill"] = result.injected.get("kill", 0) + 1
 
     # -- check the recorded history offline -----------------------------
-    trace = load_trace(config.trace_out)
+    history = load_trace(config.trace_out).histories[0]
     exhausted = False
     verdict: MonitorVerdict | None = None
-    for history in trace.histories:
-        try:
-            verdict = monitor_history(
-                history, model, max_configurations=config.max_configurations
-            )
-        except MonitorLimitError:
-            exhausted = True
-            continue
-        if not verdict.ok:
-            break
+    try:
+        verdict = monitor_history(
+            history, model, max_configurations=config.max_configurations
+        )
+    except MonitorLimitError:
+        exhausted = True
     result.monitor = verdict
 
     # One verdict per independent observation; the shared lattice merges.

@@ -41,15 +41,14 @@ from repro.monitor.incremental import (
 from repro.monitor.trace import (
     TRACE_FORMAT,
     TRACE_VERSION,
-    TRACE_VERSION_LIVE,
+    DumpTraceWriter,
     LiveTraceMeta,
     LiveTraceWriter,
     TraceDecoder,
     TraceError,
     TraceScan,
     TraceSegment,
-    TraceWriter,
-    default_trace_path,
+    default_trace_dir,
     iter_trace,
     load_trace,
     read_trace_header,
@@ -80,18 +79,17 @@ __all__ = [
     "StuckMonitorResult",
     "TRACE_FORMAT",
     "TRACE_VERSION",
-    "TRACE_VERSION_LIVE",
+    "DumpTraceWriter",
     "LiveTraceMeta",
     "LiveTraceWriter",
     "TraceDecoder",
     "TraceError",
     "TraceScan",
     "TraceSegment",
-    "TraceWriter",
     "check_history_against_model",
     "check_stuck_history_model",
     "compositional_check",
-    "default_trace_path",
+    "default_trace_dir",
     "get_model",
     "iter_trace",
     "load_trace",

@@ -2,90 +2,77 @@
 
 The monitoring engine's input does not have to come from our scheduler —
 a production log, a crash-quarantine artifact, or another tool can all
-supply histories.  This module defines the interchange format, in two
-versions that share line 1 (the envelope header, following the PR 3
-conventions of :mod:`repro.core.observations`).
+supply histories.  This module defines the interchange format: a file is
+one recording of one history, an event per line, in version 2, the only
+version.  Line 1 is the envelope header (the conventions of
+:mod:`repro.core.observations`): ``{"format": "lineup-trace", "version":
+2, "mode": ..., "sessions": N, ...}``, where ``mode`` is ``"live"`` for
+the :mod:`repro.live` recorder (which adds ``subject`` and ``model``)
+and ``"dump"`` for ``--dump-traces`` (which adds ``subject`` and
+``test``, the serialized finite test).  Every further line is an event,
+appended in the order it happened, so an interrupted recording is a
+loadable prefix:
 
-**Version 1 — history mode** (the scheduler dump format):
+* a call ``{"e": "c", "t": thread, "i": op_index, "m": method, "a":
+  "<repr of args tuple>"}`` (``"g"``: its target, if any) or a return
+  ``{"e": "r", "t": ..., "i": ..., "k": "ok"|"raised", "v": value}``.
+  Arguments and ``ok`` values round-trip through ``repr`` and
+  ``ast.literal_eval``; ``raised`` values are exception-name strings.
+  A live recording adds ``"ts"``, monotonic seconds since it started.
+  A thread has at most one call open at a time and its ``"i"`` strictly
+  increases from each call to its next, so an operation key ``(t, i)``
+  is never used twice; the decoder enforces that with one remembered
+  index per thread, so its memory is bounded by the thread count;
+* ``{"e": "x", "t": ..., "i": ..., "why": ...}`` marks an operation
+  *indeterminate* (the client lost it after the request may have been
+  sent).  It is an annotation: the operation never gets a return, so it
+  loads as **pending**, checked under the open-history semantics of
+  :mod:`repro.monitor.wgl` (it may take effect after its call, or not);
+* ``{"e": "end", "outcome": ...}`` finalizes the recording: ``"drained"``,
+  ``"sut-died"``, ... for a live one (no marker: the recorder died, and
+  ``LiveTraceMeta.finalized`` is False); for a dump, how the execution
+  ended — ``"complete"``, ``"stuck"`` or ``"divergent"`` — plus
+  ``"verdict": "FAIL"`` when the history failed its check.
 
-* **line 1** — ``{"format": "lineup-trace", "version": 1,
-  "n_threads": N, "subject": ..., "test": ...}`` where ``subject`` is a
-  display name and ``test`` the serialized finite test (both optional).
-* **every further line** — one history: ``{"stuck": bool, "divergent":
-  bool, "events": [...]}`` with call events ``{"e": "c", "t": thread,
-  "i": op_index, "m": method, "a": "<repr of args tuple>"}`` and return
-  events ``{"e": "r", "t": thread, "i": op_index, "k": "ok"|"raised",
-  "v": <value>}``.  Argument tuples and ``ok`` values are serialized
-  with ``repr`` and parsed back with ``ast.literal_eval`` — the same
-  round-trip every other artifact in this repo uses; ``raised`` values
-  are plain exception-name strings.
-
-**Version 2 — live mode** (the :mod:`repro.live` wall-clock recorder):
-
-* **line 1** — ``{"format": "lineup-trace", "version": 2, "mode":
-  "live", "sessions": N, "subject": ..., "model": ...}``.
-* **every further line** is one *event*, appended the moment it happens
-  (an interrupted recording is a loadable prefix):
-
-  - calls/returns use the version-1 event objects plus a ``"ts"`` key —
-    seconds on a monotonic clock since the recording started.  A thread
-    has at most one call open at a time and its ``"i"`` (``op_index``)
-    **strictly increases** from each call to its next, so an operation
-    key ``(t, i)`` is never used twice — not even after its return.
-    The decoder enforces that with one remembered index per thread, so
-    its memory is bounded by the thread count however long the trace;
-  - ``{"e": "x", "t": ..., "i": ..., "why": ..., "ts": ...}`` marks an
-    operation *indeterminate*: the client timed out or lost its
-    connection after the request may have been sent, so whether the
-    operation took effect is unknowable.  The marker is an annotation —
-    the operation simply never gets a return event, so it loads as a
-    **pending** operation and is checked under the open-history
-    semantics of :mod:`repro.monitor.wgl` (it may take effect anywhere
-    after its call, or not at all);
-  - ``{"e": "end", "outcome": ..., "ts": ...}`` finalizes the recording
-    (``outcome`` is ``"drained"``, ``"sut-died"``, ...).  A missing end
-    marker means the recorder itself died; the prefix still loads, with
-    ``LiveTraceMeta.finalized`` False.
-
-  The whole file describes **one** history: the per-line events in file
-  order, with every call that has no matching return left pending.  The
-  recorder appends the call line *before* sending the request and the
-  return line *after* receiving the response, so the recorded interval
-  of every operation contains the real one — any precedence edge in
-  the loaded history is a true real-time edge, which is what makes a
-  FAIL verdict on a live trace sound.
+The history is the events in file order, every call without a return
+pending.  The live recorder appends a call *before* sending the request
+and its return *after* the response, so every recorded interval contains
+the real one and every precedence edge is a real-time edge: a FAIL on a
+live trace is sound, and its pending operations are open.  A dump that
+ended stuck or divergent loads as a *stuck* history: its pending
+operations were observed to block, which a verdict must justify
+(Definitions 2/3).
 
 **The torn-tail rule** (the one definition of "truncated", for every
-reader).  Both writers emit ``line + "\\n"`` in one write followed by a
-flush, so a crash — or a follower catching the writer mid-append — can
-leave exactly one thing behind: bytes after the last newline.  Those
-bytes are the *torn tail*.  A reader does not consume them, keeps every
-complete line before them, and says so (``TraceFile.truncated``,
+reader).  A live writer emits ``line + "\\n"`` in one write and a dump
+is one write of the whole file, so a crash — or a follower catching the
+writer mid-append — can leave exactly one thing behind: bytes after the
+last newline, the *torn tail*.  A reader does not consume them, keeps
+every complete line before them, and says so (``TraceFile.truncated``,
 ``TraceScan.torn``, ``TraceTailer.torn``).  A newline-terminated line is
-complete: it cannot come from a writer that died mid-record, so if it is
-not a JSON object, lacks a key, carries an unknown event kind or breaks a
-rule above it raises :class:`TraceError` wherever it sits in the file —
-the last line included.  The shapes two writers sharing one path produce
-(a second header, a duplicate or overlapping call, a return or marker
-with no open call, anything after the end marker) are rejected the same
-way; a trace never loads as silent garbage.
+complete, so if it is not a JSON object, lacks a key, carries an unknown
+event kind or breaks a rule above it raises :class:`TraceError` wherever
+it sits — the last line included.  So do the shapes two writers sharing
+one path produce (a second header, a duplicate or overlapping call, a
+return or marker with no open call, anything after the end marker), and
+a header of another version: the history-per-line version-1 files of
+older ``--dump-traces`` runs are not read — dump again.
 
 **One reader, one decoder.**  :func:`scan_blocks` is the only code that
-reads trace bytes — a bounded block at a time, so a consumer that drains
-it batch by batch never holds more of a file than one block's lines —
-and :class:`TraceDecoder` the only code that knows the line objects
-above.  The offline loader (:func:`load_trace`), the header peek
+reads trace bytes — a bounded block at a time — and
+:class:`TraceDecoder` the only code that knows the lines above.  The
+offline loader (:func:`load_trace`), the header peek
 (:func:`read_trace_header`) and the online engine
 (:class:`repro.stream.engine.StreamChecker` behind
-:class:`repro.stream.tail.TraceTailer`) all feed the decoder the lines
-the reader delivers, so a file is the same history — or the same error —
-on every route to a verdict.  The online engine reads version 2 only: it
-refuses a version-1 header and leaves those files to the offline loader.
+:class:`repro.stream.tail.TraceTailer`) all feed the decoder what the
+reader delivers, so a file is the same history — or the same error — on
+every route to a verdict.
 
-:func:`default_trace_path` derives a deterministic filename from the
-subject and test (a content hash), so two cooperating processes — the
-sandboxed worker dumping traces and the supervisor writing the crash
-report that references them — agree on the path without talking.
+:func:`default_trace_dir` derives a deterministic directory from the
+subject and test (a content hash), so the sandboxed worker dumping
+traces and the supervisor writing the crash report that references them
+agree on it without talking.  :class:`DumpTraceWriter` writes the
+history of phase-2 execution *n* there as ``<n>.trace.jsonl``.
 """
 
 from __future__ import annotations
@@ -108,9 +95,10 @@ from repro.core.history import History
 __all__ = [
     "LITERAL_MEMO_LIMIT",
     "READ_BLOCK_BYTES",
+    "STUCK_OUTCOMES",
     "TRACE_FORMAT",
     "TRACE_VERSION",
-    "TRACE_VERSION_LIVE",
+    "DumpTraceWriter",
     "LiveTraceMeta",
     "LiveTraceWriter",
     "TraceDecoder",
@@ -118,22 +106,19 @@ __all__ = [
     "TraceFile",
     "TraceScan",
     "TraceSegment",
-    "TraceWriter",
-    "default_trace_path",
-    "history_to_record",
+    "default_trace_dir",
     "iter_trace",
     "load_trace",
     "read_trace_header",
-    "record_to_history",
     "scan_blocks",
     "scan_trace",
 ]
 
 TRACE_FORMAT = "lineup-trace"
-TRACE_VERSION = 1
-#: The live event-per-line format written by :mod:`repro.live`.
-TRACE_VERSION_LIVE = 2
-_SUPPORTED_VERSIONS = (TRACE_VERSION, TRACE_VERSION_LIVE)
+TRACE_VERSION = 2
+#: The end-marker outcomes of a dumped execution that blocked: the file
+#: loads as a stuck history.
+STUCK_OUTCOMES = ("stuck", "divergent")
 
 
 class TraceError(Exception):
@@ -160,10 +145,27 @@ def _return_obj(thread: int, op_index: int, response: Response) -> dict:
     return {"e": "r", "t": thread, "i": op_index, "k": response.kind, "v": value}
 
 
-def _event_to_obj(event: Event) -> dict:
-    if event.is_call:
-        return _call_obj(event.thread, event.op_index, event.invocation)
-    return _return_obj(event.thread, event.op_index, event.response)
+def _header_obj(mode: str, sessions: int, **fields: Any) -> dict:
+    """Line 1 of a trace; *fields* that are None are left out."""
+    header = {
+        "format": TRACE_FORMAT,
+        "version": TRACE_VERSION,
+        "mode": mode,
+        "sessions": sessions,
+    }
+    header.update((k, v) for k, v in fields.items() if v is not None)
+    return header
+
+
+def _outcome(history: History) -> str:
+    """How the execution behind *history* ended, as a dump's end marker says."""
+    if history.divergent:
+        return "divergent"
+    return "stuck" if history.stuck else "complete"
+
+
+def _line(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 #: How many distinct ``"a"`` / ``"v"`` texts :func:`_literal` remembers.
@@ -249,55 +251,22 @@ def _remember(table: dict, text: tuple, value: Any) -> None:
     table[text] = value
 
 
-def _event_from_obj(obj: dict) -> Event:
-    kind = obj["e"]
-    thread = int(obj["t"])
-    op_index = int(obj["i"])
-    if kind == "c":
-        invocation = _invocation(obj["m"], obj["a"], obj.get("g"))
-        return Event.call(thread, op_index, invocation)
-    if kind == "r":
-        return Event.ret(thread, op_index, _response(obj["k"], obj["v"]))
-    raise ValueError(f"unknown event kind {kind!r}")
-
-
-def history_to_record(history: History, verdict: str | None = None) -> dict:
-    """One history as a JSON-able trace record."""
-    record: dict[str, Any] = {
-        "events": [_event_to_obj(event) for event in history.events],
-    }
-    if history.stuck:
-        record["stuck"] = True
-    if history.divergent:
-        record["divergent"] = True
-    if verdict is not None:
-        record["verdict"] = verdict
-    return record
-
-
-def record_to_history(record: dict, n_threads: int) -> History:
-    return History(
-        (_event_from_obj(obj) for obj in record["events"]),
-        n_threads=n_threads,
-        stuck=bool(record.get("stuck", False)),
-        divergent=bool(record.get("divergent", False)),
-    )
-
-
 @dataclass
 class LiveTraceMeta:
-    """Version-2 metadata: what the wall-clock recorder saw.
+    """The recording's metadata: what the writer saw.
 
     Everything here is *annotation* — the checkable history is carried by
-    the call/return events alone.  ``indeterminate`` lists the
-    ``(thread, op_index, why)`` markers; ``intervals`` maps operation
-    keys to ``(ts_call, ts_return_or_None)`` monotonic-clock pairs.
+    the call/return events and the end marker's outcome alone.
+    ``indeterminate`` lists the ``(thread, op_index, why)`` markers;
+    ``intervals`` maps operation keys to ``(ts_call, ts_return_or_None)``
+    monotonic-clock pairs.
     """
 
     sessions: int
     model: str | None = None
-    #: "drained", "sut-died", ... — None when no end marker was found
-    #: (the recorder itself died mid-recording).
+    #: "drained", "sut-died", ... for a live recording, "complete",
+    #: "stuck" or "divergent" for a dump — None when no end marker was
+    #: found (the recorder itself died mid-recording).
     outcome: str | None = None
     indeterminate: list[tuple[int, int, str]] = field(default_factory=list)
     intervals: dict[tuple[int, int], tuple[float, float | None]] = field(
@@ -311,80 +280,69 @@ class LiveTraceMeta:
 
 @dataclass
 class TraceFile:
-    """A loaded trace: the header metadata plus the histories, in order."""
+    """A loaded trace: the header metadata plus the recording's history."""
 
     n_threads: int
+    live: LiveTraceMeta  #: the header's and the annotation lines' metadata
     subject: str | None = None
     test: dict | None = None  #: serialized FiniteTest (checkpoint format)
+    #: the one history the recording describes, as a one-item list.
     histories: list[History] = field(default_factory=list)
-    #: per-history verdict annotations ("FAIL"/...), None when absent.
-    verdicts: list[str | None] = field(default_factory=list)
     #: True when the final line was truncated (interrupted writer).
     truncated: bool = False
-    #: header version the file was written with.
-    version: int = TRACE_VERSION
-    #: version-2 recordings only: the live-recording metadata.
-    live: LiveTraceMeta | None = None
-
-    def __len__(self) -> int:
-        return len(self.histories)
 
 
-class TraceWriter:
-    """Append histories to a JSONL trace file, one flushed line each.
+class DumpTraceWriter:
+    """Write each judged phase-2 history of one (subject, test) as a file.
 
-    The header is written on open; ``write`` appends one record.  Usable
-    as a context manager.  Opening an existing path truncates it — a
-    trace describes one (subject, test) run.
+    The directory is :func:`default_trace_dir`'s; the history of phase-2
+    execution *n* (1-based) goes to ``<n>.trace.jsonl`` as a finished
+    recording (header, calls and returns, end marker), in one ``open``
+    and one ``write``.  A fresh writer first removes the directory's old
+    trace files — a dump describes one run; with ``fresh=False`` (a
+    resumed check) they stay and the numbering continues.
     """
 
     def __init__(
         self,
-        path: str,
-        n_threads: int,
+        directory: str,
+        subject: str,
+        test: dict,
+        sessions: int,
         *,
-        subject: str | None = None,
-        test: dict | None = None,
+        fresh: bool = True,
     ) -> None:
-        self.path = path
-        self.count = 0
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._handle: IO[str] | None = open(path, "w", encoding="utf-8")
-        header: dict[str, Any] = {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "n_threads": n_threads,
-        }
-        if subject is not None:
-            header["subject"] = subject
-        if test is not None:
-            header["test"] = test
-        self._emit(header)
+        self.directory = default_trace_dir(directory, subject, test)
+        os.makedirs(self.directory, exist_ok=True)
+        if fresh:
+            for name in os.listdir(self.directory):
+                if name.endswith(".trace.jsonl"):
+                    os.remove(os.path.join(self.directory, name))
+        self._header = _line(
+            _header_obj("dump", sessions, subject=subject, test=test)
+        )
 
-    def _emit(self, obj: dict) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._handle.flush()
-
-    def write(self, history: History, verdict: str | None = None) -> None:
-        self._emit(history_to_record(history, verdict))
-        self.count += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    def write(
+        self, number: int, history: History, verdict: str | None = None
+    ) -> None:
+        lines = [self._header]
+        for event in history.events:
+            if event.is_call:
+                obj = _call_obj(event.thread, event.op_index, event.invocation)
+            else:
+                obj = _return_obj(event.thread, event.op_index, event.response)
+            lines.append(_line(obj))
+        end: dict[str, Any] = {"e": "end", "outcome": _outcome(history)}
+        if verdict is not None:
+            end["verdict"] = verdict
+        lines.append(_line(end))
+        path = os.path.join(self.directory, f"{number}.trace.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(lines))
 
 
 class LiveTraceWriter:
-    """Append version-2 live events to a JSONL trace with explicit flushing.
+    """Append live events to a JSONL trace with explicit flushing.
 
     Thread-safe: concurrent sessions append through one lock, so file
     order is a real interleaving of the append calls.
@@ -427,17 +385,10 @@ class LiveTraceWriter:
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self._handle: IO[str] | None = open(path, "w", encoding="utf-8")
-        header: dict[str, Any] = {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION_LIVE,
-            "mode": "live",
-            "sessions": sessions,
-        }
-        if subject is not None:
-            header["subject"] = subject
-        if model is not None:
-            header["model"] = model
-        self._emit(header, force_flush=True)
+        self._emit(
+            _header_obj("live", sessions, subject=subject, model=model),
+            force_flush=True,
+        )
         self.events = 0  # the header is not an event
 
     def _emit(self, obj: dict, force_flush: bool = False) -> None:
@@ -446,7 +397,7 @@ class LiveTraceWriter:
                 raise TraceError(
                     f"live trace {self.path!r} is already finalized"
                 )
-            self._handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            self._handle.write(_line(obj))
             self._pending += 1
             self.events += 1
             now = time.monotonic()
@@ -687,24 +638,24 @@ class TraceDecoder:
     means at this point of the stream:
 
     * ``("header", header_dict)`` — line 1; ``version`` and ``n_threads``
-      (v1 ``n_threads`` / v2 ``sessions``) are now set;
-    * ``("history", (History, verdict_or_None))`` — one v1 record;
+      (the header's ``sessions``) are now set;
     * ``("event", (is_call, thread, op_index, invocation_or_response))``
-      — a v2 call or return that respects the one-open-call-per-thread
+      — a call or return that respects the one-open-call-per-thread
       and increasing-``op_index`` rules, as a plain tuple: the
       :class:`~repro.core.events.Event` it stands for is built only by a
       consumer that keeps events (:func:`load_trace`);
-    * ``("indeterminate", (thread, op_index, why))`` — a v2 marker for a
+    * ``("indeterminate", (thread, op_index, why))`` — a marker for a
       call that is open (it stays open: the thread is retired);
-    * ``("end", outcome)`` — the v2 end marker; ``outcome`` is now set
-      and any further line is an error.
+    * ``("end", outcome)`` — the end marker; ``outcome`` is now set and
+      any further line is an error.
 
-    ``ts`` is the timestamp annotation of the v2 line just fed.  The
+    ``ts`` is the timestamp annotation of the line just fed (0 without
+    one).  The
     decoder keeps one open and one last ``op_index`` per thread and
     nothing per operation, so it costs O(1) per line and O(threads)
     memory whatever the trace length.  Invocations and responses are
     interned by their text (:func:`_interned`): an event that repeats
-    one hands out the object made the first time, so a v2 line costs
+    one hands out the object made the first time, so a line costs
     no object beyond its parsed dict and the event tuple.  A decoder
     that has raised is finished: the trace is rejected, there is
     nothing to resume.
@@ -713,7 +664,7 @@ class TraceDecoder:
     def __init__(self) -> None:
         self.version: int | None = None  #: None until the header arrived
         self.n_threads = 0
-        self.outcome: str | None = None  #: v2 end-marker outcome
+        self.outcome: str | None = None  #: the end marker's outcome
         self.ts = 0.0
         self._open: dict[int, int] = {}  #: thread → op_index of its open call
         self._last: dict[int, int] = {}  #: thread → op_index of its last call
@@ -730,10 +681,7 @@ class TraceDecoder:
                     "a second trace header mid-stream "
                     "(two writers sharing one trace?)"
                 )
-            if self.version == TRACE_VERSION:
-                history = record_to_history(obj, self.n_threads)
-                return "history", (history, obj.get("verdict"))
-            return self._live_event(obj)
+            return self._event(obj)
         except (KeyError, TypeError, ValueError, SyntaxError) as exc:
             raise TraceError(f"malformed trace line: {exc!r}") from None
 
@@ -744,21 +692,20 @@ class TraceDecoder:
                 f"(expected {TRACE_FORMAT!r})"
             )
         version = obj.get("version")
-        if version not in _SUPPORTED_VERSIONS:
+        if version != TRACE_VERSION:
             raise TraceError(
-                f"trace file version {version!r} is not supported "
-                f"(this reader understands versions "
-                f"{', '.join(str(v) for v in _SUPPORTED_VERSIONS)})"
+                f"trace file version {version!r} is not supported (this "
+                f"reader understands version {TRACE_VERSION} only; a "
+                "version-1 file is an old --dump-traces run: dump it again)"
             )
-        count = "n_threads" if version == TRACE_VERSION else "sessions"
         try:
-            self.n_threads = int(obj[count])
+            self.n_threads = int(obj["sessions"])
         except (KeyError, TypeError, ValueError):
-            raise TraceError(f"header lacks a valid {count}") from None
+            raise TraceError("header lacks a valid sessions") from None
         self.version = version
         return obj
 
-    def _live_event(self, obj: dict) -> tuple[str, Any]:
+    def _event(self, obj: dict) -> tuple[str, Any]:
         if self.outcome is not None:
             raise TraceError(
                 "event after the end marker (two writers sharing one trace?)"
@@ -834,40 +781,42 @@ def _assemble(path: str, batches: Iterable[TraceScan]) -> TraceFile:
                 else:
                     meta.intervals[key] = (meta.intervals[key][0], decoder.ts)
                     events.append(Event.ret(thread, op_index, what))
-            elif kind == "history":
-                trace.histories.append(item[0])
-                trace.verdicts.append(item[1])
             elif kind == "indeterminate":
                 meta.indeterminate.append(item)
             elif kind == "end":
                 meta.outcome = item
             else:  # the header: always, and only, the first line
+                meta = LiveTraceMeta(
+                    sessions=decoder.n_threads, model=item.get("model")
+                )
                 trace = TraceFile(
                     n_threads=decoder.n_threads,
+                    live=meta,
                     subject=item.get("subject"),
                     test=item.get("test"),
-                    version=decoder.version,
                 )
-                if decoder.version == TRACE_VERSION_LIVE:
-                    trace.live = LiveTraceMeta(
-                        sessions=decoder.n_threads, model=item.get("model")
-                    )
-                meta = trace.live
     if trace is None:
         raise TraceError(
             f"trace file {path!r} is empty (no complete header line)"
         )
     trace.truncated = torn
-    if meta is not None:
-        n_threads = trace.n_threads = max(
-            meta.sessions, 1 + max((e.thread for e in events), default=-1)
+    n_threads = trace.n_threads = max(
+        meta.sessions, 1 + max((e.thread for e in events), default=-1)
+    )
+    # Calls that never returned are pending.  A dumped execution that
+    # ended stuck or divergent was observed to block, so its history is
+    # stuck and must be justified (Definitions 2/3); in a live recording
+    # nothing was observed to block, so the pending operations are
+    # checked under the open-history (may-or-may-not-have-taken-effect)
+    # semantics.
+    trace.histories.append(
+        History(
+            events,
+            n_threads=n_threads,
+            stuck=meta.outcome in STUCK_OUTCOMES,
+            divergent=meta.outcome == "divergent",
         )
-        # One history for the whole recording; calls that never returned
-        # are pending and checked under the open-history (may-or-may-not-
-        # have-taken-effect) semantics.  Not "stuck": nothing was observed
-        # to block, so no blocking justification is demanded.
-        trace.histories.append(History(events, n_threads=n_threads, stuck=False))
-        trace.verdicts.append(None)
+    )
     return trace
 
 
@@ -875,8 +824,7 @@ def load_trace(path: str) -> TraceFile:
     """Read a trace file; raises :class:`TraceError` on anything malformed.
 
     :func:`scan_blocks` → :class:`TraceDecoder` → assembly, a block at a
-    time.  Understands both supported versions (1: history per line; 2:
-    live event per line, assembled into one history).  A torn tail —
+    time, the events assembled into the recording's one history.  A torn tail —
     bytes after the last newline, see the module docstring — is not
     consumed and is flagged via ``TraceFile.truncated``; every complete
     line before it is returned.  Anything else wrong raises
@@ -890,23 +838,23 @@ def read_trace_header(path: str) -> TraceFile:
     """What :func:`load_trace` would return had *path* ended after line 1.
 
     Runs the header through the same decoder without reading past the
-    block that line 1 ends in, so a caller that only needs ``version`` /
-    ``subject`` / ``live.model`` (``lineup monitor`` and ``lineup watch``
+    block that line 1 ends in, so a caller that only needs ``subject`` /
+    ``live.model`` (``lineup monitor`` and ``lineup watch``
     defaulting ``--model``) does not parse the format itself.
     """
     with closing(iter_trace(path)) as segments:
         return _assemble(path, [TraceScan(list(islice(segments, 1)))])
 
 
-def default_trace_path(directory: str, subject: str, test: dict) -> str:
-    """Deterministic trace path for one (subject, test) pair.
+def default_trace_dir(directory: str, subject: str, test: dict) -> str:
+    """Deterministic dump directory for one (subject, test) pair.
 
-    Both the worker dumping the trace and the supervisor writing the
-    crash report that references it derive the same name from the same
+    Both the worker dumping the traces and the supervisor writing the
+    crash report that references them derive the same name from the same
     inputs: a sanitized subject plus a content hash of the test.
     """
     digest = hashlib.sha1(
         json.dumps({"subject": subject, "test": test}, sort_keys=True).encode()
     ).hexdigest()[:12]
     safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in subject)
-    return os.path.join(directory, f"{safe}-{digest}.trace.jsonl")
+    return os.path.join(directory, f"{safe}-{digest}")

@@ -1,15 +1,20 @@
 """The streaming check engine: trace lines in, online verdict out.
 
-:class:`StreamChecker` consumes the parsed JSONL lines of one v2 (event
-per line) trace, in file order as :mod:`repro.stream.tail` delivers
-them, and maintains a monitoring verdict *while the trace grows*: events
-are fed into :class:`~repro.monitor.incremental.IncrementalChecker`
-instances — one per partition cell when per-key partitioning is on, one
-for the whole stream otherwise.  A FAIL is known at the exact return
+:class:`StreamChecker` consumes the parsed JSONL lines of one trace, in
+file order as :mod:`repro.stream.tail` delivers them, and maintains a
+monitoring verdict *while the trace grows*: events are fed into
+:class:`~repro.monitor.incremental.IncrementalChecker` instances — one
+per partition cell when per-key partitioning is on, one for the whole
+stream otherwise.  A FAIL is known at the exact return
 event that loses linearizability; memory is bounded by the concurrency
 window (see the retirement argument in :mod:`repro.monitor.incremental`).
-A v1 trace (a ``--dump-traces`` file, one complete history per line) is
-refused at its header: judging those is ``lineup monitor``'s job.
+A dump whose end marker says the execution ended ``stuck`` or
+``divergent`` is refused there: its pending operations were observed to
+block, and the online checker judges pending operations under the open
+semantics, so it cannot justify the blocking — that is ``lineup
+monitor``'s job.  A FAIL found before that marker stands: a history
+with no linearization under the open semantics has none under the stuck
+semantics either.
 
 Partitioning (P-compositionality, reusing
 :meth:`~repro.monitor.models.SequentialModel.partition_key`): when
@@ -41,7 +46,7 @@ from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
 from repro.monitor.models import SequentialModel
 from repro.monitor.trace import (
     LITERAL_MEMO_LIMIT,
-    TRACE_VERSION_LIVE,
+    STUCK_OUTCOMES,
     TraceDecoder,
     TraceError,
 )
@@ -119,7 +124,7 @@ class StreamChecker:
 
     @property
     def outcome(self) -> str | None:
-        """The v2 end marker's outcome; None until it arrived."""
+        """The end marker's outcome; None until it arrived."""
         return self._decoder.outcome
 
     @property
@@ -190,11 +195,12 @@ class StreamChecker:
             checker = self._checker(self._open_cell[key])
             if checker is not None:
                 checker.on_indeterminate(*key)
-        elif kind == "header" and self._decoder.version != TRACE_VERSION_LIVE:
+        elif kind == "end" and item in STUCK_OUTCOMES:
             raise TraceError(
-                f"a version-{self._decoder.version} trace (one complete "
-                "history per line, as --dump-traces writes) is not a stream: "
-                "check it with 'lineup monitor TRACE --model NAME'"
+                f"the recorded execution ended {item}: its blocked "
+                "operations need the stuck-history check, which the online "
+                "monitor does not make; check it with "
+                "'lineup monitor TRACE --model NAME'"
             )
         return True
 

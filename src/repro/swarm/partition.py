@@ -179,8 +179,7 @@ def expand_prefix(harness, test, config, prefix: list) -> "list[list] | None":
 
     The swarm coordinator runs this in workers (see
     :func:`repro.swarm.worker.run_probe_task`) so a crash-prone subject
-    cannot take the coordinator down; tests and benchmarks call it
-    in-process.
+    cannot take the coordinator down; tests call it in-process.
     """
     strategy = PrefixProbeStrategy(prefix)
     for _history, outcome in harness.explore_concurrent(
@@ -190,34 +189,59 @@ def expand_prefix(harness, test, config, prefix: list) -> "list[list] | None":
     return None
 
 
-def partition_prefixes(
-    harness, test, config, target: int, max_rounds: int = 8
-) -> list[list]:
-    """BFS-partition the schedule space into ~*target* prefixes in-process.
+#: What a round of probes answers for a prefix whose probe killed a worker.
+OPAQUE = "opaque"
+#: Probe rounds after which partitioning deals whatever it has.
+MAX_PROBE_ROUNDS = 8
 
-    Rounds of probing split the frontier breadth-first until it reaches
-    *target* prefixes or the tree runs out of depth; leaves (single-
-    schedule subtrees) settle early and count toward the target.  The
-    returned prefixes always partition the full space.
+
+def partition_prefixes(
+    probe_round, target: int, max_rounds: int = MAX_PROBE_ROUNDS
+) -> "tuple[list[list], list[list], str | None]":
+    """BFS-partition the schedule space into ~*target* prefixes.
+
+    *probe_round* probes one round's frontier and returns ``(answers,
+    stop)``.  ``answers`` pairs a frontier position with what its probe
+    found: the children to split into, ``None`` for a leaf (a
+    single-schedule subtree), or :data:`OPAQUE` for a subtree whose
+    probe killed a worker — it is dispatched whole and never split.  A
+    prefix without an answer stays in the frontier; ``stop`` (a halt
+    reason, or None) ends the rounds.  The swarm coordinator probes in
+    pool workers; :func:`expand_prefix` probes in-process.
+
+    Rounds split the frontier until it reaches *target* prefixes (leaves
+    count), the tree runs out of depth, *max_rounds* have run or a round
+    stops.  Returns ``(plain, opaque, stop)``: together the prefixes
+    always partition the full space.
     """
     frontier: list[list] = [[]]
     leaves: list[list] = []
+    opaque: list[list] = []
+    stop = None
     rounds = 0
     while (
         frontier
-        and len(frontier) + len(leaves) < target
+        and len(frontier) + len(leaves) + len(opaque) < target
         and rounds < max_rounds
+        and stop is None
     ):
         rounds += 1
-        next_frontier: list[list] = []
-        for prefix in frontier:
-            children = expand_prefix(harness, test, config, prefix)
-            if children is None:
-                leaves.append(prefix)
+        answers, stop = probe_round(frontier)
+        answered = {position for position, _ in answers}
+        next_frontier = [
+            prefix
+            for position, prefix in enumerate(frontier)
+            if position not in answered
+        ]
+        for position, children in answers:
+            if children is OPAQUE:
+                opaque.append(frontier[position])
+            elif children is None:
+                leaves.append(frontier[position])
             else:
                 next_frontier.extend(children)
         frontier = next_frontier
-    return frontier + leaves
+    return leaves + frontier, opaque, stop
 
 
 def prefix_snapshot(config, prefix: list) -> dict:

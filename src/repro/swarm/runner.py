@@ -65,7 +65,12 @@ from repro.swarm.merge import (
     save_shard_result,
     shard_result_path,
 )
-from repro.swarm.partition import shard_snapshot, split_shard_snapshot
+from repro.swarm.partition import (
+    OPAQUE,
+    partition_prefixes,
+    shard_snapshot,
+    split_shard_snapshot,
+)
 from repro.swarm.report import ShardReport, SwarmResult
 
 __all__ = ["SwarmConfig", "swarm_check"]
@@ -77,8 +82,6 @@ _TERMINAL = ("PASS", "FAIL", NONDETERMINISTIC_VERDICT, "CRASHED")
 #: Partition into ``shards * _OVER_PARTITION`` prefixes so the deal is
 #: balanced and work stealing has slack to redistribute.
 _OVER_PARTITION = 3
-#: Probe rounds after which partitioning deals whatever it has.
-_MAX_PROBE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -229,7 +232,8 @@ def _frontier_size(snapshot: dict | None) -> int:
     )
 
 
-def _validate(config: CheckConfig) -> None:
+def validate_config(config: CheckConfig) -> None:
+    """Raise ValueError when *config* asks for what sharding cannot do."""
     if config.phase2_strategy != "dfs":
         raise ValueError(
             "sharded exploration partitions a DFS frontier; "
@@ -242,8 +246,8 @@ def _validate(config: CheckConfig) -> None:
         )
     if config.dump_traces:
         raise ValueError(
-            "--dump-traces is not supported with --shards (each worker "
-            "would race for the same trace file)"
+            "--dump-traces is not supported with --shards (every lease "
+            "would clear and renumber the same dump directory)"
         )
 
 
@@ -273,7 +277,7 @@ def swarm_check(
     quarantined) lineages are re-dispatched.
     """
     cfg = config or CheckConfig()
-    _validate(cfg)
+    validate_config(cfg)
     swarm = swarm or SwarmConfig()
     started = time.monotonic()
 
@@ -444,52 +448,34 @@ def swarm_check(
     try:
         # ---- Partition by probing decision prefixes in workers. ------
         if not lineages:
-            prefixes: list[tuple[list, bool]] = []
-            frontier: list[list] = [[]]
-            target = swarm.shards * _OVER_PARTITION
-            rounds = 0
-            while (
-                frontier
-                and len(frontier) + len(prefixes) < target
-                and rounds < _MAX_PROBE_ROUNDS
-                and halt is None
-            ):
-                rounds += 1
-                by_index = {}
-                specs = []
-                for prefix in frontier:
-                    spec = make_spec("probe", {"prefix": prefix})
-                    by_index[spec.index] = prefix
-                    specs.append(spec)
+
+            def probe_round(frontier: list) -> tuple:
+                nonlocal partition_probes
+                specs = [
+                    make_spec("probe", {"prefix": prefix}) for prefix in frontier
+                ]
+                position = {spec.index: i for i, spec in enumerate(specs)}
                 partition_probes += len(specs)
                 outcomes, stop = pool.run(specs, control=pool_control)
-                done = {outcome.index for outcome in outcomes}
-                next_frontier = [
-                    by_index[index] for index in by_index if index not in done
-                ]
-                for outcome in outcomes:
-                    prefix = by_index[outcome.index]
-                    if outcome.crashed:
-                        # This subtree's first execution kills workers:
-                        # stop probing it, dispatch it whole, and let
-                        # the lease machinery contain it.
-                        prefixes.append((prefix, True))
-                        continue
-                    children = (outcome.summary or {}).get("children")
-                    if children is None:
-                        prefixes.append((prefix, False))
-                    else:
-                        next_frontier.extend(children)
-                frontier = next_frontier
-                if stop is not None:
-                    halt = stop
-            prefixes.extend((prefix, False) for prefix in frontier)
+                # A subtree whose first execution kills workers is not
+                # probed again: it is dispatched whole, and the lease
+                # machinery contains it.
+                return [
+                    (
+                        position[outcome.index],
+                        OPAQUE
+                        if outcome.crashed
+                        else (outcome.summary or {}).get("children"),
+                    )
+                    for outcome in outcomes
+                ], stop
 
+            plain, opaque, halt = partition_prefixes(
+                probe_round, swarm.shards * _OVER_PARTITION
+            )
             # Deal splittable prefixes round-robin into `shards`
             # lineages; opaque prefixes get a lineage each so their
             # quarantine never takes healthy subtrees with it.
-            opaque = [prefix for prefix, is_opaque in prefixes if is_opaque]
-            plain = [prefix for prefix, is_opaque in prefixes if not is_opaque]
             buckets = [
                 plain[i :: swarm.shards] for i in range(swarm.shards)
             ]
@@ -512,7 +498,7 @@ def swarm_check(
             emit(
                 "partitioned",
                 {
-                    "prefixes": len(prefixes),
+                    "prefixes": len(plain) + len(opaque),
                     "shards": len(lineages),
                     "probes": partition_probes,
                     "pool": pool,

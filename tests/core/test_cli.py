@@ -235,10 +235,20 @@ class TestRelaxedCheck:
         assert document["phase2"]["executions"] == 5
         assert document["phase2"]["complete"] is False
 
-    def test_dump_traces_writes_one_file(self, capsys, tmp_path):
-        assert main(BAG + ["--dump-traces", str(tmp_path)]) == 0
-        (trace,) = tmp_path.iterdir()
-        assert trace.name.endswith(".trace.jsonl") and trace.stat().st_size > 0
+    def test_dump_traces_writes_one_file_per_judged_history(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        assert main(BAG + ["--dump-traces", str(tmp_path), "--json"]) == 0
+        judged = json.loads(capsys.readouterr().out)["phase2"]["judged"]
+        (directory,) = tmp_path.iterdir()
+        traces = list(directory.iterdir())
+        assert len(traces) == judged > 0
+        assert all(
+            trace.name.endswith(".trace.jsonl") and trace.stat().st_size > 0
+            for trace in traces
+        )
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -290,3 +300,24 @@ class TestReducedPassNote:
     def test_an_unreduced_pass_carries_no_note(self, capsys, command):
         assert main(command + ["--reduction", "none"]) == 0
         assert _notes(capsys.readouterr().out) == []
+
+
+class TestShardedRefusals:
+    """What sharding cannot do is refused in one place, the swarm
+    runner; ``check --shards`` turns its message into exit 64."""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--strategy", "random"], "'random' is not shardable"),
+            (["--model", "queue"], "the observations backend only"),
+            (["--dump-traces", "dump"], "--dump-traces is not supported"),
+        ],
+    )
+    def test_check_shards_refuses_by_name(
+        self, flags, named, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(QUEUE + ["--shards", "2"] + flags) == 64
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

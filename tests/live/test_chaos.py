@@ -22,7 +22,7 @@ from repro.live import (
     run_live,
 )
 from repro.live.chaos import CHAOS_MODES
-from repro.monitor import TRACE_VERSION_LIVE, load_trace
+from repro.monitor import load_trace
 
 
 class TestParseChaos:
@@ -152,9 +152,8 @@ class TestDifferential:
     def test_correct_sut_never_failed(self, correct_sut, tmp_path, mode):
         result, config = run_campaign(correct_sut, "counter", mode, tmp_path)
 
-        # 1. The recorded trace is well-formed v2 JSONL.
+        # 1. The recorded trace is well-formed JSONL (only v2 loads).
         trace = load_trace(config.trace_out)
-        assert trace.version == TRACE_VERSION_LIVE
         assert not trace.truncated
         assert trace.live is not None and trace.live.finalized
 

@@ -6,7 +6,7 @@ import json
 
 from repro.core.events import Invocation, Response
 from repro.live import LiveRecorder
-from repro.monitor import TRACE_VERSION_LIVE, load_trace
+from repro.monitor import load_trace
 
 
 def test_records_loadable_v2_trace(tmp_path):
@@ -21,7 +21,6 @@ def test_records_loadable_v2_trace(tmp_path):
     recorder.finalize("completed")
 
     trace = load_trace(path)
-    assert trace.version == TRACE_VERSION_LIVE
     assert trace.subject == "s"
     assert trace.live is not None
     assert trace.live.model == "counter"

@@ -2,17 +2,37 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.monitor import TraceWriter, load_trace
+from repro.monitor import DumpTraceWriter, load_trace
 
 from .conftest import call, hist, ret
 
+QUEUE_TEST = {"columns": [[{"method": "Enqueue", "args": "(1,)"}],
+                          [{"method": "TryDequeue", "args": "()"}]]}
 
-def write_queue_trace(path: str, *, include_violation: bool) -> None:
+
+def write_dump(directory, *histories, subject="ConcurrentQueue(pre)"):
+    """*histories* as dump files 1, 2, ...; returns their paths."""
+    writer = DumpTraceWriter(str(directory), subject, QUEUE_TEST, sessions=2)
+    for number, history in enumerate(histories, start=1):
+        writer.write(number, history)
+    return dumped(directory)
+
+
+def dumped(directory):
+    """The files of the one dump under *directory*, in execution order."""
+    (subdir,) = os.listdir(directory)
+    names = sorted(os.listdir(os.path.join(directory, subdir)),
+                   key=lambda name: int(name.split(".")[0]))
+    return [os.path.join(directory, subdir, name) for name in names]
+
+
+def write_queue_traces(directory, *, include_violation: bool) -> list[str]:
     good = hist(
         call(0, 0, "Enqueue", 1),
         call(1, 0, "TryDequeue"),
@@ -23,41 +43,34 @@ def write_queue_trace(path: str, *, include_violation: bool) -> None:
         call(0, 0, "Enqueue", 1), ret(0, 0),
         call(1, 0, "TryDequeue"), ret(1, 0, "Fail"),
     )
-    with TraceWriter(path, n_threads=2, subject="ConcurrentQueue(pre)") as writer:
-        writer.write(good)
-        if include_violation:
-            writer.write(bad)
+    return write_dump(directory, good, *([bad] if include_violation else []))
 
 
 class TestMonitorSubcommand:
     def test_pass(self, tmp_path, capsys):
-        path = str(tmp_path / "q.trace.jsonl")
-        write_queue_trace(path, include_violation=False)
-        assert main(["monitor", path, "--model", "queue"]) == 0
+        paths = write_queue_traces(tmp_path, include_violation=False)
+        assert main(["monitor", *paths, "--model", "queue"]) == 0
         out = capsys.readouterr().out
         assert "verdict: PASS (1 ok, 0 violating, 0 exhausted)" in out
 
     def test_fail_renders_violation(self, tmp_path, capsys):
-        path = str(tmp_path / "q.trace.jsonl")
-        write_queue_trace(path, include_violation=True)
-        assert main(["monitor", path, "--model", "queue"]) == 1
+        paths = write_queue_traces(tmp_path, include_violation=True)
+        assert main(["monitor", *paths, "--model", "queue"]) == 1
         out = capsys.readouterr().out
         assert "verdict: FAIL (1 ok, 1 violating, 0 exhausted)" in out
         assert "Diagnosis:" in out
         assert "sequential model" in out
 
     def test_verbose_lists_every_history(self, tmp_path, capsys):
-        path = str(tmp_path / "q.trace.jsonl")
-        write_queue_trace(path, include_violation=True)
-        main(["monitor", path, "--model", "queue", "-v"])
+        paths = write_queue_traces(tmp_path, include_violation=True)
+        main(["monitor", *paths, "--model", "queue", "-v"])
         out = capsys.readouterr().out
-        assert "history 1: OK" in out
-        assert "history 2: FAIL" in out
+        assert f"{paths[0]}: OK" in out
+        assert f"{paths[1]}: FAIL" in out
 
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):
-        path = str(tmp_path / "q.trace.jsonl")
-        write_queue_trace(path, include_violation=False)
-        assert main(["monitor", path, "--model", "deque"]) == 64
+        paths = write_queue_traces(tmp_path, include_violation=False)
+        assert main(["monitor", *paths, "--model", "deque"]) == 64
 
     def test_missing_trace_is_usage_error(self, tmp_path, capsys):
         assert main(
@@ -67,12 +80,10 @@ class TestMonitorSubcommand:
     def test_configuration_cap_gives_exhausted(self, tmp_path, capsys):
         # An empty dequeue is outside the queue's closed form, so auto
         # sends this history to the search, which the cap stops.
-        path = str(tmp_path / "q.trace.jsonl")
-        with TraceWriter(path, n_threads=2) as writer:
-            writer.write(hist(
-                call(0, 0, "Enqueue", 1), call(1, 0, "TryDequeue"),
-                ret(0, 0), ret(1, 0, "Fail"),
-            ))
+        (path,) = write_dump(tmp_path, hist(
+            call(0, 0, "Enqueue", 1), call(1, 0, "TryDequeue"),
+            ret(0, 0), ret(1, 0, "Fail"),
+        ))
         code = main(["monitor", path, "--model", "queue",
                      "--max-configurations", "1"])
         assert code == 2
@@ -80,9 +91,8 @@ class TestMonitorSubcommand:
         assert main(["monitor", path, "--model", "queue"]) == 0
 
     def test_the_first_line_names_no_engine(self, tmp_path, capsys):
-        path = str(tmp_path / "q.trace.jsonl")
-        write_queue_trace(path, include_violation=False)
-        main(["monitor", path, "--model", "queue"])
+        paths = write_queue_traces(tmp_path, include_violation=False)
+        main(["monitor", *paths, "--model", "queue"])
         first = capsys.readouterr().out.splitlines()[0]
         assert first == (
             "Monitoring 1 histories of ConcurrentQueue(pre) against model "
@@ -109,26 +119,22 @@ class TestOneModelJudge:
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
     def test_the_engine_flags_are_usage_errors(self, argv, tmp_path, capsys):
-        path = str(tmp_path / "q.trace.jsonl")
-        write_queue_trace(path, include_violation=False)
+        (path,) = write_queue_traces(tmp_path, include_violation=False)
         argv = [path if arg == "TRACE" else arg for arg in argv]
         assert main(argv) == 64
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_watch_refuses_a_dump_and_names_monitor(self, tmp_path, capsys):
-        directory = str(tmp_path / "traces")
-        assert main(
-            ["check", "ConcurrentQueue", "--test", "Enqueue(1) | TryDequeue",
-             "--dump-traces", directory]
-        ) == 0
-        (name,) = os.listdir(directory)
-        path = os.path.join(directory, name)
-        capsys.readouterr()
-        for model in ("queue", "set"):
-            assert main(["watch", path, "--model", model]) == 64
-            err = capsys.readouterr().err
-            assert "lineup monitor" in err and "version-1" in err
-        assert main(["monitor", path, "--model", "queue"]) == 0
+        # A dump that ended stuck: the online monitor cannot justify the
+        # blocked dec, which the counter model blocks at zero.
+        stuck = hist(call(0, 0, "inc"), ret(0, 0), call(1, 0, "dec"),
+                     call(0, 1, "dec"), ret(0, 1), call(0, 2, "dec"),
+                     stuck=True)
+        (path,) = write_dump(tmp_path, stuck, subject="Counter")
+        assert main(["watch", path, "--model", "counter"]) == 64
+        err = capsys.readouterr().err
+        assert "lineup monitor" in err and "ended stuck" in err
+        assert main(["monitor", path, "--model", "counter"]) == 0
 
 
 class TestCheckBackendFlag:
@@ -185,15 +191,18 @@ class TestDumpTraces:
         code = main(
             ["check", "ConcurrentQueue",
              "--test", "Enqueue(1) | TryDequeue",
-             "--dump-traces", directory]
+             "--dump-traces", directory, "--json"]
         )
         assert code == 0
-        files = os.listdir(directory)
-        assert len(files) == 1
-        trace = load_trace(os.path.join(directory, files[0]))
-        assert trace.subject == "ConcurrentQueue(beta)"
-        assert len(trace) > 0
-        assert trace.test is not None
+        judged = json.loads(capsys.readouterr().out)["phase2"]["judged"]
+        paths = dumped(directory)
+        assert len(paths) == judged > 1
+        for path in paths:
+            trace = load_trace(path)
+            assert trace.subject == "ConcurrentQueue(beta)"
+            assert len(trace.histories[0]) > 0
+            assert trace.test is not None
+            assert trace.live.outcome == "complete"
 
     def test_dumped_trace_monitors_clean_end_to_end(self, tmp_path, capsys):
         directory = str(tmp_path / "traces")
@@ -204,9 +213,7 @@ class TestDumpTraces:
              "--dump-traces", directory]
         )
         capsys.readouterr()
-        (name,) = os.listdir(directory)
-        path = os.path.join(directory, name)
-        assert main(["monitor", path, "--model", "queue"]) == 0
+        assert main(["monitor", *dumped(directory), "--model", "queue"]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
 
     def test_failing_history_is_annotated(self, tmp_path, capsys):
@@ -217,9 +224,11 @@ class TestDumpTraces:
              "--dump-traces", directory]
         )
         assert code == 1
-        (name,) = os.listdir(directory)
-        trace = load_trace(os.path.join(directory, name))
-        assert "FAIL" in trace.verdicts
+        ends = [
+            json.loads(open(path).read().splitlines()[-1])
+            for path in dumped(directory)
+        ]
+        assert {"e": "end", "outcome": "complete", "verdict": "FAIL"} in ends
 
     def test_campaign_parser_accepts_dump_traces(self):
         # Regression: cmd_campaign reads args.dump_traces, so the campaign

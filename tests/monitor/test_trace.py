@@ -16,9 +16,9 @@ from repro.core.events import Response
 from repro.monitor import (
     TRACE_FORMAT,
     TRACE_VERSION,
+    DumpTraceWriter,
     TraceError,
-    TraceWriter,
-    default_trace_path,
+    default_trace_dir,
     load_trace,
 )
 from repro.monitor import trace as trace_module
@@ -45,55 +45,61 @@ def sample_histories():
     return [full, stuck]
 
 
+TEST = {"columns": [[{"method": "inc", "args": "()"}]]}
+
+
+def dump(directory, histories, **verdicts):
+    """Write *histories* as files 1, 2, ... of one dump; return their paths.
+    *verdicts* maps ``"n<number>"`` to that file's verdict annotation."""
+    writer = DumpTraceWriter(str(directory), "Q(beta)", TEST, sessions=2)
+    for number, history in enumerate(histories, start=1):
+        writer.write(number, history, verdicts.get(f"n{number}"))
+    return [
+        os.path.join(writer.directory, f"{number}.trace.jsonl")
+        for number in range(1, len(histories) + 1)
+    ]
+
+
 class TestRoundTrip:
     def test_histories_survive_write_and_load(self, tmp_path):
-        path = str(tmp_path / "t.trace.jsonl")
         histories = sample_histories()
-        with TraceWriter(path, n_threads=2, subject="Q(beta)") as writer:
-            writer.write(histories[0])
-            writer.write(histories[1], verdict="FAIL")
-        trace = load_trace(path)
-        assert trace.subject == "Q(beta)"
-        assert trace.n_threads == 2
-        assert not trace.truncated
-        assert trace.histories == histories
-        assert trace.verdicts == [None, "FAIL"]
+        paths = dump(tmp_path, histories, n2="FAIL")
+        traces = [load_trace(path) for path in paths]
+        assert [trace.histories for trace in traces] == [[h] for h in histories]
+        for trace in traces:
+            assert (trace.subject, trace.test) == ("Q(beta)", TEST)
+            assert trace.n_threads == 2
+            assert not trace.truncated
+        assert [trace.live.outcome for trace in traces] == ["complete", "stuck"]
+        ends = [json.loads(open(path).read().splitlines()[-1]) for path in paths]
+        assert [end.get("verdict") for end in ends] == [None, "FAIL"]
 
     def test_header_is_first_line_with_envelope(self, tmp_path):
-        path = str(tmp_path / "t.trace.jsonl")
-        with TraceWriter(path, n_threads=3):
-            pass
+        (path,) = dump(tmp_path, [hist(n=1)])
         header = json.loads(open(path).readline())
         assert header["format"] == TRACE_FORMAT
         assert header["version"] == TRACE_VERSION
-        assert header["n_threads"] == 3
+        assert (header["mode"], header["sessions"]) == ("dump", 2)
 
     def test_writer_creates_directories(self, tmp_path):
-        path = str(tmp_path / "deep" / "nested" / "t.trace.jsonl")
-        with TraceWriter(path, n_threads=1) as writer:
-            writer.write(hist(n=1))
-        assert len(load_trace(path)) == 1
+        (path,) = dump(tmp_path / "deep" / "nested", [hist()])
+        assert load_trace(path).histories == [hist()]
 
 
 class TestCrashSafety:
     def test_truncated_final_line_tolerated(self, tmp_path):
-        path = str(tmp_path / "t.trace.jsonl")
-        with TraceWriter(path, n_threads=2) as writer:
-            for history in sample_histories():
-                writer.write(history)
+        history = sample_histories()[0]
+        (path,) = dump(tmp_path, [history])
         with open(path, "a") as handle:
-            handle.write('{"events": [{"e": "c", "t"')  # writer died here
+            handle.write('{"e": "c", "t"')  # a writer died here
         trace = load_trace(path)
         assert trace.truncated
-        assert len(trace) == 2
+        assert trace.histories == [history]
 
     def test_mid_file_corruption_raises(self, tmp_path):
-        path = str(tmp_path / "t.trace.jsonl")
-        with TraceWriter(path, n_threads=2) as writer:
-            for history in sample_histories():
-                writer.write(history)
+        (path,) = dump(tmp_path, sample_histories()[:1])
         lines = open(path).read().splitlines()
-        lines[1] = '{"events": [{"bro'
+        lines[1] = '{"e": "c", "bro'
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="is corrupt at byte offset"):
@@ -127,27 +133,27 @@ class TestValidation:
             load_trace(str(path))
 
     def test_missing_n_threads(self, tmp_path):
+        # The header's thread count is its "sessions".
         path = tmp_path / "headerless.jsonl"
         path.write_text(
             json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION}) + "\n"
         )
-        with pytest.raises(TraceError, match="n_threads"):
+        with pytest.raises(TraceError, match="sessions"):
             load_trace(str(path))
 
 
 class TestDefaultPath:
     def test_deterministic(self, tmp_path):
-        test = {"columns": [[{"method": "inc", "args": "()"}]]}
-        first = default_trace_path(str(tmp_path), "Q(beta)", test)
-        second = default_trace_path(str(tmp_path), "Q(beta)", test)
+        first = default_trace_dir(str(tmp_path), "Q(beta)", TEST)
+        second = default_trace_dir(str(tmp_path), "Q(beta)", TEST)
         assert first == second
-        assert first.endswith(".trace.jsonl")
+        assert os.path.basename(first).startswith("Q_beta_-")
 
     def test_subject_sanitized_and_test_hashed(self, tmp_path):
         test_a = {"columns": [[{"method": "inc", "args": "()"}]]}
         test_b = {"columns": [[{"method": "get", "args": "()"}]]}
-        path_a = default_trace_path(str(tmp_path), "Q/evil name(1)", test_a)
-        path_b = default_trace_path(str(tmp_path), "Q/evil name(1)", test_b)
+        path_a = default_trace_dir(str(tmp_path), "Q/evil name(1)", test_a)
+        path_b = default_trace_dir(str(tmp_path), "Q/evil name(1)", test_b)
         assert os.path.dirname(path_a) == str(tmp_path)
         assert "/" not in os.path.basename(path_a)
         assert path_a != path_b
@@ -159,7 +165,6 @@ class TestDefaultPath:
 # invisible: same values, same exact types, same errors, and never one
 # mutable object handed to two events.
 
-V1_HEADER = {"format": TRACE_FORMAT, "version": 1, "n_threads": 4}
 V2_HEADER = {"format": TRACE_FORMAT, "version": 2, "mode": "live", "sessions": 4}
 
 
@@ -171,32 +176,27 @@ def return_obj(op_index, value_text):
     return {"e": "r", "t": 0, "i": op_index, "k": "ok", "v": value_text}
 
 
-def decode(objs, version=2):
+def decode(objs):
     """What one decoder makes of *objs*: the ``repr`` of every event (types
     show in a ``repr``; ``Response('ok', 1) == Response('ok', True)``) and
     the message of the :class:`TraceError` that ended it, if one did."""
     decoder = TraceDecoder()
     seen = []
     try:
-        if version == 2:
-            decoder.feed(V2_HEADER)
-            for obj in objs:
-                seen.append(repr(decoder.feed(obj)))
-        else:
-            decoder.feed(V1_HEADER)
-            _kind, (history, _verdict) = decoder.feed({"events": list(objs)})
-            seen.extend(map(repr, history.events))
+        decoder.feed(V2_HEADER)
+        for obj in objs:
+            seen.append(repr(decoder.feed(obj)))
     except TraceError as exc:
         # literal_eval quotes the offending AST node, address and all.
         return seen, re.sub(r" at 0x[0-9a-f]+", "", str(exc))
     return seen, None
 
 
-def decode_without_memo(objs, version=2):
+def decode_without_memo(objs):
     """:func:`decode` with neither the literal memo nor the intern tables."""
     with mock.patch.object(trace_module, "_literal", ast.literal_eval), \
             mock.patch.object(trace_module, "_remember", lambda *_: None):
-        return decode(objs, version)
+        return decode(objs)
 
 
 def returned_values(*texts):
@@ -293,11 +293,7 @@ def event_objs(lines):
 def test_the_memo_never_changes_what_a_trace_decodes_to(recordings, pick, kind, i, j):
     lines, _terminated = mutate(recordings[pick % len(recordings)], kind, i, j)
     objs = event_objs(lines)
-    # Version 2: the mutated recording as it stands.
     assert decode(objs) == decode_without_memo(objs)
-    # Version 1: its call and return events as one whole-history record.
-    record = [obj for obj in objs if obj.get("e") in ("c", "r")]
-    assert decode(record, version=1) == decode_without_memo(record, version=1)
 
 
 literals = st.recursive(
@@ -318,4 +314,3 @@ def test_any_literal_decodes_as_literal_eval_does(values):
     for op_index, text in enumerate(texts):
         objs += [call_obj(op_index, repr((text,))), return_obj(op_index, text)]
     assert decode(objs) == decode_without_memo(objs)
-    assert decode(objs, version=1) == decode_without_memo(objs, version=1)

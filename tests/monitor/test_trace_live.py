@@ -11,12 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import Invocation, Response
-from repro.monitor import (
-    TRACE_VERSION_LIVE,
-    LiveTraceWriter,
-    TraceError,
-    load_trace,
-)
+from repro.monitor import LiveTraceWriter, TraceError, load_trace
 
 from .test_trace_wellformed import row_test
 
@@ -45,7 +40,6 @@ class TestTornFinalLine:
             handle.write(torn)
         trace = load_trace(path)
         assert trace.truncated
-        assert trace.version == TRACE_VERSION_LIVE
         # The prefix is consistent: both operations are present, the end
         # marker was the torn line so the recording reads as unfinalized.
         assert len(trace.histories[0].operations) == 2
@@ -114,21 +108,16 @@ class TestWriterContract:
         assert trace.live.sessions == 2
         assert trace.n_threads >= 2
 
-    def test_v1_traces_still_load(self, tmp_path):
-        # The version bump must not orphan existing traces.
-        from repro.monitor import TraceWriter
-        from ..monitor.conftest import call, hist, ret
-
-        path = str(tmp_path / "v1.jsonl")
-        history = hist(
-            call(0, 0, "inc"), ret(0, 0), call(1, 0, "get"), ret(1, 0, 1)
+    def test_a_v1_trace_is_refused(self, tmp_path):
+        # Version 2 is the only version: the history-per-line files older
+        # --dump-traces runs wrote are refused, with a way out.
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            '{"format": "lineup-trace", "version": 1, "n_threads": 2}\n'
+            '{"events": []}\n'
         )
-        with TraceWriter(path, n_threads=2, subject="old") as writer:
-            writer.write(history)
-        trace = load_trace(path)
-        assert trace.version == 1
-        assert trace.live is None
-        assert len(trace.histories) == 1
+        with pytest.raises(TraceError, match="version 1 .*dump it again"):
+            load_trace(str(path))
 
 
 # cat-ing two traces into one file: the second header is called out.

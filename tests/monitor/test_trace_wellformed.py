@@ -3,12 +3,13 @@
 Every route to a verdict must read a file as the same history or reject
 it with the same rule: each row below is written to disk once and run
 through **both** :func:`load_trace` (what ``lineup monitor`` uses) and
-:class:`StreamChecker` over :func:`scan_trace` (what ``lineup watch``
-uses).  They must agree on accept/reject and, on accept, on the end
+:class:`StreamChecker` over :func:`scan_blocks`, block by block (what
+``lineup watch`` uses).  They must agree on accept/reject and, on accept, on the end
 marker's outcome, the torn-tail flag and the number of events read —
-except that ``watch`` reads version 2 only, so a version-1 file whose
-header decodes is refused online, naming ``lineup monitor``, whatever
-the offline reader makes of it.  A hypothesis property then mutates
+except that a dump whose execution ended stuck or divergent is refused
+online at its end marker, naming ``lineup monitor``, which alone can
+justify the blocking.  Both readers refuse a version-1 header, whatever
+follows it.  A hypothesis property then mutates
 real recorded traces and demands the same agreement — and the same
 verdict — on whatever comes out.
 
@@ -22,6 +23,7 @@ rule violated, or an :class:`Accept`.
 from __future__ import annotations
 
 import json
+import os
 import re
 import tempfile
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from repro.monitor.trace import (
     LiveTraceWriter,
     TraceError,
     load_trace,
-    scan_trace,
+    scan_blocks,
 )
 from repro.stream import StreamChecker
 
@@ -44,14 +46,14 @@ from repro.stream import StreamChecker
 class Accept:
     """What both readers must report for a trace they accept."""
 
-    events: int = 0  #: v2 call + return events read
-    histories: int = 0  #: v1 records read (offline only)
+    events: int = 0  #: call + return events read
     outcome: str | None = None
     torn: bool = False
 
 
 V1 = {"format": "lineup-trace", "version": 1, "n_threads": 2}
 V2 = {"format": "lineup-trace", "version": 2, "mode": "live", "sessions": 2}
+DUMP = {**V2, "mode": "dump"}
 END = {"e": "end", "outcome": "drained", "ts": 0.9}
 RECORD = {
     "events": [
@@ -80,6 +82,7 @@ def without(obj, key):
 
 
 NO_OPEN_CALL = "no open call"
+V1_REFUSED = "version 1 is not supported .*dump it again"
 TWO_WRITERS = "two writers"
 MALFORMED = "malformed trace line"
 
@@ -91,19 +94,22 @@ ROWS = [
     ("v2-header-only", [V2], True, Accept()),
     ("v2-marker-for-open-call", [V2, c(0, 0), x(0, 0), END], True,
      Accept(events=1, outcome="drained")),
-    ("v1-records", [V1, RECORD, RECORD], True, Accept(histories=2)),
+    ("dump-complete", [DUMP, without(c(0, 0), "ts"), without(r(0, 0), "ts"),
+                       {"e": "end", "outcome": "complete"}], True,
+     Accept(events=2, outcome="complete")),
+    ("dump-stuck", [DUMP, c(0, 0), r(0, 0), c(1, 0),
+                    {"e": "end", "outcome": "stuck"}], True,
+     Accept(events=3, outcome="stuck")),
+    ("dump-divergent", [DUMP, c(0, 0), {"e": "end", "outcome": "divergent"}],
+     True, Accept(events=1, outcome="divergent")),
     # -- the torn tail: only bytes after the last newline are tolerated ----
     ("v2-unterminated-fragment", [V2, c(0, 0), r(0, 0), '{"e": "c", "t"'],
      False, Accept(events=2, torn=True)),
     ("v2-unterminated-end-marker", [V2, c(0, 0), r(0, 0), END], False,
      Accept(events=2, torn=True)),
-    ("v1-unterminated-tail", [V1, RECORD, '{"events": [{"e": "c", "t"'],
-     False, Accept(histories=1, torn=True)),
     ("v2-terminated-garbage-last-line", [V2, c(0, 0), r(0, 0), "not json"],
      True, "corrupt at byte offset"),                               # (e)
     ("v2-garbage-mid-file", [V2, '{"e": "c", "t"', c(0, 0)], True,
-     "corrupt at byte offset"),
-    ("v1-garbage-mid-file", [V1, '{"events": [{"bro', RECORD], True,
      "corrupt at byte offset"),
     ("v2-non-object-line", [V2, "[1, 2]"], True, "not a JSON object"),
     # -- complete but malformed lines, last line included ------------------
@@ -116,23 +122,15 @@ ROWS = [
     ("non-numeric-ts", [V2, c(0, 0, ts="soon"), r(0, 0)], True, MALFORMED),  # (d)
     ("event-without-kind", [V2, without(c(0, 0), "e")], True, MALFORMED),
     ("call-with-unparsable-args", [V2, c(0, 0, a="(")], True, MALFORMED),
-    ("v1-malformed-record-mid-file", [V1, {"events": [{"e": "c"}]}, RECORD],
-     True, MALFORMED),
-    ("v1-record-without-events", [V1, {"stuck": True}], True, MALFORMED),
     # -- headers ------------------------------------------------------------
     ("missing-header", [c(0, 0)], True, "not a trace"),
     ("unsupported-version", [{"format": "lineup-trace", "version": 99}], True,
      "version 99 is not supported"),
-    ("v1-missing-n-threads", [without(V1, "n_threads"), RECORD], True,
-     "n_threads"),
-    ("v1-invalid-n-threads", [{**V1, "n_threads": "two"}, RECORD], True,
-     "n_threads"),
     ("v2-missing-sessions", [without(V2, "sessions"), c(0, 0)], True,
      "sessions"),
     ("second-header-immediately", [V2, V2], True, "second trace header"),
     ("second-header-after-events", [V2, c(0, 0), r(0, 0), V2, c(0, 0), r(0, 0), END],
      True, "second trace header mid-stream"),
-    ("v1-second-header", [V1, RECORD, V1], True, "second trace header"),
     # -- two writers sharing one trace --------------------------------------
     ("duplicate-call-key", [V2, c(0, 0), c(1, 0), r(0, 0), r(1, 0), c(0, 0)],
      True, TWO_WRITERS),
@@ -158,15 +156,27 @@ ROWS = [
      True, "while one is still open"),
     ("marker-without-why", [V2, c(0, 0), without(x(0, 0), "why")], True,
      MALFORMED),
+    # -- version 1 (one history per line) is refused at its header, by
+    # both readers, whatever the lines after it hold -----------------------
+    ("v1-records", [V1, RECORD, RECORD], True, V1_REFUSED),
+    ("v1-unterminated-tail", [V1, RECORD, '{"events": [{"e": "c", "t"'],
+     False, V1_REFUSED),
+    ("v1-garbage-mid-file", [V1, '{"events": [{"bro', RECORD], True,
+     V1_REFUSED),
+    ("v1-malformed-record-mid-file", [V1, {"events": [{"e": "c"}]}, RECORD],
+     True, V1_REFUSED),
+    ("v1-record-without-events", [V1, {"stuck": True}], True, V1_REFUSED),
+    ("v1-missing-n-threads", [without(V1, "n_threads"), RECORD], True,
+     V1_REFUSED),
+    ("v1-invalid-n-threads", [{**V1, "n_threads": "two"}, RECORD], True,
+     V1_REFUSED),
+    ("v1-second-header", [V1, RECORD, V1], True, V1_REFUSED),
 ]
 
-#: The version-1 rows whose header decodes (and whose lines all parse):
-#: the online reader refuses them at that header.
-REFUSED_ONLINE = {
-    "v1-records", "v1-unterminated-tail", "v1-malformed-record-mid-file",
-    "v1-record-without-events", "v1-second-header",
-}
-V1_REFUSED = "version-1 trace .*lineup monitor"
+#: Dumps the offline reader loads as stuck histories: the online reader
+#: refuses them at their end marker.
+REFUSED_ONLINE = {"dump-stuck", "dump-divergent"}
+STUCK_REFUSED = "ended (stuck|divergent).*lineup monitor"
 
 
 def write_trace(path, lines, terminated=True):
@@ -180,29 +190,38 @@ def write_trace(path, lines, terminated=True):
 
 def read_offline(path):
     trace = load_trace(path)
-    live = trace.live is not None
     return Accept(
-        events=len(trace.histories[0].events) if live else 0,
-        histories=0 if live else len(trace.histories),
-        outcome=trace.live.outcome if live else None,
+        events=len(trace.histories[0].events),
+        outcome=trace.live.outcome,
         torn=trace.truncated,
     )
 
 
 def read_online(path, model="counter"):
-    """The summary, the checker and how many lines it consumed."""
-    scan = scan_trace(path)
+    """The summary, the checker and how many lines it consumed.
+
+    Block by block, as ``watch`` reads: the lines of a block are fed
+    before the next block is read, so a bad header is refused before a
+    corrupt line after it is reached.
+    """
     checker = StreamChecker(get_model(model))
     consumed = 0
-    for segment in scan.segments:
-        consumed += 1
-        if not checker.feed(segment.obj):
-            break  # online FAIL is final: watch stops reading here
+    torn = False
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        for batch in scan_blocks(handle, path, 0, size):
+            torn = batch.torn
+            for segment in batch.segments:
+                consumed += 1
+                if not checker.feed(segment.obj):
+                    break  # online FAIL is final: watch stops reading here
+            if checker.verdict == "FAIL":
+                break
     counters = checker.counters
     summary = Accept(
         events=counters.calls + counters.returns,
         outcome=checker.outcome,
-        torn=scan.torn,
+        torn=torn,
     )
     return summary, checker, consumed
 
@@ -223,7 +242,7 @@ def check_row(name, tmp_path):
             rf"{re.escape(repr(path))}.* byte offset \d+", str(offline.value)
         )
     if name in REFUSED_ONLINE:
-        expected = V1_REFUSED
+        expected = STUCK_REFUSED
     if isinstance(expected, Accept):
         assert read_online(path)[0] == expected
     else:
@@ -325,7 +344,7 @@ def test_one_mutation_never_splits_the_readers(recordings, pick, kind, i, j):
             # watch stopped at the violating return: offline must read
             # the same violation in exactly the lines watch consumed.
             path = write_trace(path, lines[:consumed])
-            online = Accept(online.events, 0, None, False)
+            online = Accept(online.events, None, False)
         assert read_offline(path) == online
         history = load_trace(path).histories[0]
         assert monitor_history(history, model).ok == (checker.verdict == "PASS")

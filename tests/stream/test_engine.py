@@ -6,9 +6,7 @@ import pytest
 
 from repro.core.events import Invocation, Response
 from repro.monitor import get_model
-from repro.monitor.trace import LiveTraceWriter, TraceError, TraceWriter, scan_trace
-from repro.core.history import History
-from repro.core.events import Event
+from repro.monitor.trace import LiveTraceWriter, TraceError, scan_trace
 from repro.stream import PartitionUnsound, StreamChecker
 
 from tests.monitor.test_trace_wellformed import row_test
@@ -135,24 +133,14 @@ class TestMalformedStreams:
 
 class TestV1Traces:
     def test_a_v1_trace_is_refused_at_its_header(self, tmp_path):
-        """A history-per-line dump is ``lineup monitor``'s input: the
-        stream engine refuses it before judging any record, partitioned
-        or not."""
-        path = str(tmp_path / "v1.jsonl")
-        bad = History(
-            [
-                Event.call(0, 0, Invocation("TryAdd", ("k",))),
-                Event.ret(0, 0, ok(False)),
-            ],
-            n_threads=1,
-        )
-        with TraceWriter(path, n_threads=1, subject="test") as writer:
-            writer.write(bad)
-        header, _record = scan_trace(path).segments
+        """The history-per-line dumps of older versions are read by no
+        one: the stream engine refuses one before judging any record,
+        partitioned or not."""
+        header = {"format": "lineup-trace", "version": 1, "n_threads": 1}
         for partition in (True, False):
             checker = StreamChecker(get_model("dict"), partition=partition)
-            with pytest.raises(TraceError, match="lineup monitor"):
-                checker.feed(header.obj)
+            with pytest.raises(TraceError, match="version 1 is not supported"):
+                checker.feed(header)
 
 
 class TestPartitioning:

@@ -387,10 +387,13 @@ class TestWatchCli:
     def test_monitor_without_a_header_model_needs_the_flag(
         self, tmp_path, capsys
     ):
-        from repro.monitor import TraceWriter
+        from repro.core.history import History
+        from repro.monitor import DumpTraceWriter
 
-        path = str(tmp_path / "v1.jsonl")
-        TraceWriter(path, n_threads=1).close()
+        # A dump's header names the subject and the test, never a model.
+        writer = DumpTraceWriter(str(tmp_path), "Counter", {}, sessions=1)
+        writer.write(1, History([], n_threads=1))
+        path = os.path.join(writer.directory, "1.trace.jsonl")
         assert main(["monitor", path]) == main(["watch", path]) == EXIT_USAGE
         assert "--model NAME is required" in capsys.readouterr().err
 

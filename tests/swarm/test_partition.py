@@ -19,6 +19,7 @@ from repro.core.events import Invocation
 from repro.reduction import FingerprintSet
 from repro.runtime.strategies import strategy_from_snapshot
 from repro.swarm.partition import (
+    expand_prefix,
     partition_prefixes,
     prefix_snapshot,
     shard_snapshot,
@@ -33,6 +34,20 @@ def _test_of(columns) -> FiniteTest:
     return FiniteTest.of(
         [[Invocation(op, args) for op, args in column] for column in columns]
     )
+
+
+def probe_in_process(harness, test, config, target, **kwargs):
+    """:func:`partition_prefixes` probing each round with :func:`expand_prefix`."""
+
+    def probe_round(frontier):
+        return [
+            (position, expand_prefix(harness, test, config, prefix))
+            for position, prefix in enumerate(frontier)
+        ], None
+
+    plain, opaque, stop = partition_prefixes(probe_round, target, **kwargs)
+    assert (opaque, stop) == ([], None)
+    return plain
 
 
 BUFFER_TEST = _test_of(
@@ -80,7 +95,7 @@ class TestPartitionExactness:
         with TestHarness(
             subject_for("BoundedBuffer", "beta"), max_steps=config.max_steps
         ) as harness:
-            prefixes = partition_prefixes(harness, BUFFER_TEST, config, 6)
+            prefixes = probe_in_process(harness, BUFFER_TEST, config, 6)
         assert len(prefixes) >= 2
 
         union = FingerprintSet()
@@ -126,7 +141,7 @@ class TestPartitionExactness:
         with TestHarness(
             subject_for("GoodRegister", "beta"), max_steps=config.max_steps
         ) as harness:
-            prefixes = partition_prefixes(
+            prefixes = probe_in_process(
                 harness, REGISTER_TEST, config, 10_000, max_rounds=64
             )
         assert len(prefixes) == single.phase2_executions
@@ -148,7 +163,7 @@ class TestShardStrategy:
         with TestHarness(
             subject_for("GoodRegister", "beta"), max_steps=config.max_steps
         ) as harness:
-            prefixes = partition_prefixes(harness, REGISTER_TEST, config, 4)
+            prefixes = probe_in_process(harness, REGISTER_TEST, config, 4)
 
         # Explore in leases of 3 executions, serialising the strategy
         # between leases — the shard lease lifecycle in miniature.
@@ -183,7 +198,7 @@ class TestShardStrategy:
         with TestHarness(
             subject_for("GoodRegister", "beta"), max_steps=config.max_steps
         ) as harness:
-            prefixes = partition_prefixes(harness, REGISTER_TEST, config, 4)
+            prefixes = probe_in_process(harness, REGISTER_TEST, config, 4)
         strategy = self._seeded(config, prefixes)
         observations = _phase1("GoodRegister", "beta", REGISTER_TEST, config)
         result, _ = _explore(
