@@ -33,38 +33,39 @@ Packages:
   (happens-before races, conflict serializability).
 """
 
-from repro.core import (
-    DOTNET_POLICIES,
-    CampaignResult,
-    CheckConfig,
-    CheckResult,
-    FiniteTest,
-    Invocation,
-    ObservationSet,
-    Response,
-    SystemUnderTest,
-    TestHarness,
-    InterferencePolicy,
-    InterferenceRule,
-    Violation,
-    auto_check,
-    check,
-    check_against_observations,
-    check_relaxed,
-    check_with_harness,
-    minimize_failing_test,
-    random_check,
-    render_check_result,
-    render_violation,
-)
-from repro.runtime import (
-    DFSStrategy,
-    IterativeDFSStrategy,
-    RandomStrategy,
-    ReplayStrategy,
-    Runtime,
-    Scheduler,
-)
+from repro._lazy import lazy_exports
+
+#: Each public name and the package it comes from, imported on first use.
+_EXPORTS = {
+    "auto_check": "repro.core",
+    "CampaignResult": "repro.core",
+    "check": "repro.core",
+    "check_against_observations": "repro.core",
+    "check_relaxed": "repro.core",
+    "check_with_harness": "repro.core",
+    "CheckConfig": "repro.core",
+    "CheckResult": "repro.core",
+    "DOTNET_POLICIES": "repro.core",
+    "FiniteTest": "repro.core",
+    "InterferencePolicy": "repro.core",
+    "InterferenceRule": "repro.core",
+    "Invocation": "repro.core",
+    "minimize_failing_test": "repro.core",
+    "ObservationSet": "repro.core",
+    "random_check": "repro.core",
+    "render_check_result": "repro.core",
+    "render_violation": "repro.core",
+    "Response": "repro.core",
+    "SystemUnderTest": "repro.core",
+    "TestHarness": "repro.core",
+    "Violation": "repro.core",
+    "DFSStrategy": "repro.runtime",
+    "IterativeDFSStrategy": "repro.runtime",
+    "RandomStrategy": "repro.runtime",
+    "ReplayStrategy": "repro.runtime",
+    "Runtime": "repro.runtime",
+    "Scheduler": "repro.runtime",
+}
 
 __version__ = "1.0.0"
 
@@ -99,3 +100,5 @@ __all__ = [
     "render_check_result",
     "render_violation",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

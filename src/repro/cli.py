@@ -53,38 +53,21 @@ import ast
 import signal
 import sys
 import threading
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core import (
-    DOTNET_POLICIES,
-    CheckConfig,
-    FiniteTest,
-    InterferencePolicy,
-    Invocation,
-    SystemUnderTest,
-    TestHarness,
-    check,
-    check_relaxed,
-    minimize_failing_test,
-    render_check_result,
-)
-from repro.core.budget import BudgetMeter, ExplorationBudget, ExplorationControl
-from repro.core.campaign import (
-    campaign_verdict,
-    parse_campaign_state,
-    render_table2,
-    run_campaign_plan,
-)
-from repro.core.checkpoint import (
-    CheckpointError,
-    Checkpointer,
-    load_checkpoint,
-    parse_check_state,
-)
-from repro.core.fileio import atomic_write_text
-from repro.core.observations import observations_to_xml
+from repro.core.events import Invocation
 from repro.runtime import DEFAULT_ENGINE, ENGINES
-from repro.structures import REGISTRY, ROOT_CAUSES, get_class
+
+# The check path (checker, campaign, checkpoints, scheduler, structures)
+# is imported inside the commands that run it: ``watch`` loads none of it.
+if TYPE_CHECKING:
+    from repro.core import (
+        CheckConfig,
+        FiniteTest,
+        InterferencePolicy,
+        SystemUnderTest,
+    )
+    from repro.core.budget import ExplorationBudget
 
 __all__ = ["main"]
 
@@ -217,6 +200,8 @@ def parse_test(
     matrix: str, init: str | None = None, final: str | None = None
 ) -> FiniteTest:
     """Parse a test matrix: ``op; op | op`` (columns ``|``, ops ``;``)."""
+    from repro.core.testcase import FiniteTest
+
     columns = []
     for column_text in matrix.split("|"):
         ops = [p for p in (piece.strip() for piece in column_text.split(";")) if p]
@@ -266,6 +251,8 @@ def _seconds(*, zero: bool = False):
 
 
 def _budget_from_args(args: argparse.Namespace) -> ExplorationBudget | None:
+    from repro.core.budget import ExplorationBudget
+
     deadline = getattr(args, "deadline", None)
     if deadline is None:
         return None
@@ -273,6 +260,8 @@ def _budget_from_args(args: argparse.Namespace) -> ExplorationBudget | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> CheckConfig:
+    from repro.core.checker import CheckConfig
+
     backend = getattr(args, "backend", "observations")
     model = getattr(args, "model", None)
     if backend == "monitor" and model is None:
@@ -309,9 +298,12 @@ def _provider_get_class(provider: str | None):
     so crash-report repro commands (which carry ``--provider``) resolve
     the exact class the worker ran.
     """
+    import importlib
+
+    from repro.structures import get_class
+
     if not provider:
         return get_class
-    import importlib
 
     try:
         module = importlib.import_module(provider)
@@ -468,6 +460,8 @@ def _add_provider_option(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from repro.structures import REGISTRY, ROOT_CAUSES
+
     print(f"{'class':26s} {'methods':>7s}  root causes (pre / beta)")
     for entry in REGISTRY:
         pre = ",".join(c.tag for c in entry.causes_for("pre")) or "-"
@@ -513,6 +507,12 @@ def _run_check(
     extension instead: nondeterministic specifications plus the policy's
     interference rules.  That mode does not checkpoint.
     """
+    from repro.core.budget import ExplorationControl
+    from repro.core.checker import check
+    from repro.core.checkpoint import Checkpointer
+    from repro.core.harness import TestHarness
+    from repro.core.relaxed import check_relaxed
+
     stopper = _SignalStop().install()
     try:
         control = ExplorationControl(budget=config.budget, stop=stopper)
@@ -558,6 +558,7 @@ def _run_swarm_check(
     resume_document: dict | None = None,
 ) -> int:
     """Shared driver for ``check --shards`` and ``resume`` of a swarm."""
+    from repro.core.budget import ExplorationControl
     from repro.swarm import (
         SwarmConfig,
         render_swarm_result,
@@ -612,6 +613,11 @@ def _run_swarm_check(
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.core.autocheck import minimize_failing_test
+    from repro.core.harness import SystemUnderTest
+    from repro.core.relaxed import DOTNET_POLICIES, InterferencePolicy
+    from repro.core.report import render_check_result
+
     entry = _provider_get_class(args.provider)(args.cls)
     test = _resolve_test(args, entry)
     config = _config_from_args(args)
@@ -717,6 +723,9 @@ def _shared_params(args: argparse.Namespace) -> dict:
 
 def _campaign_check_config(params: dict) -> CheckConfig:
     """The per-test check configuration of a campaign or generation run."""
+    from repro.core.budget import ExplorationBudget
+    from repro.core.checker import CheckConfig
+
     reduction = params.get("reduction", "none")
     deadline = params.get("deadline")
     return CheckConfig(
@@ -736,6 +745,7 @@ def _campaign_check_config(params: dict) -> CheckConfig:
 
 def _pool_config(params: dict):
     """Worker-pool supervision settings from the isolation flags."""
+    from repro.core.checkpoint import CheckpointError
     from repro.exec import PoolConfig, ResourceLimits
 
     max_retries = params.get("max_retries")
@@ -775,6 +785,10 @@ def _run_campaign(
 ) -> int:
     """The campaign command around :func:`run_campaign_plan`: signals,
     budget, executor, then the table and the exit code."""
+    from repro.core.budget import BudgetMeter, ExplorationControl
+    from repro.core.campaign import render_table2, run_campaign_plan
+    from repro.core.checkpoint import Checkpointer
+
     config = _campaign_check_config(params)
     stopper = _SignalStop().install()
     control = ExplorationControl(budget=config.budget, stop=stopper)
@@ -812,6 +826,8 @@ def _run_campaign(
 
 
 def _campaign_exit_code(rows: list, stop_reason: str | None) -> int:
+    from repro.core.campaign import campaign_verdict
+
     if stop_reason == "interrupted":
         return EXIT_INTERRUPTED
     tests_run = sum(row.tests_run for row in rows)
@@ -846,6 +862,8 @@ def _print_quarantine_summary(rows: list, quarantined: "list[str]") -> None:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.structures import REGISTRY
+
     resolve = _provider_get_class(args.provider)
     entries = REGISTRY if args.cls == "all" else (resolve(args.cls),)
     versions = args.versions.split(",")
@@ -906,6 +924,8 @@ def _run_generate(
     """
     from dataclasses import replace as _replace
 
+    from repro.core.budget import ExplorationBudget, ExplorationControl
+    from repro.core.checkpoint import Checkpointer
     from repro.core.report import render_generation_report
     from repro.generate import (
         GenerateConfig,
@@ -1007,6 +1027,8 @@ def _run_generate_plan(plan: "list[tuple[str, str]]", params: dict) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     import os
 
+    from repro.core.checkpoint import load_checkpoint
+
     params = {
         **_shared_params(args),
         "budget": args.budget,
@@ -1076,6 +1098,7 @@ def _resume_swarm(args: argparse.Namespace, document: dict) -> int:
     """
     from dataclasses import replace
 
+    from repro.core.budget import ExplorationBudget
     from repro.swarm.runner import parse_swarm_state
 
     subject_info, test, config, swarm_config = parse_swarm_state(document)
@@ -1114,6 +1137,12 @@ def _resume_swarm(args: argparse.Namespace, document: dict) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    from repro.core.budget import ExplorationBudget
+    from repro.core.campaign import parse_campaign_state
+    from repro.core.checkpoint import load_checkpoint, parse_check_state
+    from repro.core.harness import SystemUnderTest
+    from repro.core.report import render_check_result
+
     document = load_checkpoint(args.checkpoint)
     if document["kind"] == "campaign":
         plan, rows, params, resume_current = parse_campaign_state(document)
@@ -1211,6 +1240,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     from repro.core.checker import monitor_violation
     from repro.core.checkpoint import test_from_dict
     from repro.core.report import render_violation
+    from repro.core.testcase import FiniteTest
     from repro.monitor import (
         MonitorLimitError,
         TraceError,
@@ -1388,7 +1418,11 @@ def cmd_live(args: argparse.Namespace) -> int:
 
 
 def _trace_model_name(model: str | None, path: str) -> str:
-    """*model* (``--model``), defaulting to the model *path*'s header names."""
+    """*model* (``--model``), defaulting to the model *path*'s header names.
+
+    A file that cannot be read is reported as it is; ``--model`` is named
+    only when the header was read and names no model.
+    """
     from repro.monitor import TraceError, read_trace_header
 
     if model:
@@ -1396,7 +1430,7 @@ def _trace_model_name(model: str | None, path: str) -> str:
     try:
         model = read_trace_header(path).live.model
     except TraceError as exc:
-        raise CliError(f"--model NAME is required: {exc}") from exc
+        raise CliError(str(exc)) from exc
     if model is None:
         raise CliError(
             "--model NAME is required (the trace header names no model)"
@@ -1462,6 +1496,10 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_observations(args: argparse.Namespace) -> int:
+    from repro.core.fileio import atomic_write_text
+    from repro.core.harness import SystemUnderTest, TestHarness
+    from repro.core.observations import observations_to_xml
+
     entry = _provider_get_class(getattr(args, "provider", None))(args.cls)
     test = _resolve_test(args, entry)
     subject = SystemUnderTest(
@@ -1870,14 +1908,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exceptions that are usage errors besides :class:`CliError`, by the
+#: module that defines them: an unreadable checkpoint, and a model that
+#: cannot read its input (name, method or arity unknown) — an input
+#: error, not a FAIL.
+_USAGE_ERRORS = (
+    ("repro.core.checkpoint", "CheckpointError"),
+    ("repro.monitor.models", "ModelError"),
+)
+
+
+def _is_usage_error(exc: Exception) -> bool:
+    """Whether *exc* is a usage error.  A module no command imported
+    raised nothing, so its error class is not imported to find out."""
+    if isinstance(exc, CliError):
+        return True
+    for module_name, class_name in _USAGE_ERRORS:
+        module = sys.modules.get(module_name)
+        if module is not None and isinstance(exc, getattr(module, class_name)):
+            return True
+    return False
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -1885,11 +1942,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception as exc:
-        # A model that cannot read its input (name, method or arity unknown)
-        # is an input error, not a FAIL; the default backend never loads one.
-        from repro.monitor import ModelError
-
-        if not isinstance(exc, ModelError):
+        if not _is_usage_error(exc):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,55 +16,64 @@ The public workflow:
    the Fig. 7 observation files.
 """
 
-from repro.core.autocheck import (
-    CampaignResult,
-    auto_check,
-    minimize_failing_test,
-    random_check,
-)
-from repro.core.budget import BudgetMeter, ExplorationBudget, ExplorationControl
-from repro.core.checkpoint import (
-    CheckpointError,
-    Checkpointer,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.core.checker import (
-    CheckConfig,
-    CheckResult,
-    Violation,
-    check,
-    check_against_observations,
-    check_with_harness,
-)
-from repro.core.events import Event, Invocation, Operation, Response
-from repro.core.harness import HarnessError, SystemUnderTest, TestHarness
-from repro.core.history import History, Profile, SerialHistory, SerialStep
-from repro.core.fileio import atomic_write_text
-from repro.core.observations import (
-    ObservationFileError,
-    load_observations,
-    observations_from_xml,
-    observations_to_xml,
-    save_observations,
-)
-from repro.core.relaxed import (
-    DOTNET_POLICIES,
-    InterferencePolicy,
-    InterferenceRule,
-    check_relaxed,
-)
-from repro.core.report import render_check_result, render_violation
-from repro.core.spec import NondeterminismWitness, ObservationSet
-from repro.core.testcase import FiniteTest, enumerate_tests, sample_tests
-from repro.core.timeline import render_timeline
-from repro.core.verdict import VERDICT_PRECEDENCE, worst_verdict
-from repro.core.witness import (
-    brute_force_full_witness,
-    check_full_history,
-    check_stuck_history,
-    is_witness_for,
-)
+from repro._lazy import lazy_exports
+
+#: Each public name and the module that defines it, imported on first use:
+#: ``watch`` imports ``events`` and ``history`` and nothing else of core.
+_EXPORTS = {
+    "CampaignResult": "repro.core.autocheck",
+    "auto_check": "repro.core.autocheck",
+    "minimize_failing_test": "repro.core.autocheck",
+    "random_check": "repro.core.autocheck",
+    "BudgetMeter": "repro.core.budget",
+    "ExplorationBudget": "repro.core.budget",
+    "ExplorationControl": "repro.core.budget",
+    "CheckConfig": "repro.core.checker",
+    "CheckResult": "repro.core.checker",
+    "Violation": "repro.core.checker",
+    "check": "repro.core.checker",
+    "check_against_observations": "repro.core.checker",
+    "check_with_harness": "repro.core.checker",
+    "CheckpointError": "repro.core.checkpoint",
+    "Checkpointer": "repro.core.checkpoint",
+    "load_checkpoint": "repro.core.checkpoint",
+    "save_checkpoint": "repro.core.checkpoint",
+    "Event": "repro.core.events",
+    "Invocation": "repro.core.events",
+    "Operation": "repro.core.events",
+    "Response": "repro.core.events",
+    "atomic_write_text": "repro.core.fileio",
+    "HarnessError": "repro.core.harness",
+    "SystemUnderTest": "repro.core.harness",
+    "TestHarness": "repro.core.harness",
+    "History": "repro.core.history",
+    "Profile": "repro.core.history",
+    "SerialHistory": "repro.core.history",
+    "SerialStep": "repro.core.history",
+    "ObservationFileError": "repro.core.observations",
+    "load_observations": "repro.core.observations",
+    "observations_from_xml": "repro.core.observations",
+    "observations_to_xml": "repro.core.observations",
+    "save_observations": "repro.core.observations",
+    "DOTNET_POLICIES": "repro.core.relaxed",
+    "InterferencePolicy": "repro.core.relaxed",
+    "InterferenceRule": "repro.core.relaxed",
+    "check_relaxed": "repro.core.relaxed",
+    "render_check_result": "repro.core.report",
+    "render_violation": "repro.core.report",
+    "NondeterminismWitness": "repro.core.spec",
+    "ObservationSet": "repro.core.spec",
+    "FiniteTest": "repro.core.testcase",
+    "enumerate_tests": "repro.core.testcase",
+    "sample_tests": "repro.core.testcase",
+    "render_timeline": "repro.core.timeline",
+    "VERDICT_PRECEDENCE": "repro.core.verdict",
+    "worst_verdict": "repro.core.verdict",
+    "brute_force_full_witness": "repro.core.witness",
+    "check_full_history": "repro.core.witness",
+    "check_stuck_history": "repro.core.witness",
+    "is_witness_for": "repro.core.witness",
+}
 
 __all__ = [
     "BudgetMeter",
@@ -120,3 +129,5 @@ __all__ = [
     "save_observations",
     "worst_verdict",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

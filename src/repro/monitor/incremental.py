@@ -176,16 +176,17 @@ def _merge(buckets: dict, linmap: frozenset, states: set) -> None:
         bucket |= states
 
 
-def _rejections(levels, key, invocation, step):
+def _rejections(levels, key, invocation, model):
     """What each configuration of a failed closure offered instead.
 
     When no configuration accepts, every explored one rejected — with the
     response it had committed to, or the one the model computes there.
     """
+    step = model.step
     for level in levels:
         for linmap, states in level.items():
             committed = dict(linmap).get(key)
-            for state in states:
+            for state in model.expand(states):
                 answer = committed or step(state, invocation)[1]
                 yield state, None if answer is None else Response(*answer)
 
@@ -224,6 +225,9 @@ class IncrementalChecker:
         self.retired = 0
         self.events_ingested = 0
         self.failed: OnlineCounterexample | None = None
+        #: how a bucket's states are counted: one each until the model
+        #: first compacts them, then as the concrete states they stand for.
+        self._count = len
         #: high-water marks for the observability layer.
         self.max_frontier = 0
         self.max_live_configs = 1
@@ -239,7 +243,7 @@ class IncrementalChecker:
     @property
     def live_configs(self) -> int:
         """Configurations currently held (the memory driver)."""
-        return sum(map(len, self._configs.values()))
+        return sum(map(self._count, self._configs.values()))
 
     # -- the feeding protocol ---------------------------------------------
 
@@ -286,6 +290,7 @@ class IncrementalChecker:
         invocation = open_op.invocation
         step = self.model.step
         step_set = self.model.step_set
+        count = self._count
         cap = self.max_configurations
         seen = plain_response(observed)
 
@@ -321,7 +326,7 @@ class IncrementalChecker:
         explored = 0
         for level in levels:
             for linmap, states in level.items():
-                explored += len(states)
+                explored += count(states)
                 if cap is not None and explored > cap:
                     self.configurations += cap + 1
                     raise MonitorLimitError(
@@ -364,11 +369,14 @@ class IncrementalChecker:
                         # group of the observed answer accepts it right here.
                         hits = groups.get(seen)
                 if not others:
-                    hits = set()
-                    for state in states:
-                        new_state, answer = step(state, invocation)
-                        if answer == seen:
-                            hits.add(new_state)
+                    if count is len:
+                        hits = set()
+                        for state in states:
+                            new_state, answer = step(state, invocation)
+                            if answer == seen:
+                                hits.add(new_state)
+                    else:  # compact states: only step_set steps them
+                        hits = step_set(states, invocation).get(seen)
                 if hits:
                     _merge(accepted, linmap, hits)
 
@@ -377,6 +385,15 @@ class IncrementalChecker:
             self.max_retirement_lag = lag
         del self._open[key]
         self.configurations += explored
+        if not self._open and accepted:
+            # One bucket is left, the empty map: where a burst of
+            # concurrent operations may fold into one compact state.
+            ((nothing, states),) = accepted.items()
+            if len(states) > 1:
+                compacted = self.model.compact(states)
+                if compacted is not states:
+                    accepted[nothing] = compacted
+                    self._count = self.model.count
         self._configs = accepted
         live = self.live_configs
         if live > self.max_live_configs:
@@ -388,7 +405,7 @@ class IncrementalChecker:
                 invocation=invocation,
                 observed=observed,
                 candidates=tuple(
-                    islice(_rejections(levels, key, invocation, step), 8)
+                    islice(_rejections(levels, key, invocation, self.model), 8)
                 ),
                 retired=self.retired,
                 events_ingested=self.events_ingested,

@@ -20,6 +20,17 @@ override it with a kernel that steps the whole set in one pass (the
 queue's and the stack's do, for the methods the online closure of
 :mod:`repro.monitor.incremental` spends its time in).
 
+A queue's or a stack's states may also be *compact*: a :class:`_Block`
+element — k >= 2 distinct values — stands at one position for every
+order of its values, so ``(Block{0,1,2,3},)`` is the 24 states that four
+concurrent ``Enqueue``s can leave.  ``compact(states)`` folds a set that
+is exactly such a family into its one compact state (the base class
+keeps every set as it is); ``count(states)`` is how many concrete states
+a set stands for (``len`` in the base class); ``expand(states)`` yields
+them.  Only ``step_set`` steps a compact state: the queue's and the
+stack's take one answer per value of a head or top Block, and every other
+method expands first.  ``step`` never sees one.
+
 ``step`` returns ``(state, None)`` when the invocation *blocks* in that
 state (e.g. ``dec`` of the counter at zero) — the monitor uses this both
 to prune linearization branches and to justify stuck histories.  Unknown
@@ -39,7 +50,9 @@ partitioning the history.
 
 from __future__ import annotations
 
-from typing import Any, Collection, Hashable
+from itertools import chain, permutations, product
+from math import factorial
+from typing import Any, Collection, Hashable, Iterable
 
 from repro.core.events import OK, RAISED, Invocation, Response
 
@@ -69,10 +82,24 @@ def _ok(state: Any, value: Any = None) -> tuple[Any, tuple]:
 #: The answers of the set kernels: of an update, of a take from nothing.
 _OK_NONE = (OK, None)
 _OK_FAIL = (OK, "Fail")
-#: What a take leaves of a queue (all but the head), of a stack (all but
-#: the top).
-_AFTER_HEAD = slice(1, None)
-_BELOW_TOP = slice(None, -1)
+
+
+class _Block(frozenset):
+    """k >= 2 distinct values at one position of a compact queue or stack
+    state, standing for every order of them."""
+
+    __slots__ = ()
+
+
+def _concrete(state: tuple) -> Iterable[tuple]:
+    """Every concrete state *state* stands for."""
+    if _Block not in map(type, state):
+        return (state,)
+    orders = [
+        permutations(item) if type(item) is _Block else ((item,),)
+        for item in state
+    ]
+    return (tuple(chain.from_iterable(choice)) for choice in product(*orders))
 
 
 def _appended(model: "SequentialModel", states, invocation) -> dict:
@@ -84,21 +111,37 @@ def _appended(model: "SequentialModel", states, invocation) -> dict:
     return {_OK_NONE: {state + (value,) for state in states}}
 
 
-def _taken(states, end: int, rest: slice) -> dict:
-    """``TryDequeue`` / ``TryPop`` over *states*, one grouping pass: a
-    state answers ``ok(state[end])`` and moves to ``state[rest]``; the
-    empty state answers ``ok("Fail")`` and stays.  A state whose taken
-    element is ``"Fail"`` answers the same, so the empty state joins its
-    group rather than replacing it."""
+def _taken(states, front: bool) -> dict:
+    """``TryDequeue`` (from the *front*) / ``TryPop`` (from the back) over
+    *states*, one grouping pass: a state answers with the element it
+    gives up and moves to the rest; the empty state answers
+    ``ok("Fail")`` and stays.  A state whose taken element is ``"Fail"``
+    answers the same, so the empty state joins its group rather than
+    replacing it.  A Block at that end gives up each of its values in
+    turn and keeps the others: two or more stay a Block, one is a plain
+    value again."""
+    end, rest = (0, slice(1, None)) if front else (-1, slice(None, -1))
     groups: dict = {}
     empty = False
     for state in states:
         if not state:
             empty = True
             continue
-        group = groups.get(state[end])
+        taken = state[end]
+        if type(taken) is _Block:
+            for value in taken:
+                kept = taken - {value}
+                kept = (_Block(kept),) if len(kept) > 1 else tuple(kept)
+                after = kept + state[rest] if front else state[rest] + kept
+                group = groups.get(value)
+                if group is None:
+                    groups[value] = {after}
+                else:
+                    group.add(after)
+            continue
+        group = groups.get(taken)
         if group is None:
-            groups[state[end]] = {state[rest]}
+            groups[taken] = {state[rest]}
         else:
             group.add(state[rest])
     answers = {(OK, taken): group for taken, group in groups.items()}
@@ -115,7 +158,8 @@ class SequentialModel:
     """One deterministic sequential type: state + transition function.
 
     A model implements :meth:`step`; :meth:`apply` and :meth:`step_set`
-    are derived from it, and a model may override :meth:`step_set`.
+    are derived from it, and a model may override :meth:`step_set`, and
+    with it :meth:`compact`, :meth:`count` and :meth:`expand`.
     """
 
     #: registry name (``--model NAME`` on the command line).
@@ -140,7 +184,9 @@ class SequentialModel:
         This loop is the definition: an override must return equal
         answers as one key (as a dict does: ``ok(1)`` and ``ok(True)``
         are one group), leave blocked states out, raise where the loop
-        raises, and hand out fresh sets the caller owns.
+        raises, and hand out fresh sets the caller owns.  A model whose
+        :meth:`compact` makes compact states must step them here, to
+        successors that stand for what the loop gives on :meth:`expand`.
         """
         groups: dict[tuple, set[Hashable]] = {}
         step = self.step
@@ -154,6 +200,19 @@ class SequentialModel:
             else:
                 group.add(new_state)
         return groups
+
+    def compact(self, states: set[Hashable]) -> set[Hashable]:
+        """*states* as fewer states that stand for the same ones, or
+        *states* itself; the base class never compacts."""
+        return states
+
+    def count(self, states: Collection[Hashable]) -> int:
+        """How many concrete states *states* stands for."""
+        return len(states)
+
+    def expand(self, states: Collection[Hashable]) -> Iterable[Hashable]:
+        """The concrete states *states* stands for."""
+        return states
 
     def apply(
         self, state: Hashable, invocation: Invocation
@@ -226,10 +285,73 @@ class CounterModel(SequentialModel):
         raise self._bad(invocation)
 
 
-class QueueModel(SequentialModel):
+class _SequenceModel(SequentialModel):
+    """A queue or a stack: a tuple state that one method appends to and
+    one method takes from, compact states included (module docstring)."""
+
+    #: the appending method, the taking method, and whether it takes
+    #: from the front (a queue) or the back (a stack).
+    _APPEND: str
+    _TAKE: str
+    _FRONT: bool
+
+    def step_set(self, states, invocation):
+        if invocation.method == self._APPEND:
+            return _appended(self, states, invocation)
+        if invocation.method == self._TAKE:
+            return _taken(states, self._FRONT)
+        return super().step_set(self.expand(states), invocation)
+
+    def compact(self, states):
+        """A set of k! states that share a prefix and end in the k!
+        orders of k >= 2 distinct plain values becomes the one state
+        ``prefix + (Block(values),)``; any other set stays as it is."""
+        k = size = 1
+        while size < len(states):
+            k += 1
+            size *= k
+        if k < 2 or size != len(states):
+            return states
+        first = next(iter(states))
+        cut = len(first) - k
+        if cut < 0:
+            return states
+        prefix, values = first[:cut], set(first[cut:])
+        if len(values) != k:
+            return states
+        for state in states:
+            suffix = state[cut:]
+            if (
+                len(suffix) != k
+                or state[:cut] != prefix
+                or _Block in map(type, suffix)
+                or set(suffix) != values
+            ):
+                return states
+        return {prefix + (_Block(values),)}
+
+    def count(self, states):
+        total = 0
+        for state in states:
+            if _Block in map(type, state):
+                orders = 1
+                for item in state:
+                    if type(item) is _Block:
+                        orders *= factorial(len(item))
+                total += orders
+            else:
+                total += 1
+        return total
+
+    def expand(self, states):
+        return chain.from_iterable(map(_concrete, states))
+
+
+class QueueModel(_SequenceModel):
     """FIFO queue with the ``ConcurrentQueue`` alphabet (Fig. 1)."""
 
     name = "queue"
+    _APPEND, _TAKE, _FRONT = "Enqueue", "TryDequeue", True
 
     def initial_state(self) -> Hashable:
         return ()
@@ -252,18 +374,12 @@ class QueueModel(SequentialModel):
             return _ok(state, state)
         raise self._bad(invocation)
 
-    def step_set(self, states, invocation):
-        if invocation.method == "Enqueue":
-            return _appended(self, states, invocation)
-        if invocation.method == "TryDequeue":
-            return _taken(states, 0, _AFTER_HEAD)
-        return super().step_set(states, invocation)
 
-
-class StackModel(SequentialModel):
+class StackModel(_SequenceModel):
     """LIFO stack with the ``ConcurrentStack`` alphabet."""
 
     name = "stack"
+    _APPEND, _TAKE, _FRONT = "Push", "TryPop", False
 
     def initial_state(self) -> Hashable:
         return ()  # top of the stack is the last element
@@ -285,13 +401,6 @@ class StackModel(SequentialModel):
         if method == "Clear":
             return _ok(())
         raise self._bad(invocation)
-
-    def step_set(self, states, invocation):
-        if invocation.method == "Push":
-            return _appended(self, states, invocation)
-        if invocation.method == "TryPop":
-            return _taken(states, -1, _BELOW_TOP)
-        return super().step_set(states, invocation)
 
 
 class SetModel(SequentialModel):

@@ -16,40 +16,40 @@ Public surface:
   exploration strategies (exhaustive / sampled / single replay).
 """
 
-from repro.runtime.coop import CoopScheduler
-from repro.runtime.env import Runtime
-from repro.runtime.errors import (
-    DecisionReplayError,
-    ExecutionAbort,
-    SchedulerError,
-)
-from repro.runtime.locks import Lock
-from repro.runtime.monitor import Monitor
-from repro.runtime.memory import (
-    AccessRecord,
-    AtomicCell,
-    PlainCell,
-    SharedDict,
-    SharedList,
-    VolatileCell,
-)
-from repro.runtime.scheduler import (
-    Decision,
-    ExecutionOutcome,
-    Scheduler,
-    SchedulingStrategy,
-    thread_name,
-)
-from repro.runtime.strategies import (
-    DFSStrategy,
-    IterativeDFSStrategy,
-    PCTStrategy,
-    RandomStrategy,
-    ReplayStrategy,
-    dfs_with_reduction,
-    strategy_from_snapshot,
-)
-from repro.runtime.watchdog import WatchdogConfig, interrupt_thread
+from repro._lazy import lazy_exports
+
+#: Each public name and the module that defines it, imported on first use:
+#: the engine names below are all the CLI needs to build its parser, and
+#: ``watch`` loads no scheduler to read them.
+_EXPORTS = {
+    "CoopScheduler": "repro.runtime.coop",
+    "Runtime": "repro.runtime.env",
+    "DecisionReplayError": "repro.runtime.errors",
+    "ExecutionAbort": "repro.runtime.errors",
+    "SchedulerError": "repro.runtime.errors",
+    "Lock": "repro.runtime.locks",
+    "AccessRecord": "repro.runtime.memory",
+    "AtomicCell": "repro.runtime.memory",
+    "PlainCell": "repro.runtime.memory",
+    "SharedDict": "repro.runtime.memory",
+    "SharedList": "repro.runtime.memory",
+    "VolatileCell": "repro.runtime.memory",
+    "Monitor": "repro.runtime.monitor",
+    "Decision": "repro.runtime.scheduler",
+    "ExecutionOutcome": "repro.runtime.scheduler",
+    "Scheduler": "repro.runtime.scheduler",
+    "SchedulingStrategy": "repro.runtime.scheduler",
+    "thread_name": "repro.runtime.scheduler",
+    "dfs_with_reduction": "repro.runtime.strategies",
+    "DFSStrategy": "repro.runtime.strategies",
+    "IterativeDFSStrategy": "repro.runtime.strategies",
+    "PCTStrategy": "repro.runtime.strategies",
+    "RandomStrategy": "repro.runtime.strategies",
+    "ReplayStrategy": "repro.runtime.strategies",
+    "strategy_from_snapshot": "repro.runtime.strategies",
+    "interrupt_thread": "repro.runtime.watchdog",
+    "WatchdogConfig": "repro.runtime.watchdog",
+}
 
 #: Engine names accepted by :func:`make_scheduler` and the CLI.
 ENGINES = ("baton", "coop")
@@ -60,8 +60,12 @@ DEFAULT_ENGINE = "baton"
 def make_scheduler(engine: str = DEFAULT_ENGINE, **kwargs):
     """Build a scheduler by engine name (``"baton"`` or ``"coop"``)."""
     if engine == "baton":
+        from repro.runtime.scheduler import Scheduler
+
         return Scheduler(**kwargs)
     if engine == "coop":
+        from repro.runtime.coop import CoopScheduler
+
         return CoopScheduler(**kwargs)
     raise ValueError(
         f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
@@ -100,3 +104,5 @@ __all__ = [
     "strategy_from_snapshot",
     "thread_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

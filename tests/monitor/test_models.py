@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -364,3 +365,65 @@ def test_take_from_nothing_joins_an_equal_answer(name, take, states):
         ("ok", "Fail"): {(), (1,)},
         ("ok", 1): {(2,), (3,)},
     }
+
+
+
+# -- compact states: what a queue's or a stack's state set stands for -----------
+
+
+def folded(name, values):
+    """The one compact state the k! orders of *values* fold into."""
+    (state,) = get_model(name).compact(set(itertools.permutations(values)))
+    return state
+
+
+def compact_states_of(name):
+    """A queue or stack state that may hold Blocks: plain values and
+    Blocks of two or three values distinct by ``==``, in any order."""
+    item = st.one_of(
+        values_of(name).map(lambda value: (value,)),
+        st.frozensets(values_of(name), min_size=2, max_size=3).map(
+            lambda values: folded(name, values)
+        ),
+    )
+    return st.lists(item, max_size=3).map(lambda items: sum(items, ()))
+
+
+@pytest.mark.parametrize("name", ["queue", "stack"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_step_set_on_compact_states_is_the_loop_on_what_they_stand_for(name, data):
+    model = get_model(name)
+    states = data.draw(st.sets(compact_states_of(name), max_size=6), label="states")
+    concrete = list(model.expand(states))
+    assert model.count(states) == len(concrete)
+    for method, arity in sorted(METHODS[name].items()):
+        invocation = Invocation(method, data.draw(st.tuples(*[values_of(name)] * arity)))
+        got = model.step_set(states, invocation)
+        want = base_step_set(model, set(concrete), invocation)
+        assert {answer: set(model.expand(group)) for answer, group in got.items()} == want
+        if method in ("Enqueue", "Push", "TryDequeue", "TryPop"):
+            # The kernels step compact states without expanding them: a
+            # state gives at most one successor per value of its Block.
+            assert sum(map(len, got.values())) <= max(len(states), 1) * 3
+
+
+@pytest.mark.parametrize("name", ["queue", "stack"])
+def test_compact_folds_exactly_every_order(name):
+    model = get_model(name)
+    orders = {(9, *order) for order in itertools.permutations((1, 2, 3))}
+    (state,) = model.compact(orders)
+    assert state[0] == 9 and len(state) == 2
+    assert set(model.expand({state})) == orders and model.count({state}) == 6
+    # Anything short of every order, or values that are not distinct,
+    # stays as it is.
+    for kept in (
+        orders - {(9, 1, 2, 3)},
+        {(1, 1, 2), (1, 2, 1), (2, 1, 1)},
+        {(0, 1, 2), (5, 2, 1)},
+        {(1, 2), (2, 1, 0)},
+    ):
+        assert model.compact(kept) is kept
+    # The base class never compacts and counts with len.
+    assert SequentialModel.compact(model, orders) is orders
+    assert SequentialModel.count(model, orders) == 6

@@ -19,7 +19,10 @@ same may-or-may-not-have-happened semantics on both sides.
 
 :func:`generate_stream` is the stream corpus: a simulated atomic object
 driven by 2–5 logical threads, so a stream is linearizable unless a
-response is corrupted on its way out.
+response is corrupted on its way out.  :func:`generate_burst_stream`
+adds queue and stack streams in rounds, shaped like perfbench's window
+trace: there the checker folds a burst of concurrent appends into one
+compact state, and the live sets are compared concretely.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import itertools
+import math
 import os
 import random
 
@@ -138,11 +142,13 @@ def feed(checker, event):
 
 
 def bucketed_live_set(checker: IncrementalChecker):
-    # Buckets key their maps by (key, (kind, value)) already.
+    # Buckets key their maps by (key, (kind, value)) already.  A compact
+    # state counts as every concrete state it stands for, so two compact
+    # states that stand for overlapping sets fail the duplicate check.
     flat = [
         (state, frozenset((key, *answer) for key, answer in linmap))
         for linmap, states in checker._configs.items()
-        for state in states
+        for state in checker.model.expand(states)
     ]
     assert all(checker._configs.values()), "an empty bucket was kept"
     assert len(flat) == len(set(flat)) == checker.live_configs
@@ -353,6 +359,116 @@ def test_equal_open_invocations_match_reference(model_name):
                     assert wgl_check(as_history(events[:cut], 5), model).ok == online_ok
     assert outcomes == {"pass", "fail", "cap"}
     assert kinds == {"committed", "merged", "alone"}
+
+
+# -- bursts: rounds of concurrent operations, as perfbench's trace generator --
+
+#: model → (the appending method, the taking method).
+BURST_METHODS = {"queue": ("Enqueue", "TryDequeue"), "stack": ("Push", "TryPop")}
+BURST_ROUNDS = 6
+P_STRAGGLE = 0.15  #: a return held back until the next round has called
+#: The orders that the rounds since the last take may leave (the product
+#: of their sizes' factorials) stay under this, which keeps the
+#: flat reference's closures small: 3!·3! fits, 4!·4! does not.
+BURST_ORDERS = 150
+
+
+def generate_burst_stream(seed, model_name: str, window: int, corrupt: float):
+    """One stream of rounds over *window* sessions.
+
+    In each round every free session calls (in a random order), the
+    operations take effect on one shared model state (in a second random
+    order), then they return (in a third).  A round appends — fresh
+    distinct values, now and then one from ``ALPHABETS``, so that bursts
+    collide — or takes, or draws from the whole alphabet; a round that
+    would pile up more than ``BURST_ORDERS`` orders takes instead.  A
+    straggler returns only after the next round has called, and sits
+    that round out, so a burst may overlap the next.  A *corrupt* share
+    of the returns carries a response the object never gave.
+    """
+    rng = random.Random(f"burst:{model_name}:{window}:{corrupt}:{seed}")
+    model = get_model(model_name)
+    append, take = BURST_METHODS[model_name]
+    state = model.initial_state()
+    op_index = [0] * window
+    seen_values: list = ["Fail", 0, 1, True]
+    fresh = itertools.count(10)
+    events = []
+    stragglers: list = []
+    orders = 1
+    for _ in range(BURST_ROUNDS):
+        busy = {event[1] for event in stragglers}
+        sessions = [s for s in range(window) if s not in busy]
+        rng.shuffle(sessions)
+        kind = rng.choice(("append", "append", "take", "take", "mixed"))
+        if kind != "take":
+            orders *= math.factorial(len(sessions))
+        if kind == "take" or orders > BURST_ORDERS:
+            kind, orders = "take", 1
+        invocations = {}
+        for session in sessions:
+            if kind == "append":
+                value = next(fresh) if rng.random() < 0.85 else rng.choice(seen_values)
+                invocations[session] = Invocation(append, (value,))
+            elif kind == "take":
+                invocations[session] = Invocation(take)
+            else:
+                method, values = rng.choice(ALPHABETS[model_name])
+                args = () if values is None else (rng.choice(values),)
+                invocations[session] = Invocation(method, args)
+            events.append(("call", session, op_index[session], invocations[session]))
+        returns = stragglers
+        stragglers = []
+        for session in rng.sample(sessions, len(sessions)):
+            state, response = model.apply(state, invocations[session])
+            seen_values.append(response.value)
+            if rng.random() < corrupt:
+                response = Response.of(rng.choice(seen_values))
+            event = ("return", session, op_index[session], response)
+            op_index[session] += 1
+            if rng.random() < P_STRAGGLE:
+                stragglers.append(event)
+            else:
+                returns.append(event)
+        events.extend(rng.sample(returns, len(returns)))
+    return events + stragglers
+
+
+def holds_compact_state(checker: IncrementalChecker) -> bool:
+    return any(
+        checker.model.count(states) > len(states)
+        for states in checker._configs.values()
+    )
+
+
+@pytest.mark.parametrize("model_name", sorted(BURST_METHODS))
+@pytest.mark.parametrize("window", [2, 3, 4, 5])
+def test_burst_streams_match_reference(model_name, window):
+    model = get_model(model_name)
+    outcomes = set()
+    compacted = False
+    for corrupt in CORRUPTION:
+        for seed in SEEDS:
+            events = generate_burst_stream(seed, model_name, window, corrupt)
+            probe = IncrementalChecker(model)
+            for event in events:
+                if feed(probe, event) is False:
+                    break
+                compacted = compacted or holds_compact_state(probe)
+            for cap in CAPS:
+                stop, how = run_both(events, model, cap)
+                outcomes.add(how)
+                if cap is not None:
+                    continue
+                # The offline column, as for the random streams.
+                if how == "fail":
+                    assert not wgl_check(as_history(events[: stop + 1], window), model).ok
+                    assert wgl_check(as_history(events[:stop], window), model).ok
+                else:
+                    assert wgl_check(as_history(events, window), model).ok
+    # Every size of corpus folds a burst, passes, fails and trips a cap.
+    assert compacted
+    assert outcomes == {"pass", "fail", "cap"}
 
 
 # -- the perfbench window trace: the counts the claimed gain is tied to -------

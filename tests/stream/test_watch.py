@@ -471,6 +471,26 @@ class TestWatchCli:
         code = main(["watch", path])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["watch", "monitor"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
+    def test_an_unreadable_trace_is_blamed_on_the_file(
+        self, tmp_path, capsys, command, kind
+    ):
+        # Without --model the header is read for it; a file that cannot
+        # be read is reported as it is, never as a missing --model.
+        path = str(tmp_path / "t.jsonl")
+        if kind == "directory":
+            os.mkdir(path)
+        elif kind == "empty":
+            open(path, "w").close()
+        assert main([command, path]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--model" not in err
+        assert repr(path) in err
+        want = {"missing": "No such file", "directory": "Is a directory",
+                "empty": "is empty"}[kind]
+        assert want in err
+
     def test_watch_shards_on_unpartitionable_model_usage_error(
         self, tmp_path, capsys
     ):
