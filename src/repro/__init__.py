@@ -69,36 +69,6 @@ _EXPORTS = {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignResult",
-    "CheckConfig",
-    "CheckResult",
-    "DFSStrategy",
-    "DOTNET_POLICIES",
-    "InterferencePolicy",
-    "InterferenceRule",
-    "IterativeDFSStrategy",
-    "FiniteTest",
-    "Invocation",
-    "ObservationSet",
-    "RandomStrategy",
-    "ReplayStrategy",
-    "Response",
-    "Runtime",
-    "Scheduler",
-    "SystemUnderTest",
-    "TestHarness",
-    "Violation",
-    "__version__",
-    "auto_check",
-    "check",
-    "check_against_observations",
-    "check_relaxed",
-    "check_with_harness",
-    "minimize_failing_test",
-    "random_check",
-    "render_check_result",
-    "render_violation",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1908,33 +1908,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Exceptions that are usage errors besides :class:`CliError`, by the
-#: module that defines them: an unreadable checkpoint, and a model that
-#: cannot read its input (name, method or arity unknown) — an input
-#: error, not a FAIL.
-_USAGE_ERRORS = (
-    ("repro.core.checkpoint", "CheckpointError"),
-    ("repro.monitor.models", "ModelError"),
-)
-
-
-def _is_usage_error(exc: Exception) -> bool:
-    """Whether *exc* is a usage error.  A module no command imported
-    raised nothing, so its error class is not imported to find out."""
-    if isinstance(exc, CliError):
-        return True
-    for module_name, class_name in _USAGE_ERRORS:
-        module = sys.modules.get(module_name)
-        if module is not None and isinstance(exc, getattr(module, class_name)):
-            return True
-    return False
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -1942,7 +1923,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception as exc:
-        if not _is_usage_error(exc):
+        # An unreadable checkpoint, and a model that cannot read its input
+        # (name, method or arity unknown), are input errors, not a FAIL;
+        # imported here so that no other path pays for them.
+        from repro.core.checkpoint import CheckpointError
+        from repro.monitor import ModelError
+
+        if not isinstance(exc, (CheckpointError, ModelError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

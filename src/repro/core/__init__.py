@@ -75,59 +75,6 @@ _EXPORTS = {
     "is_witness_for": "repro.core.witness",
 }
 
-__all__ = [
-    "BudgetMeter",
-    "CampaignResult",
-    "CheckConfig",
-    "CheckResult",
-    "CheckpointError",
-    "Checkpointer",
-    "DOTNET_POLICIES",
-    "ExplorationBudget",
-    "ExplorationControl",
-    "Event",
-    "FiniteTest",
-    "HarnessError",
-    "History",
-    "InterferencePolicy",
-    "InterferenceRule",
-    "Invocation",
-    "NondeterminismWitness",
-    "ObservationFileError",
-    "ObservationSet",
-    "Operation",
-    "Profile",
-    "Response",
-    "SerialHistory",
-    "SerialStep",
-    "SystemUnderTest",
-    "TestHarness",
-    "VERDICT_PRECEDENCE",
-    "Violation",
-    "atomic_write_text",
-    "auto_check",
-    "brute_force_full_witness",
-    "check",
-    "check_against_observations",
-    "check_full_history",
-    "check_relaxed",
-    "check_stuck_history",
-    "check_with_harness",
-    "enumerate_tests",
-    "is_witness_for",
-    "load_checkpoint",
-    "load_observations",
-    "minimize_failing_test",
-    "observations_from_xml",
-    "observations_to_xml",
-    "random_check",
-    "render_check_result",
-    "render_timeline",
-    "render_violation",
-    "sample_tests",
-    "save_checkpoint",
-    "save_observations",
-    "worst_verdict",
-]
+__all__ = sorted(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

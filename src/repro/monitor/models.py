@@ -20,16 +20,19 @@ override it with a kernel that steps the whole set in one pass (the
 queue's and the stack's do, for the methods the online closure of
 :mod:`repro.monitor.incremental` spends its time in).
 
-A queue's or a stack's states may also be *compact*: a :class:`_Block`
-element — k >= 2 distinct values — stands at one position for every
-order of its values, so ``(Block{0,1,2,3},)`` is the 24 states that four
-concurrent ``Enqueue``s can leave.  ``compact(states)`` folds a set that
-is exactly such a family into its one compact state (the base class
-keeps every set as it is); ``count(states)`` is how many concrete states
-a set stands for (``len`` in the base class); ``expand(states)`` yields
-them.  Only ``step_set`` steps a compact state: the queue's and the
-stack's take one answer per value of a head or top Block, and every other
-method expands first.  ``step`` never sees one.
+A queue's states may also be *compact*: a :class:`_Block` element —
+k >= 2 distinct values — stands at one position for every order of its
+values, so ``(Block{0,1,2,3},)`` is the 24 states that four concurrent
+``Enqueue``s can leave.  ``compact(states)`` folds a set that is exactly
+such a family into its one compact state (the base class keeps every set
+as it is); ``count(states)`` is how many concrete states a set stands
+for (``len`` in the base class); ``expand(states)`` yields them.  Only
+``step_set`` steps a compact state: the queue's ``TryDequeue`` takes one
+answer per value of a head Block, and every other method but
+``Enqueue`` expands first.  ``step`` never sees one.  The stack does not
+compact: a ``Push`` then a ``TryPop`` of the pushed value leaves a top
+Block whole where the other order splits it, so two states of one set
+could stand for the same concrete state and the count would be wrong.
 
 ``step`` returns ``(state, None)`` when the invocation *blocks* in that
 state (e.g. ``dec`` of the counter at zero) — the monitor uses this both
@@ -85,8 +88,8 @@ _OK_FAIL = (OK, "Fail")
 
 
 class _Block(frozenset):
-    """k >= 2 distinct values at one position of a compact queue or stack
-    state, standing for every order of them."""
+    """k >= 2 distinct values at one position of a compact queue state,
+    standing for every order of them."""
 
     __slots__ = ()
 
@@ -117,9 +120,9 @@ def _taken(states, front: bool) -> dict:
     gives up and moves to the rest; the empty state answers
     ``ok("Fail")`` and stays.  A state whose taken element is ``"Fail"``
     answers the same, so the empty state joins its group rather than
-    replacing it.  A Block at that end gives up each of its values in
-    turn and keeps the others: two or more stay a Block, one is a plain
-    value again."""
+    replacing it.  A Block at the front (only a queue compacts) gives up
+    each of its values in turn and keeps the others: two or more stay a
+    Block, one is a plain value again."""
     end, rest = (0, slice(1, None)) if front else (-1, slice(None, -1))
     groups: dict = {}
     empty = False
@@ -132,7 +135,7 @@ def _taken(states, front: bool) -> dict:
             for value in taken:
                 kept = taken - {value}
                 kept = (_Block(kept),) if len(kept) > 1 else tuple(kept)
-                after = kept + state[rest] if front else state[rest] + kept
+                after = kept + state[1:]
                 group = groups.get(value)
                 if group is None:
                     groups[value] = {after}
@@ -287,7 +290,8 @@ class CounterModel(SequentialModel):
 
 class _SequenceModel(SequentialModel):
     """A queue or a stack: a tuple state that one method appends to and
-    one method takes from, compact states included (module docstring)."""
+    one method takes from, a queue's compact states included (module
+    docstring)."""
 
     #: the appending method, the taking method, and whether it takes
     #: from the front (a queue) or the back (a stack).
@@ -301,6 +305,39 @@ class _SequenceModel(SequentialModel):
         if invocation.method == self._TAKE:
             return _taken(states, self._FRONT)
         return super().step_set(self.expand(states), invocation)
+
+
+class QueueModel(_SequenceModel):
+    """FIFO queue with the ``ConcurrentQueue`` alphabet (Fig. 1).
+
+    The queue compacts, exactly: ``TryDequeue`` takes a head Block's
+    values before anything enqueued after it, whatever the order of the
+    two, so the states of one bucket stand for disjoint sets of concrete
+    states."""
+
+    name = "queue"
+    _APPEND, _TAKE, _FRONT = "Enqueue", "TryDequeue", True
+
+    def initial_state(self) -> Hashable:
+        return ()
+
+    def step(self, state, invocation):
+        method = invocation.method
+        if method == "Enqueue":
+            return _ok(state + (self._arg(invocation),))
+        if method == "TryDequeue":
+            if not state:
+                return _ok(state, "Fail")
+            return _ok(state[1:], state[0])
+        if method == "TryPeek":
+            return _ok(state, state[0] if state else "Fail")
+        if method == "IsEmpty":
+            return _ok(state, not state)
+        if method == "Count":
+            return _ok(state, len(state))
+        if method == "ToArray":
+            return _ok(state, state)
+        raise self._bad(invocation)
 
     def compact(self, states):
         """A set of k! states that share a prefix and end in the k!
@@ -345,34 +382,6 @@ class _SequenceModel(SequentialModel):
 
     def expand(self, states):
         return chain.from_iterable(map(_concrete, states))
-
-
-class QueueModel(_SequenceModel):
-    """FIFO queue with the ``ConcurrentQueue`` alphabet (Fig. 1)."""
-
-    name = "queue"
-    _APPEND, _TAKE, _FRONT = "Enqueue", "TryDequeue", True
-
-    def initial_state(self) -> Hashable:
-        return ()
-
-    def step(self, state, invocation):
-        method = invocation.method
-        if method == "Enqueue":
-            return _ok(state + (self._arg(invocation),))
-        if method == "TryDequeue":
-            if not state:
-                return _ok(state, "Fail")
-            return _ok(state[1:], state[0])
-        if method == "TryPeek":
-            return _ok(state, state[0] if state else "Fail")
-        if method == "IsEmpty":
-            return _ok(state, not state)
-        if method == "Count":
-            return _ok(state, len(state))
-        if method == "ToArray":
-            return _ok(state, state)
-        raise self._bad(invocation)
 
 
 class StackModel(_SequenceModel):

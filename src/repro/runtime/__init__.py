@@ -72,37 +72,6 @@ def make_scheduler(engine: str = DEFAULT_ENGINE, **kwargs):
     )
 
 
-__all__ = [
-    "AccessRecord",
-    "AtomicCell",
-    "CoopScheduler",
-    "Decision",
-    "DecisionReplayError",
-    "DEFAULT_ENGINE",
-    "DFSStrategy",
-    "ENGINES",
-    "ExecutionAbort",
-    "ExecutionOutcome",
-    "IterativeDFSStrategy",
-    "Lock",
-    "Monitor",
-    "PCTStrategy",
-    "PlainCell",
-    "RandomStrategy",
-    "ReplayStrategy",
-    "Runtime",
-    "Scheduler",
-    "SchedulerError",
-    "SchedulingStrategy",
-    "SharedDict",
-    "SharedList",
-    "VolatileCell",
-    "WatchdogConfig",
-    "dfs_with_reduction",
-    "interrupt_thread",
-    "make_scheduler",
-    "strategy_from_snapshot",
-    "thread_name",
-]
+__all__ = sorted([*_EXPORTS, "DEFAULT_ENGINE", "ENGINES", "make_scheduler"])
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -367,8 +367,7 @@ def test_take_from_nothing_joins_an_equal_answer(name, take, states):
     }
 
 
-
-# -- compact states: what a queue's or a stack's state set stands for -----------
+# -- compact states: what a queue's state set stands for -------------------------
 
 
 def folded(name, values):
@@ -378,8 +377,8 @@ def folded(name, values):
 
 
 def compact_states_of(name):
-    """A queue or stack state that may hold Blocks: plain values and
-    Blocks of two or three values distinct by ``==``, in any order."""
+    """A queue state that may hold Blocks: plain values and Blocks of
+    two or three values distinct by ``==``, in any order."""
     item = st.one_of(
         values_of(name).map(lambda value: (value,)),
         st.frozensets(values_of(name), min_size=2, max_size=3).map(
@@ -389,7 +388,7 @@ def compact_states_of(name):
     return st.lists(item, max_size=3).map(lambda items: sum(items, ()))
 
 
-@pytest.mark.parametrize("name", ["queue", "stack"])
+@pytest.mark.parametrize("name", ["queue"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_step_set_on_compact_states_is_the_loop_on_what_they_stand_for(name, data):
@@ -402,15 +401,14 @@ def test_step_set_on_compact_states_is_the_loop_on_what_they_stand_for(name, dat
         got = model.step_set(states, invocation)
         want = base_step_set(model, set(concrete), invocation)
         assert {answer: set(model.expand(group)) for answer, group in got.items()} == want
-        if method in ("Enqueue", "Push", "TryDequeue", "TryPop"):
+        if method in ("Enqueue", "TryDequeue"):
             # The kernels step compact states without expanding them: a
             # state gives at most one successor per value of its Block.
             assert sum(map(len, got.values())) <= max(len(states), 1) * 3
 
 
-@pytest.mark.parametrize("name", ["queue", "stack"])
-def test_compact_folds_exactly_every_order(name):
-    model = get_model(name)
+def test_compact_folds_exactly_every_order():
+    model = get_model("queue")
     orders = {(9, *order) for order in itertools.permutations((1, 2, 3))}
     (state,) = model.compact(orders)
     assert state[0] == 9 and len(state) == 2
@@ -427,3 +425,12 @@ def test_compact_folds_exactly_every_order(name):
     # The base class never compacts and counts with len.
     assert SequentialModel.compact(model, orders) is orders
     assert SequentialModel.count(model, orders) == 6
+
+
+def test_the_stack_never_compacts():
+    # A Push then a TryPop of the pushed value would leave a top Block
+    # whole where the other order splits it: not exact, so not done.
+    model = get_model("stack")
+    orders = set(itertools.permutations((1, 2, 3)))
+    assert model.compact(orders) is orders
+    assert model.count(orders) == 6
