@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 from repro.core.budget import BudgetMeter, ExplorationBudget, ExplorationControl
 from repro.core.harness import Phase1Stats, SystemUnderTest, TestHarness
@@ -49,10 +49,14 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
 __all__ = [
     "CheckConfig",
     "CheckResult",
+    "PHASE2_TALLY",
     "Violation",
     "check",
     "check_against_observations",
     "check_with_harness",
+    "phase2_tally",
+    "restore_phase2_tally",
+    "sum_tallies",
 ]
 
 #: Cap on the passing histories one phase 2 remembers (see ``_run_phase2``);
@@ -247,6 +251,43 @@ class CheckResult:
         return self.violations[0] if self.violations else None
 
 
+#: The phase-2 counts of one check, named once with their types.  The loop
+#: counts them, a checkpoint and a shard lease persist them, a lineage and
+#: the swarm merge sum them, and ``--json`` prints them; ``CheckResult``
+#: and ``SwarmResult`` hold each one as ``phase2_<name>``.
+PHASE2_TALLY: dict[str, type] = {
+    "executions": int,
+    "full": int,
+    "stuck": int,
+    "judged": int,
+    "divergent": int,
+    "seconds": float,
+}
+
+
+def phase2_tally(result: Any) -> dict:
+    """*result*'s phase-2 counts, keyed by :data:`PHASE2_TALLY`."""
+    return {name: getattr(result, f"phase2_{name}") for name in PHASE2_TALLY}
+
+
+def restore_phase2_tally(result: Any, counts: dict) -> None:
+    """Set *result*'s phase-2 counts from *counts*; a missing one is 0."""
+    for name, kind in PHASE2_TALLY.items():
+        setattr(result, f"phase2_{name}", kind(counts.get(name) or 0))
+
+
+def sum_tallies(
+    parts: Iterable[dict], names: dict[str, type] = PHASE2_TALLY
+) -> dict:
+    """The sum of each count in *names* over the dicts *parts*; a missing
+    count is 0, so an empty *parts* gives the zero tally."""
+    totals = {name: kind() for name, kind in names.items()}
+    for part in parts:
+        for name, kind in names.items():
+            totals[name] += kind(part.get(name) or 0)
+    return totals
+
+
 def check(
     subject: SystemUnderTest,
     test: FiniteTest,
@@ -335,12 +376,7 @@ def check_with_harness(
         from repro.reduction import FingerprintSet
 
         phase2_strategy = resume.strategy
-        result.phase2_executions = int(resume.phase2.get("executions", 0))
-        result.phase2_full = int(resume.phase2.get("full", 0))
-        result.phase2_stuck = int(resume.phase2.get("stuck", 0))
-        result.phase2_judged = int(resume.phase2.get("judged", 0))
-        result.phase2_divergent = int(resume.phase2.get("divergent", 0))
-        result.phase2_seconds = float(resume.phase2.get("seconds", 0.0))
+        restore_phase2_tally(result, resume.phase2)
         restored = FingerprintSet.from_snapshot(
             resume.phase2.get("fingerprints")
         )
@@ -606,11 +642,7 @@ def _run_phase2(
             phase1=result.phase1,
             phase1_seconds=result.phase1_seconds,
             phase2={
-                "executions": result.phase2_executions,
-                "full": result.phase2_full,
-                "stuck": result.phase2_stuck,
-                "judged": result.phase2_judged,
-                "divergent": result.phase2_divergent,
+                **phase2_tally(result),
                 "seconds": seconds_base + time.perf_counter() - t1,
                 "fingerprints": fingerprints.snapshot(),
             },

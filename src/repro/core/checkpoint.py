@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.checker import CheckConfig
+from repro.core.checker import CheckConfig, sum_tallies
 from repro.core.events import Invocation
 from repro.core.fileio import atomic_write_text
 from repro.core.harness import Phase1Stats
@@ -147,24 +147,6 @@ def config_from_dict(data: dict) -> CheckConfig:
         dump_traces=data.get("dump_traces"),
         reduction=data.get("reduction", "none"),
         engine=data.get("engine", DEFAULT_ENGINE),
-    )
-
-
-def _phase1_to_dict(stats: Phase1Stats) -> dict:
-    return {
-        "executions": stats.executions,
-        "histories": stats.histories,
-        "stuck_histories": stats.stuck_histories,
-        "divergent": stats.divergent,
-    }
-
-
-def _phase1_from_dict(data: dict) -> Phase1Stats:
-    return Phase1Stats(
-        executions=int(data.get("executions", 0)),
-        histories=int(data.get("histories", 0)),
-        stuck_histories=int(data.get("stuck_histories", 0)),
-        divergent=int(data.get("divergent", 0)),
     )
 
 
@@ -287,10 +269,9 @@ def build_check_state(
         "observations": (
             observations_to_xml(observations) if observations is not None else None
         ),
-        "phase1": _phase1_to_dict(phase1),
+        "phase1": phase1.to_dict(),
         "phase1_seconds": phase1_seconds,
-        "phase2": phase2
-        or {"executions": 0, "full": 0, "stuck": 0, "divergent": 0, "seconds": 0.0},
+        "phase2": phase2 or sum_tallies(()),
         "budget": budget_snapshot,
     }
 
@@ -326,7 +307,7 @@ def parse_check_state(document: dict) -> tuple[FiniteTest, CheckConfig, CheckRes
             phase=phase,
             strategy=strategy,
             observations=observations,
-            phase1=_phase1_from_dict(document.get("phase1", {})),
+            phase1=Phase1Stats.from_dict(document.get("phase1", {})),
             phase1_seconds=float(document.get("phase1_seconds", 0.0)),
             phase2=dict(document.get("phase2", {})),
             budget_snapshot=document.get("budget"),

@@ -165,6 +165,20 @@ class Phase1Stats:
     #: (budget trip, interrupt, or the legacy max_executions cap).
     complete: bool = True
 
+    def to_dict(self) -> dict:
+        """The counts a checkpoint persists (``stop_reason`` and
+        ``complete`` are not: a checkpointed phase 1 is one to resume)."""
+        return {
+            "executions": self.executions,
+            "histories": self.histories,
+            "stuck_histories": self.stuck_histories,
+            "divergent": self.divergent,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Phase1Stats":
+        return cls(**{name: int(data.get(name, 0)) for name in cls().to_dict()})
+
 
 class TestHarness:
     """Runs finite tests against one system under test.

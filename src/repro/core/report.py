@@ -10,12 +10,15 @@ any).
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.checker import (
     NO_FULL_WITNESS,
     NO_STUCK_WITNESS,
     NONDETERMINISTIC,
     CheckResult,
     Violation,
+    phase2_tally,
 )
 from repro.core.history import History
 from repro.core.observations import _op_ids_for_profile, history_line
@@ -27,6 +30,7 @@ __all__ = [
     "render_check_result",
     "render_generation_report",
     "render_violation",
+    "result_counts_to_dict",
 ]
 
 #: Distinct histories each reduction judges on the 3-thread gate test
@@ -210,23 +214,29 @@ def render_check_result(result: CheckResult) -> str:
 def check_result_to_dict(result: CheckResult) -> dict:
     """JSON-able summary of a :class:`CheckResult` (machine consumers)."""
     return {
+        **result_counts_to_dict(result),
+        "violations": [
+            {"kind": violation.kind, "description": violation.describe()}
+            for violation in result.violations
+        ],
+    }
+
+
+def result_counts_to_dict(result: Any) -> dict:
+    """The sections the ``--json`` documents of a check and of a sharded
+    check share: the verdict, phase 1, phase 2, the reduction and why
+    exploration stopped early."""
+    return {
         "verdict": result.verdict,
         "phase1": {
-            "executions": result.phase1.executions,
-            "histories": result.phase1.histories,
-            "stuck_histories": result.phase1.stuck_histories,
-            "divergent": result.phase1.divergent,
+            **result.phase1.to_dict(),
             "seconds": result.phase1_seconds,
             "complete": result.phase1.complete,
         },
         "phase2": {
-            "executions": result.phase2_executions,
-            "full": result.phase2_full,
-            "stuck": result.phase2_stuck,
-            "judged": result.phase2_judged,
-            "divergent": result.phase2_divergent,
-            "seconds": result.phase2_seconds,
+            **phase2_tally(result),
             "complete": result.phase2_complete,
+            "exhausted_reason": result.exhausted_reason,
         },
         "reduction": {
             "mode": result.reduction,
@@ -235,10 +245,6 @@ def check_result_to_dict(result: CheckResult) -> dict:
             "schedules_pruned": result.schedules_pruned,
         },
         "exhausted_reason": result.exhausted_reason,
-        "violations": [
-            {"kind": violation.kind, "description": violation.describe()}
-            for violation in result.violations
-        ],
     }
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.checker import PHASE2_TALLY, sum_tallies
 from repro.core.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -27,8 +28,10 @@ from repro.core.checkpoint import (
 )
 
 __all__ = [
+    "LEASE_TALLY",
     "SHARD_RESULT_KIND",
     "SWARM_KIND",
+    "lineage_verdict",
     "load_shard_result",
     "merge_lineage_states",
     "save_shard_result",
@@ -37,6 +40,14 @@ __all__ = [
 
 SWARM_KIND = "swarm"
 SHARD_RESULT_KIND = "shard-result"
+
+#: What a shard lease counts: the phase-2 tally plus the schedules its
+#: reduction pruned.  A lineage sums its leases' tallies; the merge sums
+#: the lineages', with their lease and retry records.
+LEASE_TALLY = {**PHASE2_TALLY, "pruned": int}
+_MERGE_TALLY = {
+    **LEASE_TALLY, "leases": int, "requeues": int, "retries": int, "crashes": int,
+}
 
 
 def shard_result_path(checkpoint_path: str, shard: int) -> str:
@@ -88,49 +99,31 @@ def merge_lineage_states(states: Iterable[dict]) -> dict:
     from repro.core.verdict import worst_verdict
     from repro.reduction import FingerprintSet
 
+    states = list(states)
     union = FingerprintSet()
-    totals = {
-        "executions": 0,
-        "full": 0,
-        "stuck": 0,
-        "judged": 0,
-        "divergent": 0,
-        "pruned": 0,
-        "seconds": 0.0,
-        "leases": 0,
-        "requeues": 0,
-        "retries": 0,
-        "crashes": 0,
-    }
-    verdicts: list[str] = []
-    violations: list[dict] = []
-    crash_reports: list[str] = []
     local_classes = 0
-    quarantined = 0
-    settled = True
     for state in states:
-        verdicts.append(
-            state.get("verdict") or ("PASS" if state.get("settled") else "EXHAUSTED")
-        )
-        if not state.get("settled"):
-            settled = False
-        for key in totals:
-            totals[key] += state.get(key) or 0
         digests = state.get("fingerprints") or []
         local_classes += len(set(digests))
         union.update(digests)
-        violations.extend(state.get("violations") or [])
-        if state.get("crash_report"):
-            crash_reports.append(state["crash_report"])
-        if state.get("verdict") == "CRASHED":
-            quarantined += 1
     return {
-        "verdict": worst_verdict(verdicts),
-        "totals": totals,
+        "verdict": worst_verdict(lineage_verdict(state) for state in states),
+        "totals": sum_tallies(states, _MERGE_TALLY),
         "equivalence_classes": len(union),
         "classes_rediscovered": local_classes - len(union),
-        "violations": violations,
-        "crash_reports": crash_reports,
-        "quarantined": quarantined,
-        "complete": settled,
+        "violations": [
+            violation
+            for state in states
+            for violation in state.get("violations") or ()
+        ],
+        "crash_reports": [
+            state["crash_report"] for state in states if state.get("crash_report")
+        ],
+        "quarantined": sum(state.get("verdict") == "CRASHED" for state in states),
+        "complete": all(state.get("settled") for state in states),
     }
+
+
+def lineage_verdict(state: dict) -> str:
+    """A lineage's verdict; an unsettled one is EXHAUSTED."""
+    return state.get("verdict") or ("PASS" if state.get("settled") else "EXHAUSTED")

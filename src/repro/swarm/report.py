@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.harness import Phase1Stats
-from repro.core.report import reduced_pass_note
+from repro.core.report import reduced_pass_note, result_counts_to_dict
 
 __all__ = [
     "ShardReport",
@@ -55,6 +55,8 @@ class SwarmResult:
     #: starts with an empty PASS memo, see ``CheckResult.phase2_judged``).
     phase2_judged: int = 0
     phase2_divergent: int = 0
+    #: the leases' worker seconds, summed (``swarm.cpu_seconds`` in JSON).
+    phase2_seconds: float = 0.0
     schedules_explored: int = 0
     schedules_pruned: int = 0
     equivalence_classes: int = 0
@@ -72,7 +74,6 @@ class SwarmResult:
     quarantined: int = 0
     crash_reports: list[str] = field(default_factory=list)
     wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0  #: sum of per-lease worker seconds
 
     @property
     def passed(self) -> bool:
@@ -105,7 +106,7 @@ def render_swarm_result(result: SwarmResult) -> str:
             f"phase 2: {result.phase2_executions} schedules across "
             f"{len(result.shards)} shards ({result.leases} leases) "
             f"in {result.wall_seconds:.2f}s wall / "
-            f"{result.cpu_seconds:.2f}s worker"
+            f"{result.phase2_seconds:.2f}s worker"
         ),
         (
             f"classes: {result.equivalence_classes} distinct "
@@ -150,61 +151,25 @@ def render_swarm_result(result: SwarmResult) -> str:
 
 
 def swarm_result_to_dict(result: SwarmResult) -> dict:
-    """JSON summary of a swarm run (the CLI's ``--json`` output)."""
+    """JSON summary of a swarm run (the CLI's ``--json`` output): the
+    check document plus ``subject``, ``swarm``, ``crash_reports`` and
+    ``reduction.classes_rediscovered``.  Violations arrive rendered by
+    the workers; only their kinds are printed."""
+    document = result_counts_to_dict(result)
+    document["reduction"]["classes_rediscovered"] = result.classes_rediscovered
     return {
-        "verdict": result.verdict,
         "subject": result.subject,
-        "phase1": {
-            "executions": result.phase1.executions,
-            "histories": result.phase1.histories,
-            "stuck_histories": result.phase1.stuck_histories,
-            "divergent": result.phase1.divergent,
-            "seconds": result.phase1_seconds,
-        },
-        "phase2": {
-            "executions": result.phase2_executions,
-            "full": result.phase2_full,
-            "stuck": result.phase2_stuck,
-            "judged": result.phase2_judged,
-            "divergent": result.phase2_divergent,
-            "complete": result.phase2_complete,
-            "exhausted_reason": result.exhausted_reason,
-        },
-        "reduction": {
-            "mode": result.reduction,
-            "schedules_explored": result.schedules_explored,
-            "equivalence_classes": result.equivalence_classes,
-            "classes_rediscovered": result.classes_rediscovered,
-            "schedules_pruned": result.schedules_pruned,
-        },
+        **document,
+        "violations": [{"kind": v.get("kind")} for v in result.violations],
         "swarm": {
-            "shards": [
-                {
-                    "shard": shard.shard,
-                    "verdict": shard.verdict,
-                    "leases": shard.leases,
-                    "retries": shard.retries,
-                    "crashes": shard.crashes,
-                    "executions": shard.executions,
-                    "classes": shard.classes,
-                    "pruned": shard.pruned,
-                    "seconds": shard.seconds,
-                    "opaque": shard.opaque,
-                    "crash_report": shard.crash_report,
-                    "shard_checkpoint": shard.shard_checkpoint,
-                }
-                for shard in result.shards
-            ],
+            "shards": [asdict(shard) for shard in result.shards],
             "partition_probes": result.partition_probes,
             "leases": result.leases,
             "requeues": result.requeues,
             "resplits": result.resplits,
             "quarantined": result.quarantined,
             "wall_seconds": result.wall_seconds,
-            "cpu_seconds": result.cpu_seconds,
+            "cpu_seconds": result.phase2_seconds,
         },
-        "violations": [
-            {"kind": violation.get("kind")} for violation in result.violations
-        ],
         "crash_reports": result.crash_reports,
     }

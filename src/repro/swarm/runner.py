@@ -35,13 +35,16 @@ import importlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.budget import BudgetMeter, ExplorationControl
-from repro.core.checker import CheckConfig, _run_phase1
+from repro.core.checker import (
+    CheckConfig,
+    _run_phase1,
+    restore_phase2_tally,
+    sum_tallies,
+)
 from repro.core.checkpoint import (
-    _phase1_from_dict,
-    _phase1_to_dict,
     build_check_state,
     config_from_dict,
     config_to_dict,
@@ -49,7 +52,7 @@ from repro.core.checkpoint import (
     test_from_dict,
     test_to_dict,
 )
-from repro.core.harness import SystemUnderTest, TestHarness
+from repro.core.harness import Phase1Stats, SystemUnderTest, TestHarness
 from repro.core.observations import observations_from_xml, observations_to_xml
 from repro.exec.sandbox import DEFAULT_PROVIDER
 from repro.exec.supervisor import (
@@ -59,7 +62,9 @@ from repro.exec.supervisor import (
     WorkerPool,
 )
 from repro.swarm.merge import (
+    LEASE_TALLY,
     SWARM_KIND,
+    lineage_verdict,
     load_shard_result,
     merge_lineage_states,
     save_shard_result,
@@ -127,7 +132,13 @@ class _Lineage:
         self.crashes = 0
         self.leases = 0
         self.requeues = 0
-        self.outcomes: dict[int, Any] = {}  #: task index -> TaskOutcome
+        #: task index -> that lease's final summary.  A flaky-guard
+        #: amendment replaces its predecessor, so each lease's subtree
+        #: counts once.
+        self.summaries: dict[int, dict] = {}
+        #: what the lineage had produced when its shard file was written
+        #: (empty for a fresh lineage).
+        self.restored: dict = {}
         self.crash_report: str | None = None
         self.shard_checkpoint: str | None = None
         #: crash-retry counter carried into the next dispatch (used on
@@ -135,38 +146,15 @@ class _Lineage:
         self.prior_retries = 0
 
     def totals(self) -> dict:
-        """Coverage produced so far, derived from final lease outcomes.
-
-        Amended outcomes (the flaky-verdict guard can re-run a lease)
-        replace their predecessor in ``outcomes``, so deriving lazily
-        from the dict — instead of accumulating per event — counts each
-        lease's subtree exactly once.
-        """
-        agg: dict[str, Any] = {
-            "executions": 0,
-            "full": 0,
-            "stuck": 0,
-            "judged": 0,
-            "divergent": 0,
-            "pruned": 0,
-            "seconds": 0.0,
+        """Coverage produced so far: the restored totals plus every
+        lease's summary."""
+        parts = [self.restored, *map(self.summaries.get, sorted(self.summaries))]
+        digests = {d for part in parts for d in part.get("fingerprints") or ()}
+        return {
+            **sum_tallies(parts, LEASE_TALLY),
+            "fingerprints": sorted(digests),
+            "violations": [v for part in parts for v in part.get("violations") or ()],
         }
-        digests: set[str] = set()
-        violations: list[dict] = []
-        for index in sorted(self.outcomes):
-            summary = self.outcomes[index].summary
-            if not summary or summary.get("kind") != "shard":
-                continue
-            for key in (
-                "executions", "full", "stuck", "judged", "divergent", "pruned"
-            ):
-                agg[key] += int(summary.get(key) or 0)
-            agg["seconds"] += float(summary.get("seconds") or 0.0)
-            digests.update(summary.get("fingerprints") or ())
-            violations.extend(summary.get("violations") or ())
-        agg["fingerprints"] = sorted(digests)
-        agg["violations"] = violations
-        return agg
 
     def state(self) -> dict:
         """The shard-result file body for this lineage."""
@@ -195,33 +183,8 @@ class _Lineage:
         lineage.requeues = int(state.get("requeues") or 0)
         lineage.crash_report = state.get("crash_report")
         lineage.shard_checkpoint = state.get("shard_checkpoint")
-        # Restored coverage is carried as one synthetic settled outcome.
-        totals = {
-            key: state.get(key)
-            for key in (
-                "executions",
-                "full",
-                "stuck",
-                "judged",
-                "divergent",
-                "pruned",
-                "seconds",
-                "fingerprints",
-                "violations",
-            )
-        }
-        if totals.get("executions") or totals.get("fingerprints"):
-            lineage.outcomes[-1] = _RestoredOutcome(
-                {"kind": "shard", **{k: v for k, v in totals.items() if v}}
-            )
+        lineage.restored = state
         return lineage
-
-
-class _RestoredOutcome:
-    """Minimal stand-in for a TaskOutcome rebuilt from a shard file."""
-
-    def __init__(self, summary: dict) -> None:
-        self.summary = summary
 
 
 def _frontier_size(snapshot: dict | None) -> int:
@@ -286,10 +249,6 @@ def swarm_check(
     entry = provider_module.get_class(class_name)
     subject_name = f"{entry.name}({version})"
 
-    def emit(name: str, payload: dict) -> None:
-        if on_event is not None:
-            on_event(name, payload)
-
     if control is None and cfg.budget is not None:
         control = ExplorationControl(budget=cfg.budget)
     if (
@@ -315,7 +274,7 @@ def swarm_check(
     lineages: dict[int, _Lineage] = {}
     partition_probes = 0
     if resume_document is not None:
-        stats = _phase1_from_dict(resume_document.get("phase1") or {})
+        stats = Phase1Stats.from_dict(resume_document.get("phase1") or {})
         phase1_seconds = float(resume_document.get("phase1_seconds") or 0.0)
         observations = observations_from_xml(resume_document["observations"])
         for shard_id, path in (resume_document.get("shard_files") or {}).items():
@@ -426,7 +385,7 @@ def swarm_check(
                     "max_retries": pool.config.max_retries,
                     "report_dir": pool.config.report_dir,
                 },
-                "phase1": _phase1_to_dict(stats),
+                "phase1": stats.to_dict(),
                 "phase1_seconds": phase1_seconds,
                 "observations": observations_xml,
                 "budget": (
@@ -495,19 +454,19 @@ def swarm_check(
             for lineage in lineages.values():
                 save_shard(lineage)
             save_main()
-            emit(
-                "partitioned",
-                {
-                    "prefixes": len(plain) + len(opaque),
-                    "shards": len(lineages),
-                    "probes": partition_probes,
-                    "pool": pool,
-                },
-            )
+            if on_event is not None:
+                on_event(
+                    "partitioned",
+                    {
+                        "prefixes": len(plain) + len(opaque),
+                        "shards": len(lineages),
+                        "probes": partition_probes,
+                        "pool": pool,
+                    },
+                )
 
         # ---- Lease rounds. -------------------------------------------
         quarantine_paths: dict[int, str] = {}
-        seen: set[int] = set()
         by_task: dict[int, _Lineage] = {}
         #: retry counters already accounted for before dispatch (resume
         #: restores them), so outcome.retries is metered by delta.
@@ -549,9 +508,8 @@ def swarm_check(
             lineage = by_task.get(outcome.index)
             if lineage is None:
                 return
-            first = outcome.index not in seen
-            seen.add(outcome.index)
-            lineage.outcomes[outcome.index] = outcome
+            first = outcome.index not in lineage.summaries
+            lineage.summaries[outcome.index] = outcome.summary or {}
             if first:
                 fresh_retries = max(
                     0, outcome.retries - prior_by_task.get(outcome.index, 0)
@@ -579,14 +537,9 @@ def swarm_check(
                         lineage.snapshot = lease_snapshots.get(outcome.index)
                     else:
                         lineage.snapshot = None
-                if (
-                    control is not None
-                    and control.meter is not None
-                    and outcome.summary
-                    and outcome.summary.get("kind") == "shard"
-                ):
+                if control is not None and control.meter is not None:
                     control.meter.executions += int(
-                        outcome.summary.get("executions") or 0
+                        lineage.summaries[outcome.index].get("executions") or 0
                     )
             else:
                 # Flaky-guard amendment: the re-run may have changed the
@@ -596,15 +549,6 @@ def swarm_check(
             if outcome.verdict in ("FAIL", NONDETERMINISTIC_VERDICT):
                 stop_flag["fail"] = True
             save_shard(lineage)
-            emit(
-                "lease",
-                {
-                    "shard": lineage.id,
-                    "verdict": outcome.verdict,
-                    "retries": outcome.retries,
-                    "pool": pool,
-                },
-            )
 
         next_shard_id = (max(lineages) + 1) if lineages else 0
         while halt is None and not stop_flag["fail"]:
@@ -646,10 +590,6 @@ def swarm_check(
                     save_shard(fresh)
                 resplits += 1
                 save_main()
-                emit(
-                    "resplit",
-                    {"from": candidate.id, "parts": parts, "pool": pool},
-                )
 
             lease_snapshots: dict[int, dict] = {}
             prior_retries: dict[int, int] = {}
@@ -692,14 +632,9 @@ def swarm_check(
     merged = merge_lineage_states(states.values())
     result = base_result(merged["verdict"])
     totals = merged["totals"]
-    result.phase2_executions = totals["executions"]
-    result.phase2_full = totals["full"]
-    result.phase2_stuck = totals["stuck"]
-    result.phase2_judged = totals["judged"]
-    result.phase2_divergent = totals["divergent"]
+    restore_phase2_tally(result, totals)
     result.schedules_explored = totals["executions"]
     result.schedules_pruned = totals["pruned"]
-    result.cpu_seconds = totals["seconds"]
     result.leases = totals["leases"]
     result.requeues = totals["requeues"]
     result.equivalence_classes = merged["equivalence_classes"]
@@ -723,8 +658,7 @@ def swarm_check(
         result.shards.append(
             ShardReport(
                 shard=shard_id,
-                verdict=state.get("verdict")
-                or ("PASS" if state.get("settled") else "EXHAUSTED"),
+                verdict=lineage_verdict(state),
                 leases=state.get("leases") or 0,
                 retries=state.get("retries") or 0,
                 crashes=state.get("crashes") or 0,
@@ -737,7 +671,6 @@ def swarm_check(
                 shard_checkpoint=state.get("shard_checkpoint"),
             )
         )
-    emit("merged", {"verdict": result.verdict})
     return result
 
 

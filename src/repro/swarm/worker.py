@@ -48,7 +48,7 @@ def run_probe_task(spec: dict) -> dict:
 def run_shard_task(spec: dict) -> dict:
     """Run one lease of a shard's frontier against the observation set."""
     from repro.core.budget import ExplorationBudget, ExplorationControl
-    from repro.core.checker import check_against_observations
+    from repro.core.checker import check_against_observations, phase2_tally
     from repro.core.harness import TestHarness
     from repro.core.observations import observations_from_xml
     from repro.core.report import render_violation
@@ -91,11 +91,7 @@ def run_shard_task(spec: dict) -> dict:
     summary = {
         "kind": "shard",
         "shard": payload.get("shard"),
-        "executions": result.phase2_executions,
-        "full": result.phase2_full,
-        "stuck": result.phase2_stuck,
-        "judged": result.phase2_judged,
-        "divergent": result.phase2_divergent,
+        **phase2_tally(result),
         "seconds": time.perf_counter() - started,
         "pruned": max(0, result.schedules_pruned - base_pruned),
         "fingerprints": fingerprints.snapshot(),

@@ -321,3 +321,44 @@ class TestShardedRefusals:
         assert main(QUEUE + ["--shards", "2"] + flags) == 64
         assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestOneJsonWriter:
+    """``check --shards --json`` is ``check --json``'s document plus the
+    keys only a swarm has."""
+
+    SWARM_ONLY = {
+        "subject", "crash_reports", "swarm", "reduction.classes_rediscovered",
+    }
+
+    @staticmethod
+    def _keys(document: dict, prefix: str = "") -> set[str]:
+        keys = set()
+        for key, value in document.items():
+            keys.add(prefix + key)
+            if isinstance(value, dict):
+                keys |= TestOneJsonWriter._keys(value, f"{prefix}{key}.")
+        return keys
+
+    def test_the_shared_sections_have_the_same_keys(self, capsys):
+        import json
+
+        single = BUFFER_SHARDED[: BUFFER_SHARDED.index("--shards")] + ["--json"]
+        assert main(single) == 0
+        check = json.loads(capsys.readouterr().out)
+        assert main(BUFFER_SHARDED + ["--json"]) == 0
+        sharded = json.loads(capsys.readouterr().out)
+
+        swarm_only = {
+            key for key in self._keys(sharded)
+            if key in self.SWARM_ONLY or key.split(".")[0] in self.SWARM_ONLY
+        }
+        assert self._keys(sharded) - swarm_only == self._keys(check)
+        for key in ("exhausted_reason", "phase1.complete", "phase2.seconds",
+                    "phase2.exhausted_reason"):
+            assert key in self._keys(check)
+        for section, name in (("phase2", "executions"), ("phase2", "full"),
+                              ("phase2", "stuck"), ("phase2", "divergent"),
+                              ("reduction", "equivalence_classes")):
+            assert sharded[section][name] == check[section][name]
+        assert sharded["phase2"]["seconds"] == sharded["swarm"]["cpu_seconds"]

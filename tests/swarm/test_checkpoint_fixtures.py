@@ -1,0 +1,104 @@
+"""Checkpoints written by an earlier build still resume, to the same counts.
+
+``tests/fixtures/checkpoints`` holds two partial runs of the BoundedBuffer
+test ``Put(1); Take | TryTake`` (fault provider, beta), each stopped by a
+30-execution budget:
+
+* ``check/check.json`` — a single-process check stopped in phase 2;
+* ``swarm/swarm.json`` and its three shard files — a sharded check
+  (3 shards, leases of 8) written with the relative ``--checkpoint``
+  path ``swarm.json``, so the main document names its shard files
+  relative to the directory it was written from.
+
+Resumed without the budget, each must finish at the single-process
+counts: the checkpoint and shard-result formats are read as written.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+from dataclasses import replace
+
+from repro.core.checker import CheckConfig, check
+from repro.core.checkpoint import load_checkpoint, parse_check_state
+from repro.swarm import SwarmConfig, swarm_check
+from repro.swarm.runner import parse_swarm_state
+
+from tests.swarm.conftest import (
+    FAULT_PROVIDER,
+    single_process_baseline,
+    subject_for,
+)
+
+FIXTURES = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "fixtures", "checkpoints"
+)
+
+
+def _counts(result) -> tuple:
+    return (
+        result.verdict,
+        result.phase2_complete,
+        result.phase2_executions,
+        result.phase2_full,
+        result.phase2_stuck,
+        result.phase2_divergent,
+        result.equivalence_classes,
+    )
+
+
+def _copy(kind: str, tmp_path) -> str:
+    target = tmp_path / kind
+    shutil.copytree(os.path.join(FIXTURES, kind), target)
+    return str(target)
+
+
+def test_a_check_checkpoint_resumes_to_the_single_process_counts(tmp_path):
+    path = os.path.join(_copy("check", tmp_path), "check.json")
+    test, config, resume = parse_check_state(load_checkpoint(path))
+    assert resume.phase == "phase2" and resume.phase2["executions"] == 27
+    resume.budget_snapshot = None
+    result = check(
+        subject_for("BoundedBuffer"), test, replace(config, budget=None),
+        resume=resume,
+    )
+    baseline = single_process_baseline(
+        "BoundedBuffer", "beta", test, CheckConfig()
+    )
+    assert _counts(result) == _counts(baseline)
+    assert (result.phase2_executions, result.equivalence_classes) == (51, 28)
+    assert result.phase1 == baseline.phase1
+    # The PASS memo is not checkpointed: a resumed run may judge a history
+    # the first session already judged, never fewer than one run does.
+    assert baseline.phase2_judged <= result.phase2_judged <= 51
+
+
+def test_a_swarm_checkpoint_resumes_to_the_single_process_counts(
+    pool_config, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(_copy("swarm", tmp_path))
+    document = load_checkpoint("swarm.json")
+    subject, test, config, swarm = parse_swarm_state(document)
+    assert swarm == SwarmConfig(shards=3, lease_executions=8)
+    assert sorted(document["shard_files"].values()) == [
+        f"swarm.json.shard-{shard}.json" for shard in range(3)
+    ]
+    result = swarm_check(
+        subject["cls"],
+        subject["version"],
+        test,
+        config,
+        provider=subject["provider"],
+        swarm=swarm,
+        pool_config=pool_config(),
+        checkpoint_path="swarm.json",
+        resume_document=document,
+    )
+    assert subject["provider"] == FAULT_PROVIDER
+    baseline = single_process_baseline("BoundedBuffer", "beta", test, config)
+    assert _counts(result) == _counts(baseline)
+    assert result.phase1 == baseline.phase1
+    # The counts restored from the shard files are part of the sums.
+    assert result.leases > 4 and result.partition_probes == 15
+    assert result.phase2_judged >= baseline.phase2_judged
