@@ -131,6 +131,24 @@ DRIVES: list[tuple[str, list[str]]] = [
     ("generate: seeded bug", GENERATE + ["--budget", "300", "--corpus-dir", "corpus"]),
     ("generate: resume from corpus", GENERATE + ["--budget", "600", "--corpus-dir", "corpus"]),
     ("generate: isolated", GENERATE + ["--budget", "300", "--isolate", "--workers", "2"]),
+    ("every kind resumes: check",
+     ["check", *BUFFER, "--checkpoint", "resume-check.json", "--deadline", "0.0001"]),
+    ("every kind resumes: resume a check",
+     ["resume", "resume-check.json", "--deadline", "60"]),
+    ("every kind resumes: check --shards",
+     ["check", *BUFFER, "--shards", "2", "--checkpoint", "resume-swarm.json",
+      "--deadline", "0.05"]),
+    ("every kind resumes: resume a swarm",
+     ["resume", "resume-swarm.json", "--deadline", "60"]),
+    ("every kind resumes: campaign",
+     ["campaign", "ConcurrentQueue", "--versions", "beta", "--samples", "1", "--seed", "1",
+      "--checkpoint", "resume-campaign.json", "--deadline", "0.0001"]),
+    ("every kind resumes: resume a campaign",
+     ["resume", "resume-campaign.json", "--deadline", "60"]),
+    ("every kind resumes: generate",
+     GENERATE + ["--budget", "300", "--corpus-dir", "resume-corpus", "--deadline", "0.0001"]),
+    ("every kind resumes: resume a generation",
+     ["resume", "resume-corpus/corpus.json", "--deadline", "60"]),
     ("campaign parity: in-process", LAZY_CAMPAIGN),
     ("campaign parity: isolated", LAZY_CAMPAIGN + ["--isolate", "--workers", "1"]),
 ]

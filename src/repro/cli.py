@@ -16,8 +16,8 @@ Line-Up as a tool, mirroring how the paper's authors drove it:
   or every class.
 * ``observations`` — run phase 1 only and write the Fig. 7 observation
   file.
-* ``resume`` — continue an interrupted ``check`` or ``campaign`` from a
-  ``--checkpoint`` file.
+* ``resume`` — continue an interrupted ``check`` (sharded or not),
+  ``campaign`` or ``generate`` from the file it saved.
 * ``monitor`` — re-check a dumped JSONL trace against an explicit
   sequential model (no execution).
 * ``live`` — record N concurrent sessions against a live service over
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
 import signal
 import sys
 import threading
@@ -109,7 +110,7 @@ class CliError(Exception):
 
 
 class _SignalStop:
-    """Graceful-shutdown flag set by SIGINT/SIGTERM.
+    """Graceful-shutdown flag set by SIGINT/SIGTERM inside ``with``.
 
     The first signal only raises the flag; the exploration loops poll it
     between executions (via :class:`ExplorationControl`), flush their
@@ -134,7 +135,7 @@ class _SignalStop:
             file=sys.stderr,
         )
 
-    def install(self) -> "_SignalStop":
+    def __enter__(self) -> "_SignalStop":
         if threading.current_thread() is not threading.main_thread():
             return self  # signals only reach the main thread
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -144,13 +145,23 @@ class _SignalStop:
                 pass
         return self
 
-    def uninstall(self) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         for sig, handler in self._previous.items():
             try:
                 signal.signal(sig, handler)
             except (ValueError, OSError, TypeError):  # pragma: no cover
                 pass
         self._previous.clear()
+
+
+def _print_resume_hint(checkpoint: str | None, end: str = "\n") -> None:
+    """Name the command that continues a stopped run, once its state is on
+    disk (a run stopped before its first save has nothing to resume)."""
+    if checkpoint and os.path.exists(checkpoint):
+        print(
+            f"state saved; continue with: python -m repro resume {checkpoint}",
+            end=end,
+        )
 
 
 #: The exit code of each verdict of :mod:`repro.core.verdict`.  Every
@@ -288,31 +299,6 @@ def _config_from_args(args: argparse.Namespace) -> CheckConfig:
         dump_traces=getattr(args, "dump_traces", None),
         reduction=reduction,
     )
-
-
-def _provider_get_class(provider: str | None):
-    """Resolve the class lookup of a provider module (default registry).
-
-    A provider is any importable module exposing ``get_class(name)`` —
-    the same indirection sandboxed workers use to find subjects by name,
-    so crash-report repro commands (which carry ``--provider``) resolve
-    the exact class the worker ran.
-    """
-    import importlib
-
-    from repro.structures import get_class
-
-    if not provider:
-        return get_class
-
-    try:
-        module = importlib.import_module(provider)
-    except ImportError as exc:
-        raise CliError(f"cannot import provider module {provider!r}: {exc}")
-    resolver = getattr(module, "get_class", None)
-    if resolver is None:
-        raise CliError(f"provider module {provider!r} has no get_class()")
-    return resolver
 
 
 def _add_isolation_options(parser: argparse.ArgumentParser) -> None:
@@ -513,8 +499,7 @@ def _run_check(
     from repro.core.harness import TestHarness
     from repro.core.relaxed import check_relaxed
 
-    stopper = _SignalStop().install()
-    try:
+    with _SignalStop() as stopper:
         control = ExplorationControl(budget=config.budget, stop=stopper)
         if relaxed is not None:
             with TestHarness.from_config(subject, config) as harness:
@@ -532,16 +517,13 @@ def _run_check(
                 ),
                 resume=resume,
             )
-    finally:
-        stopper.uninstall()
     # A FAIL found before the interrupt is still a proof, and wins.
     code = _verdict_exit_code(
         result.verdict,
         interrupted=result.exhausted and result.exhausted_reason == "interrupted",
     )
-    if result.exhausted and checkpoint:
-        print(f"state saved; continue with: python -m repro resume {checkpoint}")
-        print()
+    if result.exhausted:
+        _print_resume_hint(checkpoint, end="\n\n")
     return result, code
 
 
@@ -553,33 +535,21 @@ def _run_swarm_check(
     *,
     version: str,
     provider: str | None,
-    swarm_config=None,
-    pool_config=None,
+    swarm_config,
+    pool_config,
     resume_document: dict | None = None,
 ) -> int:
     """Shared driver for ``check --shards`` and ``resume`` of a swarm."""
     from repro.core.budget import ExplorationControl
-    from repro.swarm import (
-        SwarmConfig,
-        render_swarm_result,
-        swarm_check,
-        swarm_result_to_dict,
-    )
+    from repro.swarm import render_swarm_result, swarm_check, swarm_result_to_dict
     from repro.swarm.runner import validate_config
 
     try:
         validate_config(config)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    if swarm_config is None:
-        swarm_config = SwarmConfig(
-            shards=args.shards, lease_executions=args.lease
-        )
-    if pool_config is None:
-        pool_config = _pool_config(vars(args))
-    stopper = _SignalStop().install()
-    try:
-        control = ExplorationControl(budget=config.budget, stop=stopper)
+    checkpoint = getattr(args, "checkpoint", None)
+    with _SignalStop() as stopper:
         result = swarm_check(
             class_name,
             version,
@@ -588,21 +558,17 @@ def _run_swarm_check(
             provider=provider,
             swarm=swarm_config,
             pool_config=pool_config,
-            control=control,
-            checkpoint_path=getattr(args, "checkpoint", None),
+            control=ExplorationControl(budget=config.budget, stop=stopper),
+            checkpoint_path=checkpoint,
             resume_document=resume_document,
         )
-    finally:
-        stopper.uninstall()
     # The reason is checked first: an interrupted swarm exits 130 even
     # when a shard had already failed.
     code = _verdict_exit_code(
         result.verdict, interrupted=result.exhausted_reason == "interrupted"
     )
-    checkpoint = getattr(args, "checkpoint", None)
-    if not result.phase2_complete and checkpoint:
-        print(f"state saved; continue with: python -m repro resume {checkpoint}")
-        print()
+    if not result.phase2_complete:
+        _print_resume_hint(checkpoint, end="\n\n")
     if getattr(args, "json", False):
         import json as _json
 
@@ -614,14 +580,18 @@ def _run_swarm_check(
 
 def cmd_check(args: argparse.Namespace) -> int:
     from repro.core.autocheck import minimize_failing_test
+    from repro.core.checkpoint import subject_record
     from repro.core.harness import SystemUnderTest
     from repro.core.relaxed import DOTNET_POLICIES, InterferencePolicy
     from repro.core.report import render_check_result
+    from repro.structures.registry import resolve_class
 
-    entry = _provider_get_class(args.provider)(args.cls)
+    entry = resolve_class(args.cls, args.provider)
     test = _resolve_test(args, entry)
     config = _config_from_args(args)
     if getattr(args, "shards", None):
+        from repro.swarm import SwarmConfig
+
         if args.relaxed:
             raise CliError("--relaxed is not supported with --shards")
         if args.minimize:
@@ -643,6 +613,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             config,
             version=args.version,
             provider=args.provider,
+            swarm_config=SwarmConfig(
+                shards=args.shards, lease_executions=args.lease
+            ),
+            pool_config=_pool_config(vars(args)),
         )
     if config.backend == "monitor":
         if args.checkpoint:
@@ -676,7 +650,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         test,
         config,
         checkpoint=args.checkpoint,
-        extra={"subject": {"cls": entry.name, "version": args.version}},
+        extra={"subject": subject_record(entry.name, args.version, args.provider)},
         # The documented .NET interference behaviours of this class, if any.
         relaxed=(
             DOTNET_POLICIES.get(entry.name, InterferencePolicy())
@@ -785,31 +759,26 @@ def _run_campaign(
 ) -> int:
     """The campaign command around :func:`run_campaign_plan`: signals,
     budget, executor, then the table and the exit code."""
-    from repro.core.budget import BudgetMeter, ExplorationControl
+    from repro.core.budget import ExplorationControl
     from repro.core.campaign import render_table2, run_campaign_plan
     from repro.core.checkpoint import Checkpointer
 
     config = _campaign_check_config(params)
-    stopper = _SignalStop().install()
-    control = ExplorationControl(budget=config.budget, stop=stopper)
-    if budget_snapshot is not None:
-        control.meter = BudgetMeter.from_snapshot(budget_snapshot)
-    control.start()
-    try:
+    with _SignalStop() as stopper:
+        control = ExplorationControl(budget=config.budget, stop=stopper)
+        control.restore(budget_snapshot)
+        control.start()
         with _executor(params) as executor:
             rows, stop_reason, quarantined = run_campaign_plan(
                 plan,
                 params,
                 config,
                 executor,
-                resolve=_provider_get_class(params.get("provider")),
                 control=control,
                 checkpointer=Checkpointer(checkpoint) if checkpoint else None,
                 finished_rows=finished_rows,
                 resume_current=resume_current,
             )
-    finally:
-        stopper.uninstall()
     print(render_table2(rows))
     _print_quarantine_summary(rows, quarantined)
     if stop_reason is not None:
@@ -820,8 +789,7 @@ def _run_campaign(
         )
         print()
         print(f"campaign {what}; the table above is partial")
-        if checkpoint:
-            print(f"state saved; continue with: python -m repro resume {checkpoint}")
+        _print_resume_hint(checkpoint)
     return _campaign_exit_code(rows, stop_reason)
 
 
@@ -863,9 +831,11 @@ def _print_quarantine_summary(rows: list, quarantined: "list[str]") -> None:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.structures import REGISTRY
+    from repro.structures.registry import resolve_class
 
-    resolve = _provider_get_class(args.provider)
-    entries = REGISTRY if args.cls == "all" else (resolve(args.cls),)
+    entries = (
+        REGISTRY if args.cls == "all" else (resolve_class(args.cls, args.provider),)
+    )
     versions = args.versions.split(",")
     plan = [(entry.name, version) for entry in entries for version in versions]
     params = {
@@ -907,13 +877,11 @@ def _generate_exit_code(report) -> int:
 
 
 def _run_generate(
-    name: str,
+    entry,
     version: str,
     params: dict,
     checkpoint: str | None,
     resume_document: dict | None = None,
-    fresh_deadline: float | None = None,
-    fresh_budget: int | None = None,
     json_output: bool = False,
 ) -> int:
     """Run (or resume) one generation campaign; returns its exit code.
@@ -925,7 +893,7 @@ def _run_generate(
     from dataclasses import replace as _replace
 
     from repro.core.budget import ExplorationBudget, ExplorationControl
-    from repro.core.checkpoint import Checkpointer
+    from repro.core.checkpoint import Checkpointer, subject_record
     from repro.core.report import render_generation_report
     from repro.generate import (
         GenerateConfig,
@@ -934,7 +902,6 @@ def _run_generate(
     )
 
     provider = params.get("provider")
-    entry = _provider_get_class(provider)(name)
     resume = None
     if resume_document is not None:
         config, gen, resume = parse_generate_state(resume_document)
@@ -952,14 +919,6 @@ def _run_generate(
             max_cols=params.get("max_cols", 3),
             deadline=params.get("deadline"),
         )
-    if fresh_deadline is not None:
-        gen = _replace(gen, deadline=fresh_deadline)
-        if resume is not None:
-            resume.meter_snapshot = _override_deadline(
-                resume.meter_snapshot, fresh_deadline
-            )
-    if fresh_budget is not None:
-        gen = _replace(gen, budget=fresh_budget)
     checkpointer = None
     if checkpoint:
         # Every folded candidate is persisted: candidates are expensive
@@ -968,35 +927,27 @@ def _run_generate(
             checkpoint,
             every_executions=1,
             extra={
-                "subject": {
-                    "cls": entry.name,
-                    "version": version,
-                    "provider": provider,
-                },
+                "subject": subject_record(entry.name, version, provider),
                 "params": params,
             },
         )
-    stopper = _SignalStop().install()
-    try:
-        with _executor(params) as executor:
-            report = run_generation_campaign(
-                entry,
-                version,
-                config,
-                gen,
-                control=ExplorationControl(
-                    budget=ExplorationBudget(
-                        deadline_seconds=gen.deadline, max_executions=gen.budget
-                    ),
-                    stop=stopper,
+    with _SignalStop() as stopper, _executor(params) as executor:
+        report = run_generation_campaign(
+            entry,
+            version,
+            config,
+            gen,
+            control=ExplorationControl(
+                budget=ExplorationBudget(
+                    deadline_seconds=gen.deadline, max_executions=gen.budget
                 ),
-                checkpointer=checkpointer,
-                resume=resume,
-                pool=executor,
-                provider=provider,
-            )
-    finally:
-        stopper.uninstall()
+                stop=stopper,
+            ),
+            checkpointer=checkpointer,
+            resume=resume,
+            pool=executor,
+            provider=provider,
+        )
     if json_output:
         import json as _json
 
@@ -1004,18 +955,21 @@ def _run_generate(
     else:
         print(f"generation campaign: {entry.name}({version})")
         print(render_generation_report(report))
-        if report.stop_reason is not None and checkpoint:
-            print(f"state saved; continue with: python -m repro resume {checkpoint}")
+        if report.stop_reason is not None:
+            _print_resume_hint(checkpoint)
     return _generate_exit_code(report)
 
 
 def _run_generate_plan(plan: "list[tuple[str, str]]", params: dict) -> int:
     """``campaign --generate``: one generation campaign per plan entry."""
+    from repro.structures.registry import resolve_class
+
     codes = []
     for position, (name, version) in enumerate(plan):
         if position:
             print()
-        codes.append(_run_generate(name, version, params, checkpoint=None))
+        entry = resolve_class(name, params.get("provider"))
+        codes.append(_run_generate(entry, version, params, checkpoint=None))
         if codes[-1] == EXIT_INTERRUPTED:
             break
     for code in (EXIT_INTERRUPTED, EXIT_FAIL, EXIT_EXHAUSTED):
@@ -1025,10 +979,14 @@ def _run_generate_plan(plan: "list[tuple[str, str]]", params: dict) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    import os
+    from repro.core.checkpoint import (
+        checkpoint_subject,
+        load_checkpoint,
+        renew_limits,
+    )
+    from repro.structures.registry import resolve_class
 
-    from repro.core.checkpoint import load_checkpoint
-
+    entry = resolve_class(args.cls, args.provider)
     params = {
         **_shared_params(args),
         "budget": args.budget,
@@ -1047,188 +1005,113 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 raise CliError(
                     f"{checkpoint} is not a generation corpus checkpoint"
                 )
-            subject = document.get("subject") or {}
-            if (subject.get("cls"), subject.get("version")) != (
-                args.cls, args.version,
-            ):
+            stored, version, _provider = checkpoint_subject(document)
+            if (stored.name, version) != (entry.name, args.version):
                 raise CliError(
-                    f"{checkpoint} belongs to "
-                    f"{subject.get('cls')}({subject.get('version')}), "
-                    f"not {args.cls}({args.version}); pick another "
+                    f"{checkpoint} belongs to {stored.name}({version}), "
+                    f"not {entry.name}({args.version}); pick another "
                     "--corpus-dir"
                 )
+            # The current command's --budget applies as a total across
+            # sessions and its --deadline as a fresh clock; the checkpoint
+            # keeps the stream-defining mutation parameters.
+            renew_limits(document, args.deadline, budget=args.budget)
             resume_document = document
             print(f"resuming from corpus {checkpoint}")
     return _run_generate(
-        args.cls,
+        entry,
         args.version,
         params,
         checkpoint,
         resume_document=resume_document,
-        # On resume the current command's budget/deadline apply (totals
-        # across sessions); the checkpoint keeps the stream-defining
-        # mutation parameters.
-        fresh_deadline=args.deadline if resume_document else None,
-        fresh_budget=args.budget if resume_document else None,
         json_output=args.json,
     )
 
 
-def _override_deadline(snapshot: dict | None, deadline: float) -> dict | None:
-    """Swap a fresh deadline into a restored budget meter snapshot.
-
-    The default resume contract is that the original budget is *total*
-    across sessions (elapsed time carries over); ``resume --deadline``
-    instead grants the resumed session a new clock, keeping the
-    execution/decision counters.
-    """
-    if snapshot is None:
-        return None
-    budget = dict(snapshot.get("budget") or {})
-    budget["deadline_seconds"] = deadline
-    return {**snapshot, "budget": budget, "elapsed": 0.0}
-
-
-def _resume_swarm(args: argparse.Namespace, document: dict) -> int:
-    """Restart a sharded check from its swarm checkpoint.
-
-    Surviving shard-result files are merged in as-is; only unsettled
-    lineages (and quarantined ones, which get exactly one fresh attempt)
-    are re-dispatched.
-    """
-    from dataclasses import replace
-
-    from repro.core.budget import ExplorationBudget
-    from repro.swarm.runner import parse_swarm_state
-
-    subject_info, test, config, swarm_config = parse_swarm_state(document)
-    if "cls" not in subject_info or "version" not in subject_info:
-        raise CliError("swarm checkpoint lacks subject info")
-    if args.deadline is not None:
-        config = replace(
-            config, budget=ExplorationBudget(deadline_seconds=args.deadline)
-        )
-        document = {
-            **document,
-            "budget": _override_deadline(
-                document.get("budget"), args.deadline
-            ),
-        }
-    pool_config = _pool_config(document.get("pool") or {})
-    settled = len(document.get("shard_files") or {})
-    print(
-        f"Resuming swarm check of {subject_info['cls']}"
-        f"({subject_info['version']}) from {args.checkpoint} "
-        f"({settled} shard file(s) on disk)"
-    )
-    print(test.render_matrix())
-    print()
-    return _run_swarm_check(
-        args,
-        subject_info["cls"],
-        test,
-        config,
-        version=subject_info["version"],
-        provider=subject_info.get("provider"),
-        swarm_config=swarm_config,
-        pool_config=pool_config,
-        resume_document=document,
-    )
-
-
 def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.core.budget import ExplorationBudget
-    from repro.core.campaign import parse_campaign_state
-    from repro.core.checkpoint import load_checkpoint, parse_check_state
-    from repro.core.harness import SystemUnderTest
-    from repro.core.report import render_check_result
+    """Re-enter the runner of the command that wrote the checkpoint."""
+    from repro.core.checkpoint import (
+        checkpoint_subject,
+        load_checkpoint,
+        parse_check_state,
+        renew_limits,
+        subject_record,
+    )
 
-    document = load_checkpoint(args.checkpoint)
-    if document["kind"] == "campaign":
-        plan, rows, params, resume_current = parse_campaign_state(document)
-        budget_snapshot = document.get("budget")
-        if args.deadline is not None:
-            params = {**params, "deadline": args.deadline}
-            budget_snapshot = _override_deadline(budget_snapshot, args.deadline)
-        print(
-            f"Resuming campaign from {args.checkpoint} "
-            f"({len(rows)}/{len(plan)} rows finished)"
+    path = args.checkpoint
+    document = load_checkpoint(path)
+    kind = document["kind"]
+    if kind == "shard-result":
+        raise CliError(
+            f"{path} is a swarm shard-result file (one shard of a sharded "
+            "check); resume the swarm checkpoint that lists it, or a "
+            "quarantined shard's shard-N-tM.checkpoint.json named in its "
+            "crash report"
         )
+    if args.deadline is not None:
+        renew_limits(document, args.deadline)
+
+    if kind == "campaign":
+        from repro.core.campaign import parse_campaign_state
+
+        plan, rows, params, resume_current = parse_campaign_state(document)
+        print(f"Resuming campaign from {path} ({len(rows)}/{len(plan)} rows finished)")
         return _run_campaign(
             plan,
             params,
-            args.checkpoint,
+            path,
             rows,
             resume_current=resume_current,
-            budget_snapshot=budget_snapshot,
+            budget_snapshot=document.get("budget"),
         )
 
-    if document["kind"] == "swarm":
-        return _resume_swarm(args, document)
-
-    if document["kind"] == "generate":
-        subject_info = document.get("subject") or {}
-        if "cls" not in subject_info or "version" not in subject_info:
-            raise CliError("generate checkpoint lacks subject info")
-        params = document.get("params") or {}
-        print(
-            f"Resuming generation campaign of {subject_info['cls']}"
-            f"({subject_info['version']}) from {args.checkpoint}"
-        )
+    entry, version, provider = checkpoint_subject(document)
+    if kind == "generate":
+        print(f"Resuming generation campaign of {entry.name}({version}) from {path}")
         return _run_generate(
-            subject_info["cls"],
-            subject_info["version"],
-            params,
-            args.checkpoint,
+            entry, version, document.get("params") or {}, path,
             resume_document=document,
-            fresh_deadline=args.deadline,
         )
 
-    # kind == "check"
-    subject_info = document.get("subject") or {}
-    if "cls" not in subject_info or "version" not in subject_info:
-        raise CliError(
-            "check checkpoint lacks subject info; it was not written by the "
-            "command line (re-run with --checkpoint)"
+    if kind == "swarm":
+        from repro.swarm.runner import parse_swarm_state
+
+        _subject, test, config, swarm_config = parse_swarm_state(document)
+        settled = len(document.get("shard_files") or {})
+        print(
+            f"Resuming swarm check of {entry.name}({version}) from {path} "
+            f"({settled} shard file(s) on disk)"
         )
-    # Shard checkpoints (and any worker-run check) may name a non-default
-    # provider; resolve through it so the exact class the worker ran is
-    # the one resumed.
-    entry = _provider_get_class(subject_info.get("provider"))(
-        subject_info["cls"]
-    )
-    version = subject_info["version"]
+        print(test.render_matrix())
+        print()
+        return _run_swarm_check(
+            args,
+            entry.name,
+            test,
+            config,
+            version=version,
+            provider=provider,
+            swarm_config=swarm_config,
+            pool_config=_pool_config(document.get("pool") or {}),
+            resume_document=document,
+        )
+
+    from repro.core.harness import SystemUnderTest
+    from repro.core.report import render_check_result
+
     test, config, resume = parse_check_state(document)
-    if args.deadline is not None:
-        from dataclasses import replace
-
-        config = replace(
-            config, budget=ExplorationBudget(deadline_seconds=args.deadline)
-        )
-        resume.budget_snapshot = _override_deadline(
-            resume.budget_snapshot, args.deadline
-        )
-    subject = SystemUnderTest(
-        entry.factory(version), f"{entry.name}({version})"
-    )
     print(
-        f"Resuming check of {entry.name}({version}) from {args.checkpoint} "
+        f"Resuming check of {entry.name}({version}) from {path} "
         f"(interrupted in {resume.phase})"
     )
     print(test.render_matrix())
     print()
     result, code = _run_check(
-        subject,
+        SystemUnderTest(entry.factory(version), f"{entry.name}({version})"),
         test,
         config,
-        checkpoint=args.checkpoint,
-        extra={
-            "subject": {
-                "cls": entry.name,
-                "version": version,
-                "provider": subject_info.get("provider"),
-            }
-        },
+        checkpoint=path,
+        extra={"subject": subject_record(entry.name, version, provider)},
         resume=resume,
     )
     print(render_check_result(result))
@@ -1377,13 +1260,12 @@ def cmd_live(args: argparse.Namespace) -> int:
         flush_interval=args.flush_interval,
     )
 
-    stop = _SignalStop().install()
     try:
-        result = run_live(
-            host, port, config, sut_process=proc, should_stop=stop
-        )
+        with _SignalStop() as stop:
+            result = run_live(
+                host, port, config, sut_process=proc, should_stop=stop
+            )
     finally:
-        stop.uninstall()
         if proc is not None:
             proc.close()
 
@@ -1499,8 +1381,9 @@ def cmd_observations(args: argparse.Namespace) -> int:
     from repro.core.fileio import atomic_write_text
     from repro.core.harness import SystemUnderTest, TestHarness
     from repro.core.observations import observations_to_xml
+    from repro.structures.registry import resolve_class
 
-    entry = _provider_get_class(getattr(args, "provider", None))(args.cls)
+    entry = resolve_class(args.cls, getattr(args, "provider", None))
     test = _resolve_test(args, entry)
     subject = SystemUnderTest(
         entry.factory(args.version), f"{entry.name}({args.version})"

@@ -160,6 +160,22 @@ class ExplorationControl:
         if self.meter is None and self.budget is not None:
             self.meter = BudgetMeter(self.budget)
 
+    def restore(self, snapshot: dict | None) -> None:
+        """Carry a checkpointed meter's consumption into this control.
+
+        The bounds in force are this control's (none: unbounded); the
+        elapsed time and the counts come from *snapshot*, so a resumed run
+        spends its budget as a total across sessions.
+        """
+        if snapshot is not None:
+            meter = BudgetMeter.from_snapshot(snapshot)
+            meter.budget = self.budget or ExplorationBudget()
+            self.meter = meter
+
+    def snapshot(self) -> dict | None:
+        """What a checkpoint stores for :meth:`restore` (None: no meter)."""
+        return self.meter.snapshot() if self.meter is not None else None
+
     def start(self) -> None:
         if self.meter is not None:
             self.meter.start()

@@ -27,7 +27,7 @@ from repro.core.harness import SystemUnderTest, TestHarness
 from repro.core.testcase import sample_tests
 from repro.core.verdict import worst_verdict
 from repro.runtime import Scheduler
-from repro.structures.registry import ClassUnderTest
+from repro.structures.registry import ClassUnderTest, resolve_class
 
 __all__ = [
     "CampaignRow",
@@ -398,7 +398,7 @@ def campaign_state(
         "finished_rows": [row_to_dict(row) for row in rows],
         "current": None,
         "params": params,
-        "budget": control.meter.snapshot() if control.meter is not None else None,
+        "budget": control.snapshot(),
     }
     if current is not None:
         name, version, summaries = current
@@ -465,7 +465,6 @@ def run_campaign_plan(
     config: CheckConfig,
     executor,
     *,
-    resolve: "Callable[[str], ClassUnderTest]",
     control: ExplorationControl,
     checkpointer=None,
     finished_rows: "Sequence[CampaignRow]" = (),
@@ -478,8 +477,8 @@ def run_campaign_plan(
     :func:`parse_campaign_state`) carries the summaries and retry
     counters of the class a previous session was interrupted in, so only
     its remaining tests run.  *params* supplies the sampling parameters
-    and is stored in every checkpoint; *resolve* maps a class name to its
-    registry entry.
+    and the provider module that resolves each class, and is stored in
+    every checkpoint.
 
     Returns the finished rows, the reason the plan stopped early (or
     None), and the crash-report paths of quarantined tests.
@@ -498,7 +497,7 @@ def run_campaign_plan(
     for name, version in plan:
         if (name, version) in done:
             continue
-        entry = resolve(name)
+        entry = resolve_class(name, params.get("provider"))
         latest: dict = {"summaries": {}, "retries": {}}
         if resume_current is not None and resume_current[:2] == (name, version):
             latest["summaries"] = dict(resume_current[2])

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
-from repro.core.budget import BudgetMeter, ExplorationBudget, ExplorationControl
+from repro.core.budget import ExplorationBudget, ExplorationControl
 from repro.core.harness import Phase1Stats, SystemUnderTest, TestHarness
 from repro.core.history import History, SerialHistory
 from repro.core.spec import NondeterminismWitness, ObservationSet
@@ -336,14 +336,8 @@ def check_with_harness(
     """
     cfg = config or CheckConfig()
     control = _control_for(cfg, control)
-    if (
-        control is not None
-        and resume is not None
-        and resume.budget_snapshot is not None
-    ):
-        # Honour the original budget across sessions: the restored meter
-        # carries the elapsed time and counts of the interrupted run.
-        control.meter = BudgetMeter.from_snapshot(resume.budget_snapshot)
+    if control is not None and resume is not None:
+        control.restore(resume.budget_snapshot)
 
     if cfg.backend == "monitor":
         # Model-based monitoring needs no synthesized specification, so
@@ -445,12 +439,6 @@ def _control_for(
     return control
 
 
-def _meter_snapshot(control: ExplorationControl | None) -> dict | None:
-    if control is not None and control.meter is not None:
-        return control.meter.snapshot()
-    return None
-
-
 def _run_phase1(
     harness: TestHarness,
     test: FiniteTest,
@@ -489,7 +477,7 @@ def _run_phase1(
             observations=observations,
             phase1=stats,
             phase1_seconds=seconds,
-            budget_snapshot=_meter_snapshot(control),
+            budget_snapshot=control.snapshot() if control else None,
         )
 
     if resume is not None and resume.phase == "phase2":
@@ -646,7 +634,7 @@ def _run_phase2(
                 "seconds": seconds_base + time.perf_counter() - t1,
                 "fingerprints": fingerprints.snapshot(),
             },
-            budget_snapshot=_meter_snapshot(control),
+            budget_snapshot=control.snapshot() if control else None,
         )
 
     # The judge's contract makes the verdict a function of the history, so

@@ -3,7 +3,7 @@
 A checkpoint is a single JSON document written atomically (temp file +
 fsync + rename, see :mod:`repro.core.fileio`), so a crash or SIGKILL at
 any instant leaves either the previous checkpoint or the new one — never
-a torn file.  Two kinds exist, discriminated by ``kind``:
+a torn file.  Five kinds exist, discriminated by ``kind``:
 
 * ``"check"`` — one ``Check(X, m)`` run: the finite test, the config, the
   current phase, the exploration strategy's frontier snapshot (for DFS
@@ -15,6 +15,14 @@ a torn file.  Two kinds exist, discriminated by ``kind``:
   sampling parameters.  Campaign resume re-runs the interrupted *test*
   from scratch (tests are cheap relative to campaigns; execution-level
   granularity is reserved for single checks).
+* ``"swarm"`` — a sharded check (:mod:`repro.swarm`): phase 1's results
+  and one ``"shard-result"`` file per shard, merged in on resume.
+* ``"generate"`` — a generation run's corpus, coverage and failures.
+
+``check``, ``swarm`` and ``generate`` record a ``subject``
+(:func:`subject_record`).  ``resume`` re-enters the command that wrote
+the file; the budget is a total across sessions unless ``--deadline``
+renews it (:func:`renew_limits`).
 
 The exploration is deterministic given the strategy state — that is the
 stateless-replay property the whole checker is built on — so a resumed
@@ -47,11 +55,14 @@ __all__ = [
     "CheckpointError",
     "Checkpointer",
     "build_check_state",
+    "checkpoint_subject",
     "config_from_dict",
     "config_to_dict",
     "load_checkpoint",
     "parse_check_state",
+    "renew_limits",
     "save_checkpoint",
+    "subject_record",
     "test_from_dict",
     "test_to_dict",
 ]
@@ -188,6 +199,60 @@ def load_checkpoint(path: str) -> dict:
     return document
 
 
+def subject_record(cls: str, version: str, provider: str | None) -> dict:
+    """The ``subject`` of a checkpoint: what ``resume`` rebuilds it from."""
+    return {"cls": cls, "version": version, "provider": provider}
+
+
+def checkpoint_subject(document: dict) -> tuple[Any, str, str | None]:
+    """The class entry, version and provider named by *document*'s subject.
+
+    The class is resolved through the recorded provider, so a resume runs
+    the exact class the interrupted run checked.
+    """
+    from repro.structures.registry import resolve_class
+
+    subject = document.get("subject") or {}
+    if "cls" not in subject or "version" not in subject:
+        raise CheckpointError(
+            f"{document.get('kind')} checkpoint lacks subject info; it was "
+            "not written by the command line (re-run with --checkpoint)"
+        )
+    provider = subject.get("provider")
+    return resolve_class(subject["cls"], provider), subject["version"], provider
+
+
+def renew_limits(
+    document: dict, deadline: float | None, budget: int | None = None
+) -> None:
+    """Grant a loaded checkpoint a fresh *deadline*, in place.
+
+    By default a resumed run's budget is a total across sessions.  A new
+    deadline replaces the stored one (``config.budget`` of a check or
+    swarm, ``params`` of a campaign, ``generate`` of a generation run),
+    and the meter snapshot's elapsed time restarts at 0; its counts carry
+    over.  *budget* replaces a generation run's execution budget.
+    """
+    kind = document["kind"]
+    if kind == "generate" and budget is not None:
+        document.setdefault("generate", {})["budget"] = budget
+    if deadline is None:
+        return
+    meter = "budget"
+    if kind == "generate":
+        document.setdefault("generate", {})["deadline"] = deadline
+        meter = "meter"
+    elif kind == "campaign":
+        document.setdefault("params", {})["deadline"] = deadline
+    else:
+        config = document.setdefault("config", {})
+        config["budget"] = {
+            **(config.get("budget") or {}), "deadline_seconds": deadline,
+        }
+    if document.get(meter) is not None:
+        document[meter] = {**document[meter], "elapsed": 0.0}
+
+
 class Checkpointer:
     """Rate-limited checkpoint writer threaded through exploration loops.
 
@@ -196,7 +261,7 @@ class Checkpointer:
     either ``every_executions`` ticks or ``every_seconds`` have elapsed
     since the last write, keeping the cost negligible on hot loops.
     ``extra`` is merged into every saved state (the CLI stashes the
-    subject class/version there so ``lineup resume`` can rebuild it).
+    subject record there so ``lineup resume`` can rebuild it).
     """
 
     def __init__(

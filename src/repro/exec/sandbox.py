@@ -26,7 +26,6 @@ modules, which is the point, and what :func:`_drop_inherited` takes away.
 
 from __future__ import annotations
 
-import importlib
 import os
 import signal
 import sys
@@ -110,9 +109,9 @@ def _resolve_subject(spec: dict):
     """Build (SystemUnderTest, FiniteTest, CheckConfig) from a task spec."""
     from repro.core.checkpoint import config_from_dict, test_from_dict
     from repro.core.harness import SystemUnderTest
+    from repro.structures.registry import resolve_class
 
-    provider = importlib.import_module(spec.get("provider") or DEFAULT_PROVIDER)
-    entry = provider.get_class(spec["class_name"])
+    entry = resolve_class(spec["class_name"], spec.get("provider"))
     version = spec["version"]
     subject = SystemUnderTest(
         entry.factory(version), f"{entry.name}({version})"

@@ -40,11 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.budget import (
-    BudgetMeter,
-    ExplorationBudget,
-    ExplorationControl,
-)
+from repro.core.budget import ExplorationBudget, ExplorationControl
 from repro.core.checker import CheckConfig
 from repro.core.checkpoint import (
     CheckpointError,
@@ -317,7 +313,7 @@ class _Campaign:
                 if self.first_failure_executions is None:
                     self.first_failure_executions = self.executions
 
-    def state(self, meter: BudgetMeter | None) -> dict:
+    def state(self, control: ExplorationControl) -> dict:
         """The JSON state of a ``kind="generate"`` checkpoint."""
         return {
             "kind": "generate",
@@ -335,7 +331,7 @@ class _Campaign:
             "first_failure_executions": self.first_failure_executions,
             "curve": [list(point) for point in self.curve],
             "verdicts": list(self.verdicts),
-            "meter": meter.snapshot() if meter is not None else None,
+            "meter": control.snapshot(),
         }
 
     def report(self, stop_reason: str | None, converged: bool) -> GenerationReport:
@@ -412,14 +408,8 @@ def run_generation_campaign(
                 deadline_seconds=gen.deadline, max_executions=gen.budget
             )
         )
-    if resume is not None and resume.meter_snapshot is not None:
-        spent = BudgetMeter.from_snapshot(resume.meter_snapshot)
-        control.meter = BudgetMeter(
-            budget=control.budget,
-            elapsed=spent.elapsed,
-            executions=spent.executions,
-            decisions=spent.decisions,
-        )
+    if resume is not None:
+        control.restore(resume.meter_snapshot)
     control.start()
 
     with (
@@ -430,7 +420,7 @@ def run_generation_campaign(
         )
 
     if checkpointer is not None:
-        checkpointer.save(campaign.state(control.meter))
+        checkpointer.save(campaign.state(control))
     return campaign.report(stop_reason, converged)
 
 
@@ -532,7 +522,7 @@ def _run_batches(
                 campaign.seen_list.pop()
             campaign.index = batch[folded_upto][0]
         if checkpointer is not None:
-            checkpointer.tick(lambda: campaign.state(control.meter))
+            checkpointer.tick(lambda: campaign.state(control))
         if run_stop is not None:
             stop_reason = run_stop
             break

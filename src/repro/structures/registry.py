@@ -16,6 +16,7 @@ integration-test suite.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -36,7 +37,10 @@ from repro.structures.manual_reset_event import ManualResetEvent
 from repro.structures.semaphore_slim import SemaphoreSlim
 from repro.structures.task_completion_source import TaskCompletionSource
 
-__all__ = ["ClassUnderTest", "REGISTRY", "RootCause", "ROOT_CAUSES", "get_class"]
+__all__ = [
+    "ClassUnderTest", "REGISTRY", "RootCause", "ROOT_CAUSES", "get_class",
+    "resolve_class",
+]
 
 
 def _inv(method: str, *args: Any) -> Invocation:
@@ -417,3 +421,21 @@ def get_class(name: str) -> ClassUnderTest:
         if entry.name == name:
             return entry
     raise KeyError(f"no class named {name!r} in the registry")
+
+
+def resolve_class(name: str, provider: str | None = None) -> ClassUnderTest:
+    """Look up *name* through the *provider* module (default: the registry).
+
+    A provider is any importable module exposing ``get_class(name)``: the
+    one indirection by which sandboxed workers, checkpoints and crash
+    reports name a subject, so each resolves the exact class that ran.
+    """
+    if not provider:
+        return get_class(name)
+    try:
+        lookup = importlib.import_module(provider).get_class
+    except (ImportError, AttributeError) as exc:
+        raise KeyError(
+            f"provider module {provider!r} cannot resolve classes: {exc}"
+        ) from exc
+    return lookup(name)

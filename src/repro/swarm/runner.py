@@ -31,15 +31,15 @@ can restart from surviving shard results.
 
 from __future__ import annotations
 
-import importlib
 import os
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.budget import BudgetMeter, ExplorationControl
+from repro.core.budget import ExplorationControl
 from repro.core.checker import (
     CheckConfig,
+    _control_for,
     _run_phase1,
     restore_phase2_tally,
     sum_tallies,
@@ -49,18 +49,19 @@ from repro.core.checkpoint import (
     config_from_dict,
     config_to_dict,
     save_checkpoint,
+    subject_record,
     test_from_dict,
     test_to_dict,
 )
 from repro.core.harness import Phase1Stats, SystemUnderTest, TestHarness
 from repro.core.observations import observations_from_xml, observations_to_xml
-from repro.exec.sandbox import DEFAULT_PROVIDER
 from repro.exec.supervisor import (
     NONDETERMINISTIC_VERDICT,
     PoolConfig,
     TaskSpec,
     WorkerPool,
 )
+from repro.structures.registry import resolve_class
 from repro.swarm.merge import (
     LEASE_TALLY,
     SWARM_KIND,
@@ -244,20 +245,13 @@ def swarm_check(
     swarm = swarm or SwarmConfig()
     started = time.monotonic()
 
-    provider_name = provider or DEFAULT_PROVIDER
-    provider_module = importlib.import_module(provider_name)
-    entry = provider_module.get_class(class_name)
+    entry = resolve_class(class_name, provider)
     subject_name = f"{entry.name}({version})"
 
-    if control is None and cfg.budget is not None:
-        control = ExplorationControl(budget=cfg.budget)
-    if (
-        control is not None
-        and resume_document is not None
-        and resume_document.get("budget") is not None
-    ):
-        control.meter = BudgetMeter.from_snapshot(resume_document["budget"])
+    control = _control_for(cfg, control)
     if control is not None:
+        if resume_document is not None:
+            control.restore(resume_document.get("budget"))
         control.start()
 
     def base_result(verdict: str) -> SwarmResult:
@@ -336,7 +330,7 @@ def swarm_check(
             version=version,
             test=test_dict,
             config=worker_config,
-            provider=provider_name,
+            provider=provider,
             kind=kind,
             payload=payload,
             swarm=swarm_args,
@@ -367,11 +361,7 @@ def swarm_check(
             checkpoint_path,
             {
                 "kind": SWARM_KIND,
-                "subject": {
-                    "cls": class_name,
-                    "version": version,
-                    "provider": provider_name,
-                },
+                "subject": subject_record(class_name, version, provider),
                 "test": test_dict,
                 "config": config_to_dict(cfg),
                 "swarm": {
@@ -388,11 +378,7 @@ def swarm_check(
                 "phase1": stats.to_dict(),
                 "phase1_seconds": phase1_seconds,
                 "observations": observations_xml,
-                "budget": (
-                    control.meter.snapshot()
-                    if control is not None and control.meter is not None
-                    else None
-                ),
+                "budget": control.snapshot() if control else None,
                 "shard_files": {
                     str(lineage.id): shard_result_path(
                         checkpoint_path, lineage.id
@@ -487,11 +473,7 @@ def swarm_check(
             )
             # The lease-start frontier is already a snapshot dict.
             state["strategy"] = payload.get("strategy")
-            state["subject"] = {
-                "cls": class_name,
-                "version": version,
-                "provider": provider_name,
-            }
+            state["subject"] = subject_record(class_name, version, provider)
             path = os.path.join(
                 pool.report_dir,
                 f"shard-{payload.get('shard')}-t{spec.index}.checkpoint.json",

@@ -25,6 +25,7 @@ from repro.core.checkpoint import (
     Checkpointer,
     load_checkpoint,
     parse_check_state,
+    renew_limits,
     save_checkpoint,
 )
 from repro.core.checkpoint import test_from_dict as checkpoint_test_from_dict
@@ -106,6 +107,76 @@ class TestExplorationControl:
 
     def test_no_budget_no_stop_never_halts(self):
         assert ExplorationControl().halt_reason() is None
+
+    def test_restore_keeps_the_controls_bounds_and_the_snapshots_spending(self):
+        spent = BudgetMeter(
+            ExplorationBudget(max_executions=3), elapsed=2.5, executions=3,
+            decisions=7,
+        )
+        bounds = ExplorationBudget(deadline_seconds=60.0, max_executions=10)
+        control = ExplorationControl(budget=bounds)
+        control.restore(spent.snapshot())
+        assert control.meter.budget == bounds
+        assert control.meter.elapsed == pytest.approx(2.5)
+        assert (control.meter.executions, control.meter.decisions) == (3, 7)
+        assert control.halt_reason() is None
+        assert control.snapshot()["executions"] == 3
+
+    def test_restore_without_bounds_is_unbounded_and_keeps_counting(self):
+        control = ExplorationControl()
+        control.restore(
+            BudgetMeter(ExplorationBudget(max_executions=1), executions=1).snapshot()
+        )
+        assert control.meter.budget.unbounded
+        assert control.meter.executions == 1 and control.halt_reason() is None
+
+    def test_restore_of_no_snapshot_keeps_the_fresh_meter(self):
+        control = ExplorationControl(budget=ExplorationBudget(max_executions=2))
+        fresh = control.meter
+        control.restore(None)
+        assert control.meter is fresh
+        assert ExplorationControl().snapshot() is None
+
+
+class TestRenewLimits:
+    """``resume --deadline``: one rewrite of the loaded document per kind."""
+
+    METER = {"budget": {"max_executions": 9}, "elapsed": 4.0, "executions": 5}
+
+    @pytest.mark.parametrize(
+        "kind, section, key, meter",
+        [
+            ("check", "config", None, "budget"),
+            ("swarm", "config", None, "budget"),
+            ("campaign", "params", "deadline", "budget"),
+            ("generate", "generate", "deadline", "meter"),
+        ],
+    )
+    def test_the_deadline_moves_and_the_clock_restarts(
+        self, kind, section, key, meter
+    ):
+        document = {
+            "kind": kind,
+            "config": {"budget": {"deadline_seconds": 0.1, "max_executions": 9}},
+            "params": {"deadline": 0.1, "samples": 1},
+            "generate": {"deadline": 0.1, "budget": 300},
+            meter: dict(self.METER),
+        }
+        renew_limits(document, 60.0)
+        if key is None:  # a check's bounds are its config's budget
+            assert document["config"]["budget"] == {
+                "deadline_seconds": 60.0, "max_executions": 9,
+            }
+        else:
+            assert document[section][key] == 60.0
+        assert document[meter] == {**self.METER, "elapsed": 0.0}
+
+    def test_a_generation_run_also_takes_a_new_execution_budget(self):
+        document = {"kind": "generate", "generate": {"budget": 300}, "meter": None}
+        renew_limits(document, None, budget=600)
+        assert document == {
+            "kind": "generate", "generate": {"budget": 600}, "meter": None,
+        }
 
 
 class TestAtomicWrites:

@@ -198,6 +198,76 @@ class TestSwarmResume:
         assert "classes: 1446 distinct" in out
 
 
+BUFFER = [
+    "BoundedBuffer", "--provider", "repro.exec.faults", "--version", "beta",
+    "--test", "Put(1); Take | TryTake",
+]
+
+
+class TestOneWayBackIn:
+    """``resume`` re-enters the command that wrote the checkpoint."""
+
+    def test_a_provider_check_resumes_as_its_own_class(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The checkpoint names the provider module, so the resume finds
+        the fault provider's BoundedBuffer (not in the default registry)
+        and ends at the counts of an uninterrupted run."""
+        from repro import cli
+
+        checkpoint = str(tmp_path / "ck.json")
+        polls = []
+        with monkeypatch.context() as patch:
+            # Interrupt once phase 2 has started (phase 1 runs 3 executions).
+            patch.setattr(
+                cli._SignalStop, "__call__",
+                lambda self: polls.append(1) or len(polls) > 10,
+            )
+            code = main(["check", *BUFFER, "--checkpoint", checkpoint])
+        assert code == 130
+        document = json.loads(Path(checkpoint).read_text())
+        assert document["phase"] == "phase2"
+        assert document["subject"] == {
+            "cls": "BoundedBuffer", "version": "beta",
+            "provider": "repro.exec.faults",
+        }
+        capsys.readouterr()
+        assert main(["resume", checkpoint]) == 0
+        out = capsys.readouterr().out
+        assert "Resuming check of BoundedBuffer(beta)" in out
+        assert "phase 2: 51 concurrent executions (25 full, 26 stuck)" in out
+
+    def test_a_sharded_check_stopped_in_phase_1_names_no_checkpoint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The swarm writes nothing before its shards are planned, so no
+        resume command is printed for a file that does not exist."""
+        from repro import cli
+
+        checkpoint = str(tmp_path / "swarm.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._SignalStop, "__call__", lambda self: True)
+            code = main(
+                ["check", *BUFFER, "--shards", "2", "--checkpoint", checkpoint]
+            )
+        out = capsys.readouterr().out
+        assert code == 130 and "incomplete: interrupted" in out
+        assert not os.path.exists(checkpoint)
+        assert "resume" not in out
+
+    def test_a_shard_result_file_names_what_to_resume(self, tmp_path, capsys):
+        import shutil
+
+        fixtures = REPO_ROOT / "tests" / "fixtures" / "checkpoints" / "swarm"
+        shutil.copytree(fixtures, tmp_path / "swarm")
+        shard = str(tmp_path / "swarm" / "swarm.json.shard-0.json")
+        assert main(["resume", shard]) == 64
+        err = capsys.readouterr().err
+        assert "swarm shard-result file" in err
+        assert "resume the swarm checkpoint" in err
+        assert "checkpoint.json" in err and "subject info" not in err
+
+
 class TestGracefulShutdown:
     CAMPAIGN_ARGS = [
         "campaign", "all", "--versions", "beta",

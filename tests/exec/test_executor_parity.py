@@ -19,7 +19,6 @@ from repro.core.campaign import parse_campaign_state, run_campaign_plan
 from repro.core.checker import CheckConfig
 from repro.core.checkpoint import Checkpointer, load_checkpoint, save_checkpoint
 from repro.exec import InlineExecutor, WorkerPool
-from repro.structures import get_class
 
 PARAMS = {"samples": 4, "rows": 2, "cols": 2, "schedules": 60, "seed": 5}
 CONFIG = CheckConfig(
@@ -73,7 +72,6 @@ def drive(plan, executor, checkpointer=None, document=None):
         PARAMS,
         CONFIG,
         executor,
-        resolve=get_class,
         control=ExplorationControl(),
         checkpointer=checkpointer,
         finished_rows=finished,
