@@ -1,37 +1,47 @@
-"""Monitor backends head-to-head: observations vs WGL vs P-compositional
-vs specialized.
+"""Monitor engines head-to-head: the online engine vs the WGL reference.
 
-Two questions, mirroring the monitoring literature's claims:
+Three questions:
 
 1. **Backend** — on a live subject, how does the two-phase check
    (synthesize a spec serially, then witness-search) compare with
    model-based monitoring (no phase 1 at all)?
-2. **Engine** — on per-key workloads, how much does the P-compositional
-   partition (Horn & Kroening) and the decrease-and-conquer closed form
-   (Lee & Mathur) save over the whole-history Wing–Gong–Lowe search?
+2. **Engine** — on per-key and producer/consumer workloads, what does
+   the online engine every command decides with (the closure of
+   :mod:`repro.monitor.incremental`, one history at a time) cost next
+   to the whole-history Wing–Gong–Lowe search it is tested against?
+3. **Product** — how long does ``lineup monitor`` take, process start to
+   exit code, on the perfbench trace shapes (``window`` at 300, 1 000
+   and 3 000 operations, ``keyed`` at 40 000) and on the 499 files the
+   gate test dumps?
 
-Shape asserted: all engines agree on every verdict; the compositional
-and specialized engines explore strictly fewer configurations than the
-whole-history WGL search on the per-key dictionary workload.
+Shape asserted: the online engine agrees with WGL on every verdict (the
+synthetic workloads and every gate-dump history), and every ``monitor``
+row is a PASS.
 
 ``python benchmarks/bench_monitor_backends.py --quick`` runs a reduced
-version of the engine comparison as a CI smoke test (no pytest-benchmark
-needed); ``--full`` prints the RESULTS.md table.
+version as a CI smoke test (no pytest-benchmark needed: the window
+traces at 300 and 1 000 operations and the gate dump); with no flag it
+runs the full RESULTS.md workload.
 """
 
 from __future__ import annotations
 
+import glob
+import os
 import random
+import subprocess
+import sys
+import tempfile
 import time
 
 from repro.core.events import Event, Invocation, Response
 from repro.core.history import History
-from repro.monitor import (
-    compositional_check,
-    get_model,
-    specialized_check,
-    wgl_check,
-)
+from repro.monitor import get_model, load_trace, monitor_history
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+#: The gate test of the class-partition pins: 499 judged histories.
+GATE = "Enqueue(1); TryDequeue | Enqueue(2) | TryDequeue"
 
 DICT = get_model("dict")
 QUEUE = get_model("queue")
@@ -98,33 +108,28 @@ def long_queue_history(n_values: int, seed: int) -> History:
     return History(events, n_threads=2)
 
 
-ENGINES = (
-    ("wgl", wgl_check),
-    ("compositional", compositional_check),
-    ("specialized", specialized_check),
-)
+ENGINES = ("online", "wgl")
 
 
-def run_engines(histories, model, cap=None):
-    """Check every history with every engine; return per-engine totals."""
+def run_engines(histories, model):
+    """Check every history with both engines; return per-engine totals."""
     totals = {}
     verdicts = {}
-    for name, engine in ENGINES:
+    for engine in ENGINES:
+        monitor_history(histories[0], model, engine=engine)  # imports
         t0 = time.perf_counter()
         configurations = 0
         oks = []
         for history in histories:
-            result = engine(history, model, max_configurations=cap)
-            configurations += result.configurations
-            oks.append(result.ok)
-        totals[name] = {
+            verdict = monitor_history(history, model, engine=engine)
+            configurations += verdict.configurations
+            oks.append(verdict.ok)
+        totals[engine] = {
             "seconds": time.perf_counter() - t0,
             "configurations": configurations,
         }
-        verdicts[name] = oks
-    baseline = verdicts["wgl"]
-    for name, oks in verdicts.items():
-        assert oks == baseline, f"engine {name} disagrees with wgl"
+        verdicts[engine] = oks
+    assert verdicts["online"] == verdicts["wgl"], "online disagrees with wgl"
     return totals
 
 
@@ -161,9 +166,6 @@ def test_engines_on_per_key_dict_workload(benchmark):
     histories = dict_workload(n_histories=20, n_threads=5, rounds=5)
     totals = once(benchmark, run_engines, histories, DICT)
     print_table("per-key dict workload (5 threads x 5 rounds, 20 histories)", totals)
-    assert totals["compositional"]["configurations"] < totals["wgl"]["configurations"]
-    assert totals["specialized"]["configurations"] < totals["wgl"]["configurations"]
-    assert totals["compositional"]["seconds"] < totals["wgl"]["seconds"]
 
 
 def test_engines_on_long_queue_histories(benchmark):
@@ -172,9 +174,6 @@ def test_engines_on_long_queue_histories(benchmark):
     histories = queue_workload(n_histories=10, n_values=120)
     totals = once(benchmark, run_engines, histories, QUEUE)
     print_table("producer/consumer queue (120 values, 10 histories)", totals)
-    # The closed-form axioms need no configurations at all.
-    assert totals["specialized"]["configurations"] == 0
-    assert totals["specialized"]["seconds"] < totals["wgl"]["seconds"]
 
 
 def test_backends_on_live_subject(benchmark, scheduler):
@@ -221,6 +220,52 @@ def test_backends_on_live_subject(benchmark, scheduler):
 
 
 # ---------------------------------------------------------------------------
+# The product: `lineup monitor`, process start to exit code.
+
+
+def monitor_seconds(paths: list[str]) -> float:
+    """Wall time of one ``lineup monitor`` run, asserting its PASS."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "monitor", *paths, "--model",
+         "dict" if "keyed" in paths[0] else "queue"],
+        env=env, capture_output=True, text=True,
+    )
+    seconds = time.perf_counter() - t0
+    assert done.returncode == 0, done.stdout + done.stderr
+    return seconds
+
+
+def product_rows(workdir: str, quick: bool) -> list[tuple[str, float]]:
+    """``monitor`` on the perfbench trace shapes and the gate dump."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from gen_traces import generate
+
+    shapes = [("window", 300), ("window", 1_000)]
+    if not quick:
+        shapes += [("window", 3_000), ("keyed", 40_000)]
+    rows = []
+    for shape, ops in shapes:
+        path = os.path.join(workdir, f"{shape}-{ops}.trace.jsonl")
+        generate(path, shape, ops, 1)
+        rows.append((f"{shape} trace, {ops} ops", monitor_seconds([path])))
+    dump = os.path.join(workdir, "gate")
+    subprocess.run(
+        [sys.executable, "-m", "repro", "check", "ConcurrentQueue", "--test",
+         GATE, "--dump-traces", dump],
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+        capture_output=True, check=True,
+    )
+    paths = sorted(glob.glob(os.path.join(dump, "*", "*.trace.jsonl")))
+    # Every gate history, verdict for verdict, against the reference.
+    histories = [load_trace(path).histories[0] for path in paths]
+    run_engines(histories, QUEUE)
+    rows.append((f"gate dump, {len(paths)} files", monitor_seconds(paths)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Stand-alone smoke mode for CI (no pytest, no benchmark plugin).
 
 
@@ -232,10 +277,6 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="reduced workload: a fast CI smoke test",
     )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="the full RESULTS.md workload",
-    )
     args = parser.parse_args(argv)
 
     if args.quick:
@@ -245,27 +286,22 @@ def main(argv=None) -> int:
         dict_histories = dict_workload(n_histories=20, n_threads=5, rounds=5)
         queue_histories = queue_workload(n_histories=10, n_values=120)
 
-    dict_totals = run_engines(dict_histories, DICT)
     print_table(
-        f"per-key dict workload ({len(dict_histories)} histories)", dict_totals
+        f"per-key dict workload ({len(dict_histories)} histories)",
+        run_engines(dict_histories, DICT),
     )
-    queue_totals = run_engines(queue_histories, QUEUE)
     print_table(
-        f"producer/consumer queue ({len(queue_histories)} histories)", queue_totals
+        f"producer/consumer queue ({len(queue_histories)} histories)",
+        run_engines(queue_histories, QUEUE),
     )
-
-    ok = (
-        dict_totals["compositional"]["configurations"]
-        < dict_totals["wgl"]["configurations"]
-        and dict_totals["specialized"]["configurations"]
-        < dict_totals["wgl"]["configurations"]
-        and queue_totals["specialized"]["configurations"] == 0
-    )
-    print(f"\nsmoke {'PASS' if ok else 'FAIL'}: partition/closed-form beat WGL")
-    return 0 if ok else 1
+    with tempfile.TemporaryDirectory() as workdir:
+        rows = product_rows(workdir, args.quick)
+    print("\n=== lineup monitor, process start to exit code ===")
+    for name, seconds in rows:
+        print(f"{name:28s} {seconds:8.2f} s")
+    print("\nsmoke PASS: online agrees with WGL on every verdict")
+    return 0
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

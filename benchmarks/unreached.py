@@ -63,6 +63,20 @@ GEN_TRACES = (
     "generate(sys.argv[2], sys.argv[3], int(sys.argv[4]), seed=1)"
 )
 PERFBENCH = os.path.join(REPO, "perfbench")
+#: CI's two counter dumps that ended stuck: ``stuck-justified`` (the
+#: pending decs block at zero) and ``stuck-unjustified`` (at one).
+STUCK_DUMPS = (
+    "from repro.core.events import Event, Invocation, Response; "
+    "from repro.core.history import History; "
+    "from repro.monitor import DumpTraceWriter; "
+    "c = lambda t, i, m: Event.call(t, i, Invocation(m, ())); "
+    "r = lambda t, i: Event.ret(t, i, Response('ok', None)); "
+    "[DumpTraceWriter(f'stuck-{name}', 'Counter', {}, 2).write("
+    "1, History(events, n_threads=2, stuck=True)) for name, events in ("
+    "('justified', [c(0, 0, 'inc'), r(0, 0), c(1, 0, 'dec'), c(0, 1, 'dec'), "
+    "r(0, 1), c(0, 2, 'dec')]), "
+    "('unjustified', [c(0, 0, 'inc'), r(0, 0), c(1, 0, 'dec')]))]"
+)
 BUGGY = LIVE + [
     "--variant", "buggy", "--ops", "15", "--seed", "0", "--race-window", "0.02",
 ]
@@ -92,10 +106,19 @@ DRIVES: list[tuple[str, list[str]]] = [
         )
     ],
     ("one check: --relaxed", ["check", "ConcurrentBag", "--cause", "H", "--relaxed", "--json"]),
-    ("one model judge: --dump-traces",
+    ("one engine: --dump-traces",
      ["check", "ConcurrentQueue", "--test", "Enqueue(1) | TryDequeue", "--dump-traces", "dump"]),
-    ("one model judge: monitor", ["monitor", "dump/*/*.trace.jsonl", "--model", "queue"]),
-    ("one model judge: watch", ["watch", "dump/*/1.trace.jsonl", "--model", "queue"]),
+    ("one engine: monitor", ["monitor", "dump/*/*.trace.jsonl", "--model", "queue"]),
+    ("one engine: watch", ["watch", "dump/*/1.trace.jsonl", "--model", "queue"]),
+    ("one engine: check --model",
+     ["check", "ConcurrentQueue", "--version", "pre", "--cause", "D", "--model", "queue"]),
+    ("one engine: write stuck dumps", ["-c", STUCK_DUMPS]),
+    *[
+        (f"one engine: {command} the {name} stuck dump",
+         [command, f"stuck-{name}/*/1.trace.jsonl", "--model", "counter"])
+        for name in ("justified", "unjustified")
+        for command in ("watch", "monitor")
+    ],
     ("capped phase 1: campaign",
      ["campaign", "ConcurrentQueue", "--versions", "beta", "--samples", "2", "--rows", "4",
       "--cols", "3", "--seed", "1", "--schedules", "50"]),

@@ -18,8 +18,8 @@ Line-Up as a tool, mirroring how the paper's authors drove it:
   file.
 * ``resume`` — continue an interrupted ``check`` (sharded or not),
   ``campaign`` or ``generate`` from the file it saved.
-* ``monitor`` — re-check a dumped JSONL trace against an explicit
-  sequential model (no execution).
+* ``monitor`` — re-check finished JSONL traces against an explicit
+  sequential model (no execution): ``watch`` over each file.
 * ``live`` — record N concurrent sessions against a live service over
   wall-clock time (optionally under chaos fault injection) and check
   the recorded v2 trace; see :mod:`repro.live`.
@@ -1119,19 +1119,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    """Offline re-check of JSONL traces against an explicit model."""
-    from repro.core.checker import monitor_violation
-    from repro.core.checkpoint import test_from_dict
-    from repro.core.report import render_violation
-    from repro.core.testcase import FiniteTest
-    from repro.monitor import (
-        MonitorLimitError,
-        TraceError,
-        get_model,
-        load_trace,
-        monitor_history,
-        read_trace_header,
-    )
+    """Offline re-check of JSONL traces: ``watch`` over each finished file."""
+    from repro.monitor import TraceError, get_model, read_trace_header
+    from repro.stream import WatchConfig, watch_trace
 
     model = get_model(_trace_model_name(args.model, args.trace[0]))
     try:
@@ -1139,64 +1129,69 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     except TraceError as exc:
         raise CliError(str(exc)) from exc
 
-    def trace_test(trace, history) -> FiniteTest:
-        if trace.test is not None:
-            try:
-                return test_from_dict(trace.test)
-            except Exception:  # noqa: BLE001 - header metadata is advisory
-                pass
-        return FiniteTest.of(
-            [
-                [op.invocation for op in history.operations if op.thread == t]
-                for t in range(trace.n_threads)
-            ]
+    def violation(path: str, result):
+        """The first violation, rendered from its file's whole history."""
+        from repro.core.checker import monitor_violation
+        from repro.core.checkpoint import test_from_dict
+        from repro.core.testcase import FiniteTest
+        from repro.monitor import load_trace
+        from repro.monitor.dispatch import online_failure
+
+        trace = load_trace(path)
+        history = trace.histories[0]
+        try:
+            test = test_from_dict(trace.test)  # None in a live recording
+        except Exception:  # noqa: BLE001 - header metadata is advisory
+            test = FiniteTest.of(
+                [
+                    [op.invocation for op in history.operations if op.thread == t]
+                    for t in range(trace.n_threads)
+                ]
+            )
+        verdict = online_failure(
+            history, result.counterexample, result.stats["configurations"]
         )
+        return monitor_violation(verdict, model, test, history)
 
     print(
         f"Monitoring {len(args.trace)} histories of "
         f"{subject or '(unknown subject)'} against model {model.name!r}"
     )
+    config = WatchConfig(max_configurations=args.max_configurations)
     failures = 0
     exhausted = 0
     first_violation = None
     for path in args.trace:
         try:
-            trace = load_trace(path)
+            result = watch_trace(path, model, config)
         except TraceError as exc:
             raise CliError(str(exc)) from exc
-        if trace.truncated:
+        if result.torn:
             print(f"note: {path} ends in a torn line, which is skipped")
-        history = trace.histories[0]
-        try:
-            verdict = monitor_history(
-                history, model, max_configurations=args.max_configurations
-            )
-        except MonitorLimitError:
+        if result.verdict == "EXHAUSTED":
             exhausted += 1
             if args.verbose:
                 print(f"  {path}: EXHAUSTED (configuration cap)")
-            continue
-        if verdict.ok:
+        elif result.verdict == "PASS":
             if args.verbose:
                 print(
                     f"  {path}: OK "
-                    f"({verdict.result.engine}, "
-                    f"{verdict.result.configurations} configurations)"
+                    f"({result.stats['configurations']} configurations)"
                 )
-            continue
-        failures += 1
-        if args.verbose:
-            print(f"  {path}: FAIL")
-        if first_violation is None:
-            first_violation = monitor_violation(
-                verdict, model, trace_test(trace, history), history
-            )
+        else:
+            failures += 1
+            if args.verbose:
+                print(f"  {path}: FAIL")
+            if first_violation is None:
+                first_violation = violation(path, result)
     print(
         f"verdict: {'FAIL' if failures else ('EXHAUSTED' if exhausted else 'PASS')} "
         f"({len(args.trace) - failures - exhausted} ok, "
         f"{failures} violating, {exhausted} exhausted)"
     )
     if first_violation is not None:
+        from repro.core.report import render_violation
+
         print()
         print(render_violation(first_violation))
         return EXIT_FAIL
@@ -1372,7 +1367,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
             print(f"  recording outcome: {result.outcome}")
         if result.counterexample:
             print()
-            print(result.counterexample)
+            print(result.counterexample.describe())
 
     return _verdict_exit_code(result.verdict)
 
@@ -1615,7 +1610,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_monitor.add_argument(
         "--max-configurations", type=_count(1), metavar="N",
-        help="abort a history's search past N configurations (EXHAUSTED)",
+        help="configuration cap per return: what one return's closure "
+             "may explore before the file is EXHAUSTED (default: no cap)",
     )
     p_monitor.add_argument(
         "-v", "--verbose", action="store_true",
@@ -1685,8 +1681,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_live.add_argument(
         "--max-configurations", type=_count(1), default=500_000, metavar="N",
-        help="abort the offline search past N configurations (EXHAUSTED; "
-             "default: 500000)",
+        help="configuration cap per return of the offline re-check "
+             "(EXHAUSTED; default: 500000)",
     )
     p_live.add_argument(
         "--flush-every-n", type=_count(1), default=1, metavar="N",
@@ -1714,8 +1710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument(
         "trace", metavar="TRACE",
         help="JSONL trace file (a 'lineup live' recording, possibly "
-             "still being written, or one --dump-traces file; check a "
-             "dump that ended stuck with 'monitor')",
+             "still being written, or one --dump-traces file)",
     )
     p_watch.add_argument(
         "--model", metavar="NAME",

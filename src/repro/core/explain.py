@@ -50,7 +50,7 @@ class Diagnosis:
     pending_op: Operation | None = None
     notes: list[str] = field(default_factory=list)
     #: free-form body lines rendered verbatim under the headline (the
-    #: monitor backend's counterexample: deepest prefix + stuck frontier).
+    #: monitor backend's counterexample and what the model offered).
     details: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
@@ -166,30 +166,21 @@ def diagnose_monitor_failure(verdict, model) -> Diagnosis:
     """Diagnose a monitor-backend failure (no observation set involved).
 
     *verdict* is a failed :class:`repro.monitor.dispatch.MonitorVerdict`;
-    the result is a :class:`Diagnosis` rendered by the same report path
-    as the observation-backend diagnoses — one format for both backends.
+    its counterexample — the online engine's failing return or unjustified
+    pending operation, with what the model offered instead — becomes a
+    :class:`Diagnosis` rendered by the same report path as the
+    observation-backend diagnoses: one format for both backends.
     """
     if verdict.failed_pending is not None:
         diagnosis = Diagnosis(kind="blocking", pending_op=verdict.failed_pending)
-        diagnosis.details.append(
-            f"the {model.name!r} model has no reachable state in which "
-            f"{verdict.failed_pending.invocation} blocks, so a pending "
-            "call can never be justified"
-        )
-        return diagnosis
-    diagnosis = Diagnosis(kind="model-mismatch")
-    result = verdict.result
-    counterexample = result.counterexample
-    if counterexample is not None:
-        diagnosis.details.extend(counterexample.describe().splitlines())
+    else:
+        diagnosis = Diagnosis(kind="model-mismatch")
+    if verdict.counterexample is not None:
+        diagnosis.details.extend(verdict.counterexample.describe().splitlines())
     diagnosis.notes.append(
         f"checked against sequential model {model.name!r} "
-        f"(engine {result.engine}, {result.configurations} configurations)"
+        f"(engine {verdict.engine}, {verdict.configurations} configurations)"
     )
-    if result.cell is not None:
-        diagnosis.notes.append(
-            f"the violation is confined to partition cell {result.cell!r}"
-        )
     return diagnosis
 
 

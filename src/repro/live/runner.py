@@ -5,7 +5,7 @@ target service (an address — the runner does not care whether it is the
 in-repo reference SUT or something external), record their histories
 through the wall-clock recorder, survive whatever the chaos layer and
 the real world do to the service, finalize the trace, and check it
-offline with the :mod:`repro.monitor` backend.
+offline with the online engine, as ``lineup monitor`` does.
 
 Robustness contract (the point of this module):
 
@@ -46,13 +46,8 @@ from repro.live.session import (
     make_workload,
 )
 from repro.live.transport import HttpTransport
-from repro.monitor import (
-    MonitorLimitError,
-    MonitorVerdict,
-    get_model,
-    load_trace,
-    monitor_history,
-)
+from repro.monitor import get_model
+from repro.stream import WatchConfig, WatchResult, watch_trace
 
 __all__ = ["LiveConfig", "LiveResult", "render_live_result", "run_live"]
 
@@ -90,7 +85,7 @@ class LiveResult:
     errors: int = 0
     connect_retries: int = 0
     session_stats: list[SessionStats] = field(default_factory=list)
-    monitor: MonitorVerdict | None = None
+    monitor: WatchResult | None = None
     injected: dict = field(default_factory=dict)
 
     @property
@@ -239,26 +234,17 @@ def run_live(
     if killer is not None and killer.fired:
         result.injected["kill"] = result.injected.get("kill", 0) + 1
 
-    # -- check the recorded history offline -----------------------------
-    history = load_trace(config.trace_out).histories[0]
-    exhausted = False
-    verdict: MonitorVerdict | None = None
-    try:
-        verdict = monitor_history(
-            history, model, max_configurations=config.max_configurations
-        )
-    except MonitorLimitError:
-        exhausted = True
-    result.monitor = verdict
+    # -- check the recorded trace offline, as `lineup monitor` does -----
+    result.monitor = watch_trace(
+        config.trace_out,
+        model,
+        WatchConfig(max_configurations=config.max_configurations),
+    )
 
     # One verdict per independent observation; the shared lattice merges.
-    verdicts = ["PASS"]
-    if verdict is not None and not verdict.ok:
-        verdicts.append("FAIL")
+    verdicts = [result.monitor.verdict]
     if died and not expected_kill:
         verdicts.append("CRASHED")
-    if exhausted:
-        verdicts.append("EXHAUSTED")
     result.verdict = worst_verdict(verdicts)
     return result
 
@@ -286,17 +272,16 @@ def render_live_result(result: LiveResult) -> str:
             f"  session {stats.index}: {stats.completed} ok, "
             f"{stats.indeterminate} indeterminate ({stats.outcome})"
         )
-    monitor = result.monitor
-    if monitor is not None and monitor.resolved_pending:
-        taken = sum(1 for _op, took in monitor.resolved_pending if took)
-        dropped = len(monitor.resolved_pending) - taken
+    if result.monitor is not None:
+        stats = result.monitor.stats
+        if stats["frontier"] and result.monitor.verdict != "FAIL":
+            lines.append(
+                f"  indeterminate resolution: {stats['taken']} linearized as "
+                f"effective, {stats['frontier'] - stats['taken']} as "
+                "never-applied"
+            )
         lines.append(
-            f"  indeterminate resolution: {taken} linearized as effective, "
-            f"{dropped} as never-applied"
-        )
-    if monitor is not None and monitor.result is not None:
-        lines.append(
-            f"  monitor: engine {monitor.result.engine}, "
-            f"{monitor.result.configurations} configurations"
+            f"  monitor: {stats['configurations']} configurations, "
+            f"{stats['retired']} retired"
         )
     return "\n".join(lines)

@@ -22,8 +22,8 @@ classify the outcome:
   service ends the campaign in bounded time instead of hanging it.
 
 The workloads are deliberately model-shaped (method names match
-:mod:`repro.monitor.models`) and value-unique where the model's
-specialized checkers want distinct values.
+:mod:`repro.monitor.models`) and value-unique where distinct values keep
+a queue's or register's linearizations unambiguous.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def make_workload(model: str, session_index: int, rng: random.Random):
     counter = iter(range(10**9))
 
     def unique() -> int:
-        # Globally unique across sessions: the specialized queue/register
-        # checkers require distinct values.
+        # Globally unique across sessions: distinct values keep the
+        # queue's and register's closures small.
         return session_index * 1_000_000 + next(counter)
 
     if model == "counter":

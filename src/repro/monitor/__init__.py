@@ -4,27 +4,15 @@ The complement of the two-phase check: when an explicit sequential model
 is known, a concurrent history is checked directly against it — no
 serial-enumeration phase, no :class:`~repro.core.spec.ObservationSet`.
 
-Engines, fastest-applicable first:
-
-* :mod:`repro.monitor.specialized` — log-linear decrease-and-conquer
-  checkers for unambiguous queue/register/set histories.
-* :mod:`repro.monitor.compositional` — P-compositionality: partition a
-  history per key/element and monitor each (much smaller) cell.
-* :mod:`repro.monitor.wgl` — the general Wing–Gong–Lowe search with the
-  memoized configuration cache; always applicable.
-
-:func:`check_history_against_model` dispatches between them, and
-:mod:`repro.monitor.trace` is the offline JSONL trace format the
-``lineup monitor`` subcommand reads.
+One engine decides: :mod:`repro.monitor.incremental`, the online closure
+that ``lineup watch`` and ``lineup monitor`` run over a trace file (per
+key, through :mod:`repro.stream`) and :func:`monitor_history` runs over
+one phase-2 history, stuck histories included.  :mod:`repro.monitor.wgl`
+is the offline Wing–Gong–Lowe search it is tested against, and
+:mod:`repro.monitor.trace` is the JSONL trace format both commands read.
 """
 
-from repro.monitor.compositional import compositional_check
-from repro.monitor.dispatch import (
-    ENGINES,
-    MonitorVerdict,
-    check_history_against_model,
-    monitor_history,
-)
+from repro.monitor.dispatch import MonitorVerdict, monitor_history
 from repro.monitor.models import (
     MODELS,
     ModelError,
@@ -32,7 +20,6 @@ from repro.monitor.models import (
     get_model,
     model_names,
 )
-from repro.monitor.specialized import specialized_check
 from repro.monitor.incremental import (
     IncrementalChecker,
     OnlineCounterexample,
@@ -64,7 +51,6 @@ from repro.monitor.wgl import (
 )
 
 __all__ = [
-    "ENGINES",
     "IncrementalChecker",
     "MODELS",
     "ModelError",
@@ -86,9 +72,7 @@ __all__ = [
     "TraceError",
     "TraceScan",
     "TraceSegment",
-    "check_history_against_model",
     "check_stuck_history_model",
-    "compositional_check",
     "default_trace_dir",
     "get_model",
     "iter_trace",
@@ -96,6 +80,5 @@ __all__ = [
     "read_trace_header",
     "model_names",
     "scan_trace",
-    "specialized_check",
     "wgl_check",
 ]

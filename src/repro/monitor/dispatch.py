@@ -1,143 +1,175 @@
-"""Engine dispatch: pick the cheapest applicable monitoring algorithm.
+"""The verdict of one recorded history against a model.
 
-``auto`` order, cheapest first:
+:func:`monitor_history` is the per-history verdict of ``check --backend
+monitor``.  It judges the history as ``watch`` and ``monitor`` judge a
+dump of it: :func:`replay` feeds its events, in order, into one
+:class:`~repro.stream.engine.StreamChecker` — per key when the model is
+partitionable and every operation has a key — and, for a stuck history,
+takes the same end-of-history step that justifies every pending
+operation (a pending op must be *allowed* to block: a reachable model
+state in which its invocation blocks).
 
-1. :mod:`repro.monitor.specialized` — closed-form axioms, full
-   unambiguous histories only;
-2. :mod:`repro.monitor.compositional` — per-key partition, when the
-   model is partitionable and the history has no global operations;
-3. :mod:`repro.monitor.wgl` — the general search, always applicable.
-
-:func:`monitor_history` is the complete per-history verdict the checker
-backend and the ``lineup monitor`` subcommand share: the linearization
-check plus, for stuck histories, the blocking justification of every
-pending operation (a pending op must be *allowed* to block — reachable
-model state in which its invocation blocks; see
-:func:`repro.monitor.wgl.check_stuck_history_model`).
+``engine="wgl"`` is the offline reference the tests and benchmarks
+compare the online engine with: the Wing–Gong–Lowe search of
+:func:`~repro.monitor.wgl.wgl_check` plus
+:func:`~repro.monitor.wgl.check_stuck_history_model`, a search per
+pending operation.  No command runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.events import Operation
 from repro.core.history import History
-from repro.monitor.compositional import compositional_check
+from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
 from repro.monitor.models import SequentialModel
-from repro.monitor.specialized import specialized_check, try_specialized
 from repro.monitor.wgl import (
-    MonitorResult,
-    StuckMonitorResult,
+    MonitorCounterexample,
+    MonitorLimitError,
     check_stuck_history_model,
     wgl_check,
 )
 
-__all__ = ["ENGINES", "MonitorVerdict", "check_history_against_model", "monitor_history"]
+if TYPE_CHECKING:
+    from repro.stream.engine import StreamChecker
 
-#: Engine names :func:`monitor_history` accepts.  Every command runs
-#: ``auto``; the named engines are for benchmarks and differential tests.
-ENGINES = ("auto", "wgl", "compositional", "specialized")
-
-
-def check_history_against_model(
-    history: History,
-    model: SequentialModel,
-    *,
-    engine: str = "auto",
-    max_configurations: int | None = None,
-) -> MonitorResult:
-    """The linearization half of the verdict, via the chosen engine."""
-    if engine == "wgl":
-        return wgl_check(history, model, max_configurations=max_configurations)
-    if engine == "compositional":
-        return compositional_check(
-            history, model, max_configurations=max_configurations
-        )
-    if engine == "specialized":
-        return specialized_check(
-            history, model, max_configurations=max_configurations
-        )
-    if engine == "auto":
-        result = try_specialized(history, model)
-        if result is not None:
-            return result
-        return compositional_check(
-            history, model, max_configurations=max_configurations
-        )
-    raise ValueError(
-        f"unknown monitor engine {engine!r} (choose from {', '.join(ENGINES)})"
-    )
+__all__ = ["MonitorVerdict", "monitor_history", "online_failure", "replay"]
 
 
 @dataclass(frozen=True)
 class MonitorVerdict:
     """Complete verdict of one history: linearization + blocking.
 
-    Pending operations come in two flavours, with different obligations:
-
-    * in a **stuck** history the scheduler observed the operation
-      blocking, so the verdict additionally demands a blocking
-      justification (``stuck``);
-    * in an **open** history (a live recording with indeterminate
-      operations — timed-out or connection-dropped calls that may or may
-      not have taken effect) nothing was observed to block, so each
-      pending operation is simply free to linearize anywhere after its
-      call, or nowhere.  ``resolved_pending`` reports how the found
-      witness resolved each one: ``True`` means the witness linearized
-      it (the operation is assumed to have taken effect), ``False``
-      means the witness dropped it.
+    In a **stuck** history the scheduler observed the pending operations
+    blocking, so the verdict additionally demands a blocking
+    justification; ``failed_pending`` is the first operation without
+    one.  In an **open** history (a live recording with indeterminate
+    operations) nothing was observed to block, and each pending
+    operation is free to linearize anywhere after its call, or nowhere.
     """
 
-    result: MonitorResult
-    #: blocking justification, run only for stuck histories.
-    stuck: StuckMonitorResult | None = None
-    #: open-history pending ops paired with "did the witness take it".
-    resolved_pending: tuple[tuple[Operation, bool], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.result.ok and (self.stuck is None or self.stuck.ok)
-
-    @property
-    def failed_pending(self) -> "Operation | None":
-        """The unjustified pending operation, when blocking failed."""
-        return self.stuck.failed if self.stuck is not None else None
+    ok: bool
+    engine: str  #: "incremental", or "wgl" for the reference
+    configurations: int
+    #: why not: the online engine's failing return or unjustified pending
+    #: operation, or the reference's deepest prefix; None on a PASS.
+    counterexample: OnlineCounterexample | MonitorCounterexample | None = None
+    #: the unjustified pending operation of a stuck history.
+    failed_pending: Operation | None = None
 
 
-def _resolve_pending(history: History, result: MonitorResult):
-    """Pair each pending op with whether the witness linearized it."""
-    if not result.ok or result.witness is None:
-        return ()
-    taken = {op.key for op, _resp in result.witness}
-    return tuple(
-        (op, op.key in taken) for op in history.pending_operations
+def online_failure(
+    history: History, counterexample: OnlineCounterexample, configurations: int
+) -> MonitorVerdict:
+    """The verdict of *history*, which the online engine failed with
+    *counterexample* (on a return, or on a pending operation)."""
+    key = (counterexample.thread, counterexample.op_index)
+    return MonitorVerdict(
+        ok=False,
+        engine=IncrementalChecker.engine,
+        configurations=configurations,
+        counterexample=counterexample,
+        failed_pending=(
+            history.operation_map[key] if counterexample.observed is None else None
+        ),
     )
+
+
+def replay(
+    history: History,
+    model: SequentialModel,
+    *,
+    max_configurations: int | None = None,
+) -> StreamChecker:
+    """Feed *history* into a :class:`~repro.stream.engine.StreamChecker`
+    and return it: its events in order, stopping at a FAIL, then, for a
+    stuck history, the end-of-history step.
+
+    The stream is split per key when the model is partitionable and no
+    operation is global — decided up front, since the whole history is
+    at hand (``watch`` learns it mid-file and restarts).
+    """
+    # Imported here: repro.stream's engine imports this package.
+    from repro.stream.engine import StreamChecker
+
+    partition = model.partitionable and all(
+        model.partition_key(op.invocation) is not None
+        for op in history.operations
+    )
+    stream = StreamChecker(
+        model, partition=partition, max_configurations=max_configurations
+    )
+    alive = all(
+        stream.on_event((
+            event.is_call,
+            event.thread,
+            event.op_index,
+            event.invocation if event.is_call else event.response,
+        ))
+        for event in history.events
+    )
+    if alive and history.stuck:
+        stream.justify_pending()
+    return stream
 
 
 def monitor_history(
     history: History,
     model: SequentialModel,
     *,
-    engine: str = "auto",
+    engine: str = "online",
     max_configurations: int | None = None,
 ) -> MonitorVerdict:
     """Check one history end to end against *model*.
 
-    Stuck histories get the blocking-justification pass on top of the
-    linearization check; open histories (pending operations without an
-    observed block — the indeterminate-operation regime of live
-    recordings) skip it and instead report how the witness resolved each
-    pending operation.
+    *max_configurations* caps the closure of one return (the online
+    engine) or the whole search (the reference); past it, with no FAIL
+    found, :class:`~repro.monitor.wgl.MonitorLimitError` is raised.
     """
-    result = check_history_against_model(
-        history, model, engine=engine, max_configurations=max_configurations
+    if engine == "wgl":
+        return _reference(history, model, max_configurations)
+    if engine != "online":
+        raise ValueError(f"unknown monitor engine {engine!r} (online or wgl)")
+    stream = replay(history, model, max_configurations=max_configurations)
+    if stream.failed is not None:
+        return online_failure(history, stream.failed, stream.configurations())
+    if stream.exhausted:
+        raise MonitorLimitError(
+            f"incremental check exceeded {max_configurations} configurations "
+            "in the closure of one return"
+        )
+    return MonitorVerdict(
+        ok=True,
+        engine=IncrementalChecker.engine,
+        configurations=stream.configurations(),
     )
-    stuck: StuckMonitorResult | None = None
-    resolved: tuple[tuple[Operation, bool], ...] = ()
-    if result.ok and history.stuck:
+
+
+def _reference(
+    history: History, model: SequentialModel, max_configurations: int | None
+) -> MonitorVerdict:
+    """The offline verdict: WGL, then a blocking search per pending op."""
+    result = wgl_check(history, model, max_configurations=max_configurations)
+    if not result.ok:
+        return MonitorVerdict(
+            ok=False,
+            engine=result.engine,
+            configurations=result.configurations,
+            counterexample=result.counterexample,
+        )
+    configurations = result.configurations
+    failed = None
+    if history.stuck:
         stuck = check_stuck_history_model(
             history, model, max_configurations=max_configurations
         )
-    elif not history.stuck and history.pending_operations:
-        resolved = _resolve_pending(history, result)
-    return MonitorVerdict(result=result, stuck=stuck, resolved_pending=resolved)
+        configurations += stuck.configurations
+        failed = stuck.failed
+    return MonitorVerdict(
+        ok=failed is None,
+        engine=result.engine,
+        configurations=configurations,
+        failed_pending=failed,
+    )

@@ -45,6 +45,17 @@ point — or never — exactly the open-history semantics of
 bifurcation per configuration, so memory stays bounded by (window +
 indeterminate count).
 
+**Stuck histories** (the paper's Definition 2) add one step at the end.
+A dumped execution that ended stuck or divergent left operations that
+were observed to block, and each pending operation ``e`` needs a
+justification: a linearization of the completed operations of ``H[e]``
+after which the model blocks on ``e``.  ``H[e]`` drops every other
+pending operation, so those linearizations end in exactly the states of
+the **empty linearized-map bucket** — the configurations that
+linearized every returned operation and no open one.  :meth:`justify`
+is therefore one pass over one bucket per pending operation (a compact
+state expanded first), never a search.
+
 **Representation.**  Many configurations differ only in the model
 state: the configurations of a closure that linearized the same open
 operations with the same responses share their whole second component.
@@ -112,7 +123,9 @@ class OnlineCounterexample:
     """Why the stream stopped being linearizable, at the failing return.
 
     ``thread``/``op_index``/``invocation``/``observed`` identify the
-    returning operation whose response no configuration could justify.
+    returning operation whose response no configuration could justify,
+    or — ``observed`` None — the pending operation of a stuck history
+    that no state of the empty bucket blocks.
     ``candidates`` samples what the surviving configurations *could*
     offer instead: pairs of (model state, response the model computes
     for the invocation there — None when it blocks, or the response the
@@ -124,15 +137,20 @@ class OnlineCounterexample:
     thread: int
     op_index: int
     invocation: Invocation
-    observed: Response
+    observed: Response | None
     candidates: tuple[tuple[Any, Response | None], ...]
     retired: int
     events_ingested: int
 
     def describe(self) -> str:
+        what = (
+            "blocked forever, but no linearization of the completed "
+            "operations leaves the model blocking it"
+            if self.observed is None
+            else f"returned {self.observed}, but no linearization allows it"
+        )
         lines = [
-            f"operation [{self.invocation} @T{self.thread}] returned "
-            f"{self.observed}, but no linearization allows it "
+            f"operation [{self.invocation} @T{self.thread}] {what} "
             f"(after {self.retired} retired operations, "
             f"{self.events_ingested} events)",
         ]
@@ -413,6 +431,47 @@ class IncrementalChecker:
             return False
         self.retired += 1
         return True
+
+    # -- the end of a stuck history ---------------------------------------
+
+    def justify(self, key: tuple[int, int]) -> bool:
+        """Judge open operation *key* of a stuck history; False = unjustified.
+
+        It may block forever iff a state of the empty bucket blocks its
+        invocation (module docstring).  An unjustified operation fails
+        the stream as a return does.
+        """
+        self._reject_after_failure()
+        invocation = self._open[key].invocation
+        bucket = self._configs.get(frozenset(), ())
+        self.configurations += self._count(bucket)
+        step = self.model.step
+        if any(
+            step(state, invocation)[1] is None
+            for state in self.model.expand(bucket)
+        ):
+            return True
+        self.failed = OnlineCounterexample(
+            thread=key[0],
+            op_index=key[1],
+            invocation=invocation,
+            observed=None,
+            candidates=tuple(islice(
+                _rejections([{frozenset(): bucket}], key, invocation, self.model),
+                8,
+            )),
+            retired=self.retired,
+            events_ingested=self.events_ingested,
+        )
+        return False
+
+    def taken(self) -> frozenset:
+        """The open operations a surviving linearization made take effect
+        (those of a smallest linearized map): how a witness resolves
+        them."""
+        if not self._configs:
+            return frozenset()
+        return frozenset(key for key, _answer in min(self._configs, key=len))
 
     # -- verdicts ---------------------------------------------------------
 

@@ -71,13 +71,9 @@ class MonitorCounterexample:
     prefix: tuple[tuple[Operation, Response], ...]
     frontier: tuple[tuple[Operation, Response | None], ...]
     state: Any
-    #: set by the specialized checkers: the violated axiom, in words.
-    reason: str | None = None
 
     def describe(self) -> str:
         lines: list[str] = []
-        if self.reason is not None:
-            lines.append(self.reason)
         if self.prefix or self.frontier:
             placed = ", ".join(str(op) for op, _resp in self.prefix) or "(empty)"
             lines.append(f"deepest linearizable prefix: {placed}")
@@ -93,12 +89,10 @@ class MonitorResult:
     """Verdict of one history against one model."""
 
     ok: bool
-    engine: str  #: "wgl", "compositional", or "specialized"
+    engine: str  #: always "wgl"
     configurations: int  #: configurations explored (the cache size)
     witness: tuple[tuple[Operation, Response], ...] | None = None
     counterexample: MonitorCounterexample | None = None
-    #: for compositional verdicts: the cell the verdict came from.
-    cell: Any = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,6 @@ def wgl_check(
     model: SequentialModel,
     *,
     max_configurations: int | None = None,
-    engine: str = "wgl",
 ) -> MonitorResult:
     """Decide whether *history* linearizes to an execution of *model*."""
     ops = history.operations
@@ -174,7 +167,7 @@ def wgl_check(
         if complete_keys <= linearized:
             return MonitorResult(
                 ok=True,
-                engine=engine,
+                engine="wgl",
                 configurations=len(seen),
                 witness=prefix,
             )
@@ -197,7 +190,7 @@ def wgl_check(
             frontier.append((op, None if answer is None else Response(*answer)))
     return MonitorResult(
         ok=False,
-        engine=engine,
+        engine="wgl",
         configurations=len(seen),
         counterexample=MonitorCounterexample(
             prefix=best, frontier=tuple(frontier), state=best_state

@@ -1,9 +1,10 @@
 """Streaming online monitoring: check unbounded live traces as they grow.
 
-The offline ``lineup monitor`` needs a finished trace; this package is
-the online complement behind ``lineup watch`` — it follows a JSONL trace
-*while* :class:`~repro.monitor.trace.LiveTraceWriter` is still appending
-to it and keeps a rolling linearizability verdict at traffic rate:
+This package is the engine behind ``lineup watch`` — it follows a JSONL
+trace *while* :class:`~repro.monitor.trace.LiveTraceWriter` is still
+appending to it and keeps a rolling linearizability verdict at traffic
+rate — and behind ``lineup monitor``, which runs the same loop once over
+each finished file:
 
 * :mod:`repro.stream.tail` — the tailing reader: incremental polls,
   torn-final-line re-reads, rotation/truncation detection;

@@ -9,12 +9,12 @@ stream otherwise.  A FAIL is known at the exact return
 event that loses linearizability; memory is bounded by the concurrency
 window (see the retirement argument in :mod:`repro.monitor.incremental`).
 A dump whose end marker says the execution ended ``stuck`` or
-``divergent`` is refused there: its pending operations were observed to
-block, and the online checker judges pending operations under the open
-semantics, so it cannot justify the blocking — that is ``lineup
-monitor``'s job.  A FAIL found before that marker stands: a history
-with no linearization under the open semantics has none under the stuck
-semantics either.
+``divergent`` is judged there: its pending operations were observed to
+block, so each needs a blocking justification (Definition 2), which the
+end-of-history step gives from the empty bucket of its cell
+(:meth:`~repro.monitor.incremental.IncrementalChecker.justify`).  A
+FAIL found before that marker stands: a history with no linearization
+under the open semantics has none under the stuck semantics either.
 
 Partitioning (P-compositionality, reusing
 :meth:`~repro.monitor.models.SequentialModel.partition_key`): when
@@ -44,12 +44,7 @@ from typing import Hashable
 
 from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
 from repro.monitor.models import SequentialModel
-from repro.monitor.trace import (
-    LITERAL_MEMO_LIMIT,
-    STUCK_OUTCOMES,
-    TraceDecoder,
-    TraceError,
-)
+from repro.monitor.trace import LITERAL_MEMO_LIMIT, STUCK_OUTCOMES, TraceDecoder
 from repro.monitor.wgl import MonitorLimitError
 
 __all__ = ["PartitionUnsound", "StreamChecker"]
@@ -140,9 +135,6 @@ class StreamChecker:
             return "EXHAUSTED"
         return "PASS"
 
-    def counterexample_text(self) -> str | None:
-        return self.failed.describe() if self.failed is not None else None
-
     # -- observability ----------------------------------------------------
 
     def frontier_size(self) -> int:
@@ -178,6 +170,8 @@ class StreamChecker:
             "configurations": self.configurations(),
             "max_frontier": self.max_frontier(),
             "max_retirement_lag": self.max_retirement_lag(),
+            # open operations a witness of the stream so far made take effect
+            "taken": sum(len(c.taken()) for c in self._cells.values()),
             "finalized": self.finalized,
         }
 
@@ -188,7 +182,7 @@ class StreamChecker:
         self.counters.events += 1
         kind, item = self._decoder.feed(obj)
         if kind == "event":
-            return self._on_event(item)
+            return self.on_event(item)
         if kind == "indeterminate":
             key = item[:2]
             self.counters.indeterminate += 1
@@ -196,12 +190,26 @@ class StreamChecker:
             if checker is not None:
                 checker.on_indeterminate(*key)
         elif kind == "end" and item in STUCK_OUTCOMES:
-            raise TraceError(
-                f"the recorded execution ended {item}: its blocked "
-                "operations need the stuck-history check, which the online "
-                "monitor does not make; check it with "
-                "'lineup monitor TRACE --model NAME'"
-            )
+            return self.justify_pending()
+        return True
+
+    def justify_pending(self) -> bool:
+        """The end of a stuck history: judge its pending operations, in
+        call order; False at the first unjustified one.
+
+        ``H[e]`` keeps the completed operations of every cell, so ``e``
+        also needs the other cells to linearize with their pending
+        operations left out.  It needs no check here: a cell whose
+        returned operations do not has an empty empty bucket, so its own
+        pending operations are unjustified and the verdict is FAIL
+        either way.  A pending operation of a dropped cell stays
+        EXHAUSTED.
+        """
+        for key, cell in self._open_cell.items():
+            checker = self._checker(cell)
+            if checker is not None and not checker.justify(key):
+                self.failed = checker.failed
+                return False
         return True
 
     def _cell_for(self, invocation) -> Hashable:
@@ -238,7 +246,9 @@ class StreamChecker:
             self.counters.cells += 1
         return checker
 
-    def _on_event(self, event: tuple) -> bool:
+    def on_event(self, event: tuple) -> bool:
+        """Consume one decoded event, ``(is_call, thread, op_index,
+        invocation or response)``; False once the verdict is FAIL."""
         is_call, thread, op_index, what = event
         key = (thread, op_index)
         if is_call:

@@ -30,11 +30,11 @@ the file is read and decoded once whatever the key count.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
 
+from repro.monitor.incremental import OnlineCounterexample
 from repro.monitor.models import ModelError, SequentialModel
 from repro.monitor.trace import TraceError
 from repro.stream.engine import PartitionUnsound, StreamChecker
@@ -70,7 +70,7 @@ class WatchResult:
     restarts: int  #: rotation/truncation/unsound-partitioning restarts
     lag_exceeded: bool
     partitioned: bool
-    counterexample: str | None
+    counterexample: OnlineCounterexample | None
     stats: dict = field(default_factory=dict)
     elapsed: float = 0.0
     events_per_sec: float = 0.0
@@ -84,7 +84,9 @@ class WatchResult:
             "restarts": self.restarts,
             "lag_exceeded": self.lag_exceeded,
             "partitioned": self.partitioned,
-            "counterexample": self.counterexample,
+            "counterexample": (
+                self.counterexample.describe() if self.counterexample else None
+            ),
             "stats": self.stats,
             "elapsed": self.elapsed,
             "events_per_sec": self.events_per_sec,
@@ -99,8 +101,6 @@ def watch_trace(
     """Watch one trace file in-process until a stopping condition."""
     config = config or WatchConfig()
     partition = model.partitionable
-    if not config.follow and not os.path.exists(path):
-        raise TraceError(f"no such trace file: {path!r}")
 
     emitter = StatsEmitter(config.stats_out, interval=config.stats_interval)
 
@@ -182,6 +182,13 @@ def watch_trace(
     finally:
         emitter.emit(checker, tailer.backlog())
         emitter.close()
+    if not config.follow and not checker.counters.events:
+        # Read once, a file without a complete header line is no trace.
+        if not tailer.exists:
+            raise TraceError(
+                f"no such trace file: {path!r} (No such file or directory)"
+            )
+        raise TraceError(f"trace file {path!r} is empty (no complete header line)")
 
     verdict = checker.verdict
     if lag_exceeded and verdict == "PASS":
@@ -236,7 +243,7 @@ def _snapshot(
         restarts=restarts,
         lag_exceeded=lag_exceeded,
         partitioned=partitioned,
-        counterexample=checker.counterexample_text(),
+        counterexample=checker.failed,
         stats=stats,
         elapsed=elapsed,
         events_per_sec=checker.counters.events / elapsed,

@@ -153,7 +153,7 @@ class TestDegradation:
             # Whichever race won, the verdict must be FAIL or CRASHED —
             # and FAIL whenever the monitor found the violation.
             assert result.verdict in ("FAIL", "CRASHED")
-            if result.monitor is not None and not result.monitor.ok:
+            if result.monitor is not None and result.monitor.verdict == "FAIL":
                 assert result.verdict == "FAIL"
         finally:
             proc.close()

@@ -124,17 +124,25 @@ class TestOneModelJudge:
         assert main(argv) == 64
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_watch_refuses_a_dump_and_names_monitor(self, tmp_path, capsys):
-        # A dump that ended stuck: the online monitor cannot justify the
-        # blocked dec, which the counter model blocks at zero.
-        stuck = hist(call(0, 0, "inc"), ret(0, 0), call(1, 0, "dec"),
-                     call(0, 1, "dec"), ret(0, 1), call(0, 2, "dec"),
-                     stuck=True)
-        (path,) = write_dump(tmp_path, stuck, subject="Counter")
-        assert main(["watch", path, "--model", "counter"]) == 64
-        err = capsys.readouterr().err
-        assert "lineup monitor" in err and "ended stuck" in err
-        assert main(["monitor", path, "--model", "counter"]) == 0
+    def test_watch_and_monitor_agree_on_stuck_dumps(self, tmp_path, capsys):
+        # Dumps that ended stuck: both commands judge the blocked decs
+        # with the online engine's end-of-history step.  The counter
+        # blocks dec at zero, which justifies the first dump's two
+        # pending decs; in the second the count is 1, so nothing does.
+        justified = hist(call(0, 0, "inc"), ret(0, 0), call(1, 0, "dec"),
+                         call(0, 1, "dec"), ret(0, 1), call(0, 2, "dec"),
+                         stuck=True)
+        unjustified = hist(call(0, 0, "inc"), ret(0, 0), call(1, 0, "dec"),
+                           stuck=True)
+        for history, code in ((justified, 0), (unjustified, 1)):
+            directory = tmp_path / str(code)
+            (path,) = write_dump(directory, history, subject="Counter")
+            for command in ("watch", "monitor"):
+                assert main([command, path, "--model", "counter"]) == code
+            out = capsys.readouterr().out
+            if code:
+                assert "blocked forever" in out
+                assert "Erroneous blocking: operation [dec()" in out
 
 
 class TestCheckBackendFlag:

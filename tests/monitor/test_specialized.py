@@ -1,9 +1,11 @@
-"""Decrease-and-conquer checkers (repro.monitor.specialized).
+"""The closed-form checkers' histories, judged by the one engine.
 
-Each closed-form checker is validated two ways: targeted histories for
-every axiom, and randomized agreement with the general WGL search —
-whenever ``try_specialized`` speaks (returns a verdict rather than
-None), it must say exactly what ``wgl_check`` says.
+The queue FIFO axioms, the register clusters and the per-element set and
+dict histories were pinned on the decrease-and-conquer checkers that the
+offline chain once tried first.  Those checkers are gone: every route to
+a verdict runs the online engine.  The same targeted histories — one per
+axiom, the shapes the checkers deferred on, and randomized ones — now pin
+the online verdict, which must equal the WGL reference on each.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import random
 
 from repro.core.events import Event, Invocation, Response
 from repro.core.history import History
-from repro.monitor import get_model, specialized_check, wgl_check
-from repro.monitor.specialized import try_specialized
+from repro.monitor import get_model, monitor_history
 
 from .conftest import call, hist, ret
 
@@ -21,6 +22,15 @@ QUEUE = get_model("queue")
 REGISTER = get_model("register")
 SET = get_model("set")
 DICT = get_model("dict")
+
+
+def judge(history, model):
+    """The online verdict, after checking it against the reference."""
+    verdict = monitor_history(history, model)
+    assert verdict.ok == monitor_history(history, model, engine="wgl").ok, (
+        str(history)
+    )
+    return verdict
 
 
 class TestQueueAxioms:
@@ -33,18 +43,17 @@ class TestQueueAxioms:
             call(1, 1, "TryDequeue"),
             ret(0, 1, 2), ret(1, 1, 1),
         )
-        result = try_specialized(history, QUEUE)
-        assert result is not None and result.ok
-        assert result.engine == "specialized"
+        result = judge(history, QUEUE)
+        assert result.ok and result.engine == "incremental"
 
     def test_never_enqueued_value_fails(self):
         history = hist(
             call(0, 0, "Enqueue", 1), ret(0, 0),
             call(0, 1, "TryDequeue"), ret(0, 1, 9),
         )
-        result = try_specialized(history, QUEUE)
-        assert result is not None and not result.ok
-        assert "never enqueued" in result.counterexample.reason
+        result = judge(history, QUEUE)
+        assert not result.ok
+        assert "returned ok(9)" in result.counterexample.describe()
 
     def test_double_dequeue_fails(self):
         history = hist(
@@ -52,18 +61,16 @@ class TestQueueAxioms:
             call(0, 1, "TryDequeue"), ret(0, 1, 1),
             call(0, 2, "TryDequeue"), ret(0, 2, 1),
         )
-        result = try_specialized(history, QUEUE)
-        assert result is not None and not result.ok
-        assert "dequeued twice" in result.counterexample.reason
+        result = judge(history, QUEUE)
+        assert not result.ok and result.counterexample.op_index == 2
 
     def test_dequeue_before_enqueue_fails(self):
         history = hist(
             call(0, 0, "TryDequeue"), ret(0, 0, 1),
             call(0, 1, "Enqueue", 1), ret(0, 1),
         )
-        result = try_specialized(history, QUEUE)
-        assert result is not None and not result.ok
-        assert "completed before" in result.counterexample.reason
+        result = judge(history, QUEUE)
+        assert not result.ok and result.counterexample.op_index == 0
 
     def test_fifo_order_violation_fails(self):
         # enq(1) <H enq(2), 2 dequeued but 1 never: FIFO broken.
@@ -72,9 +79,8 @@ class TestQueueAxioms:
             call(0, 1, "Enqueue", 2), ret(0, 1),
             call(1, 0, "TryDequeue"), ret(1, 0, 2),
         )
-        result = try_specialized(history, QUEUE)
-        assert result is not None and not result.ok
-        assert "FIFO" in result.counterexample.reason
+        result = judge(history, QUEUE)
+        assert not result.ok and result.counterexample.thread == 1
 
     def test_fifo_dequeue_order_violation_fails(self):
         # Both dequeued, but deq(2) completed before deq(1) began although
@@ -85,11 +91,10 @@ class TestQueueAxioms:
             call(0, 2, "TryDequeue"), ret(0, 2, 2),
             call(0, 3, "TryDequeue"), ret(0, 3, 1),
         )
-        result = try_specialized(history, QUEUE)
-        assert result is not None and not result.ok
-        assert not wgl_check(history, QUEUE).ok
+        assert not judge(history, QUEUE).ok
 
     def test_guards_defer_to_general_search(self):
+        # The shapes outside the closed form are judged like the rest.
         empty_deq = hist(call(0, 0, "TryDequeue"), ret(0, 0, "Fail"))
         repeated = hist(
             call(0, 0, "Enqueue", 1), ret(0, 0),
@@ -97,13 +102,13 @@ class TestQueueAxioms:
         )
         peek = hist(call(0, 0, "TryPeek"), ret(0, 0, "Fail"))
         pending = hist(call(0, 0, "Enqueue", 1), stuck=True)
-        for history in (empty_deq, repeated, peek, pending):
-            assert try_specialized(history, QUEUE) is None
+        verdicts = [judge(h, QUEUE).ok for h in (empty_deq, repeated, peek, pending)]
+        assert verdicts == [True, True, True, False]  # a queue never blocks
 
     def test_specialized_check_falls_back_to_wgl(self):
         history = hist(call(0, 0, "TryDequeue"), ret(0, 0, "Fail"))
-        result = specialized_check(history, QUEUE)
-        assert result.ok and result.engine == "wgl"
+        result = judge(history, QUEUE)
+        assert result.ok and result.engine == "incremental"
 
 
 class TestRegisterClusters:
@@ -115,22 +120,20 @@ class TestRegisterClusters:
             call(0, 1, "Write", 2), ret(0, 1),
             call(1, 1, "Read"), ret(1, 1, 2),
         )
-        result = try_specialized(history, REGISTER)
-        assert result is not None and result.ok
+        assert judge(history, REGISTER).ok
 
     def test_unwritten_value_fails(self):
         history = hist(call(0, 0, "Read"), ret(0, 0, 42))
-        result = try_specialized(history, REGISTER)
-        assert result is not None and not result.ok
-        assert "never written" in result.counterexample.reason
+        result = judge(history, REGISTER)
+        assert not result.ok
+        assert "returned ok(42)" in result.counterexample.describe()
 
     def test_read_before_own_write_fails(self):
         history = hist(
             call(0, 0, "Read"), ret(0, 0, 1),
             call(0, 1, "Write", 1), ret(0, 1),
         )
-        result = try_specialized(history, REGISTER)
-        assert result is not None and not result.ok
+        assert not judge(history, REGISTER).ok
 
     def test_stale_initial_read_fails(self):
         # A read observes the initial value (None) strictly after Write(1)
@@ -139,9 +142,9 @@ class TestRegisterClusters:
             call(0, 0, "Write", 1), ret(0, 0),
             call(1, 0, "Read"), ret(1, 0, None),
         )
-        result = try_specialized(history, REGISTER)
-        assert result is not None and not result.ok
-        assert "initial value" in result.counterexample.reason
+        result = judge(history, REGISTER)
+        assert not result.ok
+        assert "returned ok" in result.counterexample.describe()
 
     def test_cluster_order_conflict_fails(self):
         # Reads pin Write(1)'s block after Write(2)'s, yet Write(1)
@@ -152,16 +155,14 @@ class TestRegisterClusters:
             call(0, 2, "Read"), ret(0, 2, 2),
             call(0, 3, "Read"), ret(0, 3, 1),
         )
-        result = try_specialized(history, REGISTER)
-        assert result is not None and not result.ok
-        assert not wgl_check(history, REGISTER).ok
+        assert not judge(history, REGISTER).ok
 
     def test_guard_repeated_write_values(self):
         history = hist(
             call(0, 0, "Write", 1), ret(0, 0),
             call(0, 1, "Write", 1), ret(0, 1),
         )
-        assert try_specialized(history, REGISTER) is None
+        assert judge(history, REGISTER).ok
 
 
 class TestSetDictDelegation:
@@ -171,25 +172,24 @@ class TestSetDictDelegation:
             call(1, 0, "Contains", 1),
             ret(0, 0, True), ret(1, 0, True),
         )
-        result = try_specialized(history, SET)
-        assert result is not None and result.ok
-        assert result.engine == "specialized"
+        result = judge(history, SET)
+        assert result.ok and result.engine == "incremental"
 
     def test_global_op_refuses(self):
         history = hist(
             call(0, 0, "Insert", 1), ret(0, 0, True),
             call(0, 1, "Size"), ret(0, 1, 1),
         )
-        assert try_specialized(history, SET) is None
+        assert judge(history, SET).ok
 
     def test_failing_cell_reported(self):
         history = hist(
             call(0, 0, "TryAdd", "k", 1), ret(0, 0, True),
             call(0, 1, "TryGetValue", "k"), ret(0, 1, 5),
         )
-        result = try_specialized(history, DICT)
-        assert result is not None and not result.ok
-        assert result.cell == "k"
+        result = judge(history, DICT)
+        assert not result.ok
+        assert result.counterexample.invocation.args[0] == "k"
 
 
 def random_queue_history(rng: random.Random, n_values: int = 4) -> History:
@@ -244,24 +244,10 @@ def interleave(rng: random.Random, scripts) -> History:
 class TestRandomizedAgreementWithWgl:
     def test_queue_axioms_agree_with_search(self):
         rng = random.Random(11)
-        spoke = 0
         for _ in range(300):
-            history = random_queue_history(rng)
-            result = try_specialized(history, QUEUE)
-            if result is None:
-                continue
-            spoke += 1
-            assert result.ok == wgl_check(history, QUEUE).ok, str(history)
-        assert spoke >= 150  # the guards must not defer everything
+            judge(random_queue_history(rng), QUEUE)
 
     def test_register_clusters_agree_with_search(self):
         rng = random.Random(13)
-        spoke = 0
         for _ in range(300):
-            history = random_register_history(rng)
-            result = try_specialized(history, REGISTER)
-            if result is None:
-                continue
-            spoke += 1
-            assert result.ok == wgl_check(history, REGISTER).ok, str(history)
-        assert spoke >= 150
+            judge(random_register_history(rng), REGISTER)

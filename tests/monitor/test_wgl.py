@@ -8,6 +8,7 @@ from repro.monitor import (
     MonitorLimitError,
     check_stuck_history_model,
     get_model,
+    monitor_history,
     wgl_check,
 )
 
@@ -115,6 +116,10 @@ class TestConfigurationCache:
         history = hist(*events, n=n)
         with pytest.raises(MonitorLimitError):
             wgl_check(history, QUEUE, max_configurations=3)
+        # The online engine caps one return's closure; a dropped cell is
+        # no verdict either.
+        with pytest.raises(MonitorLimitError):
+            monitor_history(history, QUEUE, max_configurations=3)
 
 
 class TestBlockingCheck:

@@ -72,7 +72,7 @@ class TestLiveStream:
         checker = StreamChecker(get_model("register"))
         assert not feed_all(checker, path)
         assert checker.verdict == "FAIL"
-        assert checker.counterexample_text()
+        assert checker.failed.describe()
 
     def test_indeterminate_marker_routed(self, tmp_path):
         path = live_trace(

@@ -1,11 +1,14 @@
-"""Online vs offline: the streaming checker agrees with the batch monitor.
+"""Online vs offline: the streaming checker agrees with the WGL reference.
 
 The incremental engine retires linearized prefixes as it goes, so its
-configuration sets are *not* the batch monitor's — agreement is a real
+configuration sets are *not* the batch search's — agreement is a real
 theorem, not a tautology.  The suite replays every explored concurrent
 history of ``ConcurrentQueue`` and ``ConcurrentDictionary`` (≥ 200 across
-the parametrizations) event-by-event through :class:`IncrementalChecker`
-and compares the verdict with :func:`monitor_history`; every online FAIL
+the parametrizations) event-by-event through the stream engine, as
+``check --backend monitor`` does (:func:`~repro.monitor.dispatch.replay`:
+per key for the dictionary, a stuck history followed by the
+end-of-history step), and compares the
+verdict with ``monitor_history(..., engine="wgl")``; every online FAIL
 must also carry a counterexample.
 """
 
@@ -15,7 +18,7 @@ import pytest
 
 from repro.core import FiniteTest, Invocation, SystemUnderTest, TestHarness
 from repro.monitor import get_model, monitor_history
-from repro.monitor.incremental import IncrementalChecker
+from repro.monitor.dispatch import replay
 from repro.runtime import DFSStrategy
 from repro.structures.registry import get_class
 
@@ -35,22 +38,6 @@ def explored_histories(scheduler, model_name, version, test):
         ]
 
 
-def replay_online(history, model):
-    """Feed a recorded history event-by-event; return the checker."""
-    checker = IncrementalChecker(model)
-    alive = True
-    for event in history.events:
-        if not alive:
-            break  # FAIL is final: the stream stops at the violation
-        if event.is_call:
-            checker.on_call(event.thread, event.op_index, event.invocation)
-        else:
-            alive = checker.on_return(
-                event.thread, event.op_index, event.response
-            )
-    return checker
-
-
 @pytest.mark.parametrize("model_name", ["queue", "dict"])
 @pytest.mark.parametrize("version", ["beta", "pre"])
 def test_online_matches_offline_verdicts(scheduler, model_name, version):
@@ -62,16 +49,14 @@ def test_online_matches_offline_verdicts(scheduler, model_name, version):
         for history in explored_histories(
             scheduler, model_name, version, test
         ):
-            if history.stuck:
-                continue  # blocked ops never returned: nothing to stream
-            offline_ok = monitor_history(history, model).ok
-            checker = replay_online(history, model)
-            if checker.ok != offline_ok:
-                disagreements.append((history, offline_ok, checker.ok))
-            if not checker.ok:
+            offline_ok = monitor_history(history, model, engine="wgl").ok
+            stream = replay(history, model)
+            online_ok = stream.failed is None
+            if online_ok != offline_ok:
+                disagreements.append((history, offline_ok, online_ok))
+            if not online_ok:
                 # Every online FAIL names the operation that broke it.
-                assert checker.failed is not None
-                assert checker.failed.describe()
+                assert stream.failed.describe()
             checked += 1
     assert not disagreements, disagreements[0]
     assert checked >= 50  # × 4 parametrizations ⇒ ≥ 200 histories overall
@@ -87,10 +72,10 @@ def test_online_retires_while_agreeing(scheduler, model_name):
         for history in explored_histories(scheduler, model_name, "beta", test):
             if history.stuck:
                 continue
-            checker = replay_online(history, model)
-            if checker.ok and checker.retired:
+            stream = replay(history, model)
+            if stream.failed is None and stream.retired():
                 retired_any = True
-                assert checker.frontier_size == 0
+                assert stream.frontier_size() == 0
     assert retired_any
 
 
@@ -107,9 +92,11 @@ def test_online_fails_figure1_history(scheduler):
     online_fails = [
         h
         for h in histories
-        if not h.stuck and not replay_online(h, model).ok
+        if not h.stuck and replay(h, model).failed is not None
     ]
     offline_fails = [
-        h for h in histories if not h.stuck and not monitor_history(h, model).ok
+        h
+        for h in histories
+        if not h.stuck and not monitor_history(h, model, engine="wgl").ok
     ]
     assert offline_fails and online_fails == offline_fails

@@ -477,19 +477,22 @@ class TestWatchCli:
         self, tmp_path, capsys, command, kind
     ):
         # Without --model the header is read for it; a file that cannot
-        # be read is reported as it is, never as a missing --model.
+        # be read is reported as it is, never as a missing --model.  With
+        # --model the file is read as a trace, and read once (no
+        # --follow) it is the same usage error under both commands.
         path = str(tmp_path / "t.jsonl")
         if kind == "directory":
             os.mkdir(path)
         elif kind == "empty":
             open(path, "w").close()
-        assert main([command, path]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "--model" not in err
-        assert repr(path) in err
         want = {"missing": "No such file", "directory": "Is a directory",
                 "empty": "is empty"}[kind]
-        assert want in err
+        for model in ([], ["--model", "queue"]):
+            assert main([command, path, *model]) == EXIT_USAGE, model
+            err = capsys.readouterr().err
+            assert "--model" not in err
+            assert repr(path) in err
+            assert want in err
 
     def test_watch_shards_on_unpartitionable_model_usage_error(
         self, tmp_path, capsys
