@@ -21,7 +21,7 @@ row is a PASS.
 ``python benchmarks/bench_monitor_backends.py --quick`` runs a reduced
 version as a CI smoke test (no pytest-benchmark needed: the window
 traces at 300 and 1 000 operations and the gate dump); with no flag it
-runs the full RESULTS.md workload.
+runs the full EXPERIMENTS.md workload.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ Shape asserted (the soundness contract of ``docs/REDUCTION.md``):
 
 ``python benchmarks/bench_reduction.py --quick`` runs a reduced matrix
 as a CI smoke test (no pytest-benchmark needed); ``--full`` prints the
-RESULTS.md table.
+EXPERIMENTS.md table.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--full", action="store_true",
-        help="the full RESULTS.md matrix (bounds 0-2 and unbounded)",
+        help="the full EXPERIMENTS.md matrix (bounds 0-2 and unbounded)",
     )
     parser.add_argument(
         "--out", default="BENCH_reduction.json",

@@ -13,6 +13,9 @@ Shape asserted against the paper:
   pass everything — no false alarms;
 * minimal failing dimensions are small (the small scope hypothesis);
 * 12 distinct root causes in total, 7 of them bugs.
+
+The detection count measures the sampler itself: per bug, over 64
+sampled tests, how many FAIL and how many schedules they took to.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from conftest import once
 
 from repro.core import CheckConfig
-from repro.core.campaign import campaign_row, render_table2
-from repro.structures import REGISTRY, ROOT_CAUSES
+from repro.core.campaign import campaign_row, render_table2, run_class_campaign
+from repro.structures import REGISTRY, ROOT_CAUSES, get_class
 
 CAMPAIGN_CONFIG = CheckConfig(
     phase2_strategy="random",
@@ -31,6 +34,21 @@ CAMPAIGN_CONFIG = CheckConfig(
 
 BUG_TAGS = {"A", "B", "C", "D", "E", "F", "G"}
 INTENTIONAL_TAGS = {"H", "I", "J", "K", "L"}
+
+#: Bug -> (its class, sampled tests that FAIL of 64, schedules to the
+#: first FAIL summed over those tests): random phase 2 at 150 schedules,
+#: 4 sampled 3x3 tests for each seed 1-16.  Seeded runs are exact, so
+#: the gate is equality; EXPERIMENTS.md compares it with PCT.
+DETECTION = {
+    "A": ("ManualResetEvent", 17, 770),
+    "B": ("SemaphoreSlim", 62, 326),
+    "C": ("CountdownEvent", 40, 468),
+    "D": ("ConcurrentQueue", 43, 513),
+    "E": ("ConcurrentDictionary", 4, 188),
+    "F": ("ConcurrentStack", 51, 1148),
+    "G": ("Lazy", 64, 349),
+}
+DETECTION_SEEDS = range(1, 17)
 
 
 def _run_campaign(scheduler, version):
@@ -97,3 +115,36 @@ def test_table2_beta_campaign(benchmark, scheduler):
     for tag in sorted(ROOT_CAUSES):
         cause = ROOT_CAUSES[tag]
         print(f"  {tag} [{cause.category:16s}] {cause.summary}")
+
+
+def _detection(scheduler):
+    counts = {}
+    for tag, (name, _failed, _schedules) in DETECTION.items():
+        failed = schedules = 0
+        for seed in DETECTION_SEEDS:
+            config = CheckConfig(
+                phase2_strategy="random",
+                phase2_executions=150,
+                max_serial_executions=2000,
+                seed=seed,
+            )
+            _row, summaries = run_class_campaign(
+                get_class(name), "pre", samples=4, rows=3, cols=3,
+                seed=seed, config=config, scheduler=scheduler,
+            )
+            for summary in summaries.values():
+                if summary.verdict == "FAIL":
+                    failed += 1
+                    schedules += summary.schedules_explored
+        counts[tag] = (name, failed, schedules)
+    return counts
+
+
+def test_detection_count(benchmark, scheduler):
+    counts = once(benchmark, _detection, scheduler)
+    print()
+    print("=== Detection count (random, 150 schedules, seeds 1-16) ===")
+    print(f"{'bug':3s} {'class':22s} {'FAIL of 64':>10s} {'sched to FAIL':>13s}")
+    for tag, (name, failed, schedules) in counts.items():
+        print(f"{tag:3s} {name:22s} {failed:10d} {schedules:13d}")
+    assert counts == DETECTION

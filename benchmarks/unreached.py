@@ -105,6 +105,7 @@ DRIVES: list[tuple[str, list[str]]] = [
             ("Lazy", "G"),
         )
     ],
+    ("the paper's evaluation", ["reproduce", "-o", "RESULTS.md"]),
     ("one check: --relaxed", ["check", "ConcurrentBag", "--cause", "H", "--relaxed", "--json"]),
     ("one engine: --dump-traces",
      ["check", "ConcurrentQueue", "--test", "Enqueue(1) | TryDequeue", "--dump-traces", "dump"]),

@@ -60,7 +60,6 @@ _EXPORTS = {
     "TestHarness": "repro.core",
     "Violation": "repro.core",
     "DFSStrategy": "repro.runtime",
-    "IterativeDFSStrategy": "repro.runtime",
     "RandomStrategy": "repro.runtime",
     "ReplayStrategy": "repro.runtime",
     "Runtime": "repro.runtime",

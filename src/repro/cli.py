@@ -281,10 +281,8 @@ def _config_from_args(args: argparse.Namespace) -> CheckConfig:
         # A model without an explicit backend means the monitor backend.
         backend = "monitor"
     reduction = getattr(args, "reduction", "none")
-    if reduction != "none" and args.strategy not in ("dfs", "iterative"):
-        raise CliError(
-            f"--reduction {reduction} requires --strategy dfs or iterative"
-        )
+    if reduction != "none" and args.strategy != "dfs":
+        raise CliError(f"--reduction {reduction} requires --strategy dfs")
     return CheckConfig(
         preemption_bound=None if args.preemption_bound < 0 else args.preemption_bound,
         phase2_strategy=args.strategy,
@@ -375,7 +373,7 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
         help="library vintage to test (default: beta)",
     )
     parser.add_argument(
-        "--strategy", choices=("dfs", "iterative", "random", "pct"), default="dfs",
+        "--strategy", choices=("dfs", "random"), default="dfs",
         help="phase-2 exploration strategy (default: dfs)",
     )
     parser.add_argument(
@@ -423,8 +421,9 @@ def _add_reduction_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--reduction", choices=("none", "sleep", "dpor"), default="none",
         help="phase-2 partial-order reduction: prune schedules equivalent "
-             "to explored ones (sleep sets or DPOR; requires a DFS-family "
-             "strategy; verdicts and history sets are unchanged)",
+             "to explored ones (sleep sets or DPOR over the DFS search, so "
+             "check needs --strategy dfs; verdicts and history sets are "
+             "unchanged)",
     )
 
 

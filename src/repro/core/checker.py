@@ -34,8 +34,6 @@ from repro.runtime import (
     DEFAULT_ENGINE,
     Decision,
     DFSStrategy,
-    IterativeDFSStrategy,
-    PCTStrategy,
     RandomStrategy,
     Scheduler,
     SchedulingStrategy,
@@ -76,22 +74,18 @@ class CheckConfig:
     The defaults mirror the paper: exhaustive phase 1, DFS phase 2 with
     preemption bound 2 (the CHESS default the paper uses "except where it
     performed unacceptably slow").  ``phase2_strategy="random"`` switches
-    phase 2 to random-walk sampling of ``phase2_executions`` schedules;
-    ``"iterative"`` uses CHESS's iterative context bounding (exhaust
-    bound 0, then 1, ... up to ``preemption_bound``), which reaches the
-    simplest witness of a bug first.  ``max_*_executions`` are safety
-    caps for interactive use; None means unbounded (exhaustive within
-    the bound).
+    phase 2 to random-walk sampling of ``phase2_executions`` schedules.
+    ``max_*_executions`` are safety caps for interactive use; None means
+    unbounded (exhaustive within the bound).
     """
 
     preemption_bound: int | None = 2
-    phase2_strategy: str = "dfs"  #: "dfs", "iterative", "random" or "pct"
+    phase2_strategy: str = "dfs"  #: "dfs" or "random"
     #: scheduler engine, one of ``repro.runtime.ENGINES`` (real threads
     #: serialized by lock handoff, or zero-thread generator tasks;
     #: same decision traces).  Only applies to schedulers the check
     #: creates, not to a caller-provided one.
     engine: str = DEFAULT_ENGINE
-    pct_depth: int = 3  #: bug depth for phase2_strategy="pct"
     phase2_executions: int = 2000  #: sample size when phase2_strategy="random"
     seed: int = 0
     #: a phase 1 cut short by this cap ends the check EXHAUSTED: phase 2
@@ -125,27 +119,20 @@ class CheckConfig:
     dump_traces: str | None = None
     #: phase-2 schedule-space reduction: ``"none"``, ``"sleep"`` (sleep
     #: sets) or ``"dpor"`` (dynamic partial-order reduction).  Only the
-    #: DFS-family strategies ("dfs", "iterative") support a reduction;
-    #: phase 1 is never reduced (Theorem 5 needs every serial history).
+    #: "dfs" strategy supports a reduction; phase 1 is never reduced
+    #: (Theorem 5 needs every serial history).
     reduction: str = "none"
 
     def make_phase2_strategy(self) -> SchedulingStrategy:
         if self.phase2_strategy == "dfs":
             return dfs_with_reduction(self.reduction, self.preemption_bound)
-        if self.phase2_strategy == "iterative":
-            bound = 2 if self.preemption_bound is None else self.preemption_bound
-            return IterativeDFSStrategy(max_bound=bound, reduction=self.reduction)
         if self.reduction != "none":
             raise ValueError(
-                f"reduction {self.reduction!r} requires a DFS-family phase-2 "
-                f"strategy (dfs or iterative), not {self.phase2_strategy!r}"
+                f"reduction {self.reduction!r} requires the dfs phase-2 "
+                f"strategy, not {self.phase2_strategy!r}"
             )
         if self.phase2_strategy == "random":
             return RandomStrategy(self.phase2_executions, seed=self.seed)
-        if self.phase2_strategy == "pct":
-            return PCTStrategy(
-                self.phase2_executions, depth=self.pct_depth, seed=self.seed
-            )
         raise ValueError(f"unknown phase2 strategy {self.phase2_strategy!r}")
 
 

@@ -120,7 +120,6 @@ def config_to_dict(config: CheckConfig) -> dict:
     return {
         "preemption_bound": config.preemption_bound,
         "phase2_strategy": config.phase2_strategy,
-        "pct_depth": config.pct_depth,
         "phase2_executions": config.phase2_executions,
         "seed": config.seed,
         "max_serial_executions": config.max_serial_executions,
@@ -139,12 +138,13 @@ def config_to_dict(config: CheckConfig) -> dict:
 
 def config_from_dict(data: dict) -> CheckConfig:
     from repro.core.budget import ExplorationBudget
+    from repro.runtime.strategies import refuse_retired
 
+    refuse_retired(data.get("phase2_strategy"))
     budget = data.get("budget")
     return CheckConfig(
         preemption_bound=data.get("preemption_bound", 2),
         phase2_strategy=data.get("phase2_strategy", "dfs"),
-        pct_depth=data.get("pct_depth", 3),
         phase2_executions=data.get("phase2_executions", 2000),
         seed=data.get("seed", 0),
         max_serial_executions=data.get("max_serial_executions"),

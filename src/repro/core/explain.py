@@ -37,8 +37,9 @@ class Diagnosis:
     """Structured explanation of a witness-search failure."""
 
     #: "ordering-conflict", "response-mismatch", "blocking" (all three
-    #: against the synthesized spec) or "model-mismatch" (the monitor
-    #: backend: no linearization matches the explicit sequential model).
+    #: against the synthesized spec), "model-mismatch" or "model-blocking"
+    #: (the monitor backend: no linearization matches the explicit
+    #: sequential model, or none leaves it blocking a pending operation).
     kind: str
     #: per rejected candidate: (candidate, first violated <H pair).
     ordering_conflicts: list[tuple[SerialHistory, Operation, Operation]] = field(
@@ -69,6 +70,11 @@ class Diagnosis:
             lines.append(
                 "no linearization of this history is an execution of the "
                 "sequential model:"
+            )
+        elif self.kind == "model-blocking":
+            lines.append(
+                "no linearization of the completed operations leaves the "
+                "sequential model in a state that blocks the stuck operation:"
             )
         elif self.kind == "response-mismatch":
             lines.append(
@@ -171,10 +177,11 @@ def diagnose_monitor_failure(verdict, model) -> Diagnosis:
     :class:`Diagnosis` rendered by the same report path as the
     observation-backend diagnoses: one format for both backends.
     """
-    if verdict.failed_pending is not None:
-        diagnosis = Diagnosis(kind="blocking", pending_op=verdict.failed_pending)
-    else:
-        diagnosis = Diagnosis(kind="model-mismatch")
+    pending = verdict.failed_pending
+    diagnosis = Diagnosis(
+        kind="model-mismatch" if pending is None else "model-blocking",
+        pending_op=pending,
+    )
     if verdict.counterexample is not None:
         diagnosis.details.extend(verdict.counterexample.describe().splitlines())
     diagnosis.notes.append(

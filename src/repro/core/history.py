@@ -189,19 +189,25 @@ class History:
         return tuple(e for e in self.events if e.thread == thread)
 
     @cached_property
-    def is_well_formed(self) -> bool:
-        """Every thread subhistory is serial (calls/returns alternate)."""
+    def ill_formed_thread(self) -> int | None:
+        """The first thread whose subhistory is not serial (a call while
+        one is open, or a return that is not its open call's), or None."""
         for t in range(self.n_threads):
             expect_call = True
             last_key: tuple[int, int] | None = None
             for event in self.thread_subhistory(t):
                 if event.is_call != expect_call:
-                    return False
+                    return t
                 if event.is_return and (event.thread, event.op_index) != last_key:
-                    return False
+                    return t
                 last_key = (event.thread, event.op_index)
                 expect_call = not expect_call
-        return True
+        return None
+
+    @property
+    def is_well_formed(self) -> bool:
+        """Every thread subhistory is serial (calls/returns alternate)."""
+        return self.ill_formed_thread is None
 
     @cached_property
     def is_serial(self) -> bool:

@@ -105,9 +105,11 @@ def render_violation(
     if violation.kind == NO_FULL_WITNESS:
         lines.append("Non-linearizable concurrent history (no serial witness):")
     else:
+        # The monitor backend pre-computes its diagnosis: it judged by a model.
+        never = "the model never" if violation.diagnosis else "no serial execution"
         lines.append(
             f"Erroneous blocking: operation {violation.pending_op} is stuck, "
-            "but no serial execution blocks there:"
+            f"but {never} blocks there:"
         )
     lines.extend(_render_ops_table(violation.history))
     lines.append("")

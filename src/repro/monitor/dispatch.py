@@ -126,8 +126,15 @@ def monitor_history(
 
     *max_configurations* caps the closure of one return (the online
     engine) or the whole search (the reference); past it, with no FAIL
-    found, :class:`~repro.monitor.wgl.MonitorLimitError` is raised.
+    found, :class:`~repro.monitor.wgl.MonitorLimitError` is raised.  An
+    ill-formed history — one no trace file can hold, such as a thread
+    calling while its last call is open — raises :class:`ValueError`.
     """
+    if history.ill_formed_thread is not None:
+        raise ValueError(
+            f"ill-formed history: thread {history.ill_formed_thread} does "
+            "not alternate calls and their returns"
+        )
     if engine == "wgl":
         return _reference(history, model, max_configurations)
     if engine != "online":

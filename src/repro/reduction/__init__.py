@@ -10,9 +10,9 @@ distinct behaviours an exploration covered
 (:mod:`repro.reduction.fingerprint`).
 
 Select a reduction with ``--reduction {none,sleep,dpor}`` on the CLI or
-``CheckConfig(reduction=...)``; it composes with preemption bounding and
-iterative context bounding.  Phase 1 (serial enumeration) is never
-reduced — Theorem 5's completeness argument needs every serial history.
+``CheckConfig(reduction=...)``; it composes with preemption bounding.
+Phase 1 (serial enumeration) is never reduced — Theorem 5's
+completeness argument needs every serial history.
 """
 
 from repro.reduction.dependence import (

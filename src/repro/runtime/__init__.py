@@ -42,8 +42,6 @@ _EXPORTS = {
     "thread_name": "repro.runtime.scheduler",
     "dfs_with_reduction": "repro.runtime.strategies",
     "DFSStrategy": "repro.runtime.strategies",
-    "IterativeDFSStrategy": "repro.runtime.strategies",
-    "PCTStrategy": "repro.runtime.strategies",
     "RandomStrategy": "repro.runtime.strategies",
     "ReplayStrategy": "repro.runtime.strategies",
     "strategy_from_snapshot": "repro.runtime.strategies",

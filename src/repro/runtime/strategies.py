@@ -7,19 +7,15 @@ These correspond to the search modes of CHESS that the paper relies on:
   uses bound 2 for phase 2, no bound for phase 1).  A *preemption* is a
   thread decision that switches away from a thread that was still enabled;
   switches at blocking or completion points are free, matching CHESS's
-  iterative context bounding.
+  preemption counting.
 * :class:`RandomStrategy` — random walk over the decision tree, used by the
   random sampling mode of Section 4.3.  It continues the running thread
-  with high probability and preempts with probability ``preempt_prob``,
-  which concentrates the samples on low-preemption schedules where (per the
-  small scope hypothesis) most bugs live.
+  with high probability and preempts with probability
+  :data:`PREEMPT_PROBABILITY`, which concentrates the samples on
+  low-preemption schedules where (per the small scope hypothesis) most
+  bugs live.
 * :class:`ReplayStrategy` — replays one recorded decision sequence, used to
   reproduce a reported violation deterministically.
-* :class:`IterativeDFSStrategy` — CHESS's iterative context bounding
-  (exhaust preemption bound 0, then 1, ...).
-* :class:`PCTStrategy` — probabilistic concurrency testing with priority
-  change points, the randomized relative of the prioritized search the
-  paper cites (Gambit).
 """
 
 from __future__ import annotations
@@ -32,8 +28,6 @@ from repro.runtime.scheduler import Decision, ExecutionOutcome, SchedulingStrate
 
 __all__ = [
     "DFSStrategy",
-    "IterativeDFSStrategy",
-    "PCTStrategy",
     "RandomStrategy",
     "ReplayStrategy",
     "dfs_with_reduction",
@@ -245,28 +239,25 @@ class DFSStrategy(SchedulingStrategy):
         return strategy
 
 
+#: The chance that a random walk switches away from a running thread
+#: that could go on (:class:`RandomStrategy`).
+PREEMPT_PROBABILITY = 0.25
+
+
 class RandomStrategy(SchedulingStrategy):
     """Random walk sampling of schedules, seeded for reproducibility.
 
     Runs exactly *executions* random executions.  At thread decisions the
-    running thread continues with probability ``1 - preempt_prob``; other
-    alternatives (including switches at blocking points, which are free)
-    are picked uniformly.  Value decisions are uniform.
+    running thread continues with probability ``1 - PREEMPT_PROBABILITY``;
+    other alternatives (including switches at blocking points, which are
+    free) are picked uniformly.  Value decisions are uniform.
     """
 
-    def __init__(
-        self,
-        executions: int,
-        seed: int = 0,
-        preempt_prob: float = 0.25,
-    ) -> None:
+    def __init__(self, executions: int, seed: int = 0) -> None:
         if executions < 0:
             raise ValueError("executions must be >= 0")
-        if not 0.0 <= preempt_prob <= 1.0:
-            raise ValueError("preempt_prob must be within [0, 1]")
         self._remaining = executions
         self._rng = random.Random(seed)
-        self.preempt_prob = preempt_prob
         self.executions = 0
 
     def more(self) -> bool:
@@ -283,7 +274,7 @@ class RandomStrategy(SchedulingStrategy):
             return self._rng.choice(list(options))
         if kind == "thread" and running is not None and running in options:
             others = [o for o in options if o != running]
-            if others and self._rng.random() < self.preempt_prob:
+            if others and self._rng.random() < PREEMPT_PROBABILITY:
                 return self._rng.choice(others)
             return running
         return self._rng.choice(list(options))
@@ -295,22 +286,20 @@ class RandomStrategy(SchedulingStrategy):
     # -- checkpointing -------------------------------------------------
 
     def snapshot(self) -> dict:
+        version, internal, gauss_next = self._rng.getstate()
         return {
             "type": "random",
             "remaining": self._remaining,
-            "preempt_prob": self.preempt_prob,
             "executions": self.executions,
-            "rng": _rng_state_to_json(self._rng),
+            "rng": [version, list(internal), gauss_next],
         }
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "RandomStrategy":
-        strategy = cls(
-            executions=int(snap["remaining"]),
-            preempt_prob=snap["preempt_prob"],
-        )
+        strategy = cls(executions=int(snap["remaining"]))
         strategy.executions = int(snap["executions"])
-        _rng_state_from_json(strategy._rng, snap["rng"])
+        version, internal, gauss_next = snap["rng"]
+        strategy._rng.setstate((version, tuple(internal), gauss_next))
         return strategy
 
 
@@ -351,188 +340,10 @@ class ReplayStrategy(SchedulingStrategy):
         self._done = True
 
 
-class IterativeDFSStrategy(SchedulingStrategy):
-    """Iterative context bounding: exhaust bound 0, then 1, then 2, ...
-
-    This is CHESS's actual search order (Musuvathi & Qadeer, "Iterative
-    context bounding for systematic testing of multithreaded programs"):
-    schedules with few preemptions are explored first, so the simplest
-    witness of a bug is found before the search drowns in high-preemption
-    interleavings.  Schedules already covered by a smaller bound are
-    re-explored at the larger one — the re-execution cost CHESS also pays
-    in exchange for statelessness.
-    """
-
-    def __init__(self, max_bound: int = 2, reduction: str = "none") -> None:
-        if max_bound < 0:
-            raise ValueError("max_bound must be >= 0")
-        self.max_bound = max_bound
-        self.reduction = reduction
-        self.bound = 0
-        self._inner = dfs_with_reduction(reduction, preemption_bound=0)
-        self._pruned_done = 0
-        self.executions = 0
-
-    @property
-    def pruned(self) -> int:
-        """Schedules pruned by the reduction, across all bounds so far."""
-        return self._pruned_done + getattr(self._inner, "pruned", 0)
-
-    def more(self) -> bool:
-        while not self._inner.more():
-            if self.bound >= self.max_bound:
-                return False
-            self.bound += 1
-            self._pruned_done += getattr(self._inner, "pruned", 0)
-            self._inner = dfs_with_reduction(
-                self.reduction, preemption_bound=self.bound
-            )
-        return True
-
-    def begin(self) -> None:
-        self._inner.begin()
-
-    def decide(
-        self, kind: str, options: tuple, running: int | None, free: bool
-    ) -> Any:
-        return self._inner.decide(kind, options, running, free)
-
-    def finish(self, outcome: ExecutionOutcome) -> None:
-        self._inner.finish(outcome)
-        self.executions += 1
-
-    # -- checkpointing -------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "type": "iterative",
-            "max_bound": self.max_bound,
-            "reduction": self.reduction,
-            "bound": self.bound,
-            "pruned_done": self._pruned_done,
-            "executions": self.executions,
-            "inner": self._inner.snapshot(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "IterativeDFSStrategy":
-        strategy = cls(
-            max_bound=int(snap["max_bound"]),
-            reduction=snap.get("reduction", "none"),
-        )
-        strategy.bound = int(snap["bound"])
-        strategy._pruned_done = int(snap.get("pruned_done", 0))
-        strategy.executions = int(snap["executions"])
-        strategy._inner = strategy_from_snapshot(snap["inner"])
-        return strategy
-
-
-class PCTStrategy(SchedulingStrategy):
-    """Probabilistic Concurrency Testing (Burckhardt et al., ASPLOS 2010).
-
-    The prioritized-search relative of the Gambit work the paper cites
-    for CHESS's search heuristics.  Each execution assigns the logical
-    threads random *priorities* and picks ``depth - 1`` random *change
-    points*; scheduling always runs the highest-priority enabled thread,
-    and crossing a change point demotes the running thread below
-    everything else.  For a bug of depth d (d ordering constraints), one
-    execution finds it with probability >= 1/(n * k^(d-1)) for n threads
-    and k steps — a guarantee random walks lack.
-
-    The step-count estimate ``k`` is learned online from the executions
-    seen so far.
-    """
-
-    def __init__(self, executions: int, depth: int = 3, seed: int = 0) -> None:
-        if executions < 0:
-            raise ValueError("executions must be >= 0")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self._remaining = executions
-        self.depth = depth
-        self._rng = random.Random(seed)
-        self._steps_estimate = 32
-        self._step = 0
-        self._priorities: dict[int, float] = {}
-        self._change_points: list[int] = []
-        self._demotions = 0
-        self.executions = 0
-
-    def more(self) -> bool:
-        return self._remaining > 0
-
-    def begin(self) -> None:
-        self._step = 0
-        self._priorities = {}
-        self._demotions = 0
-        self._change_points = sorted(
-            self._rng.randrange(1, max(2, self._steps_estimate))
-            for _ in range(self.depth - 1)
-        )
-
-    def _priority(self, thread: int) -> float:
-        if thread not in self._priorities:
-            self._priorities[thread] = self._rng.random() + 1.0
-        return self._priorities[thread]
-
-    def decide(
-        self, kind: str, options: tuple, running: int | None, free: bool
-    ) -> Any:
-        if kind != "thread":
-            return self._rng.choice(list(options))
-        self._step += 1
-        while self._change_points and self._step >= self._change_points[0]:
-            self._change_points.pop(0)
-            if running is not None:
-                # Demote below every base priority (which are all >= 1.0);
-                # later demotions go lower still.
-                self._demotions += 1
-                self._priorities[running] = 1.0 - self._demotions
-        return max(options, key=self._priority)
-
-    def finish(self, outcome: ExecutionOutcome) -> None:
-        self._remaining -= 1
-        self.executions += 1
-        # Learn the schedule length for change-point placement.
-        self._steps_estimate = max(self._steps_estimate, self._step, 1)
-
-    # -- checkpointing -------------------------------------------------
-
-    def snapshot(self) -> dict:
-        # Per-execution state (_priorities, _change_points, ...) is reset
-        # by begin(), so only the cross-execution state needs saving.
-        return {
-            "type": "pct",
-            "remaining": self._remaining,
-            "depth": self.depth,
-            "executions": self.executions,
-            "steps_estimate": self._steps_estimate,
-            "rng": _rng_state_to_json(self._rng),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "PCTStrategy":
-        strategy = cls(executions=int(snap["remaining"]), depth=int(snap["depth"]))
-        strategy.executions = int(snap["executions"])
-        strategy._steps_estimate = int(snap["steps_estimate"])
-        _rng_state_from_json(strategy._rng, snap["rng"])
-        return strategy
-
-
-def _rng_state_to_json(rng: random.Random) -> list:
-    version, internal, gauss_next = rng.getstate()
-    return [version, list(internal), gauss_next]
-
-
-def _rng_state_from_json(rng: random.Random, state: list) -> None:
-    version, internal, gauss_next = state
-    rng.setstate((version, tuple(internal), gauss_next))
-
-
 def dfs_with_reduction(
     reduction: str | None, preemption_bound: int | None
 ) -> DFSStrategy:
-    """A DFS-family strategy with the requested partial-order reduction.
+    """A DFS strategy with the requested partial-order reduction.
 
     ``reduction`` is ``none``/``None`` (plain DFS), ``sleep`` (sleep
     sets), or ``dpor`` (dynamic partial-order reduction).  The reduction
@@ -555,21 +366,35 @@ def dfs_with_reduction(
 #: imports this one).
 _SNAPSHOT_TYPES = {
     "dfs": DFSStrategy,
-    "iterative": IterativeDFSStrategy,
     "random": RandomStrategy,
-    "pct": PCTStrategy,
 }
+
+
+def refuse_retired(name: object) -> None:
+    """Raise the one :class:`repro.core.checkpoint.CheckpointError` for a
+    checkpoint whose config or strategy snapshot names a phase-2 sampler
+    earlier builds had: PCT or iterative context bounding (EXPERIMENTS.md,
+    "Detection count", has the measurement that retired them)."""
+    if name in ("iterative", "pct"):
+        from repro.core.checkpoint import CheckpointError
+
+        raise CheckpointError(
+            f"this checkpoint explores with the retired phase-2 strategy "
+            f"{name!r}; this build cannot resume it (run the check again "
+            "with --strategy dfs or random)"
+        )
 
 
 def strategy_from_snapshot(snap: dict) -> SchedulingStrategy:
     """Rebuild a strategy from a :meth:`snapshot` dict (checkpoint resume).
 
     Raises :class:`repro.core.checkpoint.CheckpointError` when the
-    snapshot's ``type`` tag is unknown — a checkpoint file written by a
-    different (or newer) build is a *checkpoint* problem, not a
+    snapshot's ``type`` tag is retired or unknown — a checkpoint file
+    written by a different build is a *checkpoint* problem, not a
     programming error.
     """
     tag = snap.get("type") if isinstance(snap, dict) else None
+    refuse_retired(tag)
     cls = _SNAPSHOT_TYPES.get(tag)
     if cls is None and tag in ("sleep", "dpor"):
         from repro.reduction import DPORStrategy, SleepSetStrategy

@@ -302,6 +302,20 @@ class TestReducedPassNote:
         assert _notes(capsys.readouterr().out) == []
 
 
+class TestTwoSamplers:
+    """Phase 2 explores with DFS or samples at random; the retired PCT
+    and iterative-bounding samplers are usage errors."""
+
+    @pytest.mark.parametrize("strategy", ["pct", "iterative"])
+    def test_a_retired_strategy_is_a_usage_error(self, strategy, capsys):
+        assert main(QUEUE + ["--strategy", strategy]) == 64
+        assert f"invalid choice: '{strategy}'" in capsys.readouterr().err
+
+    def test_a_reduction_needs_dfs(self, capsys):
+        assert main(QUEUE + ["--strategy", "random", "--reduction", "dpor"]) == 64
+        assert "--reduction dpor requires --strategy dfs" in capsys.readouterr().err
+
+
 class TestShardedRefusals:
     """What sharding cannot do is refused in one place, the swarm
     runner; ``check --shards`` turns its message into exit 64."""

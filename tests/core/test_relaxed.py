@@ -165,58 +165,6 @@ class TestInterferencePolicies:
         assert result.failed
 
 
-class TestIterativeStrategy:
-    def test_iterative_finds_bug_like_dfs(self, scheduler):
-        from repro.structures.counters import BuggyCounter1
-
-        cfg = CheckConfig(phase2_strategy="iterative", preemption_bound=2)
-        result = check(
-            SystemUnderTest(BuggyCounter1, "c"),
-            FiniteTest.of([[Invocation("inc"), Invocation("get")], [Invocation("inc")]]),
-            cfg,
-            scheduler=scheduler,
-        )
-        assert result.failed
-
-    def test_iterative_passes_correct_code(self, scheduler):
-        from repro.structures.counters import Counter
-
-        cfg = CheckConfig(phase2_strategy="iterative", preemption_bound=1)
-        result = check(
-            SystemUnderTest(Counter, "c"),
-            FiniteTest.of([[Invocation("inc")], [Invocation("get")]]),
-            cfg,
-            scheduler=scheduler,
-        )
-        assert result.passed
-
-    def test_iterative_explores_bounds_in_order(self, scheduler, runtime):
-        from repro.runtime import IterativeDFSStrategy
-
-        box = {}
-
-        def factory():
-            cell = runtime.volatile(0)
-            box["cell"] = cell
-
-            def body():
-                v = cell.get()
-                cell.set(v + 1)
-
-            return [body, body]
-
-        strategy = IterativeDFSStrategy(max_bound=2)
-        finals_by_round = []
-        while strategy.more():
-            scheduler.execute(factory(), strategy)
-            finals_by_round.append((strategy.bound, box["cell"].peek()))
-        bounds = [b for b, _ in finals_by_round]
-        assert bounds == sorted(bounds)  # bound never decreases
-        # the racy final value 1 appears only once bound >= 1
-        first_racy = next(b for b, v in finals_by_round if v == 1)
-        assert first_racy >= 1
-
-
 class TestTheOneLoop:
     """``check_relaxed`` runs the checker's two phases, so what bounds,
     interrupts and measures a strict check does the same here."""

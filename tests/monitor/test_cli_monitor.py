@@ -144,6 +144,21 @@ class TestOneModelJudge:
                 assert "blocked forever" in out
                 assert "Erroneous blocking: operation [dec()" in out
 
+    def test_a_model_blocking_verdict_claims_no_serial_execution(
+        self, tmp_path, capsys
+    ):
+        # The monitor judges a stuck dump against the model alone: its
+        # report says which model states it searched, and never speaks
+        # of serial executions, which it did not run.
+        unjustified = hist(call(0, 0, "inc"), ret(0, 0), call(1, 0, "dec"),
+                           stuck=True)
+        (path,) = write_dump(tmp_path, unjustified, subject="Counter")
+        assert main(["monitor", path, "--model", "counter"]) == 1
+        out = capsys.readouterr().out
+        assert "no linearization of the completed operations leaves the " \
+            "sequential model in a state that blocks" in out
+        assert "serial execution" not in out
+
 
 class TestCheckBackendFlag:
     def test_monitor_backend_skips_phase1(self, capsys):

@@ -191,3 +191,20 @@ class TestAgreementWithWgl:
             cells = watched(tmp_path, history, DICT)
             whole = monitor_history(history, DICT, engine="wgl")
             assert (cells.verdict == "PASS") == whole.ok, str(history)
+
+
+@pytest.mark.parametrize("engine", ["online", "wgl"])
+def test_a_thread_with_two_open_calls_is_refused(engine):
+    # The shape the offline partitioner's generator once built: thread 0
+    # calls TryAdd for every key before any of them returns.  No trace
+    # file can hold it, so ``monitor_history`` names the thread instead
+    # of judging it.
+    events = []
+    for i in range(3):
+        events.append(call(0, i, "TryAdd", f"k{i}", i))
+        events.append(call(1, i, "TryGetValue", f"k{i}"))
+    for i in range(3):
+        events.append(ret(0, i, True))
+        events.append(ret(1, i, i))
+    with pytest.raises(ValueError, match="thread 0 does not alternate"):
+        monitor_history(hist(*events, n=2), DICT, engine=engine)

@@ -221,18 +221,21 @@ def random_register_history(rng: random.Random, n_writes: int = 3) -> History:
 
 
 def interleave(rng: random.Random, scripts) -> History:
-    """Randomly interleave per-thread op scripts into a full history."""
+    """Randomly interleave per-thread op scripts into a full history, in
+    which a thread calls only once its previous operation returned."""
     events: list[Event] = []
     pending: list[tuple[int, int, object]] = []
     counters = [0 for _ in scripts]
     while any(counters[t] < len(scripts[t]) for t in range(len(scripts))) or pending:
-        if pending and (rng.random() < 0.5 or all(
-            counters[t] >= len(scripts[t]) for t in range(len(scripts))
-        )):
+        busy = {t for t, _i, _result in pending}
+        candidates = [
+            t for t in range(len(scripts))
+            if counters[t] < len(scripts[t]) and t not in busy
+        ]
+        if pending and (rng.random() < 0.5 or not candidates):
             t, i, result = pending.pop(rng.randrange(len(pending)))
             events.append(Event.ret(t, i, Response.of(result)))
             continue
-        candidates = [t for t in range(len(scripts)) if counters[t] < len(scripts[t])]
         t = rng.choice(candidates)
         method, args, result = scripts[t][counters[t]]
         events.append(Event.call(t, counters[t], Invocation(method, args)))

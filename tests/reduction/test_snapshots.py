@@ -17,8 +17,6 @@ from repro.core.checkpoint import CheckpointError
 from repro.reduction import DPORStrategy, SleepSetStrategy
 from repro.runtime import (
     DFSStrategy,
-    IterativeDFSStrategy,
-    PCTStrategy,
     RandomStrategy,
     strategy_from_snapshot,
 )
@@ -27,10 +25,7 @@ from repro.runtime import (
 def make_strategies():
     return [
         DFSStrategy(preemption_bound=2),
-        IterativeDFSStrategy(max_bound=2),
-        IterativeDFSStrategy(max_bound=2, reduction="dpor"),
         RandomStrategy(executions=20, seed=7),
-        PCTStrategy(executions=20, depth=3, seed=7),
         SleepSetStrategy(preemption_bound=2),
         DPORStrategy(preemption_bound=2),
     ]
@@ -38,10 +33,7 @@ def make_strategies():
 
 STRATEGY_IDS = [
     "dfs",
-    "iterative",
-    "iterative-dpor",
     "random",
-    "pct",
     "sleep",
     "dpor",
 ]

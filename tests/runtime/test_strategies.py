@@ -106,8 +106,9 @@ class TestRandomStrategyValidation:
             RandomStrategy(executions=-1)
 
     def test_bad_probability(self):
-        with pytest.raises(ValueError):
-            RandomStrategy(executions=1, preempt_prob=1.5)
+        # The preemption probability is a module constant, not an argument.
+        with pytest.raises(TypeError):
+            RandomStrategy(executions=1, preempt_prob=0.25)
 
     def test_runs_exactly_n_executions(self, scheduler):
         strategy = RandomStrategy(executions=9, seed=1)

@@ -12,14 +12,19 @@ test ``Put(1); Take | TryTake`` (fault provider, beta), each stopped by a
 
 Resumed without the budget, each must finish at the single-process
 counts: the checkpoint and shard-result formats are read as written.
+A copy edited to name a retired phase-2 strategy is refused instead.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 from dataclasses import replace
 
+import pytest
+
+from repro.cli import main
 from repro.core.checker import CheckConfig, check
 from repro.core.checkpoint import load_checkpoint, parse_check_state
 from repro.swarm import SwarmConfig, swarm_check
@@ -102,3 +107,26 @@ def test_a_swarm_checkpoint_resumes_to_the_single_process_counts(
     # The counts restored from the shard files are part of the sums.
     assert result.leases > 4 and result.partition_probes == 15
     assert result.phase2_judged >= baseline.phase2_judged
+
+
+@pytest.mark.parametrize(
+    "field, value, retired",
+    [
+        ("config", {"phase2_strategy": "pct"}, "pct"),
+        ("strategy", {"type": "iterative"}, "iterative"),
+    ],
+    ids=["config", "snapshot"],
+)
+def test_a_checkpoint_of_a_retired_strategy_is_refused(
+    tmp_path, capsys, field, value, retired
+):
+    """PCT and iterative context bounding left the checker: ``resume``
+    names the strategy and exits 64 (a traceback would fail the call)."""
+    path = os.path.join(_copy("check", tmp_path), "check.json")
+    with open(path, encoding="utf-8") as handle:
+        document = json.load(handle)
+    document[field] = {**document[field], **value}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+    assert main(["resume", path]) == 64
+    assert f"retired phase-2 strategy {retired!r}" in capsys.readouterr().err
