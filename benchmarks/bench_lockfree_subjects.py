@@ -31,8 +31,8 @@ from repro.core import (
     check,
     check_relaxed,
 )
-from repro.structures.lock_free_set import LockFreeSet
-from repro.structures.work_stealing_deque import WorkStealingDeque
+from tests.structures.lock_free_set import LockFreeSet
+from tests.structures.work_stealing_deque import WorkStealingDeque
 
 
 def _inv(method, *args):

@@ -17,16 +17,21 @@ well as at exit, and on a SIGTERM nobody else handles).  A process that
 is SIGKILLed records nothing; the live reference SUT of the ``kill``
 chaos drive is one.
 
-Each entry is a lead, not a verdict: a function only tests reach is a
-test fixture or dead, but a function reached only by a drive CI does not
-run (a resume path, an error branch) is neither.  The report names the
-drives it ran, so a list is read against them.
+Every unreached function must be one of three things.  A product path
+with no drive gets a drive here and a CI step.  Code no product path
+needs is deleted, or moved under ``tests/`` when a test uses it as a
+reference.  What a deterministic drive cannot reach, or must not remove,
+is named in ``JUSTIFIED`` with its reason, whose first word is its class
+(``CLASSES``): safety code, a reference tests compare against, the
+porting API of docs/PORTING.md, or what ``perfbench/`` builds by name.
+The report lists the justified entries apart from the rest.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/unreached.py [--out unreached.txt]
 
-Exits 1 when a drive fails or times out; the list is written either way.
+Exits 1 when a drive fails or times out, or when an unreached function
+is not in ``JUSTIFIED``; the list is written either way.
 """
 
 from __future__ import annotations
@@ -80,6 +85,20 @@ STUCK_DUMPS = (
 BUGGY = LIVE + [
     "--variant", "buggy", "--ops", "15", "--seed", "0", "--race-window", "0.02",
 ]
+#: CI's restart step: the keyed trace, then a global Count no
+#: interleaving explains, so the watch restarts unpartitioned and FAILs.
+KEYED_COUNT = GEN_TRACES + (
+    "; p = sys.argv[2]; lines = open(p).read().splitlines()[:-1] + ["
+    "'{\"e\":\"c\",\"t\":0,\"i\":100000,\"m\":\"Count\",\"a\":\"()\"}', "
+    "'{\"e\":\"r\",\"t\":0,\"i\":100000,\"k\":\"ok\",\"v\":\"-1\"}']; "
+    "open(p, 'w').write('\\n'.join(lines) + '\\n')"
+)
+#: CI's "One model step": the window trace with one method misspelled.
+RENAMED = GEN_TRACES + (
+    "; lines = open(sys.argv[2]).readlines()[:8]; "
+    "lines[1] = lines[1].replace('\"m\":\"Enqueue\"', '\"m\":\"Enqueu\"'); "
+    "open('stream-renamed.trace.jsonl', 'w').writelines(lines)"
+)
 
 #: (name, argv): a CLI drive's argv after ``python -m repro``, or a
 #: script's (``-c`` or a path) after ``python``.  Each names the CI step
@@ -175,7 +194,63 @@ DRIVES: list[tuple[str, list[str]]] = [
      ["resume", "resume-corpus/corpus.json", "--deadline", "60"]),
     ("campaign parity: in-process", LAZY_CAMPAIGN),
     ("campaign parity: isolated", LAZY_CAMPAIGN + ["--isolate", "--workers", "1"]),
+    ("every product path: list", ["list", "-v"]),
+    ("every product path: a usage error",
+     ["check", "ConcurrentQueue", "--test", GATE, "--strategy", "pct"]),
+    ("every product path: the note of a reduced PASS",
+     ["check", "ConcurrentQueue", "--test", GATE, "--reduction", "dpor"]),
+    ("every product path: a nondeterministic specification",
+     ["check", "NondetRegister", "--provider", "repro.exec.faults", "--test", "Get; Get | Get"]),
+    ("every product path: one shard, re-split",
+     ["check", "ConcurrentQueue", "--test", "Enqueue(1) | TryDequeue", "--shards", "1"]),
+    ("every product path: a worker-killing shard",
+     ["check", "RacyCounter", "--provider", "repro.exec.faults", "--test", "Incr | Incr",
+      "--shards", "2", "--max-retries", "1", "--report-dir", "quarantine"]),
+    ("one document: check --shards --lease --json",
+     ["check", "BoundedBuffer", "--provider", "repro.exec.faults", "--version", "beta",
+      "--test", "Put(1); Size | TryTake", "--shards", "2", "--lease", "8", "--json"]),
+    ("every product path: the stack model",
+     ["check", "ConcurrentStack", "--version", "pre", "--test",
+      "Push(10); Push(20) | TryPop; ToArray", "--model", "stack"]),
+    ("one document: a stopped check --json",
+     ["check", "ConcurrentQueue", "--test", GATE, "--strategy", "random",
+      "--checkpoint", "random.json", "--deadline", "0.1", "--json"]),
+    ("one document: resume the sampled check", ["resume", "random.json", "--deadline", "60"]),
+    ("one document: a stopped check --shards --json",
+     ["check", "ConcurrentQueue", "--test", GATE, "--shards", "2", "--checkpoint", "swarm.json",
+      "--deadline", "0.2", "--json"]),
+    ("one document: a stopped reduced check",
+     ["check", "ConcurrentQueue", "--test", GATE, "--reduction", "sleep",
+      "--checkpoint", "sleep.json", "--deadline", "0.1"]),
+    ("one document: resume the reduced check", ["resume", "sleep.json", "--deadline", "60"]),
+    ("generate: a correct class, --json",
+     ["generate", "ConcurrentQueue", "--version", "beta", "--seed", "1", "--budget", "600",
+      "--seeds", "1", "--max-rows", "2", "--max-cols", "2", "--schedules", "30", "--json"]),
+    ("generate: campaign --generate",
+     ["campaign", "Lazy", "--versions", "pre", "--generate", "--budget", "300", "--seed", "1"]),
+    *[
+        (f"live: the {model} model",
+         ["live", "--model", model, "--sessions", "2", "--ops", "10",
+          "--trace-out", f"live-{model}.trace.jsonl"])
+        for model in ("queue", "register")
+    ],
+    ("stream: write the keyed trace with a global Count",
+     ["-c", KEYED_COUNT, PERFBENCH, "keyed-count.trace.jsonl", "keyed", "3000"]),
+    ("stream: a restart",
+     ["watch", "keyed-count.trace.jsonl", "--json", "--stats-out", "keyed-count.stats.jsonl",
+      "--stats-interval", "0"]),
+    ("one model step: write a misspelled trace",
+     ["-c", RENAMED, PERFBENCH, "window-40.trace.jsonl", "window", "40"]),
+    ("one model step: an unknown method", ["watch", "stream-renamed.trace.jsonl"]),
 ]
+
+#: Drives that end on another exit code than ``_EXPECTED``'s: a usage
+#: error (64) and a CRASHED verdict (70) are what they exist to show.
+EXPECTED_EXIT = {
+    "every product path: a usage error": 64,
+    "every product path: a worker-killing shard": 70,
+    "one model step: an unknown method": 64,
+}
 
 #: Written to the scratch directory as ``sitecustomize.py``.
 HOOK = '''\
@@ -243,6 +318,213 @@ def functions() -> dict[tuple[str, int], tuple[str, int]]:
         with open(path, encoding="utf-8") as handle:
             walk(ast.parse(handle.read()), path, "")
     return found
+
+
+#: The classes of a justified entry: its reason starts with one of
+#: these and a colon.
+CLASSES = ("safety", "reference", "porting API", "perfbench")
+
+#: ``path::qualified name`` (the path relative to ``src/repro``) -> why
+#: no drive reaches the function and it stays.
+JUSTIFIED: dict[str, str] = {
+    "cli.py::_SignalStop._handle": (
+        "safety: the SIGINT/SIGTERM handler; no drive sends a signal "
+        "(tests/core/test_cli_robustness.py does)"
+    ),
+    "core/campaign.py::row_from_dict": (
+        "safety: restores the finished rows of a campaign stopped between "
+        "rows; the drives' deadline stops it inside its first row"
+    ),
+    **dict.fromkeys(
+        [
+            "exec/faults.py::_fault_dir",
+            "exec/faults.py::GoodRegister.__init__",
+            "exec/faults.py::GoodRegister.Get",
+            "exec/faults.py::GoodRegister.Set",
+            "exec/faults.py::CrashingRegister.Boom",
+            "exec/faults.py::FreezingRegister.Freeze",
+            "exec/faults.py::AllocatingRegister.Hog",
+            "exec/faults.py::ExitingRegister.Quit",
+            "exec/faults.py::FlakyRegister.__init__",
+            "exec/faults.py::FlakyRegister.Get",
+            "exec/faults.py::RacyCounter.Get",
+        ],
+        "safety: a hostile (or control) subject of the crash-containment "
+        "tests, importable by provider name in a worker",
+    ),
+    "exec/supervisor.py::_Worker.kill": (
+        "safety: kills a worker that stopped answering its heartbeats"
+    ),
+    "exec/supervisor.py::WorkerPool._spawn_failed": (
+        "safety: a worker that cannot be started"
+    ),
+    "live/refsut.py::_Server.handle_error": (
+        "safety: silences the tracebacks of connections the chaos modes "
+        "drop"
+    ),
+    "monitor/trace.py::TraceDecoder._no_open_call": (
+        "safety: rejects a trace whose return has no open call"
+    ),
+    "runtime/core.py::SchedulerCore._record_crash": (
+        "safety: a logical thread that crashed outside an operation"
+    ),
+    **dict.fromkeys(
+        [
+            "runtime/core.py::SchedulerCore._mark_divergent",
+            "runtime/scheduler.py::Scheduler._finish_divergent",
+            "runtime/watchdog.py::interrupt_thread",
+        ],
+        "safety: the watchdog cutting off an operation that never yields",
+    ),
+    "runtime/core.py::SchedulerCore._stalled": (
+        "safety: the stall detector of the watchdog"
+    ),
+    "runtime/watchdog.py::WatchdogConfig.__post_init__": (
+        "safety: validates a watchdog configuration built in code"
+    ),
+    "stream/tail.py::TraceTailer.reset": (
+        "safety: a followed trace that was rotated or truncated"
+    ),
+    **dict.fromkeys(
+        [
+            "analysis/vector_clock.py::VectorClock.__eq__",
+            "analysis/vector_clock.py::VectorClock.__hash__",
+            "core/history.py::History.__eq__",
+            "core/history.py::History.__hash__",
+            "reduction/fingerprint.py::FingerprintSet.__eq__",
+            "runtime/core.py::Decision.__eq__",
+            "runtime/core.py::Decision.__hash__",
+            "runtime/core.py::Decision.__repr__",
+            "runtime/memory.py::AccessRecord.__eq__",
+            "runtime/memory.py::AccessRecord.__hash__",
+            "runtime/memory.py::AccessRecord.__repr__",
+        ],
+        "reference: the equality (and its failure message) tests compare "
+        "these values by",
+    ),
+    "core/witness.py::brute_force_full_witness": (
+        "reference: the exhaustive witness search the indexed one is tested "
+        "against"
+    ),
+    **dict.fromkeys(
+        [
+            "monitor/wgl.py::MonitorCounterexample.describe",
+            "monitor/wgl.py::StuckMonitorResult.ok",
+            "monitor/wgl.py::_predecessors",
+            "monitor/wgl.py::_observed_answers",
+            "monitor/wgl.py::wgl_check",
+            "monitor/wgl.py::check_stuck_history_model",
+            "monitor/wgl.py::_blocks_somewhere",
+        ],
+        "reference: the Wing-Gong-Lowe search the online closure is tested "
+        "against",
+    ),
+    **dict.fromkeys(
+        [
+            "monitor/models.py::SetModel.initial_state",
+            "monitor/models.py::SetModel.step",
+        ],
+        "reference: the set model's single-state step, which the closure "
+        "tests compare step_set with; no shipped class speaks its alphabet",
+    ),
+    "monitor/trace.py::scan_trace": (
+        "reference: the whole-file scan the tailer's batches are tested "
+        "against"
+    ),
+    "_lazy.py::lazy_exports.<locals>.__dir__": (
+        "porting API: dir(repro) lists the lazily imported public names"
+    ),
+    **dict.fromkeys(
+        [
+            "runtime/env.py::Runtime.choose",
+            "runtime/env.py::Runtime.spin_wait",
+            "runtime/env.py::Runtime.spin_until",
+            "runtime/core.py::SchedulerCore.spin_wait",
+            "runtime/core.py::SchedulerCore._progress",
+            "runtime/locks.py::Lock.wait_for",
+            "runtime/monitor.py::Monitor.pulse",
+            "runtime/memory.py::AtomicCell.exchange",
+            "runtime/memory.py::AtomicCell.decrement",
+            "runtime/memory.py::SharedList.set",
+            "runtime/memory.py::SharedList.clear",
+            "runtime/memory.py::SharedDict.__len__",
+            "runtime/memory.py::SharedDict.snapshot",
+        ],
+        "porting API: a primitive of docs/PORTING.md's menu that no shipped "
+        "class uses",
+    ),
+    **dict.fromkeys(
+        [
+            "runtime/locks.py::Lock.held",
+            "runtime/locks.py::Lock.holder",
+            "runtime/monitor.py::Monitor.held",
+            "runtime/monitor.py::Monitor.waiting_count",
+        ],
+        "porting API: reads a primitive's state for a port's own test "
+        "assertions (docs/PORTING.md)",
+    ),
+    **dict.fromkeys(
+        [
+            "monitor/models.py::SequentialModel.initial_state",
+            "monitor/models.py::SequentialModel.step",
+            "monitor/models.py::SequentialModel.compact",
+            "monitor/models.py::SequentialModel.count",
+        ],
+        "porting API: what a new model defines or inherits "
+        "(docs/MONITORING.md); every shipped model overrides it",
+    ),
+    **dict.fromkeys(
+        [
+            "monitor/trace.py::LiveTraceWriter.flush",
+            "monitor/trace.py::LiveTraceWriter.__enter__",
+            "monitor/trace.py::LiveTraceWriter.__exit__",
+        ],
+        "porting API: a recorder of one's own writes its trace through "
+        "LiveTraceWriter (docs/LIVE.md)",
+    ),
+    "monitor/dispatch.py::_reference": (
+        'perfbench: perfbench/layers.py calls monitor_history(engine="wgl") '
+        "until ROADMAP item 3"
+    ),
+    "stream/tail.py::TraceTailer.poll": (
+        "perfbench: perfbench/layers.py times the tailer through poll()"
+    ),
+    **dict.fromkeys(
+        [
+            "runtime/coop.py::CoopScheduler.schedule_point",
+            "runtime/coop.py::CoopScheduler.block_until",
+            "runtime/coop.py::CoopScheduler.choose",
+            "runtime/coop.py::CoopScheduler.yield_point",
+            "runtime/coop.py::CoopScheduler.spin_wait",
+            "runtime/coop.py::CoopScheduler._uncooperative",
+            "runtime/coop.py::CoopScheduler._arm_watchdog",
+            "runtime/coop.py::CoopScheduler._disarm_watchdog",
+            "runtime/coop.py::CoopScheduler._watchdog_loop",
+            "runtime/coopc.py::_effect",
+            "runtime/coopc.py::_construct",
+            "runtime/coopc.py::coop_callkw",
+            "runtime/coopc.py::_init_entry",
+            "runtime/coopc.py::_Rewriter.visit_FunctionDef",
+            "runtime/coopc.py::_Rewriter.visit_AsyncFunctionDef",
+            "runtime/coopc.py::_Rewriter.visit_Lambda",
+            "runtime/coopc.py::_Rewriter.visit_ClassDef",
+            "runtime/coopc.py::_Rewriter.visit_ListComp",
+            "runtime/coopc.py::_Rewriter.visit_SetComp",
+            "runtime/coopc.py::_Rewriter.visit_DictComp",
+            "runtime/coopc.py::_Rewriter.visit_GeneratorExp",
+            "runtime/coopc.py::_Rewriter._lower_comp",
+            "runtime/coopc.py::coopify_body.<locals>._opaque",
+            "runtime/coopc.py::coopify_body.<locals>._plain",
+        ],
+        "perfbench: the coop engine, which perfbench/layers.py builds by "
+        "name, until ROADMAP item 4 decides it",
+    ),
+}
+
+
+def qualified(path: str, name: str) -> str:
+    """The ``JUSTIFIED`` key of function *name* of file *path*."""
+    return f"{os.path.relpath(path, PACKAGE)}::{name}"
 
 
 #: Seconds a drive may run before it is killed.  Its exit code is then
@@ -319,25 +601,42 @@ def main(argv: list[str] | None = None) -> int:
     table = functions()
     missing = sorted(key for key in table if key not in seen)
     lines_missing = sum(table[key][1] for key in missing)
+    reasons = {key: JUSTIFIED.get(qualified(key[0], table[key][0])) for key in missing}
+    unjustified = [key for key in missing if reasons[key] is None]
+    by_class = {
+        cls: sum(1 for r in reasons.values() if r and r.startswith(cls + ":"))
+        for cls in CLASSES
+    }
     lines = [
         f"# {len(missing)} of {len(table)} functions in src/repro "
-        f"({lines_missing} lines) unreached by {len(ran)} drives",
-        "# Each entry is a lead, not a verdict (see benchmarks/unreached.py).",
+        f"({lines_missing} lines) unreached by {len(ran)} drives, "
+        f"{len(unjustified)} of them unjustified",
+        "# justified: " + ", ".join(f"{cls} {n}" for cls, n in by_class.items()),
         "# drives (exit code, seconds, name):",
         *(f"#   {code:3d} {seconds:6.1f}s {name}" for name, code, seconds in ran),
-        "",
     ]
-    for path, first in missing:
-        name, size = table[(path, first)]
-        lines.append(f"{os.path.relpath(path, REPO)}:{first} {name} ({size} lines)")
+
+    def entry(key) -> str:
+        name, size = table[key]
+        return f"{os.path.relpath(key[0], REPO)}:{key[1]} {name} ({size} lines)"
+
+    lines += ["", "# unjustified: drive, delete or justify each (see the docstring)"]
+    lines += [entry(key) for key in unjustified]
+    lines += ["", "# justified"]
+    lines += [f"{entry(key)}: {reasons[key]}" for key in missing if reasons[key]]
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     print(lines[0].lstrip("# "))
     print(f"list written to {args.out}")
-    failed = [name for name, code, _ in ran if code not in _EXPECTED]
+    failed = [
+        name for name, code, _ in ran
+        if code not in ((EXPECTED_EXIT[name],) if name in EXPECTED_EXIT else _EXPECTED)
+    ]
     if failed:
         print(f"drives that failed: {failed}", file=sys.stderr)
-    return 1 if failed else 0
+    for key in unjustified:
+        print(f"unjustified: {entry(key)}", file=sys.stderr)
+    return 1 if failed or unjustified else 0
 
 
 if __name__ == "__main__":

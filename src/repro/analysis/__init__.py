@@ -11,7 +11,6 @@ paper runs two alternative dynamic checkers over the same executions:
 Both operate on the access logs the runtime records during exploration.
 """
 
-from repro.analysis.lock_order import LockOrderAnalyzer, LockOrderReport
 from repro.analysis.race_detector import Race, RaceDetector, detect_races
 from repro.analysis.serializability import (
     SerializabilityReport,
@@ -20,8 +19,6 @@ from repro.analysis.serializability import (
 from repro.analysis.vector_clock import VectorClock
 
 __all__ = [
-    "LockOrderAnalyzer",
-    "LockOrderReport",
     "Race",
     "RaceDetector",
     "SerializabilityReport",

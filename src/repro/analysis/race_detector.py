@@ -42,12 +42,6 @@ class Race:
     first: AccessRecord
     second: AccessRecord
 
-    def describe(self) -> str:
-        return (
-            f"race on {self.name}: thread {self.first.thread} {self.first.kind} "
-            f"|| thread {self.second.thread} {self.second.kind}"
-        )
-
 
 class RaceDetector:
     """Streaming happens-before race detector over one access log."""
@@ -103,9 +97,6 @@ class RaceDetector:
                 self.feed(access)
         return self
 
-    def distinct_locations(self) -> set[str]:
-        """Names of locations involved in at least one race."""
-        return {race.name for race in self.races}
 
 
 def detect_races(accesses: Iterable) -> list[Race]:

@@ -46,12 +46,6 @@ class SerializabilityReport:
     transactions: int = 0
     conflict_edges: int = 0
 
-    def describe(self) -> str:
-        if self.serializable:
-            return "conflict-serializable"
-        path = " -> ".join(f"T{t}#{i}" for t, i in self.cycle)
-        return f"NOT conflict-serializable; cycle: {path}"
-
 
 def _conflicts(a: AccessRecord, b: AccessRecord) -> bool:
     # uid disambiguates instances whose per-execution location ids

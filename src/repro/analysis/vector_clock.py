@@ -8,8 +8,6 @@ accesses are ordered.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 __all__ = ["VectorClock"]
 
 
@@ -45,13 +43,6 @@ class VectorClock:
         """self ≤ other componentwise (and they may be equal)."""
         return all(stamp <= other.get(t) for t, stamp in self._clock.items())
 
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """Neither clock happens-before the other."""
-        return not self.happens_before(other) and not other.happens_before(self)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._clock.items()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClock):
             return NotImplemented
@@ -60,7 +51,3 @@ class VectorClock:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted((t, s) for t, s in self._clock.items() if s)))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{t}:{s}" for t, s in sorted(self._clock.items()))
-        return f"VC({inner})"

@@ -154,13 +154,17 @@ class _SignalStop:
         self._previous.clear()
 
 
-def _print_resume_hint(checkpoint: str | None, end: str = "\n") -> None:
+def _print_resume_hint(
+    checkpoint: str | None, end: str = "\n", *, json_output: bool = False
+) -> None:
     """Name the command that continues a stopped run, once its state is on
-    disk (a run stopped before its first save has nothing to resume)."""
+    disk (a run stopped before its first save has nothing to resume).
+    Under ``--json`` it goes to stderr: stdout is one document."""
     if checkpoint and os.path.exists(checkpoint):
         print(
             f"state saved; continue with: python -m repro resume {checkpoint}",
-            end=end,
+            end="\n" if json_output else end,
+            file=sys.stderr if json_output else sys.stdout,
         )
 
 
@@ -485,6 +489,7 @@ def _run_check(
     extra: dict,
     resume=None,
     relaxed: InterferencePolicy | None = None,
+    json_output: bool = False,
 ) -> "tuple[object, int]":
     """Shared check driver: signals, budget control, checkpointing.
 
@@ -522,7 +527,7 @@ def _run_check(
         interrupted=result.exhausted and result.exhausted_reason == "interrupted",
     )
     if result.exhausted:
-        _print_resume_hint(checkpoint, end="\n\n")
+        _print_resume_hint(checkpoint, end="\n\n", json_output=json_output)
     return result, code
 
 
@@ -566,9 +571,10 @@ def _run_swarm_check(
     code = _verdict_exit_code(
         result.verdict, interrupted=result.exhausted_reason == "interrupted"
     )
+    json_output = getattr(args, "json", False)
     if not result.phase2_complete:
-        _print_resume_hint(checkpoint, end="\n\n")
-    if getattr(args, "json", False):
+        _print_resume_hint(checkpoint, end="\n\n", json_output=json_output)
+    if json_output:
         import json as _json
 
         print(_json.dumps(swarm_result_to_dict(result), indent=2))
@@ -590,6 +596,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if getattr(args, "shards", None):
         from repro.swarm import SwarmConfig
+        from repro.swarm.report import shard_count
 
         if args.relaxed:
             raise CliError("--relaxed is not supported with --shards")
@@ -601,7 +608,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not getattr(args, "json", False):
             print(
                 f"Checking {entry.name}({args.version}) across "
-                f"{args.shards} shards on:"
+                f"{shard_count(args.shards)} on:"
             )
             print(test.render_matrix())
             print()
@@ -656,6 +663,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             if args.relaxed
             else None
         ),
+        json_output=getattr(args, "json", False),
     )
     if result.failed and args.minimize:
         quiet = getattr(args, "json", False)

@@ -48,14 +48,6 @@ class ExplorationBudget:
         if self.max_decisions is not None and self.max_decisions < 0:
             raise ValueError("max_decisions must be >= 0")
 
-    @property
-    def unbounded(self) -> bool:
-        return (
-            self.deadline_seconds is None
-            and self.max_executions is None
-            and self.max_decisions is None
-        )
-
     def to_dict(self) -> dict:
         return {
             "deadline_seconds": self.deadline_seconds,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.core.events import CALL, Event, Interner, Invocation, Operation, Response
 
@@ -106,12 +106,6 @@ class History:
         # ``divergent`` it is annotation, excluded from __eq__/__hash__.
         self.key: tuple | None = None
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, History):
             return NotImplemented
@@ -177,11 +171,6 @@ class History:
     def complete_operations(self) -> tuple[Operation, ...]:
         return tuple(op for op in self.operations if op.complete)
 
-    @property
-    def is_full(self) -> bool:
-        """Complete (no pending calls) and not stuck."""
-        return not self.stuck and all(op.complete for op in self.operations)
-
     # -- structural predicates (paper 2.1.1) ------------------------------
 
     def thread_subhistory(self, thread: int) -> tuple[Event, ...]:
@@ -204,38 +193,7 @@ class History:
                 expect_call = not expect_call
         return None
 
-    @property
-    def is_well_formed(self) -> bool:
-        """Every thread subhistory is serial (calls/returns alternate)."""
-        return self.ill_formed_thread is None
-
-    @cached_property
-    def is_serial(self) -> bool:
-        """Calls and returns alternate and each return matches its call."""
-        if not self.events:
-            return True
-        if not self.events[0].is_call:
-            return False
-        expect_call = True
-        last_key: tuple[int, int] | None = None
-        for event in self.events:
-            if event.is_call != expect_call:
-                return False
-            if event.is_return and (event.thread, event.op_index) != last_key:
-                return False
-            last_key = (event.thread, event.op_index)
-            expect_call = not expect_call
-        return True
-
     # -- derived histories -------------------------------------------------
-
-    def complete_history(self) -> "History":
-        """complete(H): the history with all pending calls deleted."""
-        pending = {op.key for op in self.pending_operations}
-        kept = [
-            e for e in self.events if not (e.is_call and (e.thread, e.op_index) in pending)
-        ]
-        return History(kept, self.n_threads, stuck=False)
 
     def project_pending(self, op: Operation) -> "History":
         """H[e]: drop all pending calls except the one of *op* (Def. 2)."""
@@ -329,16 +287,9 @@ class SerialHistory:
         if self.stuck and (not self.steps or self.steps[-1].response is not None):
             raise ValueError("a stuck serial history must end with a pending step")
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def __str__(self) -> str:
         body = "; ".join(str(s) for s in self.steps)
         return f"<{body}>" + (" #" if self.stuck else "")
-
-    @cached_property
-    def profile(self) -> Profile:
-        return self.profile_for(0)
 
     def profile_for(self, n_threads: int) -> Profile:
         """Profile padded with empty rows up to *n_threads* columns.
@@ -380,17 +331,3 @@ class SerialHistory:
         if self.stuck:
             out.append("#")
         return tuple(out)
-
-    def to_history(self, n_threads: int | None = None) -> History:
-        """Expand to an explicit event-level :class:`History`."""
-        counters: dict[int, int] = {}
-        events: list[Event] = []
-        for step in self.steps:
-            idx = counters.get(step.thread, 0)
-            counters[step.thread] = idx + 1
-            events.append(Event.call(step.thread, idx, step.invocation))
-            if step.response is not None:
-                events.append(Event.ret(step.thread, idx, step.response))
-        if n_threads is None:
-            n_threads = 1 + max((s.thread for s in self.steps), default=-1)
-        return History(events, n_threads, stuck=self.stuck)

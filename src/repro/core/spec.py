@@ -21,7 +21,7 @@ most one continuation (the response, or ``#``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.history import Profile, SerialHistory
 
@@ -114,10 +114,6 @@ class ObservationSet:
             self.full.append(history)
             self._full_groups.setdefault(profile, []).append(history)
         return True
-
-    def extend(self, histories: Iterable[SerialHistory]) -> None:
-        for history in histories:
-            self.add(history)
 
     def _witness(
         self, history: SerialHistory, tokens: tuple, depth: int, prefix: int

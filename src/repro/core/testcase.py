@@ -66,21 +66,6 @@ class FiniteTest:
     def column(self, thread: int) -> tuple[Invocation, ...]:
         return self.columns[thread]
 
-    def is_prefix_of(self, other: "FiniteTest") -> bool:
-        """m ⊑ m' — every column of self is a prefix of other's (Lemma 8).
-
-        Columns missing from self count as empty prefixes; init/final must
-        match exactly for the prefix relation to be meaningful.
-        """
-        if self.init != other.init or self.final != other.final:
-            return False
-        if len(self.columns) > len(other.columns):
-            return False
-        for mine, theirs in zip(self.columns, other.columns):
-            if mine != theirs[: len(mine)]:
-                return False
-        return True
-
     def render_matrix(self) -> str:
         """Multi-line matrix display in the paper's style."""
         names = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.core.checkpoint import CheckpointError, test_from_dict, test_to_dict
 from repro.core.testcase import FiniteTest
@@ -77,9 +77,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self) -> Iterator[CorpusEntry]:
-        return iter(self.entries)
 
     def tests(self) -> list[FiniteTest]:
         return [entry.test for entry in self.entries]

@@ -36,10 +36,8 @@ from repro.live.chaos import (
 from repro.live.recorder import LiveRecorder
 from repro.live.refsut import (
     VARIANTS,
-    RefSut,
     RefSutProcess,
     start_refsut_process,
-    start_server,
 )
 from repro.live.runner import (
     LiveConfig,
@@ -66,7 +64,6 @@ __all__ = [
     "LiveConfig",
     "LiveRecorder",
     "LiveResult",
-    "RefSut",
     "RefSutProcess",
     "Session",
     "SessionConfig",
@@ -80,5 +77,4 @@ __all__ = [
     "render_live_result",
     "run_live",
     "start_refsut_process",
-    "start_server",
 ]

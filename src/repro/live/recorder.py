@@ -122,6 +122,3 @@ class LiveRecorder:
                 return
             self._finalized = True
         self._writer.finalize(outcome, self.now())
-
-    def close(self) -> None:
-        self._writer.close()

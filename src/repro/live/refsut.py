@@ -22,11 +22,11 @@ with ``200`` + ``repr(value)`` for a normal return (parsed back with
 for an invocation the service cannot interpret, and ``GET /healthz``
 for liveness probes.
 
-Run it in-process (:func:`start_server`, used by fast tests) or as a
-child process (:func:`start_refsut_process` / ``python -m
+It runs as a child process (:func:`start_refsut_process` / ``python -m
 repro.live.refsut``), which is what the chaos SUT-kill mode and the CLI
 use — killing a process is the only honest way to simulate a service
-dying mid-campaign.
+dying mid-campaign.  The live tests also run it in-process, on a server
+thread.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from urllib.parse import parse_qs, unquote, urlparse
 __all__ = [
     "VARIANTS",
     "RefSutState",
-    "start_server",
     "start_refsut_process",
 ]
 
@@ -89,11 +88,6 @@ class RefSutState:
     def op_get(self):
         with self._lock:
             return self._counter
-
-    def op_set_value(self, value) -> None:
-        with self._lock:
-            self._counter = value
-        return None
 
     # -- queue -----------------------------------------------------------
 
@@ -201,46 +195,6 @@ class _Server(ThreadingHTTPServer):
         pass
 
 
-class RefSut:
-    """An in-process reference SUT: server thread + address."""
-
-    def __init__(self, server: _Server, thread: threading.Thread) -> None:
-        self._server = server
-        self._thread = thread
-        self.host, self.port = server.server_address[0], server.server_address[1]
-
-    @property
-    def state(self) -> RefSutState:
-        return self._server.state  # type: ignore[attr-defined]
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._thread.join(timeout=5)
-        self._server.server_close()
-
-    def __enter__(self) -> "RefSut":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def start_server(
-    variant: str = "correct",
-    *,
-    port: int = 0,
-    race_window: float = DEFAULT_RACE_WINDOW,
-) -> RefSut:
-    """Start the reference SUT in this process (fast, not killable)."""
-    server = _Server(("127.0.0.1", port), _Handler)
-    server.state = RefSutState(variant, race_window)  # type: ignore[attr-defined]
-    thread = threading.Thread(
-        target=server.serve_forever, name="refsut", daemon=True
-    )
-    thread.start()
-    return RefSut(server, thread)
-
-
 class RefSutProcess:
     """The reference SUT in a child process — killable mid-campaign."""
 
@@ -274,12 +228,6 @@ class RefSutProcess:
             except Exception:  # pragma: no cover - last resort
                 self.proc.kill()
                 self.proc.wait(timeout=5)
-
-    def __enter__(self) -> "RefSutProcess":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def start_refsut_process(

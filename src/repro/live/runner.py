@@ -88,10 +88,6 @@ class LiveResult:
     monitor: WatchResult | None = None
     injected: dict = field(default_factory=dict)
 
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "FAIL"
-
 
 def _join_deadline(config: LiveConfig) -> float:
     """An upper bound on how long a well-behaved campaign can take."""

@@ -66,26 +66,17 @@ class AmbiguousFailure(TransportError):
 
 
 class Transport:
-    """One session's channel to the service under test."""
+    """One session's channel to the service under test.
 
-    def connect(self) -> None:
-        """Ensure a connection exists; raises :class:`ConnectFailed`."""
-        raise NotImplementedError
-
-    def call(self, invocation: Invocation) -> Response:
-        """Perform one operation; raises :class:`AmbiguousFailure`.
-
-        Must only be called after a successful :meth:`connect` — the
-        split is what lets the session retry connection establishment
-        (safe) without ever retrying an in-flight operation (unsafe).
-        """
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop the connection after an ambiguous failure."""
-
-    def close(self) -> None:
-        """Release resources."""
+    A transport answers four calls.  ``connect()`` ensures a connection
+    exists, or raises :class:`ConnectFailed`.  ``call(invocation)``
+    performs one operation and returns its :class:`Response`, or raises
+    :class:`AmbiguousFailure`; it is only called after a successful
+    ``connect()`` — the split is what lets the session retry connection
+    establishment (safe) without ever retrying an in-flight operation
+    (unsafe).  ``reset()`` drops the connection after an ambiguous
+    failure, and ``close()`` releases it.
+    """
 
 
 class HttpTransport(Transport):

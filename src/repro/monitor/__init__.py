@@ -18,12 +18,10 @@ from repro.monitor.models import (
     ModelError,
     SequentialModel,
     get_model,
-    model_names,
 )
 from repro.monitor.incremental import (
     IncrementalChecker,
     OnlineCounterexample,
-    OnlineResult,
 )
 from repro.monitor.trace import (
     TRACE_FORMAT,
@@ -60,7 +58,6 @@ __all__ = [
     "MonitorLimitError",
     "MonitorResult",
     "OnlineCounterexample",
-    "OnlineResult",
     "SequentialModel",
     "StuckMonitorResult",
     "TRACE_FORMAT",
@@ -78,7 +75,6 @@ __all__ = [
     "iter_trace",
     "load_trace",
     "read_trace_header",
-    "model_names",
     "scan_trace",
     "wgl_check",
 ]

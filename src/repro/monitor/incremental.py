@@ -109,7 +109,6 @@ from repro.monitor.wgl import MonitorLimitError
 __all__ = [
     "IncrementalChecker",
     "OnlineCounterexample",
-    "OnlineResult",
     "StreamStateError",
 ]
 
@@ -158,18 +157,6 @@ class OnlineCounterexample:
             want = "block" if response is None else str(response)
             lines.append(f"  in state {state!r} the model would {want}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class OnlineResult:
-    """Verdict of one (possibly still growing) stream against one model."""
-
-    ok: bool
-    engine: str  #: always "incremental"
-    configurations: int  #: cumulative closure configurations explored
-    retired: int  #: operations linearized everywhere and retired
-    frontier: int  #: operations still open when the verdict was taken
-    counterexample: OnlineCounterexample | None = None
 
 
 @dataclass
@@ -475,17 +462,3 @@ class IncrementalChecker:
 
     # -- verdicts ---------------------------------------------------------
 
-    @property
-    def ok(self) -> bool:
-        return self.failed is None
-
-    def result(self) -> OnlineResult:
-        """Snapshot the verdict for the stream consumed so far."""
-        return OnlineResult(
-            ok=self.failed is None,
-            engine=self.engine,
-            configurations=self.configurations,
-            retired=self.retired,
-            frontier=len(self._open),
-            counterexample=self.failed,
-        )

@@ -70,7 +70,6 @@ __all__ = [
     "SetModel",
     "StackModel",
     "get_model",
-    "model_names",
 ]
 
 
@@ -413,7 +412,8 @@ class StackModel(_SequenceModel):
 
 
 class SetModel(SequentialModel):
-    """Mathematical set with the ``LockFreeSet`` alphabet.
+    """Mathematical set with the alphabet of the Harris set
+    (``tests/structures/lock_free_set.py``).
 
     Per-element operations (``Insert``/``Remove``/``Contains``) partition
     by the element; ``Size``/``ToArray`` are global.
@@ -533,10 +533,6 @@ MODELS: dict[str, SequentialModel] = {
 }
 
 
-def model_names() -> tuple[str, ...]:
-    return tuple(sorted(MODELS))
-
-
 def get_model(name: str) -> SequentialModel:
     """Look up a model by name; raises :class:`ModelError` when unknown."""
     try:
@@ -544,5 +540,5 @@ def get_model(name: str) -> SequentialModel:
     except KeyError:
         raise ModelError(
             f"unknown sequential model {name!r} "
-            f"(available: {', '.join(model_names())})"
+            f"(available: {', '.join(sorted(MODELS))})"
         ) from None

@@ -30,7 +30,7 @@ loadable prefix:
   :mod:`repro.monitor.wgl` (it may take effect after its call, or not);
 * ``{"e": "end", "outcome": ...}`` finalizes the recording: ``"drained"``,
   ``"sut-died"``, ... for a live one (no marker: the recorder died, and
-  ``LiveTraceMeta.finalized`` is False); for a dump, how the execution
+  ``LiveTraceMeta.outcome`` is None); for a dump, how the execution
   ended — ``"complete"``, ``"stuck"`` or ``"divergent"`` — plus
   ``"verdict": "FAIL"`` when the history failed its check.
 
@@ -272,10 +272,6 @@ class LiveTraceMeta:
     intervals: dict[tuple[int, int], tuple[float, float | None]] = field(
         default_factory=dict
     )
-
-    @property
-    def finalized(self) -> bool:
-        return self.outcome is not None
 
 
 @dataclass

@@ -84,10 +84,6 @@ class StepFootprint:
     reads: frozenset[int] = field(default_factory=frozenset)
     writes: frozenset[int] = field(default_factory=frozenset)
 
-    @property
-    def observable(self) -> bool:
-        return HISTORY_LOCATION in self.writes
-
     def to_json(self) -> list:
         return [self.thread, sorted(self.reads), sorted(self.writes)]
 

@@ -202,9 +202,6 @@ class FingerprintSet:
         self._digests.add(digest)
         return True
 
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._digests
-
     def __len__(self) -> int:
         return len(self._digests)
 
@@ -212,13 +209,6 @@ class FingerprintSet:
         if not isinstance(other, FingerprintSet):
             return NotImplemented
         return self._digests == other._digests
-
-    def issubset(self, other: "FingerprintSet | Iterable[str]") -> bool:
-        """True when every digest here is also in *other*."""
-        digests = (
-            other._digests if isinstance(other, FingerprintSet) else set(other)
-        )
-        return self._digests <= digests
 
     def snapshot(self) -> list[str]:
         return sorted(self._digests)
@@ -236,16 +226,6 @@ class FingerprintSet:
         fresh = digests - self._digests
         self._digests |= fresh
         return len(fresh)
-
-    @classmethod
-    def union(
-        cls, sets: "Iterable[FingerprintSet | Iterable[str]]"
-    ) -> "FingerprintSet":
-        """Merge many shard-local sets into one global set."""
-        merged = cls()
-        for one in sets:
-            merged.update(one)
-        return merged
 
     @classmethod
     def from_snapshot(cls, digests: Iterable[str] | None) -> "FingerprintSet":

@@ -39,7 +39,6 @@ _EXPORTS = {
     "ExecutionOutcome": "repro.runtime.scheduler",
     "Scheduler": "repro.runtime.scheduler",
     "SchedulingStrategy": "repro.runtime.scheduler",
-    "thread_name": "repro.runtime.scheduler",
     "dfs_with_reduction": "repro.runtime.strategies",
     "DFSStrategy": "repro.runtime.strategies",
     "RandomStrategy": "repro.runtime.strategies",

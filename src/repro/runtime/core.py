@@ -72,18 +72,10 @@ __all__ = [
     "SchedulingStrategy",
     "SerialDriver",
     "THREAD_NAMES",
-    "thread_name",
 ]
 
 #: Display names for logical threads, matching the paper's A/B/C convention.
 THREAD_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def thread_name(tid: int) -> str:
-    """Return the display name for logical thread *tid* (0 -> 'A', ...)."""
-    if 0 <= tid < len(THREAD_NAMES):
-        return THREAD_NAMES[tid]
-    return f"T{tid}"
 
 
 # Logical-thread states (compared with ``is``: these objects are the states).
@@ -196,35 +188,19 @@ class ExecutionOutcome:
         self.event_segments.append(len(self.decisions) - 1)
 
     @property
-    def stuck(self) -> bool:
-        return self.status == "stuck"
-
-    @property
     def divergent(self) -> bool:
         """True when the watchdog cut this execution off mid-operation."""
         return self.status == "divergent"
 
 
 class SchedulingStrategy:
-    """Protocol for exploration strategies (see :mod:`.strategies`)."""
+    """Base of the exploration strategies (see :mod:`.strategies`).
 
-    def more(self) -> bool:
-        """Whether another execution should be run."""
-        raise NotImplementedError
-
-    def begin(self) -> None:
-        """Called before each execution starts."""
-        raise NotImplementedError
-
-    def decide(
-        self, kind: str, options: tuple, running: int | None, free: bool
-    ) -> Any:
-        """Return the chosen alternative for a decision point."""
-        raise NotImplementedError
-
-    def finish(self, outcome: ExecutionOutcome) -> None:
-        """Called after each execution with its outcome."""
-        raise NotImplementedError
+    A strategy answers four calls: ``more()`` (whether another execution
+    should run), ``begin()`` before each execution,
+    ``decide(kind, options, running, free)`` (the chosen alternative at a
+    decision point) and ``finish(outcome)`` after each execution.
+    """
 
 
 class LogicalThread:
@@ -400,10 +376,6 @@ class SchedulerCore:
             raise SchedulerError("not running on a scheduler-controlled thread")
         return self._running.tid
 
-    def thread_count(self) -> int:
-        """Number of logical threads in the current execution."""
-        return len(self._threads)
-
     def record_event(self, payload: Any) -> None:
         """Append a harness-level event (call/return) to the execution."""
         self._current_outcome().record_event(payload)
@@ -423,10 +395,6 @@ class SchedulerCore:
         """
         self._location_serial += 1
         return self._location_serial
-
-    @property
-    def serial_mode(self) -> bool:
-        return self._serial
 
     def schedule_point(self, boundary: bool = False) -> None:
         """A potential context switch before a shared-state access.

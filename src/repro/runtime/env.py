@@ -88,14 +88,6 @@ class Runtime:
         """Block the calling logical thread until *predicate* holds."""
         self.scheduler.block_until(predicate)
 
-    def harness_wait(self, predicate: Callable[[], bool]) -> None:
-        """Infrastructure wait that never counts as a stuck operation."""
-        self.scheduler.block_until(predicate, harness=True)
-
     def current_thread(self) -> int:
         """Logical id of the calling thread (0-based)."""
         return self.scheduler.current_thread()
-
-    def thread_count(self) -> int:
-        """Number of logical threads in the current execution."""
-        return self.scheduler.thread_count()

@@ -80,10 +80,6 @@ class AccessRecord:
     def is_write(self) -> bool:
         return self.kind in ("write", "cas-ok")
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind in ("read", "cas-fail")
-
     def __repr__(self) -> str:
         return (
             f"AccessRecord(stamp={self.stamp!r}, thread={self.thread!r}, "

@@ -39,7 +39,6 @@ from repro.runtime.core import (
     LogicalThread,
     SchedulerCore,
     SchedulingStrategy,
-    thread_name,
 )
 from repro.runtime.errors import ExecutionAbort, SchedulerError
 from repro.runtime.watchdog import WatchdogConfig, interrupt_thread
@@ -50,7 +49,6 @@ __all__ = [
     "Scheduler",
     "SchedulingStrategy",
     "THREAD_NAMES",
-    "thread_name",
 ]
 
 

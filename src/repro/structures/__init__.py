@@ -12,6 +12,11 @@ The intentional behaviours H–L (nondeterminism and nonlinearizability
 the .NET team chose to document rather than fix) are present in *both*
 versions, as in the paper.
 
+Beside them: the counters of Section 2 and the monitor-based
+``BoundedBuffer``.  The subjects beyond the paper that no command checks
+(spin locks, the Chase–Lev deque, the Harris set) are test subjects and
+live under ``tests/structures/``.
+
 :data:`REGISTRY` is the machine-readable Table 1: per class, the factory
 and the invocation alphabet used by the checking campaigns.
 """
@@ -28,7 +33,6 @@ from repro.structures.concurrent_stack import ConcurrentStack
 from repro.structures.countdown_event import CountdownEvent
 from repro.structures.counters import BuggyCounter1, BuggyCounter2, Counter
 from repro.structures.lazy import Lazy
-from repro.structures.lock_free_set import LockFreeSet
 from repro.structures.manual_reset_event import ManualResetEvent
 from repro.structures.registry import (
     REGISTRY,
@@ -38,9 +42,7 @@ from repro.structures.registry import (
     get_class,
 )
 from repro.structures.semaphore_slim import SemaphoreSlim
-from repro.structures.spin_primitives import SpinLock, SpinningCounter, TicketLock
 from repro.structures.task_completion_source import TaskCompletionSource
-from repro.structures.work_stealing_deque import WorkStealingDeque
 
 __all__ = [
     "Barrier",
@@ -60,17 +62,12 @@ __all__ = [
     "Counter",
     "CountdownEvent",
     "Lazy",
-    "LockFreeSet",
     "ManualResetEvent",
     "OperationCanceled",
     "REGISTRY",
     "ROOT_CAUSES",
     "RootCause",
     "SemaphoreSlim",
-    "SpinLock",
-    "SpinningCounter",
     "TaskCompletionSource",
-    "TicketLock",
-    "WorkStealingDeque",
     "get_class",
 ]

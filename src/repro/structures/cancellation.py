@@ -61,10 +61,6 @@ class CancellationTokenSource:
         self._requested.set(True)
         self._pump()
 
-    def IsCancellationRequested(self) -> bool:
-        self._pump()
-        return self._requested.get()
-
     def Increment(self) -> int:
         """Bump a counter unless cancellation has taken effect."""
         self._pump()

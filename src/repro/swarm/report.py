@@ -70,7 +70,9 @@ class SwarmResult:
     partition_probes: int = 0
     leases: int = 0
     requeues: int = 0  #: lost-lease requeues (crash retries) across shards
-    resplits: int = 0  #: work-stealing re-splits of straggler shards
+    #: lineages that work stealing added by re-splitting a straggler
+    #: shard; the others are the planned shards.
+    resplits: int = 0
     quarantined: int = 0
     crash_reports: list[str] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -79,17 +81,10 @@ class SwarmResult:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "FAIL"
 
-    @property
-    def exhausted(self) -> bool:
-        return self.verdict == "EXHAUSTED"
-
-    @property
-    def crashed(self) -> bool:
-        return self.verdict == "CRASHED"
+def shard_count(shards: int) -> str:
+    """``"1 shard"``, ``"4 shards"``: the header's and the report's."""
+    return f"{shards} shard{'' if shards == 1 else 's'}"
 
 
 def render_swarm_result(result: SwarmResult) -> str:
@@ -104,7 +99,10 @@ def render_swarm_result(result: SwarmResult) -> str:
         ),
         (
             f"phase 2: {result.phase2_executions} schedules across "
-            f"{len(result.shards)} shards ({result.leases} leases) "
+            f"{shard_count(len(result.shards) - result.resplits)}"
+            + (f" + {result.resplits} re-split" if result.resplits else "")
+            + ("s" if result.resplits > 1 else "")
+            + f" ({result.leases} leases) "
             f"in {result.wall_seconds:.2f}s wall / "
             f"{result.phase2_seconds:.2f}s worker"
         ),

@@ -570,7 +570,7 @@ def swarm_check(
                     lineages[fresh.id] = fresh
                     active.append(fresh)
                     save_shard(fresh)
-                resplits += 1
+                resplits += len(splits) - 1
                 save_main()
 
             lease_snapshots: dict[int, dict] = {}

@@ -38,11 +38,6 @@ class ShardStrategy(SchedulingStrategy):
         self._pruned_done = 0
 
     @property
-    def executions(self) -> int:
-        live = getattr(self._current, "executions", 0) if self._current else 0
-        return self._executions_done + live
-
-    @property
     def pruned(self) -> int:
         live = getattr(self._current, "pruned", 0) if self._current else 0
         return self._pruned_done + live

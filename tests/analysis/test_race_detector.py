@@ -161,4 +161,4 @@ class TestStructureFindings:
         while strategy.more():
             outcome = scheduler.execute(factory(), strategy)
             detector.feed_all(outcome.accesses)
-        assert detector.distinct_locations() == {"x"}
+        assert {race.name for race in detector.races} == {"x"}

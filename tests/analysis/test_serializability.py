@@ -100,12 +100,3 @@ class TestFalseAlarmPatterns:
         assert flagged > 0
         result = check(sut, test, scheduler=scheduler)
         assert result.passed
-
-    def test_report_describes_cycle(self):
-        log = [
-            mark(0, 0, "begin"), acc(0, "read", 1),
-            mark(1, 0, "begin"), acc(1, "write", 1), mark(1, 0, "end"),
-            acc(0, "write", 1), mark(0, 0, "end"),
-        ]
-        report = check_conflict_serializability(log)
-        assert "cycle" in report.describe()

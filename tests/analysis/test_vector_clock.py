@@ -46,8 +46,8 @@ class TestOrdering:
     def test_concurrent_clocks(self):
         a = VectorClock({0: 1})
         b = VectorClock({1: 1})
-        assert a.concurrent_with(b)
-        assert b.concurrent_with(a)
+        assert not a.happens_before(b)
+        assert not b.happens_before(a)
 
     def test_join_dominates_both(self):
         a = VectorClock({0: 2})

@@ -74,3 +74,19 @@ def ok(value: Any = None) -> Response:
 
 def raised(name: str) -> Response:
     return Response("raised", name)
+
+
+def is_prefix_of(small: FiniteTest, big: FiniteTest) -> bool:
+    """m ⊑ m' — every column of *small* is a prefix of *big*'s (Lemma 8).
+
+    Columns missing from *small* count as empty prefixes; init/final must
+    match exactly for the prefix relation to be meaningful.
+    """
+    if small.init != big.init or small.final != big.final:
+        return False
+    if len(small.columns) > len(big.columns):
+        return False
+    for mine, theirs in zip(small.columns, big.columns):
+        if mine != theirs[: len(mine)]:
+            return False
+    return True

@@ -46,7 +46,9 @@ def _outcome(decisions=0):
 
 class TestExplorationBudget:
     def test_unbounded_by_default(self):
-        assert ExplorationBudget().unbounded
+        budget = ExplorationBudget()
+        assert budget.deadline_seconds is None
+        assert budget.max_executions is None and budget.max_decisions is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -127,7 +129,7 @@ class TestExplorationControl:
         control.restore(
             BudgetMeter(ExplorationBudget(max_executions=1), executions=1).snapshot()
         )
-        assert control.meter.budget.unbounded
+        assert control.meter.budget == ExplorationBudget()
         assert control.meter.executions == 1 and control.halt_reason() is None
 
     def test_restore_of_no_snapshot_keeps_the_fresh_meter(self):

@@ -268,6 +268,67 @@ class TestOneWayBackIn:
         assert "checkpoint.json" in err and "subject info" not in err
 
 
+class TestJsonIsOneDocument:
+    """A stopped ``--json`` run names its resume command on stderr, so
+    stdout stays one JSON document."""
+
+    def test_a_stopped_check(self, tmp_path, capsys, monkeypatch):
+        from repro import cli
+
+        checkpoint = str(tmp_path / "ck.json")
+        polls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cli._SignalStop, "__call__",
+                lambda self: polls.append(1) or len(polls) > 10,
+            )
+            code = main(
+                ["check", "ConcurrentQueue", "--test",
+                 "Enqueue(1); TryDequeue | Enqueue(2) | TryDequeue",
+                 "--strategy", "random", "--checkpoint", checkpoint, "--json"]
+            )
+        captured = capsys.readouterr()
+        assert code == 130
+        assert json.loads(captured.out)["verdict"] == "EXHAUSTED"
+        assert f"continue with: python -m repro resume {checkpoint}" in captured.err
+
+    def test_a_stopped_sharded_check(self, tmp_path, capsys, monkeypatch):
+        from repro import cli
+
+        checkpoint = str(tmp_path / "swarm.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cli._SignalStop, "__call__",
+                lambda self: os.path.exists(checkpoint + ".shard-0.json"),
+            )
+            code = main(
+                ["check", *BUFFER, "--shards", "2", "--checkpoint", checkpoint,
+                 "--json"]
+            )
+        captured = capsys.readouterr()
+        assert code == 130
+        assert json.loads(captured.out)["verdict"] == "EXHAUSTED"
+        assert f"continue with: python -m repro resume {checkpoint}" in captured.err
+
+
+class TestShardCount:
+    def test_header_and_report_name_the_same_shards(self, capsys):
+        """One requested shard on two workers: work stealing re-splits it
+        onto the idle worker, and both lines say one shard, the report
+        adding the re-split."""
+        assert main(
+            ["check", "ConcurrentQueue", "--test", "Enqueue(1) | TryDequeue",
+             "--shards", "1", "--workers", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "Checking ConcurrentQueue(beta) across 1 shard on:" in out
+        assert re.search(
+            r"^phase 2: 53 schedules across 1 shard \+ 1 re-split \(2 leases\)",
+            out, re.M,
+        )
+        assert len(re.findall(r"^  shard \d+: PASS", out, re.M)) == 2
+
+
 class TestGracefulShutdown:
     CAMPAIGN_ARGS = [
         "campaign", "all", "--versions", "beta",

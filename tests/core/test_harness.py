@@ -48,7 +48,7 @@ class TestEventRecording:
         with TestHarness(counter_sut(), scheduler=scheduler) as harness:
             for history, outcome in harness.explore_concurrent(test, DFSStrategy()):
                 assert len(history.operations) == 2
-                assert history.is_well_formed
+                assert history.ill_formed_thread is None
 
     def test_op_marks_bracket_operations(self, scheduler):
         test = FiniteTest.of([[Invocation("inc")]])

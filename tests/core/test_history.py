@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.events import Event, Invocation, Response
 from repro.core.history import History, SerialHistory, SerialStep
+from tests.core.history_reference import complete_history, is_full, is_serial, to_history
 
 
 def ev_call(t, i, name, *args):
@@ -47,37 +48,37 @@ class TestOperations:
         assert pending[0].invocation == Invocation("inc")
 
     def test_is_full(self, fig2_history):
-        assert not fig2_history.is_full
-        complete = fig2_history.complete_history()
-        assert complete.is_full
+        assert not is_full(fig2_history)
+        complete = complete_history(fig2_history)
+        assert is_full(complete)
 
 
 class TestStructuralPredicates:
     def test_well_formed(self, fig2_history):
-        assert fig2_history.is_well_formed
+        assert fig2_history.ill_formed_thread is None
 
     def test_not_well_formed_double_call(self):
         events = [ev_call(0, 0, "a"), ev_call(0, 1, "b")]
-        assert not History(events, 1).is_well_formed
+        assert History(events, 1).ill_formed_thread is not None
 
     def test_not_well_formed_return_without_call(self):
         events = [ev_ret(0, 0)]
-        assert not History(events, 1).is_well_formed
+        assert History(events, 1).ill_formed_thread is not None
 
     def test_serial_detection(self):
         serial = History([ev_call(0, 0, "a"), ev_ret(0, 0)], 1)
-        assert serial.is_serial
+        assert is_serial(serial)
         overlapping = History(
             [ev_call(0, 0, "a"), ev_call(1, 0, "b"), ev_ret(0, 0), ev_ret(1, 0)], 2
         )
-        assert not overlapping.is_serial
-        assert overlapping.is_well_formed
+        assert not is_serial(overlapping)
+        assert overlapping.ill_formed_thread is None
 
     def test_empty_history_is_serial_and_well_formed(self):
         empty = History([], 2)
-        assert empty.is_serial
-        assert empty.is_well_formed
-        assert empty.is_full
+        assert is_serial(empty)
+        assert empty.ill_formed_thread is None
+        assert is_full(empty)
 
     def test_thread_subhistory(self, fig2_history):
         sub = fig2_history.thread_subhistory(1)
@@ -87,8 +88,8 @@ class TestStructuralPredicates:
 
 class TestDerivedHistories:
     def test_complete_removes_pending_calls(self, fig2_history):
-        complete = fig2_history.complete_history()
-        assert len(complete) == 6
+        complete = complete_history(fig2_history)
+        assert len(complete.events) == 6
         assert not complete.pending_operations
 
     def test_project_pending(self):
@@ -149,8 +150,8 @@ class TestSerialHistory:
             2,
         )
         serial = history.to_serial()
-        assert len(serial) == 2
-        back = serial.to_history(2)
+        assert len(serial.steps) == 2
+        back = to_history(serial, 2)
         assert back.events == history.events
 
     def test_to_serial_rejects_concurrent(self, fig2_history):

@@ -8,6 +8,7 @@ from repro.core import FiniteTest, Invocation, SystemUnderTest, TestHarness
 from repro.core.harness import HarnessError
 from repro.core.multi import check_multi, project_object
 from repro.structures.counters import BuggyCounter1, Counter
+from tests.core.history_reference import to_history
 
 
 def _inv(method, target, *args):
@@ -33,7 +34,7 @@ class TestProjection:
         subject = SystemUnderTest(two_counters, "pair")
         with TestHarness(subject, scheduler=scheduler) as harness:
             observations, _ = harness.run_serial(test, max_executions=1)
-        return observations.full[0].to_history(2)
+        return to_history(observations.full[0], 2)
 
     def test_projection_partitions_operations(self, scheduler):
         history = self._history(scheduler)
@@ -49,7 +50,7 @@ class TestProjection:
         history = self._history(scheduler)
         for target in ("x", "y"):
             part = project_object(history, target)
-            assert part.is_well_formed
+            assert part.ill_formed_thread is None
             for thread in range(part.n_threads):
                 indices = [
                     op.op_index for op in part.operations if op.thread == thread

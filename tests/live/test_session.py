@@ -50,6 +50,12 @@ class ScriptedTransport(Transport):
             return outcome
         return Response.of(None)
 
+    def reset(self):
+        pass
+
+    def close(self):
+        pass
+
 
 def run_session(transport, *, ops=5, model="counter", config=None, drain=None):
     import tempfile, os

@@ -223,7 +223,7 @@ class TestDumpTraces:
         for path in paths:
             trace = load_trace(path)
             assert trace.subject == "ConcurrentQueue(beta)"
-            assert len(trace.histories[0]) > 0
+            assert len(trace.histories[0].events) > 0
             assert trace.test is not None
             assert trace.live.outcome == "complete"
 

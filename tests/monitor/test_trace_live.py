@@ -43,7 +43,7 @@ class TestTornFinalLine:
         # The prefix is consistent: both operations are present, the end
         # marker was the torn line so the recording reads as unfinalized.
         assert len(trace.histories[0].operations) == 2
-        assert not trace.live.finalized
+        assert trace.live.outcome is None
 
     def test_torn_mid_stream_line_loses_only_the_tail(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -67,7 +67,7 @@ class TestTornFinalLine:
         path = write_live_trace(tmp_path / "t.jsonl", finalize=False)
         trace = load_trace(path)
         assert not trace.truncated
-        assert not trace.live.finalized  # no end marker: writer died
+        assert trace.live.outcome is None  # no end marker: writer died
 
 
 class TestRogueWriters:

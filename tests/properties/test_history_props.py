@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.events import Event, Invocation, Response
 from repro.core.history import History
+from tests.core.history_reference import complete_history
 
 METHODS = ["a", "b", "c"]
 
@@ -59,14 +60,14 @@ def well_formed_histories(draw):
 @given(well_formed_histories())
 @settings(max_examples=200, deadline=None)
 def test_generated_histories_are_well_formed(history):
-    assert history.is_well_formed
+    assert history.ill_formed_thread is None
 
 
 @given(well_formed_histories())
 @settings(max_examples=200, deadline=None)
 def test_complete_removes_exactly_pending(history):
-    complete = history.complete_history()
-    assert complete.is_well_formed
+    complete = complete_history(history)
+    assert complete.ill_formed_thread is None
     assert not complete.pending_operations
     assert len(complete.operations) == len(history.complete_operations)
 

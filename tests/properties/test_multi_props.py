@@ -46,7 +46,7 @@ def test_projections_partition_operations(history):
     total = 0
     for target in TARGETS:
         projection = project_object(history, target)
-        assert projection.is_well_formed
+        assert projection.ill_formed_thread is None
         total += len(projection.operations)
         assert all(
             op.invocation.target == target for op in projection.operations

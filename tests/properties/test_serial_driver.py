@@ -19,7 +19,7 @@ from repro.core import FiniteTest, Invocation, SystemUnderTest, TestHarness
 from repro.core.spec import ObservationSet
 from repro.core.testcase import sample_tests
 from repro.runtime import DFSStrategy, coopc, make_scheduler
-from repro.structures.spin_primitives import SpinningCounter
+from tests.structures.spin_primitives import SpinningCounter
 from tests.properties.test_engine_equivalence import ENGINES, ENTRIES, VERSIONS, _trace
 
 # The subjects defined below suspend; the coop oracle must compile them.

@@ -23,10 +23,10 @@ from repro.structures import (
     ConcurrentLinkedList,
     ConcurrentQueue,
     ConcurrentStack,
-    LockFreeSet,
     SemaphoreSlim,
     TaskCompletionSource,
 )
+from tests.structures.lock_free_set import LockFreeSet
 
 
 @pytest.fixture(scope="module")

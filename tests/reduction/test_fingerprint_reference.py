@@ -156,7 +156,7 @@ class TestPinnedDigests:
 
     def test_stuck_execution(self):
         outcome = _first_outcome(
-            "ManualResetEvent", "beta", "Wait | Wait; Set", lambda o: o.stuck
+            "ManualResetEvent", "beta", "Wait | Wait; Set", lambda o: o.status == "stuck"
         )
         assert outcome.stuck_kind == "deadlock"
         assert execution_fingerprint(outcome) == "f38766a8cc8812fb965105c79eb28d02"

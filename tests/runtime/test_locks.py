@@ -184,7 +184,7 @@ class TestWaitFor:
         strategy = DFSStrategy()
         while strategy.more():
             outcome = scheduler.execute(factory(), strategy)
-            assert not outcome.stuck
+            assert outcome.status != "stuck"
             assert order[-1] == "consumed"
 
     def test_wait_for_requires_lock_held(self, scheduler, runtime):

@@ -107,7 +107,7 @@ class TestWaitPulse:
         strategy = DFSStrategy()
         while strategy.more():
             outcome = scheduler.execute(factory(), strategy)
-            assert not outcome.stuck
+            assert outcome.status != "stuck"
             assert factory.woke == [True]
 
     def test_pulse_before_wait_is_lost(self, scheduler, runtime):
@@ -132,7 +132,7 @@ class TestWaitPulse:
             return [pulser, waiter]
 
         outcome = scheduler.execute(factory(), DFSStrategy())
-        assert outcome.stuck
+        assert outcome.status == "stuck"
 
     def test_pulse_wakes_exactly_one(self, scheduler, runtime):
         def factory():
@@ -154,7 +154,7 @@ class TestWaitPulse:
             return [waiter, waiter, pulser]
 
         outcome = scheduler.execute(factory(), DFSStrategy())
-        assert outcome.stuck  # one waiter remains asleep forever
+        assert outcome.status == "stuck"  # one waiter remains asleep forever
         assert len(factory.woke) == 1
 
     def test_pulse_all_wakes_everyone(self, scheduler, runtime):
@@ -176,7 +176,7 @@ class TestWaitPulse:
             return [waiter, waiter, pulser]
 
         outcome = scheduler.execute(factory(), DFSStrategy())
-        assert not outcome.stuck
+        assert outcome.status != "stuck"
         assert sorted(factory.woke) == [0, 1]
 
     def test_fifo_wakeup_order(self, scheduler, runtime):
@@ -203,5 +203,5 @@ class TestWaitPulse:
             return [make_waiter(0), make_waiter(1), pulser]
 
         outcome = scheduler.execute(factory(), DFSStrategy())
-        assert not outcome.stuck
+        assert outcome.status != "stuck"
         assert factory.woke == [0, 1]  # first queued, first woken

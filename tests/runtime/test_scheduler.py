@@ -205,7 +205,7 @@ class TestBlockingAndStuck:
             return [lambda: runtime.block_until(lambda: flag.peek())]
 
         outcome = scheduler.execute(factory(), DFSStrategy())
-        assert outcome.stuck
+        assert outcome.status == "stuck"
         assert outcome.stuck_kind == "deadlock"
         assert outcome.pending_threads == (0,)
 
@@ -228,8 +228,8 @@ class TestBlockingAndStuck:
             return [a, b]
 
         outcomes = explore_all(scheduler, factory, DFSStrategy())
-        assert any(o.stuck for o in outcomes)
-        assert any(not o.stuck for o in outcomes)
+        assert any(o.status == "stuck" for o in outcomes)
+        assert any(o.status != "stuck" for o in outcomes)
 
     def test_block_until_released_by_other_thread(self, scheduler, runtime):
         order = []
@@ -249,7 +249,7 @@ class TestBlockingAndStuck:
             return [waiter, setter]
 
         outcomes = explore_all(scheduler, factory, DFSStrategy())
-        assert all(not o.stuck for o in outcomes)
+        assert all(o.status != "stuck" for o in outcomes)
 
     def test_livelock_budget_makes_execution_stuck(self, runtime):
         small = Scheduler(max_steps=50)
@@ -260,7 +260,7 @@ class TestBlockingAndStuck:
                 rt.yield_point()
 
         outcome = small.execute([spin], DFSStrategy())
-        assert outcome.stuck
+        assert outcome.status == "stuck"
         assert outcome.stuck_kind == "livelock"
         small.shutdown()
 
@@ -281,8 +281,8 @@ class TestBlockingAndStuck:
         outcomes = explore_all(scheduler, factory, DFSStrategy(), serial=True)
         # The schedule that runs the blocker first gets stuck even though
         # the setter could have rescued it (serial histories cannot overlap).
-        assert any(o.stuck for o in outcomes)
-        assert any(not o.stuck for o in outcomes)
+        assert any(o.status == "stuck" for o in outcomes)
+        assert any(o.status != "stuck" for o in outcomes)
 
     def test_harness_wait_does_not_stick_serial_mode(self, scheduler, runtime):
         def factory():
@@ -298,7 +298,7 @@ class TestBlockingAndStuck:
             return [gated, setter]
 
         outcomes = explore_all(scheduler, factory, DFSStrategy(), serial=True)
-        assert all(not o.stuck for o in outcomes)
+        assert all(o.status != "stuck" for o in outcomes)
 
     def test_scheduler_reusable_after_stuck_execution(self, scheduler, runtime):
         def stuck_factory():
@@ -306,7 +306,7 @@ class TestBlockingAndStuck:
             return [lambda: runtime.block_until(lambda: flag.peek())]
 
         outcome = scheduler.execute(stuck_factory(), DFSStrategy())
-        assert outcome.stuck
+        assert outcome.status == "stuck"
         ran = []
         outcome2 = scheduler.execute([lambda: ran.append(1)], DFSStrategy())
         assert outcome2.status == "complete"

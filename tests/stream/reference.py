@@ -21,7 +21,6 @@ from typing import Any, Hashable
 from repro.core.events import Invocation, Response
 from repro.monitor.incremental import (
     OnlineCounterexample,
-    OnlineResult,
     StreamStateError,
     _OpenOp,
 )
@@ -191,20 +190,3 @@ class ReferenceChecker:
             return False
         self.retired += 1
         return True
-
-    # -- verdicts ---------------------------------------------------------
-
-    @property
-    def ok(self) -> bool:
-        return self.failed is None
-
-    def result(self) -> OnlineResult:
-        """Snapshot the verdict for the stream consumed so far."""
-        return OnlineResult(
-            ok=self.failed is None,
-            engine=self.engine,
-            configurations=self.configurations,
-            retired=self.retired,
-            frontier=len(self._open),
-            counterexample=self.failed,
-        )

@@ -20,7 +20,7 @@ class TestVerdicts:
         for i in range(5):
             checker.on_call(0, i, Invocation("inc", ()))
             assert checker.on_return(0, i, ok(None))
-        assert checker.ok
+        assert checker.failed is None
         assert checker.retired == 5
         assert checker.frontier_size == 0
 
@@ -30,7 +30,7 @@ class TestVerdicts:
         assert checker.on_return(0, 0, ok(None))
         checker.on_call(1, 0, Invocation("read", ()))
         assert not checker.on_return(1, 0, ok(42))
-        assert not checker.ok
+        assert checker.failed is not None
         counterexample = checker.failed
         assert counterexample is not None
         assert counterexample.invocation.method == "read"
@@ -50,14 +50,6 @@ class TestVerdicts:
             assert checker.on_return(1, 0, ok(None))
             checker.on_call(0, 1, Invocation("read", ()))
             assert checker.on_return(0, 1, ok(seen)), seen
-
-    def test_result_snapshot(self):
-        checker = IncrementalChecker(get_model("counter"))
-        checker.on_call(0, 0, Invocation("inc", ()))
-        checker.on_return(0, 0, ok(None))
-        result = checker.result()
-        assert result.ok and result.engine == "incremental"
-        assert result.retired == 1 and result.frontier == 0
 
 
 class TestBoundedMemory:
@@ -122,7 +114,7 @@ class TestIndeterminate:
         assert checker.on_return(1, 0, ok(None))  # not yet effective
         checker.on_call(1, 1, Invocation("read", ()))
         assert checker.on_return(1, 1, ok(5))  # took effect in between
-        assert checker.ok
+        assert checker.failed is None
 
     def test_effect_cannot_be_undone(self):
         checker = IncrementalChecker(get_model("register"))
@@ -141,7 +133,7 @@ class TestIndeterminate:
         assert checker.on_return(1, 0, ok(0))
         checker.on_call(1, 1, Invocation("get", ()))
         assert checker.on_return(1, 1, ok(0))
-        assert checker.ok  # dropping the increment forever is allowed
+        assert checker.failed is None  # dropping the increment forever is allowed
 
 
 class TestWellFormedness:

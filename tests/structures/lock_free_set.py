@@ -24,7 +24,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.runtime import Runtime
+from repro.runtime import Runtime, coopc
+
+# A test subject outside repro.structures: the coop engine compiles it
+# only when registered.
+coopc.register_module(__name__)
 
 __all__ = ["LockFreeSet"]
 

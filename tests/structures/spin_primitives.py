@@ -19,7 +19,11 @@ thread as disabled until someone else progresses.
 
 from __future__ import annotations
 
-from repro.runtime import Runtime
+from repro.runtime import Runtime, coopc
+
+# A test subject outside repro.structures: the coop engine compiles it
+# only when registered.
+coopc.register_module(__name__)
 
 __all__ = ["SpinLock", "SpinningCounter", "TicketLock"]
 

@@ -8,7 +8,7 @@ from repro.core import FiniteTest, Invocation, SystemUnderTest, TestHarness, che
 from repro.core.checker import check_against_observations
 from repro.runtime import DFSStrategy, Runtime, Scheduler
 from repro.structures.counters import Counter
-from repro.structures.spin_primitives import SpinLock, SpinningCounter, TicketLock
+from tests.structures.spin_primitives import SpinLock, SpinningCounter, TicketLock
 
 
 class TestSpinWaitPrimitive:
@@ -29,7 +29,7 @@ class TestSpinWaitPrimitive:
         count = 0
         while strategy.more():
             outcome = scheduler.execute(factory(), strategy)
-            assert not outcome.stuck
+            assert outcome.status != "stuck"
             count += 1
         assert count < 100  # fairness keeps the spin space finite
 
@@ -44,7 +44,7 @@ class TestSpinWaitPrimitive:
             return [waiter]
 
         outcome = scheduler.execute(factory(), DFSStrategy())
-        assert outcome.stuck
+        assert outcome.status == "stuck"
         assert outcome.stuck_kind == "livelock"
         assert outcome.steps < 100  # detected, not budget-exhausted
 
@@ -57,7 +57,7 @@ class TestSpinWaitPrimitive:
                 small.spin_wait()
 
         outcome = small.execute([spin, spin], DFSStrategy())
-        assert outcome.stuck
+        assert outcome.status == "stuck"
         small.shutdown()
 
     def test_unfair_spin_explodes_fair_does_not(self, runtime):
@@ -85,13 +85,13 @@ class TestSpinWaitPrimitive:
         strategy = DFSStrategy()
         while strategy.more() and len(fair_outcomes) < 500:
             fair_outcomes.append(small.execute(factory(True), strategy))
-        assert all(not o.stuck for o in fair_outcomes)
+        assert all(o.status != "stuck" for o in fair_outcomes)
 
         unfair_outcomes = []
         strategy = DFSStrategy()
         while strategy.more() and len(unfair_outcomes) < 500:
             unfair_outcomes.append(small.execute(factory(False), strategy))
-        assert any(o.stuck for o in unfair_outcomes)
+        assert any(o.status == "stuck" for o in unfair_outcomes)
         small.shutdown()
 
 
@@ -116,7 +116,7 @@ class TestSpinLock:
         strategy = DFSStrategy(preemption_bound=2)
         while strategy.more():
             outcome = scheduler.execute(factory(), strategy)
-            assert not outcome.stuck
+            assert outcome.status != "stuck"
             assert factory.bad.get.__self__._value is False
 
 
@@ -189,7 +189,7 @@ class TestTicketLock:
         while strategy.more() and executions < 3000:
             outcome = scheduler.execute(factory(), strategy)
             executions += 1
-            assert not outcome.stuck
+            assert outcome.status != "stuck"
             assert factory.order == sorted(factory.order)  # FIFO service
 
     def test_linearizable(self, scheduler):

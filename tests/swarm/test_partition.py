@@ -209,7 +209,7 @@ class TestShardStrategy:
             observations,
             strategy=strategy,
         )
-        assert strategy.executions == result.phase2_executions
+        assert strategy.snapshot()["executions"] == result.phase2_executions
         assert not strategy.more()
 
 

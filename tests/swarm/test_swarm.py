@@ -143,7 +143,7 @@ class TestQuarantine:
             swarm=SwarmConfig(shards=2, lease_executions=64),
             pool_config=pool_config(max_retries=1),
         )
-        assert result.crashed
+        assert result.verdict == "CRASHED"
         assert result.quarantined >= 1
         assert result.crash_reports
         report = next(s for s in result.shards if s.crash_report)
