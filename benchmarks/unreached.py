@@ -179,8 +179,8 @@ DRIVES: list[tuple[str, list[str]]] = [
     ("every kind resumes: resume a check",
      ["resume", "resume-check.json", "--deadline", "60"]),
     ("every kind resumes: check --shards",
-     ["check", *BUFFER, "--shards", "2", "--checkpoint", "resume-swarm.json",
-      "--deadline", "0.05"]),
+     ["check", "ConcurrentQueue", "--test", GATE, "--shards", "2",
+      "--checkpoint", "resume-swarm.json", "--deadline", "0.2"]),
     ("every kind resumes: resume a swarm",
      ["resume", "resume-swarm.json", "--deadline", "60"]),
     ("every kind resumes: campaign",

@@ -29,8 +29,9 @@ from repro.core.checker import (
     check_with_harness,
 )
 from repro.core.events import Invocation
-from repro.core.harness import SystemUnderTest, TestHarness
+from repro.core.harness import HarnessError, SystemUnderTest, TestHarness
 from repro.core.testcase import FiniteTest, enumerate_tests, sample_tests
+from repro.core.verdict import worst_verdict
 from repro.runtime import Scheduler
 
 __all__ = [
@@ -45,7 +46,10 @@ __all__ = [
 class CampaignResult:
     """Aggregate outcome of a multi-test campaign (Auto/RandomCheck).
 
-    ``verdict`` is "FAIL" as soon as any test fails, else "PASS".
+    ``verdict`` merges the tests' verdicts with
+    :func:`~repro.core.verdict.worst_verdict`: "FAIL" as soon as any test
+    fails, else "CRASHED" when a test's subject crashed outside an
+    operation, else "PASS" (a budget stop is ``stop_reason``).
     """
 
     verdict: str
@@ -53,6 +57,9 @@ class CampaignResult:
     tests_failed: int = 0
     failures: list[CheckResult] = field(default_factory=list)
     results: list[CheckResult] = field(default_factory=list)
+    #: each test whose subject crashed outside an operation (verdict
+    #: CRASHED), with the harness's message; the campaign goes on.
+    crashes: list[tuple[FiniteTest, str]] = field(default_factory=list)
     #: why the campaign stopped early ("deadline", "executions",
     #: "decisions", "interrupted"), or None when it ran to completion.
     stop_reason: str | None = None
@@ -79,6 +86,7 @@ def _run_campaign(
     if control is None and cfg.budget is not None:
         control = ExplorationControl(budget=cfg.budget)
     campaign = CampaignResult(verdict="PASS")
+    verdicts: list[str] = []
     with TestHarness.from_config(subject, cfg, scheduler) as harness:
         for test in tests:
             if control is not None:
@@ -86,12 +94,17 @@ def _run_campaign(
                 if reason is not None:
                     campaign.stop_reason = reason
                     break
-            result = check_with_harness(harness, test, cfg, control=control)
             campaign.tests_run += 1
+            try:
+                result = check_with_harness(harness, test, cfg, control=control)
+            except HarnessError as exc:
+                verdicts.append("CRASHED")
+                campaign.crashes.append((test, str(exc)))
+                continue
             if keep_results:
                 campaign.results.append(result)
             if result.failed:
-                campaign.verdict = "FAIL"
+                verdicts.append("FAIL")
                 campaign.tests_failed += 1
                 campaign.failures.append(result)
                 if stop_at_first_failure:
@@ -99,6 +112,7 @@ def _run_campaign(
             if result.exhausted:
                 campaign.stop_reason = result.exhausted_reason
                 break
+    campaign.verdict = worst_verdict(verdicts)
     return campaign
 
 

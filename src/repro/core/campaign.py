@@ -70,7 +70,6 @@ class TestSummary:
     crash_report: str | None = None
     #: phase-2 reduction statistics (see :class:`CheckResult`).
     schedules_explored: int = 0
-    equivalence_classes: int = 0
     schedules_pruned: int = 0
 
     @classmethod
@@ -83,7 +82,6 @@ class TestSummary:
             total_seconds=result.phase1_seconds + result.phase2_seconds,
             exhausted_reason=result.exhausted_reason,
             schedules_explored=result.schedules_explored,
-            equivalence_classes=result.equivalence_classes,
             schedules_pruned=result.schedules_pruned,
         )
 
@@ -98,7 +96,6 @@ class TestSummary:
             "attempts": self.attempts,
             "crash_report": self.crash_report,
             "schedules_explored": self.schedules_explored,
-            "equivalence_classes": self.equivalence_classes,
             "schedules_pruned": self.schedules_pruned,
         }
 
@@ -114,7 +111,6 @@ class TestSummary:
             attempts=int(data.get("attempts", 1)),
             crash_report=data.get("crash_report"),
             schedules_explored=int(data.get("schedules_explored", 0)),
-            equivalence_classes=int(data.get("equivalence_classes", 0)),
             schedules_pruned=int(data.get("schedules_pruned", 0)),
         )
 
@@ -158,7 +154,6 @@ class CampaignRow:
     reduction: str = "none"
     #: summed phase-2 reduction statistics over the row's tests.
     schedules_explored: int = 0
-    equivalence_classes: int = 0
     schedules_pruned: int = 0
 
 
@@ -174,6 +169,8 @@ def row_to_dict(row: CampaignRow) -> dict:
 
 def row_from_dict(data: dict) -> CampaignRow:
     data = dict(data)
+    # Written by builds that summed a class count no table printed.
+    data.pop("equivalence_classes", None)
     data["causes_found"] = tuple(data.get("causes_found", ()))
     data["min_dimensions"] = {
         tag: tuple(dim) for tag, dim in data.get("min_dimensions", {}).items()
@@ -204,7 +201,6 @@ def row_from_summaries(
         row.phase1_avg_s += summary.phase1_seconds
         row.phase1_max_s = max(row.phase1_max_s, summary.phase1_seconds)
         row.schedules_explored += summary.schedules_explored
-        row.equivalence_classes += summary.equivalence_classes
         row.schedules_pruned += summary.schedules_pruned
         if summary.stuck_histories:
             row.stuck_tests += 1
@@ -573,7 +569,9 @@ def verify_causes(
         for cause in entry.causes_for(version):
             if cause.witness_test is None:
                 continue
-            result = check_with_harness(harness, cause.witness_test, cfg)
+            result = check_with_harness(
+                harness, cause.witness_test, cfg, digest=False
+            )
             if result.failed:
                 found.append(cause.tag)
                 dimensions[cause.tag] = cause.witness_test.dimension

@@ -285,6 +285,7 @@ def check(
     checkpointer: "Checkpointer | None" = None,
     resume: "CheckResume | None" = None,
     fingerprints: "Any | None" = None,
+    digest: bool = True,
 ) -> CheckResult:
     """Run the two-phase Check of Figure 5 on one finite test."""
     cfg = config or CheckConfig()
@@ -297,6 +298,7 @@ def check(
             checkpointer=checkpointer,
             resume=resume,
             fingerprints=fingerprints,
+            digest=digest,
         )
 
 
@@ -309,6 +311,7 @@ def check_with_harness(
     checkpointer: "Checkpointer | None" = None,
     resume: "CheckResume | None" = None,
     fingerprints: "Any | None" = None,
+    digest: bool = True,
 ) -> CheckResult:
     """Like :func:`check` but reusing an existing harness/scheduler.
 
@@ -319,10 +322,16 @@ def check_with_harness(
     caller-owned :class:`repro.reduction.FingerprintSet` that phase 2
     populates with the digest of every explored execution — the
     coverage-harvest hook of :mod:`repro.generate` (without it only the
-    class *count* survives in the result).
+    class *count* survives in the result).  *digest* False, with no
+    *fingerprints*, takes no digest at all and leaves
+    ``equivalence_classes`` 0: a campaign prints no class count.
     """
+    from repro.reduction import FingerprintSet
+
     cfg = config or CheckConfig()
     control = _control_for(cfg, control)
+    if fingerprints is None and digest:
+        fingerprints = FingerprintSet()
     if control is not None and resume is not None:
         control.restore(resume.budget_snapshot)
 
@@ -354,17 +363,12 @@ def check_with_harness(
     # ---- Phase 2: check the concurrent executions against A and B.
     phase2_strategy = None
     if resume is not None and resume.phase == "phase2":
-        from repro.reduction import FingerprintSet
-
         phase2_strategy = resume.strategy
         restore_phase2_tally(result, resume.phase2)
-        restored = FingerprintSet.from_snapshot(
-            resume.phase2.get("fingerprints")
-        )
-        if fingerprints is None:
-            fingerprints = restored
-        else:
-            fingerprints.update(restored)
+        if fingerprints is not None:
+            fingerprints.update(
+                FingerprintSet.from_snapshot(resume.phase2.get("fingerprints"))
+            )
     _run_phase2(
         harness,
         test,
@@ -402,6 +406,8 @@ def check_against_observations(
     a restored frontier and fingerprint set — the shard workers of
     :mod:`repro.swarm` run exactly this entry point per lease.
     """
+    from repro.reduction import FingerprintSet
+
     cfg = config or CheckConfig()
     result = CheckResult(verdict="PASS", test=test, observations=observations)
     _run_phase2(
@@ -412,7 +418,7 @@ def check_against_observations(
         result,
         control=_control_for(cfg, control),
         strategy=strategy,
-        fingerprints=fingerprints,
+        fingerprints=FingerprintSet() if fingerprints is None else fingerprints,
     )
     return result
 
@@ -563,10 +569,13 @@ def _run_phase2(
     fingerprints: "Any | None" = None,
     judge: "Callable[[History, Any], Violation | None] | None" = None,
 ) -> None:
-    """Phase 2, the one loop over concurrent executions: count, digest
-    and meter every execution, ask *judge* about every history that has
-    not already passed, dump what it judged, fold the answer into
-    *result*.
+    """Phase 2, the one loop over concurrent executions: count and meter
+    every execution, digest it into *fingerprints* when one is given,
+    ask *judge* about every history that has not already passed, dump
+    what it judged, fold the answer into *result*.
+
+    Without *fingerprints* no execution is digested and
+    ``result.equivalence_classes`` is left alone.
 
     *judge* maps ``(history, outcome)`` to a :class:`Violation` or None.
     It must be a function of the history and of inputs fixed for this
@@ -574,14 +583,12 @@ def _run_phase2(
     passing history be remembered.  The default is the decider of
     ``cfg.backend``.
     """
-    from repro.reduction import FingerprintSet, execution_fingerprint
+    from repro.reduction import execution_fingerprint
 
     t1 = time.perf_counter()
     seconds_base = result.phase2_seconds
     if strategy is None:
         strategy = cfg.make_phase2_strategy()
-    if fingerprints is None:
-        fingerprints = FingerprintSet()
     if judge is None:
         judge = _default_judge(cfg, observations, test)
     result.reduction = cfg.reduction
@@ -619,7 +626,9 @@ def _run_phase2(
             phase2={
                 **phase2_tally(result),
                 "seconds": seconds_base + time.perf_counter() - t1,
-                "fingerprints": fingerprints.snapshot(),
+                "fingerprints": (
+                    [] if fingerprints is None else fingerprints.snapshot()
+                ),
             },
             budget_snapshot=control.snapshot() if control else None,
         )
@@ -634,7 +643,8 @@ def _run_phase2(
         test, strategy, max_executions=remaining
     ):
         result.phase2_executions += 1
-        fingerprints.add(execution_fingerprint(outcome))
+        if fingerprints is not None:
+            fingerprints.add(execution_fingerprint(outcome))
         if control is not None:
             control.note(outcome)
         if history.stuck:
@@ -672,7 +682,8 @@ def _run_phase2(
             checkpointer.tick(make_state)
     result.phase2_seconds = seconds_base + time.perf_counter() - t1
     result.schedules_explored = result.phase2_executions
-    result.equivalence_classes = len(fingerprints)
+    if fingerprints is not None:
+        result.equivalence_classes = len(fingerprints)
     result.schedules_pruned = getattr(strategy, "pruned", 0)
     if halted is not None:
         result.exhausted_reason = halted

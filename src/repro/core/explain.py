@@ -197,15 +197,10 @@ def _first_order_conflict(
     """The first ``e1 <H e2`` pair that *candidate* inverts, if any."""
     if is_witness_for(candidate, history):
         return None  # pragma: no cover - callers pass rejected candidates
-    positions = candidate.positions
-    for first in history.operations:
-        if first.return_pos is None:
-            continue
-        for second in history.operations:
-            if first is second or not history.precedes(first, second):
-                continue
-            p1 = positions.get(first.key)
-            p2 = positions.get(second.key)
-            if p1 is not None and p2 is not None and p1 >= p2:
-                return (first, second)
+    position = candidate.positions.get
+    for first, second in history.precedence:
+        p1 = position(first)
+        p2 = position(second)
+        if p1 is not None and p2 is not None and p1 >= p2:
+            return (history.operation_map[first], history.operation_map[second])
     return None

@@ -211,6 +211,22 @@ class History:
         """e1 <H e2: the response of e1 precedes the invocation of e2."""
         return a.return_pos is not None and a.return_pos < b.call_pos
 
+    @cached_property
+    def precedence(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+        """<H as ``(a.key, b.key)`` pairs, *a* in call order, then *b*.
+
+        Built once per history: the witness search checks every candidate
+        of a profile against the same pairs.
+        """
+        ops = self.operations
+        return tuple(
+            (a.key, b.key)
+            for a in ops
+            if a.return_pos is not None
+            for b in ops
+            if a.return_pos < b.call_pos
+        )
+
     def overlapping(self, a: Operation, b: Operation) -> bool:
         """Neither operation precedes the other."""
         return not self.precedes(a, b) and not self.precedes(b, a)

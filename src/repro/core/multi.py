@@ -159,6 +159,8 @@ def check_multi(
     if checker._cut_short(result):
         return result
 
+    from repro.reduction import FingerprintSet
+
     # ---- Phase 2: one concurrent exploration, checked per object.
     def judge(history: History, outcome: Any) -> Violation | None:
         for target in targets:
@@ -177,6 +179,7 @@ def check_multi(
         cfg,
         result,
         control=checker._control_for(cfg, control),
+        fingerprints=FingerprintSet(),
         judge=judge,
     )
     return result

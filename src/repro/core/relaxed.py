@@ -226,6 +226,8 @@ def check_relaxed(
             )[0]
         return reduced_specs[removed]
 
+    from repro.reduction import FingerprintSet
+
     def judge(history: History, outcome: Any) -> Violation | None:
         violation = checker._observation_violation(
             history, observations, test, outcome
@@ -246,6 +248,7 @@ def check_relaxed(
         return None if rest_fails is None else violation
 
     checker._run_phase2(
-        harness, test, observations, cfg, result, control=control, judge=judge
+        harness, test, observations, cfg, result,
+        control=control, fingerprints=FingerprintSet(), judge=judge,
     )
     return result

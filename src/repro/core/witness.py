@@ -43,20 +43,15 @@ def is_witness_for(candidate: SerialHistory, history: History) -> bool:
     """Whether *candidate* is a serial witness for *history*.
 
     Assumes profiles already match (condition 2); verifies condition 3,
-    ``<H ⊆ <S``, by comparing serial positions for every ordered pair.
+    ``<H ⊆ <S``, by comparing serial positions for every pair of
+    ``history.precedence``.
     """
-    positions = candidate.positions
-    ops = history.operations
-    for i, a in enumerate(ops):
-        if a.return_pos is None:
-            continue  # a pending op precedes nothing
-        for b in ops:
-            if a is b or not history.precedes(a, b):
-                continue
-            pa = positions.get(a.key)
-            pb = positions.get(b.key)
-            if pa is None or pb is None or pa >= pb:
-                return False
+    position = candidate.positions.get
+    for a, b in history.precedence:
+        pa = position(a)
+        pb = position(b)
+        if pa is None or pb is None or pa >= pb:
+            return False
     return True
 
 

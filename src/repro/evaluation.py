@@ -155,7 +155,9 @@ def _extension_triage(lines: list[str], scheduler: Scheduler) -> None:
                 entry.factory(version), f"{entry.name}({version})"
             )
             with TestHarness(subject, scheduler=scheduler) as harness:
-                strict = check_with_harness(harness, cause.witness_test, CheckConfig())
+                strict = check_with_harness(
+                    harness, cause.witness_test, CheckConfig(), digest=False
+                )
                 relaxed = check_relaxed(
                     harness,
                     cause.witness_test,

@@ -829,12 +829,16 @@ class SerialDriver(Trampoline):
     bodies: generator functions that yield only the harness-level effects
     — the boundary ``(E_SCHED, True)`` before an operation, ``(E_BLOCK,
     predicate, True)`` for a harness wait — and run each operation as a
-    plain call in between.  What that call performs is answered inline by
-    ``step``, so decisions, events, segments, steps and the stuck
-    classification are those of an engine's ``execute(..., serial=True)``,
-    which stays the reference.  Nothing records accesses: code under test
-    allocates its cells on this object, and a serial outcome is only ever
-    folded into a serial history.
+    plain call in between.  What that call performs is answered inline:
+    the common interior effects — a non-boundary ``schedule_point`` and a
+    non-harness ``block_until`` of a thread already past its first point
+    — by :meth:`schedule_point` / :meth:`block_until` themselves (count
+    the step, tick progress, apply the ``max_steps`` livelock cut, then
+    continue or stick), the rest by ``step``.  Decisions, events,
+    segments, steps and the stuck classification are those of an engine's
+    ``execute(..., serial=True)``, which stays the reference.  Nothing
+    records accesses: code under test allocates its cells on this object,
+    and a serial outcome is only ever folded into a serial history.
 
     With a watchdog each execution runs on a host thread of its own,
     policed from the calling thread like a baton worker: a wedged
@@ -846,6 +850,45 @@ class SerialDriver(Trampoline):
 
     def _spawn(self, programs: list[Callable[[], Any]]) -> list[Task]:
         return [Task(tid, program) for tid, program in enumerate(programs)]
+
+    # ``step``'s serial-mode answer to an interior effect, without building
+    # the effect.  No running thread, a thread's first point, teardown and
+    # a spin-yielded thread take ``step``'s own path through ``_perform``.
+
+    def schedule_point(self, boundary: bool = False) -> None:
+        thread = self._running
+        if (
+            boundary or thread is None or thread.fresh
+            or self._tearing_down or self._any_yielded
+        ):
+            self._perform((E_SCHED, boundary))
+        else:
+            self._interior_step()
+
+    def block_until(
+        self, predicate: Callable[[], bool], harness: bool = False
+    ) -> None:
+        thread = self._running
+        if (
+            harness or thread is None or thread.fresh
+            or self._tearing_down or self._any_yielded
+        ):
+            self._perform((E_BLOCK, predicate, harness))
+            return
+        self._interior_step()
+        if not predicate():
+            # No other operation may overlap the pending one.
+            self._mark_stuck("deadlock")
+            raise ExecutionAbort()
+
+    def _interior_step(self) -> None:
+        """Count one step of the running thread, as ``step`` does."""
+        outcome = self._outcome
+        outcome.steps += 1
+        self._progress_ticks += 1
+        if outcome.steps > self.max_steps:
+            self._mark_stuck("livelock")
+            raise ExecutionAbort()
 
     def _perform(self, effect: tuple) -> LogicalThread:
         thread = self._running

@@ -80,6 +80,9 @@ def assert_linearizable(
             "not deterministically linearizable:\n"
             + render_check_result(campaign.first_failure)
         )
+    if campaign.crashes:
+        test, message = campaign.crashes[0]
+        raise AssertionError(f"the subject crashed on {test}: {message}")
 
 
 def assert_not_linearizable(

@@ -13,7 +13,8 @@ from repro.core import (
     minimize_failing_test,
     random_check,
 )
-from repro.structures.counters import BuggyCounter1, Counter
+from repro.structures.counters import BuggyCounter1, BuggyCounter2, Counter
+from repro.testing import assert_linearizable
 
 INC = Invocation("inc")
 GET = Invocation("get")
@@ -104,6 +105,69 @@ class TestRandomCheck:
             scheduler=scheduler,
         )
         assert len(result.results) == result.tests_run
+
+
+class LostUpdateAndPoisonedGet:
+    """``inc`` loses updates (no lock); ``get`` takes a lock for good, so
+    a thread calling it twice re-acquires it: a crash outside an
+    operation, not a response."""
+
+    def __init__(self, rt):
+        self._value = rt.volatile(0)
+        self._lock = rt.lock("poison")
+
+    def inc(self):
+        self._value.set(self._value.get() + 1)
+
+    def get(self):
+        self._lock.acquire()
+        return self._value.get()
+
+
+class TestCrashOutsideAnOperation:
+    """A subject that crashes outside an operation gives that test the
+    verdict CRASHED; the campaign goes on, and merges verdicts with
+    ``worst_verdict``."""
+
+    def test_auto_check_reports_the_crash_and_goes_on(self, scheduler):
+        result = auto_check(
+            SystemUnderTest(BuggyCounter2, "c"), [INC, GET], max_n=2,
+            scheduler=scheduler,
+        )
+        assert result.verdict == "CRASHED"
+        assert (result.tests_run, result.tests_failed) == (17, 0)
+        assert len(result.crashes) == 12
+        test, message = result.crashes[0]
+        assert test == FiniteTest.of([[INC, INC], [GET, INC]])
+        assert message == (
+            "thread 1 crashed outside an operation: SchedulerError('thread 1 "
+            "re-acquired non-reentrant counter.lock')"
+        )
+
+    def test_random_check_keeps_the_other_tests_results(self, scheduler):
+        result = random_check(
+            SystemUnderTest(BuggyCounter2, "c"), [INC, GET], rows=2, cols=2,
+            samples=10, keep_results=True, scheduler=scheduler,
+        )
+        assert result.verdict == "CRASHED" and result.tests_run == 10
+        assert 0 < len(result.crashes) < 10
+        assert len(result.results) == 10 - len(result.crashes)
+        assert all(r.passed for r in result.results)
+
+    def test_a_failure_outranks_a_crash(self, scheduler):
+        result = auto_check(
+            SystemUnderTest(LostUpdateAndPoisonedGet, "c"), [INC, GET],
+            max_n=2, stop_at_first_failure=False, scheduler=scheduler,
+        )
+        assert result.tests_failed > 0 and result.crashes
+        assert result.verdict == "FAIL"
+
+    def test_assert_linearizable_names_the_crash(self, scheduler):
+        with pytest.raises(AssertionError, match="crashed outside an operation"):
+            assert_linearizable(
+                BuggyCounter2, [INC, GET], rows=2, cols=2, samples=10,
+                scheduler=scheduler,
+            )
 
 
 class TestMinimization:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core import CheckConfig
+import os
+
+from repro.core import CheckConfig, SystemUnderTest, check
 import pytest
 
 from repro.cli import main
@@ -23,6 +25,11 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.structures import get_class
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 FAST = CheckConfig(
     phase2_strategy="random", phase2_executions=60, max_serial_executions=800
@@ -175,3 +182,100 @@ class TestCampaignCheckpoint:
             parse_campaign_state(load_checkpoint(path))
         assert main(["resume", path]) == 64
         assert "'summaries'" in capsys.readouterr().err
+
+
+#: ``campaign Lazy --versions pre --samples 4 --rows 2 --cols 2
+#: --schedules 60 --seed 5``: a campaign of two FAILs and two PASSes.
+LAZY_PLAN = [("Lazy", "pre")]
+LAZY_PARAMS = {"samples": 4, "rows": 2, "cols": 2, "schedules": 60, "seed": 5}
+LAZY_ARGV = [
+    "campaign", "Lazy", "--versions", "pre", "--samples", "4", "--rows", "2",
+    "--cols", "2", "--schedules", "60", "--seed", "5",
+]
+#: Its row's hist avg, hist max, fail, pass, crash, sched and pruned
+#: columns, as the build that still digested every execution printed them.
+LAZY_ROW = ("6.0", "6", "2", "2", "0", "124", "0")
+GATE = "Enqueue(1); TryDequeue | Enqueue(2) | TryDequeue"
+
+
+def _columns(row: CampaignRow) -> tuple:
+    return (
+        f"{row.histories_avg:.1f}", str(row.histories_max),
+        str(row.tests_failed), str(row.tests_passed), str(row.tests_crashed),
+        str(row.schedules_explored), str(row.schedules_pruned),
+    )
+
+
+def _no_digest(*_args):
+    raise AssertionError("a campaign took an execution digest")
+
+
+class TestNoDigestInACampaign:
+    """A campaign prints no class count, so its checks take no digest;
+    ``check`` still does, and reports the same classes."""
+
+    def test_an_in_process_campaign_never_digests(self, monkeypatch):
+        from repro.core.budget import ExplorationControl
+        from repro.core.campaign import run_campaign_plan
+        from repro.exec import InlineExecutor
+        import repro.reduction
+
+        monkeypatch.setattr(repro.reduction, "execution_fingerprint", _no_digest)
+        config = CheckConfig(
+            phase2_strategy="random", phase2_executions=60, seed=5,
+            max_serial_executions=2000,
+        )
+        entry = get_class("Lazy")
+        with pytest.raises(AssertionError, match="digest"):  # check digests
+            check(SystemUnderTest(entry.factory("pre")), entry.causes[0].witness_test)
+        with InlineExecutor() as executor:
+            (row,), stop_reason, _ = run_campaign_plan(
+                LAZY_PLAN, LAZY_PARAMS, config, executor,
+                control=ExplorationControl(),
+            )
+        assert stop_reason is None
+        assert _columns(row) == LAZY_ROW
+
+    def test_an_isolated_campaign_never_digests(self, tmp_path):
+        """The worker checks under the same patch: a forked worker starts
+        with its coordinator's modules, so the script forks it."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, threading\n"
+            "import repro.reduction\n"
+            "from repro.cli import main\n"
+            "def no_digest(*args):\n"
+            "    raise AssertionError('a campaign took an execution digest')\n"
+            "repro.reduction.execution_fingerprint = no_digest\n"
+            "assert threading.active_count() == 1\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = LAZY_ARGV + [
+            "--isolate", "--workers", "1", "--start-method", "fork",
+            "--report-dir", str(tmp_path / "reports"),
+        ]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stdout + done.stderr
+        (line,) = [l for l in done.stdout.splitlines() if l.startswith("Lazy")]
+        hist_avg, hist_max, _p1, fail, passed, crash, _tf, _tp, sched, pruned, _pb = (
+            line.split()[4:]
+        )
+        assert (hist_avg, hist_max, fail, passed, crash, sched, pruned) == LAZY_ROW
+
+    def test_check_still_counts_the_gate_tests_classes(self, capsys):
+        import json
+
+        assert main(["check", "ConcurrentQueue", "--test", GATE, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["reduction"]["equivalence_classes"] == 1446
+        assert main(["check", "ConcurrentQueue", "--test", GATE]) == 0
+        assert (
+            "reduction: none — 3747 schedules explored, 1446 equivalence "
+            "classes, 0 pruned"
+        ) in capsys.readouterr().out.splitlines()

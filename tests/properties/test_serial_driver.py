@@ -19,6 +19,7 @@ from repro.core import FiniteTest, Invocation, SystemUnderTest, TestHarness
 from repro.core.spec import ObservationSet
 from repro.core.testcase import sample_tests
 from repro.runtime import DFSStrategy, coopc, make_scheduler
+from repro.runtime.core import E_BLOCK, E_SCHED
 from tests.structures.spin_primitives import SpinningCounter
 from tests.properties.test_engine_equivalence import ENGINES, ENTRIES, VERSIONS, _trace
 
@@ -171,6 +172,96 @@ class TestRows:
         test = FiniteTest.of([[_inv("churn")], [_inv("ping")]])
         rows, _ = _assert_agree(subject, test, engine, max_steps=60)
         assert any(row[5] == "livelock" and row[3] > 60 for row in rows)
+
+
+class _Gate:
+    """``wait`` reads a cell, then waits on a flag only ``open`` sets: a
+    wait inside an operation that fails serially unless ``open`` ran."""
+
+    def __init__(self, rt):
+        self._rt = rt
+        self._flag = rt.volatile(False)
+        self._cell = rt.volatile(0)
+
+    def wait(self):
+        self._cell.set(self._cell.get() + 1)
+        self._rt.block_until(lambda: self._flag.peek())
+        return self._cell.get()
+
+    def open(self):
+        self._flag.set(True)
+
+
+class _Interior:
+    """Records the effects the serial driver sends to ``step`` while no
+    teardown runs, so a test can see the inline path took the rest."""
+
+    def __init__(self, driver, monkeypatch):
+        self.seen = []
+        step = driver.step
+
+        def spy(thread, effect):
+            if not driver._tearing_down:
+                self.seen.append(effect)
+            return step(thread, effect)
+
+        monkeypatch.setattr(driver, "step", spy)
+
+    def assert_only_harness_effects(self):
+        assert self.seen, "no operation boundary reached step"
+        for effect in self.seen:
+            kind = effect[0]
+            if kind == E_SCHED:
+                assert effect[1], "an interior scheduling point reached step"
+            elif kind == E_BLOCK:
+                assert effect[2], "an interior wait reached step"
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestInlinePath:
+    """Interior effects are answered by the driver itself, with ``step``'s
+    step count, livelock cut and stuck classification."""
+
+    def test_a_failing_interior_wait_is_a_deadlock(self, engine, monkeypatch):
+        subject = SystemUnderTest(_Gate, "gate")
+        test = FiniteTest.of([[_inv("wait")], [_inv("open"), _inv("wait")]])
+        with TestHarness(subject, engine=engine) as harness:
+            spy = _Interior(harness._serial, monkeypatch)
+            rows = _driver(harness, test)[0]
+            spy.assert_only_harness_effects()
+        rows, _ = _assert_agree(subject, test, engine)
+        assert ("stuck", "deadlock") in {(row[4], row[5]) for row in rows}
+        assert ("complete", None) in {(row[4], row[5]) for row in rows}
+
+    def test_max_steps_inside_an_operation_is_a_livelock(self, engine, monkeypatch):
+        subject = SystemUnderTest(_Churn, "churn")
+        test = FiniteTest.of([[_inv("ping"), _inv("churn")], [_inv("ping")]])
+        with TestHarness(subject, engine=engine, max_steps=40) as harness:
+            spy = _Interior(harness._serial, monkeypatch)
+            _driver(harness, test)
+            spy.assert_only_harness_effects()
+        rows, stats = _assert_agree(subject, test, engine, max_steps=40)
+        assert {(row[4], row[5], row[3]) for row in rows} == {("stuck", "livelock", 41)}
+        assert stats.stuck_histories == stats.executions == 3
+
+    def test_a_watchdog_hosted_run(self, engine, monkeypatch):
+        entry = ENTRIES["ConcurrentQueue"]
+        subject = SystemUnderTest(entry.factory("beta"), "queue")
+        gate = SystemUnderTest(_Gate, "gate")
+        tests = [
+            (subject, FiniteTest.of(
+                [[_inv("Enqueue", 1), _inv("TryDequeue")], [_inv("TryDequeue")]],
+                init=entry.init,
+            )),
+            (gate, FiniteTest.of([[_inv("wait")], [_inv("open")]])),
+        ]
+        for sut, test in tests:
+            with TestHarness(sut, engine=engine, watchdog=30.0) as harness:
+                assert harness._serial.watchdog is not None
+                spy = _Interior(harness._serial, monkeypatch)
+                _driver(harness, test)
+                spy.assert_only_harness_effects()
+            _assert_agree(sut, test, engine, watchdog=30.0)
 
 
 class _FailingDFS(DFSStrategy):

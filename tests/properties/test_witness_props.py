@@ -2,22 +2,30 @@
 
 The grouped, profile-indexed witness search must agree with the O(n!)
 brute-force reference on randomly generated histories and observation
-sets built from a random "register" object semantics.
+sets built from a random "register" object semantics, and
+``is_witness_for`` (which reads ``History.precedence``) must answer as
+the pair-by-pair loop of ``tests/core/witness_reference.py`` does.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Event, Invocation, Response
 from repro.core.history import History, SerialHistory, SerialStep
 from repro.core.spec import ObservationSet
+from repro.cli import parse_test
+from repro.core.harness import SystemUnderTest, TestHarness
 from repro.core.witness import (
     brute_force_full_witness,
     check_full_history,
     is_witness_for,
 )
+from repro.runtime import DFSStrategy
+from repro.structures.registry import get_class
+from tests.core import witness_reference as reference
 
 
 @st.composite
@@ -132,3 +140,77 @@ def test_origin_serial_history_always_witnessed(scenario):
     history, observations, chosen = scenario
     assert is_witness_for(chosen, history)
     assert check_full_history(history, observations) is not None
+
+
+# -- is_witness_for against the pair-by-pair reference ------------------------
+
+
+def _candidates(serial_runs):
+    """Every serial run, plus its prefixes: candidates missing some of the
+    history's operations take the ``positions`` miss branch."""
+    for serial in serial_runs:
+        yield serial
+        for cut in range(len(serial.steps)):
+            yield SerialHistory(serial.steps[:cut])
+
+
+def _assert_same_answers(history, candidates):
+    for candidate in candidates:
+        assert is_witness_for(candidate, history) == reference.is_witness_for(
+            candidate, history
+        ), (str(candidate), str(history))
+
+
+def _stuck_variant(history, cut):
+    """*history* with the returns of the last operations of the first
+    *cut* threads dropped (those operations are left pending)."""
+    last = {}
+    for op in history.operations:
+        last[op.thread] = op.key
+    pending = {key for thread, key in last.items() if thread < cut}
+    events = [
+        e for e in history.events
+        if not (e.is_return and (e.thread, e.op_index) in pending)
+    ]
+    return History(events, history.n_threads, stuck=True)
+
+
+@given(register_scenarios(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_precedence_pairs_agree_with_the_reference(scenario, cut):
+    history, observations, _chosen = scenario
+    runs = list(observations.full)
+    _assert_same_answers(history, _candidates(runs))
+    stuck = _stuck_variant(history, cut)
+    _assert_same_answers(stuck, _candidates(runs))
+    for op in stuck.pending_operations:
+        _assert_same_answers(stuck.project_pending(op), _candidates(runs))
+
+
+@pytest.mark.parametrize(
+    "name,version,text",
+    [
+        ("ConcurrentQueue", "beta", "Enqueue(1); TryDequeue | Enqueue(2) | TryDequeue"),
+        ("ConcurrentQueue", "pre", "Enqueue(1); TryDequeue | TryDequeue"),
+        ("SemaphoreSlim", "beta", "Wait | Wait; Release"),
+        ("BlockingCollection", "pre", "Add(1); Take | Take | Take"),
+    ],
+)
+def test_explored_histories_agree_with_the_reference(name, version, text):
+    """Every phase-2 history of a test (and each stuck one's ``H[e]``)
+    against every serial history phase 1 found, full and stuck."""
+    entry = get_class(name)
+    subject = SystemUnderTest(entry.factory(version), f"{name}({version})")
+    test = parse_test(text)
+    with TestHarness(subject) as harness:
+        observations, _ = harness.run_serial(test)
+        runs = [*observations.full, *observations.stuck]
+        histories = 0
+        for history, _outcome in harness.explore_concurrent(
+            test, DFSStrategy(preemption_bound=2), max_executions=400
+        ):
+            histories += 1
+            _assert_same_answers(history, runs)
+            for op in history.pending_operations:
+                _assert_same_answers(history.project_pending(op), runs)
+    assert histories > 1

@@ -120,7 +120,6 @@ class TestWorkerRoundTrip:
         assert summary.schedules_explored == result.schedules_explored
         restored = TestSummary.from_dict(json.loads(json.dumps(summary.to_dict())))
         assert restored == summary
-        assert restored.equivalence_classes == result.equivalence_classes
         assert restored.schedules_pruned == result.schedules_pruned
 
     def test_old_worker_dicts_default_to_zero(self):
@@ -134,5 +133,4 @@ class TestWorkerRoundTrip:
         }
         summary = TestSummary.from_dict(legacy)
         assert summary.schedules_explored == 0
-        assert summary.equivalence_classes == 0
         assert summary.schedules_pruned == 0

@@ -13,6 +13,12 @@ test ``Put(1); Take | TryTake`` (fault provider, beta), each stopped by a
 Resumed without the budget, each must finish at the single-process
 counts: the checkpoint and shard-result formats are read as written.
 A copy edited to name a retired phase-2 strategy is refused instead.
+
+``campaign/campaign.json`` is ``campaign Lazy --versions pre,beta
+--samples 4 --rows 2 --cols 2 --schedules 40 --seed 5 --deadline 0.15``
+stopped with the pre row finished and three beta tests summarized, by a
+build whose rows and summaries still carried an ``equivalence_classes``
+count; it resumes to the rows of an uninterrupted campaign.
 """
 
 from __future__ import annotations
@@ -25,8 +31,11 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.core.budget import ExplorationControl
+from repro.core.campaign import parse_campaign_state, run_campaign_plan
 from repro.core.checker import CheckConfig, check
 from repro.core.checkpoint import load_checkpoint, parse_check_state
+from repro.exec import InlineExecutor
 from repro.swarm import SwarmConfig, swarm_check
 from repro.swarm.runner import parse_swarm_state
 
@@ -130,3 +139,54 @@ def test_a_checkpoint_of_a_retired_strategy_is_refused(
         json.dump(document, handle)
     assert main(["resume", path]) == 64
     assert f"retired phase-2 strategy {retired!r}" in capsys.readouterr().err
+
+
+#: The campaign row columns that are a function of (class, version, seed).
+CAMPAIGN_COLUMNS = (
+    "class_name", "version", "tests_run", "tests_passed", "tests_failed",
+    "tests_crashed", "stuck_tests", "histories_avg", "histories_max",
+    "schedules_explored", "schedules_pruned", "causes_found",
+    "min_dimensions",
+)
+
+
+def _campaign_rows(plan, params, **resume) -> list[tuple]:
+    config = CheckConfig(
+        phase2_strategy="random",
+        phase2_executions=params["schedules"],
+        seed=params["seed"],
+        max_serial_executions=2000,
+    )
+    with InlineExecutor() as executor:
+        rows, stop_reason, quarantined = run_campaign_plan(
+            plan, params, config, executor, control=ExplorationControl(),
+            **resume,
+        )
+    assert stop_reason is None and quarantined == []
+    return [tuple(getattr(row, name) for name in CAMPAIGN_COLUMNS) for row in rows]
+
+
+def test_a_campaign_checkpoint_resumes_to_the_uninterrupted_rows(tmp_path, capsys):
+    path = os.path.join(_copy("campaign", tmp_path), "campaign.json")
+    document = load_checkpoint(path)
+    assert "equivalence_classes" in document["finished_rows"][0]
+    plan, finished, params, current = parse_campaign_state(document)
+    assert plan == [("Lazy", "pre"), ("Lazy", "beta")]
+    assert [(row.class_name, row.version) for row in finished] == [("Lazy", "pre")]
+    assert current[:2] == ("Lazy", "beta") and sorted(current[2]) == [0, 1, 2]
+
+    resumed = _campaign_rows(
+        plan, params, finished_rows=finished, resume_current=current
+    )
+    assert resumed == _campaign_rows(plan, params)
+    assert [row[:5] for row in resumed] == [
+        ("Lazy", "pre", 4, 2, 2), ("Lazy", "beta", 4, 4, 0),
+    ]
+
+    # The command that wrote it takes it back: Lazy pre fails (exit 1).
+    assert main(["resume", path, "--deadline", "60"]) == 1
+    table = capsys.readouterr().out
+    assert "campaign budget exhausted" not in table
+    assert [line.split()[:2] for line in table.splitlines() if line.startswith("Lazy")] == [
+        ["Lazy", "pre"], ["Lazy", "beta"],
+    ]
