@@ -139,16 +139,17 @@ def sharded(version, test, config, shards, workers, lease, kill_worker):
     killed: list[int] = []
     on_event = _stalker(killed) if kill_worker else None
     t0 = time.perf_counter()
-    result = swarm_check(
-        "BoundedBuffer",
-        version,
-        test,
-        config,
-        provider=PROVIDER,
-        swarm=SwarmConfig(shards=shards, lease_executions=lease),
-        pool_config=PoolConfig(workers=workers, backoff_seconds=0.01),
-        on_event=on_event,
-    )
+    with WorkerPool(PoolConfig(workers=workers, backoff_seconds=0.01)) as pool:
+        result = swarm_check(
+            "BoundedBuffer",
+            version,
+            test,
+            config,
+            provider=PROVIDER,
+            swarm=SwarmConfig(shards=shards, lease_executions=lease),
+            pool=pool,
+            on_event=on_event,
+        )
     return {
         "seconds": time.perf_counter() - t0,
         "verdict": result.verdict,

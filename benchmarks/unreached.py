@@ -206,6 +206,9 @@ DRIVES: list[tuple[str, list[str]]] = [
     ("every product path: a worker-killing shard",
      ["check", "RacyCounter", "--provider", "repro.exec.faults", "--test", "Incr | Incr",
       "--shards", "2", "--max-retries", "1", "--report-dir", "quarantine"]),
+    ("every product path: an opaque probe",
+     ["check", "RacyCounter", "--provider", "repro.exec.faults", "--test", "Incr | Incr",
+      "--shards", "4", "--max-retries", "0", "--report-dir", "opaque"]),
     ("one document: check --shards --lease --json",
      ["check", "BoundedBuffer", "--provider", "repro.exec.faults", "--version", "beta",
       "--test", "Put(1); Size | TryTake", "--shards", "2", "--lease", "8", "--json"]),
@@ -249,6 +252,7 @@ DRIVES: list[tuple[str, list[str]]] = [
 EXPECTED_EXIT = {
     "every product path: a usage error": 64,
     "every product path: a worker-killing shard": 70,
+    "every product path: an opaque probe": 70,
     "one model step: an unknown method": 64,
 }
 

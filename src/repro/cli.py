@@ -540,10 +540,12 @@ def _run_swarm_check(
     version: str,
     provider: str | None,
     swarm_config,
-    pool_config,
+    pool_params: dict,
     resume_document: dict | None = None,
 ) -> int:
-    """Shared driver for ``check --shards`` and ``resume`` of a swarm."""
+    """Shared driver for ``check --shards`` and ``resume`` of a swarm:
+    *pool_params* are the isolation flags (or a swarm checkpoint's
+    ``pool`` record) the one pool is opened with."""
     from repro.core.budget import ExplorationControl
     from repro.swarm import render_swarm_result, swarm_check, swarm_result_to_dict
     from repro.swarm.runner import validate_config
@@ -553,7 +555,7 @@ def _run_swarm_check(
     except ValueError as exc:
         raise CliError(str(exc)) from None
     checkpoint = getattr(args, "checkpoint", None)
-    with _SignalStop() as stopper:
+    with _SignalStop() as stopper, open_pool(pool_params) as pool:
         result = swarm_check(
             class_name,
             version,
@@ -561,7 +563,7 @@ def _run_swarm_check(
             config,
             provider=provider,
             swarm=swarm_config,
-            pool_config=pool_config,
+            pool=pool,
             control=ExplorationControl(budget=config.budget, stop=stopper),
             checkpoint_path=checkpoint,
             resume_document=resume_document,
@@ -622,7 +624,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             swarm_config=SwarmConfig(
                 shards=args.shards, lease_executions=args.lease
             ),
-            pool_config=_pool_config(vars(args)),
+            pool_params=vars(args),
         )
     if config.backend == "monitor":
         if args.checkpoint:
@@ -745,14 +747,30 @@ def _pool_config(params: dict):
     )
 
 
-def _executor(params: dict):
+def open_pool(params: dict):
+    """The CLI's one :class:`repro.exec.WorkerPool`, set up from the
+    isolation flags (or a checkpoint's ``params`` / ``pool`` record).
+
+    ``campaign`` / ``generate --isolate``, ``check --shards`` and the
+    ``resume`` of each run on a pool opened here; the caller closes it.
+    """
+    from repro.exec import WorkerPool
+
+    return WorkerPool(_pool_config(params))
+
+
+def _executor(params: dict, json_output: bool = False):
     """``--isolate`` is a sandboxing choice: it picks the executor."""
-    from repro.exec import InlineExecutor, WorkerPool
+    from repro.exec import InlineExecutor
 
     if not params.get("isolate"):
         return InlineExecutor()
-    pool = WorkerPool(_pool_config(params))
-    print(f"worker reports in {pool.report_dir}")
+    pool = open_pool(params)
+    # Under --json stdout is one document; the note goes to stderr.
+    print(
+        f"worker reports in {pool.report_dir}",
+        file=sys.stderr if json_output else sys.stdout,
+    )
     return pool
 
 
@@ -938,7 +956,7 @@ def _run_generate(
                 "params": params,
             },
         )
-    with _SignalStop() as stopper, _executor(params) as executor:
+    with _SignalStop() as stopper, _executor(params, json_output) as executor:
         report = run_generation_campaign(
             entry,
             version,
@@ -1099,7 +1117,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             version=version,
             provider=provider,
             swarm_config=swarm_config,
-            pool_config=_pool_config(document.get("pool") or {}),
+            pool_params=document.get("pool") or {},
             resume_document=document,
         )
 

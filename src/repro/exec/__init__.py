@@ -13,12 +13,16 @@ process instead:
 * :mod:`repro.exec.protocol` — the length-prefixed JSON pipe protocol
   (tasks, heartbeats, results) between supervisor and workers;
 * :mod:`repro.exec.sandbox` — the worker side: ``resource.setrlimit``
-  caps, stderr capture, heartbeat thread, and the check loop;
+  caps, stderr capture, heartbeat thread, and the task loop (three
+  kinds: ``check``, ``shard`` — a swarm lease, a partition probe being
+  one of a single execution — and ``generate``);
 * :mod:`repro.exec.supervisor` — the parent side: a :class:`WorkerPool`
   that detects worker death (nonzero exit, signal, heartbeat loss),
   retries crashed tests with exponential backoff, and **quarantines**
   repeat offenders with a ``CRASHED`` verdict and a crash-report
-  artifact instead of aborting the campaign;
+  artifact instead of aborting the campaign.  The CLI opens the
+  pool (``repro.cli.open_pool``) that campaigns, generation and the
+  swarm run on;
 * :mod:`repro.exec.inline` — :class:`InlineExecutor`, the same
   ``run(tasks, ...) -> (outcomes, stop_reason)`` contract with no
   workers: tasks run in the caller's process, in order.  Campaigns and

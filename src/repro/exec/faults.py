@@ -183,10 +183,13 @@ class RacyCounter:
     access is a scheduling point, so a concurrent ``Incr`` can slip its
     write between the two reads — and when that torn read is observed
     the process dies via ``os._exit(5)``.  No serial execution can
-    trigger it (phase 1 is clean), and the straight-line default
-    schedule a partition probe follows is clean too, so in a swarm run
-    only the shards whose subtree contains a torn interleaving crash
-    their workers and get quarantined.
+    trigger it (phase 1 is clean), so in a swarm run only the shards
+    whose subtree contains a torn interleaving crash their workers and
+    get quarantined.  A partition probe is not always clean either: it
+    follows its prefix, and a prefix that already pins the torn read
+    kills the probe's worker (``check RacyCounter --provider
+    repro.exec.faults --test "Incr | Incr" --shards 4 --max-retries 0``
+    deals two such prefixes as opaque shards).
     """
 
     def __init__(self, rt: Runtime) -> None:

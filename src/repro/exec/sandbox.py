@@ -124,9 +124,9 @@ def _resolve_subject(spec: dict):
 def _run_task(spec: dict, *, scheduler=None, control=None) -> dict:
     """Run one task; dispatch on the spec's ``kind``.
 
-    ``"check"`` (the default) runs a full two-phase check; ``"probe"``
-    and ``"shard"`` are the swarm task kinds (partition probing and
-    lease execution — see :mod:`repro.swarm.worker`); ``"generate"``
+    ``"check"`` (the default) runs a full two-phase check; ``"shard"``
+    runs one lease of a sharded exploration (a partition probe is a
+    lease of one execution — see :mod:`repro.swarm.worker`); ``"generate"``
     checks one generation candidate and harvests its coverage
     fingerprints (see :mod:`repro.generate.worker`).
 
@@ -136,10 +136,6 @@ def _run_task(spec: dict, *, scheduler=None, control=None) -> dict:
     budget trip or an interrupt stops the check mid-task.
     """
     kind = spec.get("kind") or "check"
-    if kind == "probe":
-        from repro.swarm.worker import run_probe_task
-
-        return run_probe_task(spec)
     if kind == "shard":
         from repro.swarm.worker import run_shard_task
 

@@ -84,9 +84,10 @@ class TaskSpec:
     module whose ``get_class`` resolves ``class_name`` inside the worker.
 
     ``kind`` selects the worker entry point: ``"check"`` runs a full
-    two-phase check, ``"probe"`` expands one decision prefix, and
-    ``"shard"`` runs one lease of a sharded exploration (both defined in
-    :mod:`repro.swarm.worker`); ``payload`` carries the kind-specific
+    two-phase check, ``"shard"`` runs one lease of a sharded exploration
+    (:mod:`repro.swarm.worker`; a partition probe is a lease of one
+    execution) and ``"generate"`` checks one generation candidate
+    (:mod:`repro.generate.worker`); ``payload`` carries the kind-specific
     arguments across the pipe.  ``swarm`` is supervision metadata only —
     the sharding flags of the owning swarm run, so crash-report repro
     commands stay copy-pasteable — and never crosses to the worker.
@@ -196,7 +197,7 @@ def repro_command(spec: TaskSpec) -> str:
         parts.append(f'--final "{render_ops(test.final)}"')
     if spec.provider and spec.provider != sandbox.DEFAULT_PROVIDER:
         parts.append(f"--provider {spec.provider}")
-    if spec.kind in ("shard", "probe") and spec.swarm:
+    if spec.kind == "shard" and spec.swarm:
         # A swarm task only makes sense re-run as a swarm: keep the
         # sharding and isolation flags so the command is copy-pasteable.
         parts.append(f"--shards {spec.swarm.get('shards', 4)}")
@@ -335,10 +336,7 @@ class WorkerPool:
 
     def __init__(self, config: PoolConfig | None = None) -> None:
         self.config = config or PoolConfig()
-        self.report_dir = self.config.report_dir or tempfile.mkdtemp(
-            prefix="lineup-exec-"
-        )
-        os.makedirs(self.report_dir, exist_ok=True)
+        self._report_dir: str | None = None
         self._workers: list[_Worker] = []
         self._closed = False
         self._states: dict[int, _TaskState] = {}
@@ -353,6 +351,16 @@ class WorkerPool:
         self._quarantine_extra: (
             Callable[[TaskSpec], dict | None] | None
         ) = None
+
+    @property
+    def report_dir(self) -> str:
+        """Crash reports and worker stderr files, made on first use."""
+        if self._report_dir is None:
+            self._report_dir = self.config.report_dir or tempfile.mkdtemp(
+                prefix="lineup-exec-"
+            )
+            os.makedirs(self._report_dir, exist_ok=True)
+        return self._report_dir
 
     @property
     def worker_limit(self) -> int:

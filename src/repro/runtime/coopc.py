@@ -56,6 +56,7 @@ from repro.runtime.core import E_BLOCK, E_CHOOSE, E_SCHED, E_SPIN
 from repro.runtime.errors import SchedulerError
 
 __all__ = [
+    "StaleSourceError",
     "coop_call",
     "coop_direct",
     "coopify_body",
@@ -769,9 +770,19 @@ class _Rewriter(ast.NodeTransformer):
         return stmts
 
 
-def _function_node(fn, code):
-    """Parse *fn*'s source and return its (possibly synthesized) def node."""
-    lines, start = inspect.getsourcelines(fn)
+class StaleSourceError(SchedulerError):
+    """A function's source file changed after its module was imported:
+    the block at its code's first line, which the compiler reads, is
+    other code now."""
+
+
+def _function_node(code):
+    """Parse *code*'s source and return its (possibly synthesized) def node.
+
+    Raises :class:`StaleSourceError` when the block at the code's first
+    line holds no def of that name: the file changed since import.
+    """
+    lines, start = inspect.getsourcelines(code)
     source = textwrap.dedent("".join(lines))
     offset = 0
     try:
@@ -783,15 +794,21 @@ def _function_node(fn, code):
             "def __coop_wrap__():\n" + textwrap.indent(source, "    ")
         )
         offset = 1
-    if fn.__name__ != "<lambda>":
+    if code.co_name != "<lambda>":
         for node in ast.walk(tree):
             if (
-                isinstance(node, ast.FunctionDef)
-                and node.name == fn.__name__
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == code.co_name
             ):
+                if isinstance(node, ast.AsyncFunctionDef):
+                    return None
                 node.decorator_list = []
                 return node
-        return None
+        raise StaleSourceError(
+            f"the source of {code.co_name}() changed since it was "
+            f"imported: line {code.co_firstlineno} of {code.co_filename} "
+            "no longer starts its def (restart to check the new code)"
+        )
     target_line = code.co_firstlineno - start + 1 + offset
     lambdas = [
         node
@@ -875,7 +892,7 @@ def _transform(fn):
     """Recompile *fn* into a generator; return its dispatch entry."""
     code = fn.__code__
     try:
-        fdef = _function_node(fn, code)
+        fdef = _function_node(code)
     except (OSError, TypeError, SyntaxError):
         return ("direct",)
     if fdef is None:

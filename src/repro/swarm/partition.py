@@ -15,12 +15,14 @@ space and their pairwise intersection is empty — so Theorem 5's
 completeness survives sharding.
 
 Splitting needs to know the branching structure below a prefix without
-enumerating it; a *probe* (one execution following the prefix, then the
-default schedule) reveals every branching point on the default path,
-and :func:`children_from_outcome` splits on the first one past the
-prefix whose alternatives fit the preemption budget.  Probes execute
-the subject, so the swarm coordinator runs them in sandboxed workers —
-a subject that crashes under a particular interleaving must kill a
+enumerating it.  A *probe* is a shard lease of one execution of the
+prefix's plain DFS: it follows the prefix, then the default schedule,
+and hands back the DFS stack it backtracked to.  That stack holds every
+branching point on the default path with its preemption count, and
+:func:`children_from_lease` splits on the first one past the prefix
+whose alternatives fit the preemption budget.  Probes execute the
+subject, so the swarm coordinator runs them in sandboxed workers — a
+subject that crashes under a particular interleaving must kill a
 worker, never the coordinator.
 
 Reduction state (sleep sets, DPOR backtrack sets) is deliberately *not*
@@ -33,16 +35,10 @@ covered by that sibling's own reduction.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.runtime.errors import DecisionReplayError
-from repro.runtime.scheduler import ExecutionOutcome, SchedulingStrategy
 from repro.runtime.strategies import DFSStrategy
 
 __all__ = [
-    "PrefixProbeStrategy",
-    "children_from_outcome",
-    "expand_prefix",
+    "children_from_lease",
     "partition_prefixes",
     "prefix_snapshot",
     "shard_snapshot",
@@ -53,139 +49,44 @@ __all__ = [
 REDUCTION_TAGS = {"none": "dfs", "sleep": "sleep", "dpor": "dpor"}
 
 
-def _row_preempts(
-    kind: str, options: tuple, running: int | None, free: bool, choice: Any
-) -> bool:
-    """``_Node.is_preemption`` applied to a raw decision row."""
-    return (
-        not free
-        and kind == "thread"
-        and running is not None
-        and running in options
-        and choice != running
-    )
-
-
-class PrefixProbeStrategy(SchedulingStrategy):
-    """Run exactly one execution: follow *prefix*, then the DFS defaults.
-
-    Only branching decisions (more than one option) reach a strategy,
-    so prefix rows index branching decisions — the same depth space as
-    the DFS stack.  The probe raises :class:`DecisionReplayError` when
-    the subject's decision structure diverges from the recorded prefix
-    (nondeterminism outside the instrumented primitives).
-    """
-
-    def __init__(self, prefix: list) -> None:
-        self.prefix = list(prefix)
-        self._branch = 0
-        self._done = False
-
-    def more(self) -> bool:
-        return not self._done
-
-    def begin(self) -> None:
-        self._branch = 0
-
-    def decide(
-        self, kind: str, options: tuple, running: int | None, free: bool
-    ) -> Any:
-        depth = self._branch
-        self._branch += 1
-        if depth < len(self.prefix):
-            row = self.prefix[depth]
-            if row[0] != kind or tuple(row[1]) != tuple(options):
-                raise DecisionReplayError(
-                    f"probe diverged at branching decision {depth}: expected "
-                    f"{row[0]}{tuple(row[1])!r}, got {kind}{options!r}"
-                )
-            return row[4]
-        return DFSStrategy._default_choice(kind, options, running)
-
-    def finish(self, outcome: ExecutionOutcome) -> None:
-        self._done = True
-
-
-def children_from_outcome(
-    prefix: list, outcome: ExecutionOutcome, bound: int | None
+def children_from_lease(
+    prefix: list, remaining: dict | None
 ) -> "list[list] | None":
-    """Split a probed subtree at its first branching point past *prefix*.
+    """Split a probed subtree at its first branching row past *prefix*.
 
-    Returns one child prefix per *affordable* option of the split
-    decision (options whose preemption the bound still affords — the
-    same filter the DFS backtracker applies, so the children cover
-    exactly what the parent DFS would explore).  Returns ``None`` when
-    the probe pinned every splittable decision: the subtree holds
-    exactly one schedule and the prefix is dispatched as a leaf.
+    *remaining* is what a one-execution lease of :func:`prefix_snapshot`
+    (a plain DFS) hands back: the stack after the DFS backtracked from
+    the default path below *prefix*, or None when that execution was the
+    whole subtree (a leaf).  Backtracking rewrote only the rows at or
+    below the first one with more than one option the preemption bound
+    affords, so that row's ``options``, ``running``, ``free`` and
+    ``preemptions`` — and every row above it — are the default path's.
+    Returns one child prefix per affordable option of that row, in
+    option order: exactly what the parent DFS would explore below it.
     """
-    branching = [d for d in outcome.decisions if len(d.options) > 1]
-    rows: list[list] = []
-    preemptions = 0
-    for depth, decision in enumerate(branching):
-        if depth >= len(prefix):
-            budget = None if bound is None else bound - preemptions
-            affordable = [
-                option
-                for option in decision.options
-                if budget is None
-                or budget >= 1
-                or not _row_preempts(
-                    decision.kind,
-                    decision.options,
-                    decision.running,
-                    decision.free,
-                    option,
-                )
-            ]
-            if len(affordable) > 1:
-                return [
-                    rows
-                    + [
-                        [
-                            decision.kind,
-                            list(decision.options),
-                            decision.running,
-                            decision.free,
-                            option,
-                            preemptions,
-                        ]
-                    ]
-                    for option in affordable
-                ]
-        chosen = decision.chosen
-        rows.append(
-            [
-                decision.kind,
-                list(decision.options),
-                decision.running,
-                decision.free,
-                chosen,
-                preemptions,
-            ]
+    if remaining is None:
+        return None
+    bound = remaining["preemption_bound"]
+    # Stack rows less their ``tried`` column are prefix rows.
+    rows = [row[:5] + row[6:] for row in remaining["stack"]]
+    for depth in range(len(prefix), len(rows)):
+        kind, options, running, free, chosen, preemptions = rows[depth]
+        node = DFSStrategy.node_class(
+            kind, tuple(options), running, free, chosen, preemptions
         )
-        if _row_preempts(
-            decision.kind,
-            decision.options,
-            decision.running,
-            decision.free,
-            chosen,
-        ):
-            preemptions += 1
-    return None
-
-
-def expand_prefix(harness, test, config, prefix: list) -> "list[list] | None":
-    """Probe *prefix* on *harness*; return its children (None for a leaf).
-
-    The swarm coordinator runs this in workers (see
-    :func:`repro.swarm.worker.run_probe_task`) so a crash-prone subject
-    cannot take the coordinator down; tests call it in-process.
-    """
-    strategy = PrefixProbeStrategy(prefix)
-    for _history, outcome in harness.explore_concurrent(
-        test, strategy, max_executions=1
-    ):
-        return children_from_outcome(prefix, outcome, config.preemption_bound)
+        affordable = [
+            option
+            for option in options
+            if bound is None
+            or bound - preemptions >= 1
+            or not node.is_preemption(option)
+        ]
+        if len(affordable) > 1:
+            return [
+                rows[:depth]
+                + [[kind, options, running, free, option, preemptions]]
+                for option in affordable
+            ]
     return None
 
 
@@ -207,7 +108,8 @@ def partition_prefixes(
     probe killed a worker — it is dispatched whole and never split.  A
     prefix without an answer stays in the frontier; ``stop`` (a halt
     reason, or None) ends the rounds.  The swarm coordinator probes in
-    pool workers; :func:`expand_prefix` probes in-process.
+    pool workers, with one-execution leases read by
+    :func:`children_from_lease`.
 
     Rounds split the frontier until it reaches *target* prefixes (leaves
     count), the tree runs out of depth, *max_rounds* have run or a round
@@ -244,17 +146,18 @@ def partition_prefixes(
     return leaves + frontier, opaque, stop
 
 
-def prefix_snapshot(config, prefix: list) -> dict:
+def prefix_snapshot(config, prefix: list, reduction: str | None = None) -> dict:
     """A seeded strategy snapshot that explores exactly *prefix*'s subtree.
 
     Every prefix row becomes a stack node with ``tried`` = all options,
     so the restored DFS replays the pinned decisions and backtracks
     through them without visiting siblings.  The tag matches the
-    config's reduction so each shard prunes with the same machinery a
-    single-process run would use.
+    config's reduction (or *reduction*, when given) so each shard prunes
+    with the same machinery a single-process run would use; a probe asks
+    for ``"none"``, because reduction state never steers the partition.
     """
     return {
-        "type": REDUCTION_TAGS[config.reduction],
+        "type": REDUCTION_TAGS[reduction or config.reduction],
         "preemption_bound": config.preemption_bound,
         "exhausted": False,
         "executions": 0,

@@ -6,8 +6,10 @@ One sharded check proceeds in four phases:
    deterministic part, and its nondeterminism FAIL needs no sharding).
 2. **Partition**: decision prefixes are probed *in workers* (a subject
    that crashes under some interleaving must kill a worker, never the
-   coordinator); a prefix whose probe crashes the worker becomes an
-   *opaque* shard dispatched whole, contained by the lease machinery.
+   coordinator).  A probe is a shard lease of one execution of the
+   prefix's plain DFS, and the stack it returns names the children; a
+   prefix whose probe crashes the worker becomes an *opaque* shard
+   dispatched whole, contained by the lease machinery.
 3. **Lease rounds**: every unsettled shard lineage gets a lease of at
    most ``lease_executions`` executions per round.  A lease comes back
    PASS (subtree exhausted), FAIL (violation — a proof, the swarm
@@ -73,7 +75,9 @@ from repro.swarm.merge import (
 )
 from repro.swarm.partition import (
     OPAQUE,
+    children_from_lease,
     partition_prefixes,
+    prefix_snapshot,
     shard_snapshot,
     split_shard_snapshot,
 )
@@ -129,10 +133,11 @@ class _Lineage:
         self.opaque = opaque
         self.settled = False
         self.verdict: str | None = None
+        #: crashed leases re-dispatched (``retries`` and ``requeues``
+        #: in the shard file, which name the same count).
         self.retries = 0
         self.crashes = 0
         self.leases = 0
-        self.requeues = 0
         #: task index -> that lease's final summary.  A flaky-guard
         #: amendment replaces its predecessor, so each lease's subtree
         #: counts once.
@@ -167,7 +172,7 @@ class _Lineage:
             "retries": self.retries,
             "crashes": self.crashes,
             "leases": self.leases,
-            "requeues": self.requeues,
+            "requeues": self.retries,
             "crash_report": self.crash_report,
             "shard_checkpoint": self.shard_checkpoint,
             **self.totals(),
@@ -181,19 +186,10 @@ class _Lineage:
         lineage.retries = int(state.get("retries") or 0)
         lineage.crashes = int(state.get("crashes") or 0)
         lineage.leases = int(state.get("leases") or 0)
-        lineage.requeues = int(state.get("requeues") or 0)
         lineage.crash_report = state.get("crash_report")
         lineage.shard_checkpoint = state.get("shard_checkpoint")
         lineage.restored = state
         return lineage
-
-
-def _frontier_size(snapshot: dict | None) -> int:
-    if not snapshot:
-        return 0
-    return len(snapshot.get("pending") or ()) + (
-        1 if snapshot.get("current") else 0
-    )
 
 
 def validate_config(config: CheckConfig) -> None:
@@ -234,12 +230,22 @@ def swarm_check(
 
     The subject is named (class/version/provider), not passed as an
     object, because shard specs must cross the spawn boundary to the
-    workers.  *pool* reuses a caller-owned :class:`WorkerPool` (it is
-    left open); otherwise one is built from *pool_config* and closed on
-    exit.  *resume_document* is a loaded ``kind="swarm"`` checkpoint;
-    surviving shard results are merged in and only unsettled (or
-    quarantined) lineages are re-dispatched.
+    workers.  Probes and leases run on *pool*, the caller's open
+    :class:`WorkerPool` (left open).  *resume_document* is a loaded
+    ``kind="swarm"`` checkpoint; surviving shard results are merged in
+    and only unsettled (or quarantined) lineages are re-dispatched.
     """
+    if pool is None:
+        # Only perfbench/layers.py's traced check_sharded pass still names
+        # *pool_config* instead of opening a pool; this branch and the
+        # keyword go with the next change to the benchmark.
+        with WorkerPool(pool_config) as owned:
+            return swarm_check(
+                class_name, version, test, config, provider=provider,
+                swarm=swarm, pool=owned, control=control,
+                checkpoint_path=checkpoint_path,
+                resume_document=resume_document, on_event=on_event,
+            )
     cfg = config or CheckConfig()
     validate_config(cfg)
     swarm = swarm or SwarmConfig()
@@ -305,10 +311,7 @@ def swarm_check(
             result.phase2_complete = phase1.phase2_complete
             return result
 
-    # ---- Pool + spec plumbing. ---------------------------------------
-    own_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(pool_config)
+    # ---- Spec plumbing. ---------------------------------------------
     test_dict = test_to_dict(test)
     worker_config = config_to_dict(cfg)
     # The coordinator owns the budget; shard leases are metered by the
@@ -323,7 +326,11 @@ def swarm_check(
     task_counter = iter(range(1, 1 << 30))
     observations_xml = observations_to_xml(observations)
 
-    def make_spec(kind: str, payload: dict) -> TaskSpec:
+    def lease_spec(
+        strategy: dict, executions: int, shard: int | None = None
+    ) -> TaskSpec:
+        """A lease of at most *executions* executions of *strategy*, for
+        lineage *shard* (a partition probe belongs to none)."""
         return TaskSpec(
             index=next(task_counter),
             class_name=class_name,
@@ -331,19 +338,22 @@ def swarm_check(
             test=test_dict,
             config=worker_config,
             provider=provider,
-            kind=kind,
-            payload=payload,
+            kind="shard",
+            payload={
+                "shard": shard,
+                "strategy": strategy,
+                "observations": observations_xml,
+                "lease_executions": executions,
+            },
             swarm=swarm_args,
         )
 
     stop_flag = {"fail": False}
 
     def pool_stop() -> bool:
-        if stop_flag["fail"]:
-            return True
-        if control is not None and control.stop is not None:
-            return bool(control.stop())
-        return False
+        return stop_flag["fail"] or bool(
+            control is not None and control.stop is not None and control.stop()
+        )
 
     pool_control = ExplorationControl(
         meter=control.meter if control is not None else None, stop=pool_stop
@@ -390,224 +400,193 @@ def swarm_check(
 
     halt: str | None = None
     resplits = 0
-    try:
-        # ---- Partition by probing decision prefixes in workers. ------
-        if not lineages:
+    # ---- Partition by probing decision prefixes in workers. ----------
+    if not lineages:
 
-            def probe_round(frontier: list) -> tuple:
-                nonlocal partition_probes
-                specs = [
-                    make_spec("probe", {"prefix": prefix}) for prefix in frontier
-                ]
-                position = {spec.index: i for i, spec in enumerate(specs)}
-                partition_probes += len(specs)
-                outcomes, stop = pool.run(specs, control=pool_control)
-                # A subtree whose first execution kills workers is not
-                # probed again: it is dispatched whole, and the lease
-                # machinery contains it.
-                return [
-                    (
-                        position[outcome.index],
-                        OPAQUE
-                        if outcome.crashed
-                        else (outcome.summary or {}).get("children"),
-                    )
-                    for outcome in outcomes
-                ], stop
-
-            plain, opaque, halt = partition_prefixes(
-                probe_round, swarm.shards * _OVER_PARTITION
-            )
-            # Deal splittable prefixes round-robin into `shards`
-            # lineages; opaque prefixes get a lineage each so their
-            # quarantine never takes healthy subtrees with it.
-            buckets = [
-                plain[i :: swarm.shards] for i in range(swarm.shards)
+        def probe_round(frontier: list) -> tuple:
+            nonlocal partition_probes
+            # A probe is a lease of one execution of the prefix's plain
+            # DFS.  Its tally is not merged: the lineage that owns the
+            # subtree runs that execution again.
+            specs = [
+                lease_spec(prefix_snapshot(cfg, prefix, "none"), 1)
+                for prefix in frontier
             ]
-            shard_id = 0
-            for bucket in buckets:
-                if not bucket:
-                    continue
-                lineages[shard_id] = _Lineage(
-                    shard_id, shard_snapshot(cfg, bucket)
-                )
-                shard_id += 1
-            for prefix in opaque:
-                lineages[shard_id] = _Lineage(
-                    shard_id, shard_snapshot(cfg, [prefix]), opaque=True
-                )
-                shard_id += 1
-            for lineage in lineages.values():
-                save_shard(lineage)
-            save_main()
-            if on_event is not None:
-                on_event(
-                    "partitioned",
-                    {
-                        "prefixes": len(plain) + len(opaque),
-                        "shards": len(lineages),
-                        "probes": partition_probes,
-                        "pool": pool,
-                    },
-                )
-
-        # ---- Lease rounds. -------------------------------------------
-        quarantine_paths: dict[int, str] = {}
-        by_task: dict[int, _Lineage] = {}
-        #: retry counters already accounted for before dispatch (resume
-        #: restores them), so outcome.retries is metered by delta.
-        prior_by_task: dict[int, int] = {}
-
-        def quarantine_extra(spec: TaskSpec) -> dict | None:
-            if spec.kind != "shard":
-                return None
-            payload = spec.payload or {}
-            state = build_check_state(
-                test=test,
-                config=cfg,
-                phase="phase2",
-                strategy=None,
-                observations=observations,
-                phase1=stats,
-                phase1_seconds=phase1_seconds,
-            )
-            # The lease-start frontier is already a snapshot dict.
-            state["strategy"] = payload.get("strategy")
-            state["subject"] = subject_record(class_name, version, provider)
-            path = os.path.join(
-                pool.report_dir,
-                f"shard-{payload.get('shard')}-t{spec.index}.checkpoint.json",
-            )
-            save_checkpoint(path, state)
-            quarantine_paths[spec.index] = path
-            return {
-                "shard": payload.get("shard"),
-                "shard_checkpoint": path,
-                "resume_command": f"python -m repro resume {path}",
-            }
-
-        def on_outcome(outcome, retry_map) -> None:
-            lineage = by_task.get(outcome.index)
-            if lineage is None:
-                return
-            first = outcome.index not in lineage.summaries
-            lineage.summaries[outcome.index] = outcome.summary or {}
-            if first:
-                fresh_retries = max(
-                    0, outcome.retries - prior_by_task.get(outcome.index, 0)
-                )
-                lineage.leases += 1
-                lineage.retries += fresh_retries
-                lineage.requeues += fresh_retries
-                lineage.crashes += len(outcome.crashes)
-                if outcome.verdict == "PARTIAL":
-                    remaining = (outcome.summary or {}).get("remaining")
-                    lineage.snapshot = remaining
-                    if remaining is None:  # defensive: PARTIAL sans frontier
-                        lineage.settled = True
-                        lineage.verdict = "PASS"
-                elif outcome.verdict in _TERMINAL:
-                    lineage.settled = True
-                    lineage.verdict = outcome.verdict
-                    if outcome.verdict == "CRASHED":
-                        lineage.crash_report = outcome.crash_report
-                        lineage.shard_checkpoint = quarantine_paths.get(
-                            outcome.index
-                        )
-                        # Keep the lease-start frontier: it is what a
-                        # later `lineup resume` re-dispatches.
-                        lineage.snapshot = lease_snapshots.get(outcome.index)
-                    else:
-                        lineage.snapshot = None
-                if control is not None and control.meter is not None:
-                    control.meter.executions += int(
-                        lineage.summaries[outcome.index].get("executions") or 0
-                    )
-            else:
-                # Flaky-guard amendment: the re-run may have changed the
-                # lease's verdict (FAIL -> nondeterministic-verdict).
-                if lineage.settled and outcome.verdict in _TERMINAL:
-                    lineage.verdict = outcome.verdict
-            if outcome.verdict in ("FAIL", NONDETERMINISTIC_VERDICT):
-                stop_flag["fail"] = True
-            save_shard(lineage)
-
-        next_shard_id = (max(lineages) + 1) if lineages else 0
-        while halt is None and not stop_flag["fail"]:
-            active = [
-                lineage
-                for lineage in lineages.values()
-                if not lineage.settled and lineage.snapshot is not None
-            ]
-            if not active:
-                break
-            # Work stealing: re-split the fattest frontier onto idle
-            # capacity (bounded by graceful degradation's worker limit).
-            capacity = min(pool.worker_limit, pool.config.workers)
-            while len(active) < capacity:
-                candidate = max(
-                    (
-                        lineage
-                        for lineage in active
-                        if len((lineage.snapshot or {}).get("pending") or ())
-                        >= 1
+            position = {spec.index: i for i, spec in enumerate(specs)}
+            partition_probes += len(specs)
+            outcomes, stop = pool.run(specs, control=pool_control)
+            # A subtree whose first execution kills workers is not
+            # probed again: it is dispatched whole, and the lease
+            # machinery contains it.
+            return [
+                (
+                    position[outcome.index],
+                    OPAQUE
+                    if outcome.crashed
+                    else children_from_lease(
+                        frontier[position[outcome.index]],
+                        (outcome.summary or {}).get("remaining"),
                     ),
-                    key=lambda lineage: _frontier_size(lineage.snapshot),
-                    default=None,
                 )
-                if candidate is None:
-                    break
-                pending = len(candidate.snapshot.get("pending") or ())
-                parts = min(capacity - len(active) + 1, pending)
-                if parts < 2:
-                    break
-                splits = split_shard_snapshot(candidate.snapshot, parts)
-                candidate.snapshot = splits[0]
-                save_shard(candidate)
-                for split in splits[1:]:
-                    fresh = _Lineage(next_shard_id, split)
-                    next_shard_id += 1
-                    lineages[fresh.id] = fresh
-                    active.append(fresh)
-                    save_shard(fresh)
-                resplits += len(splits) - 1
-                save_main()
+                for outcome in outcomes
+            ], stop
 
-            lease_snapshots: dict[int, dict] = {}
-            prior_retries: dict[int, int] = {}
-            specs = []
-            for lineage in active:
-                spec = make_spec(
-                    "shard",
-                    {
-                        "shard": lineage.id,
-                        "strategy": lineage.snapshot,
-                        "observations": observations_xml,
-                        "lease_executions": swarm.lease_executions,
-                    },
-                )
-                by_task[spec.index] = lineage
-                lease_snapshots[spec.index] = lineage.snapshot
-                if lineage.prior_retries:
-                    prior_retries[spec.index] = lineage.prior_retries
-                    prior_by_task[spec.index] = lineage.prior_retries
-                    lineage.prior_retries = 0
-                specs.append(spec)
-            _outcomes, stop = pool.run(
-                specs,
-                control=pool_control,
-                prior_retries=prior_retries,
-                on_outcome=on_outcome,
-                quarantine_extra=quarantine_extra,
+        plain, opaque, halt = partition_prefixes(
+            probe_round, swarm.shards * _OVER_PARTITION
+        )
+        # Deal splittable prefixes round-robin into `shards`
+        # lineages; opaque prefixes get a lineage each so their
+        # quarantine never takes healthy subtrees with it.
+        slices = [(plain[i :: swarm.shards], False) for i in range(swarm.shards)]
+        slices += [([prefix], True) for prefix in opaque]
+        for shard_id, (bucket, unsplit) in enumerate(s for s in slices if s[0]):
+            lineages[shard_id] = _Lineage(
+                shard_id, shard_snapshot(cfg, bucket), unsplit
             )
-            if stop is not None:
-                if not (stop == "interrupted" and stop_flag["fail"]):
-                    halt = stop
-                break
+            save_shard(lineages[shard_id])
         save_main()
-    finally:
-        if own_pool:
-            pool.close()
+        if on_event is not None:
+            on_event(
+                "partitioned",
+                {
+                    "prefixes": len(plain) + len(opaque),
+                    "shards": len(lineages),
+                    "probes": partition_probes,
+                    "pool": pool,
+                },
+            )
+
+    # ---- Lease rounds. -------------------------------------------
+    quarantine_paths: dict[int, str] = {}
+    by_task: dict[int, _Lineage] = {}
+
+    def quarantine_extra(spec: TaskSpec) -> dict | None:
+        payload = spec.payload or {}
+        state = build_check_state(
+            test=test,
+            config=cfg,
+            phase="phase2",
+            strategy=None,
+            observations=observations,
+            phase1=stats,
+            phase1_seconds=phase1_seconds,
+        )
+        # The lease-start frontier is already a snapshot dict.
+        state["strategy"] = payload.get("strategy")
+        state["subject"] = subject_record(class_name, version, provider)
+        path = os.path.join(
+            pool.report_dir,
+            f"shard-{payload.get('shard')}-t{spec.index}.checkpoint.json",
+        )
+        save_checkpoint(path, state)
+        quarantine_paths[spec.index] = path
+        return {
+            "shard": payload.get("shard"),
+            "shard_checkpoint": path,
+            "resume_command": f"python -m repro resume {path}",
+        }
+
+    def on_outcome(outcome, retry_map) -> None:
+        lineage = by_task.get(outcome.index)
+        if lineage is None:
+            return
+        first = outcome.index not in lineage.summaries
+        lineage.summaries[outcome.index] = outcome.summary or {}
+        if first:
+            # Every crash of this dispatch was re-dispatched but one that
+            # spent the retry budget (``outcome.retries`` counts crashes,
+            # a resumed lease's restored ones included).
+            crashes = len(outcome.crashes)
+            redispatched = crashes - (
+                crashes > 0 and outcome.retries > pool.config.max_retries
+            )
+            lineage.leases += 1
+            lineage.retries += redispatched
+            lineage.crashes += crashes
+            if outcome.verdict == "PARTIAL":
+                lineage.snapshot = outcome.summary["remaining"]
+            elif outcome.verdict in _TERMINAL:
+                lineage.settled = True
+                lineage.verdict = outcome.verdict
+                if outcome.verdict == "CRASHED":
+                    # The lease-start frontier stays: it is what a later
+                    # `lineup resume` re-dispatches.
+                    lineage.crash_report = outcome.crash_report
+                    lineage.shard_checkpoint = quarantine_paths.get(
+                        outcome.index
+                    )
+                else:
+                    lineage.snapshot = None
+            if control is not None and control.meter is not None:
+                control.meter.executions += int(
+                    lineage.summaries[outcome.index].get("executions") or 0
+                )
+        else:
+            # Flaky-guard amendment: the re-run may have changed the
+            # lease's verdict (FAIL -> nondeterministic-verdict).
+            if lineage.settled and outcome.verdict in _TERMINAL:
+                lineage.verdict = outcome.verdict
+        if outcome.verdict in ("FAIL", NONDETERMINISTIC_VERDICT):
+            stop_flag["fail"] = True
+        save_shard(lineage)
+
+    next_shard_id = (max(lineages) + 1) if lineages else 0
+    while halt is None and not stop_flag["fail"]:
+        active = [
+            lineage
+            for lineage in lineages.values()
+            if not lineage.settled and lineage.snapshot is not None
+        ]
+        if not active:
+            break
+        # Work stealing: re-split the fattest frontier onto idle
+        # capacity (bounded by graceful degradation's worker limit).
+        capacity = pool.worker_limit
+        while len(active) < capacity:
+            candidate = max(
+                active,
+                key=lambda lineage: len(lineage.snapshot.get("pending") or ())
+                + bool(lineage.snapshot.get("current")),
+            )
+            pending = len(candidate.snapshot.get("pending") or ())
+            parts = min(capacity - len(active) + 1, pending)
+            if parts < 2:
+                break
+            splits = split_shard_snapshot(candidate.snapshot, parts)
+            candidate.snapshot = splits[0]
+            save_shard(candidate)
+            for split in splits[1:]:
+                fresh = _Lineage(next_shard_id, split)
+                next_shard_id += 1
+                lineages[fresh.id] = fresh
+                active.append(fresh)
+                save_shard(fresh)
+            resplits += len(splits) - 1
+            save_main()
+
+        prior_retries: dict[int, int] = {}
+        specs = []
+        for lineage in active:
+            spec = lease_spec(
+                lineage.snapshot, swarm.lease_executions, lineage.id
+            )
+            by_task[spec.index] = lineage
+            if lineage.prior_retries:
+                prior_retries[spec.index] = lineage.prior_retries
+                lineage.prior_retries = 0
+            specs.append(spec)
+        _outcomes, stop = pool.run(
+            specs,
+            control=pool_control,
+            prior_retries=prior_retries,
+            on_outcome=on_outcome,
+            quarantine_extra=quarantine_extra,
+        )
+        if stop is not None:
+            if not (stop == "interrupted" and stop_flag["fail"]):
+                halt = stop
+            break
+    save_main()
 
     # ---- Merge. ------------------------------------------------------
     states = {lineage.id: lineage.state() for lineage in lineages.values()}

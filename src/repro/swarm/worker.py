@@ -1,14 +1,16 @@
-"""Worker-side execution of swarm tasks (probe + shard task kinds).
+"""Worker-side execution of the swarm's one task kind, the shard lease.
 
-These run inside the :mod:`repro.exec.sandbox` worker process — the
+It runs inside the :mod:`repro.exec.sandbox` worker process — the
 entire point is that a subject which crashes, wedges, or exhausts
 memory while probing or exploring a shard kills a *worker*, and the
 supervisor's lease/retry/quarantine machinery contains the damage.
 
 A shard task runs one **lease**: at most ``lease_executions``
 executions of the shard's frontier, then reports the remaining frontier
-snapshot back so the coordinator can re-dispatch (or re-split) it.  The
-verdict of a lease is:
+snapshot back so the coordinator can re-dispatch (or re-split) it.  A
+partition probe is a lease of one execution of a prefix's plain DFS;
+the coordinator reads only its ``remaining`` stack.  The verdict of a
+lease is:
 
 * ``FAIL`` — a violation was found (a proof per Theorem 5; the swarm
   stops),
@@ -26,23 +28,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["run_probe_task", "run_shard_task"]
-
-
-def run_probe_task(spec: dict) -> dict:
-    """Probe one decision prefix; reply with its children (or leaf)."""
-    from repro.core.harness import TestHarness
-    from repro.exec.sandbox import _resolve_subject
-    from repro.swarm.partition import expand_prefix
-
-    subject, test, config = _resolve_subject(spec)
-    prefix = (spec.get("payload") or {}).get("prefix") or []
-    with TestHarness.from_config(subject, config) as harness:
-        children = expand_prefix(harness, test, config, prefix)
-    return {
-        "verdict": "PASS",
-        "summary": {"kind": "probe", "prefix": prefix, "children": children},
-    }
+__all__ = ["run_shard_task"]
 
 
 def run_shard_task(spec: dict) -> dict:

@@ -310,6 +310,19 @@ class TestJsonIsOneDocument:
         assert json.loads(captured.out)["verdict"] == "EXHAUSTED"
         assert f"continue with: python -m repro resume {checkpoint}" in captured.err
 
+    def test_an_isolated_generation(self, tmp_path, capsys):
+        """``--isolate`` names its report directory on stderr under
+        ``--json``."""
+        reports = str(tmp_path / "reports")
+        code = main(
+            ["generate", "Lazy", "--version", "pre", "--seed", "1",
+             "--budget", "100", "--isolate", "--report-dir", reports, "--json"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["verdict"] == "FAIL"
+        assert f"worker reports in {reports}" in captured.err
+
 
 class TestShardCount:
     def test_header_and_report_name_the_same_shards(self, capsys):

@@ -10,6 +10,7 @@ fail loudly, and the engine must stay usable after every kind of abort.
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -77,6 +78,53 @@ class TestUncooperativeCalls:
     def test_direct_choose_raises(self, coop):
         with pytest.raises(SchedulerError, match="not compiled cooperatively"):
             coop.choose(2)
+
+
+STALE_MODULE = '''\
+from repro.runtime import coopc
+
+coopc.register_module(__name__)
+
+
+def bump(cell):
+    cell.set(cell.get() + 1)
+
+
+def drain(cell):
+    cell.set(cell.get() - 1)
+'''
+
+
+class TestStaleSource:
+    """The compiler reads a function's source at its code's first line;
+    a file edited after import must be an error that says so, never a
+    silent direct call (which later dies as "reached the coop engine as
+    a direct call")."""
+
+    def test_a_file_shifted_after_import_is_a_named_error(
+        self, tmp_path, monkeypatch
+    ):
+        import importlib
+
+        from repro.runtime import coopc
+
+        name = "coop_stale_source_subject"
+        path = tmp_path / f"{name}.py"
+        path.write_text(STALE_MODULE)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        module = importlib.import_module(name)
+        try:
+            # Compiled from the file as imported: a generator.
+            assert coopc._compute_entry(module.bump)[0] == "gen"
+            # Six lines up front: drain's first line now opens bump's block.
+            path.write_text("\n" * 6 + STALE_MODULE)
+            with pytest.raises(
+                coopc.StaleSourceError, match=r"drain\(\) changed since"
+            ):
+                coopc._compute_entry(module.drain)
+        finally:
+            sys.modules.pop(name, None)
 
 
 class TestDivergence:

@@ -35,7 +35,7 @@ from repro.core.budget import ExplorationControl
 from repro.core.campaign import parse_campaign_state, run_campaign_plan
 from repro.core.checker import CheckConfig, check
 from repro.core.checkpoint import load_checkpoint, parse_check_state
-from repro.exec import InlineExecutor
+from repro.exec import InlineExecutor, WorkerPool
 from repro.swarm import SwarmConfig, swarm_check
 from repro.swarm.runner import parse_swarm_state
 
@@ -98,17 +98,18 @@ def test_a_swarm_checkpoint_resumes_to_the_single_process_counts(
     assert sorted(document["shard_files"].values()) == [
         f"swarm.json.shard-{shard}.json" for shard in range(3)
     ]
-    result = swarm_check(
-        subject["cls"],
-        subject["version"],
-        test,
-        config,
-        provider=subject["provider"],
-        swarm=swarm,
-        pool_config=pool_config(),
-        checkpoint_path="swarm.json",
-        resume_document=document,
-    )
+    with WorkerPool(pool_config()) as pool:
+        result = swarm_check(
+            subject["cls"],
+            subject["version"],
+            test,
+            config,
+            provider=subject["provider"],
+            swarm=swarm,
+            pool=pool,
+            checkpoint_path="swarm.json",
+            resume_document=document,
+        )
     assert subject["provider"] == FAULT_PROVIDER
     baseline = single_process_baseline("BoundedBuffer", "beta", test, config)
     assert _counts(result) == _counts(baseline)

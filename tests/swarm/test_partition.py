@@ -19,7 +19,7 @@ from repro.core.events import Invocation
 from repro.reduction import FingerprintSet
 from repro.runtime.strategies import strategy_from_snapshot
 from repro.swarm.partition import (
-    expand_prefix,
+    children_from_lease,
     partition_prefixes,
     prefix_snapshot,
     shard_snapshot,
@@ -36,12 +36,22 @@ def _test_of(columns) -> FiniteTest:
     )
 
 
+def probe(harness, test, config, prefix):
+    """The coordinator's probe, in-process: one execution of *prefix*'s
+    plain DFS, split by :func:`children_from_lease`."""
+    strategy = strategy_from_snapshot(prefix_snapshot(config, prefix, "none"))
+    for _ in harness.explore_concurrent(test, strategy, max_executions=1):
+        pass
+    remaining = strategy.snapshot() if strategy.more() else None
+    return children_from_lease(prefix, remaining)
+
+
 def probe_in_process(harness, test, config, target, **kwargs):
-    """:func:`partition_prefixes` probing each round with :func:`expand_prefix`."""
+    """:func:`partition_prefixes` probing each round with :func:`probe`."""
 
     def probe_round(frontier):
         return [
-            (position, expand_prefix(harness, test, config, prefix))
+            (position, probe(harness, test, config, prefix))
             for position, prefix in enumerate(frontier)
         ], None
 
@@ -83,7 +93,7 @@ def _explore(
 
 
 class TestPartitionExactness:
-    @pytest.mark.parametrize("reduction", ["none", "dpor"])
+    @pytest.mark.parametrize("reduction", ["none", "sleep", "dpor"])
     def test_shard_union_equals_single_process_dfs(self, reduction):
         config = CheckConfig(reduction=reduction)
         observations = _phase1("BoundedBuffer", "beta", BUFFER_TEST, config)

@@ -24,6 +24,7 @@ from repro.core.checker import CheckConfig
 from repro.core.checkpoint import load_checkpoint
 from repro.core.events import Invocation
 from repro.core.testcase import FiniteTest
+from repro.exec import WorkerPool
 from repro.swarm import SwarmConfig, swarm_check
 
 from tests.swarm.conftest import FAULT_PROVIDER, single_process_baseline
@@ -43,16 +44,17 @@ RACY_TEST = FiniteTest.of(
 
 
 def _swarm(test, *, pool_config, swarm, config=None, **kwargs):
-    return swarm_check(
-        "BoundedBuffer",
-        "beta",
-        test,
-        config or CheckConfig(),
-        provider=FAULT_PROVIDER,
-        swarm=swarm,
-        pool_config=pool_config,
-        **kwargs,
-    )
+    with WorkerPool(pool_config) as pool:
+        return swarm_check(
+            "BoundedBuffer",
+            "beta",
+            test,
+            config or CheckConfig(),
+            provider=FAULT_PROVIDER,
+            swarm=swarm,
+            pool=pool,
+            **kwargs,
+        )
 
 
 class TestShardedEqualsSingleProcess:
@@ -134,15 +136,16 @@ class TestQuarantine:
         # die.  The swarm must burn the retry budget, quarantine the
         # killer shard(s), and leave a crash report whose shard
         # checkpoint deterministically replays the crash.
-        result = swarm_check(
-            "RacyCounter",
-            "beta",
-            RACY_TEST,
-            CheckConfig(),
-            provider=FAULT_PROVIDER,
-            swarm=SwarmConfig(shards=2, lease_executions=64),
-            pool_config=pool_config(max_retries=1),
-        )
+        with WorkerPool(pool_config(max_retries=1)) as pool:
+            result = swarm_check(
+                "RacyCounter",
+                "beta",
+                RACY_TEST,
+                CheckConfig(),
+                provider=FAULT_PROVIDER,
+                swarm=SwarmConfig(shards=2, lease_executions=64),
+                pool=pool,
+            )
         assert result.verdict == "CRASHED"
         assert result.quarantined >= 1
         assert result.crash_reports
@@ -172,6 +175,80 @@ class TestQuarantine:
             timeout=120,
         )
         assert proc.returncode == 5, proc.stderr
+
+    def test_an_opaque_probe_gets_a_lineage_of_its_own(self, tmp_path):
+        """Two of the racy counter's fifteen partition probes kill their
+        worker.  With no crash retries each such prefix is dispatched
+        whole, as an opaque shard, and quarantined on its own lease."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "RacyCounter",
+             "--provider", FAULT_PROVIDER, "--test", "Incr | Incr",
+             "--shards", "4", "--max-retries", "0",
+             "--report-dir", str(tmp_path / "reports"), "--json"],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 70, proc.stderr
+        swarm = json.loads(proc.stdout)["swarm"]
+        assert swarm["partition_probes"] == 15
+        assert [
+            (shard["shard"], shard["verdict"], shard["opaque"])
+            for shard in swarm["shards"]
+        ] == [
+            (0, "CRASHED", False),
+            (1, "PASS", False),
+            (2, "PASS", False),
+            (3, "CRASHED", False),
+            (4, "CRASHED", True),
+            (5, "CRASHED", True),
+        ]
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_only_a_re_dispatch_counts_as_a_requeue(
+        self, pool_config, tmp_path, max_retries
+    ):
+        """A quarantined lease ran ``max_retries + 1`` times: that is
+        ``max_retries`` requeues, not one per crash.  A resumed
+        quarantined shard gets exactly one fresh attempt, which requeues
+        nothing."""
+        checkpoint = str(tmp_path / "racy.json")
+
+        def run(**kwargs):
+            with WorkerPool(pool_config(max_retries=max_retries)) as pool:
+                return swarm_check(
+                    "RacyCounter",
+                    "beta",
+                    RACY_TEST,
+                    CheckConfig(),
+                    provider=FAULT_PROVIDER,
+                    swarm=SwarmConfig(shards=2, lease_executions=64),
+                    pool=pool,
+                    checkpoint_path=checkpoint,
+                    **kwargs,
+                )
+
+        first = run()
+        crashed = [shard for shard in first.shards if shard.verdict == "CRASHED"]
+        assert crashed and first.quarantined == len(crashed)
+        assert first.requeues == max_retries * len(crashed)
+        for shard in crashed:
+            assert (shard.retries, shard.crashes) == (max_retries, max_retries + 1)
+            with open(shard.crash_report) as handle:
+                assert json.load(handle)["attempts"] == max_retries + 1
+
+        resumed = run(resume_document=load_checkpoint(checkpoint))
+        assert resumed.requeues == first.requeues
+        assert [
+            (shard.shard, shard.verdict, shard.retries, shard.crashes)
+            for shard in resumed.shards
+            if shard.shard in {s.shard for s in crashed}
+        ] == [
+            (shard.shard, "CRASHED", shard.retries, shard.crashes + 1)
+            for shard in crashed
+        ]
 
 
 class TestSwarmResume:
@@ -211,17 +288,19 @@ class TestSwarmResume:
         assert resumed.equivalence_classes == baseline.equivalence_classes
 
 
+class _UnusedPool:
+    """A pool the swarm must not touch."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"the pool was used: .{name}")
+
+
 class TestPhase1Gate:
     """The coordinator's phase 1 is the checker's: when its gate says no,
     the answer is phase 1's and no worker starts."""
 
     @staticmethod
-    def _gated(monkeypatch, test, class_name, **kwargs):
-        from repro.swarm import runner
-
-        monkeypatch.setattr(
-            runner, "WorkerPool", lambda *a, **k: pytest.fail("a pool was started")
-        )
+    def _gated(test, class_name, **kwargs):
         events = []
         result = swarm_check(
             class_name,
@@ -229,6 +308,7 @@ class TestPhase1Gate:
             test,
             CheckConfig(),
             swarm=SwarmConfig(shards=2),
+            pool=_UnusedPool(),
             on_event=lambda name, payload: events.append(name),
             **kwargs,
         )
@@ -236,7 +316,7 @@ class TestPhase1Gate:
         return result
 
     def test_nondeterministic_specification_fails_with_the_rendered_violation(
-        self, monkeypatch
+        self,
     ):
         from repro.structures import get_class
 
@@ -247,16 +327,29 @@ class TestPhase1Gate:
             for cause in get_class("CancellationTokenSource").causes
             if cause.tag == "K"
         )
-        result = self._gated(monkeypatch, test, "CancellationTokenSource")
+        result = self._gated(test, "CancellationTokenSource")
         assert result.verdict == "FAIL" and result.phase2_complete
         (violation,) = result.violations
         assert violation["kind"] == "nondeterministic-specification"
         assert "violation of deterministic linearizability" in violation["rendered"]
         assert "history 2: <A:Cancel()" in violation["rendered"]
 
-    def test_partial_specification_is_exhausted_not_explored(self, monkeypatch):
+    def test_a_gated_cli_run_leaves_no_report_directory(self, tmp_path, capsys):
+        """``check --shards`` opens its pool before phase 1; a pool that
+        spawns no worker makes no report directory."""
+        from repro.cli import main
+
+        reports = tmp_path / "reports"
+        code = main([
+            "check", "CancellationTokenSource", "--test", "Cancel; Increment",
+            "--shards", "2", "--report-dir", str(reports),
+        ])
+        assert code == 1
+        assert "serial specification is nondeterministic" in capsys.readouterr().out
+        assert not reports.exists()
+
+    def test_partial_specification_is_exhausted_not_explored(self):
         result = self._gated(
-            monkeypatch,
             BUFFER_TEST,
             "BoundedBuffer",
             provider=FAULT_PROVIDER,
