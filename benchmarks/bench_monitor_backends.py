@@ -195,7 +195,7 @@ def test_backends_on_live_subject(benchmark, scheduler):
         out = {}
         for backend, config in (
             ("observations", CheckConfig()),
-            ("monitor", CheckConfig(backend="monitor", model="queue")),
+            ("monitor", CheckConfig(model="queue")),
         ):
             subject = SystemUnderTest(entry.factory("beta"), "ConcurrentQueue(beta)")
             t0 = time.perf_counter()

@@ -234,7 +234,7 @@ DRIVES: list[tuple[str, list[str]]] = [
     *[
         (f"live: the {model} model",
          ["live", "--model", model, "--sessions", "2", "--ops", "10",
-          "--trace-out", f"live-{model}.trace.jsonl"])
+          "--trace-out", f"live-{model}.trace.jsonl", "--json"])
         for model in ("queue", "register")
     ],
     ("stream: write the keyed trace with a global Count",
@@ -331,7 +331,12 @@ CLASSES = ("safety", "reference", "porting API", "perfbench")
 #: ``path::qualified name`` (the path relative to ``src/repro``) -> why
 #: no drive reaches the function and it stays.
 JUSTIFIED: dict[str, str] = {
-    "cli.py::_SignalStop._handle": (
+    "cli.py::parse_test": (
+        "perfbench: perfbench/layers.py builds its tests with it; the "
+        "command line parses --test, --init and --final part by part "
+        "(cli._columns, cli._sequence)"
+    ),
+    "command.py::SignalStop._handle": (
         "safety: the SIGINT/SIGTERM handler; no drive sends a signal "
         "(tests/core/test_cli_robustness.py does)"
     ),

@@ -1,74 +1,47 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>``, the parser.
 
-Line-Up as a tool, mirroring how the paper's authors drove it:
+Line-Up as a tool, mirroring how the paper's authors drove it: ``list``
+prints the Table 1 inventory, ``check`` runs the two-phase check of one
+finite test against a registry class, e.g.::
 
-* ``list`` — print the Table 1 inventory (classes, versions, alphabets).
-* ``check`` — run the two-phase check of one finite test against a
-  registry class, e.g.::
+    python -m repro check ConcurrentQueue --version pre \\
+        --test "Enqueue(200); TryDequeue | Enqueue(400); TryDequeue"
 
-      python -m repro check ConcurrentQueue --version pre \\
-          --test "Enqueue(200); TryDequeue | Enqueue(400); TryDequeue"
+(columns ``|``, operations ``;``, arguments Python literals; ``--cause D``
+takes the curated witness of a Table 2 root cause instead), ``campaign``
+a RandomCheck campaign (Table 2 rows), ``observations`` phase 1 alone,
+``resume`` a stopped run, ``monitor`` / ``watch`` recorded or growing
+JSONL traces against a sequential model, ``live`` a real service, and
+``generate`` coverage-guided test generation.  ``--help`` lists them all.
 
-  Columns are separated by ``|``, operations by ``;``, and arguments are
-  Python literals.  ``--cause D`` uses the curated minimal witness of a
-  Table 2 root cause instead of ``--test``.
-* ``campaign`` — the RandomCheck campaign (a Table 2 row) for one class
-  or every class.
-* ``observations`` — run phase 1 only and write the Fig. 7 observation
-  file.
-* ``resume`` — continue an interrupted ``check`` (sharded or not),
-  ``campaign`` or ``generate`` from the file it saved.
-* ``monitor`` — re-check finished JSONL traces against an explicit
-  sequential model (no execution): ``watch`` over each file.
-* ``live`` — record N concurrent sessions against a live service over
-  wall-clock time (optionally under chaos fault injection) and check
-  the recorded v2 trace; see :mod:`repro.live`.
-* ``watch`` — follow a JSONL trace *while it is being written* and keep
-  an online linearizability verdict at traffic rate; see
-  :mod:`repro.stream` and docs/STREAMING.md.
+This module is the parser only.  Each command runs beside its subsystem
+(``set_defaults(run="module:function")``, imported once the command line
+is parsed) and answers a :class:`repro.command.Outcome`; :func:`main`
+prints it once — ``--json`` the document, otherwise the text report — and
+maps its verdict to the exit code once, through :data:`_VERDICT_EXIT`.
 
-Long runs are made interruptible: ``--deadline SECONDS`` bounds the
-exploration (stopping with an explicit EXHAUSTED verdict and partial
-statistics), ``--checkpoint PATH`` periodically persists the exploration
-frontier, and SIGINT/SIGTERM trigger a graceful shutdown that flushes the
-checkpoint and prints the partial report.
-
-``campaign --isolate`` runs each test in a sandboxed worker process
-(see :mod:`repro.exec`): a hostile subject can kill its worker, never the
-campaign — the test is retried and eventually quarantined with a
-``CRASHED`` verdict and a crash-report artifact.
-
-Exit status: 0 = PASS, 1 = violation found, 2 = exploration budget
-exhausted, 64 = usage error, 70 = every test crashed (isolated
-campaigns) or the live service died unexpectedly, 75 = the online watch
-fell behind the writer past the lag budget, 130 = interrupted
-(SIGINT/SIGTERM).  :data:`EXIT_CODE_MEANINGS` is the single source of
-truth for this contract.
+Long runs are interruptible: ``--deadline SECONDS`` bounds the
+exploration (an explicit EXHAUSTED verdict with partial statistics),
+``--checkpoint PATH`` persists the frontier, and SIGINT/SIGTERM trigger a
+graceful shutdown that flushes the checkpoint and prints the partial
+report.  :data:`EXIT_CODE_MEANINGS` is the exit-status contract.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import os
-import signal
 import sys
-import threading
 from typing import TYPE_CHECKING, Sequence
 
+from repro.command import SignalStop, UsageError
 from repro.core.events import Invocation
 from repro.runtime import DEFAULT_ENGINE, ENGINES
 
-# The check path (checker, campaign, checkpoints, scheduler, structures)
-# is imported inside the commands that run it: ``watch`` loads none of it.
 if TYPE_CHECKING:
-    from repro.core import (
-        CheckConfig,
-        FiniteTest,
-        InterferencePolicy,
-        SystemUnderTest,
-    )
-    from repro.core.budget import ExplorationBudget
+    from repro.core import FiniteTest
 
 __all__ = ["main"]
 
@@ -77,10 +50,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_EXHAUSTED = 2
 EXIT_USAGE = 64
-#: Every test of an isolated campaign crashed its worker and was
-#: quarantined — no verdict at all was obtained, which almost always
-#: means an environment problem rather than a concurrency bug.  Reused
-#: by ``lineup live`` for an *unexpected* service death (CRASHED).
+#: No verdict at all was obtained (see EXIT_CODE_MEANINGS), which almost
+#: always means an environment problem rather than a concurrency bug.
 EXIT_ALLCRASHED = 70
 #: ``lineup watch``: the online checker could not drain the trace within
 #: the lag budget — the verdict is honest ("I fell behind"), not a PASS
@@ -98,79 +69,15 @@ EXIT_CODE_MEANINGS = {
     EXIT_FAIL: "violation found",
     EXIT_EXHAUSTED: "exploration budget exhausted",
     EXIT_USAGE: "usage error",
-    EXIT_ALLCRASHED: "every test crashed (isolated campaigns) "
-                     "or the live service died unexpectedly",
+    EXIT_ALLCRASHED: "every test of an isolated campaign crashed, a shard "
+                     "of a sharded check crashed, or the live service died "
+                     "unexpectedly",
     EXIT_LAGGED: "online watch fell behind the writer past the lag budget",
     EXIT_INTERRUPTED: "interrupted (SIGINT/SIGTERM)",
 }
 
-
-class CliError(Exception):
-    """A user-facing command-line error."""
-
-
-class _SignalStop:
-    """Graceful-shutdown flag set by SIGINT/SIGTERM inside ``with``.
-
-    The first signal only raises the flag; the exploration loops poll it
-    between executions (via :class:`ExplorationControl`), flush their
-    checkpoint and report partial results.  A second SIGINT falls back to
-    an ordinary KeyboardInterrupt for users who really mean *now*.
-    """
-
-    def __init__(self) -> None:
-        self.flag = False
-        self._previous: dict[int, object] = {}
-
-    def __call__(self) -> bool:
-        return self.flag
-
-    def _handle(self, signum: int, frame: object) -> None:
-        if self.flag:
-            raise KeyboardInterrupt
-        self.flag = True
-        print(
-            "\nreceived signal — finishing the current execution and "
-            "flushing state (send again to abort immediately) ...",
-            file=sys.stderr,
-        )
-
-    def __enter__(self) -> "_SignalStop":
-        if threading.current_thread() is not threading.main_thread():
-            return self  # signals only reach the main thread
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                self._previous[sig] = signal.signal(sig, self._handle)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        for sig, handler in self._previous.items():
-            try:
-                signal.signal(sig, handler)
-            except (ValueError, OSError, TypeError):  # pragma: no cover
-                pass
-        self._previous.clear()
-
-
-def _print_resume_hint(
-    checkpoint: str | None, end: str = "\n", *, json_output: bool = False
-) -> None:
-    """Name the command that continues a stopped run, once its state is on
-    disk (a run stopped before its first save has nothing to resume).
-    Under ``--json`` it goes to stderr: stdout is one document."""
-    if checkpoint and os.path.exists(checkpoint):
-        print(
-            f"state saved; continue with: python -m repro resume {checkpoint}",
-            end="\n" if json_output else end,
-            file=sys.stderr if json_output else sys.stdout,
-        )
-
-
-#: The exit code of each verdict of :mod:`repro.core.verdict`.  Every
-#: command that ends on a verdict exits through :func:`_verdict_exit_code`;
-#: what differs between them is only when a run counts as interrupted.
+#: The exit code of each verdict of :mod:`repro.core.verdict`: the one
+#: mapping every command exits through (an interrupted run exits 130).
 _VERDICT_EXIT = {
     "FAIL": EXIT_FAIL,
     "nondeterministic-verdict": EXIT_FAIL,
@@ -180,11 +87,8 @@ _VERDICT_EXIT = {
     "PASS": EXIT_PASS,
 }
 
-
-def _verdict_exit_code(verdict: str, interrupted: bool = False) -> int:
-    if interrupted:
-        return EXIT_INTERRUPTED
-    return _VERDICT_EXIT.get(verdict, EXIT_PASS)
+#: A user-facing command-line error (exit 64); commands raise it too.
+CliError = UsageError
 
 
 def parse_invocation(text: str) -> Invocation:
@@ -211,30 +115,31 @@ def parse_invocation(text: str) -> Invocation:
     raise CliError(f"cannot parse invocation {text!r}")
 
 
+def _sequence(text: str) -> list[Invocation]:
+    """``op; op``: an init or final sequence (or one column)."""
+    return [
+        parse_invocation(op)
+        for op in (piece.strip() for piece in text.split(";"))
+        if op
+    ]
+
+
+def _columns(matrix: str) -> list[list[Invocation]]:
+    """``op; op | op``: a test matrix's columns (``|``) of operations."""
+    columns = [_sequence(column) for column in matrix.split("|")]
+    if not any(columns):
+        raise CliError("the test matrix has no operations")
+    return columns
+
+
 def parse_test(
     matrix: str, init: str | None = None, final: str | None = None
 ) -> FiniteTest:
     """Parse a test matrix: ``op; op | op`` (columns ``|``, ops ``;``)."""
     from repro.core.testcase import FiniteTest
 
-    columns = []
-    for column_text in matrix.split("|"):
-        ops = [p for p in (piece.strip() for piece in column_text.split(";")) if p]
-        columns.append([parse_invocation(op) for op in ops])
-    if not any(columns):
-        raise CliError("the test matrix has no operations")
-
-    def parse_sequence(text: str | None) -> list[Invocation]:
-        if not text:
-            return []
-        return [
-            parse_invocation(op)
-            for op in (piece.strip() for piece in text.split(";"))
-            if op
-        ]
-
     return FiniteTest.of(
-        columns, init=parse_sequence(init), final=parse_sequence(final)
+        _columns(matrix), init=_sequence(init or ""), final=_sequence(final or "")
     )
 
 
@@ -265,41 +170,22 @@ def _seconds(*, zero: bool = False):
     return seconds
 
 
-def _budget_from_args(args: argparse.Namespace) -> ExplorationBudget | None:
-    from repro.core.budget import ExplorationBudget
-
-    deadline = getattr(args, "deadline", None)
-    if deadline is None:
-        return None
-    return ExplorationBudget(deadline_seconds=deadline)
-
-
-def _config_from_args(args: argparse.Namespace) -> CheckConfig:
-    from repro.core.checker import CheckConfig
-
-    backend = getattr(args, "backend", "observations")
-    model = getattr(args, "model", None)
-    if backend == "monitor" and model is None:
-        raise CliError("--backend monitor requires --model NAME")
-    if model is not None and backend == "observations":
-        # A model without an explicit backend means the monitor backend.
-        backend = "monitor"
-    reduction = getattr(args, "reduction", "none")
-    if reduction != "none" and args.strategy != "dfs":
-        raise CliError(f"--reduction {reduction} requires --strategy dfs")
-    return CheckConfig(
-        preemption_bound=None if args.preemption_bound < 0 else args.preemption_bound,
-        phase2_strategy=args.strategy,
-        phase2_executions=args.schedules,
-        seed=args.seed,
-        max_concurrent_executions=args.max_executions,
-        budget=_budget_from_args(args),
-        watchdog_seconds=getattr(args, "watchdog", None),
-        backend=backend,
-        model=model,
-        engine=getattr(args, "engine", DEFAULT_ENGINE),
-        dump_traces=getattr(args, "dump_traces", None),
-        reduction=reduction,
+def _add_test_options(parser: argparse.ArgumentParser) -> None:
+    """The test to check: a matrix, parsed here, or a curated witness."""
+    parser.add_argument(
+        "--test", metavar="MATRIX", type=_columns,
+        help="test matrix, columns '|', ops ';' — e.g. \"Add(1); TryTake | TryTake\"",
+    )
+    parser.add_argument(
+        "--init", metavar="OPS", type=_sequence, default=[],
+        help="init sequence (ops ';')",
+    )
+    parser.add_argument(
+        "--final", metavar="OPS", type=_sequence, default=[],
+        help="final sequence (ops ';')",
+    )
+    parser.add_argument(
+        "--cause", metavar="TAG", help="use the curated witness for a root cause"
     )
 
 
@@ -349,21 +235,25 @@ def _add_worker_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--report-dir", metavar="DIR",
         help="directory for crash reports and worker stderr files "
-             "(default: a fresh temporary directory)",
+             "(default: a fresh temporary directory, removed again when "
+             "it holds nothing to read)",
     )
 
 
-def _add_robustness_options(parser: argparse.ArgumentParser) -> None:
+def _add_robustness_options(
+    parser: argparse.ArgumentParser, checkpoint: bool = True
+) -> None:
     parser.add_argument(
         "--deadline", type=_seconds(), metavar="SECONDS",
         help="wall-clock budget; on expiry the run stops with verdict "
              "EXHAUSTED, partial statistics, and exit code 2",
     )
-    parser.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="periodically persist the exploration frontier to PATH "
-             "(atomic writes); continue later with 'resume PATH'",
-    )
+    if checkpoint:
+        parser.add_argument(
+            "--checkpoint", metavar="PATH",
+            help="periodically persist the exploration frontier to PATH "
+                 "(atomic writes); continue later with 'resume PATH'",
+        )
     parser.add_argument(
         "--watchdog", type=_seconds(), metavar="SECONDS",
         help="max seconds one operation may run between scheduling points "
@@ -395,16 +285,11 @@ def _add_check_options(parser: argparse.ArgumentParser) -> None:
     )
     _add_reduction_option(parser)
     parser.add_argument(
-        "--backend", choices=("observations", "monitor"), default="observations",
-        help="phase-2 verification backend: 'observations' checks against "
-             "the phase-1 synthesized spec (complete per Theorem 5); "
-             "'monitor' skips phase 1 and checks each history against an "
-             "explicit sequential model (requires --model)",
-    )
-    parser.add_argument(
         "--model", metavar="NAME",
-        help="sequential model for the monitor backend (register, counter, "
-             "queue, stack, set, dict); implies --backend monitor",
+        help="check each phase-2 history against this explicit sequential "
+             "model (register, counter, queue, stack, set, dict) instead of "
+             "the phase-1 specification: the monitor backend, which skips "
+             "phase 1",
     )
     _add_engine_argument(parser)
     _add_trace_dump_option(parser)
@@ -448,1006 +333,9 @@ def _add_provider_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def cmd_list(args: argparse.Namespace) -> int:
-    from repro.structures import REGISTRY, ROOT_CAUSES
-
-    print(f"{'class':26s} {'methods':>7s}  root causes (pre / beta)")
-    for entry in REGISTRY:
-        pre = ",".join(c.tag for c in entry.causes_for("pre")) or "-"
-        beta = ",".join(c.tag for c in entry.causes_for("beta")) or "-"
-        print(f"{entry.name:26s} {entry.method_count:7d}  {pre} / {beta}")
-        if args.verbose:
-            for invocation in entry.invocations:
-                print(f"{'':36s}{invocation}")
-    print()
-    print("root causes:")
-    for tag in sorted(ROOT_CAUSES):
-        cause = ROOT_CAUSES[tag]
-        print(f"  {tag} [{cause.category}] {cause.summary}")
-    return 0
-
-
-def _resolve_test(args: argparse.Namespace, entry) -> FiniteTest:
-    if args.cause:
-        cause = next((c for c in entry.causes if c.tag == args.cause), None)
-        if cause is None or cause.witness_test is None:
-            raise CliError(
-                f"{entry.name} has no curated test for cause {args.cause!r}"
-            )
-        return cause.witness_test
-    if not args.test:
-        raise CliError("provide --test or --cause")
-    return parse_test(args.test, args.init, args.final)
-
-
-def _run_check(
-    subject: SystemUnderTest,
-    test: FiniteTest,
-    config: CheckConfig,
-    *,
-    checkpoint: str | None,
-    extra: dict,
-    resume=None,
-    relaxed: InterferencePolicy | None = None,
-    json_output: bool = False,
-) -> "tuple[object, int]":
-    """Shared check driver: signals, budget control, checkpointing.
-
-    A *relaxed* policy (possibly an empty one) runs the Section 6
-    extension instead: nondeterministic specifications plus the policy's
-    interference rules.  That mode does not checkpoint.
-    """
-    from repro.core.budget import ExplorationControl
-    from repro.core.checker import check
-    from repro.core.checkpoint import Checkpointer
-    from repro.core.harness import TestHarness
-    from repro.core.relaxed import check_relaxed
-
-    with _SignalStop() as stopper:
-        control = ExplorationControl(budget=config.budget, stop=stopper)
-        if relaxed is not None:
-            with TestHarness.from_config(subject, config) as harness:
-                result = check_relaxed(
-                    harness, test, config, relaxed, control=control
-                )
-        else:
-            result = check(
-                subject,
-                test,
-                config,
-                control=control,
-                checkpointer=(
-                    Checkpointer(checkpoint, extra=extra) if checkpoint else None
-                ),
-                resume=resume,
-            )
-    # A FAIL found before the interrupt is still a proof, and wins.
-    code = _verdict_exit_code(
-        result.verdict,
-        interrupted=result.exhausted and result.exhausted_reason == "interrupted",
-    )
-    if result.exhausted:
-        _print_resume_hint(checkpoint, end="\n\n", json_output=json_output)
-    return result, code
-
-
-def _run_swarm_check(
-    args: argparse.Namespace,
-    class_name: str,
-    test: FiniteTest,
-    config: CheckConfig,
-    *,
-    version: str,
-    provider: str | None,
-    swarm_config,
-    pool_params: dict,
-    resume_document: dict | None = None,
-) -> int:
-    """Shared driver for ``check --shards`` and ``resume`` of a swarm:
-    *pool_params* are the isolation flags (or a swarm checkpoint's
-    ``pool`` record) the one pool is opened with."""
-    from repro.core.budget import ExplorationControl
-    from repro.swarm import render_swarm_result, swarm_check, swarm_result_to_dict
-    from repro.swarm.runner import validate_config
-
-    try:
-        validate_config(config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    checkpoint = getattr(args, "checkpoint", None)
-    with _SignalStop() as stopper, open_pool(pool_params) as pool:
-        result = swarm_check(
-            class_name,
-            version,
-            test,
-            config,
-            provider=provider,
-            swarm=swarm_config,
-            pool=pool,
-            control=ExplorationControl(budget=config.budget, stop=stopper),
-            checkpoint_path=checkpoint,
-            resume_document=resume_document,
-        )
-    # The reason is checked first: an interrupted swarm exits 130 even
-    # when a shard had already failed.
-    code = _verdict_exit_code(
-        result.verdict, interrupted=result.exhausted_reason == "interrupted"
-    )
-    json_output = getattr(args, "json", False)
-    if not result.phase2_complete:
-        _print_resume_hint(checkpoint, end="\n\n", json_output=json_output)
-    if json_output:
-        import json as _json
-
-        print(_json.dumps(swarm_result_to_dict(result), indent=2))
-    else:
-        print(render_swarm_result(result))
-    return code
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    from repro.core.autocheck import minimize_failing_test
-    from repro.core.checkpoint import subject_record
-    from repro.core.harness import SystemUnderTest
-    from repro.core.relaxed import DOTNET_POLICIES, InterferencePolicy
-    from repro.core.report import render_check_result
-    from repro.structures.registry import resolve_class
-
-    entry = resolve_class(args.cls, args.provider)
-    test = _resolve_test(args, entry)
-    config = _config_from_args(args)
-    if getattr(args, "shards", None):
-        from repro.swarm import SwarmConfig
-        from repro.swarm.report import shard_count
-
-        if args.relaxed:
-            raise CliError("--relaxed is not supported with --shards")
-        if args.minimize:
-            raise CliError(
-                "--minimize is not supported with --shards (re-run the "
-                "failing test without --shards to minimize it)"
-            )
-        if not getattr(args, "json", False):
-            print(
-                f"Checking {entry.name}({args.version}) across "
-                f"{shard_count(args.shards)} on:"
-            )
-            print(test.render_matrix())
-            print()
-        return _run_swarm_check(
-            args,
-            entry.name,
-            test,
-            config,
-            version=args.version,
-            provider=args.provider,
-            swarm_config=SwarmConfig(
-                shards=args.shards, lease_executions=args.lease
-            ),
-            pool_params=vars(args),
-        )
-    if config.backend == "monitor":
-        if args.checkpoint:
-            raise CliError(
-                "--backend monitor does not support --checkpoint (there "
-                "is no phase-1 state to resume)"
-            )
-        if args.relaxed:
-            raise CliError("--backend monitor is incompatible with --relaxed")
-    if args.relaxed:
-        if args.checkpoint:
-            raise CliError(
-                "--checkpoint is not supported with --relaxed (a relaxed "
-                "run has no resumable state; bound it with --deadline)"
-            )
-        if args.minimize:
-            raise CliError(
-                "--minimize is not supported with --relaxed (the shrinker "
-                "re-checks candidates strictly)"
-            )
-    subject = SystemUnderTest(
-        entry.factory(args.version), f"{entry.name}({args.version})"
-    )
-    if not getattr(args, "json", False):
-        # Keep --json output a single parseable document.
-        print(f"Checking {entry.name}({args.version}) on:")
-        print(test.render_matrix())
-        print()
-    result, code = _run_check(
-        subject,
-        test,
-        config,
-        checkpoint=args.checkpoint,
-        extra={"subject": subject_record(entry.name, args.version, args.provider)},
-        # The documented .NET interference behaviours of this class, if any.
-        relaxed=(
-            DOTNET_POLICIES.get(entry.name, InterferencePolicy())
-            if args.relaxed
-            else None
-        ),
-        json_output=getattr(args, "json", False),
-    )
-    if result.failed and args.minimize:
-        quiet = getattr(args, "json", False)
-        if not quiet:
-            print("minimizing the failing test ...")
-        minimized, result = minimize_failing_test(
-            subject, test, config=config
-        )
-        if not quiet:
-            print(f"minimal failing dimension: {minimized.dimension}")
-            print()
-    if getattr(args, "json", False):
-        import json as _json
-
-        from repro.core.report import check_result_to_dict
-
-        print(_json.dumps(check_result_to_dict(result), indent=2))
-    else:
-        print(render_check_result(result))
-    return code
-
-
-def _shared_params(args: argparse.Namespace) -> dict:
-    """The check and executor flags ``campaign`` and ``generate`` share.
-
-    They are stored in every checkpoint, so ``resume`` rebuilds the same
-    check configuration and the same executor.
-    """
-    return {
-        key: getattr(args, key)
-        for key in (
-            "schedules", "seed", "deadline", "watchdog", "reduction",
-            "engine", "isolate", "workers", "mem_limit_mb", "max_retries",
-            "start_method", "report_dir", "provider",
-        )
-    }
-
-
-def _campaign_check_config(params: dict) -> CheckConfig:
-    """The per-test check configuration of a campaign or generation run."""
-    from repro.core.budget import ExplorationBudget
-    from repro.core.checker import CheckConfig
-
-    reduction = params.get("reduction", "none")
-    deadline = params.get("deadline")
-    return CheckConfig(
-        # Reductions need the deterministic DFS frontier; the unreduced
-        # campaign default stays random sampling of `schedules` walks.
-        phase2_strategy="dfs" if reduction != "none" else "random",
-        reduction=reduction,
-        phase2_executions=params.get("schedules", 150),
-        seed=params.get("seed", 0),
-        max_serial_executions=2000,
-        budget=ExplorationBudget(deadline_seconds=deadline) if deadline else None,
-        watchdog_seconds=params.get("watchdog"),
-        dump_traces=params.get("dump_traces"),
-        engine=params.get("engine", DEFAULT_ENGINE),
-    )
-
-
-def _pool_config(params: dict):
-    """Worker-pool supervision settings from the isolation flags."""
-    from repro.core.checkpoint import CheckpointError
-    from repro.exec import PoolConfig, ResourceLimits
-
-    max_retries = params.get("max_retries")
-    start_method = params.get("start_method") or PoolConfig().start_method
-    if start_method not in ("fork", "spawn"):
-        raise CheckpointError(
-            f"checkpoint field 'start_method' is {start_method!r}, "
-            "not 'fork' or 'spawn'"
-        )
-    return PoolConfig(
-        workers=int(params.get("workers") or 2),
-        start_method=start_method,
-        limits=ResourceLimits(mem_limit_mb=params.get("mem_limit_mb")),
-        max_retries=2 if max_retries is None else int(max_retries),
-        report_dir=params.get("report_dir"),
-    )
-
-
-def open_pool(params: dict):
-    """The CLI's one :class:`repro.exec.WorkerPool`, set up from the
-    isolation flags (or a checkpoint's ``params`` / ``pool`` record).
-
-    ``campaign`` / ``generate --isolate``, ``check --shards`` and the
-    ``resume`` of each run on a pool opened here; the caller closes it.
-    """
-    from repro.exec import WorkerPool
-
-    return WorkerPool(_pool_config(params))
-
-
-def _executor(params: dict, json_output: bool = False):
-    """``--isolate`` is a sandboxing choice: it picks the executor."""
-    from repro.exec import InlineExecutor
-
-    if not params.get("isolate"):
-        return InlineExecutor()
-    pool = open_pool(params)
-    # Under --json stdout is one document; the note goes to stderr.
-    print(
-        f"worker reports in {pool.report_dir}",
-        file=sys.stderr if json_output else sys.stdout,
-    )
-    return pool
-
-
-def _run_campaign(
-    plan: "list[tuple[str, str]]",
-    params: dict,
-    checkpoint: str | None,
-    finished_rows: Sequence = (),
-    resume_current=None,
-    budget_snapshot: dict | None = None,
-) -> int:
-    """The campaign command around :func:`run_campaign_plan`: signals,
-    budget, executor, then the table and the exit code."""
-    from repro.core.budget import ExplorationControl
-    from repro.core.campaign import render_table2, run_campaign_plan
-    from repro.core.checkpoint import Checkpointer
-
-    config = _campaign_check_config(params)
-    with _SignalStop() as stopper:
-        control = ExplorationControl(budget=config.budget, stop=stopper)
-        control.restore(budget_snapshot)
-        control.start()
-        with _executor(params) as executor:
-            rows, stop_reason, quarantined = run_campaign_plan(
-                plan,
-                params,
-                config,
-                executor,
-                control=control,
-                checkpointer=Checkpointer(checkpoint) if checkpoint else None,
-                finished_rows=finished_rows,
-                resume_current=resume_current,
-            )
-    print(render_table2(rows))
-    _print_quarantine_summary(rows, quarantined)
-    if stop_reason is not None:
-        what = (
-            "interrupted"
-            if stop_reason == "interrupted"
-            else f"budget exhausted ({stop_reason})"
-        )
-        print()
-        print(f"campaign {what}; the table above is partial")
-        _print_resume_hint(checkpoint)
-    return _campaign_exit_code(rows, stop_reason)
-
-
-def _campaign_exit_code(rows: list, stop_reason: str | None) -> int:
-    from repro.core.campaign import campaign_verdict
-
-    if stop_reason == "interrupted":
-        return EXIT_INTERRUPTED
-    tests_run = sum(row.tests_run for row in rows)
-    crashed = sum(row.tests_crashed for row in rows)
-    if tests_run and crashed == tests_run:
-        return EXIT_ALLCRASHED
-    if campaign_verdict(rows) == "FAIL":
-        return EXIT_FAIL
-    if stop_reason is not None or any(row.tests_exhausted for row in rows):
-        return EXIT_EXHAUSTED
-    return EXIT_PASS
-
-
-def _print_quarantine_summary(rows: list, quarantined: "list[str]") -> None:
-    crashed = sum(row.tests_crashed for row in rows)
-    nondet = sum(row.tests_nondet for row in rows)
-    if crashed or quarantined:
-        print()
-        print(
-            f"{crashed} test(s) quarantined after repeated worker crashes; "
-            "crash reports:"
-        )
-        for path in quarantined:
-            print(f"  {path}")
-    if nondet:
-        print()
-        print(
-            f"{nondet} test(s) reported nondeterministic-verdict: re-runs "
-            "of a FAIL disagreed (the failing worker had previously "
-            "crashed, so the verdict is suspect) — inspect manually"
-        )
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.structures import REGISTRY
-    from repro.structures.registry import resolve_class
-
-    entries = (
-        REGISTRY if args.cls == "all" else (resolve_class(args.cls, args.provider),)
-    )
-    versions = args.versions.split(",")
-    plan = [(entry.name, version) for entry in entries for version in versions]
-    params = {
-        **_shared_params(args),
-        "samples": args.samples,
-        "rows": args.rows,
-        "cols": args.cols,
-        "dump_traces": args.dump_traces,
-    }
-    if args.generate:
-        if args.checkpoint:
-            raise CliError(
-                "campaign --generate does not checkpoint; use "
-                "'generate --corpus-dir DIR' for resumable generation"
-            )
-        params["budget"] = args.budget
-        params["max_rows"] = args.rows
-        params["max_cols"] = args.cols
-        return _run_generate_plan(plan, params)
-    return _run_campaign(plan, params, args.checkpoint)
-
-
-def _generate_exit_code(report) -> int:
-    """Exit-code mapping for a generation report.
-
-    Mirrors the campaign contract: only a deduplicated failure is a
-    failing exit; a fully consumed execution budget is normal completion
-    (the budget *is* the plan) once a candidate was judged, while a
-    budget spent before that, a deadline/decision stop or an interrupt
-    reports the campaign as cut short.
-    """
-    if report.stop_reason == "interrupted":
-        return EXIT_INTERRUPTED
-    if report.failures:
-        return EXIT_FAIL
-    if report.stop_reason is not None:
-        return EXIT_EXHAUSTED
-    return EXIT_PASS
-
-
-def _run_generate(
-    entry,
-    version: str,
-    params: dict,
-    checkpoint: str | None,
-    resume_document: dict | None = None,
-    json_output: bool = False,
-) -> int:
-    """Run (or resume) one generation campaign; returns its exit code.
-
-    *params* carries the CLI knobs (both the GenerateConfig fields and
-    the isolation/pool flags); on resume the checkpointed configs win
-    and *params* only supplies the pool/provider plumbing.
-    """
-    from dataclasses import replace as _replace
-
-    from repro.core.budget import ExplorationBudget, ExplorationControl
-    from repro.core.checkpoint import Checkpointer, subject_record
-    from repro.core.report import render_generation_report
-    from repro.generate import (
-        GenerateConfig,
-        parse_generate_state,
-        run_generation_campaign,
-    )
-
-    provider = params.get("provider")
-    resume = None
-    if resume_document is not None:
-        config, gen, resume = parse_generate_state(resume_document)
-    else:
-        # The deadline is the campaign's (GenerateConfig), not each
-        # candidate check's; candidates dump no traces.
-        config = _replace(
-            _campaign_check_config(params), budget=None, dump_traces=None
-        )
-        gen = GenerateConfig(
-            budget=params.get("budget", 2000),
-            seeds=params.get("gen_seeds", 4),
-            seed=params.get("seed", 0),
-            max_rows=params.get("max_rows", 3),
-            max_cols=params.get("max_cols", 3),
-            deadline=params.get("deadline"),
-        )
-    checkpointer = None
-    if checkpoint:
-        # Every folded candidate is persisted: candidates are expensive
-        # (a whole two-phase check each), checkpoints are cheap.
-        checkpointer = Checkpointer(
-            checkpoint,
-            every_executions=1,
-            extra={
-                "subject": subject_record(entry.name, version, provider),
-                "params": params,
-            },
-        )
-    with _SignalStop() as stopper, _executor(params, json_output) as executor:
-        report = run_generation_campaign(
-            entry,
-            version,
-            config,
-            gen,
-            control=ExplorationControl(
-                budget=ExplorationBudget(
-                    deadline_seconds=gen.deadline, max_executions=gen.budget
-                ),
-                stop=stopper,
-            ),
-            checkpointer=checkpointer,
-            resume=resume,
-            pool=executor,
-            provider=provider,
-        )
-    if json_output:
-        import json as _json
-
-        print(_json.dumps(report.to_dict(), indent=2))
-    else:
-        print(f"generation campaign: {entry.name}({version})")
-        print(render_generation_report(report))
-        if report.stop_reason is not None:
-            _print_resume_hint(checkpoint)
-    return _generate_exit_code(report)
-
-
-def _run_generate_plan(plan: "list[tuple[str, str]]", params: dict) -> int:
-    """``campaign --generate``: one generation campaign per plan entry."""
-    from repro.structures.registry import resolve_class
-
-    codes = []
-    for position, (name, version) in enumerate(plan):
-        if position:
-            print()
-        entry = resolve_class(name, params.get("provider"))
-        codes.append(_run_generate(entry, version, params, checkpoint=None))
-        if codes[-1] == EXIT_INTERRUPTED:
-            break
-    for code in (EXIT_INTERRUPTED, EXIT_FAIL, EXIT_EXHAUSTED):
-        if code in codes:
-            return code
-    return EXIT_PASS
-
-
-def cmd_generate(args: argparse.Namespace) -> int:
-    from repro.core.checkpoint import (
-        checkpoint_subject,
-        load_checkpoint,
-        renew_limits,
-    )
-    from repro.structures.registry import resolve_class
-
-    entry = resolve_class(args.cls, args.provider)
-    params = {
-        **_shared_params(args),
-        "budget": args.budget,
-        "gen_seeds": args.seeds,
-        "max_rows": args.max_rows,
-        "max_cols": args.max_cols,
-    }
-    checkpoint = None
-    resume_document = None
-    if args.corpus_dir:
-        os.makedirs(args.corpus_dir, exist_ok=True)
-        checkpoint = os.path.join(args.corpus_dir, "corpus.json")
-        if os.path.exists(checkpoint):
-            document = load_checkpoint(checkpoint)
-            if document.get("kind") != "generate":
-                raise CliError(
-                    f"{checkpoint} is not a generation corpus checkpoint"
-                )
-            stored, version, _provider = checkpoint_subject(document)
-            if (stored.name, version) != (entry.name, args.version):
-                raise CliError(
-                    f"{checkpoint} belongs to {stored.name}({version}), "
-                    f"not {entry.name}({args.version}); pick another "
-                    "--corpus-dir"
-                )
-            # The current command's --budget applies as a total across
-            # sessions and its --deadline as a fresh clock; the checkpoint
-            # keeps the stream-defining mutation parameters.
-            renew_limits(document, args.deadline, budget=args.budget)
-            resume_document = document
-            print(f"resuming from corpus {checkpoint}")
-    return _run_generate(
-        entry,
-        args.version,
-        params,
-        checkpoint,
-        resume_document=resume_document,
-        json_output=args.json,
-    )
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    """Re-enter the runner of the command that wrote the checkpoint."""
-    from repro.core.checkpoint import (
-        checkpoint_subject,
-        load_checkpoint,
-        parse_check_state,
-        renew_limits,
-        subject_record,
-    )
-
-    path = args.checkpoint
-    document = load_checkpoint(path)
-    kind = document["kind"]
-    if kind == "shard-result":
-        raise CliError(
-            f"{path} is a swarm shard-result file (one shard of a sharded "
-            "check); resume the swarm checkpoint that lists it, or a "
-            "quarantined shard's shard-N-tM.checkpoint.json named in its "
-            "crash report"
-        )
-    if args.deadline is not None:
-        renew_limits(document, args.deadline)
-
-    if kind == "campaign":
-        from repro.core.campaign import parse_campaign_state
-
-        plan, rows, params, resume_current = parse_campaign_state(document)
-        print(f"Resuming campaign from {path} ({len(rows)}/{len(plan)} rows finished)")
-        return _run_campaign(
-            plan,
-            params,
-            path,
-            rows,
-            resume_current=resume_current,
-            budget_snapshot=document.get("budget"),
-        )
-
-    entry, version, provider = checkpoint_subject(document)
-    if kind == "generate":
-        print(f"Resuming generation campaign of {entry.name}({version}) from {path}")
-        return _run_generate(
-            entry, version, document.get("params") or {}, path,
-            resume_document=document,
-        )
-
-    if kind == "swarm":
-        from repro.swarm.runner import parse_swarm_state
-
-        _subject, test, config, swarm_config = parse_swarm_state(document)
-        settled = len(document.get("shard_files") or {})
-        print(
-            f"Resuming swarm check of {entry.name}({version}) from {path} "
-            f"({settled} shard file(s) on disk)"
-        )
-        print(test.render_matrix())
-        print()
-        return _run_swarm_check(
-            args,
-            entry.name,
-            test,
-            config,
-            version=version,
-            provider=provider,
-            swarm_config=swarm_config,
-            pool_params=document.get("pool") or {},
-            resume_document=document,
-        )
-
-    from repro.core.harness import SystemUnderTest
-    from repro.core.report import render_check_result
-
-    test, config, resume = parse_check_state(document)
-    print(
-        f"Resuming check of {entry.name}({version}) from {path} "
-        f"(interrupted in {resume.phase})"
-    )
-    print(test.render_matrix())
-    print()
-    result, code = _run_check(
-        SystemUnderTest(entry.factory(version), f"{entry.name}({version})"),
-        test,
-        config,
-        checkpoint=path,
-        extra={"subject": subject_record(entry.name, version, provider)},
-        resume=resume,
-    )
-    print(render_check_result(result))
-    return code
-
-
-def cmd_monitor(args: argparse.Namespace) -> int:
-    """Offline re-check of JSONL traces: ``watch`` over each finished file."""
-    from repro.monitor import TraceError, get_model, read_trace_header
-    from repro.stream import WatchConfig, watch_trace
-
-    model = get_model(_trace_model_name(args.model, args.trace[0]))
-    try:
-        subject = read_trace_header(args.trace[0]).subject
-    except TraceError as exc:
-        raise CliError(str(exc)) from exc
-
-    def violation(path: str, result):
-        """The first violation, rendered from its file's whole history."""
-        from repro.core.checker import monitor_violation
-        from repro.core.checkpoint import test_from_dict
-        from repro.core.testcase import FiniteTest
-        from repro.monitor import load_trace
-        from repro.monitor.dispatch import online_failure
-
-        trace = load_trace(path)
-        history = trace.histories[0]
-        try:
-            test = test_from_dict(trace.test)  # None in a live recording
-        except Exception:  # noqa: BLE001 - header metadata is advisory
-            test = FiniteTest.of(
-                [
-                    [op.invocation for op in history.operations if op.thread == t]
-                    for t in range(trace.n_threads)
-                ]
-            )
-        verdict = online_failure(
-            history, result.counterexample, result.stats["configurations"]
-        )
-        return monitor_violation(verdict, model, test, history)
-
-    print(
-        f"Monitoring {len(args.trace)} histories of "
-        f"{subject or '(unknown subject)'} against model {model.name!r}"
-    )
-    config = WatchConfig(max_configurations=args.max_configurations)
-    failures = 0
-    exhausted = 0
-    first_violation = None
-    for path in args.trace:
-        try:
-            result = watch_trace(path, model, config)
-        except TraceError as exc:
-            raise CliError(str(exc)) from exc
-        if result.torn:
-            print(f"note: {path} ends in a torn line, which is skipped")
-        if result.verdict == "EXHAUSTED":
-            exhausted += 1
-            if args.verbose:
-                print(f"  {path}: EXHAUSTED (configuration cap)")
-        elif result.verdict == "PASS":
-            if args.verbose:
-                print(
-                    f"  {path}: OK "
-                    f"({result.stats['configurations']} configurations)"
-                )
-        else:
-            failures += 1
-            if args.verbose:
-                print(f"  {path}: FAIL")
-            if first_violation is None:
-                first_violation = violation(path, result)
-    print(
-        f"verdict: {'FAIL' if failures else ('EXHAUSTED' if exhausted else 'PASS')} "
-        f"({len(args.trace) - failures - exhausted} ok, "
-        f"{failures} violating, {exhausted} exhausted)"
-    )
-    if first_violation is not None:
-        from repro.core.report import render_violation
-
-        print()
-        print(render_violation(first_violation))
-        return EXIT_FAIL
-    return EXIT_EXHAUSTED if exhausted else EXIT_PASS
-
-
-def cmd_live(args: argparse.Namespace) -> int:
-    """Record N sessions against a live service, then check the trace."""
-    import json as _json
-    from dataclasses import replace as _dc_replace
-
-    from repro.live import (
-        LiveConfig,
-        parse_chaos,
-        render_live_result,
-        run_live,
-        start_refsut_process,
-    )
-
-    try:
-        chaos = parse_chaos(args.chaos, seed=args.chaos_seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if chaos.modes:
-        chaos = _dc_replace(chaos, kill_after_events=args.kill_after_events)
-
-    proc = None
-    if args.url:
-        if chaos.enabled("kill"):
-            raise CliError(
-                "chaos mode 'kill' needs a SUT spawned by this process; "
-                "drop --url or drop 'kill' from --chaos"
-            )
-        host, _, port_text = args.url.rpartition(":")
-        host = host or "127.0.0.1"
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise CliError(
-                f"--url must be HOST:PORT, got {args.url!r}"
-            ) from None
-        subject = args.url
-    else:
-        proc = start_refsut_process(
-            args.variant, race_window=args.race_window
-        )
-        host, port = "127.0.0.1", proc.port
-        subject = f"refsut:{args.variant}"
-
-    config = LiveConfig(
-        model=args.model,
-        sessions=args.sessions,
-        ops=args.ops,
-        op_timeout=args.op_timeout,
-        seed=args.seed,
-        chaos=chaos if chaos.modes else None,
-        trace_out=args.trace_out,
-        max_configurations=args.max_configurations,
-        subject=subject,
-        flush_every_n=args.flush_every_n,
-        flush_interval=args.flush_interval,
-    )
-
-    try:
-        with _SignalStop() as stop:
-            result = run_live(
-                host, port, config, sut_process=proc, should_stop=stop
-            )
-    finally:
-        if proc is not None:
-            proc.close()
-
-    if args.json:
-        print(
-            _json.dumps(
-                {
-                    "verdict": result.verdict,
-                    "outcome": result.outcome,
-                    "partial": result.partial,
-                    "completed": result.completed,
-                    "indeterminate": result.indeterminate,
-                    "errors": result.errors,
-                    "connect_retries": result.connect_retries,
-                    "injected": {
-                        mode: count
-                        for mode, count in sorted(result.injected.items())
-                        if count
-                    },
-                    "trace": result.trace_path,
-                }
-            )
-        )
-    else:
-        print(render_live_result(result))
-
-    # A violation in a partial trace is still a proof, and wins.
-    return _verdict_exit_code(
-        result.verdict,
-        interrupted=result.verdict != "FAIL" and result.outcome == "interrupted",
-    )
-
-
-def _trace_model_name(model: str | None, path: str) -> str:
-    """*model* (``--model``), defaulting to the model *path*'s header names.
-
-    A file that cannot be read is reported as it is; ``--model`` is named
-    only when the header was read and names no model.
-    """
-    from repro.monitor import TraceError, read_trace_header
-
-    if model:
-        return model
-    try:
-        model = read_trace_header(path).live.model
-    except TraceError as exc:
-        raise CliError(str(exc)) from exc
-    if model is None:
-        raise CliError(
-            "--model NAME is required (the trace header names no model)"
-        )
-    return model
-
-
-def cmd_watch(args: argparse.Namespace) -> int:
-    """Online check of a (possibly still growing) JSONL trace."""
-    import json as _json
-
-    from repro.monitor import TraceError, get_model
-    from repro.stream import WatchConfig, watch_trace
-
-    model_name = _trace_model_name(args.model, args.trace)
-    model = get_model(model_name)
-    config = WatchConfig(
-        follow=args.follow,
-        lag_budget=args.lag_budget,
-        idle_timeout=args.idle_timeout,
-        poll_interval=args.poll_interval,
-        max_configurations=args.max_configurations,
-        stats_out=args.stats_out,
-        stats_interval=args.stats_interval,
-    )
-    try:
-        result = watch_trace(args.trace, model, config)
-    except TraceError as exc:
-        raise CliError(str(exc)) from exc
-    except KeyboardInterrupt:
-        print("interrupted")
-        return EXIT_INTERRUPTED
-
-    if args.json:
-        print(_json.dumps({"model": model_name, **result.to_dict()}))
-    else:
-        stats = result.stats
-        print(
-            f"watched {args.trace} against model {model_name!r}: "
-            f"{result.verdict}"
-        )
-        print(
-            f"  {stats.get('events', 0)} events "
-            f"({result.events_per_sec:.0f}/s), "
-            f"{stats.get('retired', 0)} retired, "
-            f"max frontier {stats.get('max_frontier', 0)}, "
-            f"max retirement lag {stats.get('max_retirement_lag', 0)}, "
-            f"{stats.get('maxrss_kb', 0)} KiB high-water"
-        )
-        if result.restarts:
-            print(f"  restarted {result.restarts}x (rotation/truncation/"
-                  "unsound partitioning)")
-        if not result.finalized:
-            torn = " (final line torn — writer died mid-record?)" if result.torn else ""
-            print(f"  note: trace is not finalized{torn}")
-        if result.outcome is not None:
-            print(f"  recording outcome: {result.outcome}")
-        if result.counterexample:
-            print()
-            print(result.counterexample.describe())
-
-    return _verdict_exit_code(result.verdict)
-
-
-def cmd_observations(args: argparse.Namespace) -> int:
-    from repro.core.fileio import atomic_write_text
-    from repro.core.harness import SystemUnderTest, TestHarness
-    from repro.core.observations import observations_to_xml
-    from repro.structures.registry import resolve_class
-
-    entry = resolve_class(args.cls, getattr(args, "provider", None))
-    test = _resolve_test(args, entry)
-    subject = SystemUnderTest(
-        entry.factory(args.version), f"{entry.name}({args.version})"
-    )
-    with TestHarness(subject) as harness:
-        observations, stats = harness.run_serial(test)
-    xml = observations_to_xml(observations)
-    if args.output:
-        atomic_write_text(args.output, xml)
-        print(
-            f"wrote {len(observations)} serial histories "
-            f"({stats.executions} executions) to {args.output}"
-        )
-    else:
-        print(xml)
-    return 0
-
-
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.evaluation import EvaluationScale, run_evaluation
-
-    scale = EvaluationScale(
-        samples_per_class=args.samples,
-        rows=args.rows,
-        cols=args.cols,
-        phase2_schedules=args.schedules,
-        seed=args.seed,
-    )
-    report = run_evaluation(scale)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"wrote {args.output}")
-    else:
-        print(report)
-    return 0
-
-
 class _ArgumentParser(argparse.ArgumentParser):
-    """Argparse variant whose usage errors exit 64, not argparse's 2.
-
-    Exit code 2 means "budget exhausted" in this tool (see the module
-    docstring), so usage errors use the BSD ``EX_USAGE`` convention.
-    """
+    """Argparse variant whose usage errors exit 64 (BSD ``EX_USAGE``),
+    not argparse's 2, which means "budget exhausted" in this tool."""
 
     def error(self, message: str) -> "None":  # type: ignore[override]
         raise CliError(f"{self.prog}: {message}")
@@ -1457,6 +345,21 @@ _EXIT_CODE_HELP = "exit status: " + ", ".join(
     f"{code} = {meaning}"
     for code, meaning in sorted(EXIT_CODE_MEANINGS.items())
 )
+
+
+def _command(
+    sub, name: str, run: str, help: str, json: bool = False
+) -> argparse.ArgumentParser:
+    """The parser of one command: *run* names the ``module:function``
+    that runs it, imported only once this command is parsed."""
+    parser = sub.add_parser(name, help=help, epilog=_EXIT_CODE_HELP)
+    parser.set_defaults(run=run)
+    if json:
+        parser.add_argument(
+            "--json", action="store_true",
+            help="print the result as one JSON line instead of the report",
+        )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1469,24 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=_ArgumentParser
     )
 
-    p_list = sub.add_parser("list", help="show the Table 1 class inventory")
+    p_list = _command(
+        sub, "list", "repro.structures.registry:list_command",
+        help="show the Table 1 class inventory",
+    )
     p_list.add_argument("-v", "--verbose", action="store_true")
-    p_list.set_defaults(func=cmd_list)
 
-    p_check = sub.add_parser(
-        "check", help="run the two-phase check on one test",
-        epilog=_EXIT_CODE_HELP,
+    p_check = _command(
+        sub, "check", "repro.core.command:check_command",
+        help="run the two-phase check on one test",
+        json=True,
     )
     p_check.add_argument("cls", metavar="CLASS", help="registry class name")
-    p_check.add_argument(
-        "--test", metavar="MATRIX",
-        help="test matrix, columns '|', ops ';' — e.g. \"Add(1); TryTake | TryTake\"",
-    )
-    p_check.add_argument("--init", metavar="OPS", help="init sequence (ops ';')")
-    p_check.add_argument("--final", metavar="OPS", help="final sequence (ops ';')")
-    p_check.add_argument(
-        "--cause", metavar="TAG", help="use the curated witness for a root cause"
-    )
+    _add_test_options(p_check)
     p_check.add_argument(
         "--minimize", action="store_true", help="shrink a failing test first"
     )
@@ -1495,18 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="Section 6 extension: tolerate nondeterministic specs and the "
              "class's documented interference behaviours",
     )
-    p_check.add_argument(
-        "--json", action="store_true",
-        help="print the result summary as JSON instead of the text report",
-    )
     _add_check_options(p_check)
     _add_swarm_options(p_check)
     _add_robustness_options(p_check)
-    p_check.set_defaults(func=cmd_check)
 
-    p_campaign = sub.add_parser(
-        "campaign", help="RandomCheck campaign (Table 2 rows)",
-        epilog=_EXIT_CODE_HELP,
+    p_campaign = _command(
+        sub, "campaign", "repro.core.campaign:campaign_command",
+        help="RandomCheck campaign (Table 2 rows)",
     )
     p_campaign.add_argument(
         "cls", metavar="CLASS", help="registry class name, or 'all'"
@@ -1534,13 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_isolation_options(p_campaign)
     _add_robustness_options(p_campaign)
     _add_trace_dump_option(p_campaign)
-    p_campaign.set_defaults(func=cmd_campaign)
 
-    p_generate = sub.add_parser(
-        "generate",
+    p_generate = _command(
+        sub, "generate", "repro.generate.campaign:generate_command",
         help="coverage-guided scenario generation: mutate a corpus of "
              "tests towards unseen execution equivalence classes",
-        epilog=_EXIT_CODE_HELP,
+        json=True,
     )
     p_generate.add_argument("cls", metavar="CLASS", help="registry class name")
     p_generate.add_argument(
@@ -1579,31 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedules", type=_count(1), default=150, metavar="N",
         help="phase-2 schedules sampled per candidate (default: 150)",
     )
-    p_generate.add_argument(
-        "--deadline", type=_seconds(), metavar="SECONDS",
-        help="wall-clock budget; on expiry the campaign stops with "
-             "partial results and exit code 2",
-    )
-    p_generate.add_argument(
-        "--watchdog", type=_seconds(), metavar="SECONDS",
-        help="max seconds one operation may run between scheduling "
-             "points before the execution is classified divergent",
-    )
+    _add_robustness_options(p_generate, checkpoint=False)  # --corpus-dir
     _add_engine_argument(p_generate)
-    p_generate.add_argument(
-        "--json", action="store_true",
-        help="print the full report (curve, failures, corpus stats) as JSON",
-    )
     _add_reduction_option(p_generate)
     _add_provider_option(p_generate)
     _add_isolation_options(p_generate)
-    p_generate.set_defaults(func=cmd_generate)
 
-    p_resume = sub.add_parser(
-        "resume",
+    p_resume = _command(
+        sub, "resume", "repro.core.command:resume_command",
         help="continue an interrupted check/campaign/generation from "
              "its checkpoint",
-        epilog=_EXIT_CODE_HELP,
     )
     p_resume.add_argument(
         "checkpoint", metavar="PATH", help="checkpoint file written by --checkpoint"
@@ -1613,13 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="grant the resumed session a fresh wall-clock budget "
              "(default: the original budget is total across sessions)",
     )
-    p_resume.set_defaults(func=cmd_resume)
 
-    p_monitor = sub.add_parser(
-        "monitor",
+    p_monitor = _command(
+        sub, "monitor", "repro.stream.watch:monitor_command",
         help="re-check recorded or dumped JSONL traces against an "
              "explicit sequential model (no execution, no phase 1)",
-        epilog=_EXIT_CODE_HELP,
     )
     p_monitor.add_argument(
         "trace", metavar="TRACE", nargs="+",
@@ -1642,13 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true",
         help="print a verdict line per trace file",
     )
-    p_monitor.set_defaults(func=cmd_monitor)
 
-    p_live = sub.add_parser(
-        "live",
+    p_live = _command(
+        sub, "live", "repro.live.runner:live_command",
         help="record N concurrent sessions against a live service over "
              "wall-clock time, then check the recorded trace",
-        epilog=_EXIT_CODE_HELP,
+        json=True,
     )
     p_live.add_argument(
         "--url", metavar="HOST:PORT",
@@ -1720,17 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --flush-every-n > 1: also flush any event buffered "
              "longer than this at the next append (default: off)",
     )
-    p_live.add_argument(
-        "--json", action="store_true",
-        help="print a one-line JSON result instead of the report",
-    )
-    p_live.set_defaults(func=cmd_live)
 
-    p_watch = sub.add_parser(
-        "watch",
+    p_watch = _command(
+        sub, "watch", "repro.stream.watch:watch_command",
         help="follow a JSONL trace while it is written and keep an "
              "online linearizability verdict (the streaming monitor)",
-        epilog=_EXIT_CODE_HELP,
+        json=True,
     )
     p_watch.add_argument(
         "trace", metavar="TRACE",
@@ -1778,27 +647,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="configuration cap per return: what one return's closure "
              "may explore before its cell is EXHAUSTED (default: 1000000)",
     )
-    p_watch.add_argument(
-        "--json", action="store_true",
-        help="print a one-line JSON result instead of the report",
-    )
-    p_watch.set_defaults(func=cmd_watch)
 
-    p_obs = sub.add_parser(
-        "observations", help="phase 1 only: write the observation file"
+    p_obs = _command(
+        sub, "observations", "repro.core.command:observations_command",
+        help="phase 1 only: write the observation file",
     )
     p_obs.add_argument("cls", metavar="CLASS")
-    p_obs.add_argument("--test", metavar="MATRIX")
-    p_obs.add_argument("--init", metavar="OPS")
-    p_obs.add_argument("--final", metavar="OPS")
-    p_obs.add_argument("--cause", metavar="TAG")
+    _add_test_options(p_obs)
     p_obs.add_argument("--version", choices=("pre", "beta"), default="beta")
     p_obs.add_argument("-o", "--output", metavar="FILE")
     _add_provider_option(p_obs)
-    p_obs.set_defaults(func=cmd_observations)
 
-    p_repro = sub.add_parser(
-        "reproduce", help="regenerate the paper's evaluation as markdown"
+    p_repro = _command(
+        sub, "reproduce", "repro.evaluation:reproduce_command",
+        help="regenerate the paper's evaluation as markdown",
     )
     p_repro.add_argument("--samples", type=_count(0), default=4)
     p_repro.add_argument("--rows", type=_count(1), default=3)
@@ -1806,16 +668,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--schedules", type=_count(1), default=150)
     p_repro.add_argument("--seed", type=int, default=1)
     p_repro.add_argument("-o", "--output", metavar="FILE")
-    p_repro.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Parse *argv*, run the command, print its outcome and exit on it."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        module, _, name = args.run.partition(":")
+        command = getattr(importlib.import_module(module), name)
+        with SignalStop() as stop:
+            outcome = command(args, stop)
+        json_output = getattr(args, "json", False)
+        if json_output:
+            import json
+
+            print(json.dumps(outcome.to_dict()))  # one document, one line
+        else:
+            print(outcome.render())
+        if outcome.resume and os.path.exists(outcome.resume):
+            # A run stopped before its first save has nothing to resume;
+            # under --json stdout is one document.
+            print(
+                "state saved; continue with: python -m repro resume "
+                f"{outcome.resume}",
+                file=sys.stderr if json_output else sys.stdout,
+            )
+        if outcome.interrupted:
+            return EXIT_INTERRUPTED
+        return _VERDICT_EXIT.get(outcome.verdict, EXIT_PASS)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -1826,13 +710,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception as exc:
-        # An unreadable checkpoint, and a model that cannot read its input
-        # (name, method or arity unknown), are input errors, not a FAIL;
-        # imported here so that no other path pays for them.
+        # An unreadable checkpoint or trace, and a model that cannot read
+        # its input (name, method or arity unknown), are input errors,
+        # not a FAIL; imported here so that no other path pays for them.
         from repro.core.checkpoint import CheckpointError
-        from repro.monitor import ModelError
+        from repro.monitor import ModelError, TraceError
 
-        if not isinstance(exc, (CheckpointError, ModelError)):
+        if not isinstance(exc, (CheckpointError, ModelError, TraceError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,25 +18,32 @@ minimal witness tests, which :func:`verify_causes` re-validates).
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
-from repro.core.budget import ExplorationControl
+from repro.command import Outcome, UsageError
+from repro.core.budget import ExplorationBudget, ExplorationControl
 from repro.core.checker import CheckConfig, CheckResult, check_with_harness
 from repro.core.harness import SystemUnderTest, TestHarness
 from repro.core.testcase import sample_tests
-from repro.core.verdict import worst_verdict
-from repro.runtime import Scheduler
+from repro.runtime import DEFAULT_ENGINE, Scheduler
 from repro.structures.registry import ClassUnderTest, resolve_class
 
 __all__ = [
     "CampaignRow",
+    "SHARED_PARAMS",
     "TestSummary",
+    "campaign_check_config",
+    "campaign_command",
     "campaign_row",
     "campaign_state",
     "campaign_verdict",
     "parse_campaign_state",
+    "render_campaign",
     "render_table2",
+    "resume_campaign",
     "row_from_dict",
     "row_from_summaries",
     "row_to_dict",
@@ -226,29 +233,28 @@ def row_from_summaries(
     return row
 
 
-def campaign_verdict(rows: "Sequence[CampaignRow]") -> str:
-    """The campaign-level verdict implied by finished *rows*.
+def campaign_verdict(
+    rows: "Sequence[CampaignRow]", stop_reason: str | None = None
+) -> str:
+    """The verdict a campaign exits on, given its *rows* and why it
+    stopped early (None: it ran to completion).
 
-    Each row contributes the verdicts its tests produced (a failed test
-    or a confirmed curated cause is a FAIL; quarantines and flaky
-    re-runs surface as their own verdicts) and the shared lattice of
-    :func:`repro.core.verdict.worst_verdict` merges them.  Only a FAIL
-    maps to a failing exit code — a crashed or flaky test is reported,
-    not treated as a proven violation.
+    A failed test or a confirmed curated cause is a FAIL.  CRASHED only
+    when every test crashed its worker: no verdict at all was obtained,
+    which almost always means the environment, not a bug.  A partly
+    crashed or flaky campaign is reported in its summary, not a failing
+    exit.  A campaign cut short, or with a test EXHAUSTED, is EXHAUSTED.
     """
-    verdicts: list[str] = []
-    for row in rows:
-        if row.tests_failed or row.causes_found:
-            verdicts.append("FAIL")
-        if row.tests_nondet:
-            verdicts.append("nondeterministic-verdict")
-        if row.tests_crashed:
-            verdicts.append("CRASHED")
-        if row.stop_reason is not None or row.tests_exhausted:
-            verdicts.append("EXHAUSTED")
-        if row.tests_passed:
-            verdicts.append("PASS")
-    return worst_verdict(verdicts)
+    tests = sum(row.tests_run for row in rows)
+    if tests and sum(row.tests_crashed for row in rows) == tests:
+        return "CRASHED"
+    if any(row.tests_failed or row.causes_found for row in rows):
+        return "FAIL"
+    if stop_reason is not None or any(
+        row.stop_reason is not None or row.tests_exhausted for row in rows
+    ):
+        return "EXHAUSTED"
+    return "PASS"
 
 
 def run_class_campaign(
@@ -638,4 +644,145 @@ def render_table2(rows: list[CampaignRow]) -> str:
             "pass nor as fail (a phase 1 cut short, e.g. by the "
             "serial-execution cap, is never judged against)"
         )
+    return "\n".join(lines)
+
+
+#: The check and executor flags ``campaign`` and ``generate`` share.  Every
+#: checkpoint stores them, so ``resume`` rebuilds the same check
+#: configuration (:func:`campaign_check_config`) and the same executor
+#: (:func:`repro.exec.open_executor`).
+SHARED_PARAMS = (
+    "schedules", "seed", "deadline", "watchdog", "reduction", "engine",
+    "isolate", "workers", "mem_limit_mb", "max_retries", "start_method",
+    "report_dir", "provider",
+)
+
+
+def campaign_check_config(params: dict) -> CheckConfig:
+    """The per-test check configuration of a campaign or generation run."""
+    reduction = params.get("reduction", "none")
+    deadline = params.get("deadline")
+    return CheckConfig(
+        # Reductions need the deterministic DFS frontier; the unreduced
+        # campaign default stays random sampling of `schedules` walks.
+        phase2_strategy="dfs" if reduction != "none" else "random",
+        reduction=reduction,
+        phase2_executions=params.get("schedules", 150),
+        seed=params.get("seed", 0),
+        max_serial_executions=2000,
+        budget=ExplorationBudget(deadline_seconds=deadline) if deadline else None,
+        watchdog_seconds=params.get("watchdog"),
+        dump_traces=params.get("dump_traces"),
+        engine=params.get("engine", DEFAULT_ENGINE),
+    )
+
+
+def campaign_command(args: argparse.Namespace, stop) -> Outcome:
+    """``campaign``: Table 2 rows for one class or ``all`` (with
+    ``--generate``, one generation campaign per row instead)."""
+    from repro.structures import REGISTRY
+
+    entries = (
+        REGISTRY if args.cls == "all" else (resolve_class(args.cls, args.provider),)
+    )
+    versions = args.versions.split(",")
+    plan = [(entry.name, version) for entry in entries for version in versions]
+    params = {
+        **{key: getattr(args, key) for key in SHARED_PARAMS},
+        "samples": args.samples,
+        "rows": args.rows,
+        "cols": args.cols,
+        "dump_traces": args.dump_traces,
+    }
+    if args.generate:
+        from repro.generate.campaign import generate_plan
+
+        if args.checkpoint:
+            raise UsageError(
+                "campaign --generate does not checkpoint; use "
+                "'generate --corpus-dir DIR' for resumable generation"
+            )
+        return generate_plan(
+            plan,
+            {**params, "budget": args.budget, "max_rows": args.rows,
+             "max_cols": args.cols},
+            stop,
+        )
+    return run_campaign(plan, params, args.checkpoint, stop)
+
+
+def resume_campaign(document: dict, path: str, stop) -> Outcome:
+    plan, rows, params, resume_current = parse_campaign_state(document)
+    print(f"Resuming campaign from {path} ({len(rows)}/{len(plan)} rows finished)")
+    return run_campaign(
+        plan, params, path, stop, rows, resume_current, document.get("budget")
+    )
+
+
+def run_campaign(
+    plan: "list[tuple[str, str]]",
+    params: dict,
+    checkpoint: str | None,
+    stop,
+    finished_rows: "Sequence[CampaignRow]" = (),
+    resume_current: ResumeCurrent | None = None,
+    budget_snapshot: dict | None = None,
+) -> Outcome:
+    """:func:`run_campaign_plan` on the executor *params* pick, under
+    the budget a checkpoint's *budget_snapshot* has spent."""
+    from repro.core.checkpoint import Checkpointer
+    from repro.exec import open_executor
+
+    config = campaign_check_config(params)
+    control = ExplorationControl(budget=config.budget, stop=stop)
+    control.restore(budget_snapshot)
+    control.start()
+    with open_executor(params) as executor:
+        rows, stop_reason, quarantined = run_campaign_plan(
+            plan,
+            params,
+            config,
+            executor,
+            control=control,
+            checkpointer=Checkpointer(checkpoint) if checkpoint else None,
+            finished_rows=finished_rows,
+            resume_current=resume_current,
+        )
+    return Outcome(
+        campaign_verdict(rows, stop_reason),
+        partial(render_campaign, rows, quarantined, stop_reason),
+        interrupted=stop_reason == "interrupted",
+        resume=checkpoint if stop_reason is not None else None,
+    )
+
+
+def render_campaign(
+    rows: list[CampaignRow], quarantined: "list[str]", stop_reason: str | None
+) -> str:
+    """The Table 2 rows, then what the table cannot show: quarantined and
+    flaky tests, and a stop that left the table partial."""
+    lines = [render_table2(rows)]
+    crashed = sum(row.tests_crashed for row in rows)
+    nondet = sum(row.tests_nondet for row in rows)
+    if crashed or quarantined:
+        lines += [
+            "",
+            f"{crashed} test(s) quarantined after repeated worker crashes; "
+            "crash reports:",
+            *(f"  {path}" for path in quarantined),
+        ]
+    if nondet:
+        lines += [
+            "",
+            f"{nondet} test(s) reported nondeterministic-verdict: re-runs "
+            "of a FAIL disagreed (the failing worker had previously "
+            "crashed, so the verdict is suspect) — inspect manually",
+        ]
+    if stop_reason is not None:
+        what = (
+            "interrupted"
+            if stop_reason == "interrupted"
+            else f"budget exhausted ({stop_reason})"
+        )
+        lines += ["", f"campaign {what}; the table above is partial"]
     return "\n".join(lines)

@@ -104,15 +104,13 @@ class CheckConfig:
     #: divergent.  None (the default) disables the watchdog.  Only applies
     #: to schedulers the check creates, not to a caller-provided one.
     watchdog_seconds: float | None = None
-    #: phase-2 verification backend.  ``"observations"`` checks histories
-    #: against the phase-1 synthesized specification (Definitions 1/2,
-    #: complete per Theorem 5); ``"monitor"`` skips phase 1 entirely and
-    #: checks each history against the explicit sequential ``model`` via
+    #: sequential model name (see :func:`repro.monitor.get_model`); a
+    #: model selects the monitor backend, which skips phase 1 entirely
+    #: and checks each history against this explicit model via
     #: :mod:`repro.monitor` — a PASS then certifies linearizability with
-    #: respect to that one model only.
-    backend: str = "observations"
-    #: sequential model name for the monitor backend (see
-    #: :func:`repro.monitor.get_model`); required when backend="monitor".
+    #: respect to that one model only.  None: the observation backend,
+    #: which checks histories against the phase-1 synthesized
+    #: specification (Definitions 1/2, complete per Theorem 5).
     model: str | None = None
     #: directory to dump every explored concurrent history into as a
     #: JSONL trace file (:mod:`repro.monitor.trace`); None disables.
@@ -335,12 +333,10 @@ def check_with_harness(
     if control is not None and resume is not None:
         control.restore(resume.budget_snapshot)
 
-    if cfg.backend == "monitor":
+    if cfg.model is not None:
         # Model-based monitoring needs no synthesized specification, so
         # phase 1 is skipped entirely; each phase-2 history is checked
         # directly against the explicit sequential model.
-        if cfg.model is None:
-            raise ValueError("backend 'monitor' requires a model name")
         if checkpointer is not None or resume is not None:
             raise ValueError(
                 "the monitor backend does not support checkpoint/resume"
@@ -351,8 +347,6 @@ def check_with_harness(
             control=control, fingerprints=fingerprints,
         )
         return result
-    if cfg.backend != "observations":
-        raise ValueError(f"unknown check backend {cfg.backend!r}")
 
     result = _run_phase1(
         harness, test, cfg, control=control, checkpointer=checkpointer, resume=resume
@@ -542,10 +536,10 @@ def _default_judge(
 ) -> "Callable[[History, Any], Violation | None]":
     """The judge ``cfg`` asks for.  The deciders are looked up when a
     history is judged, not here, so a test can replace either."""
-    if cfg.backend == "monitor":
+    if cfg.model is not None:
         from repro.monitor import dispatch, get_model
 
-        model = get_model(cfg.model or "")
+        model = get_model(cfg.model)
         return lambda history, outcome: monitor_violation(
             dispatch.monitor_history(history, model), model, test, history,
             tuple(outcome.decisions),
@@ -581,7 +575,7 @@ def _run_phase2(
     It must be a function of the history and of inputs fixed for this
     call (an observation set, a model, a policy): that is what lets a
     passing history be remembered.  The default is the decider of
-    ``cfg.backend``.
+    ``cfg.model`` (the observation set's without one).
     """
     from repro.reduction import execution_fingerprint
 

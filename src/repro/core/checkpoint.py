@@ -128,7 +128,6 @@ def config_to_dict(config: CheckConfig) -> dict:
         "stop_at_first_violation": config.stop_at_first_violation,
         "budget": config.budget.to_dict() if config.budget is not None else None,
         "watchdog_seconds": config.watchdog_seconds,
-        "backend": config.backend,
         "model": config.model,
         "dump_traces": config.dump_traces,
         "reduction": config.reduction,
@@ -142,6 +141,7 @@ def config_from_dict(data: dict) -> CheckConfig:
 
     refuse_retired(data.get("phase2_strategy"))
     budget = data.get("budget")
+    # Older builds also wrote "backend", which "model" implies: not read.
     return CheckConfig(
         preemption_bound=data.get("preemption_bound", 2),
         phase2_strategy=data.get("phase2_strategy", "dfs"),
@@ -153,7 +153,6 @@ def config_from_dict(data: dict) -> CheckConfig:
         stop_at_first_violation=data.get("stop_at_first_violation", True),
         budget=ExplorationBudget.from_dict(budget) if budget else None,
         watchdog_seconds=data.get("watchdog_seconds"),
-        backend=data.get("backend", "observations"),
         model=data.get("model"),
         dump_traces=data.get("dump_traces"),
         reduction=data.get("reduction", "none"),

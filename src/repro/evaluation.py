@@ -194,3 +194,23 @@ def run_evaluation(scale: EvaluationScale | None = None) -> str:
     lines.append(f"_Total wall time: {time.time() - started:.1f}s_")
     lines.append("")
     return "\n".join(lines)
+
+
+def reproduce_command(args, stop):
+    """``reproduce``: the evaluation, to ``-o FILE`` or stdout."""
+    from repro.command import Outcome
+
+    report = run_evaluation(
+        EvaluationScale(
+            samples_per_class=args.samples,
+            rows=args.rows,
+            cols=args.cols,
+            phase2_schedules=args.schedules,
+            seed=args.seed,
+        )
+    )
+    if not args.output:
+        return Outcome("PASS", lambda: report)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        handle.write(report)
+    return Outcome("PASS", lambda: f"wrote {args.output}")

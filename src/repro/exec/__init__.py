@@ -20,9 +20,8 @@ process instead:
   that detects worker death (nonzero exit, signal, heartbeat loss),
   retries crashed tests with exponential backoff, and **quarantines**
   repeat offenders with a ``CRASHED`` verdict and a crash-report
-  artifact instead of aborting the campaign.  The CLI opens the
-  pool (``repro.cli.open_pool``) that campaigns, generation and the
-  swarm run on;
+  artifact instead of aborting the campaign.  :func:`open_pool` opens
+  the pool that campaigns, generation and the swarm run on;
 * :mod:`repro.exec.inline` — :class:`InlineExecutor`, the same
   ``run(tasks, ...) -> (outcomes, stop_reason)`` contract with no
   workers: tasks run in the caller's process, in order.  Campaigns and
@@ -36,7 +35,7 @@ The design goal, per the ROADMAP's production north star: degrade
 **per-test**, never per-campaign.
 """
 
-from repro.exec.inline import InlineExecutor
+from repro.exec.inline import InlineExecutor, open_executor
 from repro.exec.protocol import ProtocolError, decode_frame, encode_frame
 from repro.exec.sandbox import ResourceLimits
 from repro.exec.supervisor import (
@@ -46,6 +45,7 @@ from repro.exec.supervisor import (
     TaskOutcome,
     TaskSpec,
     WorkerPool,
+    open_pool,
     repro_command,
 )
 
@@ -61,5 +61,7 @@ __all__ = [
     "WorkerPool",
     "decode_frame",
     "encode_frame",
+    "open_executor",
+    "open_pool",
     "repro_command",
 ]

@@ -16,13 +16,25 @@ executions rather than between two tasks.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable
 
 from repro.core.budget import ExplorationControl
 from repro.exec import sandbox
-from repro.exec.supervisor import TaskOutcome, TaskSpec
+from repro.exec.supervisor import TaskOutcome, TaskSpec, open_pool
 
-__all__ = ["InlineExecutor"]
+__all__ = ["InlineExecutor", "open_executor"]
+
+
+def open_executor(params: dict, notes=None):
+    """``--isolate`` is a sandboxing choice: it picks the executor, an
+    :class:`InlineExecutor` or the pool of :func:`open_pool`, which
+    names its report directory on *notes* (default: stdout)."""
+    if not params.get("isolate"):
+        return InlineExecutor()
+    pool = open_pool(params)
+    print(f"worker reports in {pool.report_dir}", file=notes or sys.stdout)
+    return pool
 
 
 class InlineExecutor:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import shutil
 import signal as signal_module
 import tempfile
 import threading
@@ -58,6 +59,7 @@ __all__ = [
     "TaskOutcome",
     "TaskSpec",
     "WorkerPool",
+    "open_pool",
     "repro_command",
 ]
 
@@ -169,6 +171,35 @@ class PoolConfig:
             raise ValueError("max_retries must be >= 0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError("backoff_jitter must be within [0, 1]")
+
+    @classmethod
+    def from_params(cls, params: dict) -> "PoolConfig":
+        """The pool the isolation flags ask for (or a checkpoint's
+        ``params`` / ``pool`` record of them)."""
+        from repro.core.checkpoint import CheckpointError
+
+        max_retries = params.get("max_retries")
+        start_method = params.get("start_method") or cls.start_method
+        if start_method not in ("fork", "spawn"):
+            raise CheckpointError(
+                f"checkpoint field 'start_method' is {start_method!r}, "
+                "not 'fork' or 'spawn'"
+            )
+        return cls(
+            workers=int(params.get("workers") or 2),
+            start_method=start_method,
+            limits=ResourceLimits(mem_limit_mb=params.get("mem_limit_mb")),
+            max_retries=2 if max_retries is None else int(max_retries),
+            report_dir=params.get("report_dir"),
+        )
+
+
+def open_pool(params: dict) -> "WorkerPool":
+    """The one :class:`WorkerPool` of the commands (``campaign`` /
+    ``generate --isolate``, ``check --shards`` and their ``resume``), set
+    up from the isolation flags or a checkpoint's record of them; the
+    caller closes it."""
+    return WorkerPool(PoolConfig.from_params(params))
 
 
 def repro_command(spec: TaskSpec) -> str:
@@ -382,6 +413,14 @@ class WorkerPool:
         for worker in self._workers:
             worker.close(graceful=True)
         self._workers.clear()
+        # A temporary directory of empty worker stderr files reports nothing.
+        made = self._report_dir if self.config.report_dir is None else None
+        if made and os.path.isdir(made) and all(
+            name.startswith("worker-") and name.endswith(".stderr")
+            and not os.path.getsize(os.path.join(made, name))
+            for name in os.listdir(made)
+        ):
+            shutil.rmtree(made, ignore_errors=True)
 
     # -- the supervision loop ---------------------------------------------
 

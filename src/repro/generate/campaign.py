@@ -37,30 +37,43 @@ overshoot its budget by at most one batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import argparse
+import os
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+from repro.command import Outcome, UsageError
 from repro.core.budget import ExplorationBudget, ExplorationControl
 from repro.core.checker import CheckConfig
+from repro.core.campaign import SHARED_PARAMS, campaign_check_config
 from repro.core.checkpoint import (
     CheckpointError,
     Checkpointer,
+    checkpoint_subject,
     config_to_dict,
+    load_checkpoint,
+    renew_limits,
+    subject_record,
     test_from_dict,
     test_to_dict,
 )
+from repro.core.report import render_generation_report
 from repro.core.testcase import FiniteTest
 from repro.core.verdict import worst_verdict
 from repro.generate.corpus import Corpus
 from repro.generate.mutate import MutationEngine, candidate_rng
 from repro.reduction import FingerprintSet
-from repro.structures.registry import ClassUnderTest
+from repro.structures.registry import ClassUnderTest, resolve_class
 
 __all__ = [
     "GenerateConfig",
     "GenerateResume",
     "GenerationReport",
+    "generate_command",
+    "generate_plan",
     "parse_generate_state",
+    "resume_generation",
     "run_generation_campaign",
 ]
 
@@ -529,3 +542,143 @@ def _run_batches(
         if converged:
             break
     return stop_reason, converged
+
+
+def generate_command(args: argparse.Namespace, stop) -> Outcome:
+    """``generate``: one generation campaign, auto-resumed from
+    ``--corpus-dir`` when its corpus checkpoint exists."""
+    entry = resolve_class(args.cls, args.provider)
+    params = {
+        **{key: getattr(args, key) for key in SHARED_PARAMS},
+        "budget": args.budget,
+        "gen_seeds": args.seeds,
+        "max_rows": args.max_rows,
+        "max_cols": args.max_cols,
+    }
+    checkpoint = resume_document = None
+    if args.corpus_dir:
+        os.makedirs(args.corpus_dir, exist_ok=True)
+        checkpoint = os.path.join(args.corpus_dir, "corpus.json")
+        if os.path.exists(checkpoint):
+            document = load_checkpoint(checkpoint)
+            if document.get("kind") != "generate":
+                raise UsageError(
+                    f"{checkpoint} is not a generation corpus checkpoint"
+                )
+            stored, version, _provider = checkpoint_subject(document)
+            if (stored.name, version) != (entry.name, args.version):
+                raise UsageError(
+                    f"{checkpoint} belongs to {stored.name}({version}), "
+                    f"not {entry.name}({args.version}); pick another "
+                    "--corpus-dir"
+                )
+            # The current command's --budget applies as a total across
+            # sessions and its --deadline as a fresh clock; the checkpoint
+            # keeps the stream-defining mutation parameters.
+            renew_limits(document, args.deadline, budget=args.budget)
+            resume_document = document
+            print(f"resuming from corpus {checkpoint}")
+    return run_generate(
+        entry, args.version, params, stop, checkpoint, resume_document, args.json
+    )
+
+
+def resume_generation(document: dict, path: str, stop) -> Outcome:
+    entry, version, _provider = checkpoint_subject(document)
+    print(f"Resuming generation campaign of {entry.name}({version}) from {path}")
+    return run_generate(
+        entry, version, document.get("params") or {}, stop, path, document
+    )
+
+
+def generate_plan(plan: "list[tuple[str, str]]", params: dict, stop) -> Outcome:
+    """``campaign --generate``: one generation campaign per plan entry,
+    exiting on the worst of their verdicts."""
+    outcomes: list[Outcome] = []
+    for name, version in plan:
+        entry = resolve_class(name, params.get("provider"))
+        outcomes.append(run_generate(entry, version, params, stop))
+        if outcomes[-1].interrupted:
+            break
+    return Outcome(
+        worst_verdict(outcome.verdict for outcome in outcomes),
+        lambda: "\n\n".join(outcome.render() for outcome in outcomes),
+        interrupted=outcomes[-1].interrupted,
+    )
+
+
+def run_generate(
+    entry: ClassUnderTest,
+    version: str,
+    params: dict,
+    stop,
+    checkpoint: str | None = None,
+    resume_document: dict | None = None,
+    json_output: bool = False,
+) -> Outcome:
+    """Run (or resume) one generation campaign.
+
+    *params* carries the command's knobs (both the GenerateConfig fields
+    and the isolation/pool flags); on resume the checkpointed configs win
+    and *params* only supplies the pool/provider plumbing.
+
+    Its exit mirrors the campaign's: only a deduplicated failure is a
+    failing exit; a fully consumed execution budget is normal completion
+    (the budget *is* the plan) once a candidate was judged, while a
+    budget spent before that, a deadline/decision stop or an interrupt
+    reports the campaign as cut short; a crashed or flaky candidate is
+    reported, not a failing exit.
+    """
+    from repro.exec import open_executor
+
+    provider = params.get("provider")
+    resume = None
+    if resume_document is not None:
+        config, gen, resume = parse_generate_state(resume_document)
+    else:
+        # The deadline is the campaign's (GenerateConfig), not each
+        # candidate check's; candidates dump no traces.
+        config = replace(
+            campaign_check_config(params), budget=None, dump_traces=None
+        )
+        gen = GenerateConfig(
+            budget=params.get("budget", 2000),
+            seeds=params.get("gen_seeds", 4),
+            seed=params.get("seed", 0),
+            max_rows=params.get("max_rows", 3),
+            max_cols=params.get("max_cols", 3),
+            deadline=params.get("deadline"),
+        )
+    # Every folded candidate is persisted: candidates are expensive (a
+    # whole two-phase check each), checkpoints are cheap.
+    record = {"subject": subject_record(entry.name, version, provider)}
+    checkpointer = Checkpointer(
+        checkpoint, every_executions=1, extra={**record, "params": params}
+    ) if checkpoint else None
+    notes = sys.stderr if json_output else sys.stdout
+    with open_executor(params, notes) as executor:
+        report = run_generation_campaign(
+            entry,
+            version,
+            config,
+            gen,
+            control=ExplorationControl(
+                budget=ExplorationBudget(
+                    deadline_seconds=gen.deadline, max_executions=gen.budget
+                ),
+                stop=stop,
+            ),
+            checkpointer=checkpointer,
+            resume=resume,
+            pool=executor,
+            provider=provider,
+        )
+    stopped = report.stop_reason is not None
+    return Outcome(
+        "FAIL" if report.failures else "EXHAUSTED" if stopped else "PASS",
+        lambda: f"generation campaign: {entry.name}({version})\n"
+        + render_generation_report(report),
+        report.to_dict,
+        interrupted=report.stop_reason == "interrupted",
+        resume=checkpoint if stopped else None,
+    )

@@ -31,14 +31,18 @@ Robustness contract (the point of this module):
 
 from __future__ import annotations
 
+import argparse
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
+from repro.command import Outcome, UsageError
 from repro.core.verdict import worst_verdict
-from repro.live.chaos import ChaosConfig, ChaosTransport, SutKiller
+from repro.live.chaos import ChaosConfig, ChaosTransport, SutKiller, parse_chaos
 from repro.live.recorder import LiveRecorder
+from repro.live.refsut import start_refsut_process
 from repro.live.session import (
     Session,
     SessionConfig,
@@ -87,6 +91,19 @@ class LiveResult:
     session_stats: list[SessionStats] = field(default_factory=list)
     monitor: WatchResult | None = None
     injected: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "outcome": self.outcome,
+            "partial": self.partial,
+            "completed": self.completed,
+            "indeterminate": self.indeterminate,
+            "errors": self.errors,
+            "connect_retries": self.connect_retries,
+            "injected": {m: n for m, n in sorted(self.injected.items()) if n},
+            "trace": self.trace_path,
+        }
 
 
 def _join_deadline(config: LiveConfig) -> float:
@@ -281,3 +298,59 @@ def render_live_result(result: LiveResult) -> str:
             f"{stats['retired']} retired"
         )
     return "\n".join(lines)
+
+
+def live_command(args: argparse.Namespace, stop) -> Outcome:
+    """``live``: record N sessions against a live service (the reference
+    SUT this process spawns, or ``--url``), then check the trace."""
+    try:
+        chaos = parse_chaos(args.chaos, seed=args.chaos_seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if chaos.modes:
+        chaos = replace(chaos, kill_after_events=args.kill_after_events)
+
+    proc = None
+    if args.url:
+        if chaos.enabled("kill"):
+            raise UsageError(
+                "chaos mode 'kill' needs a SUT spawned by this process; "
+                "drop --url or drop 'kill' from --chaos"
+            )
+        host, _, port_text = args.url.rpartition(":")
+        host = host or "127.0.0.1"
+        try:
+            port = int(port_text)
+        except ValueError:
+            raise UsageError(f"--url must be HOST:PORT, got {args.url!r}") from None
+        subject = args.url
+    else:
+        proc = start_refsut_process(args.variant, race_window=args.race_window)
+        host, port = "127.0.0.1", proc.port
+        subject = f"refsut:{args.variant}"
+
+    config = LiveConfig(
+        model=args.model,
+        sessions=args.sessions,
+        ops=args.ops,
+        op_timeout=args.op_timeout,
+        seed=args.seed,
+        chaos=chaos if chaos.modes else None,
+        trace_out=args.trace_out,
+        max_configurations=args.max_configurations,
+        subject=subject,
+        flush_every_n=args.flush_every_n,
+        flush_interval=args.flush_interval,
+    )
+    try:
+        result = run_live(host, port, config, sut_process=proc, should_stop=stop)
+    finally:
+        if proc is not None:
+            proc.close()
+    # A violation in a partial trace is still a proof, and wins.
+    return Outcome(
+        result.verdict,
+        partial(render_live_result, result),
+        result.to_dict,
+        interrupted=result.verdict != "FAIL" and result.outcome == "interrupted",
+    )

@@ -1,7 +1,7 @@
 """The verdict of one recorded history against a model.
 
-:func:`monitor_history` is the per-history verdict of ``check --backend
-monitor``.  It judges the history as ``watch`` and ``monitor`` judge a
+:func:`monitor_history` is the per-history verdict of ``check --model
+NAME``.  It judges the history as ``watch`` and ``monitor`` judge a
 dump of it: :func:`replay` feeds its events, in order, into one
 :class:`~repro.stream.engine.StreamChecker` — per key when the model is
 partitionable and every operation has a key — and, for a stuck history,

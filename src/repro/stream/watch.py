@@ -30,10 +30,15 @@ the file is read and decoded once whatever the key count.
 
 from __future__ import annotations
 
+import argparse
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
+from repro.command import Outcome, UsageError
+from repro.core.verdict import worst_verdict
 from repro.monitor.incremental import OnlineCounterexample
 from repro.monitor.models import ModelError, SequentialModel
 from repro.monitor.trace import TraceError
@@ -41,7 +46,14 @@ from repro.stream.engine import PartitionUnsound, StreamChecker
 from repro.stream.stats import StatsEmitter, maxrss_kb
 from repro.stream.tail import TraceRotated, TraceTailer, TraceTruncated
 
-__all__ = ["WatchConfig", "WatchResult", "watch_trace"]
+__all__ = [
+    "WatchConfig",
+    "WatchResult",
+    "monitor_command",
+    "render_watch_result",
+    "watch_command",
+    "watch_trace",
+]
 
 
 @dataclass(frozen=True)
@@ -93,12 +105,41 @@ class WatchResult:
         }
 
 
+def render_watch_result(result: WatchResult, path: str, model: str) -> str:
+    """The text report of one watch of *path* against *model*."""
+    stats = result.stats
+    lines = [
+        f"watched {path} against model {model!r}: {result.verdict}",
+        f"  {stats.get('events', 0)} events "
+        f"({result.events_per_sec:.0f}/s), "
+        f"{stats.get('retired', 0)} retired, "
+        f"max frontier {stats.get('max_frontier', 0)}, "
+        f"max retirement lag {stats.get('max_retirement_lag', 0)}, "
+        f"{stats.get('maxrss_kb', 0)} KiB high-water",
+    ]
+    if result.restarts:
+        lines.append(
+            f"  restarted {result.restarts}x (rotation/truncation/"
+            "unsound partitioning)"
+        )
+    if not result.finalized:
+        torn = " (final line torn — writer died mid-record?)" if result.torn else ""
+        lines.append(f"  note: trace is not finalized{torn}")
+    if result.outcome is not None:
+        lines.append(f"  recording outcome: {result.outcome}")
+    if result.counterexample:
+        lines += ["", result.counterexample.describe()]
+    return "\n".join(lines)
+
+
 def watch_trace(
     path: str,
     model: SequentialModel,
     config: WatchConfig | None = None,
+    stop: Callable[[], bool] | None = None,
 ) -> WatchResult:
-    """Watch one trace file in-process until a stopping condition."""
+    """Watch one trace file in-process until a stopping condition, or
+    until *stop* (polled after every pass) says to."""
     config = config or WatchConfig()
     partition = model.partitionable
 
@@ -140,7 +181,7 @@ def watch_trace(
             now = time.monotonic()
             if progressed:
                 last_progress = now
-            if failed:
+            if failed or (stop is not None and stop()):
                 break
             backlog = tailer.backlog()
             emitter.maybe_emit(checker, backlog)
@@ -249,3 +290,106 @@ def _snapshot(
         events_per_sec=checker.counters.events / elapsed,
     )
 
+
+
+def trace_model_name(model: str | None, path: str) -> str:
+    """*model* (``--model``), defaulting to the model *path*'s header names.
+
+    A file that cannot be read is reported as it is; ``--model`` is named
+    only when the header was read and names no model.
+    """
+    from repro.monitor.trace import read_trace_header
+
+    model = model or read_trace_header(path).live.model
+    if model is None:
+        raise UsageError(
+            "--model NAME is required (the trace header names no model)"
+        )
+    return model
+
+
+def watch_command(args: argparse.Namespace, stop) -> Outcome:
+    """``watch``: the online check of a (possibly still growing) trace."""
+    from repro.monitor.models import get_model
+
+    name = trace_model_name(args.model, args.trace)
+    config = WatchConfig(
+        follow=args.follow,
+        lag_budget=args.lag_budget,
+        idle_timeout=args.idle_timeout,
+        poll_interval=args.poll_interval,
+        max_configurations=args.max_configurations,
+        stats_out=args.stats_out,
+        stats_interval=args.stats_interval,
+    )
+    result = watch_trace(args.trace, get_model(name), config, stop)
+    return Outcome(
+        result.verdict,
+        partial(render_watch_result, result, args.trace, name),
+        lambda: {"model": name, **result.to_dict()},
+        interrupted=stop(),
+    )
+
+
+def monitor_command(args: argparse.Namespace, stop) -> Outcome:
+    """``monitor``: offline re-check of finished traces, ``watch`` over
+    each file; the first violation is rendered from its whole history."""
+    from repro.monitor.models import get_model
+    from repro.monitor.trace import read_trace_header
+
+    model = get_model(trace_model_name(args.model, args.trace[0]))
+    subject = read_trace_header(args.trace[0]).subject
+    print(
+        f"Monitoring {len(args.trace)} histories of "
+        f"{subject or '(unknown subject)'} against model {model.name!r}"
+    )
+    config = WatchConfig(max_configurations=args.max_configurations)
+    verdicts: list[str] = []
+    violation = None
+    for path in args.trace:
+        result = watch_trace(path, model, config)
+        verdicts.append(result.verdict)
+        if result.torn:
+            print(f"note: {path} ends in a torn line, which is skipped")
+        if args.verbose:
+            print(f"  {path}: " + {
+                "EXHAUSTED": "EXHAUSTED (configuration cap)",
+                "PASS": f"OK ({result.stats['configurations']} configurations)",
+            }.get(result.verdict, "FAIL"))
+        if result.verdict == "FAIL" and violation is None:
+            violation = _trace_violation(path, model, result)
+    failures, exhausted = verdicts.count("FAIL"), verdicts.count("EXHAUSTED")
+    verdict = worst_verdict(verdicts)
+    lines = [
+        f"verdict: {verdict} ({len(verdicts) - failures - exhausted} ok, "
+        f"{failures} violating, {exhausted} exhausted)"
+    ]
+    if violation is not None:
+        lines += ["", violation]
+    return Outcome(verdict, lambda: "\n".join(lines))
+
+
+def _trace_violation(path: str, model: SequentialModel, result: WatchResult) -> str:
+    """The violation *result* found in *path*, rendered as ``check``'s."""
+    from repro.core.checker import monitor_violation
+    from repro.core.checkpoint import test_from_dict
+    from repro.core.report import render_violation
+    from repro.core.testcase import FiniteTest
+    from repro.monitor.dispatch import online_failure
+    from repro.monitor.trace import load_trace
+
+    trace = load_trace(path)
+    history = trace.histories[0]
+    try:
+        test = test_from_dict(trace.test)  # None in a live recording
+    except Exception:  # noqa: BLE001 - header metadata is advisory
+        test = FiniteTest.of(
+            [
+                [op.invocation for op in history.operations if op.thread == t]
+                for t in range(trace.n_threads)
+            ]
+        )
+    verdict = online_failure(
+        history, result.counterexample, result.stats["configurations"]
+    )
+    return render_violation(monitor_violation(verdict, model, test, history))

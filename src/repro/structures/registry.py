@@ -439,3 +439,22 @@ def resolve_class(name: str, provider: str | None = None) -> ClassUnderTest:
             f"provider module {provider!r} cannot resolve classes: {exc}"
         ) from exc
     return lookup(name)
+
+
+def list_command(args, stop):
+    """``list``: the Table 1 inventory (``-v``: with each alphabet) and
+    the Table 2 root causes."""
+    from repro.command import Outcome
+
+    lines = [f"{'class':26s} {'methods':>7s}  root causes (pre / beta)"]
+    for entry in REGISTRY:
+        pre = ",".join(c.tag for c in entry.causes_for("pre")) or "-"
+        beta = ",".join(c.tag for c in entry.causes_for("beta")) or "-"
+        lines.append(f"{entry.name:26s} {entry.method_count:7d}  {pre} / {beta}")
+        if args.verbose:
+            lines += [f"{'':36s}{invocation}" for invocation in entry.invocations]
+    lines += ["", "root causes:"]
+    for tag in sorted(ROOT_CAUSES):
+        cause = ROOT_CAUSES[tag]
+        lines.append(f"  {tag} [{cause.category}] {cause.summary}")
+    return Outcome("PASS", lambda: "\n".join(lines))

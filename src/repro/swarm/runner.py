@@ -33,11 +33,14 @@ can restart from surviving shard results.
 
 from __future__ import annotations
 
+import argparse
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
+from repro.command import Outcome, UsageError
 from repro.core.budget import ExplorationControl
 from repro.core.checker import (
     CheckConfig,
@@ -48,6 +51,7 @@ from repro.core.checker import (
 )
 from repro.core.checkpoint import (
     build_check_state,
+    checkpoint_subject,
     config_from_dict,
     config_to_dict,
     save_checkpoint,
@@ -62,6 +66,7 @@ from repro.exec.supervisor import (
     PoolConfig,
     TaskSpec,
     WorkerPool,
+    open_pool,
 )
 from repro.structures.registry import resolve_class
 from repro.swarm.merge import (
@@ -81,9 +86,15 @@ from repro.swarm.partition import (
     shard_snapshot,
     split_shard_snapshot,
 )
-from repro.swarm.report import ShardReport, SwarmResult
+from repro.swarm.report import (
+    ShardReport,
+    SwarmResult,
+    render_swarm_result,
+    shard_count,
+    swarm_result_to_dict,
+)
 
-__all__ = ["SwarmConfig", "swarm_check"]
+__all__ = ["SwarmConfig", "resume_swarm", "swarm_check", "swarm_command"]
 
 #: Lease verdicts that settle a lineage for good.
 _TERMINAL = ("PASS", "FAIL", NONDETERMINISTIC_VERDICT, "CRASHED")
@@ -200,7 +211,7 @@ def validate_config(config: CheckConfig) -> None:
             f"phase2_strategy {config.phase2_strategy!r} is not shardable "
             "(use --shards with the default dfs strategy)"
         )
-    if config.backend != "observations":
+    if config.model is not None:
         raise ValueError(
             "sharded exploration supports the observations backend only"
         )
@@ -653,3 +664,91 @@ def parse_swarm_state(document: dict):
     except Exception as exc:
         raise CheckpointError(f"malformed swarm checkpoint: {exc}") from exc
     return subject_info, test, config, swarm
+
+
+def swarm_command(
+    args: argparse.Namespace, entry, test, config: CheckConfig, stop
+) -> Outcome:
+    """``check --shards``: the parsed check, sharded on the one pool."""
+    if args.relaxed:
+        raise UsageError("--relaxed is not supported with --shards")
+    if args.minimize:
+        raise UsageError(
+            "--minimize is not supported with --shards (re-run the "
+            "failing test without --shards to minimize it)"
+        )
+    if not args.json:
+        shards = shard_count(args.shards)
+        print(f"Checking {entry.name}({args.version}) across {shards} on:")
+        print(test.render_matrix())
+        print()
+    return _run_swarm(
+        entry.name, args.version, test, config, stop,
+        provider=args.provider,
+        swarm=SwarmConfig(shards=args.shards, lease_executions=args.lease),
+        pool_params=vars(args),
+        checkpoint=args.checkpoint,
+    )
+
+
+def resume_swarm(document: dict, path: str, stop) -> Outcome:
+    entry, version, provider = checkpoint_subject(document)
+    _subject, test, config, swarm = parse_swarm_state(document)
+    settled = len(document.get("shard_files") or {})
+    print(
+        f"Resuming swarm check of {entry.name}({version}) from {path} "
+        f"({settled} shard file(s) on disk)"
+    )
+    print(test.render_matrix())
+    print()
+    return _run_swarm(
+        entry.name, version, test, config, stop,
+        provider=provider,
+        swarm=swarm,
+        pool_params=document.get("pool") or {},
+        checkpoint=path,
+        resume_document=document,
+    )
+
+
+def _run_swarm(
+    class_name: str,
+    version: str,
+    test,
+    config: CheckConfig,
+    stop,
+    *,
+    provider: str | None,
+    swarm: SwarmConfig,
+    pool_params: dict,
+    checkpoint: str | None,
+    resume_document: dict | None = None,
+) -> Outcome:
+    """:func:`swarm_check` on a pool opened from *pool_params*: the
+    isolation flags, or a swarm checkpoint's ``pool`` record."""
+    try:
+        validate_config(config)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    with open_pool(pool_params) as pool:
+        result = swarm_check(
+            class_name,
+            version,
+            test,
+            config,
+            provider=provider,
+            swarm=swarm,
+            pool=pool,
+            control=ExplorationControl(budget=config.budget, stop=stop),
+            checkpoint_path=checkpoint,
+            resume_document=resume_document,
+        )
+    # The reason is checked first: an interrupted swarm exits 130 even
+    # when a shard had already failed.
+    return Outcome(
+        result.verdict,
+        partial(render_swarm_result, result),
+        partial(swarm_result_to_dict, result),
+        interrupted=result.exhausted_reason == "interrupted",
+        resume=None if result.phase2_complete else checkpoint,
+    )

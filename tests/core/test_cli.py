@@ -256,7 +256,7 @@ class TestRelaxedCheck:
             (["--checkpoint", "ck.json"], "--checkpoint"),
             (["--minimize"], "--minimize"),
             (["--shards", "2"], "--shards"),
-            (["--model", "queue"], "--backend monitor"),
+            (["--model", "queue"], "--model"),
         ],
     )
     def test_what_does_not_compose_is_rejected_by_name(

@@ -176,12 +176,12 @@ class TestSwarmResume:
         stopped once its shards are planned (the stop flag reads the
         shard files off disk, so no lease ever finishes first), resumed
         to the exact schedules and classes of one process."""
-        from repro import cli
+        from repro.command import SignalStop
 
         checkpoint = str(tmp_path / "swarm.json")
         with monkeypatch.context() as patch:
             patch.setattr(
-                cli._SignalStop, "__call__",
+                SignalStop, "__call__",
                 lambda self: os.path.exists(checkpoint + ".shard-0.json"),
             )
             code = main(
@@ -213,14 +213,14 @@ class TestOneWayBackIn:
         """The checkpoint names the provider module, so the resume finds
         the fault provider's BoundedBuffer (not in the default registry)
         and ends at the counts of an uninterrupted run."""
-        from repro import cli
+        from repro.command import SignalStop
 
         checkpoint = str(tmp_path / "ck.json")
         polls = []
         with monkeypatch.context() as patch:
             # Interrupt once phase 2 has started (phase 1 runs 3 executions).
             patch.setattr(
-                cli._SignalStop, "__call__",
+                SignalStop, "__call__",
                 lambda self: polls.append(1) or len(polls) > 10,
             )
             code = main(["check", *BUFFER, "--checkpoint", checkpoint])
@@ -242,11 +242,11 @@ class TestOneWayBackIn:
     ):
         """The swarm writes nothing before its shards are planned, so no
         resume command is printed for a file that does not exist."""
-        from repro import cli
+        from repro.command import SignalStop
 
         checkpoint = str(tmp_path / "swarm.json")
         with monkeypatch.context() as patch:
-            patch.setattr(cli._SignalStop, "__call__", lambda self: True)
+            patch.setattr(SignalStop, "__call__", lambda self: True)
             code = main(
                 ["check", *BUFFER, "--shards", "2", "--checkpoint", checkpoint]
             )
@@ -273,13 +273,13 @@ class TestJsonIsOneDocument:
     stdout stays one JSON document."""
 
     def test_a_stopped_check(self, tmp_path, capsys, monkeypatch):
-        from repro import cli
+        from repro.command import SignalStop
 
         checkpoint = str(tmp_path / "ck.json")
         polls = []
         with monkeypatch.context() as patch:
             patch.setattr(
-                cli._SignalStop, "__call__",
+                SignalStop, "__call__",
                 lambda self: polls.append(1) or len(polls) > 10,
             )
             code = main(
@@ -293,12 +293,12 @@ class TestJsonIsOneDocument:
         assert f"continue with: python -m repro resume {checkpoint}" in captured.err
 
     def test_a_stopped_sharded_check(self, tmp_path, capsys, monkeypatch):
-        from repro import cli
+        from repro.command import SignalStop
 
         checkpoint = str(tmp_path / "swarm.json")
         with monkeypatch.context() as patch:
             patch.setattr(
-                cli._SignalStop, "__call__",
+                SignalStop, "__call__",
                 lambda self: os.path.exists(checkpoint + ".shard-0.json"),
             )
             code = main(

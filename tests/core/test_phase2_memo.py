@@ -77,7 +77,7 @@ def _reference_phase2(
     """
     if result is None:
         result = CheckResult(verdict="PASS", test=test, observations=observations)
-    if judge is None and cfg.backend == "monitor":
+    if judge is None and cfg.model is not None:
         from repro.monitor import get_model, monitor_history
 
         model = get_model(cfg.model)
@@ -136,12 +136,12 @@ def _visible(result: CheckResult) -> dict:
 def _assert_memo_is_invisible(subject, test, cfg, observations=None) -> CheckResult:
     """Run both loops on *test*; return the shipped loop's result."""
     with TestHarness(subject, engine=cfg.engine) as harness:
-        if observations is None and cfg.backend == "observations":
+        if observations is None and cfg.model is None:
             observations, _ = harness.run_serial(test)
         reference = _reference_phase2(harness, test, observations, cfg)
     # A fresh harness, like the fresh process a user's second run is.
     with TestHarness(subject, engine=cfg.engine) as harness:
-        if cfg.backend == "monitor":
+        if cfg.model is not None:
             shipped = checker.check_with_harness(harness, test, cfg)
         else:
             shipped = check_against_observations(harness, test, observations, cfg)
@@ -218,7 +218,7 @@ class TestDifferential:
     ):
         cfg = CheckConfig(max_concurrent_executions=CAP, stop_at_first_violation=stop)
         if model is not None:
-            cfg = replace(cfg, backend="monitor", model=model)
+            cfg = replace(cfg, model=model)
         shipped = _assert_memo_is_invisible(_subject(name, version), test, cfg)
         assert shipped.phase2_judged <= shipped.phase2_executions
         assert verdict in (None, shipped.verdict)

@@ -207,3 +207,60 @@ class TestCliExitCodes:
             ]
         )
         assert code == 0
+
+
+class TestTheReportDirectory:
+    """A pool removes the temporary report directory it made when it
+    holds nothing to read: no crash report and only empty stderr files.
+    A directory named with ``--report-dir`` is never deleted."""
+
+    @staticmethod
+    def _run(tmp_path, *argv):
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        env = {
+            **os.environ,
+            "TMPDIR": str(scratch),
+            "PYTHONPATH": os.path.join(root, "src"),
+        }
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return run, scratch
+
+    def test_a_clean_sharded_check_leaves_no_directory(self, tmp_path):
+        run, scratch = self._run(
+            tmp_path, "check", "ConcurrentQueue",
+            "--test", "Enqueue(1) | TryDequeue", "--shards", "2",
+        )
+        assert run.returncode == 0, run.stderr
+        assert list(scratch.iterdir()) == []
+
+    def test_a_crash_report_keeps_its_directory(self, tmp_path):
+        run, scratch = self._run(
+            tmp_path, "campaign", "CrashingRegister",
+            "--provider", FAULT_PROVIDER, "--isolate", "--workers", "1",
+            "--max-retries", "0", "--versions", "pre", "--samples", "1",
+            "--rows", "1", "--cols", "1", "--schedules", "10",
+        )
+        assert run.returncode == 70, run.stderr
+        (directory,) = scratch.iterdir()
+        assert directory.name.startswith("lineup-exec-")
+        assert any(
+            name.startswith("crash-") for name in os.listdir(directory)
+        )
+
+    def test_a_given_report_dir_is_kept(self, tmp_path):
+        reports = tmp_path / "reports"
+        run, _scratch = self._run(
+            tmp_path, "check", "ConcurrentQueue",
+            "--test", "Enqueue(1) | TryDequeue", "--shards", "2",
+            "--report-dir", str(reports),
+        )
+        assert run.returncode == 0, run.stderr
+        assert reports.is_dir()

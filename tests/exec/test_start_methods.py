@@ -36,7 +36,7 @@ import time
 
 import pytest
 
-from repro.cli import _pool_config, main, parse_test
+from repro.cli import main, parse_test
 from repro.core.checker import CheckConfig
 from repro.core import checkpoint
 from repro.exec import (
@@ -458,12 +458,13 @@ class TestRetiredForkserver:
         )
 
     def test_an_old_checkpoint_resumes_on_the_default(self):
-        """``_pool_config`` reads campaign params and a swarm checkpoint's
-        ``pool`` alike; one that names no method runs on the default."""
+        """``PoolConfig.from_params`` reads campaign params and a swarm
+        checkpoint's ``pool`` alike; one that names no method runs on the default."""
         default = PoolConfig().start_method
-        assert _pool_config({"start_method": None}).start_method == default
-        assert _pool_config({}).start_method == default
-        assert _pool_config({"start_method": "spawn"}).start_method == "spawn"
+        method = lambda params: PoolConfig.from_params(params).start_method  # noqa: E731
+        assert method({"start_method": None}) == default
+        assert method({}) == default
+        assert method({"start_method": "spawn"}) == "spawn"
 
     def test_an_unknown_start_method_is_a_checkpoint_error(
         self, tmp_path, capsys
@@ -471,7 +472,7 @@ class TestRetiredForkserver:
         """``forkserver`` is retired: a checkpoint naming it is refused by
         field name (exit 64), not quietly run on another method."""
         with pytest.raises(checkpoint.CheckpointError, match="'start_method'"):
-            _pool_config({"start_method": "forkserver"})
+            PoolConfig.from_params({"start_method": "forkserver"})
         path = str(tmp_path / "campaign.json")
         checkpoint.save_checkpoint(path, {
             "kind": "campaign",

@@ -161,11 +161,12 @@ class TestOneModelJudge:
 
 
 class TestCheckBackendFlag:
+    """``--model NAME`` alone selects the monitor backend."""
+
     def test_monitor_backend_skips_phase1(self, capsys):
         code = main(
             ["check", "ConcurrentQueue",
-             "--test", "Enqueue(1) | TryDequeue",
-             "--backend", "monitor", "--model", "queue"]
+             "--test", "Enqueue(1) | TryDequeue", "--model", "queue"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -183,7 +184,7 @@ class TestCheckBackendFlag:
     def test_monitor_backend_finds_figure1_bug(self, capsys):
         code = main(
             ["check", "ConcurrentQueue", "--version", "pre", "--cause", "D",
-             "--backend", "monitor", "--model", "queue"]
+             "--model", "queue"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -191,12 +192,13 @@ class TestCheckBackendFlag:
         assert "no linearization of this history is an execution" in out
 
     def test_backend_monitor_requires_model(self, capsys):
+        """The monitor backend is ``--model``: no flag repeats it."""
         code = main(
             ["check", "ConcurrentQueue",
              "--test", "Enqueue(1) | TryDequeue", "--backend", "monitor"]
         )
         assert code == 64
-        assert "--model" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_monitor_rejects_checkpoint(self, tmp_path, capsys):
         code = main(
@@ -231,8 +233,7 @@ class TestDumpTraces:
         directory = str(tmp_path / "traces")
         main(
             ["check", "ConcurrentQueue",
-             "--test", "Enqueue(1) | TryDequeue",
-             "--backend", "monitor", "--model", "queue",
+             "--test", "Enqueue(1) | TryDequeue", "--model", "queue",
              "--dump-traces", directory]
         )
         capsys.readouterr()
@@ -243,8 +244,7 @@ class TestDumpTraces:
         directory = str(tmp_path / "traces")
         code = main(
             ["check", "ConcurrentQueue", "--version", "pre", "--cause", "D",
-             "--backend", "monitor", "--model", "queue",
-             "--dump-traces", directory]
+             "--model", "queue", "--dump-traces", directory]
         )
         assert code == 1
         ends = [

@@ -406,6 +406,36 @@ class TestWatchCli:
         assert payload["model"] == "register"
         assert payload["stats"]["events"] > 0
 
+    def test_one_sigint_stops_a_following_watch_with_130(self, tmp_path):
+        """The first SIGINT only raises the stop flag, which the watch
+        loop polls after each pass: it ends at once with the partial
+        report of what it saw, and exits 130."""
+        import signal
+        import subprocess
+        import sys
+
+        path = write_register_trace(str(tmp_path / "t.jsonl"), finalize=None)
+        stats = tmp_path / "stats.jsonl"
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        watch = subprocess.Popen(
+            [sys.executable, "-m", "repro", "watch", path, "--follow",
+             "--stats-out", str(stats), "--stats-interval", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (stats.exists() and stats.stat().st_size):
+                assert watch.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            watch.send_signal(signal.SIGINT)
+            out, _err = watch.communicate(timeout=30)
+        finally:
+            watch.kill()
+        assert watch.returncode == 130
+        assert f"watched {path} against model 'register': PASS" in out
+        assert "note: trace is not finalized" in out
+
     def test_watch_lagged_exit_code(self, tmp_path, capsys):
         path = write_register_trace(str(tmp_path / "t.jsonl"), finalize=None)
         with open(path, "a", encoding="utf-8") as handle:
@@ -434,8 +464,7 @@ class TestWatchCli:
             (["monitor"], Invocation("Frob", ("k0",))),
             (["monitor"], Invocation("TryAdd", ())),
             (
-                ["check", "ConcurrentQueue", "--backend", "monitor",
-                 "--model", "register", "--test"],
+                ["check", "ConcurrentQueue", "--model", "register", "--test"],
                 Invocation("Enqueue", (1,)),
             ),
         ],
