@@ -38,7 +38,8 @@ INTENTIONAL_TAGS = {"H", "I", "J", "K", "L"}
 #: Bug -> (its class, sampled tests that FAIL of 64, schedules to the
 #: first FAIL summed over those tests): random phase 2 at 150 schedules,
 #: 4 sampled 3x3 tests for each seed 1-16.  Seeded runs are exact, so
-#: the gate is equality; EXPERIMENTS.md compares it with PCT.
+#: the gate is equality; EXPERIMENTS.md compares it with PCT and with
+#: coverage-guided test generation.
 DETECTION = {
     "A": ("ManualResetEvent", 17, 770),
     "B": ("SemaphoreSlim", 62, 326),

@@ -58,8 +58,11 @@ LAZY_CAMPAIGN = [
     "campaign", "Lazy", "--versions", "pre", "--samples", "4", "--rows", "2",
     "--cols", "2", "--schedules", "60", "--seed", "5",
 ]
-GENERATE = [
-    "generate", "Lazy", "--version", "pre", "--engine", "coop", "--seed", "1",
+#: The coop engine end to end: a seeded bug found on it, in process
+#: and on workers.
+COOP_CAMPAIGN = [
+    "campaign", "Lazy", "--versions", "pre", "--engine", "coop", "--samples", "1",
+    "--seed", "1",
 ]
 LIVE = ["live", "--model", "counter", "--sessions", "4"]
 #: perfbench's trace generator, as CI's stream steps call it.
@@ -171,9 +174,8 @@ DRIVES: list[tuple[str, list[str]]] = [
     ("stream: generate a window trace",
      ["-c", GEN_TRACES, PERFBENCH, "window.trace.jsonl", "window", "40"]),
     ("stream: watch a window trace", ["watch", "window.trace.jsonl", "--json"]),
-    ("generate: seeded bug", GENERATE + ["--budget", "300", "--corpus-dir", "corpus"]),
-    ("generate: resume from corpus", GENERATE + ["--budget", "600", "--corpus-dir", "corpus"]),
-    ("generate: isolated", GENERATE + ["--budget", "300", "--isolate", "--workers", "2"]),
+    ("coop engine: campaign", COOP_CAMPAIGN),
+    ("coop engine: isolated campaign", COOP_CAMPAIGN + ["--isolate", "--workers", "2"]),
     ("every kind resumes: check",
      ["check", *BUFFER, "--checkpoint", "resume-check.json", "--deadline", "0.0001"]),
     ("every kind resumes: resume a check",
@@ -188,10 +190,6 @@ DRIVES: list[tuple[str, list[str]]] = [
       "--checkpoint", "resume-campaign.json", "--deadline", "0.0001"]),
     ("every kind resumes: resume a campaign",
      ["resume", "resume-campaign.json", "--deadline", "60"]),
-    ("every kind resumes: generate",
-     GENERATE + ["--budget", "300", "--corpus-dir", "resume-corpus", "--deadline", "0.0001"]),
-    ("every kind resumes: resume a generation",
-     ["resume", "resume-corpus/corpus.json", "--deadline", "60"]),
     ("campaign parity: in-process", LAZY_CAMPAIGN),
     ("campaign parity: isolated", LAZY_CAMPAIGN + ["--isolate", "--workers", "1"]),
     ("every product path: list", ["list", "-v"]),
@@ -226,11 +224,6 @@ DRIVES: list[tuple[str, list[str]]] = [
      ["check", "ConcurrentQueue", "--test", GATE, "--reduction", "sleep",
       "--checkpoint", "sleep.json", "--deadline", "0.1"]),
     ("one document: resume the reduced check", ["resume", "sleep.json", "--deadline", "60"]),
-    ("generate: a correct class, --json",
-     ["generate", "ConcurrentQueue", "--version", "beta", "--seed", "1", "--budget", "600",
-      "--seeds", "1", "--max-rows", "2", "--max-cols", "2", "--schedules", "30", "--json"]),
-    ("generate: campaign --generate",
-     ["campaign", "Lazy", "--versions", "pre", "--generate", "--budget", "300", "--seed", "1"]),
     *[
         (f"live: the {model} model",
          ["live", "--model", model, "--sessions", "2", "--ops", "10",

@@ -11,8 +11,8 @@ finite test against a registry class, e.g.::
 takes the curated witness of a Table 2 root cause instead), ``campaign``
 a RandomCheck campaign (Table 2 rows), ``observations`` phase 1 alone,
 ``resume`` a stopped run, ``monitor`` / ``watch`` recorded or growing
-JSONL traces against a sequential model, ``live`` a real service, and
-``generate`` coverage-guided test generation.  ``--help`` lists them all.
+JSONL traces against a sequential model, and ``live`` a real service.
+``--help`` lists them all.
 
 This module is the parser only.  Each command runs beside its subsystem
 (``set_defaults(run="module:function")``, imported once the command line
@@ -240,20 +240,17 @@ def _add_worker_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_robustness_options(
-    parser: argparse.ArgumentParser, checkpoint: bool = True
-) -> None:
+def _add_robustness_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--deadline", type=_seconds(), metavar="SECONDS",
         help="wall-clock budget; on expiry the run stops with verdict "
              "EXHAUSTED, partial statistics, and exit code 2",
     )
-    if checkpoint:
-        parser.add_argument(
-            "--checkpoint", metavar="PATH",
-            help="periodically persist the exploration frontier to PATH "
-                 "(atomic writes); continue later with 'resume PATH'",
-        )
+    parser.add_argument(
+        "--checkpoint", metavar="PATH",
+        help="periodically persist the exploration frontier to PATH "
+             "(atomic writes); continue later with 'resume PATH'",
+    )
     parser.add_argument(
         "--watchdog", type=_seconds(), metavar="SECONDS",
         help="max seconds one operation may run between scheduling points "
@@ -411,76 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--schedules", type=_count(1), default=150)
     p_campaign.add_argument("--seed", type=int, default=0)
     _add_engine_argument(p_campaign)
-    p_campaign.add_argument(
-        "--generate", action="store_true",
-        help="replace uniform RandomCheck sampling with the "
-             "coverage-guided generation loop (see 'generate --help'); "
-             "--rows/--cols become matrix growth bounds",
-    )
-    p_campaign.add_argument(
-        "--budget", type=_count(1), default=2000, metavar="N",
-        help="with --generate: SUT-execution budget per class/version "
-             "(default: 2000)",
-    )
     _add_reduction_option(p_campaign)
     _add_provider_option(p_campaign)
     _add_isolation_options(p_campaign)
     _add_robustness_options(p_campaign)
     _add_trace_dump_option(p_campaign)
 
-    p_generate = _command(
-        sub, "generate", "repro.generate.campaign:generate_command",
-        help="coverage-guided scenario generation: mutate a corpus of "
-             "tests towards unseen execution equivalence classes",
-        json=True,
-    )
-    p_generate.add_argument("cls", metavar="CLASS", help="registry class name")
-    p_generate.add_argument(
-        "--version", choices=("pre", "beta"), default="beta",
-        help="library vintage to test (default: beta)",
-    )
-    p_generate.add_argument(
-        "--budget", type=_count(1), default=2000, metavar="N",
-        help="total SUT executions (both phases, all candidates) the "
-             "campaign may spend (default: 2000)",
-    )
-    p_generate.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help="persist the corpus + campaign state to DIR/corpus.json "
-             "(atomic writes) and auto-resume from it on the next run",
-    )
-    p_generate.add_argument(
-        "--seed", type=int, default=0,
-        help="campaign PRNG seed; the candidate stream is a deterministic "
-             "function of it (default: 0)",
-    )
-    p_generate.add_argument(
-        "--seeds", type=_count(1), default=4, metavar="N",
-        help="seed-corpus size: tiny starter tests before mutation "
-             "takes over (default: 4)",
-    )
-    p_generate.add_argument(
-        "--max-rows", type=_count(1), default=3, metavar="N",
-        help="matrix growth bound: invocations per thread (default: 3)",
-    )
-    p_generate.add_argument(
-        "--max-cols", type=_count(1), default=3, metavar="N",
-        help="matrix growth bound: threads (default: 3)",
-    )
-    p_generate.add_argument(
-        "--schedules", type=_count(1), default=150, metavar="N",
-        help="phase-2 schedules sampled per candidate (default: 150)",
-    )
-    _add_robustness_options(p_generate, checkpoint=False)  # --corpus-dir
-    _add_engine_argument(p_generate)
-    _add_reduction_option(p_generate)
-    _add_provider_option(p_generate)
-    _add_isolation_options(p_generate)
-
     p_resume = _command(
         sub, "resume", "repro.core.command:resume_command",
-        help="continue an interrupted check/campaign/generation from "
-             "its checkpoint",
+        help="continue an interrupted check or campaign from its checkpoint",
     )
     p_resume.add_argument(
         "checkpoint", metavar="PATH", help="checkpoint file written by --checkpoint"
@@ -672,6 +608,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(outcome, json_output: bool) -> None:
+    """Print *outcome* once: the JSON document or the text report."""
+    if json_output:
+        import json
+
+        print(json.dumps(outcome.to_dict()))  # one document, one line
+    else:
+        print(outcome.render())
+    if outcome.resume and os.path.exists(outcome.resume):
+        # A run stopped before its first save has nothing to resume;
+        # under --json stdout is one document.
+        print(
+            "state saved; continue with: python -m repro resume "
+            f"{outcome.resume}",
+            file=sys.stderr if json_output else sys.stdout,
+        )
+    sys.stdout.flush()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -682,21 +635,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         command = getattr(importlib.import_module(module), name)
         with SignalStop() as stop:
             outcome = command(args, stop)
-        json_output = getattr(args, "json", False)
-        if json_output:
-            import json
-
-            print(json.dumps(outcome.to_dict()))  # one document, one line
-        else:
-            print(outcome.render())
-        if outcome.resume and os.path.exists(outcome.resume):
-            # A run stopped before its first save has nothing to resume;
-            # under --json stdout is one document.
-            print(
-                "state saved; continue with: python -m repro resume "
-                f"{outcome.resume}",
-                file=sys.stderr if json_output else sys.stdout,
-            )
+        try:
+            _print(outcome, getattr(args, "json", False))
+        except BrokenPipeError:
+            # The reader closed stdout early (``list -v | head``): what
+            # it did not read is not wanted, and the exit still says the
+            # verdict.  Later writes, the interpreter's final flush
+            # included, go to the null device.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if outcome.interrupted:
             return EXIT_INTERRUPTED
         return _VERDICT_EXIT.get(outcome.verdict, EXIT_PASS)

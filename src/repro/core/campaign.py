@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
-from repro.command import Outcome, UsageError
+from repro.command import Outcome
 from repro.core.budget import ExplorationBudget, ExplorationControl
 from repro.core.checker import CheckConfig, CheckResult, check_with_harness
 from repro.core.harness import SystemUnderTest, TestHarness
@@ -647,9 +647,9 @@ def render_table2(rows: list[CampaignRow]) -> str:
     return "\n".join(lines)
 
 
-#: The check and executor flags ``campaign`` and ``generate`` share.  Every
-#: checkpoint stores them, so ``resume`` rebuilds the same check
-#: configuration (:func:`campaign_check_config`) and the same executor
+#: The check and executor flags of a campaign.  Its checkpoint stores
+#: them, so ``resume`` rebuilds the same check configuration
+#: (:func:`campaign_check_config`) and the same executor
 #: (:func:`repro.exec.open_executor`).
 SHARED_PARAMS = (
     "schedules", "seed", "deadline", "watchdog", "reduction", "engine",
@@ -659,7 +659,7 @@ SHARED_PARAMS = (
 
 
 def campaign_check_config(params: dict) -> CheckConfig:
-    """The per-test check configuration of a campaign or generation run."""
+    """The per-test check configuration of a campaign."""
     reduction = params.get("reduction", "none")
     deadline = params.get("deadline")
     return CheckConfig(
@@ -678,8 +678,7 @@ def campaign_check_config(params: dict) -> CheckConfig:
 
 
 def campaign_command(args: argparse.Namespace, stop) -> Outcome:
-    """``campaign``: Table 2 rows for one class or ``all`` (with
-    ``--generate``, one generation campaign per row instead)."""
+    """``campaign``: Table 2 rows for one class or ``all``."""
     from repro.structures import REGISTRY
 
     entries = (
@@ -694,20 +693,6 @@ def campaign_command(args: argparse.Namespace, stop) -> Outcome:
         "cols": args.cols,
         "dump_traces": args.dump_traces,
     }
-    if args.generate:
-        from repro.generate.campaign import generate_plan
-
-        if args.checkpoint:
-            raise UsageError(
-                "campaign --generate does not checkpoint; use "
-                "'generate --corpus-dir DIR' for resumable generation"
-            )
-        return generate_plan(
-            plan,
-            {**params, "budget": args.budget, "max_rows": args.rows,
-             "max_cols": args.cols},
-            stop,
-        )
     return run_campaign(plan, params, args.checkpoint, stop)
 
 

@@ -318,8 +318,8 @@ def check_with_harness(
     periodically persists the exploration frontier; *resume* continues a
     previous partial run parsed from a checkpoint.  *fingerprints* is a
     caller-owned :class:`repro.reduction.FingerprintSet` that phase 2
-    populates with the digest of every explored execution — the
-    coverage-harvest hook of :mod:`repro.generate` (without it only the
+    populates with the digest of every explored execution — a swarm
+    lease hands its shard's set back this way (without it only the
     class *count* survives in the result).  *digest* False, with no
     *fingerprints*, takes no digest at all and leaves
     ``equivalence_classes`` 0: a campaign prints no class count.

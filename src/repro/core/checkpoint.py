@@ -3,7 +3,7 @@
 A checkpoint is a single JSON document written atomically (temp file +
 fsync + rename, see :mod:`repro.core.fileio`), so a crash or SIGKILL at
 any instant leaves either the previous checkpoint or the new one — never
-a torn file.  Five kinds exist, discriminated by ``kind``:
+a torn file.  Four kinds exist, discriminated by ``kind``:
 
 * ``"check"`` — one ``Check(X, m)`` run: the finite test, the config, the
   current phase, the exploration strategy's frontier snapshot (for DFS
@@ -17,9 +17,10 @@ a torn file.  Five kinds exist, discriminated by ``kind``:
   granularity is reserved for single checks).
 * ``"swarm"`` — a sharded check (:mod:`repro.swarm`): phase 1's results
   and one ``"shard-result"`` file per shard, merged in on resume.
-* ``"generate"`` — a generation run's corpus, coverage and failures.
 
-``check``, ``swarm`` and ``generate`` record a ``subject``
+Earlier builds also wrote ``"generate"`` (a coverage-guided generation
+run's corpus); that sampler is retired and its checkpoints are refused
+by name.  ``check`` and ``swarm`` record a ``subject``
 (:func:`subject_record`).  ``resume`` re-enters the command that wrote
 the file; the budget is a total across sessions unless ``--deadline``
 renews it (:func:`renew_limits`).
@@ -189,9 +190,13 @@ def load_checkpoint(path: str) -> dict:
             f"checkpoint {path!r} has version {document.get('version')!r}; "
             f"this build reads version {VERSION}"
         )
-    if document.get("kind") not in (
-        "check", "campaign", "swarm", "shard-result", "generate",
-    ):
+    if document.get("kind") == "generate":
+        raise CheckpointError(
+            f"checkpoint {path!r} is a coverage-guided generation corpus; "
+            "generation is retired and this build cannot resume it (sample "
+            "tests with 'campaign CLASS' instead)"
+        )
+    if document.get("kind") not in ("check", "campaign", "swarm", "shard-result"):
         raise CheckpointError(
             f"checkpoint {path!r} has unknown kind {document.get('kind')!r}"
         )
@@ -221,35 +226,25 @@ def checkpoint_subject(document: dict) -> tuple[Any, str, str | None]:
     return resolve_class(subject["cls"], provider), subject["version"], provider
 
 
-def renew_limits(
-    document: dict, deadline: float | None, budget: int | None = None
-) -> None:
+def renew_limits(document: dict, deadline: float | None) -> None:
     """Grant a loaded checkpoint a fresh *deadline*, in place.
 
     By default a resumed run's budget is a total across sessions.  A new
     deadline replaces the stored one (``config.budget`` of a check or
-    swarm, ``params`` of a campaign, ``generate`` of a generation run),
-    and the meter snapshot's elapsed time restarts at 0; its counts carry
-    over.  *budget* replaces a generation run's execution budget.
+    swarm, ``params`` of a campaign), and the meter snapshot's elapsed
+    time restarts at 0; its counts carry over.
     """
-    kind = document["kind"]
-    if kind == "generate" and budget is not None:
-        document.setdefault("generate", {})["budget"] = budget
     if deadline is None:
         return
-    meter = "budget"
-    if kind == "generate":
-        document.setdefault("generate", {})["deadline"] = deadline
-        meter = "meter"
-    elif kind == "campaign":
+    if document["kind"] == "campaign":
         document.setdefault("params", {})["deadline"] = deadline
     else:
         config = document.setdefault("config", {})
         config["budget"] = {
             **(config.get("budget") or {}), "deadline_seconds": deadline,
         }
-    if document.get(meter) is not None:
-        document[meter] = {**document[meter], "elapsed": 0.0}
+    if document.get("budget") is not None:
+        document["budget"] = {**document["budget"], "elapsed": 0.0}
 
 
 class Checkpointer:

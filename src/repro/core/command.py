@@ -190,8 +190,6 @@ def resume_command(args: argparse.Namespace, stop) -> Outcome:
         renew_limits(document, args.deadline)
     if kind == "campaign":
         from repro.core.campaign import resume_campaign as resume
-    elif kind == "generate":
-        from repro.generate.campaign import resume_generation as resume
     elif kind == "swarm":
         from repro.swarm.runner import resume_swarm as resume
     else:

@@ -28,7 +28,6 @@ __all__ = [
     "check_result_to_dict",
     "reduced_pass_note",
     "render_check_result",
-    "render_generation_report",
     "render_violation",
     "result_counts_to_dict",
 ]
@@ -248,66 +247,3 @@ def result_counts_to_dict(result: Any) -> dict:
         },
         "exhausted_reason": result.exhausted_reason,
     }
-
-
-def render_generation_report(report) -> str:
-    """Render a :class:`repro.generate.GenerationReport` for the terminal.
-
-    The curve is summarized rather than dumped: its first and last
-    points, plus where the first failure landed, tell the
-    guided-vs-uniform story; the full curve travels in ``--json``.
-    """
-    lines = [
-        f"verdict: {report.verdict}",
-        (
-            f"generation: {report.candidates} candidates "
-            f"({report.skipped} planning dead-ends), "
-            f"{report.executions} executions"
-        ),
-        (
-            f"coverage: {report.classes} equivalence classes, "
-            f"corpus of {report.corpus_size}"
-        ),
-    ]
-    if report.curve:
-        first_e, first_c = report.curve[0]
-        last_e, last_c = report.curve[-1]
-        lines.append(
-            f"discovery: {first_c} classes after {first_e} executions → "
-            f"{last_c} after {last_e}"
-        )
-    if report.failures:
-        dup = (
-            f" (+{report.duplicate_failures} duplicate hits)"
-            if report.duplicate_failures
-            else ""
-        )
-        lines.append(
-            f"failures: {len(report.failures)} distinct root cause(s){dup}, "
-            f"first after {report.first_failure_executions} executions"
-        )
-        for key in sorted(report.failures):
-            failure = report.failures[key]
-            lines.append(
-                f"  [{failure['fingerprint']}] {failure['kind']} ×"
-                f"{failure['count']} — {failure['matrix']}"
-            )
-            lines.append(f"    {failure['description']}")
-    if report.converged:
-        lines.append(
-            "note: mutation ran dry — the reachable matrix space is "
-            "exhausted for these bounds"
-        )
-    if report.stop_reason == "executions":
-        lines.append(
-            "note: campaign incomplete — the execution budget (--budget) "
-            "ran out before any candidate was judged"
-        )
-    elif report.stop_reason is not None:
-        what = (
-            "interrupted"
-            if report.stop_reason == "interrupted"
-            else f"budget exhausted ({report.stop_reason})"
-        )
-        lines.append(f"note: campaign incomplete — {what}")
-    return "\n".join(lines)

@@ -2,11 +2,11 @@
 
 Every layer of the tool reduces many per-unit verdicts to one — a swarm
 over its shard lineages, a sharded watch over its cells, a live run over
-its monitor/service/budget outcomes, a generation campaign over its
-candidates, ``monitor`` over its files.  They follow the same rule:
-report the *worst* thing that happened, under one global severity order
-(a campaign's exit verdict has its own, ``campaign_verdict``).  This module is the single source of that order; the
-historical per-module precedence tuples re-export it.
+its monitor/service/budget outcomes, ``monitor`` over its files.  They
+follow the same rule: report the *worst* thing that happened, under one
+global severity order (a campaign's exit verdict has its own,
+``campaign_verdict``).  This module is the single source of that order;
+the historical per-module precedence tuples re-export it.
 
 Severity rationale, worst first:
 

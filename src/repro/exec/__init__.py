@@ -13,19 +13,19 @@ process instead:
 * :mod:`repro.exec.protocol` — the length-prefixed JSON pipe protocol
   (tasks, heartbeats, results) between supervisor and workers;
 * :mod:`repro.exec.sandbox` — the worker side: ``resource.setrlimit``
-  caps, stderr capture, heartbeat thread, and the task loop (three
-  kinds: ``check``, ``shard`` — a swarm lease, a partition probe being
-  one of a single execution — and ``generate``);
+  caps, stderr capture, heartbeat thread, and the task loop (two
+  kinds: ``check``, and ``shard`` — a swarm lease, a partition probe
+  being one of a single execution);
 * :mod:`repro.exec.supervisor` — the parent side: a :class:`WorkerPool`
   that detects worker death (nonzero exit, signal, heartbeat loss),
   retries crashed tests with exponential backoff, and **quarantines**
   repeat offenders with a ``CRASHED`` verdict and a crash-report
   artifact instead of aborting the campaign.  :func:`open_pool` opens
-  the pool that campaigns, generation and the swarm run on;
+  the pool that campaigns and the swarm run on;
 * :mod:`repro.exec.inline` — :class:`InlineExecutor`, the same
   ``run(tasks, ...) -> (outcomes, stop_reason)`` contract with no
-  workers: tasks run in the caller's process, in order.  Campaigns and
-  generation are written against that contract, so in-process versus
+  workers: tasks run in the caller's process, in order.  Campaigns are
+  written against that contract, so in-process versus
   isolated is a choice of executor, not a second code path;
 * :mod:`repro.exec.faults` — fault-injection subjects (``os._exit``,
   unbounded allocation, ``SystemExit``, ``SIGSTOP``) used by the crash

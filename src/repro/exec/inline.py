@@ -1,6 +1,6 @@
 """The in-process executor: :class:`WorkerPool`'s contract, no workers.
 
-Campaigns and generation plan :class:`TaskSpec` lists and fold
+A campaign plans :class:`TaskSpec` lists and folds
 :class:`TaskOutcome` lists; *where* a task runs is the executor's
 business.  :class:`InlineExecutor` runs each task in the caller's
 process through the very dispatch a sandboxed worker uses
@@ -16,7 +16,6 @@ executions rather than between two tasks.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable
 
 from repro.core.budget import ExplorationControl
@@ -26,14 +25,14 @@ from repro.exec.supervisor import TaskOutcome, TaskSpec, open_pool
 __all__ = ["InlineExecutor", "open_executor"]
 
 
-def open_executor(params: dict, notes=None):
+def open_executor(params: dict):
     """``--isolate`` is a sandboxing choice: it picks the executor, an
     :class:`InlineExecutor` or the pool of :func:`open_pool`, which
-    names its report directory on *notes* (default: stdout)."""
+    names its report directory on stdout."""
     if not params.get("isolate"):
         return InlineExecutor()
     pool = open_pool(params)
-    print(f"worker reports in {pool.report_dir}", file=notes or sys.stdout)
+    print(f"worker reports in {pool.report_dir}")
     return pool
 
 

@@ -126,9 +126,7 @@ def _run_task(spec: dict, *, scheduler=None, control=None) -> dict:
 
     ``"check"`` (the default) runs a full two-phase check; ``"shard"``
     runs one lease of a sharded exploration (a partition probe is a
-    lease of one execution — see :mod:`repro.swarm.worker`); ``"generate"``
-    checks one generation candidate and harvests its coverage
-    fingerprints (see :mod:`repro.generate.worker`).
+    lease of one execution — see :mod:`repro.swarm.worker`).
 
     A worker passes neither keyword.  :class:`repro.exec.InlineExecutor`
     runs the two check kinds in the caller's process on a *scheduler* it
@@ -140,10 +138,6 @@ def _run_task(spec: dict, *, scheduler=None, control=None) -> dict:
         from repro.swarm.worker import run_shard_task
 
         return run_shard_task(spec)
-    if kind == "generate":
-        from repro.generate.worker import run_generate_task
-
-        return run_generate_task(spec, scheduler=scheduler, control=control)
 
     from repro.core.campaign import TestSummary
     from repro.core.checker import check

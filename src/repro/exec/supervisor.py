@@ -86,10 +86,9 @@ class TaskSpec:
     module whose ``get_class`` resolves ``class_name`` inside the worker.
 
     ``kind`` selects the worker entry point: ``"check"`` runs a full
-    two-phase check, ``"shard"`` runs one lease of a sharded exploration
-    (:mod:`repro.swarm.worker`; a partition probe is a lease of one
-    execution) and ``"generate"`` checks one generation candidate
-    (:mod:`repro.generate.worker`); ``payload`` carries the kind-specific
+    two-phase check, and ``"shard"`` runs one lease of a sharded
+    exploration (:mod:`repro.swarm.worker`; a partition probe is a lease
+    of one execution); ``payload`` carries the kind-specific
     arguments across the pipe.  ``swarm`` is supervision metadata only —
     the sharding flags of the owning swarm run, so crash-report repro
     commands stay copy-pasteable — and never crosses to the worker.
@@ -195,8 +194,8 @@ class PoolConfig:
 
 
 def open_pool(params: dict) -> "WorkerPool":
-    """The one :class:`WorkerPool` of the commands (``campaign`` /
-    ``generate --isolate``, ``check --shards`` and their ``resume``), set
+    """The one :class:`WorkerPool` of the commands (``campaign
+    --isolate``, ``check --shards`` and their ``resume``), set
     up from the isolation flags or a checkpoint's record of them; the
     caller closes it."""
     return WorkerPool(PoolConfig.from_params(params))

@@ -8,7 +8,8 @@ One engine decides: :mod:`repro.monitor.incremental`, the online closure
 that ``lineup watch`` and ``lineup monitor`` run over a trace file (per
 key, through :mod:`repro.stream`) and :func:`monitor_history` runs over
 one phase-2 history, stuck histories included.  :mod:`repro.monitor.wgl`
-is the offline Wing–Gong–Lowe search it is tested against, and
+is the offline Wing–Gong–Lowe search it is tested against (imported
+from there, never from this package, so no command loads it), and
 :mod:`repro.monitor.trace` is the JSONL trace format both commands read.
 """
 
@@ -21,6 +22,7 @@ from repro.monitor.models import (
 )
 from repro.monitor.incremental import (
     IncrementalChecker,
+    MonitorLimitError,
     OnlineCounterexample,
 )
 from repro.monitor.trace import (
@@ -39,14 +41,6 @@ from repro.monitor.trace import (
     read_trace_header,
     scan_trace,
 )
-from repro.monitor.wgl import (
-    MonitorCounterexample,
-    MonitorLimitError,
-    MonitorResult,
-    StuckMonitorResult,
-    check_stuck_history_model,
-    wgl_check,
-)
 
 __all__ = [
     "IncrementalChecker",
@@ -54,12 +48,9 @@ __all__ = [
     "ModelError",
     "MonitorVerdict",
     "monitor_history",
-    "MonitorCounterexample",
     "MonitorLimitError",
-    "MonitorResult",
     "OnlineCounterexample",
     "SequentialModel",
-    "StuckMonitorResult",
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "DumpTraceWriter",
@@ -69,12 +60,10 @@ __all__ = [
     "TraceError",
     "TraceScan",
     "TraceSegment",
-    "check_stuck_history_model",
     "default_trace_dir",
     "get_model",
     "iter_trace",
     "load_trace",
     "read_trace_header",
     "scan_trace",
-    "wgl_check",
 ]

@@ -23,16 +23,15 @@ from typing import TYPE_CHECKING
 
 from repro.core.events import Operation
 from repro.core.history import History
-from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
-from repro.monitor.models import SequentialModel
-from repro.monitor.wgl import (
-    MonitorCounterexample,
+from repro.monitor.incremental import (
+    IncrementalChecker,
     MonitorLimitError,
-    check_stuck_history_model,
-    wgl_check,
+    OnlineCounterexample,
 )
+from repro.monitor.models import SequentialModel
 
 if TYPE_CHECKING:
+    from repro.monitor.wgl import MonitorCounterexample
     from repro.stream.engine import StreamChecker
 
 __all__ = ["MonitorVerdict", "monitor_history", "online_failure", "replay"]
@@ -126,7 +125,7 @@ def monitor_history(
 
     *max_configurations* caps the closure of one return (the online
     engine) or the whole search (the reference); past it, with no FAIL
-    found, :class:`~repro.monitor.wgl.MonitorLimitError` is raised.  An
+    found, :class:`~repro.monitor.incremental.MonitorLimitError` is raised.  An
     ill-formed history — one no trace file can hold, such as a thread
     calling while its last call is open — raises :class:`ValueError`.
     """
@@ -158,6 +157,8 @@ def _reference(
     history: History, model: SequentialModel, max_configurations: int | None
 ) -> MonitorVerdict:
     """The offline verdict: WGL, then a blocking search per pending op."""
+    from repro.monitor.wgl import check_stuck_history_model, wgl_check
+
     result = wgl_check(history, model, max_configurations=max_configurations)
     if not result.ok:
         return MonitorVerdict(

@@ -90,8 +90,8 @@ state by state and allocates no levels.
 ``max_configurations`` caps what can blow up: the configurations explored
 by the closure of **one return** (exponential in the window width; the
 live set is a subset of that closure, so it bounds memory by the same
-number).  Exceeding it raises
-:class:`~repro.monitor.wgl.MonitorLimitError` and the caller reports
+number).  Exceeding it raises :class:`MonitorLimitError` and the caller
+reports
 EXHAUSTED, never a guess.  ``configurations`` is the lifetime total and
 only a statistic: a healthy stream of any length never trips the cap.
 """
@@ -104,13 +104,17 @@ from typing import Any, Hashable
 
 from repro.core.events import Invocation, Response, plain_invocation, plain_response
 from repro.monitor.models import SequentialModel
-from repro.monitor.wgl import MonitorLimitError
 
 __all__ = [
     "IncrementalChecker",
+    "MonitorLimitError",
     "OnlineCounterexample",
     "StreamStateError",
 ]
+
+
+class MonitorLimitError(Exception):
+    """The configuration cap was hit before the search concluded."""
 
 
 class StreamStateError(Exception):

@@ -40,6 +40,7 @@ from typing import Any
 
 from repro.core.events import Operation, Response, plain_response
 from repro.core.history import History
+from repro.monitor.incremental import MonitorLimitError
 from repro.monitor.models import SequentialModel
 
 __all__ = [
@@ -50,10 +51,6 @@ __all__ = [
     "check_stuck_history_model",
     "wgl_check",
 ]
-
-
-class MonitorLimitError(Exception):
-    """The configuration cap was hit before the search concluded."""
 
 
 @dataclass(frozen=True)

@@ -130,8 +130,8 @@ def execution_fingerprint(outcome: ExecutionOutcome) -> str:
     The status and pending set are folded in so a stuck execution can
     never collide with a completed one.
 
-    The digest is persisted (check checkpoints, swarm shard states,
-    ``generate`` corpora) and resumed runs union old digests with new
+    The digest is persisted (check checkpoints, swarm shard states) and
+    resumed runs union old digests with new
     ones, so its bytes must never change: same parts, same order, same
     truncated sha256.  ``tests/reduction/test_fingerprint_reference.py``
     holds the original quadratic implementation as the oracle.

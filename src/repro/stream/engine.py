@@ -42,10 +42,13 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable
 
-from repro.monitor.incremental import IncrementalChecker, OnlineCounterexample
+from repro.monitor.incremental import (
+    IncrementalChecker,
+    MonitorLimitError,
+    OnlineCounterexample,
+)
 from repro.monitor.models import SequentialModel
 from repro.monitor.trace import LITERAL_MEMO_LIMIT, STUCK_OUTCOMES, TraceDecoder
-from repro.monitor.wgl import MonitorLimitError
 
 __all__ = ["PartitionUnsound", "StreamChecker"]
 

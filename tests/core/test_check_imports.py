@@ -2,8 +2,8 @@
 
 Each command's run lives beside its subsystem and is imported once the
 command line is parsed, so a command loads only the subsystems it runs:
-``check`` neither the streaming monitor, the live recorder, the fuzzer,
-the swarm nor the worker pool; ``campaign`` the pool's package (its
+``check`` neither the streaming monitor, the live recorder, the swarm
+nor the worker pool; ``campaign`` the pool's package (its
 in-process executor) but none of the others.  ``watch`` is pinned the
 same way in ``tests/stream/test_watch_imports.py``.
 """
@@ -20,7 +20,7 @@ from tests.stream.test_watch_imports import _PROBE
 
 ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
-OFF_THE_CHECK_PATH = ("stream", "monitor", "live", "generate", "swarm", "exec")
+OFF_THE_CHECK_PATH = ("stream", "monitor", "live", "swarm", "exec")
 
 
 def _loaded(tmp_path, *argv) -> tuple[int, list[str]]:

@@ -151,7 +151,6 @@ class TestRenewLimits:
             ("check", "config", None, "budget"),
             ("swarm", "config", None, "budget"),
             ("campaign", "params", "deadline", "budget"),
-            ("generate", "generate", "deadline", "meter"),
         ],
     )
     def test_the_deadline_moves_and_the_clock_restarts(
@@ -161,7 +160,6 @@ class TestRenewLimits:
             "kind": kind,
             "config": {"budget": {"deadline_seconds": 0.1, "max_executions": 9}},
             "params": {"deadline": 0.1, "samples": 1},
-            "generate": {"deadline": 0.1, "budget": 300},
             meter: dict(self.METER),
         }
         renew_limits(document, 60.0)
@@ -172,13 +170,6 @@ class TestRenewLimits:
         else:
             assert document[section][key] == 60.0
         assert document[meter] == {**self.METER, "elapsed": 0.0}
-
-    def test_a_generation_run_also_takes_a_new_execution_budget(self):
-        document = {"kind": "generate", "generate": {"budget": 300}, "meter": None}
-        renew_limits(document, None, budget=600)
-        assert document == {
-            "kind": "generate", "generate": {"budget": 600}, "meter": None,
-        }
 
 
 class TestAtomicWrites:

@@ -310,18 +310,60 @@ class TestJsonIsOneDocument:
         assert json.loads(captured.out)["verdict"] == "EXHAUSTED"
         assert f"continue with: python -m repro resume {checkpoint}" in captured.err
 
-    def test_an_isolated_generation(self, tmp_path, capsys):
-        """``--isolate`` names its report directory on stderr under
-        ``--json``."""
-        reports = str(tmp_path / "reports")
-        code = main(
-            ["generate", "Lazy", "--version", "pre", "--seed", "1",
-             "--budget", "100", "--isolate", "--report-dir", reports, "--json"]
-        )
+
+class TestRetiredGeneration:
+    """Coverage-guided generation left the tool (EXPERIMENTS.md,
+    "Detection count"): its checkpoints, its command and its campaign
+    flags are each refused by name, in one line, with exit 64."""
+
+    def test_a_generation_checkpoint_is_refused_by_name(self, tmp_path, capsys):
+        from repro.core.checkpoint import FORMAT, VERSION
+
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "format": FORMAT, "version": VERSION, "kind": "generate",
+            "subject": {"cls": "Lazy", "version": "pre", "provider": None},
+            "generate": {"budget": 300, "seed": 1}, "meter": None,
+        }))
+        assert main(["resume", str(path)]) == 64
         captured = capsys.readouterr()
-        assert code == 1
-        assert json.loads(captured.out)["verdict"] == "FAIL"
-        assert f"worker reports in {reports}" in captured.err
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "generation is retired" in captured.err
+        assert "'campaign CLASS'" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "Lazy", "--version", "pre", "--budget", "300"],
+            ["campaign", "Lazy", "--versions", "pre", "--generate"],
+            ["campaign", "Lazy", "--versions", "pre", "--budget", "300"],
+        ],
+        ids=["generate", "campaign-generate", "campaign-budget"],
+    )
+    def test_the_generation_commands_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: repro")
+
+
+class TestClosedStdout:
+    """A reader that stops early (``list -v | head -2``) ends the output,
+    not the run: no traceback, and the exit code is the verdict's."""
+
+    def test_a_closed_pipe_leaves_stderr_empty(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list", "-v"],
+            env=_cli_env(), cwd=REPO_ROOT,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the child writes: its first write fails
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
 
 class TestShardCount:

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.monitor import (
-    MonitorLimitError,
-    check_stuck_history_model,
-    get_model,
-    monitor_history,
-    wgl_check,
-)
+from repro.monitor import MonitorLimitError, get_model, monitor_history
+from repro.monitor.wgl import check_stuck_history_model, wgl_check
 
 from .conftest import call, hist, ret, serial_events
 

@@ -7,7 +7,7 @@ live on here, unchanged apart from their names and from calling each
 other instead of the library, so the differential tests can require the
 indexed implementation to produce byte-identical digests, equal
 footprints and equal clocks.  Digests are persisted (checkpoints, swarm
-shard states, ``generate`` corpora): do not "fix" anything in this file.
+shard states): do not "fix" anything in this file.
 """
 
 from __future__ import annotations

@@ -53,8 +53,7 @@ _digest_lists = st.lists(_digests, max_size=20)
 class TestFingerprintSetProperties:
     """Algebraic laws of the coverage set, checked with hypothesis.
 
-    The generation corpus, the swarm merge, and the stream watch all
-    lean on these: union must behave like set union, snapshots must
+    The checkpoint resume and the swarm merge lean on these: union must behave like set union, snapshots must
     round-trip losslessly, and ``update`` must report exactly the
     classes that were genuinely new.
     """

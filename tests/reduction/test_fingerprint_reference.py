@@ -1,8 +1,8 @@
 """The indexed dependence analysis against the quadratic one it replaced.
 
 ``tests/reduction/reference.py`` holds the pre-index implementation.  The
-digests are persisted in checkpoints, swarm shard states and ``generate``
-corpora, and a resumed run unions old digests with new ones — so the
+digests are persisted in checkpoints and swarm shard states, and a
+resumed run unions old digests with new ones — so the
 indexed implementation must reproduce them byte for byte, on real
 executions of every registered structure and on the corner cases
 (deadlocks, watchdog-truncated runs, value decisions).
@@ -141,8 +141,8 @@ def _first_outcome(name, version, text, wanted) -> ExecutionOutcome:
 class TestPinnedDigests:
     """Literal digests computed at the commit before the index (9cfb9f2).
 
-    A format drift would make resumed checkpoints and ``generate``
-    corpora count every class twice; these fail by name when it happens.
+    A format drift would make resumed checkpoints and swarm shard
+    states count every class twice; these fail by name when it happens.
     """
 
     def test_complete_execution(self):

@@ -22,16 +22,11 @@ from hypothesis import strategies as st
 from repro.core import SystemUnderTest, TestHarness
 from repro.core.events import RAISED, Event, Invocation, Response
 from repro.core.history import History
-from repro.monitor import (
-    SequentialModel,
-    check_stuck_history_model,
-    get_model,
-    monitor_history,
-    wgl_check,
-)
+from repro.monitor import SequentialModel, get_model, monitor_history
 from repro.monitor.dispatch import replay
 from repro.monitor.incremental import IncrementalChecker
 from repro.monitor.models import QueueModel
+from repro.monitor.wgl import check_stuck_history_model, wgl_check
 from repro.runtime import DFSStrategy
 from repro.structures.registry import get_class
 

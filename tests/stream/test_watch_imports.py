@@ -2,8 +2,8 @@
 
 ``watch`` judges a trace against a known model: it needs the monitor,
 the stream engine and the two core modules they use (events, history).
-The scheduler, the structures and the two-phase checker are never run on
-that path, so they are never imported either — ``repro``, ``repro.core``
+The scheduler, the structures, the two-phase checker and the reference
+WGL search are never run on that path, so they are never imported either — ``repro``, ``repro.core``
 and ``repro.runtime`` resolve their public names on first use.  The
 parser's ``--engine`` choices come from ``repro.runtime`` itself, which
 holds the engine names and imports no scheduler.
@@ -28,7 +28,10 @@ ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 #: Packages the watch path must not load; of ``repro.runtime`` only the
 #: package itself (the engine names) may be.
 NOT_ON_THE_WATCH_PATH = ("repro.structures", "repro.reduction", "repro.swarm", "repro.exec")
-NOT_LOADED_MODULES = ("repro.core.checker", "repro.core.campaign", "repro.core.harness")
+NOT_LOADED_MODULES = (
+    "repro.core.checker", "repro.core.campaign", "repro.core.harness",
+    "repro.monitor.wgl",
+)
 
 
 def off_the_watch_path(name: str) -> bool:
