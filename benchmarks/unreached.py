@@ -50,6 +50,10 @@ SRC = os.path.join(REPO, "src")
 PACKAGE = os.path.join(SRC, "repro")
 
 GATE = "Enqueue(1); TryDequeue | Enqueue(2) | TryDequeue"
+QUEUE_3X3 = (
+    "Enqueue(1); TryDequeue; Enqueue(2) | TryDequeue; Enqueue(3); TryDequeue"
+    " | Enqueue(4); TryDequeue; TryDequeue"
+)
 BUFFER = [
     "BoundedBuffer", "--provider", "repro.exec.faults", "--version", "beta",
     "--test", "Put(1); Take | TryTake",
@@ -117,6 +121,12 @@ DRIVES: list[tuple[str, list[str]]] = [
      ["observations", "ConcurrentQueue", "--test",
       "IsEmpty; ToArray; TryPeek | TryPeek; TryPeek; Count | Enqueue(10); Count; Enqueue(20)",
       "-o", "observations-3x3.xml"]),
+    ("phase 1 by state: a 3x3 queue test",
+     ["check", "ConcurrentQueue", "--test", QUEUE_3X3, "--strategy", "random",
+      "--schedules", "20", "--seed", "1", "--json"]),
+    ("phase 1 by state: a subject it cannot key",
+     ["check", "OpaqueRegister", "--provider", "repro.exec.faults", "--test",
+      "Set(1); Get | Get; Set(1)", "--json"]),
     *[
         (f"seven root causes: {cls} {cause}",
          ["check", cls, "--version", "pre", "--cause", cause])

@@ -91,8 +91,12 @@ class BudgetMeter:
 
     def note(self, outcome: ExecutionOutcome) -> None:
         """Record one finished execution."""
+        self.charge(len(outcome.decisions))
+
+    def charge(self, decisions: int) -> None:
+        """Record one finished execution of *decisions* decisions."""
         self.executions += 1
-        self.decisions += len(outcome.decisions)
+        self.decisions += decisions
 
     def exceeded(self) -> str | None:
         """The first tripped bound, or None while within budget."""
@@ -175,6 +179,12 @@ class ExplorationControl:
     def note(self, outcome: ExecutionOutcome) -> None:
         if self.meter is not None:
             self.meter.note(outcome)
+
+    def charge(self, decisions: int) -> None:
+        """:meth:`note` for an execution known by its decision count (one
+        phase 1 enumerated without running it)."""
+        if self.meter is not None:
+            self.meter.charge(decisions)
 
     def halt_reason(self) -> str | None:
         if self.stop is not None and self.stop():

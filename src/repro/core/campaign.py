@@ -735,17 +735,23 @@ def run_campaign(
         )
     return Outcome(
         campaign_verdict(rows, stop_reason),
-        partial(render_campaign, rows, quarantined, stop_reason),
+        partial(
+            render_campaign, rows, quarantined, stop_reason, executor.kept_report_dir
+        ),
         interrupted=stop_reason == "interrupted",
         resume=checkpoint if stop_reason is not None else None,
     )
 
 
 def render_campaign(
-    rows: list[CampaignRow], quarantined: "list[str]", stop_reason: str | None
+    rows: list[CampaignRow],
+    quarantined: "list[str]",
+    stop_reason: str | None,
+    reports: str | None = None,
 ) -> str:
     """The Table 2 rows, then what the table cannot show: quarantined and
-    flaky tests, and a stop that left the table partial."""
+    flaky tests, a stop that left the table partial, and the worker
+    report directory *reports* when the pool kept one."""
     lines = [render_table2(rows)]
     crashed = sum(row.tests_crashed for row in rows)
     nondet = sum(row.tests_nondet for row in rows)
@@ -770,4 +776,6 @@ def render_campaign(
             else f"budget exhausted ({stop_reason})"
         )
         lines += ["", f"campaign {what}; the table above is partial"]
+    if reports is not None:
+        lines += ["", f"worker reports in {reports}"]
     return "\n".join(lines)

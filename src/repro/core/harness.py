@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.core.budget import ExplorationControl
 from repro.core.events import Event, Invocation, Response, typed
-from repro.core.history import History
+from repro.core.history import History, SerialHistory
+from repro.core.phase1 import DeferCut, StateDriver, StateSearch
 from repro.core.spec import ObservationSet
 from repro.core.testcase import FiniteTest
 from repro.runtime import (
@@ -40,7 +41,7 @@ from repro.runtime import (
     WatchdogConfig,
     make_scheduler,
 )
-from repro.runtime.core import E_BLOCK, E_SCHED, SerialDriver
+from repro.runtime.core import E_BLOCK, E_SCHED
 
 if TYPE_CHECKING:  # the checker imports this module
     from repro.core.checker import CheckConfig
@@ -152,12 +153,22 @@ class SystemUnderTest:
 
 @dataclass
 class Phase1Stats:
-    """Statistics of a serial-enumeration run (Table 2, phase 1 columns)."""
+    """Statistics of a serial-enumeration run (Table 2, phase 1 columns).
+
+    ``runs`` and ``mode`` say how the enumeration was made, not what it
+    found, so two enumerations of the same executions compare equal.
+    """
 
     executions: int = 0
     histories: int = 0  #: distinct serial histories recorded
     stuck_histories: int = 0
     divergent: int = 0  #: executions cut off by the watchdog
+    #: runs of the object under test made; below ``executions`` when
+    #: phase 1 explored by state (:mod:`repro.core.phase1`)
+    runs: int = field(default=0, compare=False)
+    #: ``"state"``, or ``"replay: <why>"`` / ``"replay"`` (every
+    #: execution run from the initial state)
+    mode: str = field(default="replay", compare=False)
     #: why enumeration stopped early ("deadline", "executions",
     #: "decisions", "interrupted"), or None.
     stop_reason: str | None = None
@@ -173,11 +184,23 @@ class Phase1Stats:
             "histories": self.histories,
             "stuck_histories": self.stuck_histories,
             "divergent": self.divergent,
+            "runs": self.runs,
+            "mode": self.mode,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Phase1Stats":
-        return cls(**{name: int(data.get(name, 0)) for name in cls().to_dict()})
+        """The counts of :meth:`to_dict`; a checkpoint written before runs
+        were counted made one run per execution, by replay."""
+        counts = {
+            name: int(data.get(name, 0))
+            for name in ("executions", "histories", "stuck_histories", "divergent")
+        }
+        return cls(
+            **counts,
+            runs=int(data.get("runs", counts["executions"])),
+            mode=str(data.get("mode", "replay")),
+        )
 
 
 class TestHarness:
@@ -207,7 +230,7 @@ class TestHarness:
         self.runtime = Runtime(self.scheduler)
         # Phase 1 runs on no engine: serial executions never interleave, so
         # the serial driver runs each operation as a plain call.
-        self._serial = SerialDriver(self.scheduler.max_steps, self.scheduler.watchdog)
+        self._serial = StateDriver(self.scheduler.max_steps, self.scheduler.watchdog)
         self._serial_runtime = Runtime(self._serial)
         # The event table of the test being run (one at a time: a campaign
         # reuses the harness, and the next test drops this one's table).
@@ -301,13 +324,15 @@ class TestHarness:
 
         return [make_body(t) for t in range(test.n_threads)]
 
-    def _programs(self, test: FiniteTest) -> list[Callable[[], Iterator[tuple]]]:
-        """The same execution as programs for the serial driver: only the
-        harness-level effects are yielded, an operation is a plain call
-        (and leaves no :class:`OpMark`: nothing reads phase-1 footprints)."""
+    def _programs(
+        self, test: FiniteTest, obj: Any
+    ) -> list[Callable[[], Iterator[tuple]]]:
+        """The same execution as programs for the serial driver, on *obj*
+        (a fresh subject instance): only the harness-level effects are
+        yielded, an operation is a plain call (and leaves no
+        :class:`OpMark`: nothing reads phase-1 footprints)."""
         record = self._serial.record_event
         dispatch = self._dispatch
-        obj = self.subject.factory(self._serial_runtime)
         steps = self._thread_steps(test)
         table = self._events(test)
 
@@ -410,51 +435,86 @@ class TestHarness:
 
         Uses unbounded DFS (no preemption bounding — there are no
         preemptions in serial mode anyway), preserving the completeness
-        guarantee of Theorem 5.
+        guarantee of Theorem 5.  The DFS explores by state
+        (:mod:`repro.core.phase1`): the object under test runs once per
+        distinct serial state, and the other executions are enumerated
+        from what those runs recorded, each folded and counted as replay
+        would have; ``stats.runs`` counts the runs and ``stats.mode`` says
+        whether (or why not) the enumeration went by state.
 
         *observations*/*stats*/*strategy* continue a previous partial run
         (checkpoint resume); *control* imposes an exploration budget and
         stop flag, recorded in ``stats.stop_reason`` when tripped;
         *on_execution* (called as ``on_execution(observations, stats,
-        strategy)`` after each execution) is the checkpoint hook.
+        strategy)`` after each run and the executions it stands for) is
+        the checkpoint hook.
         """
-        observations = (
-            observations if observations is not None else ObservationSet(test.n_threads)
+        if observations is None:
+            observations = ObservationSet(test.n_threads)
+        fold = _Fold(
+            observations,
+            stats if stats is not None else Phase1Stats(),
+            max_executions,
+            control,
         )
-        stats = stats if stats is not None else Phase1Stats()
+        stats = fold.stats
         strategy = (
             strategy if strategy is not None else DFSStrategy(preemption_bound=None)
         )
         if control is not None:
             control.start()
-        remaining = None
-        if max_executions is not None:
-            remaining = max(0, max_executions - stats.executions)
-        for outcome in self.explore_serial(test, strategy, remaining):
-            stats.executions += 1
-            if control is not None:
-                control.note(outcome)
-            if outcome.divergent:
-                stats.divergent += 1
-            # Every execution is folded (and so checked for crashes); no
-            # equivalence-class reduction here: phase 1 must enumerate every
-            # distinct serial history for the Theorem 5 completeness
-            # argument, and ``add`` drops only identical repeats.
-            serial = self.history_from_outcome(outcome, test).to_serial()
-            if observations.add(serial):
-                stats.histories += 1
-                if serial.stuck:
-                    stats.stuck_histories += 1
-            if control is not None:
-                reason = control.halt_reason()
-                if reason is not None:
-                    stats.stop_reason = reason
+        driver = self._serial
+        search = StateSearch(
+            test.n_threads, self._events(test).codes, driver.max_steps, strategy
+        )
+        deferred = DeferCut(strategy)
+        driver.search = search
+        try:
+            while strategy.more() and not fold.capped():
+                obj = self.subject.factory(self._serial_runtime)
+                search.begin(obj)
+                programs = self._programs(test, obj)
+                outcome = driver.execute(programs, deferred, serial=True)
+                stats.runs += 1
+                if search.cut is None:
+                    serial = self.history_from_outcome(outcome, test).to_serial()
+                    search.end(outcome)
+                    if fold.add(serial, len(outcome.decisions), outcome.divergent):
+                        break
+                elif self._fold_cut(test, search, outcome, fold):
                     break
-            if on_execution is not None:
-                on_execution(observations, stats, strategy)
+                if on_execution is not None:
+                    on_execution(fold.observations, stats, strategy)
+        finally:
+            driver.search = None
+        stats.mode = "state" if search.refused is None else f"replay: {search.refused}"
         if stats.stop_reason is not None or strategy.more():
             stats.complete = False
-        return observations, stats
+        return fold.observations, stats
+
+    @staticmethod
+    def _fold_cut(
+        test: FiniteTest, search: StateSearch, outcome: ExecutionOutcome, fold: "_Fold"
+    ) -> bool:
+        """Fold every serial execution below the node *outcome* was cut at,
+        in replay's order; True when a cap or the budget stopped the
+        enumeration (the DFS is then left after the last one folded)."""
+        node, arrival = search.cut
+        prefix = History(outcome.events, test.n_threads).to_serial().steps
+        decisions = len(outcome.decisions)
+        folded = 0
+        for _, steps, stuck, more in search.paths(node, arrival):
+            if folded and fold.capped():
+                break
+            folded += 1
+            if fold.add(SerialHistory(prefix + steps, stuck), decisions + more):
+                break
+        else:
+            search.strategy.finish(outcome)
+            search.strategy.executions += folded - 1
+            return False
+        search.rewind(outcome, folded)
+        return True
 
     def explore_serial(
         self,
@@ -464,7 +524,7 @@ class TestHarness:
     ) -> Iterator[ExecutionOutcome]:
         """Phase 1's enumeration: the serial executions of *test*."""
         return self._serial.explore(
-            lambda: self._programs(test),
+            lambda: self._programs(test, self.subject.factory(self._serial_runtime)),
             strategy,
             serial=True,
             max_executions=max_executions,
@@ -486,3 +546,52 @@ class TestHarness:
             history = self.history_from_outcome(outcome, test)
             history.key = self._events(test).history_key(history)
             yield history, outcome
+
+
+class _Fold:
+    """Phase 1's tally: serial executions folded into the observation set
+    under the execution cap and the budget."""
+
+    __slots__ = ("observations", "stats", "max_executions", "control")
+
+    def __init__(
+        self,
+        observations: ObservationSet,
+        stats: Phase1Stats,
+        max_executions: int | None,
+        control: ExplorationControl | None,
+    ) -> None:
+        self.observations = observations
+        self.stats = stats
+        self.max_executions = max_executions
+        self.control = control
+
+    def capped(self) -> bool:
+        """Whether the execution cap is reached."""
+        cap = self.max_executions
+        return cap is not None and self.stats.executions >= cap
+
+    def add(
+        self, serial: SerialHistory, decisions: int, divergent: bool = False
+    ) -> bool:
+        """Count one serial execution of *decisions* decisions; True when
+        the budget or an interrupt stops phase 1 after it."""
+        stats, control = self.stats, self.control
+        stats.executions += 1
+        if control is not None:
+            control.charge(decisions)
+        if divergent:
+            stats.divergent += 1
+        # No equivalence-class reduction here: phase 1 must enumerate every
+        # distinct serial history for the Theorem 5 completeness argument,
+        # and ``add`` drops only identical repeats.
+        if self.observations.add(serial):
+            stats.histories += 1
+            if serial.stuck:
+                stats.stuck_histories += 1
+        if control is not None:
+            reason = control.halt_reason()
+            if reason is not None:
+                stats.stop_reason = reason
+                return True
+        return False

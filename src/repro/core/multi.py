@@ -127,6 +127,7 @@ def check_multi(
         test, strategy, cfg.max_serial_executions
     ):
         stats.executions += 1
+        stats.runs += 1
         history = harness.history_from_outcome(outcome, test)
         for target in targets:
             projection = project_object(history, target)

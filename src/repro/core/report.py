@@ -177,6 +177,13 @@ def render_check_result(result: CheckResult) -> str:
             f"({result.phase1.stuck_histories} stuck){p1_divergent}, "
             f"{result.phase1_seconds * 1000:.1f} ms"
         ),
+    ]
+    if result.phase1.runs:
+        lines.append(
+            f"phase 1 mode: {result.phase1.mode} "
+            f"({result.phase1.runs} runs of the object under test)"
+        )
+    lines += [
         (
             f"phase 2: {result.phase2_executions} concurrent executions "
             f"({result.phase2_full} full, {result.phase2_stuck} stuck{divergent}), "

@@ -30,6 +30,9 @@ checker, graded by what layer must contain it:
   the phase-2 shard whose subtree contains the killer interleaving
   crashes its workers.  Drives the swarm quarantine path (lost-shard
   requeue, retry caps, and the resumable shard checkpoint).
+* :class:`OpaqueRegister` — a correct register whose value sits in a
+  closure, which phase 1's state walk cannot key: phase 1 runs it as
+  plain replay and says why.
 * :class:`GoodRegister` — a well-behaved control subject.
 
 ``BoundedBuffer`` is also registered here (the registry's worked
@@ -212,6 +215,26 @@ class RacyCounter:
         return self._cell.get()
 
 
+class OpaqueRegister:
+    """A correct register that keeps its cell in closures.
+
+    :func:`repro.runtime.statekey.state_key` cannot see into a closure,
+    so phase 1 does not explore this subject by state: every serial
+    execution is replayed, and ``phase1.mode`` names the closure.
+    """
+
+    def __init__(self, rt: Runtime) -> None:
+        cell = rt.volatile(0)
+        self._get = lambda: cell.get()
+        self._set = lambda value: cell.set(value)
+
+    def Get(self) -> int:
+        return self._get()
+
+    def Set(self, value: int) -> None:
+        self._set(value)
+
+
 def _entry(name: str, cls: type, invocations: tuple[Invocation, ...]) -> ClassUnderTest:
     return ClassUnderTest(
         name=name,
@@ -230,6 +253,7 @@ FAULT_REGISTRY: tuple[ClassUnderTest, ...] = (
     _entry("FlakyRegister", FlakyRegister, (_inv("Get"),)),
     _entry("NondetRegister", NondetRegister, (_inv("Get"),)),
     _entry("RacyCounter", RacyCounter, (_inv("Incr"), _inv("Get"))),
+    _entry("OpaqueRegister", OpaqueRegister, (_inv("Get"), _inv("Set", 1))),
     ClassUnderTest(
         name="BoundedBuffer",
         make=lambda rt, v: _BoundedBuffer(rt, v),

@@ -27,13 +27,12 @@ __all__ = ["InlineExecutor", "open_executor"]
 
 def open_executor(params: dict):
     """``--isolate`` is a sandboxing choice: it picks the executor, an
-    :class:`InlineExecutor` or the pool of :func:`open_pool`, which
-    names its report directory on stdout."""
+    :class:`InlineExecutor` or the pool of :func:`open_pool`.  Either
+    names, once closed, the report directory it kept
+    (``kept_report_dir``)."""
     if not params.get("isolate"):
         return InlineExecutor()
-    pool = open_pool(params)
-    print(f"worker reports in {pool.report_dir}")
-    return pool
+    return open_pool(params)
 
 
 class InlineExecutor:
@@ -42,6 +41,8 @@ class InlineExecutor:
     #: Tasks run under the caller's ``control`` and are metered by it; a
     #: pool's tasks are not (callers charge the reported work afterwards).
     inline = True
+    #: No worker, no report directory.
+    kept_report_dir = None
 
     def __init__(self, scheduler=None) -> None:
         #: A caller-provided scheduler is borrowed for every task and

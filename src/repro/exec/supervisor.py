@@ -393,6 +393,14 @@ class WorkerPool:
         return self._report_dir
 
     @property
+    def kept_report_dir(self) -> str | None:
+        """The report directory if it exists: made on first use, and once
+        closed kept only when named by ``--report-dir`` or holding
+        something to read."""
+        path = self._report_dir
+        return path if path is not None and os.path.isdir(path) else None
+
+    @property
     def worker_limit(self) -> int:
         """Workers the pool will currently run (see graceful degradation)."""
         return self._worker_limit

@@ -139,6 +139,11 @@ class DFSStrategy(SchedulingStrategy):
         self.executions += 1
         self._backtrack()
 
+    def replaying(self) -> bool:
+        """Whether the running execution is still on the stack: its next
+        branching decision replays one an earlier execution took."""
+        return self._depth < len(self._stack)
+
     # -- internals ----------------------------------------------------
 
     #: node class used for the DFS stack; reduction strategies override

@@ -254,6 +254,30 @@ class TestTheReportDirectory:
         assert any(
             name.startswith("crash-") for name in os.listdir(directory)
         )
+        assert self._named(run) == [str(directory)]
+
+    @staticmethod
+    def _named(run) -> list[str]:
+        """The directories a campaign's "worker reports in" lines name."""
+        prefix = "worker reports in "
+        return [
+            line[len(prefix):] for line in run.stdout.splitlines()
+            if line.startswith(prefix)
+        ]
+
+    @pytest.mark.parametrize("given", [False, True], ids=["temporary", "given"])
+    def test_a_campaign_names_only_a_directory_that_survives(self, tmp_path, given):
+        reports = tmp_path / "reports"
+        run, scratch = self._run(
+            tmp_path, "campaign", "Lazy", "--versions", "pre", "--samples", "1",
+            "--seed", "1", "--isolate", "--workers", "2",
+            *(("--report-dir", str(reports)) if given else ()),
+        )
+        assert run.returncode == 1, run.stderr
+        named = self._named(run)
+        assert all(os.path.isdir(path) for path in named), named
+        assert named == ([str(reports)] if given else [])
+        assert list(scratch.iterdir()) == []
 
     def test_a_given_report_dir_is_kept(self, tmp_path):
         reports = tmp_path / "reports"

@@ -30,7 +30,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 NOT_ON_THE_WATCH_PATH = ("repro.structures", "repro.reduction", "repro.swarm", "repro.exec")
 NOT_LOADED_MODULES = (
     "repro.core.checker", "repro.core.campaign", "repro.core.harness",
-    "repro.monitor.wgl",
+    "repro.core.phase1", "repro.monitor.wgl",
 )
 
 
